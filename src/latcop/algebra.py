@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CapExceeded,
@@ -117,9 +117,11 @@ class FiniteAlgebra:
 
     ``tables`` is aligned with ``signature.symbols``; the table for an
     arity-k symbol has ``size**k`` entries indexed row-major (leftmost
-    argument most significant).  ``factors`` is set by :func:`direct_product`
-    and enables the tuple codec; ``generators`` is set by
-    :func:`free_algebra`.
+    argument most significant).  Products, induced subalgebras, free
+    algebras and E(X) all get their tables from one subpower kernel,
+    ``_subpower``.  ``factors`` is set by :func:`direct_product` and enables
+    :meth:`encode`/:meth:`decode`, the package's one mixed-radix tuple
+    codec; ``generators`` is set by :func:`free_algebra`.
     """
 
     name: str
@@ -576,15 +578,9 @@ def induced_subalgebra(algebra: FiniteAlgebra, elements: Iterable[int], name: st
     elems = tuple(sorted(set(elements)))
     if not elems:
         raise LatcopError("subalgebra universe must be nonempty")
-    if subuniverse_closure(algebra, elems) != frozenset(elems):
-        raise LatcopError(f"{sorted(elems)} is not a subuniverse of {algebra.name!r}")
-    pos = {x: i for i, x in enumerate(elems)}
-    tables = []
-    for sym, arity, tab in algebra.ops():
-        entries = []
-        for args in itertools.product(elems, repeat=arity):
-            entries.append(pos[tab[algebra.flat_index(args)]])
-        tables.append(tuple(entries))
+    if elems[0] < 0 or elems[-1] >= algebra.size:
+        raise LatcopError(f"{sorted(elems)} is not a subset of the universe of {algebra.name!r}")
+    _, tables = _subpower(algebra.signature, [algebra], [(x,) for x in elems])
     names = None
     if algebra.element_names is not None:
         names = tuple(algebra.element_names[x] for x in elems)
@@ -593,11 +589,87 @@ def induced_subalgebra(algebra: FiniteAlgebra, elements: Iterable[int], name: st
             name = algebra.name
         else:
             name = f"{algebra.name}|{{{','.join(str(x) for x in elems)}}}"
-    label = name
     return (
-        FiniteAlgebra(label, len(elems), algebra.signature, tuple(tables), names),
+        FiniteAlgebra(name, len(elems), algebra.signature, tables, names),
         elems,
     )
+
+
+# ---------------------------------------------------------------------------
+# subpowers
+
+
+def _pointwise(arity: int, tabs: Sequence[tuple[int, ...]], sizes: Sequence[int]):
+    """The operation applied coordinatewise to tuples, reading each
+    coordinate's flat table directly."""
+    if arity == 0:
+        value = tuple(t[0] for t in tabs)
+        return lambda: value
+    if arity == 1:
+        return lambda xs: tuple([t[x] for t, x in zip(tabs, xs)])
+    if arity == 2:
+        return lambda xs, ys: tuple(
+            [t[x * n + y] for t, n, x, y in zip(tabs, sizes, xs, ys)]
+        )
+
+    def apply(*args):
+        out = []
+        for t, n, *column in zip(tabs, sizes, *args):
+            idx = 0
+            for x in column:
+                idx = idx * n + x
+            out.append(t[idx])
+        return tuple(out)
+
+    return apply
+
+
+def _subpower(
+    signature: Signature,
+    coords: Sequence[FiniteAlgebra],
+    universe: Sequence[tuple[int, ...]] | None = None,
+    generators: Iterable[tuple[int, ...]] = (),
+) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
+    """A subalgebra of the product of ``coords``: its element tuples and its
+    operation tables, with operations applied coordinatewise.
+
+    Given a ``universe``, its order is kept and LatcopError is raised unless
+    it is closed.  Otherwise the subuniverse generated by ``generators`` and
+    the nullary values is computed and returned sorted.
+    """
+    sizes = [c.size for c in coords]
+    ops = [
+        (sym, arity, _pointwise(arity, [c.tables[k] for c in coords], sizes))
+        for k, (sym, arity) in enumerate(signature.symbols)
+    ]
+    if universe is None:
+        found = {f() for _, arity, f in ops if arity == 0}
+        found.update(generators)
+        work = list(found)
+        done: list[tuple[int, ...]] = []
+        while work:
+            x = work.pop()
+            done.append(x)
+            # tuples of elements popped earlier were combined when popped
+            for _, arity, f in ops:
+                if arity == 0:
+                    continue
+                for rest in itertools.product(done, repeat=arity - 1):
+                    for pos in range(arity):
+                        y = f(*rest[:pos], x, *rest[pos:])
+                        if y not in found:
+                            found.add(y)
+                            work.append(y)
+        universe = sorted(found)
+    index = {t: i for i, t in enumerate(universe)}
+    tables = []
+    for sym, arity, f in ops:
+        values = itertools.starmap(f, itertools.product(universe, repeat=arity))
+        try:
+            tables.append(tuple(map(index.__getitem__, values)))
+        except KeyError:
+            raise LatcopError(f"subpower universe is not closed under {sym!r}") from None
+    return list(universe), tuple(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -615,60 +687,28 @@ def direct_product(
     The empty product is the one-element algebra; its signature must then be
     supplied explicitly.
     """
-    if not algebras:
-        if signature is None:
-            raise LatcopError("empty product needs an explicit signature")
-        tables = tuple((0,) * 1 for _ in signature.symbols)
-        return FiniteAlgebra(name or "1", 1, signature, tables, None, ())
-    _check_same_signature(*algebras)
-    sig = algebras[0].signature
-    if signature is not None and signature != sig:
-        raise SignatureMismatch("explicit signature disagrees with factors")
+    if algebras:
+        _check_same_signature(*algebras)
+        if signature is not None and signature != algebras[0].signature:
+            raise SignatureMismatch("explicit signature disagrees with factors")
+        signature = algebras[0].signature
+    elif signature is None:
+        raise LatcopError("empty product needs an explicit signature")
     size = prod(a.size for a in algebras)
     if size > cap:
         raise CapExceeded(
             f"product would have {size} elements, cap is {cap}", required=size
         )
-    factors = tuple(algebras)
-    radices = [a.size for a in algebras]
-
-    def decode(x: int) -> tuple[int, ...]:
-        parts = []
-        for r in reversed(radices):
-            parts.append(x % r)
-            x //= r
-        return tuple(reversed(parts))
-
-    def encode(parts: Sequence[int]) -> int:
-        x = 0
-        for p, r in zip(parts, radices):
-            x = x * r + p
-        return x
-
-    all_parts = [decode(x) for x in range(size)]
-    tables = []
-    for k, (sym, arity) in enumerate(sig.symbols):
-        ftabs = [a.tables[k] for a in algebras]
-        if arity == 0:
-            tables.append((encode([t[0] for t in ftabs]),))
-            continue
-        entries = []
-        for args in itertools.product(range(size), repeat=arity):
-            parts = [all_parts[a] for a in args]
-            entries.append(
-                encode([
-                    t[f.flat_index([p[i] for p in parts])]
-                    for i, (f, t) in enumerate(zip(algebras, ftabs))
-                ])
-            )
-        tables.append(tuple(entries))
+    _, tables = _subpower(
+        signature, algebras, list(itertools.product(*(range(a.size) for a in algebras)))
+    )
     return FiniteAlgebra(
-        name or "x".join(a.name for a in algebras),
+        name or "x".join(a.name for a in algebras) or "1",
         size,
-        sig,
-        tuple(tables),
+        signature,
+        tables,
         None,
-        factors,
+        tuple(algebras),
     )
 
 
@@ -778,21 +818,29 @@ def relative_congruences(algebra: FiniteAlgebra, generators: Sequence[FiniteAlge
     return sorted(found, key=lambda c: c.blocks)
 
 
+def _kernel_meets(
+    algebra: FiniteAlgebra, targets: Sequence[FiniteAlgebra]
+) -> Iterator[tuple[Homomorphism, Congruence]]:
+    """Each homomorphism from ``algebra`` into the targets, in target then
+    map-vector order, with the meet of the kernels up to and including it;
+    stops once that meet is the diagonal."""
+    theta = Congruence.all(algebra.size)
+    for m in targets:
+        for h in hom_enumerate(algebra, m):
+            theta = theta.meet(h.kernel())
+            yield h, theta
+            if theta.num_blocks == algebra.size:
+                return
+
+
 def in_isp(algebra: FiniteAlgebra, generators: Sequence[FiniteAlgebra]) -> bool:
     """True iff every pair of distinct elements is separated by a
     homomorphism into some generator."""
     for m in generators:
         _check_same_signature(algebra, m)
-    if algebra.size == 1:
-        return True
-    cur = Congruence.all(algebra.size)
-    diag = Congruence.diagonal(algebra.size)
-    for m in generators:
-        for h in hom_enumerate(algebra, m):
-            cur = cur.meet(h.kernel())
-            if cur == diag:
-                return True
-    return cur == diag
+    return algebra.size == 1 or any(
+        theta.num_blocks == algebra.size for _, theta in _kernel_meets(algebra, generators)
+    )
 
 
 def is_rel_subdirectly_irreducible(algebra: FiniteAlgebra, generators: Sequence[FiniteAlgebra]) -> bool:
@@ -965,78 +1013,19 @@ def free_algebra(
                 f"free-algebra ambient product needs {ambient}+ elements, cap is {cap}",
                 required=ambient,
             )
-    # coordinates: (generator index, assignment of the n variables)
-    coords: list[tuple[int, tuple[int, ...]]] = []
-    for mi, m in enumerate(generators):
-        for v in itertools.product(range(m.size), repeat=n):
-            coords.append((mi, v))
+    # coordinates: (generator, assignment of the n variables)
+    coords = [(m, v) for m in generators for v in itertools.product(range(m.size), repeat=n)]
     gen_tuples = [tuple(v[i] for _, v in coords) for i in range(n)]
-
-    coord_alg = [generators[mi] for mi, _ in coords]
-    elems: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
-
-    def add(t: tuple[int, ...]) -> None:
-        if t not in elems:
-            elems[t] = len(order)
-            order.append(t)
-
-    for sym, arity in sig.symbols:
-        if arity == 0:
-            add(tuple(m.table(sym)[0] for m in coord_alg))
-    for t in gen_tuples:
-        add(t)
-    if not order:
+    elems, tables = _subpower(sig, [m for m, _ in coords], generators=gen_tuples)
+    if not elems:
         raise LatcopError("free algebra on 0 generators needs nullary operations")
-    ops = [(sym, arity) for sym, arity in sig.symbols if arity > 0]
-    frontier = list(order)
-    while frontier:
-        t = frontier.pop()
-        snapshot = list(order)
-        for sym, arity in ops:
-            tabs = [m.table(sym) for m in coord_alg]
-            if arity == 1:
-                new = tuple(tab[x] for tab, x in zip(tabs, t))
-                if new not in elems:
-                    add(new)
-                    frontier.append(new)
-                continue
-            for rest in itertools.product(snapshot, repeat=arity - 1):
-                for pos in range(arity):
-                    args = rest[:pos] + (t,) + rest[pos:]
-                    new = tuple(
-                        tab[m.flat_index([arg[ci] for arg in args])]
-                        for ci, (tab, m) in enumerate(zip(tabs, coord_alg))
-                    )
-                    if new not in elems:
-                        add(new)
-                        frontier.append(new)
-    final = sorted(order)
-    index = {t: i for i, t in enumerate(final)}
-    tables = []
-    for sym, arity in sig.symbols:
-        tabs = [m.table(sym) for m in coord_alg]
-        if arity == 0:
-            tables.append((index[tuple(tab[0] for tab in tabs)],))
-            continue
-        entries = []
-        for args in itertools.product(final, repeat=arity):
-            entries.append(
-                index[
-                    tuple(
-                        tab[m.flat_index([arg[ci] for arg in args])]
-                        for ci, (tab, m) in enumerate(zip(tabs, coord_alg))
-                    )
-                ]
-            )
-        tables.append(tuple(entries))
     name = f"Free({'+'.join(m.name for m in generators)},{n})"
     return FiniteAlgebra(
         name,
-        len(final),
+        len(elems),
         sig,
-        tuple(tables),
+        tables,
         None,
         None,
-        tuple(index[t] for t in gen_tuples),
+        tuple(elems.index(t) for t in gen_tuples),
     )

@@ -15,9 +15,9 @@ from typing import Sequence
 from .algebra import (
     FiniteAlgebra,
     Homomorphism,
+    _kernel_meets,
     direct_product,
     embeds,
-    hom_enumerate,
     in_isp,
     induced_subalgebra,
     is_rel_subdirectly_irreducible,
@@ -208,10 +208,12 @@ class ClassificationReport:
         lines = []
         gen_names = ", ".join(f"{m.name}({m.size})" for m in self.input_generators)
         lines.append(f"classification of ISP({gen_names})")
-        lines.append(
-            "simplified generators: "
-            + (", ".join(m.name for m in self.simplified) or "(none: trivial class)")
-        )
+        # an unknown run may have stopped before simplification finished
+        if self.simplified or self.unknown is None:
+            lines.append(
+                "simplified generators: "
+                + (", ".join(m.name for m in self.simplified) or "(none: trivial class)")
+            )
         if self.unknown is not None:
             lines.append(f"verdict: unknown ({self.unknown})")
             return "\n".join(lines) + "\n"
@@ -255,14 +257,10 @@ def _separating_witnesses(n: FiniteAlgebra, m0: FiniteAlgebra) -> list[Homomorph
     """A small family of homomorphisms n -> m0 with trivial joint kernel."""
     witnesses: list[Homomorphism] = []
     cur = Congruence.all(n.size)
-    diag = Congruence.diagonal(n.size)
-    for h in hom_enumerate(n, m0):
-        merged = cur.meet(h.kernel())
-        if merged != cur:
+    for h, theta in _kernel_meets(n, [m0]):
+        if theta != cur:
             witnesses.append(h)
-            cur = merged
-        if cur == diag:
-            break
+            cur = theta
     return witnesses
 
 

@@ -113,6 +113,12 @@ def _resolve_omega(arg: str | None, inputs: _Inputs):
     return tuple(carriers)
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -333,11 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("source", nargs="+", help="catalog id or .alg file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", default=None, help="output path ('-' = stdout)")
+        # argparse converts a string default too: a bad $LATCOP_CAP exits 2
         p.add_argument(
             "--cap",
-            type=int,
-            default=int(os.environ.get(CAP_ENV, 0)) or None,
-            help=f"size cap override (also via ${CAP_ENV})",
+            type=_positive_int,
+            default=os.environ.get(CAP_ENV) or None,
+            help=f"size cap override, a positive integer (also via ${CAP_ENV})",
         )
         if omega:
             p.add_argument(

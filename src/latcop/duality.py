@@ -18,6 +18,8 @@ from .algebra import (
     Congruence,
     FiniteAlgebra,
     Homomorphism,
+    _kernel_meets,
+    _subpower,
     hom_enumerate,
     in_isp,
     quotient,
@@ -108,11 +110,6 @@ def structure_product(
                 raise LatcopError("structure product requires a common alter ego")
     elif ego is None:
         raise LatcopError("the empty structure product needs an explicit ego")
-    else:
-        points = tuple(((),) for _ in ego.sorts)
-        relations = tuple(frozenset({(0, 0)}) for _ in ego.relations)
-        operations = tuple((0,) for _ in ego.operations)
-        return MultisortedStructure(ego, points, relations, operations)
     nsorts = len(ego.sorts)
     for s in range(nsorts):
         count = 1
@@ -127,41 +124,29 @@ def structure_product(
         tuple(itertools.product(*[x.points[s] for x in structures]))
         for s in range(nsorts)
     )
-    # index decomposition per sort: mixed radix, leftmost factor most significant
-    def decomp(s: int, idx: int) -> tuple[int, ...]:
-        parts = []
-        for x in reversed(structures):
-            r = len(x.points[s])
-            parts.append(idx % r)
-            idx //= r
-        return tuple(reversed(parts))
-
+    # per sort, the factor index tuple of each point, in the order of points
+    parts = [
+        list(itertools.product(*[range(len(x.points[s])) for x in structures]))
+        for s in range(nsorts)
+    ]
     relations = []
     for ri, rel in enumerate(ego.relations):
-        s1, s2 = rel.sort1, rel.sort2
-        lifted = set()
-        for i in range(len(points[s1])):
-            di = decomp(s1, i)
-            for j in range(len(points[s2])):
-                dj = decomp(s2, j)
-                if all(
-                    (a, b) in x.relations[ri]
-                    for x, a, b in zip(structures, di, dj)
-                ):
-                    lifted.add((i, j))
-        relations.append(frozenset(lifted))
+        lifted = frozenset(
+            (i, j)
+            for i, di in enumerate(parts[rel.sort1])
+            for j, dj in enumerate(parts[rel.sort2])
+            if all((a, b) in x.relations[ri] for x, a, b in zip(structures, di, dj))
+        )
+        relations.append(lifted)
     operations = []
     for gi, g in enumerate(ego.operations):
-        s1 = ego.sort_index(g.source)
-        s2 = ego.sort_index(g.target)
-        lifted_op = []
-        for i in range(len(points[s1])):
-            di = decomp(s1, i)
-            target = 0
-            for x, a in zip(structures, di):
-                target = target * len(x.points[s2]) + x.operations[gi][a]
-            lifted_op.append(target)
-        operations.append(tuple(lifted_op))
+        index = {d: k for k, d in enumerate(parts[ego.sort_index(g.target)])}
+        operations.append(
+            tuple(
+                index[tuple(x.operations[gi][a] for x, a in zip(structures, di))]
+                for di in parts[ego.sort_index(g.source)]
+            )
+        )
     return MultisortedStructure(ego, points, tuple(relations), tuple(operations))
 
 
@@ -287,7 +272,7 @@ def e_functor(
 
     if not solutions:
         raise LatcopError("E(X) is empty: the structure admits no morphisms")
-    # verify and build the pointwise algebra
+    # verify, then build the pointwise algebra (raises unless E(X) is closed)
     sig = ego.sorts[0].signature
     for sol in solutions:
         for p, q, pairs in rel_edges:
@@ -296,28 +281,8 @@ def e_functor(
         for p, q, gmap in op_edges:
             if sol[q] != gmap[sol[p]]:
                 raise LatcopError("internal error: operation constraint violated")
-    index = {sol: k for k, sol in enumerate(solutions)}
-    sort_algebras = [ego.sorts[s] for s in sort_of]
-    tables = []
-    for sym, arity in sig.symbols:
-        sort_tabs = [m.table(sym) for m in sort_algebras]
-        if arity == 0:
-            vec = tuple(t[0] for t in sort_tabs)
-            if vec not in index:
-                raise LatcopError("internal error: constants escape E(X)")
-            tables.append((index[vec],))
-            continue
-        entries = []
-        for args in itertools.product(solutions, repeat=arity):
-            vec = tuple(
-                t[m.flat_index([arg[k] for arg in args])]
-                for k, (m, t) in enumerate(zip(sort_algebras, sort_tabs))
-            )
-            if vec not in index:
-                raise LatcopError("internal error: E(X) not closed under operations")
-            entries.append(index[vec])
-        tables.append(tuple(entries))
-    algebra = FiniteAlgebra("E(X)", len(solutions), sig, tuple(tables))
+    _, tables = _subpower(sig, [ego.sorts[s] for s in sort_of], universe=solutions)
+    algebra = FiniteAlgebra("E(X)", len(solutions), sig, tables)
     return EResult(algebra, tuple(solutions), tuple(order))
 
 
@@ -664,13 +629,9 @@ def reflector(
 ) -> ReflectorResult:
     """Quotient by the least congruence whose quotient lies in
     ISP(generators): the meet of all homomorphism kernels."""
-    theta = Congruence.all(algebra.size)
-    saw_hom = False
-    for m in generators:
-        for h in hom_enumerate(algebra, m):
-            saw_hom = True
-            theta = theta.meet(h.kernel())
+    meets = [theta for _, theta in _kernel_meets(algebra, generators)]
+    theta = meets[-1] if meets else Congruence.all(algebra.size)
     q, rho = quotient(algebra, theta)
     q = q.rename(f"R({algebra.name})")
     rho = Homomorphism(algebra, q, rho.map)
-    return ReflectorResult(q, rho, not saw_hom and algebra.size > 1)
+    return ReflectorResult(q, rho, not meets and algebra.size > 1)

@@ -84,6 +84,34 @@ def brute_force_homs(a: FiniteAlgebra, b: FiniteAlgebra) -> list[tuple[int, ...]
     return sorted(tuple(int(v) for v in maps[i]) for i in np.flatnonzero(valid))
 
 
+def pointwise_tables(coords, elements) -> tuple[tuple[int, ...], ...]:
+    """Tables of the subalgebra of prod(coords) on the tuples ``elements``
+    (a list, order kept), evaluated coordinate by coordinate with
+    ``FiniteAlgebra.op`` only."""
+    tables = []
+    for sym, arity in coords[0].signature.symbols:
+        tables.append(tuple(
+            elements.index(tuple(c.op(sym, [a[i] for a in args]) for i, c in enumerate(coords)))
+            for args in itertools.product(elements, repeat=arity)
+        ))
+    return tuple(tables)
+
+
+def pointwise_closure(coords, generators) -> list[tuple[int, ...]]:
+    """Sorted subuniverse of prod(coords) generated by ``generators`` and
+    the nullary values, by full passes with ``FiniteAlgebra.op`` only."""
+    found = set(generators)
+    while True:
+        new = {
+            tuple(c.op(sym, [a[i] for a in args]) for i, c in enumerate(coords))
+            for sym, arity in coords[0].signature.symbols
+            for args in itertools.product(sorted(found), repeat=arity)
+        }
+        if new <= found:
+            return sorted(found)
+        found |= new
+
+
 def is_closed_subset(p: FiniteAlgebra, subset: frozenset[int]) -> bool:
     for sym, arity, tab in p.ops():
         if arity == 0:

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_partitions, brute_force_homs
+from conftest import all_partitions, brute_force_homs, pointwise_closure, pointwise_tables
 from latcop.algebra import (
     Congruence,
+    FiniteAlgebra,
     Homomorphism,
+    Signature,
+    _subpower,
     app,
     congruence_generated,
     direct_product,
@@ -27,6 +30,8 @@ from latcop.algebra import (
     var,
 )
 from latcop.catalog import make
+from latcop.distlat import DReductSpec
+from latcop.duality import coproduct
 from latcop.errors import (
     CapExceeded,
     IncompatiblePartition,
@@ -38,6 +43,25 @@ from latcop.errors import (
 K3 = make("kleene3").algebra
 DM4 = make("demorgan4").algebra
 C3 = make("heyting_chain", 3).algebra
+
+
+def _median_chain() -> FiniteAlgebra:
+    """The 3-chain with its ternary median ``maj`` beside meet, join, 0, 1,
+    plus the ternary term x meet (y join z), which is not symmetric and so
+    shows a mix-up of argument order."""
+    sig = Signature(
+        (("maj", 3), ("lean", 3), ("meet", 2), ("join", 2), ("zero", 0), ("one", 0))
+    )
+    r = range(3)
+    triples = list(itertools.product(r, repeat=3))
+    maj = tuple(sorted(t)[1] for t in triples)
+    lean = tuple(min(x, max(y, z)) for x, y, z in triples)
+    meet = tuple(min(x, y) for x in r for y in r)
+    join = tuple(max(x, y) for x in r for y in r)
+    return FiniteAlgebra("med3", 3, sig, (maj, lean, meet, join, (0,), (2,)))
+
+
+MED3 = _median_chain()
 MV2 = make("mv_chain", 2).algebra
 B2 = make("pseudo_b", 2).algebra
 
@@ -317,3 +341,47 @@ class TestHomomorphismBasics:
         sub, elems = induced_subalgebra(DM4, {0, 1, 3})
         assert elems == (0, 1, 3)
         assert isomorphic(sub, K3) is not None
+
+
+class TestTernaryPointwise:
+    """Every subpower construction on an algebra with a ternary operation,
+    against the ``FiniteAlgebra.op`` oracle."""
+
+    def test_direct_product(self):
+        p = direct_product([MED3, MED3])
+        square = list(itertools.product(range(3), repeat=2))
+        assert p.tables == pointwise_tables([MED3, MED3], square)
+
+    def test_induced_subalgebra(self):
+        sub, elems = induced_subalgebra(MED3, {0, 2})
+        assert sub.tables == pointwise_tables([MED3], [(x,) for x in elems])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_free_algebra(self, n):
+        f = free_algebra([MED3], n)
+        coords = [MED3] * 3**n
+        assignments = list(itertools.product(range(3), repeat=n))
+        gens = [tuple(v[i] for v in assignments) for i in range(n)]
+        elems = pointwise_closure(coords, gens)
+        assert f.tables == pointwise_tables(coords, elems)
+        assert f.generators == tuple(elems.index(g) for g in gens)
+
+    def test_coproduct_of_two_copies(self):
+        cop = coproduct([MED3], DReductSpec.literal(), None, [MED3, MED3])
+        e = cop.e_result
+        coords = [cop.ego.sorts[s] for s, _ in e.point_order]
+        assert cop.algebra.tables == pointwise_tables(coords, list(e.morphisms))
+        # maj is a lattice term, so this is F(1)+F(1) = F(2) of bounded
+        # distributive lattices
+        assert cop.algebra.size == 6
+
+    @pytest.mark.parametrize(
+        "factors, universe, symbol",
+        [
+            (1, [(0,), (1,)], "one"),
+            (2, [(0, 0), (1, 0), (0, 1), (2, 2)], "maj"),
+        ],
+    )
+    def test_kernel_rejects_unclosed_universe(self, factors, universe, symbol):
+        with pytest.raises(LatcopError, match=f"not closed under '{symbol}'"):
+            _subpower(MED3.signature, [MED3] * factors, universe)

@@ -43,9 +43,32 @@ class TestClassify:
         assert code == EXIT_UNKNOWN
         assert "unknown" in out
 
+    def test_unknown_does_not_claim_trivial_class(self, capsys):
+        code, out, _ = run(capsys, "classify", "pseudo_b:4")
+        assert code == EXIT_UNKNOWN
+        assert "unknown" in out and "trivial class" not in out
+
     def test_bad_id(self, capsys):
         code, _, err = run(capsys, "classify", "not_a_thing")
         assert code == EXIT_INPUT and "error" in err
+
+
+class TestCapParsing:
+    def exit_code(self, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        return exc.value.code
+
+    def test_bad_env_value(self, monkeypatch, capsys):
+        monkeypatch.setenv("LATCOP_CAP", "abc")
+        assert self.exit_code("classify", "kleene3") == EXIT_INPUT
+        assert "positive integer" in capsys.readouterr().err
+
+    def test_negative_cap(self, capsys):
+        assert self.exit_code("classify", "kleene3", "--cap", "-5") == EXIT_INPUT
+
+    def test_zero_cap(self, capsys):
+        assert self.exit_code("free", "1", "kleene3", "--cap", "0") == EXIT_INPUT
 
 
 class TestDuality:
