@@ -438,29 +438,28 @@ def _propagate(
 def hom_enumerate(a: FiniteAlgebra, b: FiniteAlgebra) -> list[Homomorphism]:
     """All homomorphisms a -> b, sorted lexicographically by map vector.
 
-    Backtracking with forward propagation: images are assigned in element
-    order and the partial map is closed under all operations after each
-    assignment, pruning on conflict.
+    Backtracking with forward propagation on an explicit stack: images are
+    assigned in element order and the partial map is closed under all
+    operations after each assignment, pruning on conflict.
     """
     _check_same_signature(a, b)
     out: list[tuple[int, ...]] = []
     img = [-1] * a.size
     if not _propagate(a, b, img):
         return []
-
-    def search(img: list[int]) -> None:
+    stack = [img]
+    while stack:
+        img = stack.pop()
         try:
             x = img.index(-1)
         except ValueError:
             out.append(tuple(img))
-            return
+            continue
         for v in range(b.size):
             trial = list(img)
             trial[x] = v
             if _propagate(a, b, trial, [x]):
-                search(trial)
-
-    search(img)
+                stack.append(trial)
     out.sort()
     return [Homomorphism(a, b, m) for m in out]
 

@@ -4,16 +4,21 @@ A carrier map is a bounded-lattice homomorphism from the reduct of a
 generator into 2, i.e. a prime filter of that reduct.  For a pair of carrier
 maps the relations R are the maximal subuniverses of the product of their
 sorts contained in the sublattice of pairs (a, b) with w1(a) <= w2(b).
+
+Those relations are found by a bitset branch and bound on Python ints
+(:func:`maximal_subuniverses_in`).  :func:`build_alter_ego` builds each
+square, and the search set-up over it, once per pair of sorts and reuses it
+for every carrier pair.  The minimum carrier search is a set cover over
+per-carrier bitmasks of separated pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Sequence
 
 from .algebra import (
     FiniteAlgebra,
@@ -123,20 +128,43 @@ def minimal_omega_certified(
 
     Searched by increasing size with lexicographic tie-break over the
     canonical carrier enumeration (sort-major, then generator element).  The
-    full carrier set always separates, so the search terminates.
+    full carrier set always separates, so the search terminates.  Each
+    carrier's set of separated pairs (as :func:`sep_condition` counts them)
+    is a bitmask computed once; a candidate separates iff its masks cover
+    every pair.
     """
+    gens = list(generators)
     all_carriers: list[CarrierMap] = []
-    for m in generators:
+    for m in gens:
         all_carriers.extend(carriers_of(m, spec))
+    homsets = {
+        (i, j): hom_enumerate(gens[i], gens[j])
+        for i in range(len(gens))
+        for j in range(len(gens))
+    }
+    # pair a < b of generator i is bit offsets[i] + its rank among the pairs
+    pair_counts = (m.size * (m.size - 1) // 2 for m in gens)
+    offsets = list(itertools.accumulate(pair_counts, initial=0))
+    full = (1 << offsets[-1]) - 1
+    covers: list[int] = []
+    for w in all_carriers:
+        j = gens.index(w.sort)
+        mask = 0
+        for i, m in enumerate(gens):
+            pairs = itertools.combinations(range(m.size), 2)
+            for k, (a, b) in enumerate(pairs, offsets[i]):
+                if any(w.value(u.map[a]) != w.value(u.map[b]) for u in homsets[(i, j)]):
+                    mask |= 1 << k
+        covers.append(mask)
     failed: list[int] = []
     for size in range(1, len(all_carriers) + 1):
         winners = [
             combo
-            for combo in itertools.combinations(all_carriers, size)
-            if sep_condition(generators, combo).holds
+            for combo in itertools.combinations(range(len(all_carriers)), size)
+            if functools.reduce(operator.or_, (covers[k] for k in combo)) == full
         ]
         if winners:
-            return tuple(winners[0]), MinimalityCertificate(
+            return tuple(all_carriers[k] for k in winners[0]), MinimalityCertificate(
                 size, len(winners) - 1, tuple(failed)
             )
         failed.append(size)
@@ -165,107 +193,154 @@ def leq_sublattice(w1: CarrierMap, w2: CarrierMap) -> frozenset[tuple[int, int]]
     )
 
 
-def _first_violation(
-    ops: list[tuple[int, np.ndarray]],
-    member: np.ndarray,
-) -> tuple[int, ...] | None:
-    """Lexicographically least operation instance escaping the candidate set.
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Instances are ordered by (operation declaration order, input tuple); the
-    returned tuple lists the participating input elements.
+
+def _mask(elements: Iterable[int]) -> int:
+    mask = 0
+    for x in elements:
+        mask |= 1 << x
+    return mask
+
+
+def _preimage_masks(table: Sequence[int], n: int) -> list[int]:
+    """For each value z < n, the mask of flat input indices mapped to z."""
+    width = (len(table) + 7) // 8
+    buffers = [bytearray(width) for _ in range(n)]
+    for i, z in enumerate(table):
+        buffers[z][i >> 3] |= 1 << (i & 7)
+    return [int.from_bytes(b, "little") for b in buffers]
+
+
+_Search = Callable[[int], list[frozenset[int]]]
+
+
+def _relation_search(product: FiniteAlgebra) -> _Search:
+    """The maximal-subuniverse search of ``product``, set up once.
+
+    Returns ``maximal(allowed)``, which maps a bitmask of allowed elements to
+    the maximal subuniverses inside it, sorted as
+    :func:`maximal_subuniverses_in` documents.  The set-up is shared by every
+    allowed set: the least subuniverse ``base``, the principal subuniverses
+    sg(base + e) (each computed when an allowed set first holds e), the
+    preimage masks of the unary and binary operations over the n*n-bit
+    square (bit x*n+y), and the row-plus-column mask of each element.
+    Nullary values lie in ``base``, which every node keeps, so they never
+    escape.
     """
-    els = np.flatnonzero(member)
-    for arity, table in ops:
-        if arity == 0:
-            if not member[int(table[0])]:
-                return ()
-        elif arity == 1:
-            vals = table[els]
-            bad = ~member[vals]
-            if bad.any():
-                return (int(els[int(np.argmax(bad))]),)
-        elif arity == 2:
-            sub = table[np.ix_(els, els)]
-            bad = ~member[sub]
-            if bad.any():
-                flat = int(np.argmax(bad))
-                i, j = divmod(flat, len(els))
-                return (int(els[i]), int(els[j]))
-        else:
-            for args in itertools.product(els.tolist(), repeat=arity):
-                idx = 0
-                for a in args:
-                    idx = idx * member.size + a
-                if not member[int(table.flat[idx])]:
-                    return tuple(args)
-    return None
+    n = product.size
+    base = _mask(subuniverse_closure(product, ()))
+    principal: dict[int, int] = {}  # sg(base + e), filled in on first use
+    # (arity, index into pre_ops or, for arity >= 3, the table)
+    ops: list[tuple[int, int | tuple[int, ...]]] = []
+    pre_ops: list[list[int]] = []
+    for _, arity, tab in product.ops():
+        if arity in (1, 2):
+            ops.append((arity, len(pre_ops)))
+            pre_ops.append(_preimage_masks(tab, n))
+        elif arity > 2:
+            ops.append((arity, tab))
+    row = (1 << n) - 1
+    column = _mask(x * n for x in range(n))
+    cross = [(row << (e * n)) | (column << e) for e in range(n)]
+
+    def violation(s: int, square: int, bad: list[int]) -> list[int] | None:
+        """Input elements of the least operation instance escaping ``s``,
+        ordered by (declaration order, input tuple); None if s is closed."""
+        for arity, ref in ops:
+            if arity == 1:
+                hit = bad[ref] & s
+                if hit:
+                    return [(hit & -hit).bit_length() - 1]
+            elif arity == 2:
+                hit = bad[ref] & square
+                if hit:
+                    return list(divmod((hit & -hit).bit_length() - 1, n))
+            else:
+                els = _bits(s)
+                for args in itertools.product(els, repeat=arity):
+                    idx = 0
+                    for a in args:
+                        idx = idx * n + a
+                    if not s >> ref[idx] & 1:
+                        return list(args)
+        return None
+
+    def maximal(allowed: int) -> list[frozenset[int]]:
+        if base & ~allowed:
+            return []
+        s = base
+        for e in _bits(allowed & ~base):
+            if e not in principal:
+                principal[e] = _mask(subuniverse_closure(product, (e,)))
+            if not principal[e] & ~allowed:
+                s |= 1 << e
+        square = 0
+        for x in _bits(s):
+            square |= s << (x * n)
+        outside = _bits(((1 << n) - 1) & ~s)
+        bad = []
+        for pre in pre_ops:
+            mask = 0
+            for z in outside:
+                mask |= pre[z]
+            bad.append(mask)
+        results: list[int] = []
+        # branch i deletes the i-th input and keeps the ones before it, so
+        # the branches are disjoint and no set is visited twice
+        stack = [(s, base, square, bad)]
+        while stack:
+            s, keep, square, bad = stack.pop()
+            inputs = violation(s, square, bad)
+            if inputs is None:
+                if s:
+                    results.append(s)
+                continue
+            for e in sorted(set(inputs)):
+                bit = 1 << e
+                if keep & bit:
+                    continue
+                stack.append((
+                    s & ~bit,
+                    keep,
+                    square & ~cross[e],
+                    [b | pre[e] for b, pre in zip(bad, pre_ops)],
+                ))
+                keep |= bit
+        results.sort(key=int.bit_count, reverse=True)
+        tops: list[int] = []
+        for r in results:
+            if not any(r & t == r for t in tops):
+                tops.append(r)
+        return sorted((frozenset(_bits(t)) for t in tops), key=sorted)
+
+    return maximal
 
 
 def maximal_subuniverses_in(
     product: FiniteAlgebra, allowed: Iterable[int]
 ) -> list[frozenset[int]]:
-    """All maximal subuniverses of ``product`` contained in ``allowed``.
+    """All maximal subuniverses of ``product`` contained in ``allowed``,
+    sorted by their sorted element lists.
 
-    Branch and bound from the full allowed set: at each node take the least
-    violating operation instance and branch on deleting each participating
-    element; visited sets are memoized, non-maximal results filtered at the
+    Branch and bound on bitmasks from the allowed elements whose principal
+    subuniverse fits: at each node take the least violating operation
+    instance and branch on deleting each of its inputs not yet kept, branch
+    i keeping the inputs before it; non-maximal results are filtered at the
     end.  The empty list means no subuniverse fits (e.g. a nullary value
     escapes the allowed set).
     """
-    n = product.size
     allowed_set = set(allowed)
-    if not all(0 <= x < n for x in allowed_set):
+    if not all(0 <= x < product.size for x in allowed_set):
         raise LatcopError("allowed set outside universe")
-    member = np.zeros(n, dtype=bool)
-    member[sorted(allowed_set)] = True
-
-    np_ops: list[tuple[int, np.ndarray]] = []
-    for _, arity, tab in product.ops():
-        arr = np.asarray(tab, dtype=np.int64)
-        if arity == 2:
-            arr = arr.reshape(n, n)
-        np_ops.append((arity, arr))
-
-    for c in product.constants():
-        if not member[c]:
-            return []
-    base = subuniverse_closure(product, ())
-    if not base <= allowed_set:
-        return []
-    # feasibility prefilter: drop elements whose generated subuniverse escapes
-    for e in sorted(allowed_set):
-        if e in base:
-            continue
-        if not subuniverse_closure(product, tuple(base) + (e,)) <= allowed_set:
-            member[e] = False
-
-    visited: set[bytes] = set()
-    results: list[frozenset[int]] = []
-
-    def search(mem: np.ndarray) -> None:
-        key = mem.tobytes()
-        if key in visited:
-            return
-        visited.add(key)
-        violation = _first_violation(np_ops, mem)
-        if violation is None:
-            if mem.any():
-                results.append(frozenset(int(x) for x in np.flatnonzero(mem)))
-            return
-        if not violation:
-            return  # a nullary value escaped: dead branch
-        for e in sorted(set(violation)):
-            child = mem.copy()
-            child[e] = False
-            search(child)
-
-    search(member)
-    maximal = [
-        s
-        for s in results
-        if not any(s < t for t in results)
-    ]
-    return sorted(set(maximal), key=lambda s: sorted(s))
+    return _relation_search(product)(_mask(allowed_set))
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +388,6 @@ class AlterEgo:
         return out
 
 
-@lru_cache(maxsize=None)
-def _relations_between(
-    w1: CarrierMap, w2: CarrierMap
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    square = direct_product([w1.sort, w2.sort])
-    allowed = {square.encode(p) for p in leq_sublattice(w1, w2)}
-    subs = maximal_subuniverses_in(square, allowed)
-    return tuple(
-        tuple(sorted(square.decode(x) for x in s)) for s in subs
-    )
-
-
 def build_alter_ego(
     generators: Sequence[FiniteAlgebra],
     spec: DReductSpec,
@@ -347,15 +410,20 @@ def build_alter_ego(
             f"of generator {gens[sep.witness[0]].name!r} are not separated",
             witness=sep.witness,
         )
+    # one square and one search set-up per pair of sorts
+    searches: dict[tuple[int, int], tuple[FiniteAlgebra, _Search]] = {}
     relations: list[SortedRelation] = []
     for i, w1 in enumerate(omega):
         for j, w2 in enumerate(omega):
-            for pairs in _relations_between(w1, w2):
-                relations.append(
-                    SortedRelation(
-                        gens.index(w1.sort), gens.index(w2.sort), i, j, pairs
-                    )
-                )
+            sorts = (gens.index(w1.sort), gens.index(w2.sort))
+            if sorts not in searches:
+                square = direct_product([w1.sort, w2.sort])
+                searches[sorts] = (square, _relation_search(square))
+            square, maximal = searches[sorts]
+            allowed = _mask(square.encode(p) for p in leq_sublattice(w1, w2))
+            for s in maximal(allowed):
+                pairs = tuple(square.decode(x) for x in sorted(s))
+                relations.append(SortedRelation(*sorts, i, j, pairs))
     operations: list[Homomorphism] = []
     for m1 in gens:
         for m2 in gens:
@@ -438,14 +506,3 @@ def relation_orbit_count(ego: AlterEgo, omega1: int, omega2: int) -> int:
             for t in autos2:
                 seen.add(frozenset((s.map[a], t.map[b]) for a, b in ps))
     return orbits
-
-
-def bounds_preserved(algebra: FiniteAlgebra, spec: DReductSpec) -> bool:
-    """Every unary basic operation maps {bot, top} into {bot, top}."""
-    lattice = d_reduct(algebra, spec)
-    bounds = {lattice.bot, lattice.top}
-    return all(
-        tab[lattice.bot] in bounds and tab[lattice.top] in bounds
-        for _, arity, tab in algebra.ops()
-        if arity == 1
-    )

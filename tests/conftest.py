@@ -13,10 +13,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from latcop.algebra import FiniteAlgebra
+from latcop.algebra import FiniteAlgebra, Signature
 from latcop.catalog import make
 from latcop.classify import flowchart_classify
-from latcop.piggyback import build_alter_ego
+from latcop.distlat import d_reduct
+from latcop.piggyback import build_alter_ego, sep_condition
 
 
 @lru_cache(maxsize=None)
@@ -84,6 +85,22 @@ def brute_force_homs(a: FiniteAlgebra, b: FiniteAlgebra) -> list[tuple[int, ...]
     return sorted(tuple(int(v) for v in maps[i]) for i in np.flatnonzero(valid))
 
 
+def median_chain() -> FiniteAlgebra:
+    """The 3-chain with its ternary median ``maj`` beside meet, join, 0, 1,
+    plus the ternary term x meet (y join z), which is not symmetric and so
+    shows a mix-up of argument order."""
+    sig = Signature(
+        (("maj", 3), ("lean", 3), ("meet", 2), ("join", 2), ("zero", 0), ("one", 0))
+    )
+    r = range(3)
+    triples = list(itertools.product(r, repeat=3))
+    maj = tuple(sorted(t)[1] for t in triples)
+    lean = tuple(min(x, max(y, z)) for x, y, z in triples)
+    meet = tuple(min(x, y) for x in r for y in r)
+    join = tuple(max(x, y) for x in r for y in r)
+    return FiniteAlgebra("med3", 3, sig, (maj, lean, meet, join, (0,), (2,)))
+
+
 def pointwise_tables(coords, elements) -> tuple[tuple[int, ...], ...]:
     """Tables of the subalgebra of prod(coords) on the tuples ``elements``
     (a list, order kept), evaluated coordinate by coordinate with
@@ -144,6 +161,34 @@ def brute_force_maximal_subuniverses(
             closed.append(fs)
     maximal = [s for s in closed if not any(s < t for t in closed)]
     return sorted(set(maximal), key=sorted)
+
+
+def bounds_preserved(algebra: FiniteAlgebra, spec) -> bool:
+    """Every unary basic operation maps {bot, top} into {bot, top}."""
+    lattice = d_reduct(algebra, spec)
+    bounds = {lattice.bot, lattice.top}
+    return all(
+        tab[lattice.bot] in bounds and tab[lattice.top] in bounds
+        for _, arity, tab in algebra.ops()
+        if arity == 1
+    )
+
+
+def minimal_omega_by_sep(generators, carriers):
+    """The minimum separating carrier set as (omega, size, alternatives,
+    smaller sizes failed), by calling ``sep_condition`` on every
+    combination of ``carriers`` in increasing size."""
+    failed = []
+    for size in range(1, len(carriers) + 1):
+        winners = [
+            combo
+            for combo in itertools.combinations(carriers, size)
+            if sep_condition(generators, combo).holds
+        ]
+        if winners:
+            return winners[0], size, len(winners) - 1, tuple(failed)
+        failed.append(size)
+    return None
 
 
 def all_partitions(n: int):

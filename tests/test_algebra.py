@@ -6,12 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_partitions, brute_force_homs, pointwise_closure, pointwise_tables
+from conftest import (
+    all_partitions,
+    brute_force_homs,
+    median_chain,
+    pointwise_closure,
+    pointwise_tables,
+)
 from latcop.algebra import (
     Congruence,
     FiniteAlgebra,
     Homomorphism,
-    Signature,
     _subpower,
     app,
     congruence_generated,
@@ -43,25 +48,7 @@ from latcop.errors import (
 K3 = make("kleene3").algebra
 DM4 = make("demorgan4").algebra
 C3 = make("heyting_chain", 3).algebra
-
-
-def _median_chain() -> FiniteAlgebra:
-    """The 3-chain with its ternary median ``maj`` beside meet, join, 0, 1,
-    plus the ternary term x meet (y join z), which is not symmetric and so
-    shows a mix-up of argument order."""
-    sig = Signature(
-        (("maj", 3), ("lean", 3), ("meet", 2), ("join", 2), ("zero", 0), ("one", 0))
-    )
-    r = range(3)
-    triples = list(itertools.product(r, repeat=3))
-    maj = tuple(sorted(t)[1] for t in triples)
-    lean = tuple(min(x, max(y, z)) for x, y, z in triples)
-    meet = tuple(min(x, y) for x in r for y in r)
-    join = tuple(max(x, y) for x in r for y in r)
-    return FiniteAlgebra("med3", 3, sig, (maj, lean, meet, join, (0,), (2,)))
-
-
-MED3 = _median_chain()
+MED3 = median_chain()
 MV2 = make("mv_chain", 2).algebra
 B2 = make("pseudo_b", 2).algebra
 
@@ -122,6 +109,22 @@ class TestHomEnumerate:
         assert [h.map for h in hom_enumerate(a, b)] == brute_force_homs(a, b)
         for h in hom_enumerate(a, b):
             assert h.is_valid()
+
+    def test_chain_longer_than_the_recursion_limit(self):
+        # the 1100-element Heyting chain, built without catalog.make, whose
+        # cubic lattice check would dominate; a threshold map at k > 1
+        # breaks x -> y for y < x < k, so only the threshold at 1 is left
+        n = 1100
+        two = make("heyting_chain", 2).algebra
+        r = range(n)
+        chain = FiniteAlgebra("heyting_chain1100", n, two.signature, (
+            tuple(min(x, y) for x in r for y in r),
+            tuple(max(x, y) for x in r for y in r),
+            tuple(n - 1 if x <= y else y for x in r for y in r),
+            (0,),
+            (n - 1,),
+        ))
+        assert [h.map for h in hom_enumerate(chain, two)] == [(0,) + (1,) * (n - 1)]
 
 
 class TestSubuniverseClosure:

@@ -6,9 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_maximal_subuniverses
-from latcop.algebra import direct_product, subuniverse_closure
+from conftest import (
+    bounds_preserved,
+    brute_force_maximal_subuniverses,
+    median_chain,
+    minimal_omega_by_sep,
+)
+from latcop.algebra import FiniteAlgebra, Signature, direct_product, subuniverse_closure
 from latcop.catalog import make
+from latcop.distlat import DReductSpec
 from latcop.errors import SeparationError
 from latcop.piggyback import (
     build_alter_ego,
@@ -27,6 +33,27 @@ DM = make("demorgan4")
 K3 = make("kleene3")
 C3 = make("heyting_chain", 3)
 B2 = make("bool2")
+
+# every catalog algebra this module builds
+CATALOG = [
+    ("bool2", ()),
+    ("demorgan4", ()),
+    ("kleene3", ()),
+    ("heyting_chain", (3,)),
+    ("moisil_M", (3,)),
+    ("moisil_L", (3,)),
+    ("mv_chain", (1,)),
+    ("mv_chain", (2,)),
+    ("mv_chain", (3,)),
+    ("mv_chain", (6,)),
+    ("pseudo_b", (0,)),
+    ("pseudo_b", (1,)),
+    ("pseudo_b", (2,)),
+    ("pseudo_b", (3,)),
+    ("pre_moisil_L0", (2,)),
+    ("pre_moisil_L0", (3,)),
+    ("pre_moisil_M0", (2,)),
+]
 
 DM_R = (  # the known nine-pair maximal relation, 0,a,b,1 as 0,1,2,3
     (0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 3),
@@ -86,6 +113,24 @@ class TestMinimalOmega:
     def test_bool2_single(self):
         om = minimal_omega([B2.algebra], B2.spec)
         assert [w.elements for w in om] == [frozenset({1})]
+
+    @pytest.mark.parametrize(
+        "keys",
+        [((key, params),) for key, params in CATALOG]
+        + [
+            (("demorgan4", ()), ("kleene3", ())),
+            (("kleene3", ()), ("kleene3", ())),
+        ],
+    )
+    def test_matches_separation_loop(self, keys):
+        entries = [make(key, *params) for key, params in keys]
+        gens = [e.algebra for e in entries]
+        spec = entries[0].spec
+        carriers = [c for m in gens for c in carriers_of(m, spec)]
+        omega, cert = minimal_omega_certified(gens, spec)
+        assert (omega, cert.size, cert.alternatives, cert.smaller_sizes_failed) == (
+            minimal_omega_by_sep(gens, carriers)
+        )
 
 
 class TestLeqSublattice:
@@ -182,7 +227,78 @@ class TestMaximalSubuniverses:
                 assert fast == brute
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_on_random_algebras(self, data):
+        # f picks one of its arguments and g is the identity, except at a
+        # few random entries, so that many subsets are closed and the search
+        # goes deep
+        n = data.draw(st.integers(1, 8), label="size")
+        values = st.integers(0, n - 1)
+        const = data.draw(st.none() | values, label="constant")
+        symbols = (("f", 2), ("g", 1))
+        picks = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        f = [(x, y)[pick] for (x, y), pick in zip(itertools.product(range(n), repeat=2), picks)]
+        g = list(range(n))
+        for table in (f, g):
+            noise = st.tuples(st.integers(0, len(table) - 1), values)
+            for i, v in data.draw(st.lists(noise, max_size=4)):
+                table[i] = v
+        tables = (tuple(f), tuple(g))
+        if const is not None:
+            symbols += (("c", 0),)
+            tables += ((const,),)
+        alg = FiniteAlgebra("random", n, Signature(symbols), tables)
+        p = direct_product([alg, alg]) if data.draw(st.booleans(), label="square") else alg
+        allowed = data.draw(st.sets(st.integers(0, p.size - 1), max_size=12), label="allowed")
+        grown = allowed | subuniverse_closure(p, ())
+        if data.draw(st.booleans(), label="add least subuniverse") and len(grown) <= 12:
+            allowed = grown
+        assert maximal_subuniverses_in(p, allowed) == brute_force_maximal_subuniverses(p, allowed)
+
+    def test_ternary_square_matches_brute_force(self):
+        # the ternary operations come first in the signature, so every
+        # violation is found on the arity >= 3 path; the allowed sets are
+        # those of the carrier pairs, then every set holding the constants
+        med3 = median_chain()
+        spec = DReductSpec.literal()
+        square = direct_product([med3, med3])
+        for w1 in carriers_of(med3, spec):
+            for w2 in carriers_of(med3, spec):
+                allowed = {square.encode(p) for p in leq_sublattice(w1, w2)}
+                assert maximal_subuniverses_in(square, allowed) == (
+                    brute_force_maximal_subuniverses(square, allowed)
+                )
+        consts = set(square.constants())
+        others = [x for x in range(square.size) if x not in consts]
+        for k in range(len(others) + 1):
+            for extra in itertools.combinations(others, k):
+                allowed = consts.union(extra)
+                assert maximal_subuniverses_in(square, allowed) == (
+                    brute_force_maximal_subuniverses(square, allowed)
+                )
+
+
 class TestAlterEgo:
+    def test_two_sorts_match_per_pair_search(self):
+        # the search set-up is shared per pair of sorts; each carrier pair
+        # must still get the relations of its own square and allowed set
+        gens = [DM.algebra, K3.algebra]
+        omega = [c for m in gens for c in carriers_of(m, DM.spec)]
+        ego = build_alter_ego(gens, DM.spec, omega)
+        assert len({r.sort1 for r in ego.relations}) == 2
+        expected = []
+        for i, w1 in enumerate(ego.carriers):
+            for j, w2 in enumerate(ego.carriers):
+                square = direct_product([w1.sort, w2.sort])
+                allowed = {square.encode(p) for p in leq_sublattice(w1, w2)}
+                for s in maximal_subuniverses_in(square, allowed):
+                    pairs = tuple(sorted(square.decode(x) for x in s))
+                    expected.append((gens.index(w1.sort), gens.index(w2.sort), i, j, pairs))
+        assert [
+            (r.sort1, r.sort2, r.omega1, r.omega2, r.pairs) for r in ego.relations
+        ] == expected
+
     def test_demorgan_ego(self):
         ego = build_alter_ego([DM.algebra], DM.spec)
         assert len(ego.sorts) == 1 and len(ego.carriers) == 1
@@ -230,8 +346,6 @@ class TestUniqueMaxApplicable:
     def test_implies_singleton_relations(self):
         # when it applies and the unary operations respect the bounds, every
         # relation set has exactly one element
-        from latcop.piggyback import bounds_preserved
-
         for key, params in [
             ("demorgan4", ()), ("kleene3", ()), ("moisil_M", (3,)),
             ("moisil_L", (3,)), ("pre_moisil_L0", (2,)), ("bool2", ()),
