@@ -72,6 +72,7 @@ from .duality import (
 from .errors import (
     CapExceeded,
     IncompatiblePartition,
+    InternalError,
     LatcopError,
     LatticeAxiomError,
     MembershipError,

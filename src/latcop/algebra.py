@@ -380,21 +380,23 @@ def term_table(algebra: FiniteAlgebra, term: Term, arity: int) -> tuple[int, ...
 
 
 def _propagate(
-    a: FiniteAlgebra, b: FiniteAlgebra, img: list[int], seeds: list[int] | None = None
-) -> bool:
-    """Close a partial map under operations; False on conflict.
+    a: FiniteAlgebra, b: FiniteAlgebra, img: list[int], seeds: list[int]
+) -> list[int] | None:
+    """Close a partial map under operations; the elements it assigned, or
+    None on conflict.
 
     Incremental worklist: every operation instance involving a seed (or a
-    derived assignment) gets derived once.  With ``seeds=None`` everything
-    assigned is re-derived, which at a total assignment verifies the map is
-    a homomorphism.
+    derived assignment) gets derived once.  Nullary operations are assigned
+    on every call, so closing the empty map with no seeds sends each
+    constant to its counterpart.
     """
     ops = [
         (arity, ta, tb)
         for (sym, arity, ta), (_, _2, tb) in zip(a.ops(), b.ops())
     ]
     assigned = [x for x in range(a.size) if img[x] != -1]
-    queue = list(assigned) if seeds is None else list(seeds)
+    start = len(assigned)
+    queue = list(seeds)
 
     def assign(x: int, v: int) -> bool:
         if img[x] == -1:
@@ -406,7 +408,7 @@ def _propagate(
 
     for arity, ta, tb in ops:
         if arity == 0 and not assign(ta[0], tb[0]):
-            return False
+            return None
     while queue:
         x = queue.pop()
         fx = img[x]
@@ -415,86 +417,96 @@ def _propagate(
                 continue
             if arity == 1:
                 if not assign(ta[x], tb[fx]):
-                    return False
+                    return None
                 continue
             if arity == 2:
                 na, nb = a.size, b.size
                 for y in list(assigned):
                     fy = img[y]
                     if not assign(ta[x * na + y], tb[fx * nb + fy]):
-                        return False
+                        return None
                     if not assign(ta[y * na + x], tb[fy * nb + fx]):
-                        return False
+                        return None
                 continue
             for rest in itertools.product(list(assigned), repeat=arity - 1):
                 for pos in range(arity):
                     args = rest[:pos] + (x,) + rest[pos:]
                     val = tb[b.flat_index([img[z] for z in args])]
                     if not assign(ta[a.flat_index(args)], val):
-                        return False
-    return True
+                        return None
+    return assigned[start:]
+
+
+def _maps(
+    a: FiniteAlgebra,
+    b: FiniteAlgebra,
+    order: Sequence[int] | None = None,
+    allowed: Sequence[int] | None = None,
+    injective: bool = False,
+) -> Iterator[tuple[int, ...]]:
+    """Image vectors of the homomorphisms a -> b, depth first.
+
+    Backtracking with forward propagation on an explicit stack.  An entry
+    (img, used, x, v) stands for img with x sent to v; it is copied and
+    closed under the operations only when popped, so the first map costs
+    no more than in a recursive search.  The search branches on the first
+    unassigned element of ``order`` (element order when None), trying
+    values in ascending order, so with ``order=None`` the maps come out in
+    lexicographic order.  ``order`` must generate a.  ``allowed[x]`` is a
+    bitmask of the images x may take; with ``injective`` a map that sends
+    two elements to one value is pruned.
+    """
+    if allowed is None:
+        allowed = [(1 << b.size) - 1] * a.size
+
+    def close(img: list[int], used: int, seeds: list[int]) -> int | None:
+        """Propagate, check what got assigned; the new used-value mask."""
+        fresh = _propagate(a, b, img, seeds)
+        if fresh is None:
+            return None
+        for x in fresh:
+            bit = 1 << img[x]
+            if not allowed[x] & bit or injective and used & bit:
+                return None
+            used |= bit
+        return used
+
+    root = [-1] * a.size
+    used = close(root, 0, [])
+    stack = [] if used is None else [(root, used, -1, 0)]
+    while stack:
+        img, used, x, v = stack.pop()
+        if x != -1:
+            img = list(img)
+            img[x] = v
+            used = close(img, used, [x])
+            if used is None:
+                continue
+        if order is None:
+            x = img.index(-1) if -1 in img else -1
+        else:
+            x = next((y for y in order if img[y] == -1), -1)
+        if x == -1:
+            yield tuple(img)
+            continue
+        values = allowed[x] & ~used if injective else allowed[x]
+        while values:  # highest first, so the least value is popped first
+            v = values.bit_length() - 1
+            values ^= 1 << v
+            stack.append((img, used | 1 << v, x, v))
 
 
 def hom_enumerate(a: FiniteAlgebra, b: FiniteAlgebra) -> list[Homomorphism]:
-    """All homomorphisms a -> b, sorted lexicographically by map vector.
-
-    Backtracking with forward propagation on an explicit stack: images are
-    assigned in element order and the partial map is closed under all
-    operations after each assignment, pruning on conflict.
-    """
+    """All homomorphisms a -> b, sorted lexicographically by map vector."""
     _check_same_signature(a, b)
-    out: list[tuple[int, ...]] = []
-    img = [-1] * a.size
-    if not _propagate(a, b, img):
-        return []
-    stack = [img]
-    while stack:
-        img = stack.pop()
-        try:
-            x = img.index(-1)
-        except ValueError:
-            out.append(tuple(img))
-            continue
-        for v in range(b.size):
-            trial = list(img)
-            trial[x] = v
-            if _propagate(a, b, trial, [x]):
-                stack.append(trial)
-    out.sort()
-    return [Homomorphism(a, b, m) for m in out]
+    return [Homomorphism(a, b, m) for m in _maps(a, b)]
 
 
 def embeds(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
-    """Some injective homomorphism a -> b, or None."""
+    """The lexicographically least injective homomorphism a -> b, or None."""
     if a.signature != b.signature or a.size > b.size:
         return None
-    img = [-1] * a.size
-
-    def injective(img: list[int]) -> bool:
-        seen = [v for v in img if v != -1]
-        return len(seen) == len(set(seen))
-
-    if not (_propagate(a, b, img) and injective(img)):
-        return None
-
-    def search(img: list[int]) -> tuple[int, ...] | None:
-        try:
-            x = img.index(-1)
-        except ValueError:
-            return tuple(img)
-        used = {v for v in img if v != -1}
-        for v in range(b.size):
-            if v in used:
-                continue
-            trial = list(img)
-            trial[x] = v
-            if _propagate(a, b, trial, [x]) and injective(trial):
-                found = search(trial)
-                if found is not None:
-                    return found
-        return None
-
-    found = search(img)
+    found = next(_maps(a, b, injective=True), None)
     return Homomorphism(a, b, found) if found is not None else None
 
 
@@ -910,7 +922,11 @@ def _refine_colors(algebra: FiniteAlgebra, pool: dict) -> list[int]:
                             )
                     feats.append((sym, acc & 0xFFFFFFFFFFFF))
             new.append(intern(tuple(feats)))
-        if new == col:
+        # ids are fresh every round (each key holds the previous color), so
+        # stop once the classes stop splitting.  Isomorphic algebras stop
+        # at the same round; algebras that stop at different rounds share
+        # no color, so their color multisets differ.
+        if len(set(new)) == len(set(col)):
             break
         col = new
     return col
@@ -934,54 +950,34 @@ def generating_set(algebra: FiniteAlgebra) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
-    """An isomorphism a -> b if one exists, else None.
-
-    Backtracking over a generating set with invariant-color pruning; images
-    of generated elements follow by closure propagation.
-    """
-    if a.signature != b.signature or a.size != b.size:
-        return None
+def _color_masks(a: FiniteAlgebra, b: FiniteAlgebra) -> list[int] | None:
+    """Per element of a, the bitmask of the elements of b with its color;
+    None when the color multisets differ, so no isomorphism exists."""
     pool: dict = {}
     ca = _refine_colors(a, pool)
     cb = _refine_colors(b, pool)
     if sorted(ca) != sorted(cb):
         return None
-    gens = generating_set(a)
-    by_color: dict[int, list[int]] = {}
-    for y in range(b.size):
-        by_color.setdefault(cb[y], []).append(y)
+    by_color: dict[int, int] = {}
+    for y, c in enumerate(cb):
+        by_color[c] = by_color.get(c, 0) | 1 << y
+    return [by_color[c] for c in ca]
 
-    def finish(img: list[int]) -> Homomorphism | None:
-        if -1 in img or len(set(img)) != a.size:
-            return None
-        return Homomorphism(a, b, tuple(img))
 
-    def search(i: int, img: list[int]) -> Homomorphism | None:
-        if i == len(gens):
-            return finish(img)
-        g = gens[i]
-        if img[g] != -1:
-            return search(i + 1, img)  # forced by propagation already
-        for y in by_color.get(ca[g], ()):
-            if cb[y] != ca[g]:
-                continue
-            trial = list(img)
-            trial[g] = y
-            if not _propagate(a, b, trial, [g]):
-                continue
-            # color consistency of everything propagation just decided
-            if any(trial[x] != -1 and ca[x] != cb[trial[x]] for x in range(a.size)):
-                continue
-            found = search(i + 1, trial)
-            if found is not None:
-                return found
+def isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
+    """An isomorphism a -> b if one exists, else None.
+
+    Backtracking over a generating set with invariant-color pruning; images
+    of generated elements follow by closure propagation.  Between algebras
+    of equal size an injective homomorphism is an isomorphism.
+    """
+    if a.signature != b.signature or a.size != b.size:
         return None
-
-    img0 = [-1] * a.size
-    if not _propagate(a, b, img0):
+    masks = _color_masks(a, b)
+    if masks is None:
         return None
-    return search(0, img0)
+    found = next(_maps(a, b, generating_set(a), allowed=masks, injective=True), None)
+    return Homomorphism(a, b, found) if found is not None else None
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .algebra import (
     Congruence,
 )
 from .distlat import DReductSpec
-from .errors import CapExceeded, LatcopError
+from .errors import CapExceeded, InternalError, LatcopError
 from .piggyback import (
     AlterEgo,
     CarrierMap,
@@ -100,10 +100,10 @@ def simplify_generators(
             i += 1
     for m in ambient:
         if not in_isp(m, kept):
-            raise LatcopError("internal error: simplified set lost a generator")
+            raise InternalError("simplified set lost a generator")
     for s in kept:
         if not in_isp(s, ambient):
-            raise LatcopError("internal error: simplified set escapes the class")
+            raise InternalError("simplified set escapes the class")
     return kept
 
 

@@ -2,7 +2,8 @@
 
 Inputs are either catalog ids (``kleene3``, ``mv_chain:3``, ``pseudo_b(2)``)
 or paths to ``.alg`` files.  Exit codes: 0 success, 1 analysis unknown (a
-size cap was hit), 2 input error.
+size cap was hit), 2 input error, 3 internal error (a failed self-check,
+an unexpected exception, or a ``table1`` row that does not match).
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from .catalog import CONSTRUCTOR_IDS, make_id
 from .classify import flowchart_classify
 from .distlat import DReductSpec, d_reduct, priestley_dual
 from .duality import coproduct, reveng_priestley
-from .errors import CapExceeded, LatcopError, ParseError
+from .errors import CapExceeded, InternalError, LatcopError, ParseError
 from .piggyback import build_alter_ego, carrier_from_filter, minimal_omega_certified
 
 EXIT_OK = 0
 EXIT_UNKNOWN = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 CAP_ENV = "LATCOP_CAP"
 
@@ -298,7 +300,7 @@ def _cmd_table1(args) -> int:
             )
         lines.append("all match" if ok else "SOME ROWS MISMATCH")
         _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if ok else EXIT_UNKNOWN
+    return EXIT_OK if ok else EXIT_INTERNAL
 
 
 def _cmd_export_dot(args) -> int:
@@ -412,9 +414,15 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"unknown: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (LatcopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a bug, never to be read as "unknown" or bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

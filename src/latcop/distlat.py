@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import FiniteAlgebra, Signature, Term, app, eval_term, term_table, var
+from .algebra import _color_masks, _maps
 from .errors import LatcopError, LatticeAxiomError
 
 
@@ -207,19 +208,17 @@ class FinitePoset:
             range(self.size), key=lambda x: bin(self.leq_rows[x]).count("1")
         )  # maximal elements first: everything above x is decided before x
         out: list[frozenset[int]] = []
-
-        def extend(i: int, chosen: set[int]) -> None:
+        stack = [(0, 0)]  # (next position in order, bitmask chosen so far)
+        while stack:
+            i, chosen = stack.pop()
             if i == len(order):
-                out.append(frozenset(chosen))
-                return
+                out.append(frozenset(x for x in range(self.size) if chosen >> x & 1))
+                continue
             x = order[i]
-            extend(i + 1, chosen)
-            if all(y in chosen for y in range(self.size) if y != x and self.leq(x, y)):
-                chosen.add(x)
-                extend(i + 1, chosen)
-                chosen.remove(x)
-
-        extend(0, set())
+            stack.append((i + 1, chosen))
+            above = self.leq_rows[x] & ~(1 << x)
+            if above & chosen == above:
+                stack.append((i + 1, chosen | 1 << x))
         return sorted(out, key=lambda s: (len(s), sorted(s)))
 
     def to_dot(self, graph_name: str = "poset") -> str:
@@ -246,33 +245,6 @@ def antichain(size: int) -> FinitePoset:
 
 def chain(size: int) -> FinitePoset:
     return poset_from_pairs(size, {(x, y) for x in range(size) for y in range(x, size)})
-
-
-def poset_product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
-    size = p.size * q.size
-    pairs = set()
-    for x1, x2 in itertools.product(range(p.size), range(q.size)):
-        for y1, y2 in itertools.product(range(p.size), range(q.size)):
-            if p.leq(x1, y1) and q.leq(x2, y2):
-                pairs.add((x1 * q.size + x2, y1 * q.size + y2))
-    labels = tuple(
-        f"({p.labels[x1]},{q.labels[x2]})"
-        for x1 in range(p.size)
-        for x2 in range(q.size)
-    )
-    return poset_from_pairs(size, pairs, labels)
-
-
-def poset_disjoint_union(p: FinitePoset, q: FinitePoset) -> FinitePoset:
-    size = p.size + q.size
-    pairs = {(x, y) for x in range(p.size) for y in range(p.size) if p.leq(x, y)}
-    pairs |= {
-        (p.size + x, p.size + y)
-        for x in range(q.size)
-        for y in range(q.size)
-        if q.leq(x, y)
-    }
-    return poset_from_pairs(size, pairs, p.labels + q.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -420,62 +392,33 @@ def upset_lattice(poset: FinitePoset, name: str | None = None) -> DistLatticeRed
     return d_reduct(algebra, DReductSpec.literal())
 
 
-def poset_isomorphic(p: FinitePoset, q: FinitePoset) -> tuple[int, ...] | None:
-    """An order-isomorphism p -> q as an image vector, or None.
+_UP_SIG = Signature((("up", 2),))
 
-    Backtracking over degree/height-style invariants refined iteratively.
+
+def _up_algebra(poset: FinitePoset) -> FiniteAlgebra:
+    """The poset as an algebra with up(x, y) = y if x <= y else x.
+
+    x <= y exactly when up(x, y) = y, so the bijections that preserve
+    ``up`` are the order-isomorphisms.
+    """
+    r = range(poset.size)
+    up = tuple(y if poset.leq(x, y) else x for x in r for y in r)
+    return FiniteAlgebra("up", poset.size, _UP_SIG, (up,))
+
+
+def poset_isomorphic(p: FinitePoset, q: FinitePoset) -> tuple[int, ...] | None:
+    """The lexicographically least order-isomorphism p -> q as an image
+    vector, or None.
+
+    Searches the isomorphisms of the ``up`` encodings, with the images of
+    each point restricted to the points of its invariant color.
     """
     if p.size != q.size:
         return None
-
-    def colors(poset: FinitePoset, pool: dict) -> list[int]:
-        def intern(key):
-            if key not in pool:
-                pool[key] = len(pool)
-            return pool[key]
-
-        col = [intern(("init",))] * poset.size
-        for _ in range(poset.size):
-            new = []
-            for x in range(poset.size):
-                ups = sorted(col[y] for y in range(poset.size) if x != y and poset.leq(x, y))
-                dns = sorted(col[y] for y in range(poset.size) if x != y and poset.leq(y, x))
-                new.append(intern((col[x], tuple(ups), tuple(dns))))
-            if new == col:
-                break
-            col = new
-        return col
-
-    pool: dict = {}
-    cp = colors(p, pool)
-    cq = colors(q, pool)
-    if sorted(cp) != sorted(cq):
+    if p.size == 0:
+        return ()
+    a, b = _up_algebra(p), _up_algebra(q)
+    masks = _color_masks(a, b)
+    if masks is None:
         return None
-    candidates = {x: [y for y in range(q.size) if cq[y] == cp[x]] for x in range(p.size)}
-
-    def search(x: int, img: list[int], used: set[int]) -> tuple[int, ...] | None:
-        if x == p.size:
-            return tuple(img)
-        for y in candidates[x]:
-            if y in used:
-                continue
-            ok = all(
-                img[z] == -1
-                or (
-                    p.leq(x, z) == q.leq(y, img[z])
-                    and p.leq(z, x) == q.leq(img[z], y)
-                )
-                for z in range(p.size)
-            )
-            if not ok:
-                continue
-            img[x] = y
-            used.add(y)
-            found = search(x + 1, img, used)
-            if found is not None:
-                return found
-            img[x] = -1
-            used.remove(y)
-        return None
-
-    return search(0, [-1] * p.size, set())
+    return next(_maps(a, b, allowed=masks, injective=True), None)

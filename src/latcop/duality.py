@@ -34,7 +34,7 @@ from .distlat import (
     prime_filters,
     priestley_dual,
 )
-from .errors import CapExceeded, LatcopError, MembershipError
+from .errors import CapExceeded, InternalError, LatcopError, MembershipError
 from .piggyback import AlterEgo, build_alter_ego
 
 DEFAULT_POINTS_CAP = 5000
@@ -222,8 +222,6 @@ def e_functor(
             v ^= b
         return out
 
-    visits = 0
-
     def propagate(dom: list[int], queue: list[int]) -> bool:
         while queue:
             p = queue.pop()
@@ -237,38 +235,35 @@ def e_functor(
                     queue.append(q)
         return True
 
+    # depth first on an explicit stack; an entry (dom, pivot, bit) is the
+    # child of dom with pivot fixed to bit, propagated when popped, and
+    # each propagated node counts as one visit
     solutions: list[tuple[int, ...]] = []
-
-    def search(dom: list[int]) -> None:
-        nonlocal visits
+    visits = 0
+    dom0 = list(full)
+    stack = [(dom0, -1, 0)] if propagate(dom0, list(range(nvars))) else []
+    while stack:
+        dom, pivot, bit = stack.pop()
+        if pivot != -1:
+            dom = list(dom)
+            dom[pivot] = bit
+            if not propagate(dom, [pivot]):
+                continue
         visits += 1
         if visits > visit_cap:
             raise CapExceeded(
                 f"E-functor enumeration exceeded {visit_cap} visited assignments",
                 required=visits,
             )
-        pivot = -1
-        for k in range(nvars):
-            if dom[k] & (dom[k] - 1):
-                pivot = k
-                break
+        pivot = next((k for k in range(nvars) if dom[k] & (dom[k] - 1)), -1)
         if pivot == -1:
             solutions.append(tuple(d.bit_length() - 1 for d in dom))
-            return
+            continue
         mask = dom[pivot]
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            child = list(dom)
-            child[pivot] = b
-            if propagate(child, [pivot]):
-                search(child)
-
-    dom0 = list(full)
-    if nvars == 0:
-        solutions.append(())
-    elif propagate(dom0, list(range(nvars))):
-        search(dom0)
+        while mask:  # highest bit first, so the lowest is popped first
+            bit = 1 << (mask.bit_length() - 1)
+            mask ^= bit
+            stack.append((dom, pivot, bit))
 
     if not solutions:
         raise LatcopError("E(X) is empty: the structure admits no morphisms")
@@ -277,10 +272,10 @@ def e_functor(
     for sol in solutions:
         for p, q, pairs in rel_edges:
             if (sol[p], sol[q]) not in pairs:
-                raise LatcopError("internal error: relation constraint violated")
+                raise InternalError("relation constraint violated")
         for p, q, gmap in op_edges:
             if sol[q] != gmap[sol[p]]:
-                raise LatcopError("internal error: operation constraint violated")
+                raise InternalError("operation constraint violated")
     _, tables = _subpower(sig, [ego.sorts[s] for s in sort_of], universe=solutions)
     algebra = FiniteAlgebra("E(X)", len(solutions), sig, tables)
     return EResult(algebra, tuple(solutions), tuple(order))
@@ -348,12 +343,10 @@ def coproduct(
             try:
                 imap.append(e_res.index_of(target_vec))
             except ValueError:
-                raise LatcopError(
-                    "internal error: coproduct injection is not a morphism"
-                ) from None
+                raise InternalError("coproduct injection is not a morphism") from None
         eps = Homomorphism(b, algebra, tuple(imap))
         if not eps.is_valid():
-            raise LatcopError("internal error: coproduct injection not a homomorphism")
+            raise InternalError("coproduct injection not a homomorphism")
         injections.append(eps)
     result = CoproductResult(algebra, tuple(injections), prod_structure, e_res, ego)
     if check_universal:
@@ -476,17 +469,6 @@ def reveng_priestley(algebra: FiniteAlgebra, ego: AlterEgo) -> RevEngResult:
     return RevEngResult(space, quotient_poset, priestley, iso)
 
 
-def reconstruction_order_poset(algebra: FiniteAlgebra, ego: AlterEgo) -> FinitePoset:
-    """With a single sort, single carrier and a unique relation, the lifted
-    relation itself partially orders D(algebra)."""
-    if len(ego.sorts) != 1 or len(ego.carriers) != 1 or len(ego.relations) != 1:
-        raise LatcopError("single-sort single-carrier unique-relation case only")
-    dual = natural_dual(algebra, ego)
-    npts = len(dual.points[0])
-    pairs = set(dual.relations[0])
-    return poset_from_pairs(npts, pairs, tuple(f"x{i}" for i in range(npts)))
-
-
 @dataclass(frozen=True)
 class EvaluationCheck:
     e_result: EResult
@@ -574,7 +556,7 @@ def iota_check(
             le_filters = fi.elements <= fj.elements
             le_tuples = tuple_leq(tuples[i], tuples[j])
             if le_filters and not le_tuples:
-                raise LatcopError("iota is not order-preserving (internal error)")
+                raise InternalError("iota is not order-preserving")
             if le_tuples and not le_filters:
                 embedding = False
     return IotaCheck(

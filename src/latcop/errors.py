@@ -15,6 +15,10 @@ class UnknownSymbol(LatcopError):
     """An operation symbol is not part of the ambient signature."""
 
 
+class InternalError(LatcopError):
+    """A consistency check on latcop's own results failed: a bug, not bad input."""
+
+
 class CapExceeded(LatcopError):
     """A configured size cap was exceeded; carries the size that would be needed."""
 

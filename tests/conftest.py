@@ -1,8 +1,9 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles deliberately avoid the code paths they check: homomorphisms by
-filtering all maps, maximal subuniverses by subset enumeration, least
-congruences by scanning all partitions.
+filtering all maps, maximal subuniverses and up-sets by subset enumeration,
+least congruences by scanning all partitions, order-isomorphisms by
+scanning all permutations.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import pytest
 from latcop.algebra import FiniteAlgebra, Signature
 from latcop.catalog import make
 from latcop.classify import flowchart_classify
-from latcop.distlat import d_reduct
-from latcop.piggyback import build_alter_ego, sep_condition
+from latcop.distlat import FinitePoset, d_reduct, poset_from_pairs
+from latcop.duality import natural_dual
+from latcop.errors import LatcopError
+from latcop.piggyback import AlterEgo, build_alter_ego, sep_condition
 
 
 @lru_cache(maxsize=None)
@@ -83,6 +86,33 @@ def brute_force_homs(a: FiniteAlgebra, b: FiniteAlgebra) -> list[tuple[int, ...]
                     bidx = bidx * m + maps[:, z]
                 valid &= maps[:, fa] == tbv[bidx]
     return sorted(tuple(int(v) for v in maps[i]) for i in np.flatnonzero(valid))
+
+
+def least_injective_hom(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] | None:
+    """The least injective homomorphism by map vector, from the brute-force
+    list; between equal sizes its existence means a ≅ b."""
+    return next((m for m in brute_force_homs(a, b) if len(set(m)) == a.size), None)
+
+
+def brute_force_poset_iso(p: FinitePoset, q: FinitePoset) -> tuple[int, ...] | None:
+    """The least order-isomorphism by image vector, scanning all permutations."""
+    if p.size != q.size:
+        return None
+    pairs = list(itertools.product(range(p.size), repeat=2))
+    for perm in itertools.permutations(range(q.size)):
+        if all(p.leq(x, y) == q.leq(perm[x], perm[y]) for x, y in pairs):
+            return perm
+    return None
+
+
+def brute_force_upsets(p: FinitePoset) -> list[frozenset[int]]:
+    """All up-sets by subset enumeration, ordered like ``FinitePoset.upsets``."""
+    out = []
+    for mask in range(1 << p.size):
+        s = frozenset(x for x in range(p.size) if mask >> x & 1)
+        if all(y in s for x in s for y in range(p.size) if p.leq(x, y)):
+            out.append(s)
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
 def median_chain() -> FiniteAlgebra:
@@ -161,6 +191,44 @@ def brute_force_maximal_subuniverses(
             closed.append(fs)
     maximal = [s for s in closed if not any(s < t for t in closed)]
     return sorted(set(maximal), key=sorted)
+
+
+def poset_product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
+    size = p.size * q.size
+    pairs = set()
+    for x1, x2 in itertools.product(range(p.size), range(q.size)):
+        for y1, y2 in itertools.product(range(p.size), range(q.size)):
+            if p.leq(x1, y1) and q.leq(x2, y2):
+                pairs.add((x1 * q.size + x2, y1 * q.size + y2))
+    labels = tuple(
+        f"({p.labels[x1]},{q.labels[x2]})"
+        for x1 in range(p.size)
+        for x2 in range(q.size)
+    )
+    return poset_from_pairs(size, pairs, labels)
+
+
+def poset_disjoint_union(p: FinitePoset, q: FinitePoset) -> FinitePoset:
+    size = p.size + q.size
+    pairs = {(x, y) for x in range(p.size) for y in range(p.size) if p.leq(x, y)}
+    pairs |= {
+        (p.size + x, p.size + y)
+        for x in range(q.size)
+        for y in range(q.size)
+        if q.leq(x, y)
+    }
+    return poset_from_pairs(size, pairs, p.labels + q.labels)
+
+
+def reconstruction_order_poset(algebra: FiniteAlgebra, ego: AlterEgo) -> FinitePoset:
+    """With a single sort, single carrier and a unique relation, the lifted
+    relation itself partially orders D(algebra)."""
+    if len(ego.sorts) != 1 or len(ego.carriers) != 1 or len(ego.relations) != 1:
+        raise LatcopError("single-sort single-carrier unique-relation case only")
+    dual = natural_dual(algebra, ego)
+    npts = len(dual.points[0])
+    pairs = set(dual.relations[0])
+    return poset_from_pairs(npts, pairs, tuple(f"x{i}" for i in range(npts)))
 
 
 def bounds_preserved(algebra: FiniteAlgebra, spec) -> bool:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     all_partitions,
     brute_force_homs,
+    least_injective_hom,
     median_chain,
     pointwise_closure,
     pointwise_tables,
@@ -17,10 +18,12 @@ from latcop.algebra import (
     Congruence,
     FiniteAlgebra,
     Homomorphism,
+    Signature,
     _subpower,
     app,
     congruence_generated,
     direct_product,
+    embeds,
     eval_term,
     free_algebra,
     hom_enumerate,
@@ -125,6 +128,60 @@ class TestHomEnumerate:
             (n - 1,),
         ))
         assert [h.map for h in hom_enumerate(chain, two)] == [(0,) + (1,) * (n - 1)]
+
+
+def _relabeled(alg: FiniteAlgebra, perm) -> FiniteAlgebra:
+    """The copy of alg in which element x is called perm[x]."""
+    tables = []
+    for (_, arity), tab in zip(alg.signature.symbols, alg.tables):
+        tables.append(tuple(
+            perm[tab[alg.flat_index([perm.index(x) for x in args])]]
+            for args in itertools.product(range(alg.size), repeat=arity)
+        ))
+    return FiniteAlgebra(alg.name + "'", alg.size, alg.signature, tuple(tables))
+
+
+@st.composite
+def algebra_pairs(draw):
+    """Two algebras of 1-5 elements with a unary, a binary and an optional
+    nullary operation; half of the time b is a relabeled copy of a."""
+    symbols = (("f", 1), ("g", 2)) + ((("c", 0),) if draw(st.booleans()) else ())
+    sig = Signature(symbols)
+
+    def algebra(name: str) -> FiniteAlgebra:
+        n = draw(st.integers(min_value=1, max_value=5))
+        return FiniteAlgebra(name, n, sig, tuple(
+            tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
+            for _, k in symbols
+        ))
+
+    a = algebra("a")
+    if draw(st.booleans()):
+        return a, _relabeled(a, draw(st.permutations(range(a.size))))
+    return a, algebra("b")
+
+
+class TestMapSearch:
+    """hom_enumerate, embeds and isomorphic share one search; each is
+    checked against the brute-force list of all homomorphisms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(algebra_pairs())
+    def test_matches_brute_force(self, pair):
+        a, b = pair
+        assert [h.map for h in hom_enumerate(a, b)] == brute_force_homs(a, b)
+        emb = embeds(a, b)
+        assert (None if emb is None else emb.map) == least_injective_hom(a, b)
+        iso = isomorphic(a, b)
+        exists = a.size == b.size and least_injective_hom(a, b) is not None
+        assert (iso is not None) == exists
+        if iso is not None:
+            assert iso.is_valid() and iso.is_bijective
+
+    def test_embedding_deeper_than_the_recursion_limit(self):
+        n = 1100
+        ident = FiniteAlgebra("id1100", n, Signature((("f", 1),)), (tuple(range(n)),))
+        assert embeds(ident, ident).map == tuple(range(n))
 
 
 class TestSubuniverseClosure:

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from latcop.cli import EXIT_INPUT, EXIT_OK, EXIT_UNKNOWN, main
+import latcop.catalog
+import latcop.cli
+from latcop.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_UNKNOWN, main
+from latcop.errors import InternalError
 
 DATA = Path(__file__).parent / "data"
 
@@ -151,6 +154,31 @@ class TestTable1Command:
         _, out1, _ = run(capsys, "table1", "--json")
         _, out2, _ = run(capsys, "table1", "--json")
         assert out1 == out2
+
+
+class TestInternalErrors:
+    """A bug exits 3, never 1 ("unknown") or 2 (bad input), with no traceback."""
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), InternalError("boom")])
+    def test_exception_in_command(self, monkeypatch, capsys, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(latcop.cli, "flowchart_classify", broken)
+        code, _, err = run(capsys, "classify", "kleene3")
+        assert code == EXIT_INTERNAL
+        assert err.startswith("internal error:") and "boom" in err
+        assert "Traceback" not in err
+
+    def test_table1_mismatch(self, monkeypatch, capsys):
+        suite = latcop.catalog.table1_suite()
+        entry, (e, s) = suite[0]
+        monkeypatch.setattr(
+            latcop.catalog, "table1_suite", lambda: [(entry, (not e, s))] + suite[1:]
+        )
+        code, out, _ = run(capsys, "table1")
+        assert code == EXIT_INTERNAL
+        assert "MISMATCH" in out
 
 
 class TestCommandMatrix:

@@ -3,7 +3,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import (
+    brute_force_poset_iso,
+    brute_force_upsets,
+    poset_disjoint_union,
+    poset_product,
+)
 from latcop.algebra import FiniteAlgebra, Signature, app, var
 from latcop.catalog import make, table1_suite
 from latcop.distlat import (
@@ -15,9 +23,8 @@ from latcop.distlat import (
     dual_of_hom,
     join_irreducibles,
     lattice_algebra_from_leq,
-    poset_disjoint_union,
+    poset_from_pairs,
     poset_isomorphic,
-    poset_product,
     prime_filters,
     priestley_dual,
     upset_lattice,
@@ -225,7 +232,50 @@ class TestHMapsCoproductsToProducts:
         assert poset_isomorphic(dual, expected) is not None
 
 
+@st.composite
+def posets(draw, size):
+    """A random poset on ``size`` points: the transitive closure of random
+    pairs i < j, relabeled by a random permutation."""
+    rows = [1 << x for x in range(size)]
+    point = st.integers(0, max(size - 1, 0))
+    for i, j in draw(st.sets(st.tuples(point, point))) if size else ():
+        if i < j:
+            rows[i] |= 1 << j
+    for k in range(size):
+        for i in range(size):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    perm = draw(st.permutations(range(size)))
+    pairs = {(perm[i], perm[j]) for i in range(size) for j in range(size) if rows[i] >> j & 1}
+    return poset_from_pairs(size, pairs)
+
+
+@st.composite
+def poset_pairs(draw):
+    """Two posets on at most 6 points; half of the time q relabels p."""
+    size = draw(st.integers(min_value=0, max_value=6))
+    p = draw(posets(size))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(size)))
+        pairs = {(perm[x], perm[y]) for x in range(size) for y in range(size) if p.leq(x, y)}
+        return p, poset_from_pairs(size, pairs)
+    return p, draw(posets(size))
+
+
+class TestUpsets:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=8).flatmap(posets))
+    def test_matches_subset_enumeration(self, p):
+        assert p.upsets() == brute_force_upsets(p)
+
+
 class TestPosetIsomorphic:
+    @settings(max_examples=300, deadline=None)
+    @given(poset_pairs())
+    def test_matches_permutation_scan(self, pair):
+        p, q = pair
+        assert poset_isomorphic(p, q) == brute_force_poset_iso(p, q)
+
     def test_self(self):
         p = poset_product(chain(2), antichain(2))
         assert poset_isomorphic(p, p) == tuple(range(p.size))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import ego_for, report_for
+from conftest import ego_for, reconstruction_order_poset, report_for
 from latcop.algebra import direct_product, free_algebra, isomorphic
 from latcop.catalog import make
 from latcop.distlat import chain as chain_poset
@@ -14,7 +14,6 @@ from latcop.duality import (
     iota_check,
     lambda_map,
     natural_dual,
-    reconstruction_order_poset,
     reflector,
     reveng_priestley,
     structure_product,
@@ -87,6 +86,38 @@ class TestEFunctor:
             free1 = free_algebra([m], 1)
             assert res.algebra.size == free1.size
             assert isomorphic(res.algebra, free1) is not None
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # 1100 unconstrained points admit 2^1100 morphisms; the search is
+        # 1100 levels deep, and the visit cap ends it
+        from latcop.duality import MultisortedStructure
+        from latcop.errors import CapExceeded
+
+        ego = ego_for("bool2")
+        n = 1100
+        x = MultisortedStructure(
+            ego,
+            (tuple(range(n)),),
+            tuple(frozenset() for _ in ego.relations),
+            tuple(tuple(range(n)) for _ in ego.operations),
+        )
+        with pytest.raises(CapExceeded) as exc:
+            e_functor(x, visit_cap=5000)
+        assert exc.value.required == 5001
+
+    def test_search_order_and_visit_count(self):
+        # E(X)'s elements, and with them the coproduct --json, come out in
+        # lexicographic order; for demorgan4 + demorgan4 the search
+        # propagates 21 nodes without conflict, so a cap of 20 is one short
+        from latcop.errors import CapExceeded
+
+        family = [DM.algebra, DM.algebra]
+        res = coproduct([DM.algebra], DM.spec, None, family, check_universal=False, visit_cap=21)
+        morphisms = list(res.e_result.morphisms)
+        assert len(morphisms) == 16 and morphisms == sorted(morphisms)
+        with pytest.raises(CapExceeded) as exc:
+            coproduct([DM.algebra], DM.spec, None, family, check_universal=False, visit_cap=20)
+        assert exc.value.required == 21
 
     def test_e_of_dual_recovers_size(self):
         for key, params in [("demorgan4", ()), ("kleene3", ()), ("heyting_chain", (3,))]:
