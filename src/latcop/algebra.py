@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import (
     CapExceeded,
     IncompatiblePartition,
@@ -119,7 +121,9 @@ class FiniteAlgebra:
     arity-k symbol has ``size**k`` entries indexed row-major (leftmost
     argument most significant).  Products, induced subalgebras, free
     algebras and E(X) all get their tables from one subpower kernel,
-    ``_subpower``.  ``factors`` is set by :func:`direct_product` and enables
+    ``_subpower``, which runs on numpy: element tuples are rows interned by
+    their byte keys, and operations are evaluated coordinatewise on blocks
+    of argument tuples.  ``factors`` is set by :func:`direct_product` and enables
     :meth:`encode`/:meth:`decode`, the package's one mixed-radix tuple
     codec; ``generators`` is set by :func:`free_algebra`.
     """
@@ -143,12 +147,12 @@ class FiniteAlgebra:
                     f"algebra {self.name!r}: table for {sym!r} has {len(table)} "
                     f"entries, expected {self.size ** arity}"
                 )
-            for v in table:
-                if not 0 <= v < self.size:
-                    raise LatcopError(
-                        f"algebra {self.name!r}: table entry {v} for {sym!r} "
-                        f"outside universe 0..{self.size - 1}"
-                    )
+            if not (0 <= min(table) and max(table) < self.size):
+                v = next(v for v in table if not 0 <= v < self.size)
+                raise LatcopError(
+                    f"algebra {self.name!r}: table entry {v} for {sym!r} "
+                    f"outside universe 0..{self.size - 1}"
+                )
         if self.element_names is not None and len(self.element_names) != self.size:
             raise LatcopError(f"algebra {self.name!r}: wrong number of element names")
 
@@ -610,29 +614,130 @@ def induced_subalgebra(algebra: FiniteAlgebra, elements: Iterable[int], name: st
 # subpowers
 
 
-def _pointwise(arity: int, tabs: Sequence[tuple[int, ...]], sizes: Sequence[int]):
-    """The operation applied coordinatewise to tuples, reading each
-    coordinate's flat table directly."""
-    if arity == 0:
-        value = tuple(t[0] for t in tabs)
-        return lambda: value
-    if arity == 1:
-        return lambda xs: tuple([t[x] for t, x in zip(tabs, xs)])
-    if arity == 2:
-        return lambda xs, ys: tuple(
-            [t[x * n + y] for t, n, x, y in zip(tabs, sizes, xs, ys)]
-        )
+# Argument tuples are evaluated in blocks of at most this many table reads
+# (tuples times coordinates), so the kernel's temporaries stay bounded
+# however large the subpower is.
+_BLOCK = 1 << 14
 
-    def apply(*args):
-        out = []
-        for t, n, *column in zip(tabs, sizes, *args):
-            idx = 0
-            for x in column:
-                idx = idx * n + x
-            out.append(t[idx])
-        return tuple(out)
 
-    return apply
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, sorted.  Unlike ``np.unique`` this does not import
+    numpy.ma, whose import alone adds about 1.3 MB to the peak RSS."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _lookup(ordered: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``keys`` in the sorted key array ``ordered``, and which
+    of them are present."""
+    pos = np.searchsorted(ordered, keys)
+    hit = pos < len(ordered)
+    hit[hit] = ordered[pos[hit]] == keys[hit]
+    return pos, hit
+
+
+class _Product:
+    """The product of ``coords`` as the subpower kernel sees it.
+
+    Elements are rows of an intp array, interned by keys: a row's entries
+    as big-endian unsigned bytes, viewed as one void scalar, so that keys
+    sort the way the tuples do.  Per symbol the coordinates' flat tables
+    are concatenated, ``offsets`` saying where each one starts.  The empty
+    product gets one coordinate, the trivial algebra, so no row is empty.
+    """
+
+    def __init__(self, signature: Signature, coords: Sequence[FiniteAlgebra]):
+        self.k = len(coords)
+        if coords:
+            sizes = [c.size for c in coords]
+            tabs = [[c.tables[i] for c in coords] for i in range(len(signature.symbols))]
+        else:
+            sizes = [1]
+            tabs = [[(0,)] for _ in signature.symbols]
+        top = max(sizes) - 1
+        self.dtype = np.dtype(">u1" if top < 1 << 8 else ">u2" if top < 1 << 16 else ">u4")
+        self.ops = []
+        for (sym, arity), column in zip(signature.symbols, tabs):
+            lengths = [len(t) for t in column]
+            flat = np.fromiter(
+                itertools.chain.from_iterable(column), self.dtype.newbyteorder("="), sum(lengths)
+            )
+            offsets = np.cumsum([0] + lengths[:-1], dtype=np.intp)
+            self.ops.append((sym, arity, flat, offsets))
+        self.sizes = np.array(sizes, dtype=np.intp)
+        self.step = max(1, _BLOCK // len(sizes))
+
+    def rows(self, tuples: Sequence[tuple[int, ...]]) -> np.ndarray:
+        rows = np.array(tuples, dtype=np.intp).reshape(len(tuples), self.k)
+        return rows if self.k else np.zeros((len(tuples), 1), np.intp)
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        rows = np.ascontiguousarray(rows, dtype=self.dtype)
+        return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+    def unkey(self, keys: np.ndarray) -> np.ndarray:
+        return keys.view(self.dtype).reshape(len(keys), len(self.sizes)).astype(np.intp)
+
+    def blocks(self, shape: tuple[int, ...]) -> Iterator[tuple[np.ndarray, ...]]:
+        """The row-major index tuples of ``shape`` in blocks, as one index
+        array per axis."""
+        if not shape:
+            yield ()
+            return
+        total = prod(shape)
+        for start in range(0, total, self.step):
+            yield np.unravel_index(np.arange(start, min(start + self.step, total)), shape)
+
+    def apply(self, op, rows: np.ndarray, args: tuple[np.ndarray, ...]) -> np.ndarray:
+        """The rows ``op`` gives on the argument tuples ``args`` (one index
+        array into ``rows`` per argument), computed coordinatewise."""
+        _, _, flat, offsets = op
+        if not args:
+            return flat[offsets][None, :]
+        idx = rows[args[0]]
+        for a in args[1:]:
+            idx *= self.sizes
+            idx += rows[a]
+        idx += offsets
+        return flat[idx]
+
+
+def _subuniverse(
+    signature: Signature,
+    coords: Sequence[FiniteAlgebra],
+    generators: Iterable[tuple[int, ...]],
+) -> np.ndarray:
+    """The sorted rows of the subuniverse of the product of ``coords``
+    generated by ``generators`` and the nullary values.
+
+    Semi-naive closure: each round applies the operations only to the
+    argument tuples that include a row found in the round before.
+    """
+    product = _Product(signature, coords)
+    seeds = [product.rows(list(generators))]
+    seeds += [product.apply(op, seeds[0], ()) for op in product.ops if op[1] == 0]
+    found = _distinct(product.keys(np.concatenate(seeds)))
+    # every row found so far, each round's new rows after the older ones
+    rows = product.unkey(found)
+    old = 0
+    while old < len(rows):
+        new = len(rows) - old
+        fresh = [found[:0]]
+        for op in product.ops:
+            arity = op[1]
+            for p in range(arity):
+                shape = (old,) * p + (new,) + (old + new,) * (arity - 1 - p)
+                for args in product.blocks(shape):
+                    args[p][:] += old
+                    keys = product.keys(product.apply(op, rows, args))
+                    fresh.append(_distinct(keys[~_lookup(found, keys)[1]]))
+        added = _distinct(np.concatenate(fresh))
+        old = len(rows)
+        rows = np.concatenate([rows, product.unkey(added)])
+        found = np.insert(found, np.searchsorted(found, added), added)
+    return product.unkey(found)[:, : product.k]
 
 
 def _subpower(
@@ -646,40 +751,27 @@ def _subpower(
 
     Given a ``universe``, its order is kept and LatcopError is raised unless
     it is closed.  Otherwise the subuniverse generated by ``generators`` and
-    the nullary values is computed and returned sorted.
+    the nullary values is computed and returned sorted.  Tables are
+    evaluated on numpy rows, a block of argument tuples at a time, and
+    looked up by row keys.
     """
-    sizes = [c.size for c in coords]
-    ops = [
-        (sym, arity, _pointwise(arity, [c.tables[k] for c in coords], sizes))
-        for k, (sym, arity) in enumerate(signature.symbols)
-    ]
     if universe is None:
-        found = {f() for _, arity, f in ops if arity == 0}
-        found.update(generators)
-        work = list(found)
-        done: list[tuple[int, ...]] = []
-        while work:
-            x = work.pop()
-            done.append(x)
-            # tuples of elements popped earlier were combined when popped
-            for _, arity, f in ops:
-                if arity == 0:
-                    continue
-                for rest in itertools.product(done, repeat=arity - 1):
-                    for pos in range(arity):
-                        y = f(*rest[:pos], x, *rest[pos:])
-                        if y not in found:
-                            found.add(y)
-                            work.append(y)
-        universe = sorted(found)
-    index = {t: i for i, t in enumerate(universe)}
+        universe = [tuple(r) for r in _subuniverse(signature, coords, generators).tolist()]
+    product = _Product(signature, coords)
+    rows = product.rows(universe)
+    keys = product.keys(rows)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
     tables = []
-    for sym, arity, f in ops:
-        values = itertools.starmap(f, itertools.product(universe, repeat=arity))
-        try:
-            tables.append(tuple(map(index.__getitem__, values)))
-        except KeyError:
-            raise LatcopError(f"subpower universe is not closed under {sym!r}") from None
+    for op in product.ops:
+        sym, arity = op[0], op[1]
+        table: list[int] = []
+        for args in product.blocks((len(rows),) * arity):
+            pos, hit = _lookup(ordered, product.keys(product.apply(op, rows, args)))
+            if not hit.all():
+                raise LatcopError(f"subpower universe is not closed under {sym!r}")
+            table += order[pos].tolist()
+        tables.append(tuple(table))
     return list(universe), tuple(tables)
 
 
@@ -950,12 +1042,10 @@ def generating_set(algebra: FiniteAlgebra) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _color_masks(a: FiniteAlgebra, b: FiniteAlgebra) -> list[int] | None:
-    """Per element of a, the bitmask of the elements of b with its color;
-    None when the color multisets differ, so no isomorphism exists."""
-    pool: dict = {}
-    ca = _refine_colors(a, pool)
-    cb = _refine_colors(b, pool)
+def _color_masks(ca: list[int], cb: list[int]) -> list[int] | None:
+    """Per element of a, the bitmask of the elements of b with its color,
+    from colorings ``_refine_colors`` made with one pool; None when the
+    color multisets differ, so no isomorphism exists."""
     if sorted(ca) != sorted(cb):
         return None
     by_color: dict[int, int] = {}
@@ -973,7 +1063,8 @@ def isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
     """
     if a.signature != b.signature or a.size != b.size:
         return None
-    masks = _color_masks(a, b)
+    pool: dict = {}
+    masks = _color_masks(_refine_colors(a, pool), _refine_colors(b, pool))
     if masks is None:
         return None
     found = next(_maps(a, b, generating_set(a), allowed=masks, injective=True), None)

@@ -15,13 +15,16 @@ from typing import Sequence
 from .algebra import (
     FiniteAlgebra,
     Homomorphism,
+    _color_masks,
     _kernel_meets,
+    _maps,
+    _refine_colors,
     direct_product,
     embeds,
+    generating_set,
     in_isp,
     induced_subalgebra,
     is_rel_subdirectly_irreducible,
-    isomorphic,
     subuniverses,
     Congruence,
 )
@@ -55,7 +58,6 @@ def subalgebras_up_to_iso(
                 f"got {m.size}",
                 required=m.size,
             )
-    found: list[FiniteAlgebra] = []
     candidates: list[tuple[int, int, tuple[int, ...], FiniteAlgebra]] = []
     for mi, m in enumerate(generators):
         for elems in subuniverses(m):
@@ -64,10 +66,26 @@ def subalgebras_up_to_iso(
             sub, order = induced_subalgebra(m, elems)
             candidates.append((len(elems), mi, tuple(sorted(elems)), sub))
     candidates.sort(key=lambda t: t[:3])
+    # one color pool for all candidates, so each is colored once and its
+    # generating set found at most once; the test is ``isomorphic``'s
+    pool: dict = {}
+    kept: list[tuple[FiniteAlgebra, list[int]]] = []
     for _, _, _, sub in candidates:
-        if not any(s.size == sub.size and isomorphic(sub, s) for s in found):
-            found.append(sub)
-    return found
+        colors = _refine_colors(sub, pool)
+        gens = None
+        for s, s_colors in kept:
+            if s.size != sub.size or s.signature != sub.signature:
+                continue
+            masks = _color_masks(colors, s_colors)
+            if masks is None:
+                continue
+            if gens is None:
+                gens = generating_set(sub)
+            if next(_maps(sub, s, gens, masks, True), None) is not None:
+                break
+        else:
+            kept.append((sub, colors))
+    return [s for s, _ in kept]
 
 
 def simplify_generators(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import FiniteAlgebra, Signature, Term, app, eval_term, term_table, var
-from .algebra import _color_masks, _maps
+from .algebra import _color_masks, _maps, _refine_colors
 from .errors import LatcopError, LatticeAxiomError
 
 
@@ -418,7 +418,8 @@ def poset_isomorphic(p: FinitePoset, q: FinitePoset) -> tuple[int, ...] | None:
     if p.size == 0:
         return ()
     a, b = _up_algebra(p), _up_algebra(q)
-    masks = _color_masks(a, b)
+    pool: dict = {}
+    masks = _color_masks(_refine_colors(a, pool), _refine_colors(b, pool))
     if masks is None:
         return None
     return next(_maps(a, b, allowed=masks, injective=True), None)

@@ -14,12 +14,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .algebra import (
     Congruence,
     FiniteAlgebra,
     Homomorphism,
     _kernel_meets,
     _subpower,
+    _subuniverse,
     hom_enumerate,
     in_isp,
     quotient,
@@ -360,11 +363,35 @@ def _check_universal_property(
     generators: tuple[FiniteAlgebra, ...],
 ) -> None:
     """Sampled universal property: against every homomorphism family into
-    each generator there is exactly one mediating map."""
+    each generator there is exactly one mediating map.
+
+    The K families into m are checked at once.  Family k = (f_1, ..., f_n)
+    prescribes g_k(eps_i(x)) = f_i(x) on the injection images; the rows
+    (c, g_1(c), ..., g_K(c)) generate a subalgebra of C x m^K, and when
+    that is the graph of a total function on C, each g_k extends to exactly
+    one homomorphism C -> m.  Otherwise (conflicting prescriptions, a
+    relation that is no function, or images that do not generate C) the
+    mediating maps are counted family by family.
+    """
+    c = result.algebra
     for m in generators:
-        homs_c = hom_enumerate(result.algebra, m)
-        hom_families = [hom_enumerate(b, m) for b in members]
-        for combo in itertools.product(*hom_families):
+        families = list(itertools.product(*[hom_enumerate(b, m) for b in members]))
+        if not families:
+            continue
+        prescribed = [
+            (eps.map[x], tuple(f[i].map[x] for f in families))
+            for i, (b, eps) in enumerate(zip(members, result.injections))
+            for x in range(b.size)
+        ]
+        seeds: dict[int, tuple[int, ...]] = {}
+        if all(seeds.setdefault(y, row) == row for y, row in prescribed):
+            graph = _subuniverse(
+                c.signature, [c] + [m] * len(families), [(y,) + row for y, row in seeds.items()]
+            )
+            if np.array_equal(graph[:, 0], np.arange(c.size)):
+                continue
+        homs_c = hom_enumerate(c, m)
+        for combo in families:
             matching = [
                 h
                 for h in homs_c

@@ -131,12 +131,12 @@ def median_chain() -> FiniteAlgebra:
     return FiniteAlgebra("med3", 3, sig, (maj, lean, meet, join, (0,), (2,)))
 
 
-def pointwise_tables(coords, elements) -> tuple[tuple[int, ...], ...]:
+def pointwise_tables(coords, elements, signature=None) -> tuple[tuple[int, ...], ...]:
     """Tables of the subalgebra of prod(coords) on the tuples ``elements``
     (a list, order kept), evaluated coordinate by coordinate with
-    ``FiniteAlgebra.op`` only."""
+    ``FiniteAlgebra.op`` only.  The empty product needs ``signature``."""
     tables = []
-    for sym, arity in coords[0].signature.symbols:
+    for sym, arity in (signature or coords[0].signature).symbols:
         tables.append(tuple(
             elements.index(tuple(c.op(sym, [a[i] for a in args]) for i, c in enumerate(coords)))
             for args in itertools.product(elements, repeat=arity)
@@ -144,14 +144,15 @@ def pointwise_tables(coords, elements) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
-def pointwise_closure(coords, generators) -> list[tuple[int, ...]]:
+def pointwise_closure(coords, generators, signature=None) -> list[tuple[int, ...]]:
     """Sorted subuniverse of prod(coords) generated by ``generators`` and
-    the nullary values, by full passes with ``FiniteAlgebra.op`` only."""
+    the nullary values, by full passes with ``FiniteAlgebra.op`` only.  The
+    empty product needs ``signature``."""
     found = set(generators)
     while True:
         new = {
             tuple(c.op(sym, [a[i] for a in args]) for i, c in enumerate(coords))
-            for sym, arity in coords[0].signature.symbols
+            for sym, arity in (signature or coords[0].signature).symbols
             for args in itertools.product(sorted(found), repeat=arity)
         }
         if new <= found:

@@ -1,6 +1,7 @@
 """Core finite-algebra machinery against small known cases and oracles."""
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +15,14 @@ from conftest import (
     pointwise_closure,
     pointwise_tables,
 )
+from latcop import algebra as algebra_module
 from latcop.algebra import (
     Congruence,
     FiniteAlgebra,
     Homomorphism,
     Signature,
     _subpower,
+    _subuniverse,
     app,
     congruence_generated,
     direct_product,
@@ -445,3 +448,122 @@ class TestTernaryPointwise:
     def test_kernel_rejects_unclosed_universe(self, factors, universe, symbol):
         with pytest.raises(LatcopError, match=f"not closed under '{symbol}'"):
             _subpower(MED3.signature, [MED3] * factors, universe)
+
+
+class TestTableRangeCheck:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [({4: 7, 6: -1}, "table entry 7 "), ({3: -2, 5: 9}, "table entry -2 ")],
+    )
+    def test_first_bad_entry_is_named(self, bad, message):
+        table = [0] * 9
+        for pos, v in bad.items():
+            table[pos] = v
+        with pytest.raises(LatcopError, match=message + r"for 'g' outside universe 0\.\.2"):
+            FiniteAlgebra("bad", 3, Signature((("g", 2),)), (tuple(table),))
+
+
+@st.composite
+def subpower_cases(draw):
+    """A signature of some of a nullary, a unary, a binary and a ternary
+    symbol in random order; 0-3 coordinates of 1-3 elements with random
+    tables; up to 3 generators; a random subset of the product in random
+    order."""
+    symbols = [("c", 0), ("u", 1), ("b", 2), ("t", 3)]
+    sig = Signature(tuple(draw(st.lists(st.sampled_from(symbols), min_size=1, unique=True))))
+    coords = []
+    for i in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(1, 3))
+        coords.append(FiniteAlgebra(f"c{i}", n, sig, tuple(
+            tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
+            for _, k in sig.symbols
+        )))
+    product = list(itertools.product(*(range(c.size) for c in coords)))
+    gens = draw(st.lists(st.sampled_from(product), max_size=3))
+    subset = draw(st.lists(st.sampled_from(product), unique=True))
+    return sig, coords, gens, subset
+
+
+def _first_unclosed(sig, coords, subset):
+    """The first symbol in signature order under which ``subset`` is not
+    closed, by ``FiniteAlgebra.op``; None when it is closed."""
+    inside = set(subset)
+    for sym, arity in sig.symbols:
+        for args in itertools.product(subset, repeat=arity):
+            if tuple(c.op(sym, [a[i] for a in args]) for i, c in enumerate(coords)) not in inside:
+                return sym
+    return None
+
+
+class TestSubpowerKernel:
+    """The numpy subpower kernel against the ``FiniteAlgebra.op`` oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(subpower_cases(), st.sampled_from([1, 5, algebra_module._BLOCK]))
+    def test_matches_pointwise_oracle(self, case, block):
+        sig, coords, gens, subset = case
+        # small blocks put block seams everywhere
+        with mock.patch.object(algebra_module, "_BLOCK", block):
+            closure = pointwise_closure(coords, gens, sig)
+            assert _subuniverse(sig, coords, gens).tolist() == [list(t) for t in closure]
+            assert _subpower(sig, coords, generators=gens) == (
+                closure, pointwise_tables(coords, closure, sig)
+            )
+            bad = _first_unclosed(sig, coords, subset)
+            if bad is None:
+                assert _subpower(sig, coords, subset) == (
+                    subset, pointwise_tables(coords, subset, sig)
+                )
+            else:
+                with pytest.raises(LatcopError, match=f"not closed under '{bad}'"):
+                    _subpower(sig, coords, subset)
+
+    def test_new_row_left_of_an_older_one(self):
+        # b(x, y) steps x up only when y is the top, so every round needs
+        # its new row on the left of an older row other than the first
+        n = 6
+        step = FiniteAlgebra("step", n, Signature((("b", 2),)), (
+            tuple(min(x + 1, n - 1) if y == n - 1 else x for x in range(n) for y in range(n)),
+        ))
+        rows = _subuniverse(step.signature, [step], [(0,), (n - 1,)])
+        assert rows.tolist() == [[x] for x in range(n)]
+
+    def test_coordinate_past_one_byte(self):
+        # 300 values need two bytes per coordinate; the generated universe
+        # 250..299 straddles 256 and must still come back in tuple order
+        n = 300
+        sig = Signature((("meet", 2), ("succ", 1)))
+        chain = FiniteAlgebra("chain300", n, sig, (
+            tuple(min(x, y) for x in range(n) for y in range(n)),
+            tuple(min(x + 1, n - 1) for x in range(n)),
+        ))
+        elems, tables = _subpower(sig, [chain], generators=[(250,)])
+        assert elems == [(x,) for x in range(250, n)]
+        assert tables == pointwise_tables([chain], elems)
+        assert direct_product([chain]).tables == chain.tables
+
+    def test_empty_product(self):
+        point = ([()], tuple((0,) for _ in DM4.signature.symbols))
+        assert _subpower(DM4.signature, []) == point
+        assert _subpower(DM4.signature, [], generators=[()]) == point
+        assert _subpower(DM4.signature, [], universe=[()]) == point
+        assert _subuniverse(DM4.signature, [], ()).shape == (1, 0)
+        no_constants = Signature((("f", 1), ("g", 2)))
+        assert _subpower(no_constants, []) == ([], ((), ()))
+        assert _subpower(no_constants, [], generators=[()]) == ([()], ((0,), (0,)))
+
+    def test_binary_table_across_a_block_seam(self):
+        # 70^2 argument pairs times 4 coordinates is more table reads than
+        # one block holds
+        n, k = 70, 4
+        sig = Signature((("meet", 2), ("join", 2)))
+        r = range(n)
+        chain = FiniteAlgebra("chain70", n, sig, (
+            tuple(min(x, y) for x in r for y in r),
+            tuple(max(x, y) for x in r for y in r),
+        ))
+        assert n * n * k > algebra_module._BLOCK
+        diagonal = [(x,) * k for x in reversed(r)]
+        assert _subpower(sig, [chain] * k, diagonal) == (
+            diagonal, pointwise_tables([chain] * k, diagonal)
+        )

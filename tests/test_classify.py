@@ -2,9 +2,9 @@
 
 import pytest
 
-from conftest import report_for
-from latcop.algebra import direct_product, in_isp, isomorphic
-from latcop.catalog import make
+from conftest import least_injective_hom, report_for
+from latcop.algebra import direct_product, in_isp, induced_subalgebra, isomorphic, subuniverses
+from latcop.catalog import make, make_id
 from latcop.classify import (
     check_condition_C,
     find_single_generator,
@@ -50,6 +50,31 @@ class TestSimplifyGenerators:
         big = make("pre_moisil_M0", 4).algebra  # 16 elements
         with pytest.raises(CapExceeded):
             subalgebras_up_to_iso([big])
+
+
+class TestSubalgebrasUpToIso:
+    @pytest.mark.parametrize(
+        "ids",
+        [("demorgan4", "kleene3"), ("mv_chain:4",), ("heyting_chain:4",), ("pseudo_b:2",)],
+    )
+    def test_matches_brute_force(self, ids):
+        # the first subalgebra of each isomorphism type, in candidate order,
+        # with isomorphism decided from the brute-force homomorphism list
+        gens = [make_id(i).algebra for i in ids]
+        candidates = sorted(
+            (len(s), mi, tuple(sorted(s)))
+            for mi, m in enumerate(gens)
+            for s in subuniverses(m)
+            if len(s) > 1
+        )
+        expected = []
+        for _, mi, elems in candidates:
+            sub, _ = induced_subalgebra(gens[mi], elems)
+            if all(s.size != sub.size or least_injective_hom(sub, s) is None for s in expected):
+                expected.append(sub)
+        assert [(s.name, s.tables) for s in subalgebras_up_to_iso(gens)] == [
+            (s.name, s.tables) for s in expected
+        ]
 
 
 class TestFindSingleGenerator:

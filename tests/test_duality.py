@@ -1,13 +1,24 @@
 """Hom-functors, coproducts, reconstruction, iota, and the reflector."""
 
+import dataclasses
+
 import pytest
 
 from conftest import ego_for, reconstruction_order_poset, report_for
-from latcop.algebra import direct_product, free_algebra, isomorphic
+from latcop.algebra import (
+    Homomorphism,
+    direct_product,
+    free_algebra,
+    hom_enumerate,
+    induced_subalgebra,
+    isomorphic,
+    subuniverse_closure,
+)
 from latcop.catalog import make
 from latcop.distlat import chain as chain_poset
 from latcop.distlat import d_reduct, poset_isomorphic, prime_filters, priestley_dual
 from latcop.duality import (
+    _check_universal_property,
     coproduct,
     e_functor,
     evaluation_check,
@@ -18,7 +29,7 @@ from latcop.duality import (
     reveng_priestley,
     structure_product,
 )
-from latcop.errors import MembershipError
+from latcop.errors import LatcopError, MembershipError
 
 DM = make("demorgan4")
 K3 = make("kleene3")
@@ -204,6 +215,51 @@ class TestCoproduct:
         f1 = free_algebra([K3.algebra], 1)
         with pytest.raises(CapExceeded):
             coproduct([K3.algebra], K3.spec, None, [f1, f1, f1, f1], points_cap=50)
+
+
+class TestUniversalCheck:
+    """The universal-property check on doctored coproducts built from
+    demorgan4 + demorgan4, against homomorphisms into demorgan4."""
+
+    @staticmethod
+    def check(members, injections):
+        res = coproduct([DM.algebra], DM.spec, None, [DM.algebra, DM.algebra])
+        doctored = dataclasses.replace(res, injections=tuple(injections))
+        _check_universal_property(doctored, members, (DM.algebra,))
+
+    def test_equal_injections(self):
+        # the family (id, id) is mediated by the two maps that agree with
+        # id on the first copy
+        eps = coproduct([DM.algebra], DM.spec, None, [DM.algebra] * 2).injections[0]
+        with pytest.raises(LatcopError, match="fails against 'demorgan4': 2 mediating maps"):
+            self.check([DM.algebra] * 2, [eps, eps])
+
+    def test_injections_with_one_image(self):
+        # the second injection is the first after demorgan4's automorphism,
+        # so no map mediates the family (id, id)
+        eps = coproduct([DM.algebra], DM.spec, None, [DM.algebra] * 2).injections[0]
+        auto = hom_enumerate(DM.algebra, DM.algebra)[1]
+        with pytest.raises(LatcopError, match="fails against 'demorgan4': 0 mediating maps"):
+            self.check([DM.algebra] * 2, [eps, eps.compose(auto)])
+
+    @pytest.mark.parametrize(
+        "elems, failure",
+        [
+            # every homomorphism into demorgan4 is fixed by these 5 elements
+            ((0, 1, 5, 13, 15), None),
+            ((0, 1, 13, 15), "2 mediating maps"),
+        ],
+    )
+    def test_images_that_do_not_generate(self, elems, failure):
+        c = coproduct([DM.algebra], DM.spec, None, [DM.algebra] * 2).algebra
+        assert subuniverse_closure(c, elems) == frozenset(elems)
+        sub, _ = induced_subalgebra(c, elems)
+        inclusion = Homomorphism(sub, c, elems)
+        if failure is None:
+            self.check([sub], [inclusion])
+        else:
+            with pytest.raises(LatcopError, match=failure):
+                self.check([sub], [inclusion])
 
 
 class TestRevEng:
