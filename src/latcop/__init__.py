@@ -27,7 +27,6 @@ from .algebra import (
     is_rel_subdirectly_irreducible,
     isomorphic,
     quotient,
-    relative_congruences,
     subuniverse_closure,
     subuniverses,
     var,

@@ -891,49 +891,21 @@ def congruence_generated(algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
-# relative congruences and quasivariety membership
-
-
-def relative_congruences(algebra: FiniteAlgebra, generators: Sequence[FiniteAlgebra]) -> list[Congruence]:
-    """Congruences theta with algebra/theta in ISP(generators).
-
-    Computed as the homomorphism kernels closed under pairwise meets, plus
-    the one-block congruence; sorted canonically by block vector.
-    """
-    for m in generators:
-        _check_same_signature(algebra, m)
-    found: set[Congruence] = {Congruence.all(algebra.size)}
-    kernels = []
-    for m in generators:
-        for h in hom_enumerate(algebra, m):
-            k = h.kernel()
-            if k not in found:
-                found.add(k)
-                kernels.append(k)
-    frontier = list(found)
-    while frontier:
-        theta = frontier.pop()
-        for k in kernels:
-            m = theta.meet(k)
-            if m not in found:
-                found.add(m)
-                frontier.append(m)
-    return sorted(found, key=lambda c: c.blocks)
+# quasivariety membership
 
 
 def _kernel_meets(
-    algebra: FiniteAlgebra, targets: Sequence[FiniteAlgebra]
+    algebra: FiniteAlgebra, homs: Iterable[Homomorphism]
 ) -> Iterator[tuple[Homomorphism, Congruence]]:
-    """Each homomorphism from ``algebra`` into the targets, in target then
-    map-vector order, with the meet of the kernels up to and including it;
-    stops once that meet is the diagonal."""
+    """Each of ``homs`` out of ``algebra``, in the order given, with the
+    meet of the kernels up to and including it; stops once that meet is the
+    diagonal."""
     theta = Congruence.all(algebra.size)
-    for m in targets:
-        for h in hom_enumerate(algebra, m):
-            theta = theta.meet(h.kernel())
-            yield h, theta
-            if theta.num_blocks == algebra.size:
-                return
+    for h in homs:
+        theta = theta.meet(h.kernel())
+        yield h, theta
+        if theta.num_blocks == algebra.size:
+            return
 
 
 def in_isp(algebra: FiniteAlgebra, generators: Sequence[FiniteAlgebra]) -> bool:
@@ -941,25 +913,29 @@ def in_isp(algebra: FiniteAlgebra, generators: Sequence[FiniteAlgebra]) -> bool:
     homomorphism into some generator."""
     for m in generators:
         _check_same_signature(algebra, m)
+    homs = (h for m in generators for h in hom_enumerate(algebra, m))
     return algebra.size == 1 or any(
-        theta.num_blocks == algebra.size for _, theta in _kernel_meets(algebra, generators)
+        theta.num_blocks == algebra.size for _, theta in _kernel_meets(algebra, homs)
     )
 
 
 def is_rel_subdirectly_irreducible(algebra: FiniteAlgebra, generators: Sequence[FiniteAlgebra]) -> bool:
-    """True iff the meet of all relative congruences other than the diagonal
-    differs from the diagonal."""
+    """True iff ``algebra`` is subdirectly irreducible relative to
+    ISP(generators) (RSI).
+
+    Theorem (Gorbunov, *Algebraic Theory of Quasivarieties*, 1998): a
+    finite algebra is RSI exactly when it has two or more elements and the
+    kernels of its non-injective homomorphisms into the generators meet
+    above the diagonal."""
     if not in_isp(algebra, generators):
         raise MembershipError(
             f"{algebra.name!r} is not in the quasivariety generated by "
             f"{[m.name for m in generators]}"
         )
-    diag = Congruence.diagonal(algebra.size)
-    rest = [c for c in relative_congruences(algebra, generators) if c != diag]
-    cur = Congruence.all(algebra.size)
-    for c in rest:
-        cur = cur.meet(c)
-    return cur != diag
+    homs = (h for m in generators for h in hom_enumerate(algebra, m) if not h.is_injective)
+    return algebra.size > 1 and all(
+        theta.num_blocks < algebra.size for _, theta in _kernel_meets(algebra, homs)
+    )
 
 
 # ---------------------------------------------------------------------------

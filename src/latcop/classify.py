@@ -22,6 +22,7 @@ from .algebra import (
     direct_product,
     embeds,
     generating_set,
+    hom_enumerate,
     in_isp,
     induced_subalgebra,
     is_rel_subdirectly_irreducible,
@@ -91,31 +92,28 @@ def subalgebras_up_to_iso(
 def simplify_generators(
     generators: Sequence[FiniteAlgebra], size_cap: int = SUBALGEBRA_SIZE_CAP
 ) -> list[FiniteAlgebra]:
-    """Replace the generators by relatively subdirectly irreducible
-    subalgebras, greedily dropping any that the rest already generate.
+    """Replace the generators by relatively subdirectly irreducible (RSI)
+    subalgebras, dropping any that the rest already generate.
 
-    The result generates the same quasivariety; this is asserted via
-    membership both ways.
+    Theorem (Clark & Davey, *Natural Dualities for the Working Algebraist*,
+    1998, ch. 1): a finite RSI algebra lies in ISP(K) exactly when it embeds
+    in a member of K.  So an RSI subalgebra is dropped when it embeds in
+    another, and the result is pairwise non-embeddable.  It generates the
+    same quasivariety; this is asserted via membership both ways.
     """
-    gens = [m for m in generators if m.size > 1]
+    ambient = [m for m in generators if m.size > 1]
     if not generators:
         raise LatcopError("empty generating set")
-    if not gens:
+    if not ambient:
         return []
-    ambient = list(gens)
-    kept = [
+    rsi = [
         s
-        for s in subalgebras_up_to_iso(gens, size_cap)
+        for s in subalgebras_up_to_iso(ambient, size_cap)
         if is_rel_subdirectly_irreducible(s, ambient)
     ]
-    # greedy removal, smallest first, so large single generators survive
-    i = 0
-    while i < len(kept):
-        rest = kept[:i] + kept[i + 1 :]
-        if rest and in_isp(kept[i], rest):
-            kept.pop(i)
-        else:
-            i += 1
+    # the list runs by size and holds one algebra per isomorphism type, so
+    # only a later member can hold an earlier one; large generators survive
+    kept = [s for i, s in enumerate(rsi) if all(embeds(s, t) is None for t in rsi[i + 1 :])]
     for m in ambient:
         if not in_isp(m, kept):
             raise InternalError("simplified set lost a generator")
@@ -125,6 +123,26 @@ def simplify_generators(
     return kept
 
 
+def _single_generator(
+    simplified: Sequence[FiniteAlgebra], product_cap: int = 10**6
+) -> FiniteAlgebra | None:
+    """A single generator of ISP(simplified), or None if there is none;
+    ``simplified`` is an output of ``simplify_generators``.
+
+    Theorem: let S be finitely many pairwise non-embeddable finite RSI
+    algebras.  With one member, S generates ISP(S).  Otherwise no subalgebra
+    of a member generates it, as the others would embed there, and ISP(S)
+    has a single finite generator exactly when each member embeds in the
+    product of S.  Raises CapExceeded when the product is out of reach.
+    """
+    if len(simplified) <= 1:
+        return simplified[0] if simplified else None
+    prod = direct_product(simplified, cap=product_cap)
+    if all(embeds(m, prod) is not None for m in simplified):
+        return prod
+    return None
+
+
 def find_single_generator(
     generators: Sequence[FiniteAlgebra],
     size_cap: int = SUBALGEBRA_SIZE_CAP,
@@ -132,22 +150,14 @@ def find_single_generator(
 ) -> FiniteAlgebra | None:
     """A single algebra generating the same quasivariety, if one exists.
 
-    Scans subalgebras of the generators smallest-first; failing that, tries
-    the direct product of all generators.  Raises CapExceeded (meaning
-    "unknown", not "no") when the search space is out of reach.
+    Theorem: ISP(K) has a single finite generator exactly when
+    ``simplify_generators(K)`` has one member or each of its members embeds
+    in their product (see ``_single_generator``).  Raises CapExceeded
+    (meaning "unknown", not "no") when the search space is out of reach.
     """
-    gens = list(generators)
-    if not gens:
+    if not generators:
         return None
-    for cand in subalgebras_up_to_iso(gens, size_cap):
-        if all(in_isp(m, [cand]) for m in gens):
-            return cand
-    if len(gens) == 1:
-        return None
-    prod = direct_product(gens, cap=product_cap)
-    if all(in_isp(m, [prod]) for m in gens):
-        return prod
-    return None
+    return _single_generator(simplify_generators(generators, size_cap), product_cap)
 
 
 @dataclass
@@ -275,7 +285,7 @@ def _separating_witnesses(n: FiniteAlgebra, m0: FiniteAlgebra) -> list[Homomorph
     """A small family of homomorphisms n -> m0 with trivial joint kernel."""
     witnesses: list[Homomorphism] = []
     cur = Congruence.all(n.size)
-    for h, theta in _kernel_meets(n, [m0]):
+    for h, theta in _kernel_meets(n, hom_enumerate(n, m0)):
         if theta != cur:
             witnesses.append(h)
             cur = theta
@@ -290,21 +300,16 @@ def flowchart_classify(
     """Run the flowchart and fill a report with all witnesses."""
     report = ClassificationReport(input_generators=list(generators))
     try:
-        simplified = simplify_generators(generators, size_cap)
+        report.simplified = simplified = simplify_generators(generators, size_cap)
+        m0 = _single_generator(simplified)
     except CapExceeded as exc:
         report.unknown = str(exc)
         return report
-    report.simplified = simplified
     if not simplified:
         # only trivial algebras: coproducts are trivially preserved
         report.route.append(("all generators trivial?", "yes"))
         report.verdict_E = True
         report.verdict_S = True
-        return report
-    try:
-        m0 = find_single_generator(simplified, size_cap)
-    except CapExceeded as exc:
-        report.unknown = str(exc)
         return report
     report.single_generator = m0
     report.route.append(
@@ -349,18 +354,14 @@ def check_condition_C(
     """The three-part coproduct-preservation check for a candidate (m, omega).
 
     (i) every relatively subdirectly irreducible algebra of the class embeds
-    in m; (ii) separation holds for (m, omega); (iii) the subalgebras of m^2
-    below (omega, omega)^-1(<=) have a top element.
+    in m, checked on the simplified generators, in one of which every other
+    one embeds; (ii) separation holds for (m, omega); (iii) the subalgebras
+    of m^2 below (omega, omega)^-1(<=) have a top element.
     """
     if m.size < 2:
         raise LatcopError("condition (C) needs a nontrivial algebra")
-    ambient_list = list(ambient) if ambient is not None else [m]
-    si = [
-        s
-        for s in subalgebras_up_to_iso(ambient_list)
-        if is_rel_subdirectly_irreducible(s, ambient_list)
-    ]
-    c1 = all(embeds(s, m) is not None for s in si)
+    simplified = simplify_generators(ambient if ambient is not None else [m])
+    c1 = all(embeds(s, m) is not None for s in simplified)
     c2 = sep_condition([m], [omega]).holds
     square = direct_product([m, m])
     allowed = {square.encode(p) for p in leq_sublattice(omega, omega)}

@@ -72,11 +72,6 @@ class DistLatticeReduct:
         return f"DistLatticeReduct({self.carrier.name!r}, size={self.size})"
 
 
-def _check_identity(ok: bool, identity: str, witness: tuple) -> None:
-    if not ok:
-        raise LatticeAxiomError(identity, witness)
-
-
 @lru_cache(maxsize=None)
 def d_reduct(algebra: FiniteAlgebra, spec: DReductSpec) -> DistLatticeReduct:
     """Extract and validate the reduct; raises LatticeAxiomError with the

@@ -638,7 +638,8 @@ def reflector(
 ) -> ReflectorResult:
     """Quotient by the least congruence whose quotient lies in
     ISP(generators): the meet of all homomorphism kernels."""
-    meets = [theta for _, theta in _kernel_meets(algebra, generators)]
+    homs = (h for m in generators for h in hom_enumerate(algebra, m))
+    meets = [theta for _, theta in _kernel_meets(algebra, homs)]
     theta = meets[-1] if meets else Congruence.all(algebra.size)
     q, rho = quotient(algebra, theta)
     q = q.rename(f"R({algebra.name})")

@@ -3,7 +3,8 @@
 The oracles deliberately avoid the code paths they check: homomorphisms by
 filtering all maps, maximal subuniverses and up-sets by subset enumeration,
 least congruences by scanning all partitions, order-isomorphisms by
-scanning all permutations.
+scanning all permutations, relative congruences by closing the kernels
+under meets, and single generators by scanning every subalgebra.
 """
 
 from __future__ import annotations
@@ -14,9 +15,17 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from latcop.algebra import FiniteAlgebra, Signature
+from latcop.algebra import (
+    Congruence,
+    FiniteAlgebra,
+    Signature,
+    _check_same_signature,
+    direct_product,
+    hom_enumerate,
+    in_isp,
+)
 from latcop.catalog import make
-from latcop.classify import flowchart_classify
+from latcop.classify import SUBALGEBRA_SIZE_CAP, flowchart_classify, subalgebras_up_to_iso
 from latcop.distlat import FinitePoset, d_reduct, poset_from_pairs
 from latcop.duality import natural_dual
 from latcop.errors import LatcopError
@@ -273,3 +282,58 @@ def all_partitions(n: int):
             blocks.pop()
 
     yield from rec(0, [], 0)
+
+
+def relative_congruences(algebra: FiniteAlgebra, generators) -> list[Congruence]:
+    """Congruences theta with algebra/theta in ISP(generators).
+
+    Computed as the homomorphism kernels closed under pairwise meets, plus
+    the one-block congruence; sorted canonically by block vector.
+    """
+    for m in generators:
+        _check_same_signature(algebra, m)
+    found: set[Congruence] = {Congruence.all(algebra.size)}
+    kernels = []
+    for m in generators:
+        for h in hom_enumerate(algebra, m):
+            k = h.kernel()
+            if k not in found:
+                found.add(k)
+                kernels.append(k)
+    frontier = list(found)
+    while frontier:
+        theta = frontier.pop()
+        for k in kernels:
+            m = theta.meet(k)
+            if m not in found:
+                found.add(m)
+                frontier.append(m)
+    return sorted(found, key=lambda c: c.blocks)
+
+
+def rsi_by_definition(algebra: FiniteAlgebra, generators) -> bool:
+    """Relative subdirect irreducibility from the definition: the relative
+    congruences other than the diagonal meet above the diagonal."""
+    diag = Congruence.diagonal(algebra.size)
+    cur = Congruence.all(algebra.size)
+    for c in relative_congruences(algebra, generators):
+        if c != diag:
+            cur = cur.meet(c)
+    return cur != diag
+
+
+def scan_single_generator(generators, size_cap=SUBALGEBRA_SIZE_CAP, product_cap=10**6):
+    """A single generator by scanning every subalgebra of the generators
+    smallest-first, then trying the direct product of the generators."""
+    gens = list(generators)
+    if not gens:
+        return None
+    for cand in subalgebras_up_to_iso(gens, size_cap):
+        if all(in_isp(m, [cand]) for m in gens):
+            return cand
+    if len(gens) == 1:
+        return None
+    prod = direct_product(gens, cap=product_cap)
+    if all(in_isp(m, [prod]) for m in gens):
+        return prod
+    return None

@@ -14,6 +14,8 @@ from conftest import (
     median_chain,
     pointwise_closure,
     pointwise_tables,
+    relative_congruences,
+    rsi_by_definition,
 )
 from latcop import algebra as algebra_module
 from latcop.algebra import (
@@ -35,12 +37,11 @@ from latcop.algebra import (
     is_rel_subdirectly_irreducible,
     isomorphic,
     quotient,
-    relative_congruences,
     subuniverse_closure,
     subuniverses,
     var,
 )
-from latcop.catalog import make
+from latcop.catalog import make, make_id
 from latcop.distlat import DReductSpec
 from latcop.duality import coproduct
 from latcop.errors import (
@@ -309,6 +310,47 @@ class TestRelSubdirectlyIrreducible:
     def test_membership_required(self):
         with pytest.raises(MembershipError):
             is_rel_subdirectly_irreducible(DM4, [K3])
+
+    def test_one_element_algebra_is_not_si(self):
+        # its only relative congruence is the diagonal, so the meet of the
+        # others is the empty meet: the diagonal again
+        one = direct_product([], signature=K3.signature)
+        assert not is_rel_subdirectly_irreducible(one, [one])
+        assert not is_rel_subdirectly_irreducible(one, [K3])
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            ("kleene3",),
+            ("demorgan4",),
+            ("heyting_chain:4",),
+            ("pseudo_b:2",),
+            ("mv_chain:4",),
+            ("moisil_L:3",),
+            ("pre_moisil_L0:2",),
+            ("kleene3", "kleene3"),
+            ("heyting_chain:2", "heyting_chain:3"),
+            ("mv_chain:1", "mv_chain:2"),
+        ],
+    )
+    def test_subalgebras_match_definition(self, gens):
+        # every subalgebra of a catalog algebra or of a product of two,
+        # against the meet of the relative congruences other than the diagonal
+        g = direct_product([make_id(i).algebra for i in gens]) if len(gens) > 1 else make_id(gens[0]).algebra
+        for elems in subuniverses(g):
+            sub, _ = induced_subalgebra(g, elems)
+            assert is_rel_subdirectly_irreducible(sub, [g]) == rsi_by_definition(sub, [g])
+
+    @settings(max_examples=200, deadline=None)
+    @given(algebra_pairs())
+    def test_random_algebras_match_definition(self, pair):
+        a, b = pair
+        for gens in ([a], [a, b], [b]):
+            if in_isp(a, gens):
+                assert is_rel_subdirectly_irreducible(a, gens) == rsi_by_definition(a, gens)
+            else:
+                with pytest.raises(MembershipError):
+                    is_rel_subdirectly_irreducible(a, gens)
 
 
 class TestInIsp:

@@ -2,8 +2,17 @@
 
 import pytest
 
-from conftest import least_injective_hom, report_for
-from latcop.algebra import direct_product, in_isp, induced_subalgebra, isomorphic, subuniverses
+from conftest import least_injective_hom, report_for, scan_single_generator
+from latcop import classify as classify_module
+from latcop.algebra import (
+    FiniteAlgebra,
+    Signature,
+    direct_product,
+    in_isp,
+    induced_subalgebra,
+    isomorphic,
+    subuniverses,
+)
 from latcop.catalog import make, make_id
 from latcop.classify import (
     check_condition_C,
@@ -103,6 +112,83 @@ class TestFindSingleGenerator:
         rep = flowchart_classify([l2, l3], make("mv_chain", 2).spec)
         assert rep.verdict_E is False
         assert rep.verdict_S is True  # both chains are prime powers
+
+
+def _cycles_and_fixed_point(name: str, cycle: int) -> FiniteAlgebra:
+    """A mono-unary algebra: one cycle of the given length and one fixed
+    point.  Two of them with coprime cycle lengths map into each other only
+    through the fixed point, so neither embeds in the other."""
+    f = tuple((x + 1) % cycle for x in range(cycle)) + (cycle,)
+    return FiniteAlgebra(name, cycle + 1, Signature((("f", 1),)), (f,))
+
+
+def _single_generator_input(key: str) -> list[FiniteAlgebra]:
+    if key == "cycles2,3":
+        return [_cycles_and_fixed_point("c2", 2), _cycles_and_fixed_point("c3", 3)]
+    return [
+        direct_product([make_id(i).algebra for i in part.split("x")])
+        if "x" in part else make_id(part).algebra
+        for part in key.split(",")
+    ]
+
+
+class TestSingleGeneratorAgainstScan:
+    """``find_single_generator`` reads the answer off the simplified set;
+    the oracle scans every subalgebra of the input, smallest first."""
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "kleene3",
+            "demorgan4",
+            "demorgan4,kleene3",
+            "kleene3xkleene3",
+            "heyting_chain:3xheyting_chain:3",
+            "mv_chain:2xmv_chain:3",
+            "mv_chain:2,mv_chain:3",
+            "heyting_chain:3,heyting_chain:4",
+            "pseudo_b:2",
+            "mv_chain:2,mv_chain:4",
+            "moisil_L:3",
+            "mv_chain:1xmv_chain:2",
+            "mv_chain:2,mv_chain:3,mv_chain:6",
+            "cycles2,3",
+        ],
+    )
+    def test_matches_subalgebra_scan(self, key):
+        gens = _single_generator_input(key)
+        got, want = find_single_generator(gens), scan_single_generator(gens)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert (got.name, got.size, got.tables) == (want.name, want.size, want.tables)
+
+    def test_product_of_simplified_set(self):
+        # c2 and c3 are RSI and do not embed in each other, but each embeds
+        # in c2 x c3 through the identity paired with the collapse onto the
+        # other's fixed point
+        gens = _single_generator_input("cycles2,3")
+        assert [s.name for s in simplify_generators(gens)] == ["c2", "c3"]
+        assert find_single_generator(gens).name == "c2xc3"
+
+    def test_empty_and_trivial_inputs(self):
+        one = direct_product([], signature=K3.algebra.signature, name="triv")
+        assert find_single_generator([]) is None
+        assert find_single_generator([one]) is None
+
+    @pytest.mark.parametrize("ids", [("kleene3",), ("demorgan4", "kleene3"), ("mv_chain:2", "mv_chain:3")])
+    def test_flowchart_scans_subalgebras_once(self, ids, monkeypatch):
+        calls = []
+        scan = classify_module.subalgebras_up_to_iso
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(classify_module, "subalgebras_up_to_iso", counted)
+        entry = make_id(ids[0])
+        rep = flowchart_classify([make_id(i).algebra for i in ids], entry.spec)
+        assert rep.unknown is None
+        assert len(calls) == 1
 
 
 class TestFlowchart:
