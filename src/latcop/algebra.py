@@ -155,6 +155,10 @@ class FiniteAlgebra:
                 )
         if self.element_names is not None and len(self.element_names) != self.size:
             raise LatcopError(f"algebra {self.name!r}: wrong number of element names")
+        # built once; an attribute, not a field, so eq, hash and repr ignore it
+        object.__setattr__(self, "_ops", tuple(
+            (sym, arity, tab) for (sym, arity), tab in zip(self.signature.symbols, self.tables)
+        ))
 
     # -- table access -------------------------------------------------------
 
@@ -173,12 +177,9 @@ class FiniteAlgebra:
                 raise LatcopError(f"argument {a} outside universe of {self.name!r}")
         return self.table(symbol)[self.flat_index(args)]
 
-    def ops(self) -> list[tuple[str, int, tuple[int, ...]]]:
+    def ops(self) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
         """(symbol, arity, table) triples in signature order."""
-        return [
-            (sym, arity, tab)
-            for (sym, arity), tab in zip(self.signature.symbols, self.tables)
-        ]
+        return self._ops
 
     def constants(self) -> tuple[int, ...]:
         return tuple(tab[0] for (_, arity), tab in zip(self.signature.symbols, self.tables) if arity == 0)
@@ -913,7 +914,11 @@ def in_isp(algebra: FiniteAlgebra, generators: Sequence[FiniteAlgebra]) -> bool:
     homomorphism into some generator."""
     for m in generators:
         _check_same_signature(algebra, m)
-    homs = (h for m in generators for h in hom_enumerate(algebra, m))
+    return _separated(algebra, (h for m in generators for h in hom_enumerate(algebra, m)))
+
+
+def _separated(algebra: FiniteAlgebra, homs: Iterable[Homomorphism]) -> bool:
+    """True iff the kernels of ``homs`` meet to the diagonal."""
     return algebra.size == 1 or any(
         theta.num_blocks == algebra.size for _, theta in _kernel_meets(algebra, homs)
     )
@@ -927,15 +932,13 @@ def is_rel_subdirectly_irreducible(algebra: FiniteAlgebra, generators: Sequence[
     finite algebra is RSI exactly when it has two or more elements and the
     kernels of its non-injective homomorphisms into the generators meet
     above the diagonal."""
-    if not in_isp(algebra, generators):
+    homs = [h for m in generators for h in hom_enumerate(algebra, m)]
+    if not _separated(algebra, homs):
         raise MembershipError(
             f"{algebra.name!r} is not in the quasivariety generated by "
             f"{[m.name for m in generators]}"
         )
-    homs = (h for m in generators for h in hom_enumerate(algebra, m) if not h.is_injective)
-    return algebra.size > 1 and all(
-        theta.num_blocks < algebra.size for _, theta in _kernel_meets(algebra, homs)
-    )
+    return algebra.size > 1 and not _separated(algebra, (h for h in homs if not h.is_injective))
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,12 @@ def flowchart_classify(
     if m0 is not None:
         for n in simplified:
             report.generator_witnesses[n.name] = _separating_witnesses(n, m0)
-    omega, cert = minimal_omega_certified(gens, spec)
+    try:
+        omega, cert = minimal_omega_certified(gens, spec)
+        ego = build_alter_ego(gens, spec, omega)
+    except CapExceeded as exc:
+        report.unknown = str(exc)
+        return report
     report.omega = omega
     report.minimality = cert
     single_omega = len(omega) == 1
@@ -327,7 +332,6 @@ def flowchart_classify(
         report.route.append(
             ("does a single carrier map satisfy separation?", "yes" if single_omega else "no")
         )
-    ego = build_alter_ego(gens, spec, omega)
     report.ego = ego
     report.relation_sizes = ego.relation_sizes()
     if m0 is not None and single_omega:

@@ -234,10 +234,6 @@ def poset_from_pairs(size: int, pairs: set[tuple[int, int]], labels: tuple[str, 
     return FinitePoset(size, tuple(rows), labels or tuple(str(i) for i in range(size)))
 
 
-def antichain(size: int) -> FinitePoset:
-    return poset_from_pairs(size, set())
-
-
 def chain(size: int) -> FinitePoset:
     return poset_from_pairs(size, {(x, y) for x in range(size) for y in range(x, size)})
 
@@ -334,37 +330,6 @@ def dual_of_hom(f: LatticeHom) -> PosetMap:
 
 
 _LATTICE_SIG = Signature((("meet", 2), ("join", 2), ("zero", 0), ("one", 0)))
-
-
-def lattice_algebra_from_leq(
-    size: int,
-    leq,
-    name: str,
-    element_names: tuple[str, ...] | None = None,
-) -> FiniteAlgebra:
-    """Build a pure bounded-lattice algebra from a (lattice) order predicate."""
-    meet, join = [], []
-    for x in range(size):
-        for y in range(size):
-            lower = [z for z in range(size) if leq(z, x) and leq(z, y)]
-            upper = [z for z in range(size) if leq(x, z) and leq(y, z)]
-            inf = [z for z in lower if all(leq(w, z) for w in lower)]
-            sup = [z for z in upper if all(leq(z, w) for w in upper)]
-            if len(inf) != 1 or len(sup) != 1:
-                raise LatcopError("order is not a lattice order")
-            meet.append(inf[0])
-            join.append(sup[0])
-    bots = [z for z in range(size) if all(leq(z, w) for w in range(size))]
-    tops = [z for z in range(size) if all(leq(w, z) for w in range(size))]
-    if len(bots) != 1 or len(tops) != 1:
-        raise LatcopError("order has no bounds")
-    return FiniteAlgebra(
-        name,
-        size,
-        _LATTICE_SIG,
-        (tuple(meet), tuple(join), (bots[0],), (tops[0],)),
-        element_names,
-    )
 
 
 def upset_lattice(poset: FinitePoset, name: str | None = None) -> DistLatticeReduct:

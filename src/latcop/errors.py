@@ -20,11 +20,20 @@ class InternalError(LatcopError):
 
 
 class CapExceeded(LatcopError):
-    """A configured size cap was exceeded; carries the size that would be needed."""
+    """A configured size cap was exceeded; carries the size that would be
+    needed and, where set, the search stage and the budget it hit."""
 
-    def __init__(self, message: str, required: int | None = None):
+    def __init__(
+        self,
+        message: str,
+        required: int | None = None,
+        stage: str | None = None,
+        budget: int | None = None,
+    ):
         super().__init__(message)
         self.required = required
+        self.stage = stage
+        self.budget = budget
 
 
 class IncompatiblePartition(LatcopError):

@@ -28,7 +28,10 @@ from .algebra import (
     subuniverse_closure,
 )
 from .distlat import DReductSpec, d_reduct, prime_filters
-from .errors import LatcopError, SeparationError
+from .errors import CapExceeded, LatcopError, SeparationError
+
+# nodes one relation search may visit; pseudo_b(4)'s largest needs 141,426
+RELATION_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -293,11 +296,21 @@ def _relation_search(product: FiniteAlgebra) -> _Search:
                 mask |= pre[z]
             bad.append(mask)
         results: list[int] = []
+        nodes = 0
         # branch i deletes the i-th input and keeps the ones before it, so
-        # the branches are disjoint and no set is visited twice
+        # the branches are disjoint and no set is visited twice; ``need``,
+        # the union of sg(base + e) over the kept e, must stay inside s
         stack = [(s, base, square, bad)]
         while stack:
-            s, keep, square, bad = stack.pop()
+            s, need, square, bad = stack.pop()
+            nodes += 1
+            if nodes > RELATION_NODE_BUDGET:
+                raise CapExceeded(
+                    f"relation search exceeded {RELATION_NODE_BUDGET} nodes",
+                    required=nodes,
+                    stage="relation search",
+                    budget=RELATION_NODE_BUDGET,
+                )
             inputs = violation(s, square, bad)
             if inputs is None:
                 if s:
@@ -305,15 +318,17 @@ def _relation_search(product: FiniteAlgebra) -> _Search:
                 continue
             for e in sorted(set(inputs)):
                 bit = 1 << e
-                if keep & bit:
-                    continue
+                if need & bit:
+                    continue  # e lies in a kept closure: deleting it is dead
                 stack.append((
                     s & ~bit,
-                    keep,
+                    need,
                     square & ~cross[e],
                     [b | pre[e] for b, pre in zip(bad, pre_ops)],
                 ))
-                keep |= bit
+                need |= principal[e]
+                if need & ~s:
+                    break  # every later sibling keeps e, whose closure escapes s
         results.sort(key=int.bit_count, reverse=True)
         tops: list[int] = []
         for r in results:
@@ -334,8 +349,10 @@ def maximal_subuniverses_in(
     subuniverse fits: at each node take the least violating operation
     instance and branch on deleting each of its inputs not yet kept, branch
     i keeping the inputs before it; non-maximal results are filtered at the
-    end.  The empty list means no subuniverse fits (e.g. a nullary value
-    escapes the allowed set).
+    end.  A branch is pruned once the principal subuniverses of its kept
+    elements escape it, as no subuniverse lies below it then.  Raises
+    CapExceeded past ``RELATION_NODE_BUDGET`` nodes.  The empty list means
+    no subuniverse fits (e.g. a nullary value escapes the allowed set).
     """
     allowed_set = set(allowed)
     if not all(0 <= x < product.size for x in allowed_set):

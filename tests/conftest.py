@@ -26,7 +26,7 @@ from latcop.algebra import (
 )
 from latcop.catalog import make
 from latcop.classify import SUBALGEBRA_SIZE_CAP, flowchart_classify, subalgebras_up_to_iso
-from latcop.distlat import FinitePoset, d_reduct, poset_from_pairs
+from latcop.distlat import _LATTICE_SIG, FinitePoset, d_reduct, poset_from_pairs
 from latcop.duality import natural_dual
 from latcop.errors import LatcopError
 from latcop.piggyback import AlterEgo, build_alter_ego, sep_condition
@@ -216,6 +216,41 @@ def poset_product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
         for x2 in range(q.size)
     )
     return poset_from_pairs(size, pairs, labels)
+
+
+def antichain(size: int) -> FinitePoset:
+    return poset_from_pairs(size, set())
+
+
+def lattice_algebra_from_leq(
+    size: int,
+    leq,
+    name: str,
+    element_names: tuple[str, ...] | None = None,
+) -> FiniteAlgebra:
+    """Build a pure bounded-lattice algebra from a (lattice) order predicate."""
+    meet, join = [], []
+    for x in range(size):
+        for y in range(size):
+            lower = [z for z in range(size) if leq(z, x) and leq(z, y)]
+            upper = [z for z in range(size) if leq(x, z) and leq(y, z)]
+            inf = [z for z in lower if all(leq(w, z) for w in lower)]
+            sup = [z for z in upper if all(leq(z, w) for w in upper)]
+            if len(inf) != 1 or len(sup) != 1:
+                raise LatcopError("order is not a lattice order")
+            meet.append(inf[0])
+            join.append(sup[0])
+    bots = [z for z in range(size) if all(leq(z, w) for w in range(size))]
+    tops = [z for z in range(size) if all(leq(w, z) for w in range(size))]
+    if len(bots) != 1 or len(tops) != 1:
+        raise LatcopError("order has no bounds")
+    return FiniteAlgebra(
+        name,
+        size,
+        _LATTICE_SIG,
+        (tuple(meet), tuple(join), (bots[0],), (tops[0],)),
+        element_names,
+    )
 
 
 def poset_disjoint_union(p: FinitePoset, q: FinitePoset) -> FinitePoset:

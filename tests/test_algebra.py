@@ -60,6 +60,16 @@ MV2 = make("mv_chain", 2).algebra
 B2 = make("pseudo_b", 2).algebra
 
 
+class TestOps:
+    def test_built_once_and_not_a_field(self):
+        a = make("kleene3").algebra
+        assert a.ops() is a.ops()
+        assert a.ops() == tuple(
+            (sym, arity, tab) for (sym, arity), tab in zip(a.signature.symbols, a.tables)
+        )
+        assert a == K3 and hash(a) == hash(K3) and repr(a) == repr(K3)
+
+
 class TestEvalTerm:
     def test_kleene_negation_fixpoint(self):
         assert eval_term(K3, app("neg", var(0)), (1,)) == 1
@@ -310,6 +320,18 @@ class TestRelSubdirectlyIrreducible:
     def test_membership_required(self):
         with pytest.raises(MembershipError):
             is_rel_subdirectly_irreducible(DM4, [K3])
+
+    def test_enumerates_homomorphisms_once_per_generator(self, monkeypatch):
+        targets = []
+        real = algebra_module.hom_enumerate
+
+        def counted(a, b):
+            targets.append(b)
+            return real(a, b)
+
+        monkeypatch.setattr(algebra_module, "hom_enumerate", counted)
+        assert not is_rel_subdirectly_irreducible(direct_product([K3, K3]), [K3, DM4])
+        assert targets == [K3, DM4]
 
     def test_one_element_algebra_is_not_si(self):
         # its only relative congruence is the diagonal, so the meet of the

@@ -7,6 +7,7 @@ import pytest
 
 import latcop.catalog
 import latcop.cli
+import latcop.piggyback
 from latcop.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_UNKNOWN, main
 from latcop.errors import InternalError
 
@@ -50,6 +51,14 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "pseudo_b:4")
         assert code == EXIT_UNKNOWN
         assert "unknown" in out and "trivial class" not in out
+
+    def test_relation_budget_hit_is_unknown(self, monkeypatch, capsys):
+        monkeypatch.setattr(latcop.piggyback, "RELATION_NODE_BUDGET", 10)
+        code, out, err = run(capsys, "classify", "pseudo_b:3", "--json")
+        assert code == EXIT_UNKNOWN and err == ""
+        doc = json.loads(out)
+        assert doc["unknown"].startswith("relation search exceeded 10 nodes")
+        assert doc["E"] is None and doc["S"] is None
 
     def test_bad_id(self, capsys):
         code, _, err = run(capsys, "classify", "not_a_thing")

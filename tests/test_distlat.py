@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    antichain,
     brute_force_poset_iso,
     brute_force_upsets,
+    lattice_algebra_from_leq,
     poset_disjoint_union,
     poset_product,
 )
@@ -17,12 +19,10 @@ from latcop.catalog import make, table1_suite
 from latcop.distlat import (
     DReductSpec,
     LatticeHom,
-    antichain,
     chain,
     d_reduct,
     dual_of_hom,
     join_irreducibles,
-    lattice_algebra_from_leq,
     poset_from_pairs,
     poset_isomorphic,
     prime_filters,

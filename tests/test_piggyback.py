@@ -15,7 +15,8 @@ from conftest import (
 from latcop.algebra import FiniteAlgebra, Signature, direct_product, subuniverse_closure
 from latcop.catalog import make
 from latcop.distlat import DReductSpec
-from latcop.errors import SeparationError
+from latcop import piggyback
+from latcop.errors import CapExceeded, SeparationError
 from latcop.piggyback import (
     build_alter_ego,
     carrier_from_filter,
@@ -279,6 +280,25 @@ class TestMaximalSubuniverses:
                 )
 
 
+class TestNodeBudget:
+    # the pruned search of pseudo_b(3)'s square visits exactly this many
+    # nodes; without the dead-branch prune it visits 21,402
+    NODES = 2163
+
+    def test_exact_budget_suffices(self, monkeypatch):
+        entry = make("pseudo_b", 3)
+        monkeypatch.setattr(piggyback, "RELATION_NODE_BUDGET", self.NODES)
+        assert len(build_alter_ego([entry.algebra], entry.spec).relations) == 27
+
+    def test_one_node_fewer_names_stage_budget_and_need(self, monkeypatch):
+        entry = make("pseudo_b", 3)
+        monkeypatch.setattr(piggyback, "RELATION_NODE_BUDGET", self.NODES - 1)
+        with pytest.raises(CapExceeded) as info:
+            build_alter_ego([entry.algebra], entry.spec)
+        exc = info.value
+        assert (exc.stage, exc.budget, exc.required) == ("relation search", self.NODES - 1, self.NODES)
+
+
 class TestAlterEgo:
     def test_two_sorts_match_per_pair_search(self):
         # the search set-up is shared per pair of sorts; each carrier pair
@@ -360,10 +380,12 @@ class TestUniqueMaxApplicable:
 
 class TestOrbitCounts:
     def test_pseudocomplemented_partition_counts(self):
-        for n, expected in [(1, 1), (2, 2), (3, 3)]:
+        # n**n relations in p(n) orbits, p the partition function
+        for n, relations, orbits in [(1, 1, 1), (2, 4, 2), (3, 27, 3), (4, 256, 5)]:
             entry = make("pseudo_b", n)
             ego = build_alter_ego([entry.algebra], entry.spec)
-            assert relation_orbit_count(ego, 0, 0) == expected
+            assert len(ego.relations) == relations
+            assert relation_orbit_count(ego, 0, 0) == orbits
 
     def test_b2_square_against_subuniverse_enumeration(self):
         # independent oracle for the 25-element square: enumerate every
