@@ -10,7 +10,7 @@ sorted element tuples) to keep results diff-stable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -180,6 +180,18 @@ class FiniteAlgebra:
     def ops(self) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
         """(symbol, arity, table) triples in signature order."""
         return self._ops
+
+    def symmetric(self) -> tuple[bool, ...]:
+        """Per symbol in signature order, whether it is binary with a
+        symmetric table (each row equal to its column); built on first use
+        and kept like ``ops()``."""
+        if "_symmetric" not in self.__dict__:
+            n = self.size
+            object.__setattr__(self, "_symmetric", tuple(
+                arity == 2 and all(tab[x * n:(x + 1) * n] == tab[x::n] for x in range(n))
+                for _, arity, tab in self._ops
+            ))
+        return self._symmetric
 
     def constants(self) -> tuple[int, ...]:
         return tuple(tab[0] for (_, arity), tab in zip(self.signature.symbols, self.tables) if arity == 0)
@@ -385,61 +397,63 @@ def term_table(algebra: FiniteAlgebra, term: Term, arity: int) -> tuple[int, ...
 
 
 def _propagate(
-    a: FiniteAlgebra, b: FiniteAlgebra, img: list[int], seeds: list[int]
-) -> list[int] | None:
-    """Close a partial map under operations; the elements it assigned, or
-    None on conflict.
+    ops, a: FiniteAlgebra, b: FiniteAlgebra, img: list[int], assigned: list[int], start: int
+) -> bool:
+    """Close a partial map under the operations; False on conflict.
 
-    Incremental worklist: every operation instance involving a seed (or a
-    derived assignment) gets derived once.  Nullary operations are assigned
-    on every call, so closing the empty map with no seeds sends each
-    constant to its counterpart.
+    ``assigned`` lists the elements ``img`` maps, and its tail from
+    ``start`` is the worklist: it is walked in place while it grows, each
+    element against every one listed before it or during its turn, so every
+    operation instance among assigned elements is derived.  ``ops`` is the
+    per-search pairing :func:`_maps` builds: (arity, table of a, table of b,
+    symmetric in both) for each symbol of positive arity.  When both tables
+    are symmetric the column instance f(y, x) repeats the row one f(x, y)
+    and is skipped; when only one is, it can still conflict.
     """
-    ops = [
-        (arity, ta, tb)
-        for (sym, arity, ta), (_, _2, tb) in zip(a.ops(), b.ops())
-    ]
-    assigned = [x for x in range(a.size) if img[x] != -1]
-    start = len(assigned)
-    queue = list(seeds)
-
-    def assign(x: int, v: int) -> bool:
-        if img[x] == -1:
-            img[x] = v
-            assigned.append(x)
-            queue.append(x)
-            return True
-        return img[x] == v
-
-    for arity, ta, tb in ops:
-        if arity == 0 and not assign(ta[0], tb[0]):
-            return None
-    while queue:
-        x = queue.pop()
+    na, nb = a.size, b.size
+    for x in itertools.islice(assigned, start, None):
         fx = img[x]
-        for arity, ta, tb in ops:
-            if arity == 0:
-                continue
+        for arity, ta, tb, sym in ops:
             if arity == 1:
-                if not assign(ta[x], tb[fx]):
-                    return None
-                continue
-            if arity == 2:
-                na, nb = a.size, b.size
-                for y in list(assigned):
+                z, v = ta[x], tb[fx]
+                w = img[z]
+                if w == -1:
+                    img[z] = v
+                    assigned.append(z)
+                elif w != v:
+                    return False
+            elif arity == 2:
+                ra, rb = x * na, fx * nb
+                for y in assigned:
                     fy = img[y]
-                    if not assign(ta[x * na + y], tb[fx * nb + fy]):
-                        return None
-                    if not assign(ta[y * na + x], tb[fy * nb + fx]):
-                        return None
-                continue
-            for rest in itertools.product(list(assigned), repeat=arity - 1):
-                for pos in range(arity):
-                    args = rest[:pos] + (x,) + rest[pos:]
-                    val = tb[b.flat_index([img[z] for z in args])]
-                    if not assign(ta[a.flat_index(args)], val):
-                        return None
-    return assigned[start:]
+                    z, v = ta[ra + y], tb[rb + fy]
+                    w = img[z]
+                    if w == -1:
+                        img[z] = v
+                        assigned.append(z)
+                    elif w != v:
+                        return False
+                    if sym:
+                        continue
+                    z, v = ta[y * na + x], tb[fy * nb + fx]
+                    w = img[z]
+                    if w == -1:
+                        img[z] = v
+                        assigned.append(z)
+                    elif w != v:
+                        return False
+            else:
+                for rest in itertools.product(assigned, repeat=arity - 1):
+                    for pos in range(arity):
+                        args = rest[:pos] + (x,) + rest[pos:]
+                        z, v = ta[a.flat_index(args)], tb[b.flat_index([img[y] for y in args])]
+                        w = img[z]
+                        if w == -1:
+                            img[z] = v
+                            assigned.append(z)
+                        elif w != v:
+                            return False
+    return True
 
 
 def _maps(
@@ -459,46 +473,62 @@ def _maps(
     values in ascending order, so with ``order=None`` the maps come out in
     lexicographic order.  ``order`` must generate a.  ``allowed[x]`` is a
     bitmask of the images x may take; with ``injective`` a map that sends
-    two elements to one value is pruned.
+    two elements to one value is pruned.  The per-symbol pairing that
+    :func:`_propagate` reads is built once here, for the whole search, and
+    each entry carries its list of assigned elements, so no node scans the
+    map for them.
     """
     if allowed is None:
         allowed = [(1 << b.size) - 1] * a.size
+    ops = [
+        (arity, ta, tb, sa and sb)
+        for (_, arity, ta), (_, _, tb), sa, sb in zip(a.ops(), b.ops(), a.symmetric(), b.symmetric())
+        if arity
+    ]
 
-    def close(img: list[int], used: int, seeds: list[int]) -> int | None:
-        """Propagate, check what got assigned; the new used-value mask."""
-        fresh = _propagate(a, b, img, seeds)
-        if fresh is None:
+    def close(img: list[int], assigned: list[int], used: int, start: int) -> int | None:
+        """Propagate from ``assigned[start:]`` and check every element it
+        lists from there; the new used-value mask, or None."""
+        if not _propagate(ops, a, b, img, assigned, start):
             return None
-        for x in fresh:
+        for x in itertools.islice(assigned, start, None):
             bit = 1 << img[x]
             if not allowed[x] & bit or injective and used & bit:
                 return None
             used |= bit
         return used
 
-    root = [-1] * a.size
-    used = close(root, 0, [])
-    stack = [] if used is None else [(root, used, -1, 0)]
+    root, assigned = [-1] * a.size, []
+    for (_, arity, ta), (_, _, tb) in zip(a.ops(), b.ops()):
+        if arity == 0:
+            if root[ta[0]] == -1:
+                assigned.append(ta[0])
+            elif root[ta[0]] != tb[0]:
+                return
+            root[ta[0]] = tb[0]
+    used = close(root, assigned, 0, 0)
+    stack = [] if used is None else [(root, assigned, used, -1, 0)]
     while stack:
-        img, used, x, v = stack.pop()
+        img, assigned, used, x, v = stack.pop()
         if x != -1:
             img = list(img)
             img[x] = v
-            used = close(img, used, [x])
+            assigned = assigned + [x]
+            used = close(img, assigned, used, len(assigned) - 1)
             if used is None:
                 continue
-        if order is None:
-            x = img.index(-1) if -1 in img else -1
-        else:
-            x = next((y for y in order if img[y] == -1), -1)
-        if x == -1:
+        if len(assigned) == a.size:
             yield tuple(img)
             continue
+        if order is None:
+            x = img.index(-1)
+        else:
+            x = next(y for y in order if img[y] == -1)
         values = allowed[x] & ~used if injective else allowed[x]
         while values:  # highest first, so the least value is popped first
             v = values.bit_length() - 1
             values ^= 1 << v
-            stack.append((img, used | 1 << v, x, v))
+            stack.append((img, assigned, used, x, v))
 
 
 def hom_enumerate(a: FiniteAlgebra, b: FiniteAlgebra) -> list[Homomorphism]:
@@ -521,40 +551,46 @@ def embeds(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
 
 def subuniverse_closure(algebra: FiniteAlgebra, seed: Iterable[int]) -> frozenset[int]:
     """Least subset containing ``seed`` and all nullary values, closed under
-    every table; computed by worklist saturation."""
-    inside = set()
-    work: list[int] = []
+    every table.
 
-    def add(x: int) -> None:
-        if x not in inside:
-            inside.add(x)
-            work.append(x)
-
-    for x in seed:
-        if not 0 <= x < algebra.size:
-            raise LatcopError(f"seed element {x} outside universe")
-        add(x)
-    for c in algebra.constants():
-        add(c)
-    ops = [(arity, tab) for _, arity, tab in algebra.ops() if arity > 0]
-    members: list[int] = list(inside)
+    Worklist saturation on the growing member list, walked in place: each
+    member meets every one listed before it or during its turn, so every
+    operation instance among members is evaluated.  A symmetric binary
+    table is read once per pair, the column read repeating the row one.
+    """
     n = algebra.size
-    while work:
-        x = work.pop()
-        for arity, tab in ops:
+    members = list(dict.fromkeys(itertools.chain(seed, algebra.constants())))
+    for x in members:
+        if not 0 <= x < n:
+            raise LatcopError(f"seed element {x} outside universe")
+    inside = set(members)
+    ops = [(arity, tab, sym) for (_, arity, tab), sym in zip(algebra.ops(), algebra.symmetric()) if arity]
+    for x in members:
+        for arity, tab, sym in ops:
             if arity == 1:
-                add(tab[x])
+                z = tab[x]
+                if z not in inside:
+                    inside.add(z)
+                    members.append(z)
             elif arity == 2:
-                # pairs with later members are handled when those are popped
-                for y in list(members):
-                    add(tab[x * n + y])
-                    add(tab[y * n + x])
+                row = x * n
+                for y in members:
+                    z = tab[row + y]
+                    if z not in inside:
+                        inside.add(z)
+                        members.append(z)
+                    if not sym:
+                        z = tab[y * n + x]
+                        if z not in inside:
+                            inside.add(z)
+                            members.append(z)
             else:
-                for rest in itertools.product(list(members), repeat=arity - 1):
+                for rest in itertools.product(members, repeat=arity - 1):
                     for pos in range(arity):
-                        args = rest[:pos] + (x,) + rest[pos:]
-                        add(tab[algebra.flat_index(args)])
-        members = list(inside)
+                        z = tab[algebra.flat_index(rest[:pos] + (x,) + rest[pos:])]
+                        if z not in inside:
+                            inside.add(z)
+                            members.append(z)
     return frozenset(inside)
 
 
@@ -564,18 +600,9 @@ def subuniverses(algebra: FiniteAlgebra) -> list[frozenset[int]]:
     Deterministic order: sorted by (size, sorted element tuple).
     """
     base = subuniverse_closure(algebra, ())
-    seen: set[frozenset[int]] = set()
-    queue: list[frozenset[int]] = []
-    if base:
-        seen.add(base)
-        queue.append(base)
-    else:
-        # no constants: singletons seed the search
-        for x in range(algebra.size):
-            s = subuniverse_closure(algebra, (x,))
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
+    # with no constants base is empty, and extending it gives the singletons
+    seen = {base} if base else set()
+    queue = [base]
     while queue:
         s = queue.pop()
         for x in range(algebra.size):
@@ -1068,6 +1095,8 @@ def free_algebra(
     """
     if not generators:
         raise LatcopError("free algebra needs at least one generating algebra")
+    if n < 0:
+        raise LatcopError(f"free algebra needs a non-negative number of generators, got {n}")
     _check_same_signature(*generators)
     sig = generators[0].signature
     ambient = 1

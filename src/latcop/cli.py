@@ -115,6 +115,12 @@ def _resolve_omega(arg: str | None, inputs: _Inputs):
     return tuple(carriers)
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
@@ -372,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_coproduct)
 
     p = sub.add_parser("free", help="free algebra on N generators")
-    p.add_argument("n", type=int, help="number of free generators")
+    p.add_argument("n", type=_nonnegative_int, help="number of free generators")
     common(p)
     p.set_defaults(fn=_cmd_free)
 

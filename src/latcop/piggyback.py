@@ -91,27 +91,34 @@ def sep_condition(generators: Sequence[FiniteAlgebra], omega: Sequence[CarrierMa
     homomorphism between generators and w a chosen carrier of u's target.
     """
     gens = list(generators)
+    return _separation(gens, omega, _homsets(gens))
+
+
+def _homsets(gens: Sequence[FiniteAlgebra]) -> dict[tuple[int, int], list[Homomorphism]]:
+    """hom(gens[i], gens[j]) for every ordered pair (i, j), in that order."""
+    return {(i, j): hom_enumerate(m1, m2) for i, m1 in enumerate(gens) for j, m2 in enumerate(gens)}
+
+
+def _separation(
+    gens: Sequence[FiniteAlgebra],
+    omega: Sequence[CarrierMap],
+    homsets: dict[tuple[int, int], list[Homomorphism]],
+) -> SepResult:
+    """:func:`sep_condition` on the hom-sets :func:`_homsets` enumerated."""
     for w in omega:
         if w.sort not in gens:
             raise LatcopError("carrier sort is not among the generators")
-    by_sort: dict[int, list[CarrierMap]] = {i: [] for i in range(len(gens))}
+    by_sort: dict[int, list[CarrierMap]] = {}
     for w in omega:
-        by_sort[gens.index(w.sort)].append(w)
-    homsets = {
-        (i, j): hom_enumerate(gens[i], gens[j])
-        for i in range(len(gens))
-        for j in range(len(gens))
-        if by_sort[j]
-    }
+        by_sort.setdefault(gens.index(w.sort), []).append(w)
     for i, m in enumerate(gens):
         for a in range(m.size):
             for b in range(a + 1, m.size):
                 if not any(
                     w.value(u.map[a]) != w.value(u.map[b])
-                    for (src, j), homs in homsets.items()
-                    if src == i
-                    for u in homs
-                    for w in by_sort[j]
+                    for j, ws in by_sort.items()
+                    for u in homsets[i, j]
+                    for w in ws
                 ):
                     return SepResult(False, (i, a, b))
     return SepResult(True, None)
@@ -140,11 +147,7 @@ def minimal_omega_certified(
     all_carriers: list[CarrierMap] = []
     for m in gens:
         all_carriers.extend(carriers_of(m, spec))
-    homsets = {
-        (i, j): hom_enumerate(gens[i], gens[j])
-        for i in range(len(gens))
-        for j in range(len(gens))
-    }
+    homsets = _homsets(gens)
     # pair a < b of generator i is bit offsets[i] + its rank among the pairs
     pair_counts = (m.size * (m.size - 1) // 2 for m in gens)
     offsets = list(itertools.accumulate(pair_counts, initial=0))
@@ -420,7 +423,8 @@ def build_alter_ego(
     if omega is None:
         omega = minimal_omega(gens, spec)
     omega = tuple(omega)
-    sep = sep_condition(gens, omega)
+    homsets = _homsets(gens)  # read by both the separation check and G
+    sep = _separation(gens, omega, homsets)
     if not sep.holds:
         raise SeparationError(
             f"separation fails: elements {sep.witness[1]} and {sep.witness[2]} "
@@ -441,11 +445,8 @@ def build_alter_ego(
             for s in maximal(allowed):
                 pairs = tuple(square.decode(x) for x in sorted(s))
                 relations.append(SortedRelation(*sorts, i, j, pairs))
-    operations: list[Homomorphism] = []
-    for m1 in gens:
-        for m2 in gens:
-            operations.extend(hom_enumerate(m1, m2))
-    return AlterEgo(gens, spec, omega, tuple(relations), tuple(operations))
+    operations = tuple(itertools.chain.from_iterable(homsets.values()))
+    return AlterEgo(gens, spec, omega, tuple(relations), operations)
 
 
 # ---------------------------------------------------------------------------

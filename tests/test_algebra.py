@@ -1,5 +1,6 @@
 """Core finite-algebra machinery against small known cases and oracles."""
 
+import dataclasses
 import itertools
 from unittest import mock
 
@@ -68,6 +69,16 @@ class TestOps:
             (sym, arity, tab) for (sym, arity), tab in zip(a.signature.symbols, a.tables)
         )
         assert a == K3 and hash(a) == hash(K3) and repr(a) == repr(K3)
+
+    def test_symmetric_built_once_and_not_a_field(self):
+        a = dataclasses.replace(C3)  # a fresh copy: catalog algebras are shared
+        assert "_symmetric" not in a.__dict__  # built on first use
+        flags = a.symmetric()
+        assert a.symmetric() is flags
+        # meet and join commute, imp does not, nullary symbols are not binary
+        assert flags == (True, True, False, False, False)
+        assert a == C3 and hash(a) == hash(C3) and repr(a) == repr(C3)
+        assert make("mv_chain", 3).algebra.symmetric() == (True, False, False)
 
 
 class TestEvalTerm:
@@ -175,6 +186,66 @@ def algebra_pairs(draw):
     return a, algebra("b")
 
 
+def check_map_search(a: FiniteAlgebra, b: FiniteAlgebra) -> None:
+    """hom_enumerate, embeds and isomorphic against the brute-force list of
+    all homomorphisms."""
+    assert [h.map for h in hom_enumerate(a, b)] == brute_force_homs(a, b)
+    emb = embeds(a, b)
+    assert (None if emb is None else emb.map) == least_injective_hom(a, b)
+    iso = isomorphic(a, b)
+    exists = a.size == b.size and least_injective_hom(a, b) is not None
+    assert (iso is not None) == exists
+    if iso is not None:
+        assert iso.is_valid() and iso.is_bijective
+
+
+@st.composite
+def symmetry_pairs(draw):
+    """Two algebras of 1-4 elements with a binary and an optional unary
+    operation.  Each binary table is drawn symmetric or not, independently,
+    so pairs where only one side is symmetric come up often; half of the
+    time b is a relabeled copy of a."""
+    symbols = (("g", 2),) + ((("f", 1),) if draw(st.booleans()) else ())
+    sig = Signature(symbols)
+
+    def algebra(name: str) -> FiniteAlgebra:
+        n = draw(st.integers(min_value=1, max_value=4))
+        symmetric = draw(st.booleans())
+        tables = []
+        for _, k in symbols:
+            tab = draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k))
+            if k == 2 and symmetric:
+                tab = [tab[min(x, y) * n + max(x, y)] for x in range(n) for y in range(n)]
+            tables.append(tuple(tab))
+        return FiniteAlgebra(name, n, sig, tuple(tables))
+
+    a = algebra("a")
+    if draw(st.booleans()):
+        return a, _relabeled(a, draw(st.permutations(range(a.size))))
+    return a, algebra("b")
+
+
+class TestSymmetricShortcut:
+    """The map search skips the column check of a binary symbol only when
+    both tables are symmetric, and the closure skips the column read of a
+    symmetric table; both are checked against oracles that never skip."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetry_pairs())
+    def test_map_search_matches_brute_force(self, pair):
+        check_map_search(*pair)
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetry_pairs())
+    def test_closure_matches_pointwise(self, pair):
+        # every seed of at most two elements, in both algebras
+        for alg in pair:
+            for k in range(3):
+                for seed in itertools.combinations(range(alg.size), k):
+                    expected = pointwise_closure([alg], [(x,) for x in seed])
+                    assert sorted(subuniverse_closure(alg, seed)) == [x for (x,) in expected]
+
+
 class TestMapSearch:
     """hom_enumerate, embeds and isomorphic share one search; each is
     checked against the brute-force list of all homomorphisms."""
@@ -182,15 +253,7 @@ class TestMapSearch:
     @settings(max_examples=300, deadline=None)
     @given(algebra_pairs())
     def test_matches_brute_force(self, pair):
-        a, b = pair
-        assert [h.map for h in hom_enumerate(a, b)] == brute_force_homs(a, b)
-        emb = embeds(a, b)
-        assert (None if emb is None else emb.map) == least_injective_hom(a, b)
-        iso = isomorphic(a, b)
-        exists = a.size == b.size and least_injective_hom(a, b) is not None
-        assert (iso is not None) == exists
-        if iso is not None:
-            assert iso.is_valid() and iso.is_bijective
+        check_map_search(*pair)
 
     def test_embedding_deeper_than_the_recursion_limit(self):
         n = 1100
@@ -430,6 +493,10 @@ class TestFreeAlgebra:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             free_algebra([DM4], 2)  # ambient 4^16 over the default cap
+
+    def test_negative_rank(self):
+        with pytest.raises(LatcopError, match="non-negative"):
+            free_algebra([K3], -1)
 
     @pytest.mark.parametrize("gen", [K3, DM4, C3, MV2])
     def test_hom_count_equals_generator_size(self, gen):

@@ -82,6 +82,11 @@ class TestCapParsing:
     def test_zero_cap(self, capsys):
         assert self.exit_code("free", "1", "kleene3", "--cap", "0") == EXIT_INPUT
 
+    def test_negative_free_rank(self, capsys):
+        assert self.exit_code("free", "-1", "kleene3") == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "non-negative integer" in err and "Traceback" not in err
+
 
 class TestDuality:
     def test_demorgan_relation_printed(self, capsys):

@@ -337,8 +337,28 @@ class TestAlterEgo:
 
     def test_separation_failure_raises(self):
         w1 = carrier_from_filter(K3.algebra, K3.spec, {1, 2})
-        with pytest.raises(SeparationError):
+        with pytest.raises(SeparationError) as exc:
             build_alter_ego([K3.algebra], K3.spec, [w1])
+        assert exc.value.witness == sep_condition([K3.algebra], [w1]).witness
+
+    def test_enumerates_each_hom_set_once(self, monkeypatch):
+        # the separation check and G read one enumeration per ordered pair
+        gens = [DM.algebra, K3.algebra]
+        omega = minimal_omega(gens, DM.spec)
+        pairs = []
+        real = piggyback.hom_enumerate
+
+        def counted(a, b):
+            pairs.append((a.name, b.name))
+            return real(a, b)
+
+        monkeypatch.setattr(piggyback, "hom_enumerate", counted)
+        ego = build_alter_ego(gens, DM.spec, omega)
+        names = [m.name for m in gens]
+        assert pairs == list(itertools.product(names, names))
+        assert ego.operations == tuple(
+            h for m1 in gens for m2 in gens for h in real(m1, m2)
+        )
 
 
 class TestUniqueMaxApplicable:
