@@ -16,7 +16,6 @@ from .algebra import (
     Signature,
     Term,
     app,
-    congruence_generated,
     direct_product,
     embeds,
     eval_term,
@@ -47,7 +46,6 @@ from .distlat import (
     PosetMap,
     PrimeFilter,
     d_reduct,
-    dual_of_hom,
     poset_isomorphic,
     prime_filters,
     priestley_dual,

@@ -119,13 +119,15 @@ class FiniteAlgebra:
 
     ``tables`` is aligned with ``signature.symbols``; the table for an
     arity-k symbol has ``size**k`` entries indexed row-major (leftmost
-    argument most significant).  Products, induced subalgebras, free
-    algebras and E(X) all get their tables from one subpower kernel,
-    ``_subpower``, which runs on numpy: element tuples are rows interned by
-    their byte keys, and operations are evaluated coordinatewise on blocks
-    of argument tuples.  ``factors`` is set by :func:`direct_product` and enables
-    :meth:`encode`/:meth:`decode`, the package's one mixed-radix tuple
-    codec; ``generators`` is set by :func:`free_algebra`.
+    argument most significant).  Products, free algebras and E(X) get their
+    tables from one subpower kernel, ``_subpower``, which runs on numpy:
+    element tuples are rows interned by their byte keys, operations are
+    evaluated coordinatewise on blocks of argument tuples, and each
+    argument tuple is evaluated once, by the closure loop.  An induced
+    subalgebra reads its parent's tables.  ``factors`` is set by
+    :func:`direct_product` and enables :meth:`encode`/:meth:`decode`, the
+    package's one mixed-radix tuple codec; ``generators`` is set by
+    :func:`free_algebra`.
     """
 
     name: str
@@ -617,13 +619,26 @@ def subuniverses(algebra: FiniteAlgebra) -> list[frozenset[int]]:
 
 def induced_subalgebra(algebra: FiniteAlgebra, elements: Iterable[int], name: str | None = None) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """The algebra induced on a subuniverse; returns it with the element list
-    (position i of the result is ``elements_sorted[i]`` of the parent)."""
+    (position i of the result is ``elements_sorted[i]`` of the parent).
+
+    Its tables are the parent's, read at the argument tuples over the
+    elements and renumbered through the element index."""
     elems = tuple(sorted(set(elements)))
     if not elems:
         raise LatcopError("subalgebra universe must be nonempty")
     if elems[0] < 0 or elems[-1] >= algebra.size:
         raise LatcopError(f"{sorted(elems)} is not a subset of the universe of {algebra.name!r}")
-    _, tables = _subpower(algebra.signature, [algebra], [(x,) for x in elems])
+    index = {x: i for i, x in enumerate(elems)}
+    n = algebra.size
+    tables = []
+    for sym, arity, tab in algebra.ops():
+        flat = [0]  # the parent's flat indices of the tuples, row-major
+        for _ in range(arity):
+            flat = [f * n + x for f in flat for x in elems]
+        try:
+            tables.append(tuple([index[tab[f]] for f in flat]))
+        except KeyError:
+            raise LatcopError(f"subpower universe is not closed under {sym!r}") from None
     names = None
     if algebra.element_names is not None:
         names = tuple(algebra.element_names[x] for x in elems)
@@ -633,7 +648,7 @@ def induced_subalgebra(algebra: FiniteAlgebra, elements: Iterable[int], name: st
         else:
             name = f"{algebra.name}|{{{','.join(str(x) for x in elems)}}}"
     return (
-        FiniteAlgebra(name, len(elems), algebra.signature, tables, names),
+        FiniteAlgebra(name, len(elems), algebra.signature, tuple(tables), names),
         elems,
     )
 
@@ -646,6 +661,10 @@ def induced_subalgebra(algebra: FiniteAlgebra, elements: Iterable[int], name: st
 # (tuples times coordinates), so the kernel's temporaries stay bounded
 # however large the subpower is.
 _BLOCK = 1 << 14
+
+# Most table entries (the sum of size**arity over the symbols) one subpower
+# may build; checked before each closure round allocates.
+TABLE_ENTRY_BUDGET = 10**7
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -661,9 +680,45 @@ def _lookup(ordered: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Positions of ``keys`` in the sorted key array ``ordered``, and which
     of them are present."""
     pos = np.searchsorted(ordered, keys)
-    hit = pos < len(ordered)
-    hit[hit] = ordered[pos[hit]] == keys[hit]
-    return pos, hit
+    if not len(ordered):
+        return pos, np.zeros(len(keys), dtype=bool)
+    # a key past the last one is clipped onto it and compares unequal
+    return pos, ordered.take(pos, mode="clip") == keys
+
+
+def _index_dtype(count: int) -> np.dtype:
+    """The narrowest unsigned dtype holding the indices ``0..count-1``."""
+    return np.min_scalar_type(max(count - 1, 0))
+
+
+def _slabs(arity: int, old: int, new: int, first: bool) -> list[tuple[slice, ...]]:
+    """The argument tuples one semi-naive round evaluates, as nonempty
+    slabs of the index grid: with ``old`` elements from earlier rounds and
+    ``new`` from the last one, old^p x new x (old+new)^(arity-1-p) for each
+    p < arity.  These partition the tuples over the first old + new elements
+    that use a new one, so over all rounds each tuple is met exactly once.
+    A nullary symbol's one empty tuple belongs to the ``first`` round."""
+    if not arity:
+        return [()] if first else []
+    if not new:
+        return []
+    return [
+        (slice(0, old),) * p + (slice(old, old + new),) + (slice(0, old + new),) * (arity - 1 - p)
+        for p in range(arity if old else 1)
+    ]
+
+
+def _blocks(slab: tuple[slice, ...], step: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The index tuples of ``slab`` in row-major order, in blocks of at most
+    ``step``, as one index array per axis."""
+    if not slab:
+        yield ()
+        return
+    shape = tuple(s.stop - s.start for s in slab)
+    total = prod(shape)
+    for start in range(0, total, step):
+        idx = np.unravel_index(np.arange(start, min(start + step, total)), shape)
+        yield tuple(i + s.start if s.start else i for i, s in zip(idx, slab))
 
 
 class _Product:
@@ -708,16 +763,6 @@ class _Product:
     def unkey(self, keys: np.ndarray) -> np.ndarray:
         return keys.view(self.dtype).reshape(len(keys), len(self.sizes)).astype(np.intp)
 
-    def blocks(self, shape: tuple[int, ...]) -> Iterator[tuple[np.ndarray, ...]]:
-        """The row-major index tuples of ``shape`` in blocks, as one index
-        array per axis."""
-        if not shape:
-            yield ()
-            return
-        total = prod(shape)
-        for start in range(0, total, self.step):
-            yield np.unravel_index(np.arange(start, min(start + self.step, total)), shape)
-
     def apply(self, op, rows: np.ndarray, args: tuple[np.ndarray, ...]) -> np.ndarray:
         """The rows ``op`` gives on the argument tuples ``args`` (one index
         array into ``rows`` per argument), computed coordinatewise."""
@@ -732,42 +777,6 @@ class _Product:
         return flat[idx]
 
 
-def _subuniverse(
-    signature: Signature,
-    coords: Sequence[FiniteAlgebra],
-    generators: Iterable[tuple[int, ...]],
-) -> np.ndarray:
-    """The sorted rows of the subuniverse of the product of ``coords``
-    generated by ``generators`` and the nullary values.
-
-    Semi-naive closure: each round applies the operations only to the
-    argument tuples that include a row found in the round before.
-    """
-    product = _Product(signature, coords)
-    seeds = [product.rows(list(generators))]
-    seeds += [product.apply(op, seeds[0], ()) for op in product.ops if op[1] == 0]
-    found = _distinct(product.keys(np.concatenate(seeds)))
-    # every row found so far, each round's new rows after the older ones
-    rows = product.unkey(found)
-    old = 0
-    while old < len(rows):
-        new = len(rows) - old
-        fresh = [found[:0]]
-        for op in product.ops:
-            arity = op[1]
-            for p in range(arity):
-                shape = (old,) * p + (new,) + (old + new,) * (arity - 1 - p)
-                for args in product.blocks(shape):
-                    args[p][:] += old
-                    keys = product.keys(product.apply(op, rows, args))
-                    fresh.append(_distinct(keys[~_lookup(found, keys)[1]]))
-        added = _distinct(np.concatenate(fresh))
-        old = len(rows)
-        rows = np.concatenate([rows, product.unkey(added)])
-        found = np.insert(found, np.searchsorted(found, added), added)
-    return product.unkey(found)[:, : product.k]
-
-
 def _subpower(
     signature: Signature,
     coords: Sequence[FiniteAlgebra],
@@ -777,30 +786,169 @@ def _subpower(
     """A subalgebra of the product of ``coords``: its element tuples and its
     operation tables, with operations applied coordinatewise.
 
-    Given a ``universe``, its order is kept and LatcopError is raised unless
-    it is closed.  Otherwise the subuniverse generated by ``generators`` and
-    the nullary values is computed and returned sorted.  Tables are
-    evaluated on numpy rows, a block of argument tuples at a time, and
-    looked up by row keys.
+    Without a ``universe`` the subuniverse generated by ``generators`` and
+    the nullary values is computed and returned sorted.  Semi-naive
+    closure from those seeds: each round applies the operations only to
+    the argument tuples that use a row found in the round before (see
+    :func:`_slabs`), so every argument tuple is evaluated exactly once, and
+    its result is kept, as a row number in the order rows were found, for
+    the tables.  A given ``universe`` is the seed of a round that must find
+    nothing new: its order is kept and LatcopError is raised unless it is
+    closed.
+    CapExceeded is raised before a round whose rows alone would need more
+    than ``TABLE_ENTRY_BUDGET`` table entries.
     """
-    if universe is None:
-        universe = [tuple(r) for r in _subuniverse(signature, coords, generators).tolist()]
     product = _Product(signature, coords)
-    rows = product.rows(universe)
+    given = universe is not None
+    rows = product.rows(list(universe) if given else list(generators))
     keys = product.keys(rows)
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
+    if given:
+        # found holds the sorted keys, where the row number of each
+        where = np.argsort(keys, kind="stable")
+        found = keys[where]
+    else:
+        # the nullary values seed the first round with the generators
+        consts = [product.keys(product.apply(op, rows, ())) for op in product.ops if not op[1]]
+        found = _distinct(np.concatenate([keys] + consts))
+        rows = product.unkey(found)
+        where = np.arange(len(found))
+    # per symbol, its (slab, results) pairs from every round
+    results: list[list] = [[] for _ in product.ops]
+    old = 0
+    for round_ in itertools.count():
+        count = len(rows)
+        required = sum(count**op[1] for op in product.ops)
+        if required > TABLE_ENTRY_BUDGET:
+            raise CapExceeded(
+                f"subpower tables need {required}+ entries, budget is {TABLE_ENTRY_BUDGET}",
+                required=required, stage="table build", budget=TABLE_ENTRY_BUDGET,
+            )
+        known = _index_dtype(count)
+        fresh, pending, evaluated = [found[:0]], [], []
+        for op, done in zip(product.ops, results):
+            for slab in _slabs(op[1], old, count - old, round_ == 0):
+                parts = []
+                for args in _blocks(slab, product.step):
+                    keys = product.keys(product.apply(op, rows, args))
+                    pos, hit = _lookup(found, keys)
+                    res = where.take(pos, mode="clip") if count else pos
+                    if hit.all():
+                        res = res.astype(known)
+                    elif given:
+                        raise LatcopError(f"subpower universe is not closed under {op[0]!r}")
+                    else:
+                        # numbered once the round has found all its rows
+                        miss = np.flatnonzero(~hit)
+                        pending.append((parts, len(parts), res, miss, keys[miss]))
+                        fresh.append(_distinct(keys[miss]))
+                    parts.append(res)
+                evaluated.append((done, slab, parts))
+        added = _distinct(np.concatenate(fresh))
+        dtype = _index_dtype(count + len(added))
+        for parts, i, res, miss, missed in pending:
+            res[miss] = count + np.searchsorted(added, missed)
+            parts[i] = res.astype(dtype)
+        for done, slab, parts in evaluated:
+            done.append((slab, np.concatenate(parts)))
+        if not len(added):
+            break
+        at = np.searchsorted(found, added)
+        found = np.insert(found, at, added)
+        where = np.insert(where, at, np.arange(count, count + len(added)))
+        rows = np.concatenate([rows, product.unkey(added)])
+        old = count
+    # tables by row number, then (without a universe) in sorted row order:
+    # sorted position i holds row where[i]
+    if not given:
+        rank = np.empty(count, _index_dtype(count))
+        rank[where] = np.arange(count)
     tables = []
-    for op in product.ops:
-        sym, arity = op[0], op[1]
-        table: list[int] = []
-        for args in product.blocks((len(rows),) * arity):
-            pos, hit = _lookup(ordered, product.keys(product.apply(op, rows, args)))
-            if not hit.all():
-                raise LatcopError(f"subpower universe is not closed under {sym!r}")
-            table += order[pos].tolist()
-        tables.append(tuple(table))
-    return list(universe), tuple(tables)
+    for (_, arity, _, _), done in zip(product.ops, results):
+        table = np.empty((count,) * arity, _index_dtype(count))
+        for slab, res in done:
+            table[slab] = res.reshape(table[slab].shape)
+        if not given:
+            table = rank[table[np.ix_(*[where] * arity)] if arity else table]
+        tables.append(tuple(table.ravel().tolist()))
+    if given:
+        return list(universe), tuple(tables)
+    return [tuple(r) for r in product.unkey(found)[:, : product.k].tolist()], tuple(tables)
+
+
+def _extends_to_hom(
+    a: FiniteAlgebra, b: FiniteAlgebra, seeds: dict[int, tuple[int, ...]], width: int
+) -> bool:
+    """True iff the values ``seeds`` prescribes, a -> b^width, extend to a
+    homomorphism on all of a: exactly when the subalgebra of a x b^width
+    generated by the rows (x, seeds[x]) and the nullary values is the graph
+    of a total function on a.
+
+    First the values are extended over a's own tables by the semi-naive
+    rounds of :func:`_subpower`: an element reached for the first time takes
+    the value its witness tuple gives in b^width.  Every value is then
+    forced by the seeds, so the subalgebra is that graph exactly when all of
+    a is reached and the (size, width) value matrix commutes with every
+    operation, which is checked block by block over a's tables.
+    """
+    n, m = a.size, b.size
+    value = np.zeros((n, width), _index_dtype(m))
+    reached = np.zeros(n, dtype=bool)
+    order = np.fromiter(seeds, np.intp, len(seeds))  # reached elements, in order
+    value[order] = np.array(list(seeds.values()), value.dtype).reshape(len(order), width)
+    reached[order] = True
+    ops = [
+        (arity, np.fromiter(ta, _index_dtype(n), len(ta)), np.array(tb, value.dtype))
+        for (_, arity, ta), (_, _, tb) in zip(a.ops(), b.ops())
+    ]
+    old = 0
+    for round_ in itertools.count():
+        count = len(order)
+        if count == n:
+            break
+        before = reached.copy()
+        for arity, ta, tb in ops:
+            for slab in _slabs(arity, old, count - old, round_ == 0):
+                for args in _blocks(slab, _BLOCK):
+                    xs = [order[i] for i in args]
+                    at = np.zeros(len(xs[0]) if xs else 1, np.intp)
+                    for x in xs:
+                        at *= n
+                        at += x
+                    z = ta[at]
+                    fresh = np.flatnonzero(~reached[z])
+                    if len(fresh):
+                        vat = np.zeros((len(fresh), width), np.intp)
+                        for x in xs:
+                            vat *= m
+                            vat += value[x[fresh]]
+                        value[z[fresh]] = tb[vat]
+                        reached[z[fresh]] = True
+        added = np.flatnonzero(reached & ~before)
+        if not len(added):
+            return False
+        order = np.concatenate([order, added])
+        old = count
+    # the check: per block of leading arguments, all last arguments at once
+    vt = np.ascontiguousarray(value.T)
+    for arity, ta, tb in ops:
+        if not arity:
+            if not (vt[:, ta[0]] == tb[0]).all():
+                return False
+            continue
+        heads = n ** (arity - 1)
+        rows = max(1, _BLOCK // max(n * width, 1))
+        for start in range(0, heads, rows):
+            stop = min(start + rows, heads)
+            lead = np.zeros((width, stop - start), np.intp)
+            if arity > 1:
+                for x in np.unravel_index(np.arange(start, stop), (n,) * (arity - 1)):
+                    lead *= m
+                    lead += np.take(vt, x, axis=1)
+            at = (lead * m)[:, :, None] + vt[:, None, :]
+            z = ta[start * n : stop * n].reshape(stop - start, n)
+            if not np.array_equal(np.take(vt, z, axis=1), np.take(tb, at)):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -877,45 +1025,6 @@ def quotient(algebra: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, 
         )
     q = FiniteAlgebra(f"{algebra.name}/~", theta.num_blocks, algebra.signature, tables)
     return q, Homomorphism(algebra, q, theta.blocks)
-
-
-def congruence_generated(algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
-    """Least compatible equivalence containing ``pairs``, by saturation."""
-    n = algebra.size
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[max(rx, ry)] = min(rx, ry)
-        return True
-
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise LatcopError("pair outside universe")
-        union(a, b)
-    ops = [(arity, tab) for _, arity, tab in algebra.ops() if arity > 0]
-    changed = True
-    while changed:
-        changed = False
-        for arity, tab in ops:
-            groups: dict[tuple[int, ...], int] = {}
-            for args in itertools.product(range(n), repeat=arity):
-                key = tuple(find(a) for a in args)
-                res = tab[algebra.flat_index(args)]
-                prev = groups.get(key)
-                if prev is None:
-                    groups[key] = res
-                elif union(prev, res):
-                    changed = True
-    return Congruence.canonical(n, [find(x) for x in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,11 @@ from .piggyback import (
     AlterEgo,
     CarrierMap,
     MinimalityCertificate,
-    build_alter_ego,
+    _build_alter_ego,
+    _homsets,
+    _minimal_omega_certified,
     leq_sublattice,
     maximal_subuniverses_in,
-    minimal_omega_certified,
     sep_condition,
 )
 
@@ -320,8 +321,9 @@ def flowchart_classify(
         for n in simplified:
             report.generator_witnesses[n.name] = _separating_witnesses(n, m0)
     try:
-        omega, cert = minimal_omega_certified(gens, spec)
-        ego = build_alter_ego(gens, spec, omega)
+        homsets = _homsets(gens)  # read by the carrier search and the alter ego
+        omega, cert = _minimal_omega_certified(gens, spec, homsets)
+        ego = _build_alter_ego(tuple(gens), spec, omega, homsets)
     except CapExceeded as exc:
         report.unknown = str(exc)
         return report

@@ -315,20 +315,6 @@ class PosetMap:
         )
 
 
-def dual_of_hom(f: LatticeHom) -> PosetMap:
-    """H(f): contravariant, sends a prime filter to its preimage."""
-    src_pfs = prime_filters(f.target)
-    tgt_pfs = prime_filters(f.source)
-    tgt_index = {pf.elements: i for i, pf in enumerate(tgt_pfs)}
-    out = []
-    for pf in src_pfs:
-        pre = frozenset(x for x in range(f.source.size) if f.map[x] in pf.elements)
-        if pre not in tgt_index:
-            raise LatcopError("preimage of a prime filter is not prime (bad hom)")
-        out.append(tgt_index[pre])
-    return PosetMap(priestley_dual(f.target), priestley_dual(f.source), tuple(out))
-
-
 _LATTICE_SIG = Signature((("meet", 2), ("join", 2), ("zero", 0), ("one", 0)))
 
 

@@ -14,15 +14,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .algebra import (
     Congruence,
     FiniteAlgebra,
     Homomorphism,
+    _extends_to_hom,
     _kernel_meets,
     _subpower,
-    _subuniverse,
     hom_enumerate,
     in_isp,
     quotient,
@@ -357,6 +355,23 @@ def coproduct(
     return result
 
 
+def _prescribed(
+    result: CoproductResult, members: list[FiniteAlgebra], m: FiniteAlgebra
+) -> tuple[list[tuple[Homomorphism, ...]], dict[int, tuple[int, ...]] | None]:
+    """The homomorphism families (f_1, ..., f_n) from the members into m,
+    and the values they prescribe on C: family k asks g_k(eps_i(x)) =
+    f_i(x), so each injection image c gets the row (g_1(c), ..., g_K(c)).
+    The rows are None when two prescriptions for one c disagree."""
+    families = list(itertools.product(*[hom_enumerate(b, m) for b in members]))
+    rows: dict[int, tuple[int, ...]] = {}
+    for i, (b, eps) in enumerate(zip(members, result.injections)):
+        for x in range(b.size):
+            row = tuple(f[i].map[x] for f in families)
+            if rows.setdefault(eps.map[x], row) != row:
+                return families, None
+    return families, rows
+
+
 def _check_universal_property(
     result: CoproductResult,
     members: list[FiniteAlgebra],
@@ -365,31 +380,18 @@ def _check_universal_property(
     """Sampled universal property: against every homomorphism family into
     each generator there is exactly one mediating map.
 
-    The K families into m are checked at once.  Family k = (f_1, ..., f_n)
-    prescribes g_k(eps_i(x)) = f_i(x) on the injection images; the rows
-    (c, g_1(c), ..., g_K(c)) generate a subalgebra of C x m^K, and when
-    that is the graph of a total function on C, each g_k extends to exactly
-    one homomorphism C -> m.  Otherwise (conflicting prescriptions, a
-    relation that is no function, or images that do not generate C) the
+    The K families into m are checked at once: when the values they
+    prescribe on the injection images extend to a homomorphism C -> m^K
+    (:func:`_extends_to_hom`, on C's own tables), each g_k extends to
+    exactly one homomorphism C -> m.  Otherwise (conflicting prescriptions,
+    or values that do not extend, or images that do not generate C) the
     mediating maps are counted family by family.
     """
     c = result.algebra
     for m in generators:
-        families = list(itertools.product(*[hom_enumerate(b, m) for b in members]))
-        if not families:
+        families, rows = _prescribed(result, members, m)
+        if not families or rows is not None and _extends_to_hom(c, m, rows, len(families)):
             continue
-        prescribed = [
-            (eps.map[x], tuple(f[i].map[x] for f in families))
-            for i, (b, eps) in enumerate(zip(members, result.injections))
-            for x in range(b.size)
-        ]
-        seeds: dict[int, tuple[int, ...]] = {}
-        if all(seeds.setdefault(y, row) == row for y, row in prescribed):
-            graph = _subuniverse(
-                c.signature, [c] + [m] * len(families), [(y,) + row for y, row in seeds.items()]
-            )
-            if np.array_equal(graph[:, 0], np.arange(c.size)):
-                continue
         homs_c = hom_enumerate(c, m)
         for combo in families:
             matching = [

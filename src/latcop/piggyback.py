@@ -144,10 +144,19 @@ def minimal_omega_certified(
     every pair.
     """
     gens = list(generators)
+    return _minimal_omega_certified(gens, spec, _homsets(gens))
+
+
+def _minimal_omega_certified(
+    gens: Sequence[FiniteAlgebra],
+    spec: DReductSpec,
+    homsets: dict[tuple[int, int], list[Homomorphism]],
+) -> tuple[tuple[CarrierMap, ...], MinimalityCertificate]:
+    """:func:`minimal_omega_certified` on the hom-sets :func:`_homsets`
+    enumerated."""
     all_carriers: list[CarrierMap] = []
     for m in gens:
         all_carriers.extend(carriers_of(m, spec))
-    homsets = _homsets(gens)
     # pair a < b of generator i is bit offsets[i] + its rank among the pairs
     pair_counts = (m.size * (m.size - 1) // 2 for m in gens)
     offsets = list(itertools.accumulate(pair_counts, initial=0))
@@ -420,10 +429,20 @@ def build_alter_ego(
     Raises SeparationError when the separation condition fails.
     """
     gens = tuple(generators)
+    homsets = _homsets(gens)
     if omega is None:
-        omega = minimal_omega(gens, spec)
-    omega = tuple(omega)
-    homsets = _homsets(gens)  # read by both the separation check and G
+        omega = _minimal_omega_certified(gens, spec, homsets)[0]
+    return _build_alter_ego(gens, spec, tuple(omega), homsets)
+
+
+def _build_alter_ego(
+    gens: tuple[FiniteAlgebra, ...],
+    spec: DReductSpec,
+    omega: tuple[CarrierMap, ...],
+    homsets: dict[tuple[int, int], list[Homomorphism]],
+) -> AlterEgo:
+    """:func:`build_alter_ego` for a given ``omega`` on the hom-sets
+    :func:`_homsets` enumerated, read by both the separation check and G."""
     sep = _separation(gens, omega, homsets)
     if not sep.holds:
         raise SeparationError(

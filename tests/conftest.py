@@ -4,13 +4,15 @@ The oracles deliberately avoid the code paths they check: homomorphisms by
 filtering all maps, maximal subuniverses and up-sets by subset enumeration,
 least congruences by scanning all partitions, order-isomorphisms by
 scanning all permutations, relative congruences by closing the kernels
-under meets, and single generators by scanning every subalgebra.
+under meets, single generators by scanning every subalgebra, and the
+coproduct's universal property by closing a subalgebra of C x m^K.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -20,13 +22,23 @@ from latcop.algebra import (
     FiniteAlgebra,
     Signature,
     _check_same_signature,
+    _subpower,
     direct_product,
     hom_enumerate,
     in_isp,
 )
 from latcop.catalog import make
 from latcop.classify import SUBALGEBRA_SIZE_CAP, flowchart_classify, subalgebras_up_to_iso
-from latcop.distlat import _LATTICE_SIG, FinitePoset, d_reduct, poset_from_pairs
+from latcop.distlat import (
+    _LATTICE_SIG,
+    FinitePoset,
+    LatticeHom,
+    PosetMap,
+    d_reduct,
+    poset_from_pairs,
+    prime_filters,
+    priestley_dual,
+)
 from latcop.duality import natural_dual
 from latcop.errors import LatcopError
 from latcop.piggyback import AlterEgo, build_alter_ego, sep_condition
@@ -169,6 +181,15 @@ def pointwise_closure(coords, generators, signature=None) -> list[tuple[int, ...
         found |= new
 
 
+def universal_by_closure(c: FiniteAlgebra, m: FiniteAlgebra, rows: dict, width: int) -> bool:
+    """Whether the rows (y, rows[y]) and the nullary values generate, in
+    C x m^width, the graph of a total function on C: the subalgebra is
+    closed by the subpower kernel and its first column read off."""
+    seeds = [(y,) + row for y, row in rows.items()]
+    graph, _ = _subpower(c.signature, [c] + [m] * width, generators=seeds)
+    return [t[0] for t in graph] == list(range(c.size))
+
+
 def is_closed_subset(p: FiniteAlgebra, subset: frozenset[int]) -> bool:
     for sym, arity, tab in p.ops():
         if arity == 0:
@@ -265,6 +286,20 @@ def poset_disjoint_union(p: FinitePoset, q: FinitePoset) -> FinitePoset:
     return poset_from_pairs(size, pairs, p.labels + q.labels)
 
 
+def dual_of_hom(f: LatticeHom) -> PosetMap:
+    """H(f): contravariant, sends a prime filter to its preimage."""
+    src_pfs = prime_filters(f.target)
+    tgt_pfs = prime_filters(f.source)
+    tgt_index = {pf.elements: i for i, pf in enumerate(tgt_pfs)}
+    out = []
+    for pf in src_pfs:
+        pre = frozenset(x for x in range(f.source.size) if f.map[x] in pf.elements)
+        if pre not in tgt_index:
+            raise LatcopError("preimage of a prime filter is not prime (bad hom)")
+        out.append(tgt_index[pre])
+    return PosetMap(priestley_dual(f.target), priestley_dual(f.source), tuple(out))
+
+
 def reconstruction_order_poset(algebra: FiniteAlgebra, ego: AlterEgo) -> FinitePoset:
     """With a single sort, single carrier and a unique relation, the lifted
     relation itself partially orders D(algebra)."""
@@ -302,6 +337,45 @@ def minimal_omega_by_sep(generators, carriers):
             return winners[0], size, len(winners) - 1, tuple(failed)
         failed.append(size)
     return None
+
+
+def congruence_generated(algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
+    """Least compatible equivalence containing ``pairs``, by saturation."""
+    n = algebra.size
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> bool:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        parent[max(rx, ry)] = min(rx, ry)
+        return True
+
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise LatcopError("pair outside universe")
+        union(a, b)
+    ops = [(arity, tab) for _, arity, tab in algebra.ops() if arity > 0]
+    changed = True
+    while changed:
+        changed = False
+        for arity, tab in ops:
+            groups: dict[tuple[int, ...], int] = {}
+            for args in itertools.product(range(n), repeat=arity):
+                key = tuple(find(a) for a in args)
+                res = tab[algebra.flat_index(args)]
+                prev = groups.get(key)
+                if prev is None:
+                    groups[key] = res
+                elif union(prev, res):
+                    changed = True
+    return Congruence.canonical(n, [find(x) for x in range(n)])
 
 
 def all_partitions(n: int):

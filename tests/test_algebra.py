@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from conftest import (
     all_partitions,
     brute_force_homs,
+    congruence_generated,
     least_injective_hom,
     median_chain,
     pointwise_closure,
     pointwise_tables,
     relative_congruences,
     rsi_by_definition,
+    universal_by_closure,
 )
 from latcop import algebra as algebra_module
 from latcop.algebra import (
@@ -24,10 +26,9 @@ from latcop.algebra import (
     FiniteAlgebra,
     Homomorphism,
     Signature,
+    _extends_to_hom,
     _subpower,
-    _subuniverse,
     app,
-    congruence_generated,
     direct_product,
     embeds,
     eval_term,
@@ -581,6 +582,78 @@ class TestTernaryPointwise:
             _subpower(MED3.signature, [MED3] * factors, universe)
 
 
+@st.composite
+def extension_cases(draw):
+    """Two algebras a (1-4 elements) and b (1-3) over a random signature of
+    some of a nullary, a unary, a binary and a ternary symbol; seeds on a
+    random subset of a, with 1-2 value columns, each a homomorphism's values
+    (when one exists) or random values."""
+    symbols = [("c", 0), ("u", 1), ("b", 2), ("t", 3)]
+    sig = Signature(tuple(draw(st.lists(st.sampled_from(symbols), min_size=1, unique=True))))
+
+    def algebra(name: str, n: int) -> FiniteAlgebra:
+        return FiniteAlgebra(name, n, sig, tuple(
+            tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
+            for _, k in sig.symbols
+        ))
+
+    a = algebra("a", draw(st.integers(1, 4)))
+    b = algebra("b", draw(st.integers(1, 3)))
+    homs = brute_force_homs(a, b)
+    columns = [
+        draw(st.sampled_from(homs)) if homs and draw(st.booleans())
+        else draw(st.lists(st.integers(0, b.size - 1), min_size=a.size, max_size=a.size))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    seeds = draw(st.lists(st.integers(0, a.size - 1), unique=True))
+    return a, b, {x: tuple(col[x] for col in columns) for x in seeds}, len(columns)
+
+
+class TestExtendsToHom:
+    @settings(max_examples=300, deadline=None)
+    @given(extension_cases(), st.sampled_from([1, 5, algebra_module._BLOCK]))
+    def test_matches_closure_oracle(self, case, block):
+        a, b, rows, width = case
+        expected = universal_by_closure(a, b, rows, width)
+        # small blocks put block seams everywhere
+        with mock.patch.object(algebra_module, "_BLOCK", block):
+            assert _extends_to_hom(a, b, rows, width) == expected
+
+    def test_map_failing_away_from_the_bottom(self):
+        # on the 3-chain under meet, 0 -> 0, 1 -> 2, 2 -> 1 commutes on
+        # every pair with the bottom in it, but not on (1, 2)
+        meet = FiniteAlgebra("chain3", 3, Signature((("meet", 2),)), (
+            tuple(min(x, y) for x in range(3) for y in range(3)),
+        ))
+        rows = {0: (0,), 1: (2,), 2: (1,)}
+        assert not universal_by_closure(meet, meet, rows, 1)
+        assert not _extends_to_hom(meet, meet, rows, 1)
+        assert _extends_to_hom(meet, meet, {0: (0,), 1: (1,), 2: (2,)}, 1)
+
+
+class TestTableEntryBudget:
+    """``TABLE_ENTRY_BUDGET`` bounds the sum of size**arity over the
+    symbols before a round allocates; tiny budgets stand in for inputs like
+    demorgan4^4, whose E(X) would need 2 * 65536**2 entries."""
+
+    def test_boundary(self, monkeypatch):
+        need = 2 * 16**2 + 16 + 2  # DM4 x DM4: meet, join, neg, zero, one
+        monkeypatch.setattr(algebra_module, "TABLE_ENTRY_BUDGET", need)
+        assert direct_product([DM4, DM4]).size == 16
+        monkeypatch.setattr(algebra_module, "TABLE_ENTRY_BUDGET", need - 1)
+        with pytest.raises(CapExceeded) as exc:
+            direct_product([DM4, DM4])
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == ("table build", need - 1, need)
+        assert str(exc.value) == f"subpower tables need {need}+ entries, budget is {need - 1}"
+
+    def test_checked_during_the_closure(self, monkeypatch):
+        # free_algebra([K3], 2) has 84 elements; the budget stops it early
+        monkeypatch.setattr(algebra_module, "TABLE_ENTRY_BUDGET", 1000)
+        with pytest.raises(CapExceeded) as exc:
+            free_algebra([K3], 2)
+        assert exc.value.stage == "table build" and exc.value.budget == 1000
+        assert 1000 < exc.value.required < 2 * 84**2 + 84 + 2
+
 class TestTableRangeCheck:
     @pytest.mark.parametrize(
         "bad, message",
@@ -636,7 +709,6 @@ class TestSubpowerKernel:
         # small blocks put block seams everywhere
         with mock.patch.object(algebra_module, "_BLOCK", block):
             closure = pointwise_closure(coords, gens, sig)
-            assert _subuniverse(sig, coords, gens).tolist() == [list(t) for t in closure]
             assert _subpower(sig, coords, generators=gens) == (
                 closure, pointwise_tables(coords, closure, sig)
             )
@@ -648,6 +720,50 @@ class TestSubpowerKernel:
             else:
                 with pytest.raises(LatcopError, match=f"not closed under '{bad}'"):
                     _subpower(sig, coords, subset)
+        # one coordinate: the induced subalgebra reads the parent's tables
+        if len(coords) == 1 and subset:
+            elems = sorted(subset)
+            if bad is None:
+                sub, order = induced_subalgebra(coords[0], [x for (x,) in subset])
+                assert order == tuple(x for (x,) in elems)
+                assert sub.tables == pointwise_tables(coords, elems, sig)
+            else:
+                with pytest.raises(LatcopError, match=f"not closed under '{bad}'"):
+                    induced_subalgebra(coords[0], [x for (x,) in subset])
+
+    @pytest.mark.parametrize(
+        "algebra, elements, symbol",
+        [(MED3, {0, 1}, "one"), (K3, {0, 1}, "neg"), (DM4, {0, 1, 2}, "join"), (C3, {0, 2}, None)],
+    )
+    def test_induced_subalgebra_not_closed(self, algebra, elements, symbol):
+        coords, subset = [algebra], [(x,) for x in sorted(elements)]
+        assert _first_unclosed(algebra.signature, coords, subset) == symbol
+        if symbol is None:
+            sub, _ = induced_subalgebra(algebra, elements)
+            assert sub.tables == pointwise_tables(coords, subset)
+        else:
+            with pytest.raises(LatcopError, match=f"not closed under '{symbol}'"):
+                induced_subalgebra(algebra, elements)
+
+    @pytest.mark.parametrize("make_it", [
+        lambda: free_algebra([K3], 2),
+        lambda: free_algebra([MED3], 1),
+        lambda: direct_product([DM4, K3]),
+    ])
+    def test_each_argument_tuple_evaluated_once(self, make_it):
+        # the closure's results are the tables: no second pass over them
+        # (a nullary value is also read once more, to seed the closure)
+        evaluated = []
+        real = algebra_module._Product.apply
+
+        def counted(product, op, rows, args):
+            if args:
+                evaluated.append(len(args[0]))
+            return real(product, op, rows, args)
+
+        with mock.patch.object(algebra_module._Product, "apply", counted):
+            alg = make_it()
+        assert sum(evaluated) == sum(alg.size**arity for _, arity in alg.signature.symbols if arity)
 
     def test_new_row_left_of_an_older_one(self):
         # b(x, y) steps x up only when y is the top, so every round needs
@@ -656,8 +772,9 @@ class TestSubpowerKernel:
         step = FiniteAlgebra("step", n, Signature((("b", 2),)), (
             tuple(min(x + 1, n - 1) if y == n - 1 else x for x in range(n) for y in range(n)),
         ))
-        rows = _subuniverse(step.signature, [step], [(0,), (n - 1,)])
-        assert rows.tolist() == [[x] for x in range(n)]
+        elems, tables = _subpower(step.signature, [step], generators=[(0,), (n - 1,)])
+        assert elems == [(x,) for x in range(n)]
+        assert tables == step.tables
 
     def test_coordinate_past_one_byte(self):
         # 300 values need two bytes per coordinate; the generated universe
@@ -678,7 +795,6 @@ class TestSubpowerKernel:
         assert _subpower(DM4.signature, []) == point
         assert _subpower(DM4.signature, [], generators=[()]) == point
         assert _subpower(DM4.signature, [], universe=[()]) == point
-        assert _subuniverse(DM4.signature, [], ()).shape == (1, 0)
         no_constants = Signature((("f", 1), ("g", 2)))
         assert _subpower(no_constants, []) == ([], ((), ()))
         assert _subpower(no_constants, [], generators=[()]) == ([()], ((0,), (0,)))

@@ -1,9 +1,12 @@
 """The flowchart and the condition-(C) decision procedure."""
 
+import itertools
+
 import pytest
 
 from conftest import least_injective_hom, report_for, scan_single_generator
 from latcop import classify as classify_module
+from latcop import piggyback
 from latcop.algebra import (
     FiniteAlgebra,
     Signature,
@@ -204,6 +207,24 @@ class TestFlowchart:
         rep = report_for(key, *params)
         assert (rep.verdict_E, rep.verdict_S) == expected
         assert rep.preserves_coproducts == (expected[0] and expected[1])
+
+    @pytest.mark.parametrize("cids", [["kleene3"], ["mv_chain(2)", "mv_chain(3)"]])
+    def test_enumerates_each_hom_set_once(self, monkeypatch, cids):
+        # the carrier search and the alter ego read one enumeration per
+        # ordered pair of sorts
+        entries = [make_id(c) for c in cids]
+        pairs = []
+        real = piggyback.hom_enumerate
+
+        def counted(a, b):
+            pairs.append((a.name, b.name))
+            return real(a, b)
+
+        monkeypatch.setattr(piggyback, "hom_enumerate", counted)
+        rep = flowchart_classify([e.algebra for e in entries], entries[0].spec)
+        names = [m.name for m in rep.ego.sorts]
+        assert len(names) == len(cids)
+        assert pairs == list(itertools.product(names, names))
 
     def test_report_fields(self):
         rep = report_for("kleene3")

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import latcop.algebra
 import latcop.catalog
 import latcop.cli
 import latcop.piggyback
@@ -115,6 +116,30 @@ class TestCoproduct:
         code, out, _ = run(capsys, "coproduct", "kleene3", "kleene3", "--json")
         doc = json.loads(out)
         assert doc["size"] == 3 and len(doc["injections"]) == 2
+
+
+class TestTableBudget:
+    """A tiny ``TABLE_ENTRY_BUDGET`` stands in for inputs whose tables
+    would not fit, such as coproduct demorgan4 x4."""
+
+    def test_coproduct(self, monkeypatch, capsys):
+        monkeypatch.setattr(latcop.algebra, "TABLE_ENTRY_BUDGET", 10_000)
+        code, out, err = run(capsys, "coproduct", "demorgan4", "demorgan4", "demorgan4")
+        assert code == EXIT_UNKNOWN and out == ""
+        # E(X) has 256 elements: 2 * 256**2 + 256 + 2 entries
+        assert err == "unknown: subpower tables need 131330+ entries, budget is 10000\n"
+
+    def test_free(self, monkeypatch, capsys):
+        monkeypatch.setattr(latcop.algebra, "TABLE_ENTRY_BUDGET", 1000)
+        code, out, err = run(capsys, "free", "2", "kleene3")
+        assert code == EXIT_UNKNOWN and out == ""
+        assert err.startswith("unknown: subpower tables need ") and err.endswith("budget is 1000\n")
+
+    def test_classify(self, monkeypatch, capsys):
+        monkeypatch.setattr(latcop.algebra, "TABLE_ENTRY_BUDGET", 10)
+        code, out, err = run(capsys, "classify", "mv_chain:2", "mv_chain:3", "--json")
+        assert code == EXIT_UNKNOWN and err == ""
+        assert json.loads(out)["unknown"].startswith("subpower tables need ")
 
 
 class TestFree:

@@ -10,6 +10,7 @@ from conftest import (
     antichain,
     brute_force_poset_iso,
     brute_force_upsets,
+    dual_of_hom,
     lattice_algebra_from_leq,
     poset_disjoint_union,
     poset_product,
@@ -21,7 +22,6 @@ from latcop.distlat import (
     LatticeHom,
     chain,
     d_reduct,
-    dual_of_hom,
     join_irreducibles,
     poset_from_pairs,
     poset_isomorphic,

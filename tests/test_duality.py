@@ -1,24 +1,36 @@
 """Hom-functors, coproducts, reconstruction, iota, and the reflector."""
 
 import dataclasses
+import itertools
+from unittest import mock
 
 import pytest
 
-from conftest import ego_for, reconstruction_order_poset, report_for
+from conftest import (
+    ego_for,
+    median_chain,
+    reconstruction_order_poset,
+    report_for,
+    universal_by_closure,
+)
+from latcop import algebra as algebra_module
 from latcop.algebra import (
     Homomorphism,
+    _extends_to_hom,
     direct_product,
     free_algebra,
+    generating_set,
     hom_enumerate,
     induced_subalgebra,
     isomorphic,
     subuniverse_closure,
 )
-from latcop.catalog import make
+from latcop.catalog import make, make_id
 from latcop.distlat import chain as chain_poset
 from latcop.distlat import d_reduct, poset_isomorphic, prime_filters, priestley_dual
 from latcop.duality import (
     _check_universal_property,
+    _prescribed,
     coproduct,
     e_functor,
     evaluation_check,
@@ -225,6 +237,12 @@ class TestUniversalCheck:
     def check(members, injections):
         res = coproduct([DM.algebra], DM.spec, None, [DM.algebra, DM.algebra])
         doctored = dataclasses.replace(res, injections=tuple(injections))
+        # the one-pass check agrees with the closure in C x m^K
+        families, rows = _prescribed(doctored, members, DM.algebra)
+        if rows is not None:
+            assert _extends_to_hom(res.algebra, DM.algebra, rows, len(families)) == (
+                universal_by_closure(res.algebra, DM.algebra, rows, len(families))
+            )
         _check_universal_property(doctored, members, (DM.algebra,))
 
     def test_equal_injections(self):
@@ -260,6 +278,71 @@ class TestUniversalCheck:
         else:
             with pytest.raises(LatcopError, match=failure):
                 self.check([sub], [inclusion])
+
+
+class TestExtendsToHom:
+    """The one-pass universal check against the closure of the graph in
+    C x m^K (``conftest.universal_by_closure``)."""
+
+    @pytest.mark.parametrize(
+        "family, generators",
+        [
+            (("demorgan4",) * 2, ("demorgan4",)),
+            (("demorgan4",) * 3, ("demorgan4",)),
+            (("heyting_chain(3)",) * 3, ("heyting_chain(3)",)),
+            (("demorgan4", "kleene3", "kleene3"), ("demorgan4", "kleene3")),
+            (("demorgan4", "demorgan4", "kleene3"), ("demorgan4", "kleene3")),
+            (("F1:kleene3",) * 2, ("kleene3",)),
+            (("F1:demorgan4",) * 2, ("demorgan4",)),
+            (("F1:heyting_chain(3)",) * 2, ("heyting_chain(3)",)),
+        ],
+    )
+    def test_agrees_with_closure_on_coproducts(self, family, generators):
+        def algebra(cid):
+            if cid.startswith("F1:"):
+                return free_algebra([make_id(cid[3:]).algebra], 1)
+            return make_id(cid).algebra
+
+        gens = [make_id(g) for g in generators]
+        members = [algebra(b) for b in family]
+        res = coproduct([g.algebra for g in gens], gens[0].spec, None, members, check_universal=False)
+        for m in res.ego.sorts:
+            families, rows = _prescribed(res, members, m)
+            if not families:
+                continue  # no family into m: nothing to mediate
+            assert rows is not None
+            assert _extends_to_hom(res.algebra, m, rows, len(families))
+            assert universal_by_closure(res.algebra, m, rows, len(families))
+
+    @pytest.mark.parametrize("block", [1, 5, algebra_module._BLOCK])
+    def test_ternary_operations(self, block):
+        # med3^2 under med3's ternary maj and the non-symmetric lean: a
+        # column of values on a generating set extends exactly when it is
+        # the restriction of a homomorphism, as the closure says
+        med3 = median_chain()
+        square = direct_product([med3, med3])
+        gens = generating_set(square)
+        homs = {tuple(h.map[x] for x in gens) for h in hom_enumerate(square, med3)}
+        assignments = list(itertools.product(range(3), repeat=len(gens)))
+        closure = [universal_by_closure(square, med3, dict(zip(gens, zip(v))), 1) for v in assignments]
+        assert closure == [v in homs for v in assignments]
+        columns = sorted(homs)
+        bad = next(v for v in assignments if v not in homs)
+        good = {x: tuple(col[i] for col in columns) for i, x in enumerate(gens)}
+        mixed = {x: row + (bad[i],) for i, (x, row) in enumerate(good.items())}
+        assert not universal_by_closure(square, med3, mixed, len(columns) + 1)
+        # small blocks put block seams everywhere
+        with mock.patch.object(algebra_module, "_BLOCK", block):
+            assert [_extends_to_hom(square, med3, dict(zip(gens, zip(v))), 1) for v in assignments] == closure
+            assert _extends_to_hom(square, med3, good, len(columns))
+            assert not _extends_to_hom(square, med3, mixed, len(columns) + 1)
+
+    def test_seeds_that_do_not_generate(self):
+        # the constants alone generate only {0, 2} of med3
+        med3 = median_chain()
+        assert not _extends_to_hom(med3, med3, {}, 1)
+        assert not universal_by_closure(med3, med3, {}, 1)
+        assert _extends_to_hom(med3, med3, {1: (1,)}, 1)
 
 
 class TestRevEng:
