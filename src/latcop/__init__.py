@@ -78,7 +78,6 @@ from .errors import (
     SignatureMismatch,
 )
 from .piggyback import (
-    CarrierMap,
     SortedRelation,
     build_alter_ego,
     carrier_from_filter,

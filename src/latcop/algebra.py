@@ -9,6 +9,7 @@ sorted element tuples) to keep results diff-stable.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from math import prod
@@ -204,10 +205,11 @@ class FiniteAlgebra:
         return str(x)
 
     def rename(self, name: str) -> "FiniteAlgebra":
-        return FiniteAlgebra(
-            name, self.size, self.signature, self.tables,
-            self.element_names, self.factors, self.generators,
-        )
+        """A shallow copy under a new name: the tables are already
+        validated and are shared, not scanned again."""
+        out = copy.copy(self)
+        object.__setattr__(out, "name", name)
+        return out
 
     # -- tuple codec for products ------------------------------------------
 

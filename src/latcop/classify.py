@@ -29,15 +29,12 @@ from .algebra import (
     subuniverses,
     Congruence,
 )
-from .distlat import DReductSpec
+from .distlat import DReductSpec, PrimeFilter
 from .errors import CapExceeded, InternalError, LatcopError
 from .piggyback import (
     AlterEgo,
-    CarrierMap,
     MinimalityCertificate,
-    _build_alter_ego,
-    _homsets,
-    _minimal_omega_certified,
+    build_alter_ego,
     leq_sublattice,
     maximal_subuniverses_in,
     sep_condition,
@@ -169,7 +166,7 @@ class ClassificationReport:
     simplified: list[FiniteAlgebra] = field(default_factory=list)
     single_generator: FiniteAlgebra | None = None
     generator_witnesses: dict[str, list[Homomorphism]] = field(default_factory=dict)
-    omega: tuple[CarrierMap, ...] = ()
+    omega: tuple[PrimeFilter, ...] = ()
     minimality: MinimalityCertificate | None = None
     ego: AlterEgo | None = None
     relation_sizes: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -321,15 +318,13 @@ def flowchart_classify(
         for n in simplified:
             report.generator_witnesses[n.name] = _separating_witnesses(n, m0)
     try:
-        homsets = _homsets(gens)  # read by the carrier search and the alter ego
-        omega, cert = _minimal_omega_certified(gens, spec, homsets)
-        ego = _build_alter_ego(tuple(gens), spec, omega, homsets)
+        ego = build_alter_ego(gens, spec)
     except CapExceeded as exc:
         report.unknown = str(exc)
         return report
-    report.omega = omega
-    report.minimality = cert
-    single_omega = len(omega) == 1
+    report.omega = ego.carriers
+    report.minimality = ego.minimality
+    single_omega = len(ego.carriers) == 1
     if m0 is not None:
         report.route.append(
             ("does a single carrier map satisfy separation?", "yes" if single_omega else "no")
@@ -353,7 +348,7 @@ def flowchart_classify(
 
 def check_condition_C(
     m: FiniteAlgebra,
-    omega: CarrierMap,
+    omega: PrimeFilter,
     spec: DReductSpec,
     ambient: Sequence[FiniteAlgebra] | None = None,
 ) -> tuple[bool, bool, bool]:

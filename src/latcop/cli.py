@@ -22,7 +22,7 @@ from .classify import flowchart_classify
 from .distlat import DReductSpec, d_reduct, priestley_dual
 from .duality import coproduct, reveng_priestley
 from .errors import CapExceeded, InternalError, LatcopError, ParseError
-from .piggyback import build_alter_ego, carrier_from_filter, minimal_omega_certified
+from .piggyback import build_alter_ego, carrier_from_filter
 
 EXIT_OK = 0
 EXIT_UNKNOWN = 1
@@ -145,12 +145,8 @@ def _cmd_classify(args) -> int:
 def _cmd_duality(args) -> int:
     inputs = _load_many(args.source)
     omega = _resolve_omega(args.omega, inputs)
-    gens = inputs.algebras
-    if omega is None:
-        omega, cert = minimal_omega_certified(gens, inputs.spec)
-    else:
-        cert = None
-    ego = build_alter_ego(gens, inputs.spec, omega)
+    ego = build_alter_ego(inputs.algebras, inputs.spec, omega)
+    cert = ego.minimality
     if args.json:
         doc = {
             "schema": 1,

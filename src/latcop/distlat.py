@@ -122,8 +122,11 @@ def d_reduct(algebra: FiniteAlgebra, spec: DReductSpec) -> DistLatticeReduct:
 
 @dataclass(frozen=True)
 class PrimeFilter:
-    """A prime filter, stored with the join-irreducible generating it."""
+    """A prime filter of the reduct of ``sort``, stored with the
+    join-irreducible generating it.  As a lattice map U(sort) -> 2 it is a
+    carrier map of the piggyback duality."""
 
+    sort: FiniteAlgebra
     elements: frozenset[int]
     generator: int
 
@@ -133,6 +136,12 @@ class PrimeFilter:
     def value(self, x: int) -> int:
         """The filter as a lattice map to 2."""
         return 1 if x in self.elements else 0
+
+    def label(self) -> str:
+        return "{" + ",".join(self.sort.element_name(x) for x in sorted(self.elements)) + "}"
+
+    def __repr__(self) -> str:
+        return f"PrimeFilter({self.sort.name!r}, {self.label()})"
 
 
 def join_irreducibles(lattice: DistLatticeReduct) -> list[int]:
@@ -152,7 +161,10 @@ def join_irreducibles(lattice: DistLatticeReduct) -> list[int]:
 
 def prime_filters(lattice: DistLatticeReduct) -> list[PrimeFilter]:
     """All prime filters, one per join-irreducible, ordered by generator."""
-    return [PrimeFilter(lattice.upset(jx), jx) for jx in join_irreducibles(lattice)]
+    return [
+        PrimeFilter(lattice.carrier, lattice.upset(jx), jx)
+        for jx in join_irreducibles(lattice)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Carrier maps, the separation condition, and maximal algebraic relations.
 
 A carrier map is a bounded-lattice homomorphism from the reduct of a
-generator into 2, i.e. a prime filter of that reduct.  For a pair of carrier
-maps the relations R are the maximal subuniverses of the product of their
-sorts contained in the sublattice of pairs (a, b) with w1(a) <= w2(b).
+generator into 2, i.e. a prime filter of that reduct (one type,
+:class:`~latcop.distlat.PrimeFilter`, which carries its sort).  For a pair
+of carrier maps the relations R are the maximal subuniverses of the product
+of their sorts contained in the sublattice of pairs (a, b) with
+w1(a) <= w2(b), found by a bitset branch and bound on Python ints
+(:func:`maximal_subuniverses_in`).
 
-Those relations are found by a bitset branch and bound on Python ints
-(:func:`maximal_subuniverses_in`).  :func:`build_alter_ego` builds each
-square, and the search set-up over it, once per pair of sorts and reuses it
-for every carrier pair.  The minimum carrier search is a set cover over
-per-carrier bitmasks of separated pairs.
+One separation table gives each carrier the bitmask of the pairs it
+separates; the separation check and the minimum carrier search (a set
+cover) both read it.  :func:`build_alter_ego` is the one entry point: it
+enumerates each hom-set once, picks or checks the carriers, and sets up one
+square and relation search per pair of sorts.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (
@@ -27,40 +30,19 @@ from .algebra import (
     hom_enumerate,
     subuniverse_closure,
 )
-from .distlat import DReductSpec, d_reduct, prime_filters
+from .distlat import DReductSpec, PrimeFilter, d_reduct, prime_filters
 from .errors import CapExceeded, LatcopError, SeparationError
 
 # nodes one relation search may visit; pseudo_b(4)'s largest needs 141,426
 RELATION_NODE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class CarrierMap:
-    """A prime filter of U(sort), viewed as a lattice map to 2."""
-
-    sort: FiniteAlgebra
-    elements: frozenset[int]
-    generator: int
-
-    def value(self, x: int) -> int:
-        return 1 if x in self.elements else 0
-
-    def label(self) -> str:
-        return "{" + ",".join(self.sort.element_name(x) for x in sorted(self.elements)) + "}"
-
-    def __repr__(self) -> str:
-        return f"CarrierMap({self.sort.name!r}, {self.label()})"
-
-
-def carriers_of(sort: FiniteAlgebra, spec: DReductSpec) -> tuple[CarrierMap, ...]:
+def carriers_of(sort: FiniteAlgebra, spec: DReductSpec) -> tuple[PrimeFilter, ...]:
     """All carrier maps of a generator, in canonical (generator-element) order."""
-    lattice = d_reduct(sort, spec)
-    return tuple(
-        CarrierMap(sort, pf.elements, pf.generator) for pf in prime_filters(lattice)
-    )
+    return tuple(prime_filters(d_reduct(sort, spec)))
 
 
-def carrier_from_filter(sort: FiniteAlgebra, spec: DReductSpec, elements: Iterable[int]) -> CarrierMap:
+def carrier_from_filter(sort: FiniteAlgebra, spec: DReductSpec, elements: Iterable[int]) -> PrimeFilter:
     """The carrier map with the given filter; validates it is a prime filter."""
     wanted = frozenset(elements)
     for c in carriers_of(sort, spec):
@@ -84,7 +66,7 @@ class SepResult:
         return self.holds
 
 
-def sep_condition(generators: Sequence[FiniteAlgebra], omega: Sequence[CarrierMap]) -> SepResult:
+def sep_condition(generators: Sequence[FiniteAlgebra], omega: Sequence[PrimeFilter]) -> SepResult:
     """The separation condition for (generators, omega).
 
     Every pair a != b in each generator must be split by some w o u with u a
@@ -99,28 +81,43 @@ def _homsets(gens: Sequence[FiniteAlgebra]) -> dict[tuple[int, int], list[Homomo
     return {(i, j): hom_enumerate(m1, m2) for i, m1 in enumerate(gens) for j, m2 in enumerate(gens)}
 
 
-def _separation(
+def _separation_table(
     gens: Sequence[FiniteAlgebra],
-    omega: Sequence[CarrierMap],
+    carriers: Sequence[PrimeFilter],
     homsets: dict[tuple[int, int], list[Homomorphism]],
-) -> SepResult:
-    """:func:`sep_condition` on the hom-sets :func:`_homsets` enumerated."""
-    for w in omega:
+) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """The pairs (i, a, b), a < b, of the generators in generator-then-element
+    order, and per carrier w the bitmask of the pairs it separates: bit k is
+    set iff w o u splits pairs[k] for some u in hom(gens[i], w.sort)."""
+    pairs = [
+        (i, a, b)
+        for i, m in enumerate(gens)
+        for a, b in itertools.combinations(range(m.size), 2)
+    ]
+    masks = []
+    for w in carriers:
         if w.sort not in gens:
             raise LatcopError("carrier sort is not among the generators")
-    by_sort: dict[int, list[CarrierMap]] = {}
-    for w in omega:
-        by_sort.setdefault(gens.index(w.sort), []).append(w)
-    for i, m in enumerate(gens):
-        for a in range(m.size):
-            for b in range(a + 1, m.size):
-                if not any(
-                    w.value(u.map[a]) != w.value(u.map[b])
-                    for j, ws in by_sort.items()
-                    for u in homsets[i, j]
-                    for w in ws
-                ):
-                    return SepResult(False, (i, a, b))
+        j = gens.index(w.sort)
+        masks.append(sum(
+            1 << k
+            for k, (i, a, b) in enumerate(pairs)
+            if any(w.value(u.map[a]) != w.value(u.map[b]) for u in homsets[i, j])
+        ))
+    return pairs, masks
+
+
+def _separation(
+    gens: Sequence[FiniteAlgebra],
+    omega: Sequence[PrimeFilter],
+    homsets: dict[tuple[int, int], list[Homomorphism]],
+) -> SepResult:
+    """:func:`sep_condition` on the hom-sets :func:`_homsets` enumerated; the
+    witness is the first pair no carrier separates."""
+    pairs, masks = _separation_table(gens, omega, homsets)
+    missed = ((1 << len(pairs)) - 1) & ~functools.reduce(operator.or_, masks, 0)
+    if missed:
+        return SepResult(False, pairs[(missed & -missed).bit_length() - 1])
     return SepResult(True, None)
 
 
@@ -133,15 +130,15 @@ class MinimalityCertificate:
 
 def minimal_omega_certified(
     generators: Sequence[FiniteAlgebra], spec: DReductSpec
-) -> tuple[tuple[CarrierMap, ...], MinimalityCertificate]:
+) -> tuple[tuple[PrimeFilter, ...], MinimalityCertificate]:
     """A minimum-cardinality separating carrier set.
 
     Searched by increasing size with lexicographic tie-break over the
     canonical carrier enumeration (sort-major, then generator element).  The
     full carrier set always separates, so the search terminates.  Each
-    carrier's set of separated pairs (as :func:`sep_condition` counts them)
-    is a bitmask computed once; a candidate separates iff its masks cover
-    every pair.
+    carrier's bitmask of separated pairs comes from the separation table of
+    :func:`sep_condition`; a candidate separates iff its masks cover every
+    pair.
     """
     gens = list(generators)
     return _minimal_omega_certified(gens, spec, _homsets(gens))
@@ -151,26 +148,12 @@ def _minimal_omega_certified(
     gens: Sequence[FiniteAlgebra],
     spec: DReductSpec,
     homsets: dict[tuple[int, int], list[Homomorphism]],
-) -> tuple[tuple[CarrierMap, ...], MinimalityCertificate]:
+) -> tuple[tuple[PrimeFilter, ...], MinimalityCertificate]:
     """:func:`minimal_omega_certified` on the hom-sets :func:`_homsets`
     enumerated."""
-    all_carriers: list[CarrierMap] = []
-    for m in gens:
-        all_carriers.extend(carriers_of(m, spec))
-    # pair a < b of generator i is bit offsets[i] + its rank among the pairs
-    pair_counts = (m.size * (m.size - 1) // 2 for m in gens)
-    offsets = list(itertools.accumulate(pair_counts, initial=0))
-    full = (1 << offsets[-1]) - 1
-    covers: list[int] = []
-    for w in all_carriers:
-        j = gens.index(w.sort)
-        mask = 0
-        for i, m in enumerate(gens):
-            pairs = itertools.combinations(range(m.size), 2)
-            for k, (a, b) in enumerate(pairs, offsets[i]):
-                if any(w.value(u.map[a]) != w.value(u.map[b]) for u in homsets[(i, j)]):
-                    mask |= 1 << k
-        covers.append(mask)
+    all_carriers = [w for m in gens for w in carriers_of(m, spec)]
+    pairs, covers = _separation_table(gens, all_carriers, homsets)
+    full = (1 << len(pairs)) - 1
     failed: list[int] = []
     for size in range(1, len(all_carriers) + 1):
         winners = [
@@ -189,7 +172,7 @@ def _minimal_omega_certified(
     )
 
 
-def minimal_omega(generators: Sequence[FiniteAlgebra], spec: DReductSpec) -> tuple[CarrierMap, ...]:
+def minimal_omega(generators: Sequence[FiniteAlgebra], spec: DReductSpec) -> tuple[PrimeFilter, ...]:
     return minimal_omega_certified(generators, spec)[0]
 
 
@@ -197,7 +180,7 @@ def minimal_omega(generators: Sequence[FiniteAlgebra], spec: DReductSpec) -> tup
 # the sublattices (w1, w2)^-1(<=) and their maximal subuniverses
 
 
-def leq_sublattice(w1: CarrierMap, w2: CarrierMap) -> frozenset[tuple[int, int]]:
+def leq_sublattice(w1: PrimeFilter, w2: PrimeFilter) -> frozenset[tuple[int, int]]:
     """All pairs (a, b) with w1(a) <= w2(b): everything except
     (a in filter1, b not in filter2)."""
     return frozenset(
@@ -393,13 +376,18 @@ class SortedRelation:
 
 @dataclass(frozen=True)
 class AlterEgo:
-    """The multisorted dual-side structure: sorts, relations R, operations G."""
+    """The multisorted dual-side structure: sorts, relations R, operations G.
+
+    ``minimality`` is the certificate of the carrier search when
+    :func:`build_alter_ego` chose the carriers, None when they were given.
+    """
 
     sorts: tuple[FiniteAlgebra, ...]
     spec: DReductSpec
-    carriers: tuple[CarrierMap, ...]
+    carriers: tuple[PrimeFilter, ...]
     relations: tuple[SortedRelation, ...]
     operations: tuple[Homomorphism, ...]
+    minimality: MinimalityCertificate | None = field(default=None, compare=False)
 
     def sort_index(self, algebra: FiniteAlgebra) -> int:
         return self.sorts.index(algebra)
@@ -420,36 +408,31 @@ class AlterEgo:
 def build_alter_ego(
     generators: Sequence[FiniteAlgebra],
     spec: DReductSpec,
-    omega: Sequence[CarrierMap] | None = None,
+    omega: Sequence[PrimeFilter] | None = None,
 ) -> AlterEgo:
     """Assemble the alter ego for (generators, omega).
 
+    Without ``omega`` the carriers are a minimum separating set and the
+    search's certificate is kept as ``minimality``; a given ``omega`` is
+    checked for separation, raising SeparationError when it fails.
     Relations are the union of the maximal-relation sets over all ordered
-    carrier pairs; G defaults to all homomorphisms between generators.
-    Raises SeparationError when the separation condition fails.
+    carrier pairs; G is all homomorphisms between generators.  Each hom-set
+    is enumerated once and read by the carrier search or the separation
+    check, and by G.
     """
     gens = tuple(generators)
     homsets = _homsets(gens)
     if omega is None:
-        omega = _minimal_omega_certified(gens, spec, homsets)[0]
-    return _build_alter_ego(gens, spec, tuple(omega), homsets)
-
-
-def _build_alter_ego(
-    gens: tuple[FiniteAlgebra, ...],
-    spec: DReductSpec,
-    omega: tuple[CarrierMap, ...],
-    homsets: dict[tuple[int, int], list[Homomorphism]],
-) -> AlterEgo:
-    """:func:`build_alter_ego` for a given ``omega`` on the hom-sets
-    :func:`_homsets` enumerated, read by both the separation check and G."""
-    sep = _separation(gens, omega, homsets)
-    if not sep.holds:
-        raise SeparationError(
-            f"separation fails: elements {sep.witness[1]} and {sep.witness[2]} "
-            f"of generator {gens[sep.witness[0]].name!r} are not separated",
-            witness=sep.witness,
-        )
+        omega, minimality = _minimal_omega_certified(gens, spec, homsets)
+    else:
+        omega, minimality = tuple(omega), None
+        sep = _separation(gens, omega, homsets)
+        if not sep.holds:
+            raise SeparationError(
+                f"separation fails: elements {sep.witness[1]} and {sep.witness[2]} "
+                f"of generator {gens[sep.witness[0]].name!r} are not separated",
+                witness=sep.witness,
+            )
     # one square and one search set-up per pair of sorts
     searches: dict[tuple[int, int], tuple[FiniteAlgebra, _Search]] = {}
     relations: list[SortedRelation] = []
@@ -465,7 +448,7 @@ def _build_alter_ego(
                 pairs = tuple(square.decode(x) for x in sorted(s))
                 relations.append(SortedRelation(*sorts, i, j, pairs))
     operations = tuple(itertools.chain.from_iterable(homsets.values()))
-    return AlterEgo(gens, spec, omega, tuple(relations), operations)
+    return AlterEgo(gens, spec, omega, tuple(relations), operations, minimality)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from latcop.distlat import (
 )
 from latcop.duality import natural_dual
 from latcop.errors import LatcopError
-from latcop.piggyback import AlterEgo, build_alter_ego, sep_condition
+from latcop.piggyback import AlterEgo, build_alter_ego
 
 
 @lru_cache(maxsize=None)
@@ -322,16 +322,30 @@ def bounds_preserved(algebra: FiniteAlgebra, spec) -> bool:
     )
 
 
+def sep_by_loop(generators, omega) -> tuple[bool, tuple[int, int, int] | None]:
+    """The separation condition as (holds, witness), pair by pair: the first
+    (i, a, b), a < b, of generator i that no w o u splits, u in
+    hom(generators[i], w.sort) and w in ``omega``."""
+    gens = list(generators)
+    homs = [[(w, u) for w in omega for u in hom_enumerate(m, w.sort)] for m in gens]
+    for i, m in enumerate(gens):
+        for a in range(m.size):
+            for b in range(a + 1, m.size):
+                if not any(w.value(u.map[a]) != w.value(u.map[b]) for w, u in homs[i]):
+                    return False, (i, a, b)
+    return True, None
+
+
 def minimal_omega_by_sep(generators, carriers):
     """The minimum separating carrier set as (omega, size, alternatives,
-    smaller sizes failed), by calling ``sep_condition`` on every
+    smaller sizes failed), by calling ``sep_by_loop`` on every
     combination of ``carriers`` in increasing size."""
     failed = []
     for size in range(1, len(carriers) + 1):
         winners = [
             combo
             for combo in itertools.combinations(carriers, size)
-            if sep_condition(generators, combo).holds
+            if sep_by_loop(generators, combo)[0]
         ]
         if winners:
             return winners[0], size, len(winners) - 1, tuple(failed)

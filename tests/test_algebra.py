@@ -81,6 +81,18 @@ class TestOps:
         assert a == C3 and hash(a) == hash(C3) and repr(a) == repr(C3)
         assert make("mv_chain", 3).algebra.symmetric() == (True, False, False)
 
+    def test_rename_is_a_shallow_copy(self):
+        for a in (K3, C3, direct_product([K3, K3])):
+            # the tables were validated once; renaming does not scan them again
+            with mock.patch.object(
+                algebra_module.FiniteAlgebra, "__post_init__", side_effect=AssertionError
+            ):
+                b = a.rename("renamed")
+            assert b == dataclasses.replace(a, name="renamed")
+            assert hash(b) == hash(dataclasses.replace(a, name="renamed"))
+            assert b.tables is a.tables and b.ops() is a.ops()
+            assert a.name != "renamed"
+
 
 class TestEvalTerm:
     def test_kleene_negation_fixpoint(self):

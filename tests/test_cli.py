@@ -1,5 +1,6 @@
 """The command-line frontend: outputs, exit codes, determinism."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -99,6 +100,22 @@ class TestDuality:
         code, out, _ = run(capsys, "duality", "demorgan4", "--omega", "b,1")
         assert code == EXIT_OK
         assert "{b,1}" in out
+
+    @pytest.mark.parametrize("ids", [("kleene3",), ("demorgan4", "kleene3")])
+    def test_enumerates_each_hom_set_once(self, monkeypatch, capsys, ids):
+        # the carrier search and the alter ego read one enumeration per
+        # ordered pair of sorts
+        pairs = []
+        real = latcop.piggyback.hom_enumerate
+
+        def counted(a, b):
+            pairs.append((a.name, b.name))
+            return real(a, b)
+
+        monkeypatch.setattr(latcop.piggyback, "hom_enumerate", counted)
+        code, out, _ = run(capsys, "duality", *ids)
+        assert code == EXIT_OK and "(minimal size " in out
+        assert pairs == list(itertools.product(ids, ids))
 
     def test_omega_must_separate(self, capsys):
         code, _, err = run(capsys, "duality", "kleene3", "--omega", "a,1")

@@ -120,6 +120,15 @@ class TestPrimeFilters:
         one = lattice_algebra_from_leq(1, lambda a, b: True, "one")
         assert prime_filters(d_reduct(one, DReductSpec.literal())) == []
 
+    def test_filters_carry_their_sort(self):
+        # a prime filter is also the piggyback carrier map U(sort) -> 2
+        lat = d_reduct(K3.algebra, K3.spec)
+        pfs = prime_filters(lat)
+        assert all(f.sort is lat.carrier for f in pfs)
+        assert [f.label() for f in pfs] == ["{a,1}", "{1}"]
+        assert repr(pfs[1]) == "PrimeFilter('kleene3', {1})"
+        assert [[f.value(x) for x in range(3)] for f in pfs] == [[0, 1, 1], [0, 0, 1]]
+
     def test_join_irreducibles_count_matches(self):
         for key, lat in small_reducts():
             assert len(prime_filters(lat)) == len(join_irreducibles(lat))

@@ -11,6 +11,7 @@ from conftest import (
     brute_force_maximal_subuniverses,
     median_chain,
     minimal_omega_by_sep,
+    sep_by_loop,
 )
 from latcop.algebra import FiniteAlgebra, Signature, direct_product, subuniverse_closure
 from latcop.catalog import make
@@ -55,6 +56,18 @@ CATALOG = [
     ("pre_moisil_L0", (3,)),
     ("pre_moisil_M0", (2,)),
 ]
+
+# the generator sets the carrier search is checked on
+SEARCH_INPUTS = [((key, params),) for key, params in CATALOG] + [
+    (("demorgan4", ()), ("kleene3", ())),
+    (("kleene3", ()), ("kleene3", ())),
+]
+
+
+def generators_of(keys):
+    entries = [make(key, *params) for key, params in keys]
+    return [e.algebra for e in entries], entries[0].spec
+
 
 DM_R = (  # the known nine-pair maximal relation, 0,a,b,1 as 0,1,2,3
     (0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 3),
@@ -101,6 +114,16 @@ class TestSepCondition:
             assert sep_condition([entry.algebra], base).holds
 
 
+    @pytest.mark.parametrize("keys", SEARCH_INPUTS)
+    def test_matches_loop_on_every_carrier_subset(self, keys):
+        gens, spec = generators_of(keys)
+        carriers = [c for m in gens for c in carriers_of(m, spec)]
+        for size in range(len(carriers) + 1):
+            for combo in itertools.combinations(carriers, size):
+                res = sep_condition(gens, combo)
+                assert (res.holds, res.witness) == sep_by_loop(gens, combo)
+
+
 class TestMinimalOmega:
     def test_demorgan_picks_first_with_alternative(self):
         om, cert = minimal_omega_certified([DM.algebra], DM.spec)
@@ -115,18 +138,9 @@ class TestMinimalOmega:
         om = minimal_omega([B2.algebra], B2.spec)
         assert [w.elements for w in om] == [frozenset({1})]
 
-    @pytest.mark.parametrize(
-        "keys",
-        [((key, params),) for key, params in CATALOG]
-        + [
-            (("demorgan4", ()), ("kleene3", ())),
-            (("kleene3", ()), ("kleene3", ())),
-        ],
-    )
+    @pytest.mark.parametrize("keys", SEARCH_INPUTS)
     def test_matches_separation_loop(self, keys):
-        entries = [make(key, *params) for key, params in keys]
-        gens = [e.algebra for e in entries]
-        spec = entries[0].spec
+        gens, spec = generators_of(keys)
         carriers = [c for m in gens for c in carriers_of(m, spec)]
         omega, cert = minimal_omega_certified(gens, spec)
         assert (omega, cert.size, cert.alternatives, cert.smaller_sizes_failed) == (
@@ -340,6 +354,18 @@ class TestAlterEgo:
         with pytest.raises(SeparationError) as exc:
             build_alter_ego([K3.algebra], K3.spec, [w1])
         assert exc.value.witness == sep_condition([K3.algebra], [w1]).witness
+
+    @pytest.mark.parametrize("keys", SEARCH_INPUTS)
+    def test_keeps_the_search_certificate(self, keys):
+        gens, spec = generators_of(keys)
+        ego = build_alter_ego(gens, spec)
+        assert (ego.carriers, ego.minimality) == minimal_omega_certified(gens, spec)
+
+    def test_given_omega_has_no_certificate(self):
+        searched = build_alter_ego([K3.algebra], K3.spec)
+        given = build_alter_ego([K3.algebra], K3.spec, carriers_of(K3.algebra, K3.spec))
+        assert searched.minimality is not None and given.minimality is None
+        assert given == searched  # the certificate is not compared
 
     def test_enumerates_each_hom_set_once(self, monkeypatch):
         # the separation check and G read one enumeration per ordered pair
