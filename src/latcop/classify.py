@@ -15,17 +15,12 @@ from typing import Sequence
 from .algebra import (
     FiniteAlgebra,
     Homomorphism,
-    _color_masks,
     _kernel_meets,
-    _maps,
-    _refine_colors,
+    _separated,
     direct_product,
     embeds,
-    generating_set,
     hom_enumerate,
-    in_isp,
     induced_subalgebra,
-    is_rel_subdirectly_irreducible,
     subuniverses,
     Congruence,
 )
@@ -43,82 +38,79 @@ from .piggyback import (
 SUBALGEBRA_SIZE_CAP = 12
 
 
-def subalgebras_up_to_iso(
-    generators: Sequence[FiniteAlgebra], size_cap: int = SUBALGEBRA_SIZE_CAP
-) -> list[FiniteAlgebra]:
-    """All nontrivial subalgebras of the generators, up to isomorphism.
-
-    Deterministic order: by (size, generator index, element tuple).
-    """
-    for m in generators:
-        if m.size > size_cap:
-            raise CapExceeded(
-                f"subalgebra enumeration needs generator size <= {size_cap}, "
-                f"got {m.size}",
-                required=m.size,
-            )
-    candidates: list[tuple[int, int, tuple[int, ...], FiniteAlgebra]] = []
-    for mi, m in enumerate(generators):
-        for elems in subuniverses(m):
-            if len(elems) < 2:
-                continue
-            sub, order = induced_subalgebra(m, elems)
-            candidates.append((len(elems), mi, tuple(sorted(elems)), sub))
-    candidates.sort(key=lambda t: t[:3])
-    # one color pool for all candidates, so each is colored once and its
-    # generating set found at most once; the test is ``isomorphic``'s
-    pool: dict = {}
-    kept: list[tuple[FiniteAlgebra, list[int]]] = []
-    for _, _, _, sub in candidates:
-        colors = _refine_colors(sub, pool)
-        gens = None
-        for s, s_colors in kept:
-            if s.size != sub.size or s.signature != sub.signature:
-                continue
-            masks = _color_masks(colors, s_colors)
-            if masks is None:
-                continue
-            if gens is None:
-                gens = generating_set(sub)
-            if next(_maps(sub, s, gens, masks, True), None) is not None:
-                break
-        else:
-            kept.append((sub, colors))
-    return [s for s, _ in kept]
+def _hom_set(homs: dict, a: FiniteAlgebra, b: FiniteAlgebra) -> list[Homomorphism]:
+    """hom(a, b) from ``homs``, a run's hom-sets, enumerated into it on first use."""
+    if (a, b) not in homs:
+        homs[a, b] = hom_enumerate(a, b)
+    return homs[a, b]
 
 
 def simplify_generators(
-    generators: Sequence[FiniteAlgebra], size_cap: int = SUBALGEBRA_SIZE_CAP
+    generators: Sequence[FiniteAlgebra],
+    size_cap: int = SUBALGEBRA_SIZE_CAP,
+    *,
+    homs: dict | None = None,
 ) -> list[FiniteAlgebra]:
     """Replace the generators by relatively subdirectly irreducible (RSI)
-    subalgebras, dropping any that the rest already generate.
+    subalgebras, dropping any that embeds in another.
 
     Theorem (Clark & Davey, *Natural Dualities for the Working Algebraist*,
     1998, ch. 1): a finite RSI algebra lies in ISP(K) exactly when it embeds
-    in a member of K.  So an RSI subalgebra is dropped when it embeds in
-    another, and the result is pairwise non-embeddable.  It generates the
-    same quasivariety; this is asserted via membership both ways.
+    in a member of K.  So the result, pairwise non-embeddable, generates the
+    same quasivariety (asserted via membership both ways): per isomorphism
+    type of the RSI subalgebras embedding in no larger one, the first in
+    (size, generator index, element list) order, in that order.
+
+    Frontier theorem: a subalgebra embeds in every algebra holding it, so
+    nothing strictly inside an RSI subuniverse is kept.  The walk tests each
+    generator's subuniverses largest first, skipping those inside an RSI one
+    found, so an RSI generator is one test and is kept as given; the finds
+    are pruned largest first, ties by (generator index, element list),
+    against the kept ones.  CapExceeded is raised on a generator of more
+    than ``size_cap`` elements before any test; ``homs`` is as in ``_hom_set``.
     """
     ambient = [m for m in generators if m.size > 1]
     if not generators:
         raise LatcopError("empty generating set")
     if not ambient:
         return []
-    rsi = [
-        s
-        for s in subalgebras_up_to_iso(ambient, size_cap)
-        if is_rel_subdirectly_irreducible(s, ambient)
-    ]
-    # the list runs by size and holds one algebra per isomorphism type, so
-    # only a later member can hold an earlier one; large generators survive
-    kept = [s for i, s in enumerate(rsi) if all(embeds(s, t) is None for t in rsi[i + 1 :])]
     for m in ambient:
-        if not in_isp(m, kept):
+        if m.size > size_cap:
+            raise CapExceeded(
+                f"subalgebra enumeration needs generator size <= {size_cap}, got {m.size}",
+                required=m.size,
+            )
+    homs = {} if homs is None else homs
+
+    def into_ambient(s: FiniteAlgebra) -> list[Homomorphism]:
+        return [h for m in ambient for h in _hom_set(homs, s, m)]
+
+    def rsi(s: FiniteAlgebra) -> bool:
+        # Gorbunov's test; a subalgebra of a generator is in the class
+        return not _separated(s, (h for h in into_ambient(s) if not h.is_injective))
+
+    found = []  # (size, generator index, elements, subalgebra)
+    for mi, m in enumerate(ambient):
+        if rsi(m):
+            found.append((m.size, mi, frozenset(range(m.size)), m))
+            continue
+        for elems in sorted(subuniverses(m), key=len, reverse=True):
+            if 1 < len(elems) < m.size and not any(t[1] == mi and elems <= t[2] for t in found):
+                sub, _ = induced_subalgebra(m, elems)
+                if rsi(sub):
+                    found.append((sub.size, mi, elems, sub))
+    kept: list = []
+    for t in sorted(found, key=lambda t: (-t[0], t[1], sorted(t[2]))):
+        if all(embeds(t[3], k[3]) is None for k in kept):
+            kept.append(t)
+    simplified = [t[3] for t in sorted(kept, key=lambda t: (t[0], t[1], sorted(t[2])))]
+    for m in ambient:
+        if not _separated(m, (h for s in simplified for h in _hom_set(homs, m, s))):
             raise InternalError("simplified set lost a generator")
-    for s in kept:
-        if not in_isp(s, ambient):
+    for s in simplified:
+        if not _separated(s, into_ambient(s)):
             raise InternalError("simplified set escapes the class")
-    return kept
+    return simplified
 
 
 def _single_generator(
@@ -279,11 +271,11 @@ class ClassificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _separating_witnesses(n: FiniteAlgebra, m0: FiniteAlgebra) -> list[Homomorphism]:
+def _separating_witnesses(n: FiniteAlgebra, m0: FiniteAlgebra, homs: dict) -> list[Homomorphism]:
     """A small family of homomorphisms n -> m0 with trivial joint kernel."""
     witnesses: list[Homomorphism] = []
     cur = Congruence.all(n.size)
-    for h, theta in _kernel_meets(n, hom_enumerate(n, m0)):
+    for h, theta in _kernel_meets(n, _hom_set(homs, n, m0)):
         if theta != cur:
             witnesses.append(h)
             cur = theta
@@ -295,10 +287,12 @@ def flowchart_classify(
     spec: DReductSpec,
     size_cap: int = SUBALGEBRA_SIZE_CAP,
 ) -> ClassificationReport:
-    """Run the flowchart and fill a report with all witnesses."""
+    """Run the flowchart and fill a report with all witnesses; each hom-set
+    is enumerated once per run (see ``_hom_set``)."""
     report = ClassificationReport(input_generators=list(generators))
+    homs: dict = {}
     try:
-        report.simplified = simplified = simplify_generators(generators, size_cap)
+        report.simplified = simplified = simplify_generators(generators, size_cap, homs=homs)
         m0 = _single_generator(simplified)
     except CapExceeded as exc:
         report.unknown = str(exc)
@@ -316,9 +310,10 @@ def flowchart_classify(
     gens = [m0] if m0 is not None else simplified
     if m0 is not None:
         for n in simplified:
-            report.generator_witnesses[n.name] = _separating_witnesses(n, m0)
+            report.generator_witnesses[n.name] = _separating_witnesses(n, m0, homs)
+    homsets = {(i, j): _hom_set(homs, a, b) for i, a in enumerate(gens) for j, b in enumerate(gens)}
     try:
-        ego = build_alter_ego(gens, spec)
+        ego = build_alter_ego(gens, spec, homsets=homsets)
     except CapExceeded as exc:
         report.unknown = str(exc)
         return report

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (
@@ -38,8 +38,9 @@ RELATION_NODE_BUDGET = 1_000_000
 
 
 def carriers_of(sort: FiniteAlgebra, spec: DReductSpec) -> tuple[PrimeFilter, ...]:
-    """All carrier maps of a generator, in canonical (generator-element) order."""
-    return tuple(prime_filters(d_reduct(sort, spec)))
+    """All carrier maps of a generator, in canonical (generator-element)
+    order, each carrying ``sort`` itself, not the cached reduct's equal copy."""
+    return tuple(prime_filters(replace(d_reduct(sort, spec), carrier=sort)))
 
 
 def carrier_from_filter(sort: FiniteAlgebra, spec: DReductSpec, elements: Iterable[int]) -> PrimeFilter:
@@ -409,6 +410,8 @@ def build_alter_ego(
     generators: Sequence[FiniteAlgebra],
     spec: DReductSpec,
     omega: Sequence[PrimeFilter] | None = None,
+    *,
+    homsets: dict[tuple[int, int], list[Homomorphism]] | None = None,
 ) -> AlterEgo:
     """Assemble the alter ego for (generators, omega).
 
@@ -418,10 +421,11 @@ def build_alter_ego(
     Relations are the union of the maximal-relation sets over all ordered
     carrier pairs; G is all homomorphisms between generators.  Each hom-set
     is enumerated once and read by the carrier search or the separation
-    check, and by G.
+    check, and by G.  ``homsets``, when given, holds them already, keyed
+    and ordered as :func:`_homsets` returns them.
     """
     gens = tuple(generators)
-    homsets = _homsets(gens)
+    homsets = _homsets(gens) if homsets is None else homsets
     if omega is None:
         omega, minimality = _minimal_omega_certified(gens, spec, homsets)
     else:

@@ -4,7 +4,8 @@ The oracles deliberately avoid the code paths they check: homomorphisms by
 filtering all maps, maximal subuniverses and up-sets by subset enumeration,
 least congruences by scanning all partitions, order-isomorphisms by
 scanning all permutations, relative congruences by closing the kernels
-under meets, single generators by scanning every subalgebra, and the
+under meets, single generators by scanning every subalgebra, simplified
+generating sets by testing every subalgebra up to isomorphism, and the
 coproduct's universal property by closing a subalgebra of C x m^K.
 """
 
@@ -22,13 +23,21 @@ from latcop.algebra import (
     FiniteAlgebra,
     Signature,
     _check_same_signature,
+    _color_masks,
+    _maps,
+    _refine_colors,
     _subpower,
     direct_product,
+    embeds,
+    generating_set,
     hom_enumerate,
     in_isp,
+    induced_subalgebra,
+    is_rel_subdirectly_irreducible,
+    subuniverses,
 )
 from latcop.catalog import make
-from latcop.classify import SUBALGEBRA_SIZE_CAP, flowchart_classify, subalgebras_up_to_iso
+from latcop.classify import SUBALGEBRA_SIZE_CAP, flowchart_classify
 from latcop.distlat import (
     _LATTICE_SIG,
     FinitePoset,
@@ -40,7 +49,7 @@ from latcop.distlat import (
     priestley_dual,
 )
 from latcop.duality import natural_dual
-from latcop.errors import LatcopError
+from latcop.errors import CapExceeded, InternalError, LatcopError
 from latcop.piggyback import AlterEgo, build_alter_ego
 
 
@@ -443,6 +452,73 @@ def rsi_by_definition(algebra: FiniteAlgebra, generators) -> bool:
         if c != diag:
             cur = cur.meet(c)
     return cur != diag
+
+
+def subalgebras_up_to_iso(generators, size_cap=SUBALGEBRA_SIZE_CAP) -> list[FiniteAlgebra]:
+    """All nontrivial subalgebras of the generators, up to isomorphism.
+
+    Deterministic order: by (size, generator index, element tuple).
+    """
+    for m in generators:
+        if m.size > size_cap:
+            raise CapExceeded(
+                f"subalgebra enumeration needs generator size <= {size_cap}, "
+                f"got {m.size}",
+                required=m.size,
+            )
+    candidates: list[tuple[int, int, tuple[int, ...], FiniteAlgebra]] = []
+    for mi, m in enumerate(generators):
+        for elems in subuniverses(m):
+            if len(elems) < 2:
+                continue
+            sub, order = induced_subalgebra(m, elems)
+            candidates.append((len(elems), mi, tuple(sorted(elems)), sub))
+    candidates.sort(key=lambda t: t[:3])
+    # one color pool for all candidates, so each is colored once and its
+    # generating set found at most once; the test is ``isomorphic``'s
+    pool: dict = {}
+    kept: list[tuple[FiniteAlgebra, list[int]]] = []
+    for _, _, _, sub in candidates:
+        colors = _refine_colors(sub, pool)
+        gens = None
+        for s, s_colors in kept:
+            if s.size != sub.size or s.signature != sub.signature:
+                continue
+            masks = _color_masks(colors, s_colors)
+            if masks is None:
+                continue
+            if gens is None:
+                gens = generating_set(sub)
+            if next(_maps(sub, s, gens, masks, True), None) is not None:
+                break
+        else:
+            kept.append((sub, colors))
+    return [s for s, _ in kept]
+
+
+def simplify_by_enumeration(generators, size_cap=SUBALGEBRA_SIZE_CAP) -> list[FiniteAlgebra]:
+    """``simplify_generators`` by enumerating every subalgebra: the RSI
+    ones up to isomorphism, each dropped when it embeds in a later one."""
+    ambient = [m for m in generators if m.size > 1]
+    if not generators:
+        raise LatcopError("empty generating set")
+    if not ambient:
+        return []
+    rsi = [
+        s
+        for s in subalgebras_up_to_iso(ambient, size_cap)
+        if is_rel_subdirectly_irreducible(s, ambient)
+    ]
+    # the list runs by size and holds one algebra per isomorphism type, so
+    # only a later member can hold an earlier one
+    kept = [s for i, s in enumerate(rsi) if all(embeds(s, t) is None for t in rsi[i + 1 :])]
+    for m in ambient:
+        if not in_isp(m, kept):
+            raise InternalError("simplified set lost a generator")
+    for s in kept:
+        if not in_isp(s, ambient):
+            raise InternalError("simplified set escapes the class")
+    return kept
 
 
 def scan_single_generator(generators, size_cap=SUBALGEBRA_SIZE_CAP, product_cap=10**6):

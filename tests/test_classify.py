@@ -3,8 +3,17 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import least_injective_hom, report_for, scan_single_generator
+from conftest import (
+    least_injective_hom,
+    report_for,
+    scan_single_generator,
+    simplify_by_enumeration,
+    subalgebras_up_to_iso,
+)
+from latcop import algebra as algebra_module
 from latcop import classify as classify_module
 from latcop import piggyback
 from latcop.algebra import (
@@ -13,16 +22,16 @@ from latcop.algebra import (
     direct_product,
     in_isp,
     induced_subalgebra,
+    is_rel_subdirectly_irreducible,
     isomorphic,
     subuniverses,
 )
-from latcop.catalog import make, make_id
+from latcop.catalog import _CONSTRUCTORS, make, make_id
 from latcop.classify import (
     check_condition_C,
     find_single_generator,
     flowchart_classify,
     simplify_generators,
-    subalgebras_up_to_iso,
 )
 from latcop.errors import CapExceeded, LatcopError
 from latcop.piggyback import build_alter_ego, carrier_from_filter, carriers_of
@@ -58,10 +67,105 @@ class TestSimplifyGenerators:
         with pytest.raises(LatcopError):
             simplify_generators([])
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # the size proxy is checked on every generator before any RSI test
         big = make("pre_moisil_M0", 4).algebra  # 16 elements
-        with pytest.raises(CapExceeded):
-            subalgebras_up_to_iso([big])
+        monkeypatch.setattr(classify_module, "hom_enumerate", None)
+        with pytest.raises(CapExceeded) as exc:
+            simplify_generators([big])
+        assert str(exc.value) == "subalgebra enumeration needs generator size <= 12, got 16"
+        assert exc.value.required == 16
+
+
+def _small_catalog(max_size: int) -> list[FiniteAlgebra]:
+    """Every catalog algebra with 2 to ``max_size`` elements; each family
+    grows with its parameter."""
+    out = []
+    for key, (_, nparams) in sorted(_CONSTRUCTORS.items()):
+        for params in [()] if nparams == 0 else [(n,) for n in range(max_size + 1)]:
+            try:
+                alg = make(key, *params).algebra
+            except LatcopError:
+                continue
+            if alg.size > max_size:
+                break
+            out.append(alg)
+    return [a for a in out if a.size >= 2]
+
+
+_SMALL = _small_catalog(8)
+_SAME_SIGNATURE_PAIRS = [
+    (a, b)
+    for a, b in itertools.combinations_with_replacement(_SMALL, 2)
+    if a.signature == b.signature
+]
+_TRIPLES = [
+    ("kleene3", "demorgan4", "kleene3"),
+    ("heyting_chain:2", "heyting_chain:3", "heyting_chain:4"),
+    ("heyting_chain:5", "heyting_chain:3", "heyting_chain:5"),
+    ("mv_chain:2", "mv_chain:3", "mv_chain:6"),
+    ("mv_chain:4", "mv_chain:1", "mv_chain:3"),
+    ("pseudo_b:0", "pseudo_b:1", "pseudo_b:2"),
+]
+
+
+@st.composite
+def small_generating_sets(draw):
+    """One to three algebras of 1-4 elements sharing a unary, a binary and
+    an optional nullary operation."""
+    symbols = (("f", 1), ("g", 2)) + ((("c", 0),) if draw(st.booleans()) else ())
+    sig = Signature(symbols)
+    gens = []
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        n = draw(st.integers(min_value=1, max_value=4))
+        gens.append(FiniteAlgebra(f"a{i}", n, sig, tuple(
+            tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
+            for _, k in symbols
+        )))
+    return gens
+
+
+class TestSimplifyAgainstEnumeration:
+    """The frontier walk gives the list that testing every subalgebra up to
+    isomorphism gives: the same names, tables and order."""
+
+    @staticmethod
+    def check(gens):
+        got, want = simplify_generators(gens), simplify_by_enumeration(gens)
+        assert [(s.name, s.size, s.tables) for s in got] == [(s.name, s.size, s.tables) for s in want]
+
+    @pytest.mark.parametrize("alg", [a for a in _SMALL if a.size <= 7], ids=lambda a: a.name)
+    def test_catalog_algebra(self, alg):
+        self.check([alg])
+
+    @pytest.mark.parametrize("pair", _SAME_SIGNATURE_PAIRS, ids=lambda p: f"{p[0].name},{p[1].name}")
+    def test_same_signature_pair(self, pair):
+        self.check(list(pair))
+        self.check(list(reversed(pair)))
+
+    @pytest.mark.parametrize("ids", _TRIPLES, ids=",".join)
+    def test_triple(self, ids):
+        self.check([make_id(i).algebra for i in ids])
+
+    @pytest.mark.parametrize(
+        "key",
+        ["kleene3xkleene3", "heyting_chain:3xheyting_chain:3", "moisil_L:3xmoisil_L:3", "bool2xbool2"],
+    )
+    def test_non_rsi_generator(self, key):
+        gens = _single_generator_input(key)
+        assert not is_rel_subdirectly_irreducible(gens[0], gens)
+        self.check(gens)
+
+    @pytest.mark.parametrize("key", ["kleene3", "mv_chain:2xmv_chain:3", "demorgan4xkleene3"])
+    def test_rsi_generator_kept_as_given(self, key):
+        gens = _single_generator_input(key)
+        assert simplify_generators(gens)[0] is gens[0]
+        self.check(gens)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_generating_sets())
+    def test_random_algebras(self, gens):
+        self.check(gens)
 
 
 class TestSubalgebrasUpToIso:
@@ -178,20 +282,28 @@ class TestSingleGeneratorAgainstScan:
         assert find_single_generator([]) is None
         assert find_single_generator([one]) is None
 
-    @pytest.mark.parametrize("ids", [("kleene3",), ("demorgan4", "kleene3"), ("mv_chain:2", "mv_chain:3")])
-    def test_flowchart_scans_subalgebras_once(self, ids, monkeypatch):
+    @pytest.mark.parametrize(
+        "ids",
+        [("kleene3",), ("demorgan4", "kleene3"), ("mv_chain:2", "mv_chain:3"), ("kleene3xkleene3",)],
+    )
+    def test_lists_subuniverses_of_non_rsi(self, ids, monkeypatch):
+        # an RSI generator is tested and kept whole; only a generator that is
+        # not RSI has its subuniverses listed, once
         calls = []
-        scan = classify_module.subalgebras_up_to_iso
+        real = algebra_module.subuniverses
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return scan(*args, **kwargs)
+        def counted(algebra):
+            calls.append(algebra.name)
+            return real(algebra)
 
-        monkeypatch.setattr(classify_module, "subalgebras_up_to_iso", counted)
-        entry = make_id(ids[0])
-        rep = flowchart_classify([make_id(i).algebra for i in ids], entry.spec)
+        for module in (algebra_module, classify_module):
+            monkeypatch.setattr(module, "subuniverses", counted)
+        gens = _single_generator_input(",".join(ids))
+        non_rsi = {m.name for m in gens if not is_rel_subdirectly_irreducible(m, gens)}
+        assert (ids == ("kleene3xkleene3",)) == bool(non_rsi)
+        rep = flowchart_classify(gens, make_id(ids[0].split("x")[0]).spec)
         assert rep.unknown is None
-        assert len(calls) == 1
+        assert set(calls) <= non_rsi and len(calls) == len(set(calls))
 
 
 class TestFlowchart:
@@ -208,23 +320,39 @@ class TestFlowchart:
         assert (rep.verdict_E, rep.verdict_S) == expected
         assert rep.preserves_coproducts == (expected[0] and expected[1])
 
-    @pytest.mark.parametrize("cids", [["kleene3"], ["mv_chain(2)", "mv_chain(3)"]])
-    def test_enumerates_each_hom_set_once(self, monkeypatch, cids):
-        # the carrier search and the alter ego read one enumeration per
-        # ordered pair of sorts
-        entries = [make_id(c) for c in cids]
+    @staticmethod
+    def count_hom_sets(monkeypatch) -> list[tuple[str, str]]:
+        """Record every hom_enumerate call, through each module binding it."""
         pairs = []
-        real = piggyback.hom_enumerate
+        real = algebra_module.hom_enumerate
 
         def counted(a, b):
             pairs.append((a.name, b.name))
             return real(a, b)
 
-        monkeypatch.setattr(piggyback, "hom_enumerate", counted)
+        for module in (algebra_module, classify_module, piggyback):
+            monkeypatch.setattr(module, "hom_enumerate", counted)
+        return pairs
+
+    @pytest.mark.parametrize("cids", [["kleene3"], ["mv_chain(2)", "mv_chain(3)"]])
+    def test_enumerates_each_hom_set_once(self, monkeypatch, cids):
+        # the RSI tests, both membership checks, the separating witnesses,
+        # the carrier search and the alter ego read one enumeration per
+        # ordered pair of sorts
+        entries = [make_id(c) for c in cids]
+        pairs = self.count_hom_sets(monkeypatch)
         rep = flowchart_classify([e.algebra for e in entries], entries[0].spec)
         names = [m.name for m in rep.ego.sorts]
         assert len(names) == len(cids)
         assert pairs == list(itertools.product(names, names))
+
+    @pytest.mark.parametrize("key", ["kleene3xkleene3", "heyting_chain:3xheyting_chain:3"])
+    def test_non_rsi_generator_enumerates_each_hom_set_once(self, monkeypatch, key):
+        gens = _single_generator_input(key)
+        pairs = self.count_hom_sets(monkeypatch)
+        rep = flowchart_classify(gens, make_id(key.split("x")[0]).spec)
+        assert rep.unknown is None and rep.single_generator is not None
+        assert len(pairs) == len(set(pairs))
 
     def test_report_fields(self):
         rep = report_for("kleene3")

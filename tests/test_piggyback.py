@@ -1,5 +1,6 @@
 """Carrier maps, separation, and maximal algebraic relations."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -78,6 +79,16 @@ class TestCarriers:
     def test_canonical_enumeration(self):
         cs = carriers_of(DM.algebra, DM.spec)
         assert [c.elements for c in cs] == [frozenset({1, 3}), frozenset({2, 3})]
+
+    def test_carriers_carry_the_algebra_passed(self):
+        # the cached reduct belongs to the catalog's kleene3; an equal copy
+        # still gets carriers whose sort is the copy itself
+        b = dataclasses.replace(K3.algebra)
+        assert b == K3.algebra and b is not K3.algebra
+        assert all(w.sort is b for w in carriers_of(b, K3.spec))
+        ego = build_alter_ego([b], K3.spec)
+        assert ego.sorts[0] is b
+        assert all(w.sort is ego.sorts[0] for w in ego.carriers)
 
     def test_carrier_from_filter_rejects_non_filters(self):
         with pytest.raises(Exception):
@@ -366,6 +377,14 @@ class TestAlterEgo:
         given = build_alter_ego([K3.algebra], K3.spec, carriers_of(K3.algebra, K3.spec))
         assert searched.minimality is not None and given.minimality is None
         assert given == searched  # the certificate is not compared
+
+    def test_reads_hom_sets_passed_in(self, monkeypatch):
+        gens = [DM.algebra, K3.algebra]
+        homsets = piggyback._homsets(gens)
+        want = build_alter_ego(gens, DM.spec)
+        monkeypatch.setattr(piggyback, "hom_enumerate", None)
+        got = build_alter_ego(gens, DM.spec, homsets=homsets)
+        assert got == want and got.minimality == want.minimality
 
     def test_enumerates_each_hom_set_once(self, monkeypatch):
         # the separation check and G read one enumeration per ordered pair
