@@ -4,7 +4,8 @@ Everything lives on a universe ``0..n-1``; element names are metadata only.
 Tables are flat tuples in row-major order over lexicographically ordered
 argument tuples, so all values are immutable and hashable.  Enumeration
 outputs follow a documented total order (lexicographic over map vectors /
-sorted element tuples) to keep results diff-stable.
+sorted element tuples) to keep results diff-stable.  A call keeps its
+hom-sets in one store (:func:`hom_set`); nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -389,11 +390,23 @@ def eval_term(algebra: FiniteAlgebra, term: Term, args: Sequence[int]) -> int:
 
 
 def term_table(algebra: FiniteAlgebra, term: Term, arity: int) -> tuple[int, ...]:
-    """Row-major value table of a term viewed as an ``arity``-ary operation."""
-    return tuple(
-        eval_term(algebra, term, args)
-        for args in itertools.product(range(algebra.size), repeat=arity)
-    )
+    """Row-major value table of a term viewed as an ``arity``-ary operation;
+    each subterm is evaluated once, over the whole argument grid."""
+    term.validate(algebra.signature)
+    if term.max_var >= arity:
+        raise LatcopError(f"term uses x{term.max_var} but only {arity} arguments given")
+    n = algebra.size
+    grid = np.indices((n,) * arity).reshape(arity, n**arity)  # row i: argument i
+
+    def rec(t: Term):
+        if t.is_var:
+            return grid[t.head]
+        flat = 0  # the flat table index its arguments spell, leftmost most significant
+        for s in t.args:
+            flat = flat * n + rec(s)
+        return np.asarray(algebra.table(t.head))[flat]
+
+    return tuple(np.broadcast_to(rec(term), n**arity).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +552,13 @@ def hom_enumerate(a: FiniteAlgebra, b: FiniteAlgebra) -> list[Homomorphism]:
     """All homomorphisms a -> b, sorted lexicographically by map vector."""
     _check_same_signature(a, b)
     return [Homomorphism(a, b, m) for m in _maps(a, b)]
+
+
+def hom_set(homs: dict, a: FiniteAlgebra, b: FiniteAlgebra) -> list[Homomorphism]:
+    """hom(a, b) from ``homs``, a call's store keyed by (a, b), filled on first use."""
+    if (a, b) not in homs:
+        homs[a, b] = hom_enumerate(a, b)
+    return homs[a, b]
 
 
 def embeds(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
@@ -1047,12 +1067,13 @@ def _kernel_meets(
             return
 
 
-def in_isp(algebra: FiniteAlgebra, generators: Sequence[FiniteAlgebra]) -> bool:
+def in_isp(algebra: FiniteAlgebra, generators: Sequence[FiniteAlgebra], *, homs: dict | None = None) -> bool:
     """True iff every pair of distinct elements is separated by a
-    homomorphism into some generator."""
+    homomorphism into some generator, read from the store ``homs``."""
     for m in generators:
         _check_same_signature(algebra, m)
-    return _separated(algebra, (h for m in generators for h in hom_enumerate(algebra, m)))
+    homs = {} if homs is None else homs
+    return _separated(algebra, (h for m in generators for h in hom_set(homs, algebra, m)))
 
 
 def _separated(algebra: FiniteAlgebra, homs: Iterable[Homomorphism]) -> bool:

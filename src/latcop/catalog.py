@@ -13,9 +13,9 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import FiniteAlgebra, Signature, app, var
+from .algebra import TABLE_ENTRY_BUDGET, FiniteAlgebra, Signature, app, var
 from .distlat import DReductSpec, d_reduct
-from .errors import LatcopError
+from .errors import CapExceeded, LatcopError
 
 UNVERIFIED_TABLE_ROWS = (
     "quantifier-lattice varieties D_pq (generators not constructed)",
@@ -33,6 +33,17 @@ class CatalogEntry:
     carriers: tuple[frozenset[int], ...] | None  # documented filters, None = discover
     expected: tuple[bool, bool] | None  # (E, S) or None for "unverified"
     notes: str = ""
+
+
+def _check_tables(constructor: str, size: int, *counts: int) -> None:
+    """Raise CapExceeded before any table is built when a ``size``-element algebra
+    with counts[k] symbols of arity k needs more than TABLE_ENTRY_BUDGET entries."""
+    required = sum(c * size**k for k, c in enumerate(counts))
+    if required > TABLE_ENTRY_BUDGET:
+        raise CapExceeded(
+            f"{constructor} tables need at least {required} entries, budget is {TABLE_ENTRY_BUDGET}",
+            required=required, stage="catalog tables", budget=TABLE_ENTRY_BUDGET,
+        )
 
 
 def _binary(size: int, f) -> tuple[int, ...]:
@@ -137,6 +148,7 @@ def _kleene3() -> CatalogEntry:
 def _heyting_chain(n: int) -> CatalogEntry:
     if n < 2:
         raise LatcopError("heyting_chain needs n >= 2")
+    _check_tables("heyting_chain", n, 2, 0, 3)
 
     def imp(x: int, y: int) -> int:
         return n - 1 if x <= y else y
@@ -163,6 +175,8 @@ def _heyting_chain(n: int) -> CatalogEntry:
 def _pseudo_b(n: int) -> CatalogEntry:
     if n < 0:
         raise LatcopError("pseudo_b needs n >= 0")
+    # past 2**bit_length the budget is exceeded already, so 2**n is not formed
+    _check_tables("pseudo_b", 2 ** min(n, TABLE_ENTRY_BUDGET.bit_length()) + 1, 2, 1, 2)
     size = 2**n + 1
     top = 2**n  # the new top adjoined above the Boolean lattice
     full = 2**n - 1
@@ -211,6 +225,7 @@ def _pseudo_b(n: int) -> CatalogEntry:
 def _mv_chain(k: int) -> CatalogEntry:
     if k < 1:
         raise LatcopError("mv_chain needs k >= 1")
+    _check_tables("mv_chain", k + 1, 1, 1, 1)
     size = k + 1
 
     def name(x: int) -> str:
@@ -258,6 +273,7 @@ def _moisil_tables(n: int) -> dict[str, tuple[int, ...]]:
 def _moisil_L(n: int) -> CatalogEntry:
     if n < 2:
         raise LatcopError("moisil_L needs n >= 2")
+    _check_tables("moisil_L", n, 2, 2 * (n - 1), 2)
     unaries = _moisil_tables(n)
     symbols = [("meet", 2), ("join", 2), ("zero", 0), ("one", 0)]
     tables = [_binary(n, min), _binary(n, max), (0,), (n - 1,)]
@@ -288,6 +304,7 @@ def _moisil_L(n: int) -> CatalogEntry:
 def _moisil_M(n: int) -> CatalogEntry:
     if n < 2:
         raise LatcopError("moisil_M needs n >= 2")
+    _check_tables("moisil_M", n, 2, n, 2)
     unaries = _moisil_tables(n)
     symbols = [("meet", 2), ("join", 2), ("neg", 1), ("zero", 0), ("one", 0)]
     tables = [
@@ -317,6 +334,7 @@ def _pre_moisil_L0(n: int) -> CatalogEntry:
     bounds according to the second coordinate."""
     if n < 2:
         raise LatcopError("pre_moisil_L0 needs n >= 2")
+    _check_tables("pre_moisil_L0", 2 * n, 2, 2 * (n - 1), 2)
     size = 2 * n
 
     def enc(j: int, k: int) -> int:
@@ -357,6 +375,7 @@ def _pre_moisil_M0(n: int) -> CatalogEntry:
     """Universe {0,a,b,1} x {0..n-1}: De Morgan diamond times a chain."""
     if n < 2:
         raise LatcopError("pre_moisil_M0 needs n >= 2")
+    _check_tables("pre_moisil_M0", 4 * n, 2, n, 2)
     size = 4 * n
 
     def enc(j: int, k: int) -> int:
@@ -447,7 +466,11 @@ def make_id(identifier: str) -> CatalogEntry:
     name, param = m.group(1), m.group(2)
     if param is None:
         return make(name)
-    return make(name, int(param))
+    try:
+        value = int(param)
+    except ValueError:  # past the interpreter's limit on digits
+        raise LatcopError(f"catalog id parameter of {len(param)} digits is too long") from None
+    return make(name, value)
 
 
 def table1_suite() -> list[tuple[CatalogEntry, tuple[bool, bool]]]:

@@ -3,7 +3,8 @@
 Route: simplify the generating set to relatively subdirectly irreducible
 subalgebras, look for a single generator, take a minimum-cardinality
 separating carrier set, then read the verdicts off the relation sizes.
-The coproduct-preservation verdict is the conjunction of E and S.
+The coproduct-preservation verdict is the conjunction of E and S.  Every
+step of a run reads one store of hom-sets (:func:`~latcop.algebra.hom_set`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from .algebra import (
     _separated,
     direct_product,
     embeds,
-    hom_enumerate,
+    hom_set,
+    in_isp,
     induced_subalgebra,
     subuniverses,
     Congruence,
@@ -36,13 +38,6 @@ from .piggyback import (
 )
 
 SUBALGEBRA_SIZE_CAP = 12
-
-
-def _hom_set(homs: dict, a: FiniteAlgebra, b: FiniteAlgebra) -> list[Homomorphism]:
-    """hom(a, b) from ``homs``, a run's hom-sets, enumerated into it on first use."""
-    if (a, b) not in homs:
-        homs[a, b] = hom_enumerate(a, b)
-    return homs[a, b]
 
 
 def simplify_generators(
@@ -67,7 +62,7 @@ def simplify_generators(
     found, so an RSI generator is one test and is kept as given; the finds
     are pruned largest first, ties by (generator index, element list),
     against the kept ones.  CapExceeded is raised on a generator of more
-    than ``size_cap`` elements before any test; ``homs`` is as in ``_hom_set``.
+    than ``size_cap`` elements before any test; ``homs`` is a hom-set store.
     """
     ambient = [m for m in generators if m.size > 1]
     if not generators:
@@ -82,12 +77,10 @@ def simplify_generators(
             )
     homs = {} if homs is None else homs
 
-    def into_ambient(s: FiniteAlgebra) -> list[Homomorphism]:
-        return [h for m in ambient for h in _hom_set(homs, s, m)]
-
     def rsi(s: FiniteAlgebra) -> bool:
         # Gorbunov's test; a subalgebra of a generator is in the class
-        return not _separated(s, (h for h in into_ambient(s) if not h.is_injective))
+        into = [h for m in ambient for h in hom_set(homs, s, m)]
+        return not _separated(s, (h for h in into if not h.is_injective))
 
     found = []  # (size, generator index, elements, subalgebra)
     for mi, m in enumerate(ambient):
@@ -105,10 +98,10 @@ def simplify_generators(
             kept.append(t)
     simplified = [t[3] for t in sorted(kept, key=lambda t: (t[0], t[1], sorted(t[2])))]
     for m in ambient:
-        if not _separated(m, (h for s in simplified for h in _hom_set(homs, m, s))):
+        if not in_isp(m, simplified, homs=homs):
             raise InternalError("simplified set lost a generator")
     for s in simplified:
-        if not _separated(s, into_ambient(s)):
+        if not in_isp(s, ambient, homs=homs):
             raise InternalError("simplified set escapes the class")
     return simplified
 
@@ -275,7 +268,7 @@ def _separating_witnesses(n: FiniteAlgebra, m0: FiniteAlgebra, homs: dict) -> li
     """A small family of homomorphisms n -> m0 with trivial joint kernel."""
     witnesses: list[Homomorphism] = []
     cur = Congruence.all(n.size)
-    for h, theta in _kernel_meets(n, _hom_set(homs, n, m0)):
+    for h, theta in _kernel_meets(n, hom_set(homs, n, m0)):
         if theta != cur:
             witnesses.append(h)
             cur = theta
@@ -288,7 +281,7 @@ def flowchart_classify(
     size_cap: int = SUBALGEBRA_SIZE_CAP,
 ) -> ClassificationReport:
     """Run the flowchart and fill a report with all witnesses; each hom-set
-    is enumerated once per run (see ``_hom_set``)."""
+    is enumerated once per run (see the module docstring)."""
     report = ClassificationReport(input_generators=list(generators))
     homs: dict = {}
     try:
@@ -311,9 +304,8 @@ def flowchart_classify(
     if m0 is not None:
         for n in simplified:
             report.generator_witnesses[n.name] = _separating_witnesses(n, m0, homs)
-    homsets = {(i, j): _hom_set(homs, a, b) for i, a in enumerate(gens) for j, b in enumerate(gens)}
     try:
-        ego = build_alter_ego(gens, spec, homsets=homsets)
+        ego = build_alter_ego(gens, spec, homs=homs)
     except CapExceeded as exc:
         report.unknown = str(exc)
         return report
@@ -356,9 +348,10 @@ def check_condition_C(
     """
     if m.size < 2:
         raise LatcopError("condition (C) needs a nontrivial algebra")
-    simplified = simplify_generators(ambient if ambient is not None else [m])
+    homs: dict = {}
+    simplified = simplify_generators(ambient if ambient is not None else [m], homs=homs)
     c1 = all(embeds(s, m) is not None for s in simplified)
-    c2 = sep_condition([m], [omega]).holds
+    c2 = sep_condition([m], [omega], homs=homs).holds
     square = direct_product([m, m])
     allowed = {square.encode(p) for p in leq_sublattice(omega, omega)}
     c3 = len(maximal_subuniverses_in(square, allowed)) == 1

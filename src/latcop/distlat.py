@@ -2,18 +2,20 @@
 
 The dual of a finite bounded distributive lattice is the poset of its prime
 filters; in the finite case these are exactly the up-sets of join-irreducible
-elements, which keeps both directions of the duality quadratic.
+elements, which keeps both directions of the duality quadratic.  A reduct is
+computed afresh on every call, from the term tables of its spec.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import FiniteAlgebra, Signature, Term, app, eval_term, term_table, var
 from .algebra import _color_masks, _maps, _refine_colors
 from .errors import LatcopError, LatticeAxiomError
+
+_BLOCK = 2**16  # (x, y, z) triples per block of d_reduct's cubic identity checks
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,6 @@ class DistLatticeReduct:
         return f"DistLatticeReduct({self.carrier.name!r}, size={self.size})"
 
 
-@lru_cache(maxsize=None)
 def d_reduct(algebra: FiniteAlgebra, spec: DReductSpec) -> DistLatticeReduct:
     """Extract and validate the reduct; raises LatticeAxiomError with the
     failing identity and a witness tuple."""
@@ -87,22 +88,24 @@ def d_reduct(algebra: FiniteAlgebra, spec: DReductSpec) -> DistLatticeReduct:
     M = np.asarray(m, dtype=np.int64).reshape(n, n)
     J = np.asarray(j, dtype=np.int64).reshape(n, n)
 
-    def first_bad(bad, identity: str, prefix: tuple = ()) -> None:
+    def first_bad(bad, identity: str) -> None:
         if bad.any():
             where = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            raise LatticeAxiomError(identity, prefix + tuple(int(w) for w in where))
+            raise LatticeAxiomError(identity, tuple(int(w) for w in where))
 
     first_bad(M != M.T, "meet commutativity")
     first_bad(J != J.T, "join commutativity")
     idx = np.arange(n)
     first_bad(M[idx[:, None], J] != idx[:, None], "absorption x^(xvy)=x")
     first_bad(J[idx[:, None], M] != idx[:, None], "absorption xv(x^y)=x")
-    for x in range(n):
-        first_bad(M[M[x], :] != M[x, M], "meet associativity", (x,))
-        first_bad(J[J[x], :] != J[x, J], "join associativity", (x,))
-        first_bad(
-            M[x, J] != J[M[x][:, None], M[x][None, :]], "distributivity", (x,)
-        )
+    step = max(1, _BLOCK // n**2)
+    for lo in range(0, n, step):
+        Mx, Jx = M[lo:lo + step], J[lo:lo + step]
+        # bad[x, k, y, z]: identity k fails at (lo + x, y, z); argmax finds the least x
+        bad = np.stack((M[Mx] != Mx[:, M], J[Jx] != Jx[:, J], Mx[:, J] != J[Mx[:, :, None], Mx[:, None, :]]), axis=1)
+        if bad.any():
+            x, k, y, z = (int(w) for w in np.unravel_index(int(np.argmax(bad)), bad.shape))
+            raise LatticeAxiomError(("meet associativity", "join associativity", "distributivity")[k], (lo + x, y, z))
     first_bad(J[:, bot] != idx, "bottom neutral")
     first_bad(M[:, top] != idx, "top neutral")
 

@@ -5,13 +5,14 @@ generator, points are homomorphisms); E sends a structure back to the
 algebra of its structure-preserving maps into the alter ego.  Coproducts are
 computed as E of a product of duals, and the Priestley dual of the lattice
 reduct is recovered from the natural dual via the carrier-indexed preorder.
+A coproduct call's steps read one store of hom-sets (``algebra.hom_set``), so
+each is enumerated once; nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .algebra import (
@@ -20,8 +21,10 @@ from .algebra import (
     Homomorphism,
     _extends_to_hom,
     _kernel_meets,
+    _separated,
     _subpower,
     hom_enumerate,
+    hom_set,
     in_isp,
     quotient,
 )
@@ -67,32 +70,30 @@ class MultisortedStructure:
         ]
 
 
-def natural_dual(algebra: FiniteAlgebra, ego: AlterEgo) -> MultisortedStructure:
-    """D(algebra): sorts are the hom-sets into the generators, relations and
-    operations lifted pointwise."""
-    if not in_isp(algebra, ego.sorts):
+def natural_dual(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None = None) -> MultisortedStructure:
+    """D(algebra): sorts are the hom-sets into the generators, read from the
+    store ``homs`` and checked to separate points (membership), relations
+    and operations lifted pointwise."""
+    homs = {} if homs is None else homs
+    points = tuple(tuple(hom_set(homs, algebra, m)) for m in ego.sorts)
+    if not _separated(algebra, itertools.chain.from_iterable(points)):
         raise MembershipError(
             f"{algebra.name!r} is not in the quasivariety generated by the sorts"
         )
-    points = tuple(tuple(hom_enumerate(algebra, m)) for m in ego.sorts)
     relations = []
     for rel in ego.relations:
         pairs = rel.pair_set
-        lifted = frozenset(
+        relations.append(frozenset(
             (i, j)
             for i, x in enumerate(points[rel.sort1])
             for j, y in enumerate(points[rel.sort2])
             if all((x.map[a], y.map[a]) in pairs for a in range(algebra.size))
-        )
-        relations.append(lifted)
+        ))
     operations = []
     for g in ego.operations:
-        s1 = ego.sort_index(g.source)
-        s2 = ego.sort_index(g.target)
-        index = {h.map: k for k, h in enumerate(points[s2])}
-        operations.append(
-            tuple(index[tuple(g.map[v] for v in x.map)] for x in points[s1])
-        )
+        index = {h.map: k for k, h in enumerate(points[ego.sort_index(g.target)])}
+        sources = points[ego.sort_index(g.source)]
+        operations.append(tuple(index[tuple(g.map[v] for v in x.map)] for x in sources))
     return MultisortedStructure(ego, points, tuple(relations), tuple(operations))
 
 
@@ -195,24 +196,17 @@ def e_functor(
             s2 = ego.sort_index(g.target)
             op_edges.append((pos[(s1, i)], pos[(s2, j)], g.map))
 
-    # per edge, precompute value -> allowed-mask maps in both directions
+    # per edge, precompute value -> allowed-mask maps in both directions; an
+    # operation edge constrains like the graph of its map
     watchers: list[list] = [[] for _ in range(nvars)]
-    for p, q, pairs in rel_edges:
+    for p, q, pairs in rel_edges + [(p, q, enumerate(gmap)) for p, q, gmap in op_edges]:
         fwd: dict[int, int] = {}
         bwd: dict[int, int] = {}
         for a, b in pairs:
             fwd[a] = fwd.get(a, 0) | (1 << b)
             bwd[b] = bwd.get(b, 0) | (1 << a)
-        watchers[p].append(("rel", q, fwd))
-        watchers[q].append(("rel", p, bwd))
-    for p, q, gmap in op_edges:
-        fwd = {}
-        bwd = {}
-        for u, v in enumerate(gmap):
-            fwd[u] = fwd.get(u, 0) | (1 << v)
-            bwd[v] = bwd.get(v, 0) | (1 << u)
-        watchers[p].append(("op", q, fwd))
-        watchers[q].append(("op", p, bwd))
+        watchers[p].append((q, fwd))
+        watchers[q].append((p, bwd))
 
     def union_image(mask: int, table: dict[int, int]) -> int:
         out = 0
@@ -226,7 +220,7 @@ def e_functor(
     def propagate(dom: list[int], queue: list[int]) -> bool:
         while queue:
             p = queue.pop()
-            for _, q, table in watchers[p]:
+            for q, table in watchers[p]:
                 allowed = union_image(dom[p], table)
                 newdom = dom[q] & allowed
                 if newdom != dom[q]:
@@ -295,15 +289,6 @@ class CoproductResult:
     ego: AlterEgo
 
 
-@lru_cache(maxsize=None)
-def _cached_ego(
-    generators: tuple[FiniteAlgebra, ...],
-    spec: DReductSpec,
-    omega,
-) -> AlterEgo:
-    return build_alter_ego(generators, spec, omega)
-
-
 def coproduct(
     generators: Sequence[FiniteAlgebra],
     spec: DReductSpec,
@@ -321,23 +306,20 @@ def coproduct(
     homomorphism families into the generators.
     """
     gens = tuple(generators)
-    ego = _cached_ego(gens, spec, tuple(omega) if omega is not None else None)
+    homs: dict = {}
+    ego = build_alter_ego(gens, spec, omega, homs=homs)
     members = list(family)
     for b in members:
-        if not in_isp(b, gens):
+        if not in_isp(b, gens, homs=homs):
             raise MembershipError(f"{b.name!r} is not in ISP of the generators")
-    duals = [natural_dual(b, ego) for b in members]
+    duals = [natural_dual(b, ego, homs=homs) for b in members]
     prod_structure = structure_product(duals, points_cap, ego=ego)
     e_res = e_functor(prod_structure, visit_cap)
     names = ",".join(b.name for b in members)
     algebra = e_res.algebra.rename(f"Coprod({names})")
     injections = []
     for bi, b in enumerate(members):
-        vec = []
-        for s, i in e_res.point_order:
-            xs = prod_structure.points[s][i]
-            vec_b = xs[bi]
-            vec.append(vec_b)
+        vec = [prod_structure.points[s][i][bi] for s, i in e_res.point_order]
         imap = []
         for x in range(b.size):
             target_vec = tuple(h.map[x] for h in vec)
@@ -351,18 +333,18 @@ def coproduct(
         injections.append(eps)
     result = CoproductResult(algebra, tuple(injections), prod_structure, e_res, ego)
     if check_universal:
-        _check_universal_property(result, members, gens)
+        _check_universal_property(result, members, gens, homs)
     return result
 
 
 def _prescribed(
-    result: CoproductResult, members: list[FiniteAlgebra], m: FiniteAlgebra
+    result: CoproductResult, members: list[FiniteAlgebra], m: FiniteAlgebra, homs: dict
 ) -> tuple[list[tuple[Homomorphism, ...]], dict[int, tuple[int, ...]] | None]:
-    """The homomorphism families (f_1, ..., f_n) from the members into m,
-    and the values they prescribe on C: family k asks g_k(eps_i(x)) =
-    f_i(x), so each injection image c gets the row (g_1(c), ..., g_K(c)).
+    """The homomorphism families (f_1, ..., f_n) in ``homs`` from the members
+    into m, and the values they prescribe on C: family k asks g_k(eps_i(x))
+    = f_i(x), so each injection image c gets the row (g_1(c), ..., g_K(c)).
     The rows are None when two prescriptions for one c disagree."""
-    families = list(itertools.product(*[hom_enumerate(b, m) for b in members]))
+    families = list(itertools.product(*[hom_set(homs, b, m) for b in members]))
     rows: dict[int, tuple[int, ...]] = {}
     for i, (b, eps) in enumerate(zip(members, result.injections)):
         for x in range(b.size):
@@ -376,6 +358,7 @@ def _check_universal_property(
     result: CoproductResult,
     members: list[FiniteAlgebra],
     generators: tuple[FiniteAlgebra, ...],
+    homs: dict,
 ) -> None:
     """Sampled universal property: against every homomorphism family into
     each generator there is exactly one mediating map.
@@ -389,7 +372,7 @@ def _check_universal_property(
     """
     c = result.algebra
     for m in generators:
-        families, rows = _prescribed(result, members, m)
+        families, rows = _prescribed(result, members, m, homs)
         if not families or rows is not None and _extends_to_hom(c, m, rows, len(families)):
             continue
         homs_c = hom_enumerate(c, m)

@@ -11,8 +11,8 @@ w1(a) <= w2(b), found by a bitset branch and bound on Python ints
 One separation table gives each carrier the bitmask of the pairs it
 separates; the separation check and the minimum carrier search (a set
 cover) both read it.  :func:`build_alter_ego` is the one entry point: it
-enumerates each hom-set once, picks or checks the carriers, and sets up one
-square and relation search per pair of sorts.
+enumerates each hom-set once, into one store, picks or checks the carriers,
+and sets up one square and relation search per pair of sorts.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (
@@ -28,6 +28,7 @@ from .algebra import (
     Homomorphism,
     direct_product,
     hom_enumerate,
+    hom_set,
     subuniverse_closure,
 )
 from .distlat import DReductSpec, PrimeFilter, d_reduct, prime_filters
@@ -39,8 +40,8 @@ RELATION_NODE_BUDGET = 1_000_000
 
 def carriers_of(sort: FiniteAlgebra, spec: DReductSpec) -> tuple[PrimeFilter, ...]:
     """All carrier maps of a generator, in canonical (generator-element)
-    order, each carrying ``sort`` itself, not the cached reduct's equal copy."""
-    return tuple(prime_filters(replace(d_reduct(sort, spec), carrier=sort)))
+    order."""
+    return tuple(prime_filters(d_reduct(sort, spec)))
 
 
 def carrier_from_filter(sort: FiniteAlgebra, spec: DReductSpec, elements: Iterable[int]) -> PrimeFilter:
@@ -67,29 +68,12 @@ class SepResult:
         return self.holds
 
 
-def sep_condition(generators: Sequence[FiniteAlgebra], omega: Sequence[PrimeFilter]) -> SepResult:
-    """The separation condition for (generators, omega).
-
-    Every pair a != b in each generator must be split by some w o u with u a
-    homomorphism between generators and w a chosen carrier of u's target.
-    """
-    gens = list(generators)
-    return _separation(gens, omega, _homsets(gens))
-
-
-def _homsets(gens: Sequence[FiniteAlgebra]) -> dict[tuple[int, int], list[Homomorphism]]:
-    """hom(gens[i], gens[j]) for every ordered pair (i, j), in that order."""
-    return {(i, j): hom_enumerate(m1, m2) for i, m1 in enumerate(gens) for j, m2 in enumerate(gens)}
-
-
 def _separation_table(
-    gens: Sequence[FiniteAlgebra],
-    carriers: Sequence[PrimeFilter],
-    homsets: dict[tuple[int, int], list[Homomorphism]],
+    gens: Sequence[FiniteAlgebra], carriers: Sequence[PrimeFilter], homs: dict
 ) -> tuple[list[tuple[int, int, int]], list[int]]:
     """The pairs (i, a, b), a < b, of the generators in generator-then-element
     order, and per carrier w the bitmask of the pairs it separates: bit k is
-    set iff w o u splits pairs[k] for some u in hom(gens[i], w.sort)."""
+    set iff w o u splits pairs[k] for some u in hom(gens[i], w.sort) in ``homs``."""
     pairs = [
         (i, a, b)
         for i, m in enumerate(gens)
@@ -99,23 +83,26 @@ def _separation_table(
     for w in carriers:
         if w.sort not in gens:
             raise LatcopError("carrier sort is not among the generators")
-        j = gens.index(w.sort)
+        into = [hom_set(homs, m, w.sort) for m in gens]
         masks.append(sum(
             1 << k
             for k, (i, a, b) in enumerate(pairs)
-            if any(w.value(u.map[a]) != w.value(u.map[b]) for u in homsets[i, j])
+            if any(w.value(u.map[a]) != w.value(u.map[b]) for u in into[i])
         ))
     return pairs, masks
 
 
-def _separation(
-    gens: Sequence[FiniteAlgebra],
-    omega: Sequence[PrimeFilter],
-    homsets: dict[tuple[int, int], list[Homomorphism]],
+def sep_condition(
+    generators: Sequence[FiniteAlgebra], omega: Sequence[PrimeFilter], *, homs: dict | None = None
 ) -> SepResult:
-    """:func:`sep_condition` on the hom-sets :func:`_homsets` enumerated; the
-    witness is the first pair no carrier separates."""
-    pairs, masks = _separation_table(gens, omega, homsets)
+    """The separation condition for (generators, omega).
+
+    Every pair a != b in each generator must be split by some w o u with u a
+    homomorphism between generators and w a chosen carrier of u's target.
+    The witness is the first pair no carrier separates; ``homs`` is a hom-set store.
+    """
+    gens = list(generators)
+    pairs, masks = _separation_table(gens, omega, {} if homs is None else homs)
     missed = ((1 << len(pairs)) - 1) & ~functools.reduce(operator.or_, masks, 0)
     if missed:
         return SepResult(False, pairs[(missed & -missed).bit_length() - 1])
@@ -130,7 +117,7 @@ class MinimalityCertificate:
 
 
 def minimal_omega_certified(
-    generators: Sequence[FiniteAlgebra], spec: DReductSpec
+    generators: Sequence[FiniteAlgebra], spec: DReductSpec, *, homs: dict | None = None
 ) -> tuple[tuple[PrimeFilter, ...], MinimalityCertificate]:
     """A minimum-cardinality separating carrier set.
 
@@ -138,22 +125,12 @@ def minimal_omega_certified(
     canonical carrier enumeration (sort-major, then generator element).  The
     full carrier set always separates, so the search terminates.  Each
     carrier's bitmask of separated pairs comes from the separation table of
-    :func:`sep_condition`; a candidate separates iff its masks cover every
-    pair.
+    :func:`sep_condition`, on the hom-sets in ``homs``; a candidate
+    separates iff its masks cover every pair.
     """
     gens = list(generators)
-    return _minimal_omega_certified(gens, spec, _homsets(gens))
-
-
-def _minimal_omega_certified(
-    gens: Sequence[FiniteAlgebra],
-    spec: DReductSpec,
-    homsets: dict[tuple[int, int], list[Homomorphism]],
-) -> tuple[tuple[PrimeFilter, ...], MinimalityCertificate]:
-    """:func:`minimal_omega_certified` on the hom-sets :func:`_homsets`
-    enumerated."""
     all_carriers = [w for m in gens for w in carriers_of(m, spec)]
-    pairs, covers = _separation_table(gens, all_carriers, homsets)
+    pairs, covers = _separation_table(gens, all_carriers, {} if homs is None else homs)
     full = (1 << len(pairs)) - 1
     failed: list[int] = []
     for size in range(1, len(all_carriers) + 1):
@@ -411,7 +388,7 @@ def build_alter_ego(
     spec: DReductSpec,
     omega: Sequence[PrimeFilter] | None = None,
     *,
-    homsets: dict[tuple[int, int], list[Homomorphism]] | None = None,
+    homs: dict | None = None,
 ) -> AlterEgo:
     """Assemble the alter ego for (generators, omega).
 
@@ -419,18 +396,18 @@ def build_alter_ego(
     search's certificate is kept as ``minimality``; a given ``omega`` is
     checked for separation, raising SeparationError when it fails.
     Relations are the union of the maximal-relation sets over all ordered
-    carrier pairs; G is all homomorphisms between generators.  Each hom-set
-    is enumerated once and read by the carrier search or the separation
-    check, and by G.  ``homsets``, when given, holds them already, keyed
-    and ordered as :func:`_homsets` returns them.
+    carrier pairs; G is all homomorphisms between generators, enumerated
+    first, pair by pair, into the store ``homs`` (as in ``algebra.hom_set``)
+    that the carrier search or the separation check then reads.
     """
     gens = tuple(generators)
-    homsets = _homsets(gens) if homsets is None else homsets
+    homs = {} if homs is None else homs
+    operations = tuple(h for a in gens for b in gens for h in hom_set(homs, a, b))
     if omega is None:
-        omega, minimality = _minimal_omega_certified(gens, spec, homsets)
+        omega, minimality = minimal_omega_certified(gens, spec, homs=homs)
     else:
         omega, minimality = tuple(omega), None
-        sep = _separation(gens, omega, homsets)
+        sep = sep_condition(gens, omega, homs=homs)
         if not sep.holds:
             raise SeparationError(
                 f"separation fails: elements {sep.witness[1]} and {sep.witness[2]} "
@@ -451,7 +428,6 @@ def build_alter_ego(
             for s in maximal(allowed):
                 pairs = tuple(square.decode(x) for x in sorted(s))
                 relations.append(SortedRelation(*sorts, i, j, pairs))
-    operations = tuple(itertools.chain.from_iterable(homsets.values()))
     return AlterEgo(gens, spec, omega, tuple(relations), operations, minimality)
 
 
@@ -487,7 +463,6 @@ def unique_max_applicable(algebra: FiniteAlgebra, spec: DReductSpec) -> bool:
     contains a largest one, so each relation set has at most one element.
     """
     lattice = d_reduct(algebra, spec)
-    n = algebra.size
     meet_tab = lattice.meet_table
     join_tab = lattice.join_table
     for sym, arity, tab in algebra.ops():

@@ -41,6 +41,7 @@ from latcop.algebra import (
     quotient,
     subuniverse_closure,
     subuniverses,
+    term_table,
     var,
 )
 from latcop.catalog import make, make_id
@@ -52,6 +53,7 @@ from latcop.errors import (
     LatcopError,
     MembershipError,
     SignatureMismatch,
+    UnknownSymbol,
 )
 
 K3 = make("kleene3").algebra
@@ -113,6 +115,58 @@ class TestEvalTerm:
     def test_argument_out_of_range(self):
         with pytest.raises(LatcopError):
             eval_term(K3, var(0), (7,))
+
+
+_TERM_SIG = Signature((("c", 0), ("u", 1), ("b", 2), ("t", 3)))
+
+
+@st.composite
+def algebra_term_arity(draw):
+    """A random algebra over nullary to ternary symbols, an arity 0-3 and a
+    term in that many variables."""
+    n = draw(st.integers(1, 4))
+    tables = tuple(
+        tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
+        for _, k in _TERM_SIG.symbols
+    )
+    arity = draw(st.integers(0, 3))
+    leaves = [app("c")] + [var(i) for i in range(arity)]
+    terms = st.recursive(
+        st.sampled_from(leaves),
+        lambda sub: st.one_of(
+            st.builds(lambda x: app("u", x), sub),
+            st.builds(lambda x, y: app("b", x, y), sub, sub),
+            st.builds(lambda x, y, z: app("t", x, y, z), sub, sub, sub),
+        ),
+        max_leaves=12,
+    )
+    return FiniteAlgebra("rand", n, _TERM_SIG, tables), draw(terms), arity
+
+
+class TestTermTable:
+    @settings(max_examples=150, deadline=None)
+    @given(algebra_term_arity())
+    def test_matches_per_tuple_evaluation(self, case):
+        alg, term, arity = case
+        assert term_table(alg, term, arity) == tuple(
+            eval_term(alg, term, args)
+            for args in itertools.product(range(alg.size), repeat=arity)
+        )
+
+    def test_mv_meet_term(self):
+        # the catalog's composite MV meet is the chain's min
+        spec = make("mv_chain", 4).spec
+        mv4 = make("mv_chain", 4).algebra
+        assert term_table(mv4, spec.meet, 2) == tuple(min(x, y) for x in range(5) for y in range(5))
+
+    def test_unknown_symbol(self):
+        with pytest.raises(UnknownSymbol, match="symbol 'bogus' not in signature"):
+            term_table(K3, app("bogus", var(0)), 1)
+
+    @pytest.mark.parametrize("arity", [0, 1, 2])
+    def test_variable_past_the_arity(self, arity):
+        with pytest.raises(LatcopError, match=f"term uses x{arity} but only {arity} arguments given"):
+            term_table(K3, app("neg", var(arity)), arity)
 
 
 class TestHomEnumerate:

@@ -3,11 +3,12 @@
 import pytest
 
 from conftest import report_for
-from latcop.algebra import embeds, hom_enumerate
+from latcop import catalog as catalog_module
+from latcop.algebra import TABLE_ENTRY_BUDGET, embeds, hom_enumerate
 from latcop.algfile import export_entry, parse_algebra_file
-from latcop.catalog import UNVERIFIED_TABLE_ROWS, make, make_id, table1_suite
+from latcop.catalog import _CONSTRUCTORS, UNVERIFIED_TABLE_ROWS, make, make_id, table1_suite
 from latcop.distlat import d_reduct
-from latcop.errors import LatcopError
+from latcop.errors import CapExceeded, LatcopError
 from latcop.piggyback import carrier_from_filter, sep_condition
 
 
@@ -66,6 +67,46 @@ class TestConstructors:
         assert make_id("kleene3").key == "kleene3"
         assert make_id("mv_chain(3)").key == "mv_chain(3)"
         assert make_id("mv_chain:3").key == "mv_chain(3)"
+
+    @pytest.mark.parametrize("constructor", sorted(k for k, (_, p) in _CONSTRUCTORS.items() if p))
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_budget_check_counts_the_tables(self, monkeypatch, constructor, n):
+        # the entries checked before building are the entries built
+        checked = []
+        real = catalog_module._check_tables
+
+        def recorded(name, size, *counts):
+            checked.append(sum(c * size**k for k, c in enumerate(counts)))
+            real(name, size, *counts)
+
+        monkeypatch.setattr(catalog_module, "_check_tables", recorded)
+        alg = _CONSTRUCTORS[constructor][0](n).algebra
+        assert checked == [sum(len(tab) for tab in alg.tables)]
+
+    @pytest.mark.parametrize(
+        "constructor, param, required",
+        [
+            ("mv_chain", 99999, 100000**2 + 100000 + 1),
+            ("pseudo_b", 12, 2 * 4097**2 + 4097 + 2),
+            ("pseudo_b", 99999999, 2 * (2**24 + 1) ** 2 + 2**24 + 3),  # a lower bound
+            pytest.param("pseudo_b", 10**5000, 2 * (2**24 + 1) ** 2 + 2**24 + 3, id="pseudo_b-10**5000"),
+            ("moisil_L", 99999999, 4 * 99999999**2 - 2 * 99999999 + 2),
+            ("heyting_chain", 2000, 3 * 2000**2 + 2),
+        ],
+    )
+    def test_over_budget_before_building(self, constructor, param, required):
+        with pytest.raises(CapExceeded) as exc:
+            make(constructor, param)
+        assert exc.value.stage == "catalog tables"
+        assert exc.value.budget == TABLE_ENTRY_BUDGET
+        assert exc.value.required == required
+        assert f"budget is {TABLE_ENTRY_BUDGET}" in str(exc.value)
+
+    def test_parameter_past_the_digit_limit_is_an_input_error(self):
+        with pytest.raises(LatcopError) as exc:
+            make_id("pseudo_b:" + "9" * 4401)
+        assert not isinstance(exc.value, CapExceeded)
+        assert str(exc.value) == "catalog id parameter of 4401 digits is too long"
 
     def test_every_entry_reduct_validates(self):
         for entry, _ in table1_suite():

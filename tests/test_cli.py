@@ -106,13 +106,13 @@ class TestDuality:
         # the carrier search and the alter ego read one enumeration per
         # ordered pair of sorts
         pairs = []
-        real = latcop.piggyback.hom_enumerate
+        real = latcop.algebra.hom_enumerate
 
         def counted(a, b):
             pairs.append((a.name, b.name))
             return real(a, b)
 
-        monkeypatch.setattr(latcop.piggyback, "hom_enumerate", counted)
+        monkeypatch.setattr(latcop.algebra, "hom_enumerate", counted)
         code, out, _ = run(capsys, "duality", *ids)
         assert code == EXIT_OK and "(minimal size " in out
         assert pairs == list(itertools.product(ids, ids))
@@ -264,6 +264,22 @@ class TestCrossProcessDeterminism:
             for _ in range(2)
         ]
         assert runs[0] == runs[1] and b'"schema": 1' in runs[0]
+
+
+class TestCatalogBudget:
+    def test_oversized_id_is_unknown(self, capsys):
+        code, out, err = run(capsys, "classify", "mv_chain:99999")
+        assert code == EXIT_UNKNOWN and out == ""
+        assert err == "unknown: mv_chain tables need at least 10000100001 entries, budget is 10000000\n"
+
+    def test_oversized_export_is_unknown(self, capsys):
+        code, out, err = run(capsys, "export-alg", "pseudo_b:99999999")
+        assert code == EXIT_UNKNOWN and out == "" and err.startswith("unknown: pseudo_b tables")
+
+    def test_parameter_past_the_digit_limit_exits_2(self, capsys):
+        code, out, err = run(capsys, "export-alg", "pseudo_b:" + "4" * 4401)
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: catalog id parameter of 4401 digits is too long\n"
 
 
 class TestExportAlg:

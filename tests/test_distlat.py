@@ -1,6 +1,8 @@
 """Reduct extraction and finite Priestley duality."""
 
+import dataclasses
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from conftest import (
     poset_disjoint_union,
     poset_product,
 )
+from latcop import distlat as distlat_module
 from latcop.algebra import FiniteAlgebra, Signature, app, var
 from latcop.catalog import make, table1_suite
 from latcop.distlat import (
@@ -52,6 +55,14 @@ class TestDReduct:
         assert not lat.leq(1, 2) and not lat.leq(2, 1)
         assert lat.leq(0, 1) and lat.leq(1, 3)
 
+    def test_carrier_is_the_algebra_passed(self):
+        # no reduct is shared between equal algebras
+        for entry in (DM, K3, MV2):
+            copy = dataclasses.replace(entry.algebra)
+            assert copy == entry.algebra and copy is not entry.algebra
+            assert d_reduct(copy, entry.spec).carrier is copy
+            assert d_reduct(entry.algebra, entry.spec).carrier is entry.algebra
+
     def test_mv_terms_give_chain(self):
         lat = d_reduct(MV2.algebra, MV2.spec)
         assert all(lat.leq(x, y) == (x <= y) for x in range(3) for y in range(3))
@@ -78,6 +89,70 @@ class TestDReduct:
         with pytest.raises(LatticeAxiomError) as exc:
             d_reduct(alg, DReductSpec.literal())
         assert exc.value.witness is not None
+
+
+def _tournament_lattice(draw) -> FiniteAlgebra:
+    """A bottom and a top around a random tournament, meet and join its min
+    and max, on shuffled labels: commutative and absorptive, associative
+    only when the tournament is transitive."""
+    k = draw(st.integers(1, 5))
+    above = {(a, b) if draw(st.booleans()) else (b, a) for a, b in itertools.combinations(range(k), 2)}
+    label = draw(st.permutations(range(k + 2)))  # label[0] bottom, label[k + 1] top
+
+    def leq(a: int, b: int) -> bool:  # a, b in 0..k+1, tournament members 1..k
+        return a == b or a == 0 or b == k + 1 or (a - 1, b - 1) in above
+
+    n = k + 2
+    inv = {label[a]: a for a in range(n)}
+    meet = tuple(label[a if leq(a, b) else b] for x in range(n) for y in range(n) for a, b in [(inv[x], inv[y])])
+    join = tuple(label[b if leq(a, b) else a] for x in range(n) for y in range(n) for a, b in [(inv[x], inv[y])])
+    sig = Signature((("meet", 2), ("join", 2), ("zero", 0), ("one", 0)))
+    return FiniteAlgebra("tournament", n, sig, (meet, join, (label[0],), (label[k + 1],)))
+
+
+def _first_identity_failure(alg: FiniteAlgebra):
+    """The cubic identity checks x by x, each over (y, z) in row-major order."""
+    n = alg.size
+    m = lambda x, y: alg.op("meet", (x, y))  # noqa: E731
+    j = lambda x, y: alg.op("join", (x, y))  # noqa: E731
+    for x in range(n):
+        for identity, lhs, rhs in (
+            ("meet associativity", lambda y, z: m(m(x, y), z), lambda y, z: m(x, m(y, z))),
+            ("join associativity", lambda y, z: j(j(x, y), z), lambda y, z: j(x, j(y, z))),
+            ("distributivity", lambda y, z: m(x, j(y, z)), lambda y, z: j(m(x, y), m(x, z))),
+        ):
+            for y, z in itertools.product(range(n), repeat=2):
+                if lhs(y, z) != rhs(y, z):
+                    return identity, (x, y, z)
+    return None
+
+
+class TestIdentityBlocks:
+    @pytest.mark.parametrize("block", [1, 20, distlat_module._BLOCK])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_reports_the_first_failure_x_by_x(self, block, data):
+        # a block of x values reports the failure the x-by-x scan meets first
+        alg = _tournament_lattice(data.draw)
+        want = _first_identity_failure(alg)
+        with mock.patch.object(distlat_module, "_BLOCK", block):
+            if want is None:
+                d_reduct(alg, DReductSpec.literal())
+            else:
+                with pytest.raises(LatticeAxiomError) as exc:
+                    d_reduct(alg, DReductSpec.literal())
+                assert (exc.value.identity, exc.value.witness) == want
+
+    def test_non_distributive_lattices(self):
+        for leq in (
+            lambda a, b: a == b or a == 0 or b == 4 or (a, b) in {(1, 3)},  # N5
+            lambda a, b: a == b or a == 0 or b == 4,  # M3
+        ):
+            alg = lattice_algebra_from_leq(5, leq, "nd")
+            with pytest.raises(LatticeAxiomError) as exc:
+                d_reduct(alg, DReductSpec.literal())
+            assert (exc.value.identity, exc.value.witness) == _first_identity_failure(alg)
+            assert exc.value.identity == "distributivity"
 
 
 class TestPrimeFilters:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import sys
 from unittest import mock
 
 import pytest
@@ -221,6 +222,34 @@ class TestCoproduct:
         with pytest.raises(CapExceeded):
             coproduct([K3.algebra], K3.spec, None, [f1, f1], visit_cap=5)
 
+    @pytest.mark.parametrize(
+        "family, generators",
+        [
+            (("demorgan4",) * 3, ("demorgan4",)),
+            (("heyting_chain(3)",) * 3, ("heyting_chain(3)",)),
+            (("demorgan4", "kleene3", "kleene3"), ("demorgan4", "kleene3")),
+            (("demorgan4", "demorgan4", "kleene3"), ("demorgan4", "kleene3")),
+        ],
+    )
+    def test_enumerates_each_hom_set_once(self, monkeypatch, family, generators):
+        # the alter ego, the membership checks, the duals and the universal
+        # check read one store of hom-sets, G's pairs first
+        pairs = []
+        real = algebra_module.hom_enumerate
+
+        def counted(a, b):
+            pairs.append((a.name, b.name))
+            return real(a, b)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "latcop" and hasattr(module, "hom_enumerate"):
+                monkeypatch.setattr(module, "hom_enumerate", counted)
+        gens = [make_id(g) for g in generators]
+        members = [make_id(b).algebra for b in family]
+        coproduct([g.algebra for g in gens], gens[0].spec, None, members)
+        names = [g.algebra.name for g in gens]
+        assert pairs == list(itertools.product(names, names))
+
     def test_points_cap(self):
         from latcop.errors import CapExceeded
 
@@ -238,12 +267,12 @@ class TestUniversalCheck:
         res = coproduct([DM.algebra], DM.spec, None, [DM.algebra, DM.algebra])
         doctored = dataclasses.replace(res, injections=tuple(injections))
         # the one-pass check agrees with the closure in C x m^K
-        families, rows = _prescribed(doctored, members, DM.algebra)
+        families, rows = _prescribed(doctored, members, DM.algebra, {})
         if rows is not None:
             assert _extends_to_hom(res.algebra, DM.algebra, rows, len(families)) == (
                 universal_by_closure(res.algebra, DM.algebra, rows, len(families))
             )
-        _check_universal_property(doctored, members, (DM.algebra,))
+        _check_universal_property(doctored, members, (DM.algebra,), {})
 
     def test_equal_injections(self):
         # the family (id, id) is mediated by the two maps that agree with
@@ -307,7 +336,7 @@ class TestExtendsToHom:
         members = [algebra(b) for b in family]
         res = coproduct([g.algebra for g in gens], gens[0].spec, None, members, check_universal=False)
         for m in res.ego.sorts:
-            families, rows = _prescribed(res, members, m)
+            families, rows = _prescribed(res, members, m, {})
             if not families:
                 continue  # no family into m: nothing to mediate
             assert rows is not None

@@ -14,7 +14,8 @@ from conftest import (
     minimal_omega_by_sep,
     sep_by_loop,
 )
-from latcop.algebra import FiniteAlgebra, Signature, direct_product, subuniverse_closure
+from latcop import algebra as algebra_module
+from latcop.algebra import FiniteAlgebra, Signature, direct_product, hom_set, subuniverse_closure
 from latcop.catalog import make
 from latcop.distlat import DReductSpec
 from latcop import piggyback
@@ -380,10 +381,12 @@ class TestAlterEgo:
 
     def test_reads_hom_sets_passed_in(self, monkeypatch):
         gens = [DM.algebra, K3.algebra]
-        homsets = piggyback._homsets(gens)
+        homs: dict = {}
+        for a, b in itertools.product(gens, gens):
+            hom_set(homs, a, b)
         want = build_alter_ego(gens, DM.spec)
-        monkeypatch.setattr(piggyback, "hom_enumerate", None)
-        got = build_alter_ego(gens, DM.spec, homsets=homsets)
+        monkeypatch.setattr(algebra_module, "hom_enumerate", None)
+        got = build_alter_ego(gens, DM.spec, homs=homs)
         assert got == want and got.minimality == want.minimality
 
     def test_enumerates_each_hom_set_once(self, monkeypatch):
@@ -391,13 +394,13 @@ class TestAlterEgo:
         gens = [DM.algebra, K3.algebra]
         omega = minimal_omega(gens, DM.spec)
         pairs = []
-        real = piggyback.hom_enumerate
+        real = algebra_module.hom_enumerate
 
         def counted(a, b):
             pairs.append((a.name, b.name))
             return real(a, b)
 
-        monkeypatch.setattr(piggyback, "hom_enumerate", counted)
+        monkeypatch.setattr(algebra_module, "hom_enumerate", counted)
         ego = build_alter_ego(gens, DM.spec, omega)
         names = [m.name for m in gens]
         assert pairs == list(itertools.product(names, names))
