@@ -82,11 +82,9 @@ from .piggyback import (
     build_alter_ego,
     carrier_from_filter,
     carriers_of,
-    leq_sublattice,
     maximal_subuniverses_in,
     minimal_omega,
     minimal_omega_certified,
-    relation_orbit_count,
     sep_condition,
     unique_max_applicable,
 )

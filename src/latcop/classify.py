@@ -32,8 +32,8 @@ from .piggyback import (
     AlterEgo,
     MinimalityCertificate,
     build_alter_ego,
-    leq_sublattice,
-    maximal_subuniverses_in,
+    _relation_search,
+    leq_mask,
     sep_condition,
 )
 
@@ -353,6 +353,5 @@ def check_condition_C(
     c1 = all(embeds(s, m) is not None for s in simplified)
     c2 = sep_condition([m], [omega], homs=homs).holds
     square = direct_product([m, m])
-    allowed = {square.encode(p) for p in leq_sublattice(omega, omega)}
-    c3 = len(maximal_subuniverses_in(square, allowed)) == 1
+    c3 = len(_relation_search(square)(leq_mask(omega, omega))) == 1
     return (c1, c2, c3)

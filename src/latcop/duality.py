@@ -419,15 +419,16 @@ class RevEngResult:
     isomorphism: tuple[int, ...]
 
 
-def reveng_priestley(algebra: FiniteAlgebra, ego: AlterEgo) -> RevEngResult:
+def reveng_priestley(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None = None) -> RevEngResult:
     """Rebuild the Priestley dual of U(algebra) from its natural dual.
 
     Y is the union of (sort points) x (matching carriers); the preorder is
     membership in some lifted relation with matching carrier labels; the
     quotient by its symmetrization is checked to be order-isomorphic to the
-    prime-filter poset and returned with the witness.
+    prime-filter poset and returned with the witness.  ``homs`` is the
+    hom-set store passed on to :func:`natural_dual`.
     """
-    dual = natural_dual(algebra, ego)
+    dual = natural_dual(algebra, ego, homs=homs)
     elements: list[tuple[int, int, int]] = []
     for wi, w in enumerate(ego.carriers):
         s = ego.sort_index(w.sort)
@@ -488,11 +489,11 @@ class EvaluationCheck:
     is_isomorphism: bool
 
 
-def evaluation_check(algebra: FiniteAlgebra, ego: AlterEgo) -> EvaluationCheck:
+def evaluation_check(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None = None) -> EvaluationCheck:
     """The multisorted evaluation map into E(D(algebra)): a maps to the
     morphism sending a dual point x to x(a).  Under separation it is an
-    isomorphism."""
-    dual = natural_dual(algebra, ego)
+    isomorphism; ``homs`` is passed on to :func:`natural_dual`."""
+    dual = natural_dual(algebra, ego, homs=homs)
     e_res = e_functor(dual)
     images = []
     for a in range(algebra.size):
@@ -582,13 +583,14 @@ def iota_check(
 
 
 def lambda_map(
-    algebra: FiniteAlgebra, ego: AlterEgo
+    algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None = None
 ) -> tuple[tuple[PrimeFilter, frozenset[int]], ...]:
     """For each prime filter f of U(algebra), the carriers w admitting a dual
-    point x with w o x = f.  Non-empty throughout when separation holds."""
+    point x with w o x = f.  Non-empty throughout when separation holds;
+    ``homs`` is passed on to :func:`natural_dual`."""
     lattice = d_reduct(algebra, ego.spec)
     pfs = prime_filters(lattice)
-    dual = natural_dual(algebra, ego)
+    dual = natural_dual(algebra, ego, homs=homs)
     out = []
     for f in pfs:
         hits = set()

@@ -5,8 +5,8 @@ generator into 2, i.e. a prime filter of that reduct (one type,
 :class:`~latcop.distlat.PrimeFilter`, which carries its sort).  For a pair
 of carrier maps the relations R are the maximal subuniverses of the product
 of their sorts contained in the sublattice of pairs (a, b) with
-w1(a) <= w2(b), found by a bitset branch and bound on Python ints
-(:func:`maximal_subuniverses_in`).
+w1(a) <= w2(b) (the bitmask :func:`leq_mask`), found by a bitset branch
+and bound on Python ints (:func:`maximal_subuniverses_in`).
 
 One separation table gives each carrier the bitmask of the pairs it
 separates; the separation check and the minimum carrier search (a set
@@ -27,14 +27,13 @@ from .algebra import (
     FiniteAlgebra,
     Homomorphism,
     direct_product,
-    hom_enumerate,
     hom_set,
     subuniverse_closure,
 )
 from .distlat import DReductSpec, PrimeFilter, d_reduct, prime_filters
 from .errors import CapExceeded, LatcopError, SeparationError
 
-# nodes one relation search may visit; pseudo_b(4)'s largest needs 141,426
+# nodes one relation search may visit; pseudo_b(4)'s largest needs 34,053
 RELATION_NODE_BUDGET = 1_000_000
 
 
@@ -158,15 +157,17 @@ def minimal_omega(generators: Sequence[FiniteAlgebra], spec: DReductSpec) -> tup
 # the sublattices (w1, w2)^-1(<=) and their maximal subuniverses
 
 
-def leq_sublattice(w1: PrimeFilter, w2: PrimeFilter) -> frozenset[tuple[int, int]]:
-    """All pairs (a, b) with w1(a) <= w2(b): everything except
-    (a in filter1, b not in filter2)."""
-    return frozenset(
-        (a, b)
-        for a in range(w1.sort.size)
-        for b in range(w2.sort.size)
-        if not (a in w1.elements and b not in w2.elements)
-    )
+def leq_mask(w1: PrimeFilter, w2: PrimeFilter) -> int:
+    """The sublattice (w1, w2)^-1(<=) of the pairs (a, b) with
+    w1(a) <= w2(b), as a bitmask over the square of the two sorts, bit
+    a*n2 + b for the pair (a, b) as ``encode`` numbers it: the full mask
+    less, for each a in w1's filter, the row of b outside w2's filter."""
+    n2 = w2.sort.size
+    hole = ((1 << n2) - 1) & ~_mask(w2.elements)
+    cut = 0
+    for a in w1.elements:
+        cut |= hole << (a * n2)
+    return ((1 << (w1.sort.size * n2)) - 1) & ~cut
 
 
 def _bits(mask: int) -> list[int]:
@@ -184,6 +185,14 @@ def _mask(elements: Iterable[int]) -> int:
     for x in elements:
         mask |= 1 << x
     return mask
+
+
+def _union(masks: Sequence[int], indices: Iterable[int]) -> int:
+    """The OR of ``masks[i]`` over the indices."""
+    out = 0
+    for i in indices:
+        out |= masks[i]
+    return out
 
 
 def _preimage_masks(table: Sequence[int], n: int) -> list[int]:
@@ -262,17 +271,31 @@ def _relation_search(product: FiniteAlgebra) -> _Search:
         for x in _bits(s):
             square |= s << (x * n)
         outside = _bits(((1 << n) - 1) & ~s)
-        bad = []
-        for pre in pre_ops:
-            mask = 0
-            for z in outside:
-                mask |= pre[z]
-            bad.append(mask)
+        bad = [_union(pre, outside) for pre in pre_ops]
+        up: list[int] = []  # up[e]: the root elements x with e in sg(base + x)
+        drops: dict[int, tuple[int, int, list[int]]] = {}  # e -> up[e] and its masks
+
+        def drop(e: int) -> tuple[int, int, list[int]]:
+            # up[e], the OR of the cross and preimage masks over it; ``up`` is
+            # built once the root is not closed, and holds only root elements
+            # as the principal closure of a root element lies in the root
+            if not up:
+                up.extend([0] * n)
+                for x in _bits(root & ~base):
+                    for y in _bits(principal[x]):
+                        up[y] |= 1 << x
+            if e not in drops:
+                xs = _bits(up[e])
+                drops[e] = (up[e], _union(cross, xs), [_union(pre, xs) for pre in pre_ops])
+            return drops[e]
+
         results: list[int] = []
         nodes = 0
-        # branch i deletes the i-th input and keeps the ones before it, so
-        # the branches are disjoint and no set is visited twice; ``need``,
-        # the union of sg(base + e) over the kept e, must stay inside s
+        # branch i deletes up[e] for the i-th input e and keeps the inputs
+        # before it, so the branches are disjoint and no set is visited
+        # twice; ``need``, the union of sg(base + e) over the kept e, must
+        # stay inside s, and it meets up[e] exactly when it holds e
+        root = s
         stack = [(s, base, square, bad)]
         while stack:
             s, need, square, bad = stack.pop()
@@ -290,22 +313,33 @@ def _relation_search(product: FiniteAlgebra) -> _Search:
                     results.append(s)
                 continue
             for e in sorted(set(inputs)):
-                bit = 1 << e
-                if need & bit:
+                if need >> e & 1:
                     continue  # e lies in a kept closure: deleting it is dead
+                gone, cut, pres = drop(e)
                 stack.append((
-                    s & ~bit,
+                    s & ~gone,
                     need,
-                    square & ~cross[e],
-                    [b | pre[e] for b, pre in zip(bad, pre_ops)],
+                    square & ~cut,
+                    [b | p for b, p in zip(bad, pres)],
                 ))
                 need |= principal[e]
                 if need & ~s:
                     break  # every later sibling keeps e, whose closure escapes s
+        # a result is dominated iff some kept top holds all its elements:
+        # holders[x] is the bitmask of the tops holding x
         results.sort(key=int.bit_count, reverse=True)
         tops: list[int] = []
+        holders = [0] * n
         for r in results:
-            if not any(r & t == r for t in tops):
+            xs = _bits(r)
+            common = -1
+            for x in xs:
+                common &= holders[x]
+                if not common:
+                    break
+            if not common:
+                for x in xs:
+                    holders[x] |= 1 << len(tops)
                 tops.append(r)
         return sorted((frozenset(_bits(t)) for t in tops), key=sorted)
 
@@ -321,9 +355,12 @@ def maximal_subuniverses_in(
     Branch and bound on bitmasks from the allowed elements whose principal
     subuniverse fits: at each node take the least violating operation
     instance and branch on deleting each of its inputs not yet kept, branch
-    i keeping the inputs before it; non-maximal results are filtered at the
-    end.  A branch is pruned once the principal subuniverses of its kept
-    elements escape it, as no subuniverse lies below it then.  Raises
+    i keeping the inputs before it.  Deleting e deletes every x whose
+    principal subuniverse holds e, as a subuniverse avoiding e avoids x.  A
+    branch is pruned once the principal subuniverses of its kept elements
+    escape it, as no subuniverse lies below it then.  Non-maximal results
+    are filtered at the end through a per-element index of the maximal ones
+    found so far, largest first.  Raises
     CapExceeded past ``RELATION_NODE_BUDGET`` nodes.  The empty list means
     no subuniverse fits (e.g. a nullary value escapes the allowed set).
     """
@@ -424,8 +461,7 @@ def build_alter_ego(
                 square = direct_product([w1.sort, w2.sort])
                 searches[sorts] = (square, _relation_search(square))
             square, maximal = searches[sorts]
-            allowed = _mask(square.encode(p) for p in leq_sublattice(w1, w2))
-            for s in maximal(allowed):
+            for s in maximal(leq_mask(w1, w2)):
                 pairs = tuple(square.decode(x) for x in sorted(s))
                 relations.append(SortedRelation(*sorts, i, j, pairs))
     return AlterEgo(gens, spec, omega, tuple(relations), operations, minimality)
@@ -479,29 +515,3 @@ def unique_max_applicable(algebra: FiniteAlgebra, spec: DReductSpec) -> bool:
             return False
     return True
 
-
-def relation_orbit_count(ego: AlterEgo, omega1: int, omega2: int) -> int:
-    """Number of relations in R_{omega1,omega2} up to independent
-    automorphism action on the two coordinates.
-
-    This is the count of genuinely different relations; raw maximal sets
-    also contain the images of each relation under automorphism pairs.
-    """
-    rels = ego.relations_for(omega1, omega2)
-    if not rels:
-        return 0
-    m1 = ego.sorts[rels[0].sort1]
-    m2 = ego.sorts[rels[0].sort2]
-    autos1 = [h for h in hom_enumerate(m1, m1) if h.is_bijective]
-    autos2 = [h for h in hom_enumerate(m2, m2) if h.is_bijective]
-    seen: set[frozenset[tuple[int, int]]] = set()
-    orbits = 0
-    for r in rels:
-        ps = r.pair_set
-        if ps in seen:
-            continue
-        orbits += 1
-        for s in autos1:
-            for t in autos2:
-                seen.add(frozenset((s.map[a], t.map[b]) for a, b in ps))
-    return orbits

@@ -5,8 +5,10 @@ filtering all maps, maximal subuniverses and up-sets by subset enumeration,
 least congruences by scanning all partitions, order-isomorphisms by
 scanning all permutations, relative congruences by closing the kernels
 under meets, single generators by scanning every subalgebra, simplified
-generating sets by testing every subalgebra up to isomorphism, and the
-coproduct's universal property by closing a subalgebra of C x m^K.
+generating sets by testing every subalgebra up to isomorphism, the
+coproduct's universal property by closing a subalgebra of C x m^K,
+relation orbits by applying every pair of automorphisms, and the
+sublattice (w1, w2)^-1(<=) by listing its pairs.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from latcop.distlat import (
     FinitePoset,
     LatticeHom,
     PosetMap,
+    PrimeFilter,
     d_reduct,
     poset_from_pairs,
     prime_filters,
@@ -536,3 +539,41 @@ def scan_single_generator(generators, size_cap=SUBALGEBRA_SIZE_CAP, product_cap=
     if all(in_isp(m, [prod]) for m in gens):
         return prod
     return None
+
+
+def relation_orbit_count(ego: AlterEgo, omega1: int, omega2: int) -> int:
+    """Number of relations in R_{omega1,omega2} up to independent
+    automorphism action on the two coordinates.
+
+    This is the count of genuinely different relations; raw maximal sets
+    also contain the images of each relation under automorphism pairs.
+    """
+    rels = ego.relations_for(omega1, omega2)
+    if not rels:
+        return 0
+    m1 = ego.sorts[rels[0].sort1]
+    m2 = ego.sorts[rels[0].sort2]
+    autos1 = [h for h in hom_enumerate(m1, m1) if h.is_bijective]
+    autos2 = [h for h in hom_enumerate(m2, m2) if h.is_bijective]
+    seen: set[frozenset[tuple[int, int]]] = set()
+    orbits = 0
+    for r in rels:
+        ps = r.pair_set
+        if ps in seen:
+            continue
+        orbits += 1
+        for s in autos1:
+            for t in autos2:
+                seen.add(frozenset((s.map[a], t.map[b]) for a, b in ps))
+    return orbits
+
+
+def leq_sublattice(w1: PrimeFilter, w2: PrimeFilter) -> frozenset[tuple[int, int]]:
+    """All pairs (a, b) with w1(a) <= w2(b): everything except
+    (a in filter1, b not in filter2)."""
+    return frozenset(
+        (a, b)
+        for a in range(w1.sort.size)
+        for b in range(w2.sort.size)
+        if not (a in w1.elements and b not in w2.elements)
+    )

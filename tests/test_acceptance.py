@@ -10,7 +10,14 @@ import itertools
 
 import pytest
 
-from conftest import brute_force_homs, brute_force_maximal_subuniverses, ego_for, report_for
+from conftest import (
+    brute_force_homs,
+    brute_force_maximal_subuniverses,
+    ego_for,
+    leq_sublattice,
+    relation_orbit_count,
+    report_for,
+)
 from latcop.algebra import (
     direct_product,
     free_algebra,
@@ -29,10 +36,8 @@ from latcop.duality import (
 from latcop.piggyback import (
     carrier_from_filter,
     carriers_of,
-    leq_sublattice,
     maximal_subuniverses_in,
     minimal_omega_certified,
-    relation_orbit_count,
     sep_condition,
     unique_max_applicable,
 )

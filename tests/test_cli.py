@@ -197,6 +197,28 @@ class TestRevengAndDot:
         code, out, _ = run(capsys, "export-dot", "kleene3", "--reveng")
         assert code == EXIT_OK and "->" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("reveng-check", "demorgan4", "kleene3"),
+            ("export-dot", "demorgan4", "kleene3", "--reveng"),
+        ],
+    )
+    def test_reveng_enumerates_each_hom_set_once(self, monkeypatch, capsys, argv):
+        # the natural duals read the store the alter ego was built on
+        pairs = []
+        real = latcop.algebra.hom_enumerate
+
+        def counted(a, b):
+            pairs.append((a.name, b.name))
+            return real(a, b)
+
+        monkeypatch.setattr(latcop.algebra, "hom_enumerate", counted)
+        code, _, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        ids = argv[1:3]
+        assert pairs == list(itertools.product(ids, ids))
+
 
 class TestTable1Command:
     def test_all_match_json(self, capsys):

@@ -43,6 +43,7 @@ from latcop.duality import (
     structure_product,
 )
 from latcop.errors import LatcopError, MembershipError
+from latcop.piggyback import build_alter_ego
 
 DM = make("demorgan4")
 K3 = make("kleene3")
@@ -69,6 +70,17 @@ class TestNaturalDual:
     def test_membership_checked(self):
         with pytest.raises(MembershipError):
             natural_dual(DM.algebra, ego_for("kleene3"))
+
+    @pytest.mark.parametrize("check", [reveng_priestley, evaluation_check, lambda_map])
+    def test_checks_read_the_store_passed_in(self, monkeypatch, check):
+        # the store the alter ego was built on holds every hom-set the
+        # natural duals of its sorts need
+        gens = [DM.algebra, K3.algebra]
+        homs: dict = {}
+        ego = build_alter_ego(gens, DM.spec, homs=homs)
+        want = [check(m, ego) for m in gens]
+        monkeypatch.setattr(algebra_module, "hom_enumerate", None)
+        assert [check(m, ego, homs=homs) for m in gens] == want
 
 
 class TestStructureProduct:

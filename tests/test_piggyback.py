@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from conftest import (
     bounds_preserved,
     brute_force_maximal_subuniverses,
+    leq_sublattice,
     median_chain,
     minimal_omega_by_sep,
+    relation_orbit_count,
     sep_by_loop,
 )
 from latcop import algebra as algebra_module
@@ -24,11 +26,10 @@ from latcop.piggyback import (
     build_alter_ego,
     carrier_from_filter,
     carriers_of,
-    leq_sublattice,
+    leq_mask,
     maximal_subuniverses_in,
     minimal_omega,
     minimal_omega_certified,
-    relation_orbit_count,
     sep_condition,
     unique_max_applicable,
 )
@@ -307,9 +308,10 @@ class TestMaximalSubuniverses:
 
 
 class TestNodeBudget:
-    # the pruned search of pseudo_b(3)'s square visits exactly this many
-    # nodes; without the dead-branch prune it visits 21,402
-    NODES = 2163
+    # the search of pseudo_b(3)'s square, deleting up[e] with each e, visits
+    # exactly this many nodes; deleting e alone it visits 2,163, and without
+    # the dead-branch prune 21,402
+    NODES = 697
 
     def test_exact_budget_suffices(self, monkeypatch):
         entry = make("pseudo_b", 3)
@@ -323,6 +325,46 @@ class TestNodeBudget:
             build_alter_ego([entry.algebra], entry.spec)
         exc = info.value
         assert (exc.stage, exc.budget, exc.required) == ("relation search", self.NODES - 1, self.NODES)
+
+
+class TestMaximalityCertificate:
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_heyting_chain_relations_are_maximal(self, n):
+        # each listed relation is closed and allowed, none holds another,
+        # and adding any allowed element outside one escapes the allowed set
+        entry = make("heyting_chain", n)
+        ego = build_alter_ego([entry.algebra], entry.spec)
+        square = direct_product([entry.algebra, entry.algebra])
+        principal = [frozenset(subuniverse_closure(square, [e])) for e in range(square.size)]
+        for i, w1 in enumerate(ego.carriers):
+            for j, w2 in enumerate(ego.carriers):
+                allowed = {square.encode(p) for p in leq_sublattice(w1, w2)}
+                rels = [
+                    frozenset(square.encode(p) for p in r.pairs)
+                    for r in ego.relations_for(i, j)
+                ]
+                assert len(set(rels)) == len(rels)
+                for r in rels:
+                    assert r <= allowed
+                    assert frozenset(subuniverse_closure(square, r)) == r
+                    assert not any(r < t for t in rels)
+                    for e in allowed - r:
+                        # sg(r + e) holds sg(e), so a principal escape suffices
+                        if principal[e] <= allowed:
+                            assert not set(subuniverse_closure(square, r | {e})) <= allowed
+        if n == 8:
+            assert len(ego.relations) == 383
+
+
+class TestLeqMask:
+    def test_matches_encoded_pairs(self):
+        # two sorts of different sizes, every ordered carrier pair
+        gens = [DM.algebra, K3.algebra]
+        carriers = [c for m in gens for c in carriers_of(m, DM.spec)]
+        for w1, w2 in itertools.product(carriers, carriers):
+            square = direct_product([w1.sort, w2.sort])
+            bits = {x for x in range(square.size) if leq_mask(w1, w2) >> x & 1}
+            assert bits == {square.encode(p) for p in leq_sublattice(w1, w2)}
 
 
 class TestAlterEgo:
