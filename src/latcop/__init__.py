@@ -83,7 +83,6 @@ from .piggyback import (
     carrier_from_filter,
     carriers_of,
     maximal_subuniverses_in,
-    minimal_omega,
     minimal_omega_certified,
     sep_condition,
     unique_max_applicable,

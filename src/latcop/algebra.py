@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     CapExceeded,
     IncompatiblePartition,
+    InternalError,
     LatcopError,
     MembershipError,
     SignatureMismatch,
@@ -302,10 +303,6 @@ class Homomorphism:
         for x, y in enumerate(self.map):
             inv[y] = x
         return Homomorphism(self.target, self.source, tuple(inv))
-
-    @staticmethod
-    def identity(a: FiniteAlgebra) -> "Homomorphism":
-        return Homomorphism(a, a, tuple(range(a.size)))
 
 
 @dataclass(frozen=True)
@@ -639,7 +636,7 @@ def subuniverses(algebra: FiniteAlgebra) -> list[frozenset[int]]:
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
-def induced_subalgebra(algebra: FiniteAlgebra, elements: Iterable[int], name: str | None = None) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+def induced_subalgebra(algebra: FiniteAlgebra, elements: Iterable[int]) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """The algebra induced on a subuniverse; returns it with the element list
     (position i of the result is ``elements_sorted[i]`` of the parent).
 
@@ -664,11 +661,9 @@ def induced_subalgebra(algebra: FiniteAlgebra, elements: Iterable[int], name: st
     names = None
     if algebra.element_names is not None:
         names = tuple(algebra.element_names[x] for x in elems)
-    if name is None:
-        if len(elems) == algebra.size:
-            name = algebra.name
-        else:
-            name = f"{algebra.name}|{{{','.join(str(x) for x in elems)}}}"
+    name = algebra.name
+    if len(elems) < algebra.size:
+        name += f"|{{{','.join(str(x) for x in elems)}}}"
     return (
         FiniteAlgebra(name, len(elems), algebra.signature, tuple(tables), names),
         elems,
@@ -815,8 +810,8 @@ def _subpower(
     :func:`_slabs`), so every argument tuple is evaluated exactly once, and
     its result is kept, as a row number in the order rows were found, for
     the tables.  A given ``universe`` is the seed of a round that must find
-    nothing new: its order is kept and LatcopError is raised unless it is
-    closed.
+    nothing new: its order is kept and InternalError is raised unless it
+    is closed (callers pass closed universes).
     CapExceeded is raised before a round whose rows alone would need more
     than ``TABLE_ENTRY_BUDGET`` table entries.
     """
@@ -857,7 +852,7 @@ def _subpower(
                     if hit.all():
                         res = res.astype(known)
                     elif given:
-                        raise LatcopError(f"subpower universe is not closed under {op[0]!r}")
+                        raise InternalError(f"subpower universe is not closed under {op[0]!r}")
                     else:
                         # numbered once the round has found all its rows
                         miss = np.flatnonzero(~hit)
@@ -980,13 +975,12 @@ def _extends_to_hom(
 def direct_product(
     algebras: Sequence[FiniteAlgebra],
     signature: Signature | None = None,
-    cap: int = DEFAULT_PRODUCT_CAP,
-    name: str | None = None,
 ) -> FiniteAlgebra:
     """Componentwise product with a mixed-radix tuple codec.
 
     The empty product is the one-element algebra; its signature must then be
-    supplied explicitly.
+    supplied explicitly.  CapExceeded is raised, before any tuple is listed,
+    for more than ``DEFAULT_PRODUCT_CAP`` elements.
     """
     if algebras:
         _check_same_signature(*algebras)
@@ -996,15 +990,15 @@ def direct_product(
     elif signature is None:
         raise LatcopError("empty product needs an explicit signature")
     size = prod(a.size for a in algebras)
-    if size > cap:
+    if size > DEFAULT_PRODUCT_CAP:
         raise CapExceeded(
-            f"product would have {size} elements, cap is {cap}", required=size
+            f"product would have {size} elements, cap is {DEFAULT_PRODUCT_CAP}", required=size
         )
     _, tables = _subpower(
         signature, algebras, list(itertools.product(*(range(a.size) for a in algebras)))
     )
     return FiniteAlgebra(
-        name or "x".join(a.name for a in algebras) or "1",
+        "x".join(a.name for a in algebras) or "1",
         size,
         signature,
         tables,

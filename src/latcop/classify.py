@@ -15,8 +15,6 @@ from typing import Sequence
 
 from .algebra import (
     FiniteAlgebra,
-    Homomorphism,
-    _kernel_meets,
     _separated,
     direct_product,
     embeds,
@@ -24,7 +22,6 @@ from .algebra import (
     in_isp,
     induced_subalgebra,
     subuniverses,
-    Congruence,
 )
 from .distlat import DReductSpec, PrimeFilter
 from .errors import CapExceeded, InternalError, LatcopError
@@ -106,9 +103,7 @@ def simplify_generators(
     return simplified
 
 
-def _single_generator(
-    simplified: Sequence[FiniteAlgebra], product_cap: int = 10**6
-) -> FiniteAlgebra | None:
+def _single_generator(simplified: Sequence[FiniteAlgebra]) -> FiniteAlgebra | None:
     """A single generator of ISP(simplified), or None if there is none;
     ``simplified`` is an output of ``simplify_generators``.
 
@@ -120,17 +115,13 @@ def _single_generator(
     """
     if len(simplified) <= 1:
         return simplified[0] if simplified else None
-    prod = direct_product(simplified, cap=product_cap)
+    prod = direct_product(simplified)
     if all(embeds(m, prod) is not None for m in simplified):
         return prod
     return None
 
 
-def find_single_generator(
-    generators: Sequence[FiniteAlgebra],
-    size_cap: int = SUBALGEBRA_SIZE_CAP,
-    product_cap: int = 10**6,
-) -> FiniteAlgebra | None:
+def find_single_generator(generators: Sequence[FiniteAlgebra]) -> FiniteAlgebra | None:
     """A single algebra generating the same quasivariety, if one exists.
 
     Theorem: ISP(K) has a single finite generator exactly when
@@ -140,7 +131,7 @@ def find_single_generator(
     """
     if not generators:
         return None
-    return _single_generator(simplify_generators(generators, size_cap), product_cap)
+    return _single_generator(simplify_generators(generators))
 
 
 @dataclass
@@ -150,7 +141,6 @@ class ClassificationReport:
     input_generators: list[FiniteAlgebra]
     simplified: list[FiniteAlgebra] = field(default_factory=list)
     single_generator: FiniteAlgebra | None = None
-    generator_witnesses: dict[str, list[Homomorphism]] = field(default_factory=dict)
     omega: tuple[PrimeFilter, ...] = ()
     minimality: MinimalityCertificate | None = None
     ego: AlterEgo | None = None
@@ -264,17 +254,6 @@ class ClassificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _separating_witnesses(n: FiniteAlgebra, m0: FiniteAlgebra, homs: dict) -> list[Homomorphism]:
-    """A small family of homomorphisms n -> m0 with trivial joint kernel."""
-    witnesses: list[Homomorphism] = []
-    cur = Congruence.all(n.size)
-    for h, theta in _kernel_meets(n, hom_set(homs, n, m0)):
-        if theta != cur:
-            witnesses.append(h)
-            cur = theta
-    return witnesses
-
-
 def flowchart_classify(
     generators: Sequence[FiniteAlgebra],
     spec: DReductSpec,
@@ -301,9 +280,6 @@ def flowchart_classify(
         ("is the class generated by a single algebra?", "yes" if m0 else "no")
     )
     gens = [m0] if m0 is not None else simplified
-    if m0 is not None:
-        for n in simplified:
-            report.generator_witnesses[n.name] = _separating_witnesses(n, m0, homs)
     try:
         ego = build_alter_ego(gens, spec, homs=homs)
     except CapExceeded as exc:

@@ -33,18 +33,18 @@ CAP_ENV = "LATCOP_CAP"
 
 
 class _Inputs:
-    """Algebras with their reduct specs and optional declared carriers."""
+    """Algebras with their reduct specs."""
 
     def __init__(self):
-        self.items: list[tuple[FiniteAlgebra, DReductSpec, tuple[frozenset[int], ...]]] = []
+        self.items: list[tuple[FiniteAlgebra, DReductSpec]] = []
 
     @property
     def algebras(self) -> list[FiniteAlgebra]:
-        return [a for a, _, _ in self.items]
+        return [a for a, _ in self.items]
 
     @property
     def spec(self) -> DReductSpec:
-        specs = {s for _, s, _ in self.items}
+        specs = {s for _, s in self.items}
         if len(specs) != 1:
             raise LatcopError("all input algebras must share one reduct specification")
         return next(iter(specs))
@@ -66,10 +66,10 @@ def _load(source: str) -> _Inputs:
                     )
                 spec = DReductSpec.literal()
             d_reduct(pa.algebra, spec)  # validate early, with location-free error
-            out.items.append((pa.algebra, spec, pa.carriers))
+            out.items.append((pa.algebra, spec))
         return out
     entry = make_id(source)
-    out.items.append((entry.algebra, entry.spec, entry.carriers or ()))
+    out.items.append((entry.algebra, entry.spec))
     return out
 
 
@@ -340,19 +340,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"latcop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, omega=False, many_sources=True):
-        if many_sources:
+    def common(p, *flags):
+        """Add --out and the named flags: 'source', 'json', 'cap', 'omega'."""
+        if "source" in flags:
             p.add_argument("source", nargs="+", help="catalog id or .alg file")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if "json" in flags:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", default=None, help="output path ('-' = stdout)")
-        # argparse converts a string default too: a bad $LATCOP_CAP exits 2
-        p.add_argument(
-            "--cap",
-            type=_positive_int,
-            default=os.environ.get(CAP_ENV) or None,
-            help=f"size cap override, a positive integer (also via ${CAP_ENV})",
-        )
-        if omega:
+        if "cap" in flags:
+            # argparse converts a string default too: a bad $LATCOP_CAP exits 2
+            p.add_argument(
+                "--cap",
+                type=_positive_int,
+                default=os.environ.get(CAP_ENV) or None,
+                help=f"size cap override, a positive integer (also via ${CAP_ENV})",
+            )
+        if "omega" in flags:
             p.add_argument(
                 "--omega",
                 default="auto",
@@ -364,34 +367,34 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p = sub.add_parser("classify", help="run the E/S flowchart")
-    common(p)
+    common(p, "source", "json", "cap")
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("duality", help="print carriers, relations and operations")
-    common(p, omega=True)
+    common(p, "source", "json", "omega")
     p.set_defaults(fn=_cmd_duality)
 
     p = sub.add_parser("coproduct", help="coproduct of the listed algebras")
-    common(p, omega=True)
+    common(p, "source", "json", "cap", "omega")
     p.set_defaults(fn=_cmd_coproduct)
 
     p = sub.add_parser("free", help="free algebra on N generators")
     p.add_argument("n", type=_nonnegative_int, help="number of free generators")
-    common(p)
+    common(p, "source", "json", "cap")
     p.set_defaults(fn=_cmd_free)
 
     p = sub.add_parser(
         "reveng-check", help="verify the Priestley dual reconstruction"
     )
-    common(p, omega=True)
+    common(p, "source", "omega")
     p.set_defaults(fn=_cmd_reveng)
 
     p = sub.add_parser("table1", help="reproduce the classification table")
-    common(p, many_sources=False)
+    common(p, "json")
     p.set_defaults(fn=_cmd_table1)
 
     p = sub.add_parser("export-dot", help="Hasse diagram of the Priestley dual")
-    common(p, omega=True)
+    common(p, "source", "omega")
     p.add_argument(
         "--reveng",
         action="store_true",
@@ -401,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-alg", help="print a catalog entry in .alg format")
     p.add_argument("id", help="catalog id")
-    p.add_argument("--out", default=None)
+    common(p)
     p.set_defaults(fn=_cmd_export_alg)
 
     return parser

@@ -34,9 +34,9 @@ class DReductSpec:
             raise LatcopError("bot/top terms must be closed")
 
     @staticmethod
-    def literal(meet: str = "meet", join: str = "join", bot: str = "zero", top: str = "one") -> "DReductSpec":
+    def literal() -> "DReductSpec":
         return DReductSpec(
-            app(meet, var(0), var(1)), app(join, var(0), var(1)), app(bot), app(top)
+            app("meet", var(0), var(1)), app("join", var(0), var(1)), app("zero"), app("one")
         )
 
 
@@ -333,7 +333,7 @@ class PosetMap:
 _LATTICE_SIG = Signature((("meet", 2), ("join", 2), ("zero", 0), ("one", 0)))
 
 
-def upset_lattice(poset: FinitePoset, name: str | None = None) -> DistLatticeReduct:
+def upset_lattice(poset: FinitePoset) -> DistLatticeReduct:
     """K(P): the lattice of up-sets under intersection and union."""
     ups = poset.upsets()
     index = {u: i for i, u in enumerate(ups)}
@@ -344,7 +344,7 @@ def upset_lattice(poset: FinitePoset, name: str | None = None) -> DistLatticeRed
     meet = tuple(index[ups[i] & ups[j]] for i in range(n) for j in range(n))
     join = tuple(index[ups[i] | ups[j]] for i in range(n) for j in range(n))
     algebra = FiniteAlgebra(
-        name or "Up(P)",
+        "Up(P)",
         n,
         _LATTICE_SIG,
         (meet, join, (index[frozenset()],), (index[frozenset(range(poset.size))],)),

@@ -294,7 +294,6 @@ def coproduct(
     spec: DReductSpec,
     omega,
     family: Sequence[FiniteAlgebra],
-    check_universal: bool = True,
     points_cap: int = DEFAULT_POINTS_CAP,
     visit_cap: int = DEFAULT_VISIT_CAP,
 ) -> CoproductResult:
@@ -332,8 +331,7 @@ def coproduct(
             raise InternalError("coproduct injection not a homomorphism")
         injections.append(eps)
     result = CoproductResult(algebra, tuple(injections), prod_structure, e_res, ego)
-    if check_universal:
-        _check_universal_property(result, members, gens, homs)
+    _check_universal_property(result, members, gens, homs)
     return result
 
 
@@ -386,7 +384,7 @@ def _check_universal_property(
                 )
             ]
             if len(matching) != 1:
-                raise LatcopError(
+                raise InternalError(
                     f"universal property fails against {m.name!r}: "
                     f"{len(matching)} mediating maps"
                 )
@@ -450,13 +448,13 @@ def reveng_priestley(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None
     n = space.size
     for x in range(n):
         if not space.preceq(x, x):
-            raise LatcopError("reconstruction preorder is not reflexive")
+            raise InternalError("reconstruction preorder is not reflexive")
         for y in range(n):
             if not space.preceq(x, y):
                 continue
             for z in range(n):
                 if space.preceq(y, z) and not space.preceq(x, z):
-                    raise LatcopError("reconstruction preorder is not transitive")
+                    raise InternalError("reconstruction preorder is not transitive")
     # quotient by the symmetrization
     cls = [-1] * n
     reps: list[int] = []
@@ -476,7 +474,7 @@ def reveng_priestley(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None
     priestley = priestley_dual(d_reduct(algebra, ego.spec))
     iso = poset_isomorphic(quotient_poset, priestley)
     if iso is None:
-        raise LatcopError(
+        raise InternalError(
             "reconstruction quotient is not isomorphic to the Priestley dual"
         )
     return RevEngResult(space, quotient_poset, priestley, iso)
@@ -501,7 +499,7 @@ def evaluation_check(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None
         try:
             images.append(e_res.index_of(vec))
         except ValueError:
-            raise LatcopError("evaluation image is not a morphism") from None
+            raise InternalError("evaluation image is not a morphism") from None
     ev = Homomorphism(algebra, e_res.algebra, tuple(images))
     iso = (
         ev.is_valid()
@@ -551,7 +549,7 @@ def iota_check(
         for bi, (b, eps) in enumerate(zip(members, cop.injections)):
             pre = frozenset(x for x in range(b.size) if eps.map[x] in f.elements)
             if pre not in member_index[bi]:
-                raise LatcopError("injection preimage of a prime filter is not prime")
+                raise InternalError("injection preimage of a prime filter is not prime")
             coords.append(member_index[bi][pre])
         tuples.append(tuple(coords))
     all_tuples = set(itertools.product(*[range(len(p)) for p in pf_members]))
@@ -602,7 +600,7 @@ def lambda_map(
                     hits.add(wi)
                     break
         if not hits:
-            raise LatcopError(
+            raise InternalError(
                 "joint surjectivity fails: a prime filter is not realized"
             )
         out.append((f, frozenset(hits)))

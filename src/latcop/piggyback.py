@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Sequence
 from .algebra import (
     FiniteAlgebra,
     Homomorphism,
+    Signature,
     direct_product,
     hom_set,
     subuniverse_closure,
@@ -147,10 +148,6 @@ def minimal_omega_certified(
         "the full carrier set does not separate: some generator is trivial "
         "or not in the quasivariety"
     )
-
-
-def minimal_omega(generators: Sequence[FiniteAlgebra], spec: DReductSpec) -> tuple[PrimeFilter, ...]:
-    return minimal_omega_certified(generators, spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -471,26 +468,6 @@ def build_alter_ego(
 # the unary-operations criterion for unique maximal relations
 
 
-def _is_endomorphism(lattice, table: tuple[int, ...]) -> bool:
-    n = lattice.size
-    return all(
-        table[lattice.meet(x, y)] == lattice.meet(table[x], table[y])
-        and table[lattice.join(x, y)] == lattice.join(table[x], table[y])
-        for x in range(n)
-        for y in range(n)
-    )
-
-
-def _is_dual_endomorphism(lattice, table: tuple[int, ...]) -> bool:
-    n = lattice.size
-    return all(
-        table[lattice.meet(x, y)] == lattice.join(table[x], table[y])
-        and table[lattice.join(x, y)] == lattice.meet(table[x], table[y])
-        for x in range(n)
-        for y in range(n)
-    )
-
-
 def unique_max_applicable(algebra: FiniteAlgebra, spec: DReductSpec) -> bool:
     """True iff every basic operation is either part of the lattice structure
     or a unary (dual) lattice endomorphism of the reduct.
@@ -501,12 +478,17 @@ def unique_max_applicable(algebra: FiniteAlgebra, spec: DReductSpec) -> bool:
     lattice = d_reduct(algebra, spec)
     meet_tab = lattice.meet_table
     join_tab = lattice.join_table
+    # the reduct's (meet, join) algebra and its order dual: a unary table is
+    # a dual endomorphism iff it is a homomorphism from the one to the other
+    sig = Signature((("meet", 2), ("join", 2)))
+    lat = FiniteAlgebra("L", lattice.size, sig, (meet_tab, join_tab))
+    dual = FiniteAlgebra("L^d", lattice.size, sig, (join_tab, meet_tab))
     for sym, arity, tab in algebra.ops():
         if arity == 0:
             if tab[0] not in (lattice.bot, lattice.top):
                 return False
         elif arity == 1:
-            if not (_is_endomorphism(lattice, tab) or _is_dual_endomorphism(lattice, tab)):
+            if not any(Homomorphism(lat, t, tab).is_valid() for t in (lat, dual)):
                 return False
         elif arity == 2:
             if tab != meet_tab and tab != join_tab:

@@ -524,7 +524,7 @@ def simplify_by_enumeration(generators, size_cap=SUBALGEBRA_SIZE_CAP) -> list[Fi
     return kept
 
 
-def scan_single_generator(generators, size_cap=SUBALGEBRA_SIZE_CAP, product_cap=10**6):
+def scan_single_generator(generators, size_cap=SUBALGEBRA_SIZE_CAP):
     """A single generator by scanning every subalgebra of the generators
     smallest-first, then trying the direct product of the generators."""
     gens = list(generators)
@@ -535,7 +535,7 @@ def scan_single_generator(generators, size_cap=SUBALGEBRA_SIZE_CAP, product_cap=
             return cand
     if len(gens) == 1:
         return None
-    prod = direct_product(gens, cap=product_cap)
+    prod = direct_product(gens)
     if all(in_isp(m, [prod]) for m in gens):
         return prod
     return None

@@ -50,6 +50,7 @@ from latcop.duality import coproduct
 from latcop.errors import (
     CapExceeded,
     IncompatiblePartition,
+    InternalError,
     LatcopError,
     MembershipError,
     SignatureMismatch,
@@ -364,9 +365,16 @@ class TestProductQuotient:
         x = p.encode((1, 2))
         assert p.decode(p.op("neg", [x])) == (1, 0)
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            direct_product([B2] * 10, cap=10**4)
+    def test_cap(self, monkeypatch):
+        # 5**20 elements is over DEFAULT_PRODUCT_CAP: raised before any tuple is listed
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the product was listed")
+
+        monkeypatch.setattr(algebra_module, "_subpower", unreachable)
+        with pytest.raises(CapExceeded) as exc:
+            direct_product([B2] * 20)
+        assert exc.value.required == B2.size**20 == 5**20
+        assert str(exc.value) == f"product would have {5**20} elements, cap is 1000000"
 
     def test_quotient_by_diagonal(self):
         q, nat = quotient(K3, Congruence.diagonal(3))
@@ -784,7 +792,8 @@ class TestSubpowerKernel:
                     subset, pointwise_tables(coords, subset, sig)
                 )
             else:
-                with pytest.raises(LatcopError, match=f"not closed under '{bad}'"):
+                # a given universe is the caller's promise: a bug if not closed
+                with pytest.raises(InternalError, match=f"not closed under '{bad}'"):
                     _subpower(sig, coords, subset)
         # one coordinate: the induced subalgebra reads the parent's tables
         if len(coords) == 1 and subset:

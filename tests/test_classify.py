@@ -277,7 +277,7 @@ class TestSingleGeneratorAgainstScan:
         assert find_single_generator(gens).name == "c2xc3"
 
     def test_empty_and_trivial_inputs(self):
-        one = direct_product([], signature=K3.algebra.signature, name="triv")
+        one = direct_product([], signature=K3.algebra.signature)
         assert find_single_generator([]) is None
         assert find_single_generator([one]) is None
 
@@ -335,9 +335,8 @@ class TestFlowchart:
 
     @pytest.mark.parametrize("cids", [["kleene3"], ["mv_chain(2)", "mv_chain(3)"]])
     def test_enumerates_each_hom_set_once(self, monkeypatch, cids):
-        # the RSI tests, both membership checks, the separating witnesses,
-        # the carrier search and the alter ego read one enumeration per
-        # ordered pair of sorts
+        # the RSI tests, both membership checks, the carrier search and the
+        # alter ego read one enumeration per ordered pair of sorts
         entries = [make_id(c) for c in cids]
         pairs = self.count_hom_sets(monkeypatch)
         rep = flowchart_classify([e.algebra for e in entries], entries[0].spec)
@@ -376,7 +375,7 @@ class TestFlowchart:
         assert rep.preserves_coproducts is None
 
     def test_trivial_class(self):
-        one = direct_product([], signature=K3.algebra.signature, name="triv")
+        one = direct_product([], signature=K3.algebra.signature)
         rep = flowchart_classify([one], K3.spec)
         assert rep.verdict_E and rep.verdict_S
 

@@ -9,6 +9,7 @@ import pytest
 import latcop.algebra
 import latcop.catalog
 import latcop.cli
+import latcop.duality
 import latcop.piggyback
 from latcop.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_UNKNOWN, main
 from latcop.errors import InternalError
@@ -88,6 +89,37 @@ class TestCapParsing:
         assert self.exit_code("free", "-1", "kleene3") == EXIT_INPUT
         err = capsys.readouterr().err
         assert "non-negative integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("duality", "kleene3", "--cap", "5"),
+            ("reveng-check", "kleene3", "--cap", "5"),
+            ("table1", "--cap", "5"),
+            ("export-dot", "kleene3", "--cap", "5"),
+            ("reveng-check", "kleene3", "--json"),
+            ("export-dot", "kleene3", "--json"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, argv):
+        assert self.exit_code(*argv) == EXIT_INPUT
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [("duality", "kleene3"), ("reveng-check", "kleene3"), ("table1",), ("export-dot", "kleene3")]
+    )
+    def test_env_cap_unread_without_cap_flag(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("LATCOP_CAP", "abc")
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_OK, err
+
+    @pytest.mark.parametrize(
+        "argv", [("classify", "kleene3"), ("coproduct", "kleene3", "kleene3"), ("free", "1", "kleene3")]
+    )
+    def test_env_cap_checked_with_cap_flag(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("LATCOP_CAP", "abc")
+        assert self.exit_code(*argv) == EXIT_INPUT
+        assert "positive integer" in capsys.readouterr().err
 
 
 class TestDuality:
@@ -247,6 +279,13 @@ class TestInternalErrors:
         assert code == EXIT_INTERNAL
         assert err.startswith("internal error:") and "boom" in err
         assert "Traceback" not in err
+
+    def test_failed_self_check(self, monkeypatch, capsys):
+        # a reconstruction that is not isomorphic to the Priestley dual is a bug
+        monkeypatch.setattr(latcop.duality, "poset_isomorphic", lambda p, q: None)
+        code, out, err = run(capsys, "reveng-check", "kleene3")
+        assert code == EXIT_INTERNAL and out == ""
+        assert err.startswith("internal error:") and "Traceback" not in err
 
     def test_table1_mismatch(self, monkeypatch, capsys):
         suite = latcop.catalog.table1_suite()

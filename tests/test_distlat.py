@@ -258,7 +258,7 @@ class TestUpsetLattice:
         from latcop.algebra import isomorphic
 
         for key, lat in small_reducts():
-            back = upset_lattice(priestley_dual(lat), name="back")
+            back = upset_lattice(priestley_dual(lat))
             # compare as pure bounded lattices
             orig = lattice_algebra_from_leq(
                 lat.size, lat.leq, "orig"

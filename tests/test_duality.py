@@ -58,7 +58,7 @@ class TestNaturalDual:
         assert x.relations[0] == frozenset({(0, 0), (1, 1)})
 
     def test_trivial_algebra_has_no_points(self):
-        one = direct_product([], signature=DM.algebra.signature, name="one")
+        one = direct_product([], signature=DM.algebra.signature)
         x = natural_dual(one, ego_for("demorgan4"))
         assert len(x.points[0]) == 0
 
@@ -148,11 +148,11 @@ class TestEFunctor:
         from latcop.errors import CapExceeded
 
         family = [DM.algebra, DM.algebra]
-        res = coproduct([DM.algebra], DM.spec, None, family, check_universal=False, visit_cap=21)
+        res = coproduct([DM.algebra], DM.spec, None, family, visit_cap=21)
         morphisms = list(res.e_result.morphisms)
         assert len(morphisms) == 16 and morphisms == sorted(morphisms)
         with pytest.raises(CapExceeded) as exc:
-            coproduct([DM.algebra], DM.spec, None, family, check_universal=False, visit_cap=20)
+            coproduct([DM.algebra], DM.spec, None, family, visit_cap=20)
         assert exc.value.required == 21
 
     def test_e_of_dual_recovers_size(self):
@@ -162,7 +162,7 @@ class TestEFunctor:
             assert e_functor(x).algebra.size == entry.algebra.size
 
     def test_empty_structure_gives_one_element(self):
-        one = direct_product([], signature=DM.algebra.signature, name="one")
+        one = direct_product([], signature=DM.algebra.signature)
         x = natural_dual(one, ego_for("demorgan4"))
         res = e_functor(x)
         assert res.algebra.size == 1
@@ -346,7 +346,7 @@ class TestExtendsToHom:
 
         gens = [make_id(g) for g in generators]
         members = [algebra(b) for b in family]
-        res = coproduct([g.algebra for g in gens], gens[0].spec, None, members, check_universal=False)
+        res = coproduct([g.algebra for g in gens], gens[0].spec, None, members)
         for m in res.ego.sorts:
             families, rows = _prescribed(res, members, m, {})
             if not families:
