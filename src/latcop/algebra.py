@@ -14,7 +14,7 @@ import copy
 import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -316,8 +316,9 @@ class Congruence:
     blocks: tuple[int, ...]
 
     @staticmethod
-    def canonical(n: int, raw: Sequence[int]) -> "Congruence":
-        relabel: dict[int, int] = {}
+    def canonical(n: int, raw: Sequence[Hashable]) -> "Congruence":
+        """The partition of ``0..n-1`` putting x and y together iff raw[x] == raw[y]."""
+        relabel: dict[Hashable, int] = {}
         out = []
         for x in range(n):
             b = raw[x]
@@ -347,14 +348,7 @@ class Congruence:
 
     def meet(self, other: "Congruence") -> "Congruence":
         """Intersection as relations (the common refinement)."""
-        pairs = list(zip(self.blocks, other.blocks))
-        relabel: dict[tuple[int, int], int] = {}
-        raw = []
-        for p in pairs:
-            if p not in relabel:
-                relabel[p] = len(relabel)
-            raw.append(relabel[p])
-        return Congruence(tuple(raw))
+        return Congruence.canonical(self.size, list(zip(self.blocks, other.blocks)))
 
     def block_sets(self) -> tuple[frozenset[int], ...]:
         sets: list[set[int]] = [set() for _ in range(self.num_blocks)]
@@ -1007,40 +1001,28 @@ def direct_product(
     )
 
 
-def _compatible_blocks(algebra: FiniteAlgebra, theta: Congruence) -> tuple[tuple[int, ...], ...] | None:
-    """Block tables if theta is compatible, else None."""
-    nb = theta.num_blocks
-    reps = [-1] * nb
-    for x, bidx in enumerate(theta.blocks):
-        if reps[bidx] == -1:
-            reps[bidx] = x
-    tables = []
-    for sym, arity, tab in algebra.ops():
-        entries = {}
-        for args in itertools.product(range(algebra.size), repeat=arity):
-            key = tuple(theta.blocks[a] for a in args)
-            res = theta.blocks[tab[algebra.flat_index(args)]]
-            if key in entries and entries[key] != res:
-                return None
-            entries[key] = res
-        flat = []
-        for key in itertools.product(range(nb), repeat=arity):
-            flat.append(entries[key])
-        tables.append(tuple(flat))
-    return tuple(tables)
-
-
 def quotient(algebra: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, Homomorphism]:
-    """Quotient algebra on blocks plus the natural surjection."""
+    """Quotient algebra on blocks plus the natural surjection; the tables are
+    read at each block's first element, and theta is compatible exactly when
+    the block map is a homomorphism onto them."""
     if theta.size != algebra.size:
         raise IncompatiblePartition("partition size disagrees with universe")
-    tables = _compatible_blocks(algebra, theta)
-    if tables is None:
+    nb = theta.num_blocks
+    reps = [theta.blocks.index(b) for b in range(nb)]
+    tables = tuple(
+        tuple(
+            theta.blocks[tab[algebra.flat_index([reps[b] for b in key])]]
+            for key in itertools.product(range(nb), repeat=arity)
+        )
+        for _, arity, tab in algebra.ops()
+    )
+    q = FiniteAlgebra(f"{algebra.name}/~", nb, algebra.signature, tables)
+    rho = Homomorphism(algebra, q, theta.blocks)
+    if not rho.is_valid():
         raise IncompatiblePartition(
             f"partition {theta.blocks} is not compatible with {algebra.name!r}"
         )
-    q = FiniteAlgebra(f"{algebra.name}/~", theta.num_blocks, algebra.signature, tables)
-    return q, Homomorphism(algebra, q, theta.blocks)
+    return q, rho
 
 
 # ---------------------------------------------------------------------------
@@ -1055,7 +1037,7 @@ def _kernel_meets(
     diagonal."""
     theta = Congruence.all(algebra.size)
     for h in homs:
-        theta = theta.meet(h.kernel())
+        theta = Congruence.canonical(algebra.size, list(zip(theta.blocks, h.map)))
         yield h, theta
         if theta.num_blocks == algebra.size:
             return

@@ -455,7 +455,7 @@ def make(constructor: str, *params: int) -> CatalogEntry:
     return entry
 
 
-_ID_RE = re.compile(r"^([a-zA-Z0-9_]+)(?:[(:]\s*(\d+)\s*\)?)?$")
+_ID_RE = re.compile(r"^([a-zA-Z0-9_]+)(?:\(\s*(\d+)\s*\)|:\s*(\d+))?$")
 
 
 def make_id(identifier: str) -> CatalogEntry:
@@ -463,7 +463,7 @@ def make_id(identifier: str) -> CatalogEntry:
     m = _ID_RE.match(identifier.strip())
     if not m:
         raise LatcopError(f"cannot parse catalog id {identifier!r}")
-    name, param = m.group(1), m.group(2)
+    name, param = m.group(1), m.group(2) or m.group(3)
     if param is None:
         return make(name)
     try:

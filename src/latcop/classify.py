@@ -266,21 +266,17 @@ def flowchart_classify(
     try:
         report.simplified = simplified = simplify_generators(generators, size_cap, homs=homs)
         m0 = _single_generator(simplified)
-    except CapExceeded as exc:
-        report.unknown = str(exc)
-        return report
-    if not simplified:
-        # only trivial algebras: coproducts are trivially preserved
-        report.route.append(("all generators trivial?", "yes"))
-        report.verdict_E = True
-        report.verdict_S = True
-        return report
-    report.single_generator = m0
-    report.route.append(
-        ("is the class generated by a single algebra?", "yes" if m0 else "no")
-    )
-    gens = [m0] if m0 is not None else simplified
-    try:
+        if not simplified:
+            # only trivial algebras: coproducts are trivially preserved
+            report.route.append(("all generators trivial?", "yes"))
+            report.verdict_E = True
+            report.verdict_S = True
+            return report
+        report.single_generator = m0
+        report.route.append(
+            ("is the class generated by a single algebra?", "yes" if m0 else "no")
+        )
+        gens = [m0] if m0 is not None else simplified
         ego = build_alter_ego(gens, spec, homs=homs)
     except CapExceeded as exc:
         report.unknown = str(exc)

@@ -230,8 +230,8 @@ def _cmd_coproduct(args) -> int:
 
 def _cmd_free(args) -> int:
     inputs = _load_many(args.source)
-    cap = args.cap if args.cap else 10**6
-    f = free_algebra(inputs.algebras, args.n, cap=cap)
+    kwargs = {"cap": args.cap} if args.cap else {}
+    f = free_algebra(inputs.algebras, args.n, **kwargs)
     if args.json:
         doc = {
             "schema": 1,
@@ -307,6 +307,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
+    if not args.reveng and (len(args.source) > 1 or args.omega != "auto"):
+        raise LatcopError("more than one source and --omega are read only with --reveng")
     inputs = _load_many(args.source)
     if args.reveng:
         omega = _resolve_omega(args.omega, inputs)

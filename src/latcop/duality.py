@@ -25,7 +25,6 @@ from .algebra import (
     _subpower,
     hom_enumerate,
     hom_set,
-    in_isp,
     quotient,
 )
 from .distlat import (
@@ -299,7 +298,8 @@ def coproduct(
 ) -> CoproductResult:
     """The coproduct of ``family`` in ISP(generators), as E(prod D(B)).
 
-    The injection of B sends b to the morphism mapping a product point
+    Each B's membership is checked once, by :func:`natural_dual`.  The
+    injection of B sends b to the morphism mapping a product point
     (x_A)_A of sort M to x_B(b).  Injections are checked to be
     homomorphisms; the universal property is checked against all
     homomorphism families into the generators.
@@ -308,9 +308,6 @@ def coproduct(
     homs: dict = {}
     ego = build_alter_ego(gens, spec, omega, homs=homs)
     members = list(family)
-    for b in members:
-        if not in_isp(b, gens, homs=homs):
-            raise MembershipError(f"{b.name!r} is not in ISP of the generators")
     duals = [natural_dual(b, ego, homs=homs) for b in members]
     prod_structure = structure_product(duals, points_cap, ego=ego)
     e_res = e_functor(prod_structure, visit_cap)
@@ -455,22 +452,14 @@ def reveng_priestley(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None
             for z in range(n):
                 if space.preceq(y, z) and not space.preceq(x, z):
                     raise InternalError("reconstruction preorder is not transitive")
-    # quotient by the symmetrization
-    cls = [-1] * n
-    reps: list[int] = []
-    for x in range(n):
-        if cls[x] != -1:
-            continue
-        cls[x] = len(reps)
-        for y in range(x + 1, n):
-            if space.preceq(x, y) and space.preceq(y, x):
-                cls[y] = cls[x]
-        reps.append(x)
+    # quotient by the symmetrization: in a preorder, x ~ y iff their rows agree
+    sym = Congruence.canonical(n, rows)
+    cls = sym.blocks
     pairs = {
         (cls[x], cls[y]) for x in range(n) for y in range(n) if space.preceq(x, y)
     }
-    labels = tuple(f"c{k}" for k in range(len(reps)))
-    quotient_poset = poset_from_pairs(len(reps), pairs, labels)
+    labels = tuple(f"c{k}" for k in range(sym.num_blocks))
+    quotient_poset = poset_from_pairs(sym.num_blocks, pairs, labels)
     priestley = priestley_dual(d_reduct(algebra, ego.spec))
     iso = poset_isomorphic(quotient_poset, priestley)
     if iso is None:

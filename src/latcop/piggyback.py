@@ -290,8 +290,8 @@ def _relation_search(product: FiniteAlgebra) -> _Search:
         nodes = 0
         # branch i deletes up[e] for the i-th input e and keeps the inputs
         # before it, so the branches are disjoint and no set is visited
-        # twice; ``need``, the union of sg(base + e) over the kept e, must
-        # stay inside s, and it meets up[e] exactly when it holds e
+        # twice; ``need``, the union of sg(base + e) over the kept e, meets
+        # up[e] exactly when it holds e, so it stays inside s
         root = s
         stack = [(s, base, square, bad)]
         while stack:
@@ -320,8 +320,6 @@ def _relation_search(product: FiniteAlgebra) -> _Search:
                     [b | p for b, p in zip(bad, pres)],
                 ))
                 need |= principal[e]
-                if need & ~s:
-                    break  # every later sibling keeps e, whose closure escapes s
         # a result is dominated iff some kept top holds all its elements:
         # holders[x] is the bitmask of the tops holding x
         results.sort(key=int.bit_count, reverse=True)
@@ -353,13 +351,12 @@ def maximal_subuniverses_in(
     subuniverse fits: at each node take the least violating operation
     instance and branch on deleting each of its inputs not yet kept, branch
     i keeping the inputs before it.  Deleting e deletes every x whose
-    principal subuniverse holds e, as a subuniverse avoiding e avoids x.  A
-    branch is pruned once the principal subuniverses of its kept elements
-    escape it, as no subuniverse lies below it then.  Non-maximal results
-    are filtered at the end through a per-element index of the maximal ones
-    found so far, largest first.  Raises
-    CapExceeded past ``RELATION_NODE_BUDGET`` nodes.  The empty list means
-    no subuniverse fits (e.g. a nullary value escapes the allowed set).
+    principal subuniverse holds e, as a subuniverse avoiding e avoids x, so
+    the principal subuniverses of the kept elements never leave a branch.
+    Non-maximal results are filtered at the end through a per-element index
+    of the maximal ones found so far, largest first.  Raises CapExceeded
+    past ``RELATION_NODE_BUDGET`` nodes.  The empty list means no
+    subuniverse fits (e.g. a nullary value escapes the allowed set).
     """
     allowed_set = set(allowed)
     if not all(0 <= x < product.size for x in allowed_set):

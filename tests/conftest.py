@@ -2,9 +2,10 @@
 
 The oracles deliberately avoid the code paths they check: homomorphisms by
 filtering all maps, maximal subuniverses and up-sets by subset enumeration,
-least congruences by scanning all partitions, order-isomorphisms by
-scanning all permutations, relative congruences by closing the kernels
-under meets, single generators by scanning every subalgebra, simplified
+least congruences by scanning all partitions, quotient tables by reading
+every operation instance, order-isomorphisms by scanning all permutations,
+relative congruences by closing the kernels under meets, single
+generators by scanning every subalgebra, simplified
 generating sets by testing every subalgebra up to isomorphism, the
 coproduct's universal property by closing a subalgebra of C x m^K,
 relation orbits by applying every pair of automorphisms, and the
@@ -402,6 +403,29 @@ def congruence_generated(algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]
                 elif union(prev, res):
                     changed = True
     return Congruence.canonical(n, [find(x) for x in range(n)])
+
+
+def compatible_blocks(algebra: FiniteAlgebra, theta: Congruence) -> tuple[tuple[int, ...], ...] | None:
+    """Block tables if theta is compatible, else None."""
+    nb = theta.num_blocks
+    reps = [-1] * nb
+    for x, bidx in enumerate(theta.blocks):
+        if reps[bidx] == -1:
+            reps[bidx] = x
+    tables = []
+    for sym, arity, tab in algebra.ops():
+        entries = {}
+        for args in itertools.product(range(algebra.size), repeat=arity):
+            key = tuple(theta.blocks[a] for a in args)
+            res = theta.blocks[tab[algebra.flat_index(args)]]
+            if key in entries and entries[key] != res:
+                return None
+            entries[key] = res
+        flat = []
+        for key in itertools.product(range(nb), repeat=arity):
+            flat.append(entries[key])
+        tables.append(tuple(flat))
+    return tuple(tables)
 
 
 def all_partitions(n: int):

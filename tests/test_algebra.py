@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     all_partitions,
     brute_force_homs,
+    compatible_blocks,
     congruence_generated,
     least_injective_hom,
     median_chain,
@@ -142,6 +143,18 @@ def algebra_term_arity(draw):
         max_leaves=12,
     )
     return FiniteAlgebra("rand", n, _TERM_SIG, tables), draw(terms), arity
+
+
+@st.composite
+def term_signature_algebras(draw):
+    """A random algebra of 1-4 elements over a nonempty subset of the
+    nullary to ternary symbols of ``_TERM_SIG``."""
+    sig = Signature(tuple(draw(st.lists(st.sampled_from(_TERM_SIG.symbols), min_size=1, unique=True))))
+    n = draw(st.integers(1, 4))
+    return FiniteAlgebra("rand", n, sig, tuple(
+        tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
+        for _, k in sig.symbols
+    ))
 
 
 class TestTermTable:
@@ -389,6 +402,30 @@ class TestProductQuotient:
         glue_a_top = Congruence.canonical(3, [0, 1, 1])
         with pytest.raises(IncompatiblePartition):
             quotient(K3, glue_a_top)
+
+    @settings(max_examples=200, deadline=None)
+    @given(term_signature_algebras())
+    def test_matches_block_oracle_on_every_partition(self, alg):
+        # quotient checks its natural map; the oracle reads every operation instance
+        for raw in all_partitions(alg.size):
+            theta = Congruence(raw)
+            tables = compatible_blocks(alg, theta)
+            if tables is None:
+                with pytest.raises(IncompatiblePartition, match="is not compatible with 'rand'"):
+                    quotient(alg, theta)
+            else:
+                q, nat = quotient(alg, theta)
+                assert q.tables == tables and nat.map == raw
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_meet_is_the_intersection(self, n):
+        parts = [Congruence(raw) for raw in all_partitions(n)]
+        canonical = {p.blocks for p in parts}
+        for a, b in itertools.product(parts, repeat=2):
+            m = a.meet(b)
+            assert m.blocks in canonical
+            for x, y in itertools.product(range(n), repeat=2):
+                assert m.together(x, y) == (a.together(x, y) and b.together(x, y))
 
 
 class TestCongruenceGenerated:

@@ -67,6 +67,10 @@ class TestConstructors:
         assert make_id("kleene3").key == "kleene3"
         assert make_id("mv_chain(3)").key == "mv_chain(3)"
         assert make_id("mv_chain:3").key == "mv_chain(3)"
+        assert make_id(" mv_chain( 3 ) ").key == make_id("mv_chain: 3").key == "mv_chain(3)"
+        for bad in ("mv_chain(3", "mv_chain:3)", "mv_chain:(3)", "mv_chain()", "mv_chain:", "mv_chain 3"):
+            with pytest.raises(LatcopError, match="cannot parse catalog id"):
+                make_id(bad)
 
     @pytest.mark.parametrize("constructor", sorted(k for k, (_, p) in _CONSTRUCTORS.items() if p))
     @pytest.mark.parametrize("n", [2, 3, 5])

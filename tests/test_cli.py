@@ -67,6 +67,12 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "not_a_thing")
         assert code == EXIT_INPUT and "error" in err
 
+    @pytest.mark.parametrize("source", ["mv_chain(3", "mv_chain:3)"])
+    def test_unbalanced_parenthesis_exits_2(self, capsys, source):
+        code, out, err = run(capsys, "classify", source)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: cannot parse catalog id {source!r}\n"
+
 
 class TestCapParsing:
     def exit_code(self, *argv):
@@ -228,6 +234,14 @@ class TestRevengAndDot:
     def test_dot_reveng_variant(self, capsys):
         code, out, _ = run(capsys, "export-dot", "kleene3", "--reveng")
         assert code == EXIT_OK and "->" in out
+
+    @pytest.mark.parametrize(
+        "argv", [("export-dot", "kleene3", "--omega", "zzz"), ("export-dot", "demorgan4", "kleene3")]
+    )
+    def test_dot_inputs_read_only_with_reveng_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: ") and "--reveng" in err
 
     @pytest.mark.parametrize(
         "argv",

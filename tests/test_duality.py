@@ -202,6 +202,11 @@ class TestCoproduct:
         res = coproduct([K3.algebra], K3.spec, None, [])
         assert res.algebra.size == 2  # the free algebra on no generators
 
+    def test_operand_outside_the_quasivariety(self):
+        # checked once per operand, by its natural dual
+        with pytest.raises(MembershipError):
+            coproduct([K3.algebra], K3.spec, None, [DM.algebra])
+
     def test_kleene_selfcoproduct_collapses(self):
         res = coproduct([K3.algebra], K3.spec, None, [K3.algebra, K3.algebra])
         assert isomorphic(res.algebra, K3.algebra) is not None
