@@ -127,9 +127,8 @@ class FiniteAlgebra:
     element tuples are rows interned by their byte keys, operations are
     evaluated coordinatewise on blocks of argument tuples, and each
     argument tuple is evaluated once, by the closure loop.  An induced
-    subalgebra reads its parent's tables.  ``factors`` is set by
-    :func:`direct_product` and enables :meth:`encode`/:meth:`decode`, the
-    package's one mixed-radix tuple codec; ``generators`` is set by
+    subalgebra reads its parent's tables.  A product's elements are
+    numbered as :func:`direct_product` states; ``generators`` is set by
     :func:`free_algebra`.
     """
 
@@ -138,7 +137,6 @@ class FiniteAlgebra:
     signature: Signature
     tables: tuple[tuple[int, ...], ...]
     element_names: tuple[str, ...] | None = None
-    factors: tuple["FiniteAlgebra", ...] | None = None
     generators: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -213,30 +211,6 @@ class FiniteAlgebra:
         object.__setattr__(out, "name", name)
         return out
 
-    # -- tuple codec for products ------------------------------------------
-
-    def encode(self, parts: Sequence[int]) -> int:
-        """Mixed-radix encode a factor tuple; leftmost factor most significant."""
-        if self.factors is None:
-            raise LatcopError(f"algebra {self.name!r} has no product structure")
-        if len(parts) != len(self.factors):
-            raise LatcopError("wrong tuple length for product codec")
-        x = 0
-        for part, fac in zip(parts, self.factors):
-            if not 0 <= part < fac.size:
-                raise LatcopError("tuple entry outside factor universe")
-            x = x * fac.size + part
-        return x
-
-    def decode(self, x: int) -> tuple[int, ...]:
-        if self.factors is None:
-            raise LatcopError(f"algebra {self.name!r} has no product structure")
-        parts = []
-        for fac in reversed(self.factors):
-            parts.append(x % fac.size)
-            x //= fac.size
-        return tuple(reversed(parts))
-
     def __repr__(self) -> str:  # keep reprs short; tables can be huge
         return f"FiniteAlgebra({self.name!r}, size={self.size})"
 
@@ -262,10 +236,11 @@ class Homomorphism:
         return self.map[x]
 
     def is_valid(self) -> bool:
-        """Exhaustively check that the map commutes with every operation."""
+        """Exhaustively check that the map lands in the target and commutes
+        with every operation."""
         if self.source.signature != self.target.signature:
             return False
-        if len(self.map) != self.source.size:
+        if len(self.map) != self.source.size or not all(0 <= v < self.target.size for v in self.map):
             return False
         for (sym, arity, ta), (_, _, tb) in zip(self.source.ops(), self.target.ops()):
             for args in itertools.product(range(self.source.size), repeat=arity):
@@ -970,7 +945,10 @@ def direct_product(
     algebras: Sequence[FiniteAlgebra],
     signature: Signature | None = None,
 ) -> FiniteAlgebra:
-    """Componentwise product with a mixed-radix tuple codec.
+    """Componentwise product.  Its elements are the factor tuples numbered
+    row-major, leftmost factor most significant (the rule
+    :meth:`FiniteAlgebra.flat_index` uses for table positions): (a, b) of
+    A x B is a * B.size + b, read back with ``divmod``.
 
     The empty product is the one-element algebra; its signature must then be
     supplied explicitly.  CapExceeded is raised, before any tuple is listed,
@@ -991,22 +969,17 @@ def direct_product(
     _, tables = _subpower(
         signature, algebras, list(itertools.product(*(range(a.size) for a in algebras)))
     )
-    return FiniteAlgebra(
-        "x".join(a.name for a in algebras) or "1",
-        size,
-        signature,
-        tables,
-        None,
-        tuple(algebras),
-    )
+    return FiniteAlgebra("x".join(a.name for a in algebras) or "1", size, signature, tables)
 
 
 def quotient(algebra: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, Homomorphism]:
     """Quotient algebra on blocks plus the natural surjection; the tables are
     read at each block's first element, and theta is compatible exactly when
-    the block map is a homomorphism onto them."""
+    the block map is a homomorphism onto them.  Any block labels are read,
+    renumbered by first occurrence."""
     if theta.size != algebra.size:
         raise IncompatiblePartition("partition size disagrees with universe")
+    theta = Congruence.canonical(algebra.size, theta.blocks)
     nb = theta.num_blocks
     reps = [theta.blocks.index(b) for b in range(nb)]
     tables = tuple(
@@ -1223,11 +1196,5 @@ def free_algebra(
         raise LatcopError("free algebra on 0 generators needs nullary operations")
     name = f"Free({'+'.join(m.name for m in generators)},{n})"
     return FiniteAlgebra(
-        name,
-        len(elems),
-        sig,
-        tables,
-        None,
-        None,
-        tuple(elems.index(t) for t in gen_tuples),
+        name, len(elems), sig, tables, generators=tuple(elems.index(t) for t in gen_tuples)
     )

@@ -92,7 +92,7 @@ class _Block:
     carriers: list[tuple[list[str], int]] = field(default_factory=list)
 
     def resolve_value(self, token: str, line: int) -> int:
-        if token.lstrip("-").isdigit():
+        if token.lstrip("-").isdecimal():
             v = int(token)
         elif self.elements is not None and token in self.elements:
             v = self.elements.index(token)
@@ -188,7 +188,7 @@ def parse_algebra_file(text: str) -> AlgebraFile:
                 raise ParseError("element labels must be distinct", lineno)
             block.elements = labels
         elif key == "op":
-            if len(words) != 3 or not words[2].isdigit():
+            if len(words) != 3 or not words[2].isdecimal():
                 raise ParseError("expected 'op SYM ARITY'", lineno)
             sym = words[1]
             if any(s == sym for s, _, _ in block.ops):

@@ -105,7 +105,7 @@ def _resolve_omega(arg: str | None, inputs: _Inputs):
             # labels take precedence over raw indices (labels may be digits)
             if sort.element_names and tok in sort.element_names:
                 elements.add(sort.element_names.index(tok))
-            elif tok.isdigit():
+            elif tok.isdecimal():
                 elements.add(int(tok))
             else:
                 raise LatcopError(f"--omega value {tok!r} is not an element of {sort.name!r}")

@@ -163,9 +163,6 @@ class EResult:
     morphisms: tuple[tuple[int, ...], ...]  # value per global point
     point_order: tuple[tuple[int, int], ...]
 
-    def index_of(self, vector: tuple[int, ...]) -> int:
-        return self.morphisms.index(vector)
-
 
 def e_functor(
     structure: MultisortedStructure,
@@ -275,6 +272,22 @@ def e_functor(
     return EResult(algebra, tuple(solutions), tuple(order))
 
 
+def _evaluation(
+    e_res: EResult, source: FiniteAlgebra, target: FiniteAlgebra, points: Sequence[Homomorphism]
+) -> Homomorphism:
+    """The map source -> target sending a to the element of E(X) that is
+    the morphism x |-> points[k](a) on the k-th point of ``e_res.point_order``;
+    ``target`` is E(X)'s algebra under the caller's name."""
+    index = {vec: k for k, vec in enumerate(e_res.morphisms)}
+    images = []
+    for a in range(source.size):
+        vec = tuple(x.map[a] for x in points)
+        if vec not in index:
+            raise InternalError("evaluation image is not a morphism")
+        images.append(index[vec])
+    return Homomorphism(source, target, tuple(images))
+
+
 # ---------------------------------------------------------------------------
 # coproducts
 
@@ -315,15 +328,8 @@ def coproduct(
     algebra = e_res.algebra.rename(f"Coprod({names})")
     injections = []
     for bi, b in enumerate(members):
-        vec = [prod_structure.points[s][i][bi] for s, i in e_res.point_order]
-        imap = []
-        for x in range(b.size):
-            target_vec = tuple(h.map[x] for h in vec)
-            try:
-                imap.append(e_res.index_of(target_vec))
-            except ValueError:
-                raise InternalError("coproduct injection is not a morphism") from None
-        eps = Homomorphism(b, algebra, tuple(imap))
+        points = [prod_structure.points[s][i][bi] for s, i in e_res.point_order]
+        eps = _evaluation(e_res, b, algebra, points)
         if not eps.is_valid():
             raise InternalError("coproduct injection not a homomorphism")
         injections.append(eps)
@@ -482,19 +488,9 @@ def evaluation_check(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None
     isomorphism; ``homs`` is passed on to :func:`natural_dual`."""
     dual = natural_dual(algebra, ego, homs=homs)
     e_res = e_functor(dual)
-    images = []
-    for a in range(algebra.size):
-        vec = tuple(dual.points[s][i].map[a] for (s, i) in e_res.point_order)
-        try:
-            images.append(e_res.index_of(vec))
-        except ValueError:
-            raise InternalError("evaluation image is not a morphism") from None
-    ev = Homomorphism(algebra, e_res.algebra, tuple(images))
-    iso = (
-        ev.is_valid()
-        and len(set(images)) == algebra.size
-        and e_res.algebra.size == algebra.size
-    )
+    points = [dual.points[s][i] for s, i in e_res.point_order]
+    ev = _evaluation(e_res, algebra, e_res.algebra, points)
+    iso = ev.is_valid() and ev.is_injective and e_res.algebra.size == algebra.size
     return EvaluationCheck(e_res, ev, iso)
 
 

@@ -157,8 +157,9 @@ def minimal_omega_certified(
 def leq_mask(w1: PrimeFilter, w2: PrimeFilter) -> int:
     """The sublattice (w1, w2)^-1(<=) of the pairs (a, b) with
     w1(a) <= w2(b), as a bitmask over the square of the two sorts, bit
-    a*n2 + b for the pair (a, b) as ``encode`` numbers it: the full mask
-    less, for each a in w1's filter, the row of b outside w2's filter."""
+    a*n2 + b for the pair (a, b) as :func:`~latcop.algebra.direct_product`
+    numbers it: the full mask less, for each a in w1's filter, the row of
+    b outside w2's filter."""
     n2 = w2.sort.size
     hole = ((1 << n2) - 1) & ~_mask(w2.elements)
     cut = 0
@@ -248,10 +249,7 @@ def _relation_search(product: FiniteAlgebra) -> _Search:
             else:
                 els = _bits(s)
                 for args in itertools.product(els, repeat=arity):
-                    idx = 0
-                    for a in args:
-                        idx = idx * n + a
-                    if not s >> ref[idx] & 1:
+                    if not s >> ref[product.flat_index(args)] & 1:
                         return list(args)
         return None
 
@@ -446,17 +444,15 @@ def build_alter_ego(
                 witness=sep.witness,
             )
     # one square and one search set-up per pair of sorts
-    searches: dict[tuple[int, int], tuple[FiniteAlgebra, _Search]] = {}
+    searches: dict[tuple[int, int], _Search] = {}
     relations: list[SortedRelation] = []
     for i, w1 in enumerate(omega):
         for j, w2 in enumerate(omega):
             sorts = (gens.index(w1.sort), gens.index(w2.sort))
             if sorts not in searches:
-                square = direct_product([w1.sort, w2.sort])
-                searches[sorts] = (square, _relation_search(square))
-            square, maximal = searches[sorts]
-            for s in maximal(leq_mask(w1, w2)):
-                pairs = tuple(square.decode(x) for x in sorted(s))
+                searches[sorts] = _relation_search(direct_product([w1.sort, w2.sort]))
+            for s in searches[sorts](leq_mask(w1, w2)):
+                pairs = tuple(divmod(x, w2.sort.size) for x in sorted(s))
                 relations.append(SortedRelation(*sorts, i, j, pairs))
     return AlterEgo(gens, spec, omega, tuple(relations), operations, minimality)
 

@@ -8,8 +8,9 @@ relative congruences by closing the kernels under meets, single
 generators by scanning every subalgebra, simplified
 generating sets by testing every subalgebra up to isomorphism, the
 coproduct's universal property by closing a subalgebra of C x m^K,
-relation orbits by applying every pair of automorphisms, and the
-sublattice (w1, w2)^-1(<=) by listing its pairs.
+relation orbits by applying every pair of automorphisms, the
+sublattice (w1, w2)^-1(<=) by listing its pairs, and the numbering of
+product elements by numpy's multi-index rule.
 """
 
 from __future__ import annotations
@@ -601,3 +602,15 @@ def leq_sublattice(w1: PrimeFilter, w2: PrimeFilter) -> frozenset[tuple[int, int
         for b in range(w2.sort.size)
         if not (a in w1.elements and b not in w2.elements)
     )
+
+
+def encode(factors: Iterable[FiniteAlgebra], parts: Iterable[int]) -> int:
+    """The element of ``direct_product(factors)`` that is the tuple
+    ``parts``: row-major, leftmost factor most significant, spelled out by
+    numpy's own multi-index rule."""
+    return int(np.ravel_multi_index(tuple(parts), [f.size for f in factors]))
+
+
+def decode(factors: Iterable[FiniteAlgebra], x: int) -> tuple[int, ...]:
+    """The factor tuple of element ``x`` of ``direct_product(factors)``."""
+    return tuple(int(i) for i in np.unravel_index(x, [f.size for f in factors]))

@@ -14,6 +14,7 @@ from conftest import (
     brute_force_homs,
     brute_force_maximal_subuniverses,
     ego_for,
+    encode,
     leq_sublattice,
     relation_orbit_count,
     report_for,
@@ -244,11 +245,12 @@ def test_criterion_13_oracle_equivalence():
     squares = 0
     for key, params in small:
         entry = make(key, *params)
-        square = direct_product([entry.algebra, entry.algebra])
+        factors = [entry.algebra, entry.algebra]
+        square = direct_product(factors)
         assert square.size <= 12
         for w1 in carriers_of(entry.algebra, entry.spec):
             for w2 in carriers_of(entry.algebra, entry.spec):
-                allowed = {square.encode(p) for p in leq_sublattice(w1, w2)}
+                allowed = {encode(factors, p) for p in leq_sublattice(w1, w2)}
                 assert maximal_subuniverses_in(square, allowed) == \
                     brute_force_maximal_subuniverses(square, allowed)
                 squares += 1

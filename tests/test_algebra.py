@@ -13,6 +13,8 @@ from conftest import (
     brute_force_homs,
     compatible_blocks,
     congruence_generated,
+    decode,
+    encode,
     least_injective_hom,
     median_chain,
     pointwise_closure,
@@ -374,9 +376,12 @@ class TestProductQuotient:
         assert one.size == 1
 
     def test_componentwise_negation(self):
+        # (a, b) of DM4 x K3 is numbered a * 3 + b, leftmost factor most significant
         p = direct_product([DM4, K3])
-        x = p.encode((1, 2))
-        assert p.decode(p.op("neg", [x])) == (1, 0)
+        x = encode([DM4, K3], (1, 2))
+        assert x == 5
+        assert decode([DM4, K3], p.op("neg", [x])) == (1, 0)
+        assert p.op("neg", [x]) == 3
 
     def test_cap(self, monkeypatch):
         # 5**20 elements is over DEFAULT_PRODUCT_CAP: raised before any tuple is listed
@@ -402,6 +407,13 @@ class TestProductQuotient:
         glue_a_top = Congruence.canonical(3, [0, 1, 1])
         with pytest.raises(IncompatiblePartition):
             quotient(K3, glue_a_top)
+
+    def test_block_labels_need_not_be_canonical(self):
+        # (1, 1, 1) is the all-relation; (0, 2, 2) glues a and 1 as (0, 1, 1) does
+        q, nat = quotient(K3, Congruence((1, 1, 1)))
+        assert q.size == 1 and nat.map == (0, 0, 0)
+        with pytest.raises(IncompatiblePartition):
+            quotient(K3, Congruence((0, 2, 2)))
 
     @settings(max_examples=200, deadline=None)
     @given(term_signature_algebras())
@@ -637,6 +649,13 @@ class TestFreeAlgebra:
 
 
 class TestHomomorphismBasics:
+    @pytest.mark.parametrize("image", [(0, -1), (0, 2)])
+    def test_image_outside_target_is_invalid(self, image):
+        # a negative index would wrap and an index past the end would raise
+        two = FiniteAlgebra("two", 2, Signature((("f", 1),)), ((0, 0),))
+        assert not Homomorphism(two, two, image).is_valid()
+        assert Homomorphism(two, two, (0, 0)).is_valid()
+
     def test_kernel_and_compose(self):
         h = hom_enumerate(DM4, DM4)[1]  # the automorphism swapping a and b
         assert h.kernel() == Congruence.diagonal(4)

@@ -3,7 +3,10 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from latcop import cli
 from latcop.algebra import isomorphic
 from latcop.algfile import export_entry, parse_algebra_file, parse_term_text
 from latcop.catalog import make
@@ -92,6 +95,71 @@ class TestParse:
         text = TWO_LATTICE.replace("carrier {1}", "carrier {1, 0}")
         parsed = parse_algebra_file(text)
         assert parsed.algebras[0].carriers == (frozenset({0, 1}),)
+
+
+REDUCT = "reduct meet=(meet x0 x1) join=(join x0 x1) bot=(zero) top=(one)"
+
+
+# (old line, new text, message fragment, line of the error); an empty old
+# line appends the new text as line 14
+PARSE_ERRORS = [
+    (REDUCT, REDUCT.replace("(meet x0 x1)", "(frob x0 x1)"), "undefined symbol 'frob'", 12),
+    (REDUCT, REDUCT.replace("bot=(zero)", "bot=meet"), "'meet' needs parentheses", 12),
+    (REDUCT, "reduct (meet x0 x1)", "needs meet=/join=/bot=/top= fields", 12),
+    (REDUCT, "reduct meet=(meet x0 x1) join=(join x0 x1)", "missing ['bot', 'top']", 12),
+    ("", "op meet 2", "duplicate op 'meet'", 14),
+    ("", "table one = 1", "duplicate table for 'one'", 14),
+    ("", REDUCT, "duplicate reduct line", 14),
+    ("algebra two size 2", "algebra two size two", "expected 'algebra NAME size N'", 2),
+    ("algebra two size 2", "algebra two size 0", "size must be positive", 2),
+    ("elements 0 1", "elements 0 1 2", "3 labels for universe of size 2", 3),
+    ("elements 0 1", "elements 1 1", "labels must be distinct", 3),
+    ("op meet 2", "op meet ²", "expected 'op SYM ARITY'", 4),
+    ("table one = 1", "table one = ²", "neither an index nor a declared label", 11),
+    ("carrier {1}", "carrier 1", "expected 'carrier {LABELS...}'", 13),
+    ("carrier {1}", "carrier { }", "empty carrier set", 13),
+]
+
+
+@pytest.mark.parametrize("old,new,message,line", PARSE_ERRORS, ids=[m for _, _, m, _ in PARSE_ERRORS])
+def test_parse_error_names_its_line(old, new, message, line):
+    text = TWO_LATTICE + new + "\n" if not old else TWO_LATTICE.replace(old, new)
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_file(text)
+    assert message in str(exc.value)
+    assert exc.value.line == line
+
+
+# single-character edits drawn from the format's own alphabet, plus a
+# superscript digit, which str.isdigit accepts and int rejects
+_EDIT_CHARS = st.sampled_from(list("0123456789abxyz ={}()#-\n") + ["²"])
+
+
+@st.composite
+def mutated_demorgan4(draw) -> str:
+    text = (DATA / "demorgan4.alg").read_text()
+    for _ in range(draw(st.integers(1, 4))):
+        lines = text.splitlines(keepends=True)
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "drop line", "repeat line"]))
+        if kind in ("drop line", "repeat line"):
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i:i + 1] = [] if kind == "drop line" else [lines[i]] * 2
+            text = "".join(lines)
+            continue
+        at = draw(st.integers(0, max(len(text) - 1, 0)))
+        char = draw(_EDIT_CHARS)
+        end = at + (kind != "insert")
+        text = text[:at] + ("" if kind == "delete" else char) + text[end:]
+    return text
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_demorgan4())
+def test_mutated_file_exits_cleanly(tmp_path, text):
+    # answered, unknown or bad input: never a traceback, never exit 3
+    path = tmp_path / "mutant.alg"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["classify", str(path)]) in (cli.EXIT_OK, cli.EXIT_UNKNOWN, cli.EXIT_INPUT)
 
 
 class TestTerms:

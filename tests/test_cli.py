@@ -155,6 +155,26 @@ class TestDuality:
         assert code == EXIT_OK and "(minimal size " in out
         assert pairs == list(itertools.product(ids, ids))
 
+    def test_omega_sort_prefixed_chunks(self, capsys):
+        # a 3 x 4 square: a pair read back with the wrong radix would show
+        code, out, _ = run(capsys, "duality", "kleene3", "demorgan4", "--omega", "kleene3:1;demorgan4:a,1")
+        assert code == EXIT_OK
+        assert "carriers: {1}, {a,1}" in out.splitlines()
+        assert "  R[{1},{a,1}] {(0,0),(0,a),(a,0),(a,a),(a,b),(a,1),(1,a),(1,1)}" in out.splitlines()
+
+    def test_omega_numeric_indices(self, capsys):
+        # demorgan4's labels are 0 a b 1: "2" is no label, so it is index 2 (b),
+        # and "3" is index 3 (1)
+        by_label = run(capsys, "duality", "demorgan4", "--omega", "b,1")
+        assert run(capsys, "duality", "demorgan4", "--omega", "2,3") == by_label
+
+    @pytest.mark.parametrize(
+        "omega,message", [("zzz:1", "unknown sort 'zzz'"), (";", "gave no carriers"), ("²", "not an element")]
+    )
+    def test_omega_bad_list_exits_2(self, capsys, omega, message):
+        code, _, err = run(capsys, "duality", "kleene3", "demorgan4", "--omega", omega)
+        assert code == EXIT_INPUT and message in err
+
     def test_omega_must_separate(self, capsys):
         code, _, err = run(capsys, "duality", "kleene3", "--omega", "a,1")
         assert code == EXIT_INPUT and "separation" in err

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from conftest import (
     bounds_preserved,
     brute_force_maximal_subuniverses,
+    decode,
+    encode,
     leq_sublattice,
     median_chain,
     minimal_omega_by_sep,
@@ -185,17 +187,19 @@ class TestLeqSublattice:
 class TestMaximalSubuniverses:
     def test_demorgan_nine_pair_relation(self):
         w = carrier_from_filter(DM.algebra, DM.spec, {1, 3})
-        square = direct_product([DM.algebra, DM.algebra])
-        allowed = {square.encode(p) for p in leq_sublattice(w, w)}
+        factors = [DM.algebra, DM.algebra]
+        square = direct_product(factors)
+        allowed = {encode(factors, p) for p in leq_sublattice(w, w)}
         rels = maximal_subuniverses_in(square, allowed)
         assert len(rels) == 1
-        assert sorted(square.decode(x) for x in rels[0]) == sorted(DM_R)
+        assert sorted(decode(factors, x) for x in rels[0]) == sorted(DM_R)
 
     def test_goedel_two_relations(self):
         w = carrier_from_filter(C3.algebra, C3.spec, {2})
-        square = direct_product([C3.algebra, C3.algebra])
-        allowed = {square.encode(p) for p in leq_sublattice(w, w)}
-        rels = [sorted(square.decode(x) for x in r)
+        factors = [C3.algebra, C3.algebra]
+        square = direct_product(factors)
+        allowed = {encode(factors, p) for p in leq_sublattice(w, w)}
+        rels = [sorted(decode(factors, x) for x in r)
                 for r in maximal_subuniverses_in(square, allowed)]
         assert rels == [
             [(0, 0), (1, 1), (2, 2)],
@@ -208,16 +212,18 @@ class TestMaximalSubuniverses:
         assert rels == [frozenset(range(square.size))]
 
     def test_nullary_escape_gives_empty(self):
-        square = direct_product([K3.algebra, K3.algebra])
-        allowed = set(range(square.size)) - {square.encode((0, 0))}
+        factors = [K3.algebra, K3.algebra]
+        square = direct_product(factors)
+        allowed = set(range(square.size)) - {encode(factors, (0, 0))}
         assert maximal_subuniverses_in(square, allowed) == []
 
     def test_emitted_relations_closed_and_inside(self):
         for entry in (DM, K3, C3):
             for w1 in carriers_of(entry.algebra, entry.spec):
                 for w2 in carriers_of(entry.algebra, entry.spec):
-                    square = direct_product([entry.algebra, entry.algebra])
-                    allowed = {square.encode(p) for p in leq_sublattice(w1, w2)}
+                    factors = [entry.algebra, entry.algebra]
+                    square = direct_product(factors)
+                    allowed = {encode(factors, p) for p in leq_sublattice(w1, w2)}
                     rels = maximal_subuniverses_in(square, allowed)
                     for r in rels:
                         assert r <= allowed
@@ -244,11 +250,12 @@ class TestMaximalSubuniverses:
     )
     def test_matches_brute_force_on_small_squares(self, key, params):
         entry = make(key, *params)
-        square = direct_product([entry.algebra, entry.algebra])
+        factors = [entry.algebra, entry.algebra]
+        square = direct_product(factors)
         assert square.size <= 12
         for w1 in carriers_of(entry.algebra, entry.spec):
             for w2 in carriers_of(entry.algebra, entry.spec):
-                allowed = {square.encode(p) for p in leq_sublattice(w1, w2)}
+                allowed = {encode(factors, p) for p in leq_sublattice(w1, w2)}
                 fast = maximal_subuniverses_in(square, allowed)
                 brute = brute_force_maximal_subuniverses(square, allowed)
                 assert fast == brute
@@ -289,10 +296,11 @@ class TestMaximalSubuniverses:
         # those of the carrier pairs, then every set holding the constants
         med3 = median_chain()
         spec = DReductSpec.literal()
-        square = direct_product([med3, med3])
+        factors = [med3, med3]
+        square = direct_product(factors)
         for w1 in carriers_of(med3, spec):
             for w2 in carriers_of(med3, spec):
-                allowed = {square.encode(p) for p in leq_sublattice(w1, w2)}
+                allowed = {encode(factors, p) for p in leq_sublattice(w1, w2)}
                 assert maximal_subuniverses_in(square, allowed) == (
                     brute_force_maximal_subuniverses(square, allowed)
                 )
@@ -333,13 +341,14 @@ class TestMaximalityCertificate:
         # and adding any allowed element outside one escapes the allowed set
         entry = make("heyting_chain", n)
         ego = build_alter_ego([entry.algebra], entry.spec)
-        square = direct_product([entry.algebra, entry.algebra])
+        factors = [entry.algebra, entry.algebra]
+        square = direct_product(factors)
         principal = [frozenset(subuniverse_closure(square, [e])) for e in range(square.size)]
         for i, w1 in enumerate(ego.carriers):
             for j, w2 in enumerate(ego.carriers):
-                allowed = {square.encode(p) for p in leq_sublattice(w1, w2)}
+                allowed = {encode(factors, p) for p in leq_sublattice(w1, w2)}
                 rels = [
-                    frozenset(square.encode(p) for p in r.pairs)
+                    frozenset(encode(factors, p) for p in r.pairs)
                     for r in ego.relations_for(i, j)
                 ]
                 assert len(set(rels)) == len(rels)
@@ -361,9 +370,10 @@ class TestLeqMask:
         gens = [DM.algebra, K3.algebra]
         carriers = [c for m in gens for c in carriers_of(m, DM.spec)]
         for w1, w2 in itertools.product(carriers, carriers):
-            square = direct_product([w1.sort, w2.sort])
+            factors = [w1.sort, w2.sort]
+            square = direct_product(factors)
             bits = {x for x in range(square.size) if leq_mask(w1, w2) >> x & 1}
-            assert bits == {square.encode(p) for p in leq_sublattice(w1, w2)}
+            assert bits == {encode(factors, p) for p in leq_sublattice(w1, w2)}
 
 
 class TestAlterEgo:
@@ -377,10 +387,11 @@ class TestAlterEgo:
         expected = []
         for i, w1 in enumerate(ego.carriers):
             for j, w2 in enumerate(ego.carriers):
-                square = direct_product([w1.sort, w2.sort])
-                allowed = {square.encode(p) for p in leq_sublattice(w1, w2)}
+                factors = [w1.sort, w2.sort]
+                square = direct_product(factors)
+                allowed = {encode(factors, p) for p in leq_sublattice(w1, w2)}
                 for s in maximal_subuniverses_in(square, allowed):
-                    pairs = tuple(sorted(square.decode(x) for x in s))
+                    pairs = tuple(sorted(decode(factors, x) for x in s))
                     expected.append((gens.index(w1.sort), gens.index(w2.sort), i, j, pairs))
         assert [
             (r.sort1, r.sort2, r.omega1, r.omega2, r.pairs) for r in ego.relations
@@ -502,9 +513,10 @@ class TestOrbitCounts:
         from latcop.algebra import subuniverses
 
         entry = make("pseudo_b", 2)
-        square = direct_product([entry.algebra, entry.algebra])
+        factors = [entry.algebra, entry.algebra]
+        square = direct_product(factors)
         w = carrier_from_filter(entry.algebra, entry.spec, {4})
-        allowed = frozenset(square.encode(p) for p in leq_sublattice(w, w))
+        allowed = frozenset(encode(factors, p) for p in leq_sublattice(w, w))
         inside = [s for s in subuniverses(square) if s <= allowed]
         maximal = sorted(
             {s for s in inside if not any(s < t for t in inside)}, key=sorted
