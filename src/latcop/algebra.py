@@ -124,12 +124,12 @@ class FiniteAlgebra:
     arity-k symbol has ``size**k`` entries indexed row-major (leftmost
     argument most significant).  Products, free algebras and E(X) get their
     tables from one subpower kernel, ``_subpower``, which runs on numpy:
-    element tuples are rows interned by their byte keys, operations are
-    evaluated coordinatewise on blocks of argument tuples, and each
-    argument tuple is evaluated once, by the closure loop.  An induced
-    subalgebra reads its parent's tables.  A product's elements are
-    numbered as :func:`direct_product` states; ``generators`` is set by
-    :func:`free_algebra`.
+    element tuples are found through a trie with one level per
+    coordinate, operations are evaluated coordinatewise on blocks of
+    argument tuples, and each argument tuple is evaluated once, by the
+    closure loop.  An induced subalgebra reads its parent's tables.  A
+    product's elements are numbered as :func:`direct_product` states;
+    ``generators`` is set by :func:`free_algebra`.
     """
 
     name: str
@@ -255,9 +255,6 @@ class Homomorphism:
         if inner.target is not self.source and inner.target != self.source:
             raise LatcopError("composition mismatch")
         return Homomorphism(inner.source, self.target, tuple(self.map[v] for v in inner.map))
-
-    def kernel(self) -> "Congruence":
-        return Congruence.canonical(self.source.size, self.map)
 
     @property
     def is_injective(self) -> bool:
@@ -653,25 +650,6 @@ _BLOCK = 1 << 14
 TABLE_ENTRY_BUDGET = 10**7
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct keys, sorted.  Unlike ``np.unique`` this does not import
-    numpy.ma, whose import alone adds about 1.3 MB to the peak RSS."""
-    keys = np.sort(keys)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
-
-
-def _lookup(ordered: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of ``keys`` in the sorted key array ``ordered``, and which
-    of them are present."""
-    pos = np.searchsorted(ordered, keys)
-    if not len(ordered):
-        return pos, np.zeros(len(keys), dtype=bool)
-    # a key past the last one is clipped onto it and compares unequal
-    return pos, ordered.take(pos, mode="clip") == keys
-
-
 def _index_dtype(count: int) -> np.dtype:
     """The narrowest unsigned dtype holding the indices ``0..count-1``."""
     return np.min_scalar_type(max(count - 1, 0))
@@ -710,57 +688,88 @@ def _blocks(slab: tuple[slice, ...], step: int) -> Iterator[tuple[np.ndarray, ..
 class _Product:
     """The product of ``coords`` as the subpower kernel sees it.
 
-    Elements are rows of an intp array, interned by keys: a row's entries
-    as big-endian unsigned bytes, viewed as one void scalar, so that keys
-    sort the way the tuples do.  Per symbol the coordinates' flat tables
-    are concatenated, ``offsets`` saying where each one starts.  The empty
-    product gets one coordinate, the trivial algebra, so no row is empty.
+    Its rows are the columns of a (coordinates, rows) array, found through
+    a trie with one dense level per coordinate.  Level c has a block of
+    |M_c| entries per prefix the rows have, then one for absent prefixes;
+    entry (prefix id) * |M_c| + (value at c) holds where the extended
+    prefix's block starts in level c + 1, the absent one if no row has it,
+    so a tuple that is not a row stays absent.  The last level holds row
+    numbers, the row count for absent.  Prefix ids are ranks in sorted
+    order, so no mixed-radix key can overflow.  Per symbol the coordinates'
+    flat tables are concatenated, ``offsets`` saying where each one starts.
+    The empty product gets one coordinate, the trivial algebra, so no row
+    is empty.
     """
 
     def __init__(self, signature: Signature, coords: Sequence[FiniteAlgebra]):
-        self.k = len(coords)
-        if coords:
-            sizes = [c.size for c in coords]
-            tabs = [[c.tables[i] for c in coords] for i in range(len(signature.symbols))]
-        else:
-            sizes = [1]
-            tabs = [[(0,)] for _ in signature.symbols]
-        top = max(sizes) - 1
-        self.dtype = np.dtype(">u1" if top < 1 << 8 else ">u2" if top < 1 << 16 else ">u4")
+        self.sizes = [c.size for c in coords] or [1]
+        tabs = [[c.tables[i] for c in coords] or [(0,)] for i in range(len(signature.symbols))]
+        self.dtype = _index_dtype(max(self.sizes))
         self.ops = []
         for (sym, arity), column in zip(signature.symbols, tabs):
             lengths = [len(t) for t in column]
-            flat = np.fromiter(
-                itertools.chain.from_iterable(column), self.dtype.newbyteorder("="), sum(lengths)
-            )
-            offsets = np.cumsum([0] + lengths[:-1], dtype=np.intp)
+            flat = np.fromiter(itertools.chain.from_iterable(column), self.dtype, sum(lengths))
+            offsets = np.cumsum([0] + lengths[:-1], dtype=np.intp)[:, None]
             self.ops.append((sym, arity, flat, offsets))
-        self.sizes = np.array(sizes, dtype=np.intp)
-        self.step = max(1, _BLOCK // len(sizes))
+        self.radix = np.array(self.sizes, dtype=np.intp)[:, None]
 
-    def rows(self, tuples: Sequence[tuple[int, ...]]) -> np.ndarray:
-        rows = np.array(tuples, dtype=np.intp).reshape(len(tuples), self.k)
-        return rows if self.k else np.zeros((len(tuples), 1), np.intp)
+    def weigh(self, op) -> list[np.ndarray]:
+        """Per argument of ``op``, the rows times its place value in each
+        coordinate's flat table (the first plus the offsets), in the
+        narrowest dtype that indexes the flat tables."""
+        _, arity, flat, offsets = op
+        return [
+            (self.rows * self.radix ** (arity - 1 - i) + (0 if i else offsets)).astype(_index_dtype(len(flat)))
+            for i in range(arity)
+        ]
 
-    def keys(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.ascontiguousarray(rows, dtype=self.dtype)
-        return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-
-    def unkey(self, keys: np.ndarray) -> np.ndarray:
-        return keys.view(self.dtype).reshape(len(keys), len(self.sizes)).astype(np.intp)
-
-    def apply(self, op, rows: np.ndarray, args: tuple[np.ndarray, ...]) -> np.ndarray:
-        """The rows ``op`` gives on the argument tuples ``args`` (one index
-        array into ``rows`` per argument), computed coordinatewise."""
+    def evaluate(self, op, weights: list[np.ndarray], args: tuple[np.ndarray, ...]) -> np.ndarray:
+        """The columns ``op`` gives on the argument tuples ``args``, one
+        index array into the rows per argument, computed coordinatewise
+        through the rows' ``weights``."""
         _, _, flat, offsets = op
         if not args:
-            return flat[offsets][None, :]
-        idx = rows[args[0]]
-        for a in args[1:]:
-            idx *= self.sizes
-            idx += rows[a]
-        idx += offsets
-        return flat[idx]
+            return flat[offsets]
+        idx = weights[0].take(args[0], axis=1)
+        for w, a in zip(weights[1:], args[1:]):
+            idx += w.take(a, axis=1)
+        return flat.take(idx)
+
+    def find(self, vals: np.ndarray) -> np.ndarray:
+        """The row number of each column of ``vals``, the row count where
+        it is not a row: per coordinate one gather and one add."""
+        at = vals[0]
+        for level, v in zip(self.levels, vals[1:]):
+            at = level.take(at) + v
+        return self.last.take(at)
+
+    def index(self, cols: np.ndarray, known: int) -> np.ndarray:
+        """Make the first ``known`` columns of ``cols`` the rows numbered so
+        far and the distinct others new rows, numbered on in tuple order,
+        and rebuild the trie over them; returns each column's row number.
+        Each level's prefixes are sorted by counting over its dense range."""
+        self.levels = []
+        at, width = cols[0], 2 * self.sizes[0]  # the empty prefix, then absent
+        for size, col in zip(self.sizes[1:], cols[1:]):
+            present = np.bincount(at, minlength=width).nonzero()[0]
+            start = len(present) * size  # of the absent block
+            level = np.full(width, start, _index_dtype(start + size))
+            level[present] = np.arange(0, start, size)
+            self.levels.append(level)
+            at, width = level.take(at) + col, start + size
+        seen = np.bincount(at, minlength=width)
+        present = seen.nonzero()[0]
+        seen[at[:known]] = 0
+        added = seen.nonzero()[0]
+        self.last = np.full(width, known + len(added), _index_dtype(known + len(added) + 1))
+        self.last[at[:known]] = np.arange(known)
+        self.last[added] = np.arange(known, known + len(added))
+        number = self.last.take(at)
+        column = np.empty(known + len(added), np.intp)
+        column[number] = np.arange(len(number))
+        self.rows = cols.take(column, axis=1)
+        self.order = self.last.take(present)  # row numbers in tuple order
+        return number
 
 
 def _subpower(
@@ -778,7 +787,9 @@ def _subpower(
     the argument tuples that use a row found in the round before (see
     :func:`_slabs`), so every argument tuple is evaluated exactly once, and
     its result is kept, as a row number in the order rows were found, for
-    the tables.  A given ``universe`` is the seed of a round that must find
+    the tables.  Results are looked up in the trie of :class:`_Product`;
+    what a round misses is new, and the trie is rebuilt over it and the
+    old rows.  A given ``universe`` is the seed of a round that must find
     nothing new: its order is kept and InternalError is raised unless it
     is closed (callers pass closed universes).
     CapExceeded is raised before a round whose rows alone would need more
@@ -786,68 +797,56 @@ def _subpower(
     """
     product = _Product(signature, coords)
     given = universe is not None
-    rows = product.rows(list(universe) if given else list(generators))
-    keys = product.keys(rows)
-    if given:
-        # found holds the sorted keys, where the row number of each
-        where = np.argsort(keys, kind="stable")
-        found = keys[where]
-    else:
-        # the nullary values seed the first round with the generators
-        consts = [product.keys(product.apply(op, rows, ())) for op in product.ops if not op[1]]
-        found = _distinct(np.concatenate([keys] + consts))
-        rows = product.unkey(found)
-        where = np.arange(len(found))
+    tuples = [t or (0,) for t in (universe if given else generators)]  # () is the trivial row
+    seeds = [np.array(tuples, product.dtype).reshape(len(tuples), len(product.sizes)).T]
+    if not given:  # the nullary values seed the first round with the generators
+        seeds += [product.evaluate(op, [], ()) for op in product.ops if not op[1]]
+    product.index(np.concatenate(seeds, axis=1), seeds[0].shape[1] if given else 0)
     # per symbol, its (slab, results) pairs from every round
     results: list[list] = [[] for _ in product.ops]
     old = 0
     for round_ in itertools.count():
-        count = len(rows)
+        count = product.rows.shape[1]
         required = sum(count**op[1] for op in product.ops)
         if required > TABLE_ENTRY_BUDGET:
             raise CapExceeded(
                 f"subpower tables need {required}+ entries, budget is {TABLE_ENTRY_BUDGET}",
                 required=required, stage="table build", budget=TABLE_ENTRY_BUDGET,
             )
-        known = _index_dtype(count)
-        fresh, pending, evaluated = [found[:0]], [], []
+        missed, pending, evaluated = [], [], []
         for op, done in zip(product.ops, results):
+            weights = product.weigh(op)
             for slab in _slabs(op[1], old, count - old, round_ == 0):
                 parts = []
-                for args in _blocks(slab, product.step):
-                    keys = product.keys(product.apply(op, rows, args))
-                    pos, hit = _lookup(found, keys)
-                    res = where.take(pos, mode="clip") if count else pos
-                    if hit.all():
-                        res = res.astype(known)
-                    elif given:
-                        raise InternalError(f"subpower universe is not closed under {op[0]!r}")
-                    else:
+                for args in _blocks(slab, max(1, _BLOCK // len(product.sizes))):
+                    vals = product.evaluate(op, weights, args)
+                    res = product.find(vals)
+                    miss = (res == count).nonzero()[0]
+                    if len(miss):
+                        if given:
+                            raise InternalError(f"subpower universe is not closed under {op[0]!r}")
                         # numbered once the round has found all its rows
-                        miss = np.flatnonzero(~hit)
-                        pending.append((parts, len(parts), res, miss, keys[miss]))
-                        fresh.append(_distinct(keys[miss]))
+                        pending.append((parts, len(parts), res, miss))
+                        missed.append(vals[:, miss])
                     parts.append(res)
                 evaluated.append((done, slab, parts))
-        added = _distinct(np.concatenate(fresh))
-        dtype = _index_dtype(count + len(added))
-        for parts, i, res, miss, missed in pending:
-            res[miss] = count + np.searchsorted(added, missed)
-            parts[i] = res.astype(dtype)
+        if missed:
+            found = product.index(np.concatenate([product.rows] + missed, axis=1), count)
+            dtype, at = _index_dtype(product.rows.shape[1]), count
+            for parts, i, res, miss in pending:
+                parts[i] = res.astype(dtype)
+                parts[i][miss] = found[at : at + len(miss)]
+                at += len(miss)
         for done, slab, parts in evaluated:
             done.append((slab, np.concatenate(parts)))
-        if not len(added):
+        if not missed:
             break
-        at = np.searchsorted(found, added)
-        found = np.insert(found, at, added)
-        where = np.insert(where, at, np.arange(count, count + len(added)))
-        rows = np.concatenate([rows, product.unkey(added)])
         old = count
     # tables by row number, then (without a universe) in sorted row order:
-    # sorted position i holds row where[i]
-    if not given:
-        rank = np.empty(count, _index_dtype(count))
-        rank[where] = np.arange(count)
+    # position i holds row where[i]
+    where = np.arange(count) if given else product.order
+    rank = np.empty(count, _index_dtype(count))
+    rank[where] = np.arange(count)
     tables = []
     for (_, arity, _, _), done in zip(product.ops, results):
         table = np.empty((count,) * arity, _index_dtype(count))
@@ -856,9 +855,7 @@ def _subpower(
         if not given:
             table = rank[table[np.ix_(*[where] * arity)] if arity else table]
         tables.append(tuple(table.ravel().tolist()))
-    if given:
-        return list(universe), tuple(tables)
-    return [tuple(r) for r in product.unkey(found)[:, : product.k].tolist()], tuple(tables)
+    return [tuple(r) for r in product.rows[: len(coords), where].T.tolist()], tuple(tables)
 
 
 def _extends_to_hom(

@@ -25,6 +25,7 @@ import pytest
 from latcop.algebra import (
     Congruence,
     FiniteAlgebra,
+    Homomorphism,
     Signature,
     _check_same_signature,
     _color_masks,
@@ -444,6 +445,11 @@ def all_partitions(n: int):
     yield from rec(0, [], 0)
 
 
+def kernel(h: Homomorphism) -> Congruence:
+    """The partition of h's source into the fibres of h."""
+    return Congruence.canonical(h.source.size, h.map)
+
+
 def relative_congruences(algebra: FiniteAlgebra, generators) -> list[Congruence]:
     """Congruences theta with algebra/theta in ISP(generators).
 
@@ -456,7 +462,7 @@ def relative_congruences(algebra: FiniteAlgebra, generators) -> list[Congruence]
     kernels = []
     for m in generators:
         for h in hom_enumerate(algebra, m):
-            k = h.kernel()
+            k = kernel(h)
             if k not in found:
                 found.add(k)
                 kernels.append(k)

@@ -2,8 +2,11 @@
 
 import dataclasses
 import itertools
+import random
+from math import prod
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from conftest import (
     congruence_generated,
     decode,
     encode,
+    kernel,
     least_injective_hom,
     median_chain,
     pointwise_closure,
@@ -658,7 +662,7 @@ class TestHomomorphismBasics:
 
     def test_kernel_and_compose(self):
         h = hom_enumerate(DM4, DM4)[1]  # the automorphism swapping a and b
-        assert h.kernel() == Congruence.diagonal(4)
+        assert kernel(h) == Congruence.diagonal(4)
         assert h.compose(h).map == tuple(range(4))
         assert h.inverse().map == h.map
 
@@ -829,6 +833,24 @@ def _first_unclosed(sig, coords, subset):
     return None
 
 
+@st.composite
+def trie_cases(draw):
+    """A signature of some of a nullary, a unary and a binary symbol; 1-6
+    coordinates of 1-6 elements with random tables; up to 2 generators and
+    up to 6 distinct tuples of the product, drawn coordinate by coordinate."""
+    symbols = [("c", 0), ("u", 1), ("b", 2)]
+    sig = Signature(tuple(draw(st.lists(st.sampled_from(symbols), min_size=1, unique=True))))
+    coords = []
+    for i in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 6))
+        coords.append(FiniteAlgebra(f"c{i}", n, sig, tuple(
+            tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
+            for _, k in sig.symbols
+        )))
+    row = st.tuples(*(st.integers(0, c.size - 1) for c in coords))
+    return sig, coords, draw(st.lists(row, max_size=2)), draw(st.lists(row, max_size=6, unique=True))
+
+
 class TestSubpowerKernel:
     """The numpy subpower kernel against the ``FiniteAlgebra.op`` oracles."""
 
@@ -885,14 +907,14 @@ class TestSubpowerKernel:
         # the closure's results are the tables: no second pass over them
         # (a nullary value is also read once more, to seed the closure)
         evaluated = []
-        real = algebra_module._Product.apply
+        real = algebra_module._Product.evaluate
 
-        def counted(product, op, rows, args):
+        def counted(product, op, weights, args):
             if args:
                 evaluated.append(len(args[0]))
-            return real(product, op, rows, args)
+            return real(product, op, weights, args)
 
-        with mock.patch.object(algebra_module._Product, "apply", counted):
+        with mock.patch.object(algebra_module._Product, "evaluate", counted):
             alg = make_it()
         assert sum(evaluated) == sum(alg.size**arity for _, arity in alg.signature.symbols if arity)
 
@@ -945,3 +967,100 @@ class TestSubpowerKernel:
         assert _subpower(sig, [chain] * k, diagonal) == (
             diagonal, pointwise_tables([chain] * k, diagonal)
         )
+
+    @pytest.mark.parametrize("moved", [0, 2])
+    def test_row_absent_at_one_level(self, moved):
+        # u moves coordinate ``moved`` from 0 to 1 and fixes the others, and
+        # every row of the universe is 0 there: u of a row is absent from the
+        # trie's first level (moved = 0) or only from its last (moved = 2)
+        sig = Signature((("u", 1),))
+        step = FiniteAlgebra("step", 2, sig, ((1, 1),))
+        fixed = FiniteAlgebra("fixed", 2, sig, ((0, 1),))
+        coords = [step if i == moved else fixed for i in range(3)]
+        universe = [(0, 0, 0), tuple(0 if i == moved else 1 for i in range(3))]
+        with pytest.raises(InternalError, match="not closed under 'u'"):
+            _subpower(sig, coords, universe)
+        closure = pointwise_closure(coords, universe)
+        assert closure == sorted(universe + [tuple(int(i == moved) for i in range(3)), (1, 1, 1)])
+        assert _subpower(sig, coords, generators=universe) == (
+            closure, pointwise_tables(coords, closure)
+        )
+
+    def test_coordinates_of_size_one(self):
+        one = FiniteAlgebra("one", 1, K3.signature, tuple((0,) for _ in K3.signature.symbols))
+        coords = [one, K3, one, one, K3, one]
+        product = list(itertools.product(*(range(c.size) for c in coords)))
+        assert direct_product(coords).tables == pointwise_tables(coords, product)
+        gens = [(0, 1, 0, 0, 0, 0)]
+        closure = pointwise_closure(coords, gens)
+        assert _subpower(K3.signature, coords, generators=gens) == (
+            closure, pointwise_tables(coords, closure)
+        )
+        point = [(0, 0, 0)]
+        assert _subpower(K3.signature, [one] * 3) == (point, pointwise_tables([one] * 3, point))
+
+    def test_prefix_count_past_one_byte(self):
+        # s_j steps coordinate j round a 3-cycle: from the zero row the
+        # closure grows round by round to all 3^6 rows, so the prefix counts
+        # and row numbers outgrow one byte while the rounds run
+        k = 6
+        sig = Signature(tuple((f"s{j}", 1) for j in range(k)))
+        coords = [
+            FiniteAlgebra(f"z{i}", 3, sig, tuple(
+                tuple((x + 1) % 3 if i == j else x for x in range(3)) for j in range(k)
+            ))
+            for i in range(k)
+        ]
+        closure = pointwise_closure(coords, [(0,) * k])
+        assert len(closure) == 3**k
+        assert _subpower(sig, coords, generators=[(0,) * k]) == (
+            closure, pointwise_tables(coords, closure)
+        )
+        shuffled = random.Random(0).sample(closure, len(closure))
+        assert _subpower(sig, coords, shuffled) == (shuffled, pointwise_tables(coords, shuffled))
+        product = algebra_module._Product(sig, coords)
+        product.index(np.array(closure, product.dtype).T, len(closure))
+        assert {t.itemsize for t in product.levels + [product.last]} == {1, 2}
+
+    def test_forty_coordinates_past_int64(self):
+        # 4^40 tuples: a mixed-radix key would overflow int64
+        k = 40
+        coords = [DM4] * k
+        assert DM4.size**k > 2**63
+        diagonal = [(x,) * k for x in (2, 0, 3, 1)]
+        assert _subpower(DM4.signature, coords, diagonal) == (
+            diagonal, pointwise_tables(coords, diagonal)
+        )
+        gens = [(1,) * k, (0,) * (k - 1) + (2,)]
+        closure = pointwise_closure(coords, gens)
+        assert _subpower(DM4.signature, coords, generators=gens) == (
+            closure, pointwise_tables(coords, closure)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(trie_cases(), st.sampled_from([1, 7, algebra_module._BLOCK]))
+    def test_trie_matches_pointwise_oracle(self, case, block):
+        sig, coords, gens, subset = case
+        with mock.patch.object(algebra_module, "_BLOCK", block):
+            bad = _first_unclosed(sig, coords, subset)
+            if bad is None:
+                assert _subpower(sig, coords, subset) == (
+                    subset, pointwise_tables(coords, subset, sig)
+                )
+            else:
+                with pytest.raises(InternalError, match=f"not closed under '{bad}'"):
+                    _subpower(sig, coords, subset)
+            # the closure lies in the product of the coordinates' closures;
+            # the oracle is run where that bound is small
+            bound = prod(
+                len(pointwise_closure([c], [(g[i],) for g in gens], sig)) for i, c in enumerate(coords)
+            )
+            if bound <= 64:
+                closure = pointwise_closure(coords, gens, sig)
+                assert _subpower(sig, coords, generators=gens) == (
+                    closure, pointwise_tables(coords, closure, sig)
+                )
+                backwards = closure[::-1]
+                assert _subpower(sig, coords, backwards) == (
+                    backwards, pointwise_tables(coords, backwards, sig)
+                )
