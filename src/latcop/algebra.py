@@ -224,37 +224,12 @@ def _check_same_signature(*algebras: FiniteAlgebra) -> None:
             )
 
 
-@dataclass(frozen=True)
-class Homomorphism:
-    """A map between same-signature algebras, stored as an image vector."""
-
-    source: FiniteAlgebra
-    target: FiniteAlgebra
-    map: tuple[int, ...]
+class _Map:
+    """What the map classes share: an image vector ``map`` from ``source``
+    to ``target``."""
 
     def __call__(self, x: int) -> int:
         return self.map[x]
-
-    def is_valid(self) -> bool:
-        """Exhaustively check that the map lands in the target and commutes
-        with every operation."""
-        if self.source.signature != self.target.signature:
-            return False
-        if len(self.map) != self.source.size or not all(0 <= v < self.target.size for v in self.map):
-            return False
-        for (sym, arity, ta), (_, _, tb) in zip(self.source.ops(), self.target.ops()):
-            for args in itertools.product(range(self.source.size), repeat=arity):
-                lhs = self.map[ta[self.source.flat_index(args)]]
-                rhs = tb[self.target.flat_index([self.map[a] for a in args])]
-                if lhs != rhs:
-                    return False
-        return True
-
-    def compose(self, inner: "Homomorphism") -> "Homomorphism":
-        """self after inner."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise LatcopError("composition mismatch")
-        return Homomorphism(inner.source, self.target, tuple(self.map[v] for v in inner.map))
 
     @property
     def is_injective(self) -> bool:
@@ -267,6 +242,31 @@ class Homomorphism:
     @property
     def is_bijective(self) -> bool:
         return self.is_injective and self.is_surjective
+
+
+@dataclass(frozen=True)
+class Homomorphism(_Map):
+    """A map between same-signature algebras, stored as an image vector."""
+
+    source: FiniteAlgebra
+    target: FiniteAlgebra
+    map: tuple[int, ...]
+
+    def is_valid(self) -> bool:
+        """Whether the map lands in the target and commutes with every
+        operation: the map search with one allowed value per element finds
+        a map exactly when this one is a homomorphism."""
+        if self.source.signature != self.target.signature:
+            return False
+        if len(self.map) != self.source.size or not all(0 <= v < self.target.size for v in self.map):
+            return False
+        return next(_maps(self.source, self.target, allowed=[1 << v for v in self.map]), None) is not None
+
+    def compose(self, inner: "Homomorphism") -> "Homomorphism":
+        """self after inner."""
+        if inner.target is not self.source and inner.target != self.source:
+            raise LatcopError("composition mismatch")
+        return Homomorphism(inner.source, self.target, tuple(self.map[v] for v in inner.map))
 
     def inverse(self) -> "Homomorphism":
         if not self.is_bijective:

@@ -92,7 +92,7 @@ class _Block:
     carriers: list[tuple[list[str], int]] = field(default_factory=list)
 
     def resolve_value(self, token: str, line: int) -> int:
-        if token.lstrip("-").isdecimal():
+        if token.removeprefix("-").isdecimal():
             v = int(token)
         elif self.elements is not None and token in self.elements:
             v = self.elements.index(token)
@@ -113,8 +113,11 @@ class _Block:
             if sym not in self.tables:
                 raise ParseError(f"missing table for symbol {sym!r}", decl_line)
             raw, line = self.tables[sym]
-            expected = self.size**arity
-            if len(raw) != expected:
+            # for size >= 2 an arity past len(raw).bit_length() is too long
+            # already, so size**arity is not formed
+            huge = self.size > 1 and arity > len(raw).bit_length()
+            expected = f"{self.size}**{arity}" if huge else self.size**arity
+            if huge or len(raw) != expected:
                 raise ParseError(
                     f"table for {sym!r} has length {len(raw)}, expected {expected}",
                     line,

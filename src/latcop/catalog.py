@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import TABLE_ENTRY_BUDGET, FiniteAlgebra, Signature, app, var
-from .distlat import DReductSpec, d_reduct
+from .distlat import _LATTICE_SIG, DReductSpec, d_reduct
 from .errors import CapExceeded, LatcopError
 
 UNVERIFIED_TABLE_ROWS = (
@@ -56,7 +56,6 @@ def _unary(size: int, f) -> tuple[int, ...]:
 
 _LIT = DReductSpec.literal()
 
-_SIG_LATTICE = Signature((("meet", 2), ("join", 2), ("zero", 0), ("one", 0)))
 _SIG_DM = Signature((("meet", 2), ("join", 2), ("neg", 1), ("zero", 0), ("one", 0)))
 _SIG_HEYTING = Signature(
     (("meet", 2), ("join", 2), ("imp", 2), ("zero", 0), ("one", 0))
@@ -100,7 +99,7 @@ def _bool2() -> CatalogEntry:
     alg = FiniteAlgebra(
         "bool2",
         2,
-        _SIG_LATTICE,
+        _LATTICE_SIG,
         (_binary(2, min), _binary(2, max), (0,), (1,)),
         ("0", "1"),
     )

@@ -22,7 +22,7 @@ from .classify import flowchart_classify
 from .distlat import DReductSpec, d_reduct, priestley_dual
 from .duality import coproduct, reveng_priestley
 from .errors import CapExceeded, InternalError, LatcopError, ParseError
-from .piggyback import build_alter_ego, carrier_from_filter
+from .piggyback import build_alter_ego, carrier_from_filter, carriers_of
 
 EXIT_OK = 0
 EXIT_UNKNOWN = 1
@@ -66,6 +66,8 @@ def _load(source: str) -> _Inputs:
                     )
                 spec = DReductSpec.literal()
             d_reduct(pa.algebra, spec)  # validate early, with location-free error
+            for elements in pa.carriers:
+                carrier_from_filter(pa.algebra, spec, elements)
             out.items.append((pa.algebra, spec))
         return out
     entry = make_id(source)
@@ -82,7 +84,8 @@ def _load_many(sources: list[str]) -> _Inputs:
 
 def _resolve_omega(arg: str | None, inputs: _Inputs):
     """--omega: 'auto' for the minimal search, else semicolon-separated
-    filters, each a comma list of labels/indices, optionally 'sort:...'."""
+    filters, each a comma list of labels/indices or a carrier label as
+    printed (``{a,1}``), optionally 'sort:...'."""
     if arg is None or arg == "auto":
         return None
     spec = inputs.spec
@@ -107,8 +110,12 @@ def _resolve_omega(arg: str | None, inputs: _Inputs):
                 elements.add(sort.element_names.index(tok))
             elif tok.isdecimal():
                 elements.add(int(tok))
-            else:
-                raise LatcopError(f"--omega value {tok!r} is not an element of {sort.name!r}")
+            else:  # a printed label, whose element names may hold commas
+                labelled = [c.elements for c in carriers_of(sort, spec) if c.label() == chunk.strip()]
+                if not labelled:
+                    raise LatcopError(f"--omega value {tok!r} is not an element of {sort.name!r}")
+                elements = labelled[0]
+                break
         carriers.append(carrier_from_filter(sort, spec, elements))
     if not carriers:
         raise LatcopError("--omega gave no carriers")
@@ -363,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default="auto",
                 help=(
                     "carrier maps: 'auto' or ';'-separated filters, each a "
-                    "comma list of element labels/indices, optionally "
-                    "prefixed 'sortname:'"
+                    "comma list of element labels/indices or a printed carrier "
+                    "label, optionally prefixed 'sortname:'"
                 ),
             )
 

@@ -8,14 +8,16 @@ computed afresh on every call, from the term tables of its spec.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .algebra import FiniteAlgebra, Signature, Term, app, eval_term, term_table, var
-from .algebra import _color_masks, _maps, _refine_colors
+from .algebra import FiniteAlgebra, Homomorphism, Signature, Term, app, eval_term, term_table, var
+from .algebra import _color_masks, _Map, _maps, _refine_colors
 from .errors import LatcopError, LatticeAxiomError
 
 _BLOCK = 2**16  # (x, y, z) triples per block of d_reduct's cubic identity checks
+
+_LATTICE_SIG = Signature((("meet", 2), ("join", 2), ("zero", 0), ("one", 0)))
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,43 @@ def prime_filters(lattice: DistLatticeReduct) -> list[PrimeFilter]:
 
 
 # ---------------------------------------------------------------------------
-# posets
+# posets, read as bitmask rows
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _mask(elements: Iterable[int]) -> int:
+    mask = 0
+    for x in elements:
+        mask |= 1 << x
+    return mask
+
+
+def _union(masks: Sequence[int], indices: Iterable[int]) -> int:
+    """The OR of ``masks[i]`` over the indices."""
+    out = 0
+    for i in indices:
+        out |= masks[i]
+    return out
+
+
+def _preorder_fault(rows: Sequence[int]) -> str | None:
+    """The first preorder axiom the relation whose row x is the bitmask of
+    { y : x <= y } breaks, 'reflexive' or 'transitive'; None if neither.
+    Transitive means that row y lies inside row x for each y in row x."""
+    if any(not row >> x & 1 for x, row in enumerate(rows)):
+        return "reflexive"
+    if any(rows[y] & ~row for row in rows for y in _bits(row)):
+        return "transitive"
+    return None
 
 
 @dataclass(frozen=True)
@@ -181,36 +219,23 @@ class FinitePoset:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        for x in range(self.size):
-            if not self.leq(x, x):
-                raise LatcopError("poset order must be reflexive")
-            for y in range(self.size):
-                if not self.leq(x, y):
-                    continue
-                if x != y and self.leq(y, x):
-                    raise LatcopError("poset order must be antisymmetric")
-                for z in range(self.size):
-                    if self.leq(y, z) and not self.leq(x, z):
-                        raise LatcopError("poset order must be transitive")
+        if len(self.leq_rows) != self.size or any(row >> self.size for row in self.leq_rows):
+            raise LatcopError(f"poset order must be {self.size} rows over the points 0..{self.size - 1}")
+        fault = _preorder_fault(self.leq_rows)
+        # in a preorder x <= y <= x exactly when rows x and y agree
+        if fault is None and len(set(self.leq_rows)) < self.size:
+            fault = "antisymmetric"
+        if fault is not None:
+            raise LatcopError(f"poset order must be {fault}")
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.leq_rows[x] >> y & 1)
 
     def covers(self) -> list[tuple[int, int]]:
-        """Covering pairs (lo, hi): the Hasse diagram edges."""
-        out = []
-        for lo in range(self.size):
-            for hi in range(self.size):
-                if lo == hi or not self.leq(lo, hi):
-                    continue
-                if any(
-                    self.leq(lo, z) and self.leq(z, hi)
-                    for z in range(self.size)
-                    if z not in (lo, hi)
-                ):
-                    continue
-                out.append((lo, hi))
-        return out
+        """Covering pairs (lo, hi): the Hasse diagram edges.  The covers of
+        lo are its strict up-set less the strict up-sets of its members."""
+        strict = [row & ~(1 << x) for x, row in enumerate(self.leq_rows)]
+        return [(lo, hi) for lo, up in enumerate(strict) for hi in _bits(up & ~_union(strict, _bits(up)))]
 
     def upsets(self) -> list[frozenset[int]]:
         """All up-sets; deterministic order by (size, sorted tuple)."""
@@ -271,7 +296,7 @@ def priestley_dual(lattice: DistLatticeReduct) -> FinitePoset:
 
 
 @dataclass(frozen=True)
-class LatticeHom:
+class LatticeHom(_Map):
     """A bound-preserving lattice homomorphism between reducts."""
 
     source: DistLatticeReduct
@@ -279,47 +304,26 @@ class LatticeHom:
     map: tuple[int, ...]
 
     def __post_init__(self):
-        s, t = self.source, self.target
-        if len(self.map) != s.size:
-            raise LatcopError("lattice hom map has wrong length")
-        if self.map[s.bot] != t.bot or self.map[s.top] != t.top:
-            raise LatcopError("lattice hom must preserve the bounds")
-        for x, y in itertools.product(range(s.size), repeat=2):
-            if self.map[s.meet(x, y)] != t.meet(self.map[x], self.map[y]):
-                raise LatcopError(f"map does not preserve meet at {(x, y)}")
-            if self.map[s.join(x, y)] != t.join(self.map[x], self.map[y]):
-                raise LatcopError(f"map does not preserve join at {(x, y)}")
-
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
-    @property
-    def is_injective(self) -> bool:
-        return len(set(self.map)) == len(self.map)
-
-    @property
-    def is_surjective(self) -> bool:
-        return len(set(self.map)) == self.target.size
+        s, t = (
+            FiniteAlgebra(r.carrier.name, r.size, _LATTICE_SIG, (r.meet_table, r.join_table, (r.bot,), (r.top,)))
+            for r in (self.source, self.target)
+        )
+        if not Homomorphism(s, t, self.map).is_valid():
+            raise LatcopError("map is not a bounded-lattice homomorphism")
 
 
 @dataclass(frozen=True)
-class PosetMap:
+class PosetMap(_Map):
     source: FinitePoset
     target: FinitePoset
     map: tuple[int, ...]
 
     def __post_init__(self):
-        for x in range(self.source.size):
-            for y in range(self.source.size):
-                if self.source.leq(x, y) and not self.target.leq(self.map[x], self.map[y]):
-                    raise LatcopError("poset map must be order-preserving")
-
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
-    @property
-    def is_surjective(self) -> bool:
-        return len(set(self.map)) == self.target.size
+        # the image of each row must lie in the row of the image
+        rows = self.target.leq_rows
+        for x, row in enumerate(self.source.leq_rows):
+            if _mask(self.map[y] for y in _bits(row)) & ~rows[self.map[x]]:
+                raise LatcopError("poset map must be order-preserving")
 
     @property
     def is_order_embedding(self) -> bool:
@@ -328,9 +332,6 @@ class PosetMap:
             for x in range(self.source.size)
             for y in range(self.source.size)
         )
-
-
-_LATTICE_SIG = Signature((("meet", 2), ("join", 2), ("zero", 0), ("one", 0)))
 
 
 def upset_lattice(poset: FinitePoset) -> DistLatticeReduct:

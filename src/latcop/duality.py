@@ -31,6 +31,8 @@ from .distlat import (
     DReductSpec,
     FinitePoset,
     PrimeFilter,
+    _bits,
+    _preorder_fault,
     d_reduct,
     poset_from_pairs,
     poset_isomorphic,
@@ -408,9 +410,6 @@ class PreorderSpace:
     def size(self) -> int:
         return len(self.elements)
 
-    def preceq(self, x: int, y: int) -> bool:
-        return bool(self.preceq_rows[x] >> y & 1)
-
 
 @dataclass(frozen=True)
 class RevEngResult:
@@ -448,22 +447,13 @@ def reveng_priestley(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None
                     break
         rows.append(row)
     space = PreorderSpace(tuple(elements), tuple(rows))
-    n = space.size
-    for x in range(n):
-        if not space.preceq(x, x):
-            raise InternalError("reconstruction preorder is not reflexive")
-        for y in range(n):
-            if not space.preceq(x, y):
-                continue
-            for z in range(n):
-                if space.preceq(y, z) and not space.preceq(x, z):
-                    raise InternalError("reconstruction preorder is not transitive")
+    fault = _preorder_fault(rows)
+    if fault is not None:
+        raise InternalError(f"reconstruction preorder is not {fault}")
     # quotient by the symmetrization: in a preorder, x ~ y iff their rows agree
-    sym = Congruence.canonical(n, rows)
+    sym = Congruence.canonical(space.size, rows)
     cls = sym.blocks
-    pairs = {
-        (cls[x], cls[y]) for x in range(n) for y in range(n) if space.preceq(x, y)
-    }
+    pairs = {(cls[x], cls[y]) for x, row in enumerate(rows) for y in _bits(row)}
     labels = tuple(f"c{k}" for k in range(sym.num_blocks))
     quotient_poset = poset_from_pairs(sym.num_blocks, pairs, labels)
     priestley = priestley_dual(d_reduct(algebra, ego.spec))

@@ -31,7 +31,7 @@ from .algebra import (
     hom_set,
     subuniverse_closure,
 )
-from .distlat import DReductSpec, PrimeFilter, d_reduct, prime_filters
+from .distlat import DReductSpec, PrimeFilter, _bits, _mask, _union, d_reduct, prime_filters
 from .errors import CapExceeded, LatcopError, SeparationError
 
 # nodes one relation search may visit; pseudo_b(4)'s largest needs 34,053
@@ -166,31 +166,6 @@ def leq_mask(w1: PrimeFilter, w2: PrimeFilter) -> int:
     for a in w1.elements:
         cut |= hole << (a * n2)
     return ((1 << (w1.sort.size * n2)) - 1) & ~cut
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _mask(elements: Iterable[int]) -> int:
-    mask = 0
-    for x in elements:
-        mask |= 1 << x
-    return mask
-
-
-def _union(masks: Sequence[int], indices: Iterable[int]) -> int:
-    """The OR of ``masks[i]`` over the indices."""
-    out = 0
-    for i in indices:
-        out |= masks[i]
-    return out
 
 
 def _preimage_masks(table: Sequence[int], n: int) -> list[int]:

@@ -1,7 +1,8 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles deliberately avoid the code paths they check: homomorphisms by
-filtering all maps, maximal subuniverses and up-sets by subset enumeration,
+filtering all maps, a single map by reading every operation instance,
+broken order axioms and covering pairs by scanning triples, maximal subuniverses and up-sets by subset enumeration,
 least congruences by scanning all partitions, quotient tables by reading
 every operation instance, order-isomorphisms by scanning all permutations,
 relative congruences by closing the kernels under meets, single
@@ -128,6 +129,46 @@ def least_injective_hom(a: FiniteAlgebra, b: FiniteAlgebra) -> tuple[int, ...] |
     """The least injective homomorphism by map vector, from the brute-force
     list; between equal sizes its existence means a ≅ b."""
     return next((m for m in brute_force_homs(a, b) if len(set(m)) == a.size), None)
+
+
+def is_hom_by_loop(h: Homomorphism) -> bool:
+    """Whether ``h`` lands in its target and commutes with every operation,
+    reading each operation instance of the source."""
+    a, b = h.source, h.target
+    if a.signature != b.signature:
+        return False
+    if len(h.map) != a.size or not all(0 <= v < b.size for v in h.map):
+        return False
+    for (_, arity, ta), (_, _, tb) in zip(a.ops(), b.ops()):
+        for args in itertools.product(range(a.size), repeat=arity):
+            if h.map[ta[a.flat_index(args)]] != tb[b.flat_index([h.map[x] for x in args])]:
+                return False
+    return True
+
+
+def order_faults(size: int, rows: tuple[int, ...]) -> set[str]:
+    """The partial-order axioms that the relation x <= y iff bit y of
+    ``rows[x]`` breaks, by scanning points, pairs and triples."""
+    leq = [[bool(rows[x] >> y & 1) for y in range(size)] for x in range(size)]
+    points = range(size)
+    faults = set()
+    if not all(leq[x][x] for x in points):
+        faults.add("reflexive")
+    if any(x != y and leq[x][y] and leq[y][x] for x in points for y in points):
+        faults.add("antisymmetric")
+    if any(leq[x][y] and leq[y][z] and not leq[x][z] for x in points for y in points for z in points):
+        faults.add("transitive")
+    return faults
+
+
+def brute_force_covers(p: FinitePoset) -> list[tuple[int, int]]:
+    """The pairs lo < hi with no point strictly between, in (lo, hi) order."""
+    points = range(p.size)
+    return [
+        (lo, hi) for lo in points for hi in points
+        if lo != hi and p.leq(lo, hi)
+        and not any(z not in (lo, hi) and p.leq(lo, z) and p.leq(z, hi) for z in points)
+    ]
 
 
 def brute_force_poset_iso(p: FinitePoset, q: FinitePoset) -> tuple[int, ...] | None:

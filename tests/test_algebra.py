@@ -18,6 +18,7 @@ from conftest import (
     congruence_generated,
     decode,
     encode,
+    is_hom_by_loop,
     kernel,
     least_injective_hom,
     median_chain,
@@ -650,6 +651,46 @@ class TestFreeAlgebra:
         # exactly one extension per assignment of the free generators
         assert len(by_assignment) == gen.size**n
         assert all(len(v) == 1 for v in by_assignment.values())
+
+
+@st.composite
+def maps_to_check(draw):
+    """Two algebras over one random set of nullary to ternary symbols and
+    image vectors between them: homomorphisms from the map search and
+    random maps, some with images outside the target."""
+    sig = Signature(tuple(draw(st.lists(st.sampled_from(_TERM_SIG.symbols), min_size=1, unique=True))))
+
+    def algebra(name: str) -> FiniteAlgebra:
+        n = draw(st.integers(1, 4))
+        return FiniteAlgebra(name, n, sig, tuple(
+            tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
+            for _, k in sig.symbols
+        ))
+
+    a, b = algebra("a"), algebra("b")
+    homs = [h.map for h in hom_enumerate(a, b)]
+    picked = draw(st.lists(st.sampled_from(homs), max_size=3)) if homs else []
+    values = st.integers(-1, b.size) if draw(st.booleans()) else st.integers(0, b.size - 1)
+    random_maps = draw(st.lists(st.tuples(*[values] * a.size), max_size=4))
+    return a, b, picked + [tuple(m) for m in random_maps]
+
+
+class TestIsValid:
+    @settings(max_examples=300, deadline=None)
+    @given(maps_to_check())
+    def test_matches_the_exhaustive_loop(self, case):
+        a, b, maps = case
+        for m in maps:
+            h = Homomorphism(a, b, m)
+            assert h.is_valid() == is_hom_by_loop(h), m
+
+    def test_every_enumerated_map_is_valid(self):
+        for a, b in [(K3, K3), (DM4, DM4), (MED3, MED3), (C3, C3)]:
+            assert all(h.is_valid() for h in hom_enumerate(a, b))
+
+    def test_wrong_length_and_signature_are_invalid(self):
+        assert not Homomorphism(K3, K3, (0, 1)).is_valid()
+        assert not Homomorphism(K3, C3, (0, 1, 2)).is_valid()  # different signatures
 
 
 class TestHomomorphismBasics:

@@ -118,6 +118,10 @@ PARSE_ERRORS = [
     ("table one = 1", "table one = ²", "neither an index nor a declared label", 11),
     ("carrier {1}", "carrier 1", "expected 'carrier {LABELS...}'", 13),
     ("carrier {1}", "carrier { }", "empty carrier set", 13),
+    ("table one = 1", "table one = --1", "value '--1' is neither", 11),
+    ("carrier {1}", "carrier {--1}", "'--1' is neither an index", 13),
+    # the length is compared without forming 2**99999999999
+    ("", "op f 99999999999\ntable f = 0 1", "length 2, expected 2**99999999999", 15),
 ]
 
 

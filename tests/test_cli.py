@@ -11,8 +11,10 @@ import latcop.catalog
 import latcop.cli
 import latcop.duality
 import latcop.piggyback
+from latcop.catalog import make_id, table1_suite
 from latcop.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_UNKNOWN, main
 from latcop.errors import InternalError
+from latcop.piggyback import carriers_of
 
 DATA = Path(__file__).parent / "data"
 
@@ -66,6 +68,19 @@ class TestClassify:
     def test_bad_id(self, capsys):
         code, _, err = run(capsys, "classify", "not_a_thing")
         assert code == EXIT_INPUT and "error" in err
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("table neg = 3 1 2 0", "table neg = 3 --1 2 0", "line 10, column 1: value '--1'"),
+        ("carrier {1 3}", "carrier {1 --1}", "line 14, column 1: value '--1'"),
+        ("table one = 3", "table one = 3\nop f 99999999999\ntable f = 0 1", "expected 4**99999999999"),
+        ("carrier {1 3}", "carrier {0 3}", "[0, 3] is not a prime filter"),
+    ], ids=["table value", "carrier value", "huge arity", "carrier not prime"])
+    def test_malformed_alg_file_exits_2(self, capsys, tmp_path, old, new, message):
+        path = tmp_path / "bad.alg"
+        path.write_text((DATA / "demorgan4.alg").read_text().replace(old, new), encoding="utf-8")
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("source", ["mv_chain(3", "mv_chain:3)"])
     def test_unbalanced_parenthesis_exits_2(self, capsys, source):
@@ -174,6 +189,25 @@ class TestDuality:
     def test_omega_bad_list_exits_2(self, capsys, omega, message):
         code, _, err = run(capsys, "duality", "kleene3", "demorgan4", "--omega", omega)
         assert code == EXIT_INPUT and message in err
+
+    @pytest.mark.parametrize("key", [entry.key for entry, _ in table1_suite()])
+    def test_printed_carrier_labels_round_trip(self, capsys, key):
+        # labels such as {(1,0),(1,1)} hold commas, so they are matched whole
+        code, out, _ = run(capsys, "duality", key, "--json")
+        assert code == EXIT_OK
+        labels = json.loads(out)["omega"]
+        entry = make_id(key)
+        names = entry.algebra.element_names
+        elements = {c.label(): sorted(c.elements) for c in carriers_of(entry.algebra, entry.spec)}
+
+        def token(i: int) -> str:
+            # a label shadows a digit: demorgan4's index 1 is 'a', since '1' names its top
+            return names[i] if str(i) in names and names.index(str(i)) != i else str(i)
+
+        by_index = ";".join(",".join(token(i) for i in elements[label]) for label in labels)
+        by_label = run(capsys, "duality", key, "--json", "--omega", ";".join(labels))
+        assert by_label == run(capsys, "duality", key, "--json", "--omega", by_index)
+        assert by_label[0] == EXIT_OK
 
     def test_omega_must_separate(self, capsys):
         code, _, err = run(capsys, "duality", "kleene3", "--omega", "a,1")

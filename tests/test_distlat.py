@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     antichain,
+    brute_force_covers,
     brute_force_poset_iso,
     brute_force_upsets,
     dual_of_hom,
     lattice_algebra_from_leq,
+    order_faults,
     poset_disjoint_union,
     poset_product,
 )
@@ -22,7 +24,9 @@ from latcop.algebra import FiniteAlgebra, Signature, app, var
 from latcop.catalog import make, table1_suite
 from latcop.distlat import (
     DReductSpec,
+    FinitePoset,
     LatticeHom,
+    PosetMap,
     chain,
     d_reduct,
     join_irreducibles,
@@ -32,7 +36,7 @@ from latcop.distlat import (
     priestley_dual,
     upset_lattice,
 )
-from latcop.errors import LatticeAxiomError
+from latcop.errors import LatcopError, LatticeAxiomError
 
 DM = make("demorgan4")
 K3 = make("kleene3")
@@ -344,6 +348,79 @@ def poset_pairs(draw):
         pairs = {(perm[x], perm[y]) for x in range(size) for y in range(size) if p.leq(x, y)}
         return p, poset_from_pairs(size, pairs)
     return p, draw(posets(size))
+
+
+@st.composite
+def relations(draw):
+    """Random rows on 1-5 points; half of the time reflexive."""
+    size = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.integers(0, (1 << size) - 1), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        rows = [row | 1 << x for x, row in enumerate(rows)]
+    return size, tuple(rows)
+
+
+class TestOrderCheck:
+    @pytest.mark.parametrize("rows,axiom", [
+        ((0b00, 0b10), "reflexive"),
+        ((0b11, 0b11), "antisymmetric"),
+        ((0b011, 0b110, 0b100), "transitive"),  # 0 <= 1 <= 2, but not 0 <= 2
+    ])
+    def test_one_broken_axiom_is_named(self, rows, axiom):
+        assert order_faults(len(rows), rows) == {axiom}
+        with pytest.raises(LatcopError, match=f"must be {axiom}"):
+            FinitePoset(len(rows), rows, ("p",) * len(rows))
+
+    @pytest.mark.parametrize("size,rows", [(2, (0b101, 0b10)), (2, (0b01,)), (1, (-1,))])
+    def test_rows_past_the_points_are_rejected(self, size, rows):
+        with pytest.raises(LatcopError, match="rows over the points"):
+            FinitePoset(size, rows, ("p",) * size)
+
+    @settings(max_examples=300, deadline=None)
+    @given(relations())
+    def test_matches_the_axiom_scan(self, case):
+        size, rows = case
+        faults = order_faults(size, rows)
+        if not faults:
+            FinitePoset(size, rows, ("p",) * size)
+            return
+        with pytest.raises(LatcopError) as exc:
+            FinitePoset(size, rows, ("p",) * size)
+        if len(faults) == 1:
+            assert str(exc.value) == f"poset order must be {faults.pop()}"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=8).flatmap(posets))
+    def test_covers_match_the_triple_scan(self, p):
+        assert p.covers() == brute_force_covers(p)
+
+
+class TestMaps:
+    def test_poset_map_must_be_monotone(self):
+        c2 = chain(2)
+        assert PosetMap(c2, c2, (0, 1)).is_bijective
+        assert PosetMap(c2, c2, (1, 1)).is_surjective is False
+        with pytest.raises(LatcopError, match="order-preserving"):
+            PosetMap(c2, c2, (1, 0))
+        with pytest.raises(LatcopError, match="order-preserving"):
+            PosetMap(c2, antichain(2), (0, 1))
+
+    @pytest.mark.parametrize("image", [
+        (0, 0),  # constant: meets and joins hold, the top moves
+        (0, 1, 1, 1),  # a ^ b = 0 goes to 0, but a and b go to 1
+        (0, 0, 0, 1),  # a v b = 1 goes to 1, but a and b go to 0
+    ], ids=["top", "meet", "join"])
+    def test_lattice_hom_must_preserve_bounds_meet_and_join(self, image):
+        two = d_reduct(make("bool2").algebra, make("bool2").spec)
+        source = two if len(image) == 2 else d_reduct(DM.algebra, DM.spec)
+        with pytest.raises(LatcopError, match="not a bounded-lattice homomorphism"):
+            LatticeHom(source, two, image)
+
+    def test_lattice_hom_accepts_a_homomorphism(self):
+        lat = d_reduct(DM.algebra, DM.spec)
+        two = d_reduct(make("bool2").algebra, make("bool2").spec)
+        assert LatticeHom(lat, two, (0, 1, 0, 1)).is_surjective
+        assert LatticeHom(two, lat, (0, 3)).is_injective
 
 
 class TestUpsets:

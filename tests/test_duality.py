@@ -15,6 +15,7 @@ from conftest import (
     universal_by_closure,
 )
 from latcop import algebra as algebra_module
+from latcop import duality as duality_module
 from latcop.algebra import (
     Homomorphism,
     _extends_to_hom,
@@ -42,7 +43,7 @@ from latcop.duality import (
     reveng_priestley,
     structure_product,
 )
-from latcop.errors import LatcopError, MembershipError
+from latcop.errors import InternalError, LatcopError, MembershipError
 from latcop.piggyback import build_alter_ego
 
 DM = make("demorgan4")
@@ -404,6 +405,22 @@ class TestRevEng:
         entry = make(key, *params)
         res = reveng_priestley(entry.algebra, ego_for(key, *params))
         assert res.isomorphism is not None
+
+    @pytest.mark.parametrize("pairs,axiom", [
+        ({(0, 0), (1, 1), (2, 2)}, "reflexive"),  # point 3 is not related to itself
+        ({(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (1, 2)}, "transitive"),
+    ])
+    def test_a_broken_preorder_is_an_internal_error(self, monkeypatch, pairs, axiom):
+        # the square of demorgan4 has four dual points and one relation,
+        # which alone is the reconstruction preorder; replace it
+        square = direct_product([DM.algebra, DM.algebra])
+        ego = ego_for("demorgan4")
+        dual = natural_dual(square, ego)
+        assert len(dual.points[0]) == 4 and len(dual.relations) == 1
+        broken = dataclasses.replace(dual, relations=(frozenset(pairs),))
+        monkeypatch.setattr(duality_module, "natural_dual", lambda *args, **kwargs: broken)
+        with pytest.raises(InternalError, match=f"reconstruction preorder is not {axiom}"):
+            reveng_priestley(square, ego)
 
     def test_kleene_shape(self):
         res = reveng_priestley(K3.algebra, ego_for("kleene3"))
