@@ -42,8 +42,9 @@ class Signature:
         if len(set(names)) != len(names):
             raise LatcopError(f"duplicate symbol names in signature: {names}")
         for name, arity in self.symbols:
-            if arity < 0:
-                raise LatcopError(f"negative arity for symbol {name!r}")
+            # a table is indexed with one numpy array per argument, 63 at most
+            if not 0 <= arity <= 63:
+                raise LatcopError(f"arity {arity} of symbol {name!r} is outside 0..63")
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -107,7 +107,6 @@ class _Block:
     def build(self) -> ParsedAlgebra:
         if not self.ops:
             raise ParseError(f"algebra {self.name!r} declares no operations", self.start_line)
-        signature = Signature(tuple((sym, arity) for sym, arity, _ in self.ops))
         tables = []
         for sym, arity, decl_line in self.ops:
             if sym not in self.tables:
@@ -123,6 +122,8 @@ class _Block:
                     line,
                 )
             tables.append(tuple(self.resolve_value(t, line) for t in raw))
+        # after the tables, so a table of the wrong length is reported first
+        signature = Signature(tuple((sym, arity) for sym, arity, _ in self.ops))
         algebra = FiniteAlgebra(
             self.name, self.size, signature, tuple(tables), self.elements
         )

@@ -221,6 +221,8 @@ class FinitePoset:
     def __post_init__(self):
         if len(self.leq_rows) != self.size or any(row >> self.size for row in self.leq_rows):
             raise LatcopError(f"poset order must be {self.size} rows over the points 0..{self.size - 1}")
+        if len(self.labels) != self.size:
+            raise LatcopError(f"poset needs {self.size} labels, got {len(self.labels)}")
         fault = _preorder_fault(self.leq_rows)
         # in a preorder x <= y <= x exactly when rows x and y agree
         if fault is None and len(set(self.leq_rows)) < self.size:
@@ -285,14 +287,9 @@ def chain(size: int) -> FinitePoset:
 def priestley_dual(lattice: DistLatticeReduct) -> FinitePoset:
     """H(L): prime filters ordered by inclusion."""
     pfs = prime_filters(lattice)
-    pairs = {
-        (i, j)
-        for i, fi in enumerate(pfs)
-        for j, fj in enumerate(pfs)
-        if fi.elements <= fj.elements
-    }
+    rows = tuple(_mask(j for j, fj in enumerate(pfs) if fi.elements <= fj.elements) for fi in pfs)
     labels = tuple(lattice.element_name(f.generator) for f in pfs)
-    return poset_from_pairs(len(pfs), pairs, labels)
+    return FinitePoset(len(pfs), rows, labels)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .distlat import (
     FinitePoset,
     PrimeFilter,
     _bits,
+    _mask,
     _preorder_fault,
     d_reduct,
     poset_from_pairs,
@@ -52,12 +53,15 @@ class MultisortedStructure:
 
     ``points`` holds, per sort, the carrier (homomorphisms for duals, tuples
     for products); ``relations`` and ``operations`` are index-based lifts
-    aligned with the ego's relation and operation lists.
+    aligned with the ego's relation and operation lists: a relation as
+    bitmask rows like :class:`~latcop.piggyback.SortedRelation`'s (row i the
+    points of sort2 related to point i of sort1), an operation as the index
+    of each source point's image.
     """
 
     ego: AlterEgo
     points: tuple[tuple, ...]
-    relations: tuple[frozenset[tuple[int, int]], ...]
+    relations: tuple[tuple[int, ...], ...]
     operations: tuple[tuple[int, ...], ...]
 
     @property
@@ -81,15 +85,16 @@ def natural_dual(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None = N
         raise MembershipError(
             f"{algebra.name!r} is not in the quasivariety generated by the sorts"
         )
-    relations = []
-    for rel in ego.relations:
-        pairs = rel.pair_set
-        relations.append(frozenset(
-            (i, j)
-            for i, x in enumerate(points[rel.sort1])
-            for j, y in enumerate(points[rel.sort2])
-            if all((x.map[a], y.map[a]) in pairs for a in range(algebra.size))
-        ))
+    relations = [
+        tuple(
+            _mask(
+                j for j, y in enumerate(points[rel.sort2])
+                if all(rel.rows[u] >> v & 1 for u, v in zip(x.map, y.map))
+            )
+            for x in points[rel.sort1]
+        )
+        for rel in ego.relations
+    ]
     operations = []
     for g in ego.operations:
         index = {h.map: k for k, h in enumerate(points[ego.sort_index(g.target)])}
@@ -105,7 +110,9 @@ def structure_product(
 ) -> MultisortedStructure:
     """Cartesian product of structures over the same ego, lifted
     componentwise; the empty product (one empty-tuple point per sort, all
-    relation instances holding vacuously) needs the ego passed explicitly."""
+    relation instances holding vacuously) needs the ego passed explicitly.
+    Points are numbered row-major, the leftmost factor most significant, so
+    a lifted relation's rows are the Kronecker product of the factors' rows."""
     if structures:
         ego = structures[0].ego
         for x in structures[1:]:
@@ -127,29 +134,20 @@ def structure_product(
         tuple(itertools.product(*[x.points[s] for x in structures]))
         for s in range(nsorts)
     )
-    # per sort, the factor index tuple of each point, in the order of points
-    parts = [
-        list(itertools.product(*[range(len(x.points[s])) for x in structures]))
-        for s in range(nsorts)
-    ]
     relations = []
     for ri, rel in enumerate(ego.relations):
-        lifted = frozenset(
-            (i, j)
-            for i, di in enumerate(parts[rel.sort1])
-            for j, dj in enumerate(parts[rel.sort2])
-            if all((a, b) in x.relations[ri] for x, a, b in zip(structures, di, dj))
-        )
-        relations.append(lifted)
+        rows = (1,)
+        for x in structures:
+            n2 = len(x.points[rel.sort2])
+            rows = tuple(sum(q << (b * n2) for b in _bits(r)) for r in rows for q in x.relations[ri])
+        relations.append(rows)
     operations = []
     for gi, g in enumerate(ego.operations):
-        index = {d: k for k, d in enumerate(parts[ego.sort_index(g.target)])}
-        operations.append(
-            tuple(
-                index[tuple(x.operations[gi][a] for x, a in zip(structures, di))]
-                for di in parts[ego.sort_index(g.source)]
-            )
-        )
+        image = (0,)
+        for x in structures:
+            n2 = len(x.points[ego.sort_index(g.target)])
+            image = tuple(t * n2 + v for t in image for v in x.operations[gi])
+        operations.append(image)
     return MultisortedStructure(ego, points, tuple(relations), tuple(operations))
 
 
@@ -176,50 +174,41 @@ def e_functor(
     pointwise from the sorts."""
     ego = structure.ego
     order = structure.global_points()
-    pos = {p: k for k, p in enumerate(order)}
     nvars = len(order)
     sort_of = [s for s, _ in order]
     full = [(1 << ego.sorts[s].size) - 1 for s in sort_of]
+    start = list(itertools.accumulate(map(len, structure.points), initial=0))  # each sort's first point
 
-    # constraint edges
-    rel_edges: list[tuple[int, int, frozenset[tuple[int, int]]]] = []
-    for ri, rel in enumerate(ego.relations):
-        pairs = rel.pair_set
-        for (i, j) in sorted(structure.relations[ri]):
-            rel_edges.append((pos[(rel.sort1, i)], pos[(rel.sort2, j)], pairs))
-    op_edges: list[tuple[int, int, tuple[int, ...]]] = []
-    for gi, g in enumerate(ego.operations):
-        s1 = ego.sort_index(g.source)
-        for i, j in enumerate(structure.operations[gi]):
-            s2 = ego.sort_index(g.target)
-            op_edges.append((pos[(s1, i)], pos[(s2, j)], g.map))
-
-    # per edge, precompute value -> allowed-mask maps in both directions; an
-    # operation edge constrains like the graph of its map
+    # one edge per related pair of points, watched from both ends through the
+    # value -> allowed-mask table of its direction: a relation's rows and
+    # their transpose; an operation constrains like the graph of its map
+    constraints = [(rel.sort1, rel.sort2, rel.rows, lifted) for rel, lifted in zip(ego.relations, structure.relations)]
+    constraints += [
+        (ego.sort_index(g.source), ego.sort_index(g.target), tuple(1 << b for b in g.map), tuple(1 << j for j in image))
+        for g, image in zip(ego.operations, structure.operations)
+    ]
     watchers: list[list] = [[] for _ in range(nvars)]
-    for p, q, pairs in rel_edges + [(p, q, enumerate(gmap)) for p, q, gmap in op_edges]:
-        fwd: dict[int, int] = {}
-        bwd: dict[int, int] = {}
-        for a, b in pairs:
-            fwd[a] = fwd.get(a, 0) | (1 << b)
-            bwd[b] = bwd.get(b, 0) | (1 << a)
-        watchers[p].append((q, fwd))
-        watchers[q].append((p, bwd))
-
-    def union_image(mask: int, table: dict[int, int]) -> int:
-        out = 0
-        v = mask
-        while v:
-            b = v & -v
-            out |= table.get(b.bit_length() - 1, 0)
-            v ^= b
-        return out
+    for s1, s2, fwd, lifted in constraints:
+        bwd = [0] * ego.sorts[s2].size
+        for a, row in enumerate(fwd):
+            for b in _bits(row):
+                bwd[b] |= 1 << a
+        for i, row in enumerate(lifted):
+            for j in _bits(row):
+                p, q = start[s1] + i, start[s2] + j
+                watchers[p].append((q, fwd))
+                watchers[q].append((p, bwd))
 
     def propagate(dom: list[int], queue: list[int]) -> bool:
         while queue:
             p = queue.pop()
             for q, table in watchers[p]:
-                allowed = union_image(dom[p], table)
+                allowed = 0
+                v = dom[p]
+                while v:
+                    b = v & -v
+                    allowed |= table[b.bit_length() - 1]
+                    v ^= b
                 newdom = dom[q] & allowed
                 if newdom != dom[q]:
                     if newdom == 0:
@@ -260,15 +249,9 @@ def e_functor(
 
     if not solutions:
         raise LatcopError("E(X) is empty: the structure admits no morphisms")
-    # verify, then build the pointwise algebra (raises unless E(X) is closed)
+    # a leaf is propagated to a fixpoint with every domain a singleton, so it
+    # satisfies every edge; the pointwise algebra raises unless E(X) is closed
     sig = ego.sorts[0].signature
-    for sol in solutions:
-        for p, q, pairs in rel_edges:
-            if (sol[p], sol[q]) not in pairs:
-                raise InternalError("relation constraint violated")
-        for p, q, gmap in op_edges:
-            if sol[q] != gmap[sol[p]]:
-                raise InternalError("operation constraint violated")
     _, tables = _subpower(sig, [ego.sorts[s] for s in sort_of], universe=solutions)
     algebra = FiniteAlgebra("E(X)", len(solutions), sig, tables)
     return EResult(algebra, tuple(solutions), tuple(order))
@@ -430,22 +413,17 @@ def reveng_priestley(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None
     """
     dual = natural_dual(algebra, ego, homs=homs)
     elements: list[tuple[int, int, int]] = []
+    offset = []  # the index of each carrier's first pair: the blocks run carrier-major
     for wi, w in enumerate(ego.carriers):
         s = ego.sort_index(w.sort)
-        for p in range(len(dual.points[s])):
-            elements.append((s, p, wi))
-    rel_by_label: dict[tuple[int, int], list[int]] = {}
-    for ri, rel in enumerate(ego.relations):
-        rel_by_label.setdefault((rel.omega1, rel.omega2), []).append(ri)
-    rows = []
-    for (s1, p, w1) in elements:
-        row = 0
-        for k, (s2, q, w2) in enumerate(elements):
-            for ri in rel_by_label.get((w1, w2), ()):
-                if (p, q) in dual.relations[ri]:
-                    row |= 1 << k
-                    break
-        rows.append(row)
+        offset.append(len(elements))
+        elements.extend((s, p, wi) for p in range(len(dual.points[s])))
+    # a lifted row of R_{w1,w2} is a mask over the points of w2's sort:
+    # shifted to w2's block, it is part of the preorder row of (p, w1)
+    rows = [0] * len(elements)
+    for rel, lifted in zip(ego.relations, dual.relations):
+        for p, row in enumerate(lifted):
+            rows[offset[rel.omega1] + p] |= row << offset[rel.omega2]
     space = PreorderSpace(tuple(elements), tuple(rows))
     fault = _preorder_fault(rows)
     if fault is not None:

@@ -177,14 +177,14 @@ def _preimage_masks(table: Sequence[int], n: int) -> list[int]:
     return [int.from_bytes(b, "little") for b in buffers]
 
 
-_Search = Callable[[int], list[frozenset[int]]]
+_Search = Callable[[int], list[int]]
 
 
 def _relation_search(product: FiniteAlgebra) -> _Search:
     """The maximal-subuniverse search of ``product``, set up once.
 
     Returns ``maximal(allowed)``, which maps a bitmask of allowed elements to
-    the maximal subuniverses inside it, sorted as
+    the bitmasks of the maximal subuniverses inside it, sorted as
     :func:`maximal_subuniverses_in` documents.  The set-up is shared by every
     allowed set: the least subuniverse ``base``, the principal subuniverses
     sg(base + e) (each computed when an allowed set first holds e), the
@@ -228,7 +228,7 @@ def _relation_search(product: FiniteAlgebra) -> _Search:
                         return list(args)
         return None
 
-    def maximal(allowed: int) -> list[frozenset[int]]:
+    def maximal(allowed: int) -> list[int]:
         if base & ~allowed:
             return []
         s = base
@@ -309,7 +309,7 @@ def _relation_search(product: FiniteAlgebra) -> _Search:
                 for x in xs:
                     holders[x] |= 1 << len(tops)
                 tops.append(r)
-        return sorted((frozenset(_bits(t)) for t in tops), key=sorted)
+        return sorted(tops, key=_bits)
 
     return maximal
 
@@ -334,7 +334,7 @@ def maximal_subuniverses_in(
     allowed_set = set(allowed)
     if not all(0 <= x < product.size for x in allowed_set):
         raise LatcopError("allowed set outside universe")
-    return _relation_search(product)(_mask(allowed_set))
+    return [frozenset(_bits(s)) for s in _relation_search(product)(_mask(allowed_set))]
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +343,18 @@ def maximal_subuniverses_in(
 
 @dataclass(frozen=True)
 class SortedRelation:
-    """A maximal algebraic relation between two sorts, labeled by carriers."""
+    """A maximal algebraic relation between two sorts, labeled by carriers:
+    bit b of ``rows[a]`` is set iff (a, b) is in it; ``pairs`` lists them."""
 
     sort1: int
     sort2: int
     omega1: int
     omega2: int
-    pairs: tuple[tuple[int, int], ...]
+    rows: tuple[int, ...]
 
     @property
-    def pair_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.pairs)
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((a, b) for a, row in enumerate(self.rows) for b in _bits(row))
 
 
 @dataclass(frozen=True)
@@ -426,9 +427,10 @@ def build_alter_ego(
             sorts = (gens.index(w1.sort), gens.index(w2.sort))
             if sorts not in searches:
                 searches[sorts] = _relation_search(direct_product([w1.sort, w2.sort]))
+            n2 = w2.sort.size
             for s in searches[sorts](leq_mask(w1, w2)):
-                pairs = tuple(divmod(x, w2.sort.size) for x in sorted(s))
-                relations.append(SortedRelation(*sorts, i, j, pairs))
+                rows = tuple(s >> (a * n2) & ((1 << n2) - 1) for a in range(w1.sort.size))
+                relations.append(SortedRelation(*sorts, i, j, rows))
     return AlterEgo(gens, spec, omega, tuple(relations), operations, minimality)
 
 

@@ -10,8 +10,10 @@ generators by scanning every subalgebra, simplified
 generating sets by testing every subalgebra up to isomorphism, the
 coproduct's universal property by closing a subalgebra of C x m^K,
 relation orbits by applying every pair of automorphisms, the
-sublattice (w1, w2)^-1(<=) by listing its pairs, and the numbering of
-product elements by numpy's multi-index rule.
+sublattice (w1, w2)^-1(<=) by listing its pairs, the numbering of
+product elements by numpy's multi-index rule, the dual side's lifted
+relations, products and reconstruction preorders as sets of point pairs,
+and E(X) by testing every map of the points into their sorts.
 """
 
 from __future__ import annotations
@@ -363,7 +365,7 @@ def reconstruction_order_poset(algebra: FiniteAlgebra, ego: AlterEgo) -> FiniteP
         raise LatcopError("single-sort single-carrier unique-relation case only")
     dual = natural_dual(algebra, ego)
     npts = len(dual.points[0])
-    pairs = set(dual.relations[0])
+    pairs = set(pairs_of(dual.relations[0]))
     return poset_from_pairs(npts, pairs, tuple(f"x{i}" for i in range(npts)))
 
 
@@ -630,7 +632,7 @@ def relation_orbit_count(ego: AlterEgo, omega1: int, omega2: int) -> int:
     seen: set[frozenset[tuple[int, int]]] = set()
     orbits = 0
     for r in rels:
-        ps = r.pair_set
+        ps = frozenset(r.pairs)
         if ps in seen:
             continue
         orbits += 1
@@ -661,3 +663,100 @@ def encode(factors: Iterable[FiniteAlgebra], parts: Iterable[int]) -> int:
 def decode(factors: Iterable[FiniteAlgebra], x: int) -> tuple[int, ...]:
     """The factor tuple of element ``x`` of ``direct_product(factors)``."""
     return tuple(int(i) for i in np.unravel_index(x, [f.size for f in factors]))
+
+
+# ---------------------------------------------------------------------------
+# the dual side, with each relation a set of pairs
+
+
+def pairs_of(rows: Iterable[int]) -> frozenset[tuple[int, int]]:
+    """The pairs (i, j) with bit j of ``rows[i]`` set."""
+    return frozenset((i, j) for i, row in enumerate(rows) for j in range(row.bit_length()) if row >> j & 1)
+
+
+def lift_by_pairs(algebra: FiniteAlgebra, ego: AlterEgo, points) -> tuple[frozenset[tuple[int, int]], ...]:
+    """``natural_dual``'s lifted relations: homomorphisms x, y are related
+    iff (x(a), y(a)) lies in the relation for every element a."""
+    lifted = []
+    for rel in ego.relations:
+        pairs = frozenset(rel.pairs)
+        lifted.append(frozenset(
+            (i, j)
+            for i, x in enumerate(points[rel.sort1])
+            for j, y in enumerate(points[rel.sort2])
+            if all((x.map[a], y.map[a]) in pairs for a in range(algebra.size))
+        ))
+    return tuple(lifted)
+
+
+def product_by_pairs(structures, ego: AlterEgo):
+    """``structure_product``'s lifted relations as pair sets and its lifted
+    operations, with each product point numbered by the position of its
+    factor index tuple in ``itertools.product`` order."""
+    parts = [
+        list(itertools.product(*[range(len(x.points[s])) for x in structures]))
+        for s in range(len(ego.sorts))
+    ]
+    factor_pairs = [[pairs_of(rows) for rows in x.relations] for x in structures]
+    relations = tuple(
+        frozenset(
+            (i, j)
+            for i, di in enumerate(parts[rel.sort1])
+            for j, dj in enumerate(parts[rel.sort2])
+            if all((a, b) in f[ri] for f, a, b in zip(factor_pairs, di, dj))
+        )
+        for ri, rel in enumerate(ego.relations)
+    )
+    operations = []
+    for gi, g in enumerate(ego.operations):
+        index = {d: k for k, d in enumerate(parts[ego.sort_index(g.target)])}
+        operations.append(tuple(
+            index[tuple(x.operations[gi][a] for x, a in zip(structures, di))]
+            for di in parts[ego.sort_index(g.source)]
+        ))
+    return relations, tuple(operations)
+
+
+def morphisms_by_maps(structure) -> list[tuple[int, ...]]:
+    """E(X)'s elements, sorted: every map of the points, in sort-major
+    order, into their sorts, kept when it sends each lifted pair into its
+    relation and commutes with each lifted operation."""
+    ego = structure.ego
+    order = structure.global_points()
+    pos = {p: k for k, p in enumerate(order)}
+    checks = [
+        (pos[(rel.sort1, i)], pos[(rel.sort2, j)], frozenset(rel.pairs))
+        for rel, lifted in zip(ego.relations, structure.relations)
+        for i, j in pairs_of(lifted)
+    ] + [
+        (pos[(ego.sort_index(g.source), i)], pos[(ego.sort_index(g.target), j)], frozenset(enumerate(g.map)))
+        for g, image in zip(ego.operations, structure.operations)
+        for i, j in enumerate(image)
+    ]
+    maps = itertools.product(*[range(ego.sorts[s].size) for s, _ in order])
+    return [v for v in maps if all((v[p], v[q]) in pairs for p, q, pairs in checks)]
+
+
+def reconstruction_rows_by_triples(ego: AlterEgo, dual) -> list[int]:
+    """``reveng_priestley``'s preorder rows over (sort, point, carrier) in
+    carrier-major order: (p, w1) lies below (q, w2) iff (p, q) is in the
+    lift of some relation labelled (w1, w2)."""
+    elements = [
+        (ego.sort_index(w.sort), p, wi)
+        for wi, w in enumerate(ego.carriers)
+        for p in range(len(dual.points[ego.sort_index(w.sort)]))
+    ]
+    rel_by_label: dict[tuple[int, int], list[int]] = {}
+    for ri, rel in enumerate(ego.relations):
+        rel_by_label.setdefault((rel.omega1, rel.omega2), []).append(ri)
+    lifted = [pairs_of(rows) for rows in dual.relations]
+    rows = []
+    for (_, p, w1) in elements:
+        row = 0
+        for k, (_, q, w2) in enumerate(elements):
+            for ri in rel_by_label.get((w1, w2), ()):
+                if (p, q) in lifted[ri]:
+                    row |= 1 << k
+                    break
+        rows.append(row)
+    return rows

@@ -60,7 +60,7 @@ def test_criterion_01_de_morgan():
     assert (rep.verdict_E, rep.verdict_S) == (True, True)
     ego = ego_for("demorgan4")
     assert len(ego.relations) == 1
-    assert ego.relations[0].pair_set == DM_RELATION
+    assert frozenset(ego.relations[0].pairs) == DM_RELATION
     _passed(1, "De Morgan classifies E+S+ with exactly the nine-pair relation")
 
 
@@ -95,7 +95,7 @@ def test_criterion_03_pseudocomplemented():
 
 def test_criterion_04_goedel():
     ego = ego_for("heyting_chain", 3)
-    rels = {r.pair_set for r in ego.relations}
+    rels = {frozenset(r.pairs) for r in ego.relations}
     assert rels == {GOEDEL_R1, GOEDEL_R2}
     for n in (3, 4):
         rep = report_for("heyting_chain", n)

@@ -89,6 +89,42 @@ class TestClassify:
         assert err == f"error: cannot parse catalog id {source!r}\n"
 
 
+ONE_ELEMENT = """algebra big size 1
+op meet 2
+op join 2
+op zero 0
+op one 0
+op f {arity}
+table meet = 0
+table join = 0
+table zero = 0
+table one = 0
+table f = 0
+reduct meet=(meet x0 x1) join=(join x0 x1) bot=(zero) top=(one)
+"""
+
+
+class TestArityLimit:
+    # a table is indexed with one numpy array per argument; past 63 every
+    # command rejects the file before reading it further
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["duality"], ["coproduct"], ["free", "1"], ["reveng-check"], ["export-dot", "--reveng"],
+    ], ids=lambda argv: " ".join(argv))
+    @pytest.mark.parametrize("arity", [63, 64, 65, 99999999999])
+    def test_arity_past_63_exits_2(self, capsys, tmp_path, argv, arity):
+        path = tmp_path / "one.alg"
+        path.write_text(ONE_ELEMENT.format(arity=arity), encoding="utf-8")
+        code, out, err = run(capsys, *argv, str(path))
+        if arity > 63:
+            assert (code, out) == (EXIT_INPUT, "")
+            assert err == f"error: arity {arity} of symbol 'f' is outside 0..63\n"
+        elif argv[0] in ("classify", "free"):
+            assert (code, err) == (EXIT_OK, "")
+        else:
+            # a one-element algebra has no carrier maps to separate with
+            assert code == EXIT_INPUT and "does not separate" in err
+
+
 class TestCapParsing:
     def exit_code(self, *argv):
         with pytest.raises(SystemExit) as exc:

@@ -376,6 +376,11 @@ class TestOrderCheck:
         with pytest.raises(LatcopError, match="rows over the points"):
             FinitePoset(size, rows, ("p",) * size)
 
+    @pytest.mark.parametrize("labels", [("a",), ("a", "b", "c")])
+    def test_a_label_count_other_than_the_size_is_rejected(self, labels):
+        with pytest.raises(LatcopError, match=f"poset needs 2 labels, got {len(labels)}"):
+            FinitePoset(2, (0b11, 0b10), labels)
+
     @settings(max_examples=300, deadline=None)
     @given(relations())
     def test_matches_the_axiom_scan(self, case):

@@ -6,11 +6,18 @@ import sys
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ego_for,
+    lift_by_pairs,
     median_chain,
+    morphisms_by_maps,
+    pairs_of,
+    product_by_pairs,
     reconstruction_order_poset,
+    reconstruction_rows_by_triples,
     report_for,
     universal_by_closure,
 )
@@ -27,10 +34,11 @@ from latcop.algebra import (
     isomorphic,
     subuniverse_closure,
 )
-from latcop.catalog import make, make_id
+from latcop.catalog import make, make_id, table1_suite
 from latcop.distlat import chain as chain_poset
 from latcop.distlat import d_reduct, poset_isomorphic, prime_filters, priestley_dual
 from latcop.duality import (
+    MultisortedStructure,
     _check_universal_property,
     _prescribed,
     coproduct,
@@ -44,11 +52,54 @@ from latcop.duality import (
     structure_product,
 )
 from latcop.errors import InternalError, LatcopError, MembershipError
-from latcop.piggyback import build_alter_ego
+from latcop.piggyback import build_alter_ego, carrier_from_filter
 
 DM = make("demorgan4")
 K3 = make("kleene3")
 C3 = make("heyting_chain", 3)
+
+# one-sort egos of sizes 2 and 3 (the latter with two carriers), and a
+# two-sort ego on sorts of sizes 3 and 4, so a row sized or shifted by
+# the wrong sort shows
+EGOS = [
+    ego_for("bool2"),
+    ego_for("kleene3"),
+    build_alter_ego(
+        [K3.algebra, DM.algebra], DM.spec,
+        [carrier_from_filter(K3.algebra, K3.spec, {2}), carrier_from_filter(DM.algebra, DM.spec, {1, 3})],
+    ),
+]
+
+
+@st.composite
+def structures(draw, ego, most, row_bits=None):
+    """A structure over ``ego`` with 1..most points per sort, random
+    relation rows of at most ``row_bits`` bits (any number when None), and
+    random operation images or, mostly, the identity for an operation
+    within one sort.  E(X) has more than its constant maps mostly when
+    the rows hold one bit or none."""
+    counts = [draw(st.integers(1, most)) for _ in ego.sorts]
+    relations = tuple(
+        tuple(
+            sum(1 << j for j in draw(st.sets(st.integers(0, counts[rel.sort2] - 1), max_size=row_bits)))
+            for _ in range(counts[rel.sort1])
+        )
+        for rel in ego.relations
+    )
+    operations = []
+    for g in ego.operations:
+        s, t = ego.sort_index(g.source), ego.sort_index(g.target)
+        if s == t and draw(st.integers(0, 3)):
+            operations.append(tuple(range(counts[s])))
+        else:
+            operations.append(tuple(draw(st.integers(0, counts[t] - 1)) for _ in range(counts[s])))
+    return MultisortedStructure(ego, tuple(tuple(range(c)) for c in counts), relations, tuple(operations))
+
+
+def factors(ego):
+    """Up to three structures over ``ego``, at most 4 points per sort (3
+    with two sorts), paired with the ego for the empty product."""
+    return st.lists(structures(ego, 4 if len(ego.sorts) == 1 else 3), max_size=3).map(lambda xs: (ego, xs))
 
 
 class TestNaturalDual:
@@ -56,7 +107,7 @@ class TestNaturalDual:
         x = natural_dual(DM.algebra, ego_for("demorgan4"))
         assert len(x.points[0]) == 2
         # the lifted relation relates each endomorphism to itself only
-        assert x.relations[0] == frozenset({(0, 0), (1, 1)})
+        assert x.relations[0] == (0b01, 0b10)
 
     def test_trivial_algebra_has_no_points(self):
         one = direct_product([], signature=DM.algebra.signature)
@@ -99,7 +150,19 @@ class TestStructureProduct:
         ego = ego_for("kleene3")
         p = structure_product([], ego=ego)
         assert [len(pts) for pts in p.points] == [1]
-        assert all(rel == frozenset({(0, 0)}) for rel in p.relations)
+        assert all(rel == (0b1,) for rel in p.relations)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(EGOS).flatmap(factors))
+    def test_matches_the_pairwise_lifting(self, case):
+        ego, factors = case
+        p = structure_product(factors, ego=ego)
+        relations, operations = product_by_pairs(factors, ego)
+        assert tuple(pairs_of(rows) for rows in p.relations) == relations
+        assert p.operations == operations
+        for rel, rows in zip(ego.relations, p.relations):
+            assert len(rows) == len(p.points[rel.sort1])
+            assert all(row >> len(p.points[rel.sort2]) == 0 for row in rows)
 
 
 class TestEFunctor:
@@ -115,7 +178,7 @@ class TestEFunctor:
             x = MultisortedStructure(
                 ego,
                 (tuple(range(m.size)),),
-                tuple(frozenset(r.pairs) for r in ego.relations),
+                tuple(r.rows for r in ego.relations),
                 tuple(g.map for g in ego.operations),
             )
             res = e_functor(x)
@@ -135,7 +198,7 @@ class TestEFunctor:
         x = MultisortedStructure(
             ego,
             (tuple(range(n)),),
-            tuple(frozenset() for _ in ego.relations),
+            tuple((0,) * n for _ in ego.relations),
             tuple(tuple(range(n)) for _ in ego.operations),
         )
         with pytest.raises(CapExceeded) as exc:
@@ -155,6 +218,15 @@ class TestEFunctor:
         with pytest.raises(CapExceeded) as exc:
             coproduct([DM.algebra], DM.spec, None, family, visit_cap=20)
         assert exc.value.required == 21
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(EGOS).flatmap(lambda ego: structures(ego, 6 // len(ego.sorts), row_bits=1)))
+    def test_matches_every_map_of_the_points(self, x):
+        # the sorts have nullary operations, so the constant maps keep E(X)
+        # from being empty
+        res = e_functor(x)
+        assert res.point_order == tuple(x.global_points())
+        assert list(res.morphisms) == morphisms_by_maps(x)
 
     def test_e_of_dual_recovers_size(self):
         for key, params in [("demorgan4", ()), ("kleene3", ()), ("heyting_chain", (3,))]:
@@ -417,10 +489,29 @@ class TestRevEng:
         ego = ego_for("demorgan4")
         dual = natural_dual(square, ego)
         assert len(dual.points[0]) == 4 and len(dual.relations) == 1
-        broken = dataclasses.replace(dual, relations=(frozenset(pairs),))
+        rows = tuple(sum(1 << q for p, q in pairs if p == x) for x in range(4))
+        broken = dataclasses.replace(dual, relations=(rows,))
         monkeypatch.setattr(duality_module, "natural_dual", lambda *args, **kwargs: broken)
         with pytest.raises(InternalError, match=f"reconstruction preorder is not {axiom}"):
             reveng_priestley(square, ego)
+
+    @staticmethod
+    def check_rows(algebra, ego):
+        # the lifted relations pair by pair, and the preorder by its triple
+        # loop over (pair, pair, relation)
+        dual = natural_dual(algebra, ego)
+        assert tuple(pairs_of(rows) for rows in dual.relations) == lift_by_pairs(algebra, ego, dual.points)
+        res = reveng_priestley(algebra, ego)
+        assert list(res.preorder.preceq_rows) == reconstruction_rows_by_triples(ego, dual)
+
+    @pytest.mark.parametrize("entry", [e for e, _ in table1_suite()], ids=lambda e: e.key)
+    def test_rows_match_the_pairwise_lifting(self, entry):
+        self.check_rows(entry.algebra, ego_for(entry.constructor, *entry.params))
+
+    @pytest.mark.parametrize("algebra", [K3.algebra, DM.algebra, direct_product([K3.algebra, DM.algebra])], ids=["kleene3", "demorgan4", "product"])
+    def test_two_sort_rows_match_the_pairwise_lifting(self, algebra):
+        # the sorts have 3 and 4 elements, and hom(algebra, sort) sizes differ
+        self.check_rows(algebra, EGOS[2])
 
     def test_kleene_shape(self):
         res = reveng_priestley(K3.algebra, ego_for("kleene3"))
