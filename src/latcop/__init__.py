@@ -49,7 +49,6 @@ from .distlat import (
     poset_isomorphic,
     prime_filters,
     priestley_dual,
-    upset_lattice,
 )
 from .duality import (
     AlterEgo,

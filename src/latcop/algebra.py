@@ -123,13 +123,14 @@ class FiniteAlgebra:
 
     ``tables`` is aligned with ``signature.symbols``; the table for an
     arity-k symbol has ``size**k`` entries indexed row-major (leftmost
-    argument most significant).  Products, free algebras and E(X) get their
-    tables from one subpower kernel, ``_subpower``, which runs on numpy:
-    element tuples are found through a trie with one level per
-    coordinate, operations are evaluated coordinatewise on blocks of
-    argument tuples, and each argument tuple is evaluated once, by the
-    closure loop.  An induced subalgebra reads its parent's tables.  A
-    product's elements are numbered as :func:`direct_product` states;
+    argument most significant).  Free algebras and E(X) get their tables
+    from one subpower kernel, ``_subpower``, which runs on numpy: element
+    tuples are found through a trie with one level per coordinate,
+    operations are evaluated coordinatewise on blocks of argument tuples,
+    and each argument tuple is evaluated once, by the closure loop.  A full
+    product needs no closure: :func:`direct_product` builds each table as
+    one broadcast sum of its factors' tables, and states how it numbers the
+    elements.  An induced subalgebra reads its parent's tables;
     ``generators`` is set by :func:`free_algebra`.
     """
 
@@ -948,9 +949,14 @@ def direct_product(
     :meth:`FiniteAlgebra.flat_index` uses for table positions): (a, b) of
     A x B is a * B.size + b, read back with ``divmod``.
 
-    The empty product is the one-element algebra; its signature must then be
-    supplied explicitly.  CapExceeded is raised, before any tuple is listed,
-    for more than ``DEFAULT_PRODUCT_CAP`` elements.
+    A full product is closed, so each table is one broadcast sum: with k
+    factors of more than one element, the table of an arity-r symbol has
+    the axes (argument i, factor j) at i*k + j, and factor j's table,
+    weighted by the place value of j, lies on the axes j, k + j, ...  The
+    empty product is the one-element algebra; its signature must then be
+    supplied explicitly.  CapExceeded is raised, before any table is built,
+    for more than ``DEFAULT_PRODUCT_CAP`` elements or ``TABLE_ENTRY_BUDGET``
+    table entries.
     """
     if algebras:
         _check_same_signature(*algebras)
@@ -962,12 +968,28 @@ def direct_product(
     size = prod(a.size for a in algebras)
     if size > DEFAULT_PRODUCT_CAP:
         raise CapExceeded(
-            f"product would have {size} elements, cap is {DEFAULT_PRODUCT_CAP}", required=size
+            f"product would have {size} elements, cap is {DEFAULT_PRODUCT_CAP}",
+            required=size, stage="product", budget=DEFAULT_PRODUCT_CAP,
         )
-    _, tables = _subpower(
-        signature, algebras, list(itertools.product(*(range(a.size) for a in algebras)))
-    )
-    return FiniteAlgebra("x".join(a.name for a in algebras) or "1", size, signature, tables)
+    required = sum(size**arity for _, arity in signature.symbols)
+    if required > TABLE_ENTRY_BUDGET:
+        raise CapExceeded(
+            f"subpower tables need {required}+ entries, budget is {TABLE_ENTRY_BUDGET}",
+            required=required, stage="table build", budget=TABLE_ENTRY_BUDGET,
+        )
+    # a one-element factor adds 0 everywhere, so it gets no axes
+    dtype = _index_dtype(size)
+    factors = [(a, prod(b.size for b in algebras[j + 1:])) for j, a in enumerate(algebras) if a.size > 1]
+    k = len(factors)
+    tables = []
+    for i, (_, arity) in enumerate(signature.symbols):
+        table = np.zeros(tuple(a.size for a, _ in factors) * arity, dtype)
+        for j, (a, place) in enumerate(factors):
+            axes = [1] * (k * arity)
+            axes[j::k] = [a.size] * arity
+            table += np.array(a.tables[i], dtype).reshape(axes) * dtype.type(place)
+        tables.append(tuple(table.ravel().tolist()))
+    return FiniteAlgebra("x".join(a.name for a in algebras) or "1", size, signature, tuple(tables))
 
 
 def quotient(algebra: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, Homomorphism]:
@@ -1184,7 +1206,7 @@ def free_algebra(
         if ambient > cap:
             raise CapExceeded(
                 f"free-algebra ambient product needs {ambient}+ elements, cap is {cap}",
-                required=ambient,
+                required=ambient, stage="free algebra", budget=cap,
             )
     # coordinates: (generator, assignment of the n variables)
     coords = [(m, v) for m in generators for v in itertools.product(range(m.size), repeat=n)]

@@ -70,7 +70,7 @@ def simplify_generators(
         if m.size > size_cap:
             raise CapExceeded(
                 f"subalgebra enumeration needs generator size <= {size_cap}, got {m.size}",
-                required=m.size,
+                required=m.size, stage="subalgebra enumeration", budget=size_cap,
             )
     homs = {} if homs is None else homs
 
@@ -325,5 +325,5 @@ def check_condition_C(
     c1 = all(embeds(s, m) is not None for s in simplified)
     c2 = sep_condition([m], [omega], homs=homs).holds
     square = direct_product([m, m])
-    c3 = len(_relation_search(square)(leq_mask(omega, omega))) == 1
+    c3 = len(_relation_search(square, m.size)(leq_mask(omega, omega))) == 1
     return (c1, c2, c3)

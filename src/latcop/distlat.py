@@ -331,26 +331,6 @@ class PosetMap(_Map):
         )
 
 
-def upset_lattice(poset: FinitePoset) -> DistLatticeReduct:
-    """K(P): the lattice of up-sets under intersection and union."""
-    ups = poset.upsets()
-    index = {u: i for i, u in enumerate(ups)}
-    n = len(ups)
-    labels = tuple(
-        "{" + ",".join(poset.labels[x] for x in sorted(u)) + "}" for u in ups
-    )
-    meet = tuple(index[ups[i] & ups[j]] for i in range(n) for j in range(n))
-    join = tuple(index[ups[i] | ups[j]] for i in range(n) for j in range(n))
-    algebra = FiniteAlgebra(
-        "Up(P)",
-        n,
-        _LATTICE_SIG,
-        (meet, join, (index[frozenset()],), (index[frozenset(range(poset.size))],)),
-        labels,
-    )
-    return d_reduct(algebra, DReductSpec.literal())
-
-
 _UP_SIG = Signature((("up", 2),))
 
 

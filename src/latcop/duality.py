@@ -128,7 +128,7 @@ def structure_product(
         if count > points_cap:
             raise CapExceeded(
                 f"product structure needs {count} points in sort {s}, cap is {points_cap}",
-                required=count,
+                required=count, stage="structure product", budget=points_cap,
             )
     points = tuple(
         tuple(itertools.product(*[x.points[s] for x in structures]))
@@ -235,7 +235,7 @@ def e_functor(
         if visits > visit_cap:
             raise CapExceeded(
                 f"E-functor enumeration exceeded {visit_cap} visited assignments",
-                required=visits,
+                required=visits, stage="E-functor search", budget=visit_cap,
             )
         pivot = next((k for k in range(nvars) if dom[k] & (dom[k] - 1)), -1)
         if pivot == -1:

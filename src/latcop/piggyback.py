@@ -23,10 +23,13 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .algebra import (
     FiniteAlgebra,
     Homomorphism,
     Signature,
+    _index_dtype,
     direct_product,
     hom_set,
     subuniverse_closure,
@@ -168,41 +171,78 @@ def leq_mask(w1: PrimeFilter, w2: PrimeFilter) -> int:
     return ((1 << (w1.sort.size * n2)) - 1) & ~cut
 
 
-def _preimage_masks(table: Sequence[int], n: int) -> list[int]:
-    """For each value z < n, the mask of flat input indices mapped to z."""
-    width = (len(table) + 7) // 8
-    buffers = [bytearray(width) for _ in range(n)]
-    for i, z in enumerate(table):
-        buffers[z][i >> 3] |= 1 << (i & 7)
-    return [int.from_bytes(b, "little") for b in buffers]
+def _bitmask(flags: np.ndarray) -> int:
+    """The bitmask whose bit i is set iff ``flags[i]``."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+class _Preimages:
+    """A unary or binary table of an n-element product as a narrow numpy
+    array over its flat input positions, with the mask of the positions
+    mapped to each value, built when first asked for and then kept."""
+
+    def __init__(self, table: Sequence[int], n: int):
+        self.table = np.array(table, _index_dtype(n))
+        self.masks: list[int | None] = [None] * n
+
+    def escape(self, outside: np.ndarray) -> int:
+        """The mask of the positions whose value is flagged in ``outside``,
+        one bool per element."""
+        return _bitmask(outside.take(self.table))
+
+    def union(self, values: Iterable[int]) -> int:
+        """The mask of the positions mapped into ``values``."""
+        out = 0
+        for z in values:
+            mask = self.masks[z]
+            if mask is None:
+                mask = self.masks[z] = _bitmask(self.table == z)
+            out |= mask
+        return out
+
+
+def _close_principal(
+    product: FiniteAlgebra, e: int, swap: Sequence[int] | None, principal: dict[int, int]
+) -> None:
+    """Put sg(base + e) into ``principal`` as a bitmask.  ``swap`` is None
+    or, on the square of one sort, the map (a, b) -> (b, a) of its
+    elements: an automorphism, which fixes base, so sg(base + swap[e]) is
+    sg(base + e) swapped, and goes in too."""
+    closure = subuniverse_closure(product, (e,))
+    principal[e] = _mask(closure)
+    if swap is not None:
+        principal[swap[e]] = _mask(swap[x] for x in closure)
 
 
 _Search = Callable[[int], list[int]]
 
 
-def _relation_search(product: FiniteAlgebra) -> _Search:
+def _relation_search(product: FiniteAlgebra, sort_size: int | None = None) -> _Search:
     """The maximal-subuniverse search of ``product``, set up once.
 
     Returns ``maximal(allowed)``, which maps a bitmask of allowed elements to
     the bitmasks of the maximal subuniverses inside it, sorted as
     :func:`maximal_subuniverses_in` documents.  The set-up is shared by every
     allowed set: the least subuniverse ``base``, the principal subuniverses
-    sg(base + e) (each computed when an allowed set first holds e), the
-    preimage masks of the unary and binary operations over the n*n-bit
-    square (bit x*n+y), and the row-plus-column mask of each element.
+    sg(base + e) (each computed when an allowed set first holds e, together
+    with its mirror when ``product`` is the square of one sort of
+    ``sort_size`` elements), the unary and binary tables with their
+    preimage masks over the n*n-bit square (bit x*n+y, see
+    :class:`_Preimages`), and the row-plus-column mask of each element.
     Nullary values lie in ``base``, which every node keeps, so they never
     escape.
     """
     n = product.size
     base = _mask(subuniverse_closure(product, ()))
     principal: dict[int, int] = {}  # sg(base + e), filled in on first use
+    swap = None if sort_size is None else [x % sort_size * sort_size + x // sort_size for x in range(n)]
     # (arity, index into pre_ops or, for arity >= 3, the table)
     ops: list[tuple[int, int | tuple[int, ...]]] = []
-    pre_ops: list[list[int]] = []
+    pre_ops: list[_Preimages] = []
     for _, arity, tab in product.ops():
         if arity in (1, 2):
             ops.append((arity, len(pre_ops)))
-            pre_ops.append(_preimage_masks(tab, n))
+            pre_ops.append(_Preimages(tab, n))
         elif arity > 2:
             ops.append((arity, tab))
     row = (1 << n) - 1
@@ -234,14 +274,15 @@ def _relation_search(product: FiniteAlgebra) -> _Search:
         s = base
         for e in _bits(allowed & ~base):
             if e not in principal:
-                principal[e] = _mask(subuniverse_closure(product, (e,)))
+                _close_principal(product, e, swap, principal)
             if not principal[e] & ~allowed:
                 s |= 1 << e
         square = 0
         for x in _bits(s):
             square |= s << (x * n)
-        outside = _bits(((1 << n) - 1) & ~s)
-        bad = [_union(pre, outside) for pre in pre_ops]
+        held = np.frombuffer(s.to_bytes(-(-n // 8), "little"), np.uint8)
+        outside = np.unpackbits(held, count=n, bitorder="little") == 0
+        bad = [pre.escape(outside) for pre in pre_ops]
         up: list[int] = []  # up[e]: the root elements x with e in sg(base + x)
         drops: dict[int, tuple[int, int, list[int]]] = {}  # e -> up[e] and its masks
 
@@ -256,7 +297,7 @@ def _relation_search(product: FiniteAlgebra) -> _Search:
                         up[y] |= 1 << x
             if e not in drops:
                 xs = _bits(up[e])
-                drops[e] = (up[e], _union(cross, xs), [_union(pre, xs) for pre in pre_ops])
+                drops[e] = (up[e], _union(cross, xs), [pre.union(xs) for pre in pre_ops])
             return drops[e]
 
         results: list[int] = []
@@ -426,7 +467,8 @@ def build_alter_ego(
         for j, w2 in enumerate(omega):
             sorts = (gens.index(w1.sort), gens.index(w2.sort))
             if sorts not in searches:
-                searches[sorts] = _relation_search(direct_product([w1.sort, w2.sort]))
+                same = w1.sort.size if sorts[0] == sorts[1] else None
+                searches[sorts] = _relation_search(direct_product([w1.sort, w2.sort]), same)
             n2 = w2.sort.size
             for s in searches[sorts](leq_mask(w1, w2)):
                 rows = tuple(s >> (a * n2) & ((1 << n2) - 1) for a in range(w1.sort.size))

@@ -13,7 +13,9 @@ relation orbits by applying every pair of automorphisms, the
 sublattice (w1, w2)^-1(<=) by listing its pairs, the numbering of
 product elements by numpy's multi-index rule, the dual side's lifted
 relations, products and reconstruction preorders as sets of point pairs,
-and E(X) by testing every map of the points into their sorts.
+E(X) by testing every map of the points into their sorts, direct products
+by the subpower kernel, the relation search's preimage masks bit by bit,
+and the lattice of up-sets of a poset.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from latcop.catalog import make
 from latcop.classify import SUBALGEBRA_SIZE_CAP, flowchart_classify
 from latcop.distlat import (
     _LATTICE_SIG,
+    DistLatticeReduct,
+    DReductSpec,
     FinitePoset,
     LatticeHom,
     PosetMap,
@@ -239,6 +243,18 @@ def pointwise_closure(coords, generators, signature=None) -> list[tuple[int, ...
         found |= new
 
 
+def product_by_subpower(algebras, signature=None) -> FiniteAlgebra:
+    """The direct product with its tables from the subpower kernel: every
+    factor tuple, listed row-major, is the given universe.  The empty
+    product needs ``signature``."""
+    signature = algebras[0].signature if algebras else signature
+    _, tables = _subpower(
+        signature, algebras, list(itertools.product(*(range(a.size) for a in algebras)))
+    )
+    size = int(np.prod([a.size for a in algebras]))
+    return FiniteAlgebra("x".join(a.name for a in algebras) or "1", size, signature, tables)
+
+
 def universal_by_closure(c: FiniteAlgebra, m: FiniteAlgebra, rows: dict, width: int) -> bool:
     """Whether the rows (y, rows[y]) and the nullary values generate, in
     C x m^width, the graph of a total function on C: the subalgebra is
@@ -330,6 +346,26 @@ def lattice_algebra_from_leq(
         (tuple(meet), tuple(join), (bots[0],), (tops[0],)),
         element_names,
     )
+
+
+def upset_lattice(poset: FinitePoset) -> DistLatticeReduct:
+    """K(P): the lattice of up-sets under intersection and union."""
+    ups = poset.upsets()
+    index = {u: i for i, u in enumerate(ups)}
+    n = len(ups)
+    labels = tuple(
+        "{" + ",".join(poset.labels[x] for x in sorted(u)) + "}" for u in ups
+    )
+    meet = tuple(index[ups[i] & ups[j]] for i in range(n) for j in range(n))
+    join = tuple(index[ups[i] | ups[j]] for i in range(n) for j in range(n))
+    algebra = FiniteAlgebra(
+        "Up(P)",
+        n,
+        _LATTICE_SIG,
+        (meet, join, (index[frozenset()],), (index[frozenset(range(poset.size))],)),
+        labels,
+    )
+    return d_reduct(algebra, DReductSpec.literal())
 
 
 def poset_disjoint_union(p: FinitePoset, q: FinitePoset) -> FinitePoset:
@@ -651,6 +687,16 @@ def leq_sublattice(w1: PrimeFilter, w2: PrimeFilter) -> frozenset[tuple[int, int
         for b in range(w2.sort.size)
         if not (a in w1.elements and b not in w2.elements)
     )
+
+
+def preimage_masks(table, n: int) -> list[int]:
+    """For each value z < n, the mask of flat input indices mapped to z,
+    set bit by bit."""
+    width = (len(table) + 7) // 8
+    buffers = [bytearray(width) for _ in range(n)]
+    for i, z in enumerate(table):
+        buffers[z][i >> 3] |= 1 << (i & 7)
+    return [int.from_bytes(b, "little") for b in buffers]
 
 
 def encode(factors: Iterable[FiniteAlgebra], parts: Iterable[int]) -> int:

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from math import prod
 from unittest import mock
 
@@ -24,6 +25,7 @@ from conftest import (
     median_chain,
     pointwise_closure,
     pointwise_tables,
+    product_by_subpower,
     relative_congruences,
     rsi_by_definition,
     universal_by_closure,
@@ -623,6 +625,13 @@ class TestFreeAlgebra:
         with pytest.raises(CapExceeded):
             free_algebra([DM4], 2)  # ambient 4^16 over the default cap
 
+    def test_small_cap_names_stage_and_budget(self):
+        # the ambient product of F(2) over K3 is K3^9
+        with pytest.raises(CapExceeded) as exc:
+            free_algebra([K3], 2, cap=100)
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == ("free algebra", 100, 3**9)
+        assert str(exc.value) == f"free-algebra ambient product needs {3**9}+ elements, cap is 100"
+
     def test_negative_rank(self):
         with pytest.raises(LatcopError, match="non-negative"):
             free_algebra([K3], -1)
@@ -829,6 +838,60 @@ class TestTableEntryBudget:
         assert exc.value.stage == "table build" and exc.value.budget == 1000
         assert 1000 < exc.value.required < 2 * 84**2 + 84 + 2
 
+    def test_product_refused_before_allocating(self):
+        # DM4^6 has 4096 elements, so its binary tables alone would take
+        # 64 MB; it is refused with the need the subpower kernel reported,
+        # before even its 4096 element tuples (about 0.5 MB) are listed
+        need = 2 * 4096**2 + 4096 + 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded) as exc:
+                direct_product([DM4] * 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == (
+            "table build", algebra_module.TABLE_ENTRY_BUDGET, need
+        )
+        assert str(exc.value) == f"subpower tables need {need}+ entries, budget is 10000000"
+        assert peak < 1 << 16
+
+
+@st.composite
+def product_cases(draw):
+    """A signature of some of a nullary, a unary, a binary and a ternary
+    symbol in random order, and 0-3 factors of 1-4 elements with random
+    tables."""
+    symbols = [("c", 0), ("u", 1), ("b", 2), ("t", 3)]
+    sig = Signature(tuple(draw(st.lists(st.sampled_from(symbols), min_size=1, unique=True))))
+    factors = []
+    for i in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(1, 4))
+        factors.append(FiniteAlgebra(f"f{i}", n, sig, tuple(
+            tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
+            for _, k in sig.symbols
+        )))
+    return sig, factors
+
+
+class TestDirectProduct:
+    """The broadcast tables of ``direct_product`` against the subpower
+    kernel, which closes the listed product as a given universe."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(product_cases())
+    def test_matches_the_subpower_kernel(self, case):
+        sig, factors = case
+        assert direct_product(factors, sig) == product_by_subpower(factors, sig)
+
+    def test_product_cap_names_stage_and_budget(self, monkeypatch):
+        monkeypatch.setattr(algebra_module, "DEFAULT_PRODUCT_CAP", 11)
+        assert direct_product([K3, K3]).size == 9
+        with pytest.raises(CapExceeded) as exc:
+            direct_product([DM4, K3])
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == ("product", 11, 12)
+        assert str(exc.value) == "product would have 12 elements, cap is 11"
+
 class TestTableRangeCheck:
     @pytest.mark.parametrize(
         "bad, message",
@@ -942,7 +1005,10 @@ class TestSubpowerKernel:
     @pytest.mark.parametrize("make_it", [
         lambda: free_algebra([K3], 2),
         lambda: free_algebra([MED3], 1),
-        lambda: direct_product([DM4, K3]),
+        # a given universe is one round that must find nothing new
+        lambda: FiniteAlgebra("DM4xK3", 12, DM4.signature, _subpower(
+            DM4.signature, [DM4, K3], list(itertools.product(range(4), range(3)))
+        )[1]),
     ])
     def test_each_argument_tuple_evaluated_once(self, make_it):
         # the closure's results are the tables: no second pass over them

@@ -75,6 +75,12 @@ class TestSimplifyGenerators:
         assert str(exc.value) == "subalgebra enumeration needs generator size <= 12, got 16"
         assert exc.value.required == 16
 
+    def test_small_cap_names_stage_and_budget(self):
+        with pytest.raises(CapExceeded) as exc:
+            simplify_generators([make("demorgan4").algebra], size_cap=3)
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == ("subalgebra enumeration", 3, 4)
+        assert str(exc.value) == "subalgebra enumeration needs generator size <= 3, got 4"
+
 
 def _small_catalog(max_size: int) -> list[FiniteAlgebra]:
     """Every catalog algebra with 2 to ``max_size`` elements; each family

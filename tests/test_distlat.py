@@ -18,6 +18,7 @@ from conftest import (
     order_faults,
     poset_disjoint_union,
     poset_product,
+    upset_lattice,
 )
 from latcop import distlat as distlat_module
 from latcop.algebra import FiniteAlgebra, Signature, app, var
@@ -34,7 +35,6 @@ from latcop.distlat import (
     poset_isomorphic,
     prime_filters,
     priestley_dual,
-    upset_lattice,
 )
 from latcop.errors import LatcopError, LatticeAxiomError
 

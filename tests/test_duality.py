@@ -51,7 +51,7 @@ from latcop.duality import (
     reveng_priestley,
     structure_product,
 )
-from latcop.errors import InternalError, LatcopError, MembershipError
+from latcop.errors import CapExceeded, InternalError, LatcopError, MembershipError
 from latcop.piggyback import build_alter_ego, carrier_from_filter
 
 DM = make("demorgan4")
@@ -146,6 +146,14 @@ class TestStructureProduct:
         p = structure_product([x, x])
         assert len(p.points[0]) == 4
 
+    def test_points_cap_names_stage_and_budget(self):
+        x = natural_dual(DM.algebra, ego_for("demorgan4"))
+        assert len(structure_product([x, x, x], points_cap=8).points[0]) == 8
+        with pytest.raises(CapExceeded) as exc:
+            structure_product([x, x, x], points_cap=7)
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == ("structure product", 7, 8)
+        assert str(exc.value) == "product structure needs 8 points in sort 0, cap is 7"
+
     def test_empty_family_one_point_per_sort(self):
         ego = ego_for("kleene3")
         p = structure_product([], ego=ego)
@@ -204,6 +212,16 @@ class TestEFunctor:
         with pytest.raises(CapExceeded) as exc:
             e_functor(x, visit_cap=5000)
         assert exc.value.required == 5001
+
+    def test_visit_cap_names_stage_and_budget(self):
+        # demorgan4 + demorgan4's search visits 21 assignments (see below)
+        x = natural_dual(DM.algebra, ego_for("demorgan4"))
+        square = structure_product([x, x])
+        assert e_functor(square, visit_cap=21).algebra.size == 16
+        with pytest.raises(CapExceeded) as exc:
+            e_functor(square, visit_cap=20)
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == ("E-functor search", 20, 21)
+        assert str(exc.value) == "E-functor enumeration exceeded 20 visited assignments"
 
     def test_search_order_and_visit_count(self):
         # E(X)'s elements, and with them the coproduct --json, come out in

@@ -1,8 +1,11 @@
 """Carrier maps, separation, and maximal algebraic relations."""
 
 import dataclasses
+import functools
 import itertools
+import operator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,13 +18,15 @@ from conftest import (
     leq_sublattice,
     median_chain,
     minimal_omega_by_sep,
+    preimage_masks,
     relation_orbit_count,
     sep_by_loop,
 )
 from latcop import algebra as algebra_module
 from latcop.algebra import FiniteAlgebra, Signature, direct_product, hom_set, subuniverse_closure
-from latcop.catalog import make
-from latcop.distlat import DReductSpec
+from latcop.catalog import make, make_id, table1_suite
+from latcop.classify import flowchart_classify
+from latcop.distlat import DReductSpec, _mask
 from latcop import piggyback
 from latcop.errors import CapExceeded, SeparationError
 from latcop.piggyback import (
@@ -312,6 +317,70 @@ class TestMaximalSubuniverses:
                 assert maximal_subuniverses_in(square, allowed) == (
                     brute_force_maximal_subuniverses(square, allowed)
                 )
+
+
+# the benchmark's classify ladder past Table 1
+LADDER_IDS = [
+    "mv_chain(7)", "mv_chain(8)", "moisil_L(7)", "moisil_L(8)",
+    "heyting_chain(8)", "pre_moisil_L0(4)", "pre_moisil_M0(3)", "pseudo_b(4)",
+]
+
+
+class TestSearchSetUp:
+    """The relation search's set-up against the oracles it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_masks_match_the_bitwise_preimages(self, data):
+        n = data.draw(st.integers(1, 20))
+        arity = data.draw(st.integers(1, 2))
+        table = data.draw(st.lists(st.integers(0, n - 1), min_size=n**arity, max_size=n**arity))
+        s = data.draw(st.integers(0, (1 << n) - 1))
+        values = data.draw(st.lists(st.integers(0, n - 1)))
+        pre = preimage_masks(table, n)
+        masks = piggyback._Preimages(table, n)
+        outside = [z for z in range(n) if not s >> z & 1]
+        assert masks.escape(np.array([not s >> z & 1 for z in range(n)])) == sum(pre[z] for z in outside)
+        assert masks.union(values) == functools.reduce(operator.or_, (pre[z] for z in values), 0)
+        assert [masks.union([z]) for z in range(n)] == pre
+
+    @pytest.mark.parametrize(
+        "entry", [e for e, _ in table1_suite()] + [make_id(i) for i in LADDER_IDS], ids=lambda e: e.key
+    )
+    def test_swapped_principal_closures(self, entry):
+        # every square of one sort that the classification searches: one
+        # closure per orbit {e, swap(e)}, the mirror read off by swapping
+        report = flowchart_classify([entry.algebra], entry.spec, size_cap=20)
+        for sort in dict.fromkeys(w.sort for w in report.ego.carriers):
+            factors = [sort, sort]
+            square = direct_product(factors)
+            swap = [encode(factors, reversed(decode(factors, x))) for x in range(square.size)]
+            principal: dict[int, int] = {}
+            closures = 0
+            for e in range(square.size):
+                if e not in principal:
+                    piggyback._close_principal(square, e, swap, principal)
+                    closures += 1
+            assert principal == {e: _mask(subuniverse_closure(square, (e,))) for e in range(square.size)}
+            assert closures == (square.size + sort.size) // 2
+
+    @pytest.mark.parametrize("key, params", [("pseudo_b", (3,)), ("heyting_chain", (5,)), ("pre_moisil_M0", (2,))])
+    def test_alter_ego_closes_one_of_each_mirror_pair(self, monkeypatch, key, params):
+        # build_alter_ego tells the search its square is of one sort, so
+        # of e and swap(e) at most one is ever closed
+        entry = make(key, *params)
+        factors = [entry.algebra, entry.algebra]
+        seeds = []
+
+        def recorded(product, seed):
+            seeds.extend(seed)
+            return subuniverse_closure(product, seed)
+
+        monkeypatch.setattr(piggyback, "subuniverse_closure", recorded)
+        build_alter_ego([entry.algebra], entry.spec)
+        mirrors = {encode(factors, reversed(decode(factors, e))) for e in seeds}
+        assert seeds and len(seeds) == len(set(seeds))
+        assert all(decode(factors, e)[0] == decode(factors, e)[1] for e in mirrors & set(seeds))
 
 
 class TestNodeBudget:
