@@ -53,12 +53,10 @@ from .distlat import (
 from .duality import (
     AlterEgo,
     CoproductResult,
-    IotaCheck,
     MultisortedStructure,
     coproduct,
     e_functor,
     evaluation_check,
-    iota_check,
     lambda_map,
     natural_dual,
     reflector,
@@ -84,5 +82,4 @@ from .piggyback import (
     maximal_subuniverses_in,
     minimal_omega_certified,
     sep_condition,
-    unique_max_applicable,
 )

@@ -2,13 +2,16 @@
 
 Route: simplify the generating set to relatively subdirectly irreducible
 subalgebras, look for a single generator, take a minimum-cardinality
-separating carrier set, then read the verdicts off the relation sizes.
-The coproduct-preservation verdict is the conjunction of E and S.  Every
-step of a run reads one store of hom-sets (:func:`~latcop.algebra.hom_set`).
+separating carrier set, then read the verdicts off whether each
+|R(w1, w2)| <= 1, decided at the root of the pair's relation search
+(:func:`~latcop.piggyback._relation_search`) without listing R.  The
+coproduct-preservation verdict is the conjunction of E and S.  Every step
+of a run reads one store of hom-sets (:func:`~latcop.algebra.hom_set`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -28,7 +31,7 @@ from .errors import CapExceeded, InternalError, LatcopError
 from .piggyback import (
     AlterEgo,
     MinimalityCertificate,
-    build_alter_ego,
+    _AlterEgoPlan,
     _relation_search,
     leq_mask,
     sep_condition,
@@ -136,25 +139,54 @@ def find_single_generator(generators: Sequence[FiniteAlgebra]) -> FiniteAlgebra 
 
 @dataclass
 class ClassificationReport:
-    """Output of the flowchart with all witnesses."""
+    """Output of the flowchart with all witnesses.  The relations are
+    listed, on the flowchart's ``plan``, when ``ego`` or ``relation_sizes``
+    is first read; a pair whose listing hits the node budget has none in
+    ``ego``, size None, and its ``CapExceeded`` in ``listing_stopped``."""
 
     input_generators: list[FiniteAlgebra]
     simplified: list[FiniteAlgebra] = field(default_factory=list)
     single_generator: FiniteAlgebra | None = None
     omega: tuple[PrimeFilter, ...] = ()
     minimality: MinimalityCertificate | None = None
-    ego: AlterEgo | None = None
-    relation_sizes: dict[tuple[int, int], int] = field(default_factory=dict)
     verdict_E: bool | None = None
     verdict_S: bool | None = None
     route: list[tuple[str, str]] = field(default_factory=list)
     unknown: str | None = None
+    plan: _AlterEgoPlan | None = field(default=None, repr=False, compare=False)
 
     @property
     def preserves_coproducts(self) -> bool | None:
         if self.verdict_E is None or self.verdict_S is None:
             return None
         return self.verdict_E and self.verdict_S
+
+    @functools.cached_property
+    def _listing(self) -> tuple[AlterEgo | None, dict[tuple[int, int], CapExceeded]]:
+        if self.plan is None:
+            return None, {}
+        relations: list = []
+        stopped: dict[tuple[int, int], CapExceeded] = {}
+        for i, j in self.plan.pairs():
+            try:
+                relations.extend(self.plan.relations(i, j))
+            except CapExceeded as exc:
+                stopped[(i, j)] = exc
+        return self.plan.assemble(relations), stopped
+
+    @functools.cached_property
+    def ego(self) -> AlterEgo | None:
+        return self._listing[0]
+
+    @functools.cached_property
+    def listing_stopped(self) -> dict[tuple[int, int], CapExceeded]:
+        return self._listing[1]
+
+    @functools.cached_property
+    def relation_sizes(self) -> dict[tuple[int, int], int | None]:
+        if self.ego is None:
+            return {}
+        return {ij: None if ij in self.listing_stopped else n for ij, n in self.ego.relation_sizes().items()}
 
     # -- serialization ------------------------------------------------------
 
@@ -189,15 +221,18 @@ class ClassificationReport:
         if self.ego is not None:
             rels = []
             for (i, j), count in sorted(self.relation_sizes.items()):
+                exc = self.listing_stopped.get((i, j))
                 entry = {
                     "omega1": self.omega[i].label(),
                     "omega2": self.omega[j].label(),
                     "count": count,
-                    "relations": [
+                    "relations": None if exc is not None else [
                         [list(p) for p in r.pairs]
                         for r in self.ego.relations_for(i, j)
                     ],
                 }
+                if exc is not None:
+                    entry["stopped"] = {"stage": exc.stage, "budget": exc.budget, "required": exc.required}
                 rels.append(entry)
             doc["relations"] = rels
         return doc
@@ -233,6 +268,9 @@ class ClassificationReport:
         if self.ego is not None:
             lines.append("relations:")
             for (i, j), count in sorted(self.relation_sizes.items()):
+                exc = self.listing_stopped.get((i, j))
+                if exc is not None:
+                    count = f"listing stopped (stage {exc.stage!r}, budget {exc.budget}, required {exc.required})"
                 lines.append(
                     f"  R[{self.omega[i].label()},{self.omega[j].label()}]: {count}"
                 )
@@ -260,7 +298,8 @@ def flowchart_classify(
     size_cap: int = SUBALGEBRA_SIZE_CAP,
 ) -> ClassificationReport:
     """Run the flowchart and fill a report with all witnesses; each hom-set
-    is enumerated once per run (see the module docstring)."""
+    is enumerated once per run, and the verdicts read only the root class
+    of each carrier pair's relation search (see the module docstring)."""
     report = ClassificationReport(input_generators=list(generators))
     homs: dict = {}
     try:
@@ -276,32 +315,30 @@ def flowchart_classify(
         report.route.append(
             ("is the class generated by a single algebra?", "yes" if m0 else "no")
         )
-        gens = [m0] if m0 is not None else simplified
-        ego = build_alter_ego(gens, spec, homs=homs)
+        plan = _AlterEgoPlan([m0] if m0 is not None else simplified, spec, None, homs)
+        one_pair = m0 is not None and len(plan.omega) == 1
+        if one_pair:
+            small = plan.root_class(0, 0) == 1
+        else:
+            small = all(plan.root_class(i, j) <= 1 for i, j in plan.pairs())
     except CapExceeded as exc:
         report.unknown = str(exc)
         return report
-    report.omega = ego.carriers
-    report.minimality = ego.minimality
-    single_omega = len(ego.carriers) == 1
+    report.omega = plan.omega
+    report.minimality = plan.minimality
+    report.plan = plan
     if m0 is not None:
         report.route.append(
-            ("does a single carrier map satisfy separation?", "yes" if single_omega else "no")
+            ("does a single carrier map satisfy separation?", "yes" if one_pair else "no")
         )
-    report.ego = ego
-    report.relation_sizes = ego.relation_sizes()
-    if m0 is not None and single_omega:
-        unique = report.relation_sizes[(0, 0)] == 1
-        report.route.append(("is |R(w,w)| = 1?", "yes" if unique else "no"))
-        report.verdict_E = True
-        report.verdict_S = unique
+    if one_pair:
+        report.route.append(("is |R(w,w)| = 1?", "yes" if small else "no"))
     else:
-        all_small = all(v <= 1 for v in report.relation_sizes.values())
         report.route.append(
-            ("is |R(w1,w2)| <= 1 for all carrier pairs?", "yes" if all_small else "no")
+            ("is |R(w1,w2)| <= 1 for all carrier pairs?", "yes" if small else "no")
         )
-        report.verdict_E = m0 is not None and single_omega
-        report.verdict_S = all_small
+    report.verdict_E = one_pair
+    report.verdict_S = small
     return report
 
 
@@ -325,5 +362,5 @@ def check_condition_C(
     c1 = all(embeds(s, m) is not None for s in simplified)
     c2 = sep_condition([m], [omega], homs=homs).holds
     square = direct_product([m, m])
-    c3 = len(_relation_search(square, m.size)(leq_mask(omega, omega))) == 1
+    c3 = _relation_search(square, m.size).root_class(leq_mask(omega, omega)) == 1
     return (c1, c2, c3)

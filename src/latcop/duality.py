@@ -462,77 +462,6 @@ def evaluation_check(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None
     return EvaluationCheck(e_res, ev, iso)
 
 
-# ---------------------------------------------------------------------------
-# the canonical map iota and the range formula
-
-
-@dataclass(frozen=True)
-class IotaCheck:
-    family_names: tuple[str, ...]
-    tuples: tuple[tuple[int, ...], ...]  # per prime filter of U(coprod)
-    surjective: bool
-    order_embedding: bool
-    image: tuple[tuple[int, ...], ...]
-    coproduct_size: int
-
-
-def iota_check(
-    generators: Sequence[FiniteAlgebra],
-    spec: DReductSpec,
-    omega,
-    family: Sequence[FiniteAlgebra],
-    **caps,
-) -> IotaCheck:
-    """Compute iota on prime filters: F maps to the tuple of preimages under
-    the coproduct injections; report surjectivity and order-embedding."""
-    cop = coproduct(generators, spec, omega, family, **caps)
-    members = list(family)
-    uc = d_reduct(cop.algebra, spec)
-    pf_c = prime_filters(uc)
-    pf_members = []
-    for b in members:
-        ub = d_reduct(b, spec)
-        pf_members.append(prime_filters(ub))
-    member_index = [
-        {pf.elements: i for i, pf in enumerate(pfs)} for pfs in pf_members
-    ]
-    tuples = []
-    for f in pf_c:
-        coords = []
-        for bi, (b, eps) in enumerate(zip(members, cop.injections)):
-            pre = frozenset(x for x in range(b.size) if eps.map[x] in f.elements)
-            if pre not in member_index[bi]:
-                raise InternalError("injection preimage of a prime filter is not prime")
-            coords.append(member_index[bi][pre])
-        tuples.append(tuple(coords))
-    all_tuples = set(itertools.product(*[range(len(p)) for p in pf_members]))
-    surjective = set(tuples) == all_tuples
-
-    def tuple_leq(t1, t2) -> bool:
-        return all(
-            pf_members[bi][a].elements <= pf_members[bi][b].elements
-            for bi, (a, b) in enumerate(zip(t1, t2))
-        )
-
-    embedding = True
-    for i, fi in enumerate(pf_c):
-        for j, fj in enumerate(pf_c):
-            le_filters = fi.elements <= fj.elements
-            le_tuples = tuple_leq(tuples[i], tuples[j])
-            if le_filters and not le_tuples:
-                raise InternalError("iota is not order-preserving")
-            if le_tuples and not le_filters:
-                embedding = False
-    return IotaCheck(
-        tuple(b.name for b in members),
-        tuple(tuples),
-        surjective,
-        embedding,
-        tuple(sorted(set(tuples))),
-        cop.algebra.size,
-    )
-
-
 def lambda_map(
     algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None = None
 ) -> tuple[tuple[PrimeFilter, frozenset[int]], ...]:

@@ -6,13 +6,15 @@ generator into 2, i.e. a prime filter of that reduct (one type,
 of carrier maps the relations R are the maximal subuniverses of the product
 of their sorts contained in the sublattice of pairs (a, b) with
 w1(a) <= w2(b) (the bitmask :func:`leq_mask`), found by a bitset branch
-and bound on Python ints (:func:`maximal_subuniverses_in`).
+and bound on Python ints (:func:`maximal_subuniverses_in`); whether
+|R| <= 1 is read off the root of that search alone (:func:`_relation_search`).
 
 One separation table gives each carrier the bitmask of the pairs it
 separates; the separation check and the minimum carrier search (a set
 cover) both read it.  :func:`build_alter_ego` is the one entry point: it
 enumerates each hom-set once, into one store, picks or checks the carriers,
-and sets up one square and relation search per pair of sorts.
+and sets up one square and relation search per pair of sorts
+(:class:`_AlterEgoPlan`, which the classification reads too).
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import (
     FiniteAlgebra,
     Homomorphism,
-    Signature,
     _index_dtype,
     direct_product,
     hom_set,
@@ -214,23 +215,33 @@ def _close_principal(
         principal[swap[e]] = _mask(swap[x] for x in closure)
 
 
-_Search = Callable[[int], list[int]]
+class _Search(NamedTuple):
+    maximal: Callable[[int], list[int]]
+    root_class: Callable[[int], int]
 
 
 def _relation_search(product: FiniteAlgebra, sort_size: int | None = None) -> _Search:
     """The maximal-subuniverse search of ``product``, set up once.
 
-    Returns ``maximal(allowed)``, which maps a bitmask of allowed elements to
-    the bitmasks of the maximal subuniverses inside it, sorted as
-    :func:`maximal_subuniverses_in` documents.  The set-up is shared by every
-    allowed set: the least subuniverse ``base``, the principal subuniverses
-    sg(base + e) (each computed when an allowed set first holds e, together
-    with its mirror when ``product`` is the square of one sort of
-    ``sort_size`` elements), the unary and binary tables with their
-    preimage masks over the n*n-bit square (bit x*n+y, see
-    :class:`_Preimages`), and the row-plus-column mask of each element.
-    Nullary values lie in ``base``, which every node keeps, so they never
-    escape.
+    Let R be the set of maximal subuniverses inside a bitmask ``allowed``,
+    the empty set not counted.  ``maximal(allowed)`` lists R as bitmasks,
+    sorted as :func:`maximal_subuniverses_in` documents.
+    ``root_class(allowed)`` is min(|R|, 2), read off the search's root
+    s = base + {e allowed : sg(base + e) lies inside allowed}: R is empty
+    when base escapes the allowed set or s is empty, R = {s} when s is
+    closed, else |R| >= 2.  Proof: a subuniverse inside the allowed set
+    holds base and sg(base + e) for each of its e, so it lies inside s;
+    each e of s lies in sg(base + e), inside some member of R, so R covers
+    s, and one member alone would be s.
+
+    The set-up is shared by every allowed set and by both readers: the
+    least subuniverse ``base``, the principal subuniverses sg(base + e)
+    (each computed when an allowed set first holds e, together with its
+    mirror when ``product`` is the square of one sort of ``sort_size``
+    elements), the unary and binary tables with their preimage masks over
+    the n*n-bit square (bit x*n+y, see :class:`_Preimages`), and the
+    row-plus-column mask of each element.  Nullary values lie in ``base``,
+    which every node keeps, so they never escape.
     """
     n = product.size
     base = _mask(subuniverse_closure(product, ()))
@@ -268,9 +279,11 @@ def _relation_search(product: FiniteAlgebra, sort_size: int | None = None) -> _S
                         return list(args)
         return None
 
-    def maximal(allowed: int) -> list[int]:
+    def root(allowed: int) -> tuple[int, int, list[int]] | None:
+        """s, its square and its escape masks, one per unary or binary
+        table; None if base escapes ``allowed``."""
         if base & ~allowed:
-            return []
+            return None
         s = base
         for e in _bits(allowed & ~base):
             if e not in principal:
@@ -282,7 +295,19 @@ def _relation_search(product: FiniteAlgebra, sort_size: int | None = None) -> _S
             square |= s << (x * n)
         held = np.frombuffer(s.to_bytes(-(-n // 8), "little"), np.uint8)
         outside = np.unpackbits(held, count=n, bitorder="little") == 0
-        bad = [pre.escape(outside) for pre in pre_ops]
+        return s, square, [pre.escape(outside) for pre in pre_ops]
+
+    def root_class(allowed: int) -> int:
+        start = root(allowed)
+        if start is None or not start[0]:
+            return 0
+        return 1 if violation(*start) is None else 2
+
+    def maximal(allowed: int) -> list[int]:
+        start = root(allowed)
+        if start is None:
+            return []
+        s, square, bad = start
         up: list[int] = []  # up[e]: the root elements x with e in sg(base + x)
         drops: dict[int, tuple[int, int, list[int]]] = {}  # e -> up[e] and its masks
 
@@ -292,7 +317,7 @@ def _relation_search(product: FiniteAlgebra, sort_size: int | None = None) -> _S
             # as the principal closure of a root element lies in the root
             if not up:
                 up.extend([0] * n)
-                for x in _bits(root & ~base):
+                for x in _bits(start[0] & ~base):
                     for y in _bits(principal[x]):
                         up[y] |= 1 << x
             if e not in drops:
@@ -306,7 +331,6 @@ def _relation_search(product: FiniteAlgebra, sort_size: int | None = None) -> _S
         # before it, so the branches are disjoint and no set is visited
         # twice; ``need``, the union of sg(base + e) over the kept e, meets
         # up[e] exactly when it holds e, so it stays inside s
-        root = s
         stack = [(s, base, square, bad)]
         while stack:
             s, need, square, bad = stack.pop()
@@ -352,7 +376,7 @@ def _relation_search(product: FiniteAlgebra, sort_size: int | None = None) -> _S
                 tops.append(r)
         return sorted(tops, key=_bits)
 
-    return maximal
+    return _Search(maximal, root_class)
 
 
 def maximal_subuniverses_in(
@@ -375,7 +399,7 @@ def maximal_subuniverses_in(
     allowed_set = set(allowed)
     if not all(0 <= x < product.size for x in allowed_set):
         raise LatcopError("allowed set outside universe")
-    return [frozenset(_bits(s)) for s in _relation_search(product)(_mask(allowed_set))]
+    return [frozenset(_bits(s)) for s in _relation_search(product).maximal(_mask(allowed_set))]
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +453,69 @@ class AlterEgo:
         return out
 
 
+class _AlterEgoPlan:
+    """An alter ego up to its relations.  G is every homomorphism between
+    the generators, enumerated first, pair by pair, into the store ``homs``
+    (as in ``algebra.hom_set``) that the carrier search or the separation
+    check then reads.  Without ``omega`` the carriers are a minimum
+    separating set with the search's certificate as ``minimality``; a
+    given ``omega`` that does not separate raises SeparationError.  One
+    square and relation search per pair of sorts is set up on first use.
+    """
+
+    def __init__(
+        self,
+        generators: Sequence[FiniteAlgebra],
+        spec: DReductSpec,
+        omega: Sequence[PrimeFilter] | None,
+        homs: dict,
+    ):
+        gens = self.gens = tuple(generators)
+        self.spec = spec
+        self.operations = tuple(h for a in gens for b in gens for h in hom_set(homs, a, b))
+        if omega is None:
+            self.omega, self.minimality = minimal_omega_certified(gens, spec, homs=homs)
+        else:
+            self.omega, self.minimality = tuple(omega), None
+            sep = sep_condition(gens, self.omega, homs=homs)
+            if not sep.holds:
+                raise SeparationError(
+                    f"separation fails: elements {sep.witness[1]} and {sep.witness[2]} "
+                    f"of generator {gens[sep.witness[0]].name!r} are not separated",
+                    witness=sep.witness,
+                )
+        self.searches: dict[tuple[int, int], _Search] = {}
+
+    def pairs(self) -> Iterable[tuple[int, int]]:
+        return itertools.product(range(len(self.omega)), repeat=2)
+
+    def _search(self, i: int, j: int) -> tuple[tuple[int, int], _Search, int]:
+        # the sorts of carriers i and j, their search and allowed set
+        w1, w2 = self.omega[i], self.omega[j]
+        sorts = (self.gens.index(w1.sort), self.gens.index(w2.sort))
+        if sorts not in self.searches:
+            same = w1.sort.size if sorts[0] == sorts[1] else None
+            self.searches[sorts] = _relation_search(direct_product([w1.sort, w2.sort]), same)
+        return sorts, self.searches[sorts], leq_mask(w1, w2)
+
+    def root_class(self, i: int, j: int) -> int:
+        """|R(w_i, w_j)| if at most 1, else 2, from the search's root."""
+        _, search, allowed = self._search(i, j)
+        return search.root_class(allowed)
+
+    def relations(self, i: int, j: int) -> list[SortedRelation]:
+        """R(w_i, w_j) by branch and bound; CapExceeded past the node budget."""
+        sorts, search, allowed = self._search(i, j)
+        n1, n2 = self.omega[i].sort.size, self.omega[j].sort.size
+        return [
+            SortedRelation(*sorts, i, j, tuple(s >> (a * n2) & ((1 << n2) - 1) for a in range(n1)))
+            for s in search.maximal(allowed)
+        ]
+
+    def assemble(self, relations: Iterable[SortedRelation]) -> AlterEgo:
+        return AlterEgo(self.gens, self.spec, self.omega, tuple(relations), self.operations, self.minimality)
+
+
 def build_alter_ego(
     generators: Sequence[FiniteAlgebra],
     spec: DReductSpec,
@@ -436,76 +523,7 @@ def build_alter_ego(
     *,
     homs: dict | None = None,
 ) -> AlterEgo:
-    """Assemble the alter ego for (generators, omega).
-
-    Without ``omega`` the carriers are a minimum separating set and the
-    search's certificate is kept as ``minimality``; a given ``omega`` is
-    checked for separation, raising SeparationError when it fails.
-    Relations are the union of the maximal-relation sets over all ordered
-    carrier pairs; G is all homomorphisms between generators, enumerated
-    first, pair by pair, into the store ``homs`` (as in ``algebra.hom_set``)
-    that the carrier search or the separation check then reads.
-    """
-    gens = tuple(generators)
-    homs = {} if homs is None else homs
-    operations = tuple(h for a in gens for b in gens for h in hom_set(homs, a, b))
-    if omega is None:
-        omega, minimality = minimal_omega_certified(gens, spec, homs=homs)
-    else:
-        omega, minimality = tuple(omega), None
-        sep = sep_condition(gens, omega, homs=homs)
-        if not sep.holds:
-            raise SeparationError(
-                f"separation fails: elements {sep.witness[1]} and {sep.witness[2]} "
-                f"of generator {gens[sep.witness[0]].name!r} are not separated",
-                witness=sep.witness,
-            )
-    # one square and one search set-up per pair of sorts
-    searches: dict[tuple[int, int], _Search] = {}
-    relations: list[SortedRelation] = []
-    for i, w1 in enumerate(omega):
-        for j, w2 in enumerate(omega):
-            sorts = (gens.index(w1.sort), gens.index(w2.sort))
-            if sorts not in searches:
-                same = w1.sort.size if sorts[0] == sorts[1] else None
-                searches[sorts] = _relation_search(direct_product([w1.sort, w2.sort]), same)
-            n2 = w2.sort.size
-            for s in searches[sorts](leq_mask(w1, w2)):
-                rows = tuple(s >> (a * n2) & ((1 << n2) - 1) for a in range(w1.sort.size))
-                relations.append(SortedRelation(*sorts, i, j, rows))
-    return AlterEgo(gens, spec, omega, tuple(relations), operations, minimality)
-
-
-# ---------------------------------------------------------------------------
-# the unary-operations criterion for unique maximal relations
-
-
-def unique_max_applicable(algebra: FiniteAlgebra, spec: DReductSpec) -> bool:
-    """True iff every basic operation is either part of the lattice structure
-    or a unary (dual) lattice endomorphism of the reduct.
-
-    When this holds, every bounded sublattice containing a subalgebra
-    contains a largest one, so each relation set has at most one element.
-    """
-    lattice = d_reduct(algebra, spec)
-    meet_tab = lattice.meet_table
-    join_tab = lattice.join_table
-    # the reduct's (meet, join) algebra and its order dual: a unary table is
-    # a dual endomorphism iff it is a homomorphism from the one to the other
-    sig = Signature((("meet", 2), ("join", 2)))
-    lat = FiniteAlgebra("L", lattice.size, sig, (meet_tab, join_tab))
-    dual = FiniteAlgebra("L^d", lattice.size, sig, (join_tab, meet_tab))
-    for sym, arity, tab in algebra.ops():
-        if arity == 0:
-            if tab[0] not in (lattice.bot, lattice.top):
-                return False
-        elif arity == 1:
-            if not any(Homomorphism(lat, t, tab).is_valid() for t in (lat, dual)):
-                return False
-        elif arity == 2:
-            if tab != meet_tab and tab != join_tab:
-                return False
-        else:
-            return False
-    return True
-
+    """The alter ego for (generators, omega), as :class:`_AlterEgoPlan`
+    sets it up, with the maximal relations of every ordered carrier pair."""
+    plan = _AlterEgoPlan(generators, spec, omega, {} if homs is None else homs)
+    return plan.assemble(r for i, j in plan.pairs() for r in plan.relations(i, j))

@@ -15,12 +15,15 @@ product elements by numpy's multi-index rule, the dual side's lifted
 relations, products and reconstruction preorders as sets of point pairs,
 E(X) by testing every map of the points into their sorts, direct products
 by the subpower kernel, the relation search's preimage masks bit by bit,
-and the lattice of up-sets of a poset.
+the lattice of up-sets of a poset, the unary-operations criterion
+for unique maximal relations, and the canonical map iota on prime filters,
+which checks E and S on a family without the relation search.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -61,7 +64,7 @@ from latcop.distlat import (
     prime_filters,
     priestley_dual,
 )
-from latcop.duality import natural_dual
+from latcop.duality import coproduct, natural_dual
 from latcop.errors import CapExceeded, InternalError, LatcopError
 from latcop.piggyback import AlterEgo, build_alter_ego
 
@@ -296,6 +299,105 @@ def brute_force_maximal_subuniverses(
             closed.append(fs)
     maximal = [s for s in closed if not any(s < t for t in closed)]
     return sorted(set(maximal), key=sorted)
+
+
+@dataclass(frozen=True)
+class IotaCheck:
+    family_names: tuple[str, ...]
+    tuples: tuple[tuple[int, ...], ...]  # per prime filter of U(coprod)
+    surjective: bool
+    order_embedding: bool
+    image: tuple[tuple[int, ...], ...]
+    coproduct_size: int
+
+
+def iota_check(
+    generators: Sequence[FiniteAlgebra],
+    spec: DReductSpec,
+    omega,
+    family: Sequence[FiniteAlgebra],
+    **caps,
+) -> IotaCheck:
+    """The canonical map iota on prime filters: F maps to the tuple of its
+    preimages under the coproduct injections; surjective exactly when E
+    holds for the family, an order-embedding exactly when S does."""
+    cop = coproduct(generators, spec, omega, family, **caps)
+    members = list(family)
+    uc = d_reduct(cop.algebra, spec)
+    pf_c = prime_filters(uc)
+    pf_members = []
+    for b in members:
+        ub = d_reduct(b, spec)
+        pf_members.append(prime_filters(ub))
+    member_index = [
+        {pf.elements: i for i, pf in enumerate(pfs)} for pfs in pf_members
+    ]
+    tuples = []
+    for f in pf_c:
+        coords = []
+        for bi, (b, eps) in enumerate(zip(members, cop.injections)):
+            pre = frozenset(x for x in range(b.size) if eps.map[x] in f.elements)
+            if pre not in member_index[bi]:
+                raise InternalError("injection preimage of a prime filter is not prime")
+            coords.append(member_index[bi][pre])
+        tuples.append(tuple(coords))
+    all_tuples = set(itertools.product(*[range(len(p)) for p in pf_members]))
+    surjective = set(tuples) == all_tuples
+
+    def tuple_leq(t1, t2) -> bool:
+        return all(
+            pf_members[bi][a].elements <= pf_members[bi][b].elements
+            for bi, (a, b) in enumerate(zip(t1, t2))
+        )
+
+    embedding = True
+    for i, fi in enumerate(pf_c):
+        for j, fj in enumerate(pf_c):
+            le_filters = fi.elements <= fj.elements
+            le_tuples = tuple_leq(tuples[i], tuples[j])
+            if le_filters and not le_tuples:
+                raise InternalError("iota is not order-preserving")
+            if le_tuples and not le_filters:
+                embedding = False
+    return IotaCheck(
+        tuple(b.name for b in members),
+        tuple(tuples),
+        surjective,
+        embedding,
+        tuple(sorted(set(tuples))),
+        cop.algebra.size,
+    )
+
+
+def unique_max_applicable(algebra: FiniteAlgebra, spec: DReductSpec) -> bool:
+    """True iff every basic operation is either part of the lattice structure
+    or a unary (dual) lattice endomorphism of the reduct.
+
+    When this holds, every bounded sublattice containing a subalgebra
+    contains a largest one, so each relation set has at most one element: a
+    sufficient condition for the relation search's root class to be <= 1.
+    """
+    lattice = d_reduct(algebra, spec)
+    meet_tab = lattice.meet_table
+    join_tab = lattice.join_table
+    # the reduct's (meet, join) algebra and its order dual: a unary table is
+    # a dual endomorphism iff it is a homomorphism from the one to the other
+    sig = Signature((("meet", 2), ("join", 2)))
+    lat = FiniteAlgebra("L", lattice.size, sig, (meet_tab, join_tab))
+    dual = FiniteAlgebra("L^d", lattice.size, sig, (join_tab, meet_tab))
+    for sym, arity, tab in algebra.ops():
+        if arity == 0:
+            if tab[0] not in (lattice.bot, lattice.top):
+                return False
+        elif arity == 1:
+            if not any(Homomorphism(lat, t, tab).is_valid() for t in (lat, dual)):
+                return False
+        elif arity == 2:
+            if tab != meet_tab and tab != join_tab:
+                return False
+        else:
+            return False
+    return True
 
 
 def poset_product(p: FinitePoset, q: FinitePoset) -> FinitePoset:

@@ -15,9 +15,11 @@ from conftest import (
     brute_force_maximal_subuniverses,
     ego_for,
     encode,
+    iota_check,
     leq_sublattice,
     relation_orbit_count,
     report_for,
+    unique_max_applicable,
 )
 from latcop.algebra import (
     direct_product,
@@ -29,7 +31,6 @@ from latcop.catalog import make
 from latcop.duality import (
     coproduct,
     evaluation_check,
-    iota_check,
     lambda_map,
     reflector,
     reveng_priestley,
@@ -40,7 +41,6 @@ from latcop.piggyback import (
     maximal_subuniverses_in,
     minimal_omega_certified,
     sep_condition,
-    unique_max_applicable,
 )
 
 # the nine-pair De Morgan relation, with 0,a,b,1 encoded as 0,1,2,3

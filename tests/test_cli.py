@@ -57,13 +57,43 @@ class TestClassify:
         assert code == EXIT_UNKNOWN
         assert "unknown" in out and "trivial class" not in out
 
-    def test_relation_budget_hit_is_unknown(self, monkeypatch, capsys):
+    def test_relation_budget_hit_after_the_verdict_keeps_it(self, monkeypatch, capsys):
+        # the verdicts come from the root of the relation search; only the
+        # listing of R stops at the budget, and the report names it
         monkeypatch.setattr(latcop.piggyback, "RELATION_NODE_BUDGET", 10)
         code, out, err = run(capsys, "classify", "pseudo_b:3", "--json")
-        assert code == EXIT_UNKNOWN and err == ""
+        assert (code, err) == (EXIT_OK, "")
         doc = json.loads(out)
-        assert doc["unknown"].startswith("relation search exceeded 10 nodes")
-        assert doc["E"] is None and doc["S"] is None
+        assert (doc["E"], doc["S"], doc["unknown"]) == ("yes", "no", None)
+        assert doc["relations"] == [{
+            "omega1": "{T}",
+            "omega2": "{T}",
+            "count": None,
+            "relations": None,
+            "stopped": {"stage": "relation search", "budget": 10, "required": 11},
+        }]
+        code, out, err = run(capsys, "classify", "pseudo_b:3")
+        assert (code, err) == (EXIT_OK, "")
+        lines = out.splitlines()
+        assert "  R[{T},{T}]: listing stopped (stage 'relation search', budget 10, required 11)" in lines
+        assert lines[-1] == "E: yes, S: no"
+
+    def test_only_the_stopped_pairs_lose_their_listing(self, monkeypatch, capsys):
+        # of mv_chain(6)'s 36 carrier pairs two have two relations, whose
+        # search needs more than two nodes; every other pair's root is closed
+        _, full, _ = run(capsys, "classify", "mv_chain:6", "--json")
+        want = json.loads(full)
+        monkeypatch.setattr(latcop.piggyback, "RELATION_NODE_BUDGET", 2)
+        code, out, _ = run(capsys, "classify", "mv_chain:6", "--json")
+        doc = json.loads(out)
+        assert code == EXIT_OK and (doc["E"], doc["S"]) == (want["E"], want["S"]) == ("no", "no")
+        assert len(doc["relations"]) == len(want["relations"]) == 36
+        for got, pair in zip(doc["relations"], want["relations"]):
+            if pair["count"] == 2:
+                assert (got["count"], got["relations"]) == (None, None)
+                assert (got["stopped"]["stage"], got["stopped"]["budget"]) == ("relation search", 2)
+            else:
+                assert got == pair
 
     def test_bad_id(self, capsys):
         code, _, err = run(capsys, "classify", "not_a_thing")

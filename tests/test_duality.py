@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ego_for,
+    iota_check,
     lift_by_pairs,
     median_chain,
     morphisms_by_maps,
@@ -44,7 +45,6 @@ from latcop.duality import (
     coproduct,
     e_functor,
     evaluation_check,
-    iota_check,
     lambda_map,
     natural_dual,
     reflector,

@@ -21,12 +21,13 @@ from conftest import (
     preimage_masks,
     relation_orbit_count,
     sep_by_loop,
+    unique_max_applicable,
 )
 from latcop import algebra as algebra_module
 from latcop.algebra import FiniteAlgebra, Signature, direct_product, hom_set, subuniverse_closure
 from latcop.catalog import make, make_id, table1_suite
 from latcop.classify import flowchart_classify
-from latcop.distlat import DReductSpec, _mask
+from latcop.distlat import DReductSpec, _bits, _mask
 from latcop import piggyback
 from latcop.errors import CapExceeded, SeparationError
 from latcop.piggyback import (
@@ -37,7 +38,6 @@ from latcop.piggyback import (
     maximal_subuniverses_in,
     minimal_omega_certified,
     sep_condition,
-    unique_max_applicable,
 )
 
 DM = make("demorgan4")
@@ -403,6 +403,80 @@ class TestNodeBudget:
         assert (exc.stage, exc.budget, exc.required) == ("relation search", self.NODES - 1, self.NODES)
 
 
+# the carrier pairs the root class is checked on: 519 over these 37 algebras
+ROOT_CLASS_ALGEBRAS = [("bool2", ()), ("demorgan4", ()), ("kleene3", ())] + [
+    (family, (n,))
+    for family in ("heyting_chain", "mv_chain", "moisil_L", "moisil_M", "pre_moisil_L0", "pre_moisil_M0")
+    for n in range(2, 7)
+] + [("pseudo_b", (n,)) for n in range(4)]
+
+
+class TestRootClass:
+    """|R| capped at 2, read off the search's root, against the full listing."""
+
+    @pytest.mark.parametrize("key, params", ROOT_CLASS_ALGEBRAS, ids=lambda v: str(v))
+    def test_matches_the_listing_on_every_carrier_pair(self, key, params):
+        # the root reads a search set up with the swap, the listing one
+        # set up without it
+        entry = make(key, *params)
+        m = entry.algebra
+        square = direct_product([m, m])
+        root_class = piggyback._relation_search(square, m.size).root_class
+        listing = piggyback._relation_search(square).maximal
+        for w1, w2 in itertools.product(carriers_of(m, entry.spec), repeat=2):
+            allowed = leq_mask(w1, w2)
+            assert root_class(allowed) == min(len(listing(allowed)), 2), (w1.label(), w2.label())
+
+    def test_the_algebras_have_519_carrier_pairs(self):
+        entries = [make(key, *params) for key, params in ROOT_CLASS_ALGEBRAS]
+        assert sum(len(carriers_of(e.algebra, e.spec)) ** 2 for e in entries) == 519
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_listing_on_random_algebras(self, data):
+        # symbols of arity 0 to 3 whose tables mostly pick an argument, so
+        # that many subsets are closed; the allowed set is random, with base
+        # and a few principal closures, or then misses part of base, or is
+        # cut down until no principal closure fits
+        n = data.draw(st.integers(1, 4), label="size")
+        values = st.integers(0, n - 1)
+        kind = data.draw(st.sampled_from(["random"] * 4 + ["base escapes", "s empty"]), label="kind")
+        arities = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4), label="arities")
+        if kind == "base escapes":
+            arities.append(0)
+        elif kind == "s empty":
+            arities = [a for a in arities if a] or [1]
+        symbols, tables = [], []
+        for k, arity in enumerate(arities):
+            if arity == 0:
+                table = [data.draw(values)]
+            else:
+                picks = data.draw(st.lists(st.integers(0, arity - 1), min_size=n**arity, max_size=n**arity))
+                table = [args[pick] for args, pick in zip(itertools.product(range(n), repeat=arity), picks)]
+                for i, v in data.draw(st.lists(st.tuples(st.integers(0, n**arity - 1), values), max_size=3)):
+                    table[i] = v
+            symbols.append((f"f{k}", arity))
+            tables.append(tuple(table))
+        alg = FiniteAlgebra("random", n, Signature(tuple(symbols)), tuple(tables))
+        p = direct_product([alg, alg]) if n <= 3 and data.draw(st.booleans(), label="square") else alg
+        search = piggyback._relation_search(p)
+        base = _mask(subuniverse_closure(p, ()))
+        allowed = data.draw(st.integers(0, (1 << p.size) - 1), label="allowed") | base
+        for e in data.draw(st.lists(st.integers(0, p.size - 1), max_size=3), label="kept"):
+            allowed |= _mask(subuniverse_closure(p, (e,)))
+        if kind == "base escapes":
+            allowed &= ~(base & -base)
+            assert base & ~allowed
+        elif kind == "s empty":
+            principal = [_mask(subuniverse_closure(p, (e,))) for e in range(p.size)]
+            while fits := [e for e in _bits(allowed) if not principal[e] & ~allowed]:
+                allowed &= ~(1 << fits[0])
+        expected = min(len(search.maximal(allowed)), 2)
+        assert search.root_class(allowed) == expected
+        if kind != "random":
+            assert expected == 0
+
+
 class TestMaximalityCertificate:
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_heyting_chain_relations_are_maximal(self, n):
@@ -565,6 +639,17 @@ class TestUniqueMaxApplicable:
             assert bounds_preserved(entry.algebra, entry.spec)
             ego = build_alter_ego([entry.algebra], entry.spec)
             assert all(v == 1 for v in ego.relation_sizes().values())
+
+    @pytest.mark.parametrize("key, params", [
+        (key, params) for key, params in ROOT_CLASS_ALGEBRAS
+        if unique_max_applicable(make(key, *params).algebra, make(key, *params).spec)
+    ], ids=lambda v: str(v))
+    def test_implies_root_class_at_most_one(self, key, params):
+        entry = make(key, *params)
+        m = entry.algebra
+        root_class = piggyback._relation_search(direct_product([m, m]), m.size).root_class
+        for w1, w2 in itertools.product(carriers_of(m, entry.spec), repeat=2):
+            assert root_class(leq_mask(w1, w2)) <= 1
 
 
 class TestOrbitCounts:
