@@ -2,7 +2,10 @@
 
 Everything lives on a universe ``0..n-1``; element names are metadata only.
 Tables are flat tuples in row-major order over lexicographically ordered
-argument tuples, so all values are immutable and hashable.  Enumeration
+argument tuples, so all values are immutable and hashable.  Each table also
+has one read-only numpy array (:meth:`FiniteAlgebra.arrays`), which the
+numpy readers share: the subpower kernel, products, the universal check,
+term tables, the symmetry flags and the relation search.  Enumeration
 outputs follow a documented total order (lexicographic over map vectors /
 sorted element tuples) to keep results diff-stable.  A call keeps its
 hom-sets in one store (:func:`hom_set`); nothing is cached between calls.
@@ -123,15 +126,17 @@ class FiniteAlgebra:
 
     ``tables`` is aligned with ``signature.symbols``; the table for an
     arity-k symbol has ``size**k`` entries indexed row-major (leftmost
-    argument most significant).  Free algebras and E(X) get their tables
-    from one subpower kernel, ``_subpower``, which runs on numpy: element
-    tuples are found through a trie with one level per coordinate,
-    operations are evaluated coordinatewise on blocks of argument tuples,
-    and each argument tuple is evaluated once, by the closure loop.  A full
-    product needs no closure: :func:`direct_product` builds each table as
-    one broadcast sum of its factors' tables, and states how it numbers the
-    elements.  An induced subalgebra reads its parent's tables;
-    ``generators`` is set by :func:`free_algebra`.
+    argument most significant).  A table may be passed in as a tuple or as
+    an integer numpy array; ``tables`` holds tuples either way, and
+    :meth:`arrays` one read-only array per table.  Free algebras and E(X)
+    get their tables from one subpower kernel, ``_subpower``, which runs on
+    numpy: element tuples are found through a trie with one level per
+    coordinate, operations are evaluated coordinatewise on blocks of
+    argument tuples, and each argument tuple is evaluated once, by the
+    closure loop.  A full product needs no closure: :func:`direct_product`
+    builds each table as one broadcast sum of its factors' tables, and
+    states how it numbers the elements.  An induced subalgebra reads its
+    parent's tables; ``generators`` is set by :func:`free_algebra`.
     """
 
     name: str
@@ -146,21 +151,34 @@ class FiniteAlgebra:
             raise LatcopError(f"algebra {self.name!r} must have positive size")
         if len(self.tables) != len(self.signature.symbols):
             raise LatcopError(f"algebra {self.name!r}: one table per symbol required")
+        arrays = []
         for (sym, arity), table in zip(self.signature.symbols, self.tables):
             if len(table) != self.size**arity:
                 raise LatcopError(
                     f"algebra {self.name!r}: table for {sym!r} has {len(table)} "
                     f"entries, expected {self.size ** arity}"
                 )
-            if not (0 <= min(table) and max(table) < self.size):
+            array = table if isinstance(table, np.ndarray) else None
+            if array is not None and array.dtype.kind not in "iu":
+                raise LatcopError(f"algebra {self.name!r}: table for {sym!r} must hold integers")
+            lo, hi = (min(table), max(table)) if array is None else (array.min(), array.max())
+            if not (0 <= lo and hi < self.size):
                 v = next(v for v in table if not 0 <= v < self.size)
                 raise LatcopError(
                     f"algebra {self.name!r}: table entry {v} for {sym!r} "
                     f"outside universe 0..{self.size - 1}"
                 )
+            if array is not None:  # copied, so no outside reference can write to it
+                array = np.array(array, _index_dtype(self.size))
+                array.setflags(write=False)
+            arrays.append(array)
         if self.element_names is not None and len(self.element_names) != self.size:
             raise LatcopError(f"algebra {self.name!r}: wrong number of element names")
-        # built once; an attribute, not a field, so eq, hash and repr ignore it
+        tables = tuple(t if a is None else tuple(a.tolist()) for t, a in zip(self.tables, arrays))
+        object.__setattr__(self, "tables", tables)
+        # attributes, not fields, so eq, hash and repr ignore them; a table
+        # passed in as a tuple has None in ``_arrays`` until ``arrays()``
+        object.__setattr__(self, "_arrays", arrays)
         object.__setattr__(self, "_ops", tuple(
             (sym, arity, tab) for (sym, arity), tab in zip(self.signature.symbols, self.tables)
         ))
@@ -186,15 +204,25 @@ class FiniteAlgebra:
         """(symbol, arity, table) triples in signature order."""
         return self._ops
 
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """Per symbol, its table as one read-only array in the dtype
+        ``_index_dtype(size)``: kept from an array passed in, else built on
+        first use in place, so a renamed copy shares it."""
+        for i, array in enumerate(self._arrays):
+            if array is None:
+                self._arrays[i] = array = np.array(self.tables[i], _index_dtype(self.size))
+                array.setflags(write=False)
+        return tuple(self._arrays)
+
     def symmetric(self) -> tuple[bool, ...]:
         """Per symbol in signature order, whether it is binary with a
-        symmetric table (each row equal to its column); built on first use
-        and kept like ``ops()``."""
+        symmetric table (equal to its transpose as an n x n array); built
+        on first use and kept like ``ops()``."""
         if "_symmetric" not in self.__dict__:
             n = self.size
             object.__setattr__(self, "_symmetric", tuple(
-                arity == 2 and all(tab[x * n:(x + 1) * n] == tab[x::n] for x in range(n))
-                for _, arity, tab in self._ops
+                arity == 2 and np.array_equal(t.reshape(n, n), t.reshape(n, n).T)
+                for (_, arity, _), t in zip(self._ops, self.arrays())
             ))
         return self._symmetric
 
@@ -264,20 +292,6 @@ class Homomorphism(_Map):
             return False
         return next(_maps(self.source, self.target, allowed=[1 << v for v in self.map]), None) is not None
 
-    def compose(self, inner: "Homomorphism") -> "Homomorphism":
-        """self after inner."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise LatcopError("composition mismatch")
-        return Homomorphism(inner.source, self.target, tuple(self.map[v] for v in inner.map))
-
-    def inverse(self) -> "Homomorphism":
-        if not self.is_bijective:
-            raise LatcopError("only bijections can be inverted")
-        inv = [0] * self.target.size
-        for x, y in enumerate(self.map):
-            inv[y] = x
-        return Homomorphism(self.target, self.source, tuple(inv))
-
 
 @dataclass(frozen=True)
 class Congruence:
@@ -324,12 +338,6 @@ class Congruence:
         """Intersection as relations (the common refinement)."""
         return Congruence.canonical(self.size, list(zip(self.blocks, other.blocks)))
 
-    def block_sets(self) -> tuple[frozenset[int], ...]:
-        sets: list[set[int]] = [set() for _ in range(self.num_blocks)]
-        for x, b in enumerate(self.blocks):
-            sets[b].add(x)
-        return tuple(frozenset(s) for s in sets)
-
 
 # ---------------------------------------------------------------------------
 # term evaluation
@@ -362,14 +370,15 @@ def term_table(algebra: FiniteAlgebra, term: Term, arity: int) -> tuple[int, ...
         raise LatcopError(f"term uses x{term.max_var} but only {arity} arguments given")
     n = algebra.size
     grid = np.indices((n,) * arity).reshape(arity, n**arity)  # row i: argument i
+    arrays = algebra.arrays()
 
     def rec(t: Term):
         if t.is_var:
             return grid[t.head]
-        flat = 0  # the flat table index its arguments spell, leftmost most significant
+        flat = np.intp(0)  # the flat index its arguments spell, in intp: a table value times n may wrap
         for s in t.args:
             flat = flat * n + rec(s)
-        return np.asarray(algebra.table(t.head))[flat]
+        return arrays[algebra.signature.index(t.head)][flat]
 
     return tuple(np.broadcast_to(rec(term), n**arity).tolist())
 
@@ -705,12 +714,12 @@ class _Product:
 
     def __init__(self, signature: Signature, coords: Sequence[FiniteAlgebra]):
         self.sizes = [c.size for c in coords] or [1]
-        tabs = [[c.tables[i] for c in coords] or [(0,)] for i in range(len(signature.symbols))]
         self.dtype = _index_dtype(max(self.sizes))
+        arrays = [c.arrays() for c in coords] or [(np.zeros(1, self.dtype),) * len(signature.symbols)]
         self.ops = []
-        for (sym, arity), column in zip(signature.symbols, tabs):
+        for (sym, arity), column in zip(signature.symbols, zip(*arrays)):
             lengths = [len(t) for t in column]
-            flat = np.fromiter(itertools.chain.from_iterable(column), self.dtype, sum(lengths))
+            flat = np.concatenate(column, dtype=self.dtype)
             offsets = np.cumsum([0] + lengths[:-1], dtype=np.intp)[:, None]
             self.ops.append((sym, arity, flat, offsets))
         self.radix = np.array(self.sizes, dtype=np.intp)[:, None]
@@ -779,9 +788,10 @@ def _subpower(
     coords: Sequence[FiniteAlgebra],
     universe: Sequence[tuple[int, ...]] | None = None,
     generators: Iterable[tuple[int, ...]] = (),
-) -> tuple[list[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
+) -> tuple[list[tuple[int, ...]], tuple[np.ndarray, ...]]:
     """A subalgebra of the product of ``coords``: its element tuples and its
-    operation tables, with operations applied coordinatewise.
+    operation tables, with operations applied coordinatewise, as flat
+    arrays in the dtype ``_index_dtype`` of the element count.
 
     Without a ``universe`` the subuniverse generated by ``generators`` and
     the nullary values is computed and returned sorted.  Semi-naive
@@ -856,7 +866,7 @@ def _subpower(
             table[slab] = res.reshape(table[slab].shape)
         if not given:
             table = rank[table[np.ix_(*[where] * arity)] if arity else table]
-        tables.append(tuple(table.ravel().tolist()))
+        tables.append(table.ravel())
     return [tuple(r) for r in product.rows[: len(coords), where].T.tolist()], tuple(tables)
 
 
@@ -878,13 +888,10 @@ def _extends_to_hom(
     n, m = a.size, b.size
     value = np.zeros((n, width), _index_dtype(m))
     reached = np.zeros(n, dtype=bool)
-    order = np.fromiter(seeds, np.intp, len(seeds))  # reached elements, in order
+    order = np.array(list(seeds), np.intp)  # reached elements, in order
     value[order] = np.array(list(seeds.values()), value.dtype).reshape(len(order), width)
     reached[order] = True
-    ops = [
-        (arity, np.fromiter(ta, _index_dtype(n), len(ta)), np.array(tb, value.dtype))
-        for (_, arity, ta), (_, _, tb) in zip(a.ops(), b.ops())
-    ]
+    ops = [(arity, ta, tb) for (_, arity, _), ta, tb in zip(a.ops(), a.arrays(), b.arrays())]
     old = 0
     for round_ in itertools.count():
         count = len(order)
@@ -987,8 +994,9 @@ def direct_product(
         for j, (a, place) in enumerate(factors):
             axes = [1] * (k * arity)
             axes[j::k] = [a.size] * arity
-            table += np.array(a.tables[i], dtype).reshape(axes) * dtype.type(place)
-        tables.append(tuple(table.ravel().tolist()))
+            # the factor's narrower dtype widens to ``dtype`` in the product
+            table += a.arrays()[i].reshape(axes) * dtype.type(place)
+        tables.append(table.ravel())
     return FiniteAlgebra("x".join(a.name for a in algebras) or "1", size, signature, tuple(tables))
 
 

@@ -239,25 +239,6 @@ class FinitePoset:
         strict = [row & ~(1 << x) for x, row in enumerate(self.leq_rows)]
         return [(lo, hi) for lo, up in enumerate(strict) for hi in _bits(up & ~_union(strict, _bits(up)))]
 
-    def upsets(self) -> list[frozenset[int]]:
-        """All up-sets; deterministic order by (size, sorted tuple)."""
-        order = sorted(
-            range(self.size), key=lambda x: bin(self.leq_rows[x]).count("1")
-        )  # maximal elements first: everything above x is decided before x
-        out: list[frozenset[int]] = []
-        stack = [(0, 0)]  # (next position in order, bitmask chosen so far)
-        while stack:
-            i, chosen = stack.pop()
-            if i == len(order):
-                out.append(frozenset(x for x in range(self.size) if chosen >> x & 1))
-                continue
-            x = order[i]
-            stack.append((i + 1, chosen))
-            above = self.leq_rows[x] & ~(1 << x)
-            if above & chosen == above:
-                stack.append((i + 1, chosen | 1 << x))
-        return sorted(out, key=lambda s: (len(s), sorted(s)))
-
     def to_dot(self, graph_name: str = "poset") -> str:
         """Hasse diagram in DOT; edges are covering pairs only."""
         lines = [f"digraph {graph_name} {{", "  rankdir=BT;"]

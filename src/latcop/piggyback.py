@@ -30,7 +30,6 @@ import numpy as np
 from .algebra import (
     FiniteAlgebra,
     Homomorphism,
-    _index_dtype,
     direct_product,
     hom_set,
     subuniverse_closure,
@@ -77,22 +76,33 @@ def _separation_table(
 ) -> tuple[list[tuple[int, int, int]], list[int]]:
     """The pairs (i, a, b), a < b, of the generators in generator-then-element
     order, and per carrier w the bitmask of the pairs it separates: bit k is
-    set iff w o u splits pairs[k] for some u in hom(gens[i], w.sort) in ``homs``."""
+    set iff w o u splits pairs[k] for some u in hom(gens[i], w.sort) in ``homs``.
+    All carriers of a sort read one (homs x elements) image array at once:
+    a pair is split exactly when its elements' columns of bits w(u(a)),
+    packed along the hom axis, differ."""
     pairs = [
         (i, a, b)
         for i, m in enumerate(gens)
         for a, b in itertools.combinations(range(m.size), 2)
     ]
-    masks = []
-    for w in carriers:
+    by_sort: dict[int, list[int]] = {}  # sort index -> its carriers' positions
+    for k, w in enumerate(carriers):
         if w.sort not in gens:
             raise LatcopError("carrier sort is not among the generators")
-        into = [hom_set(homs, m, w.sort) for m in gens]
-        masks.append(sum(
-            1 << k
-            for k, (i, a, b) in enumerate(pairs)
-            if any(w.value(u.map[a]) != w.value(u.map[b]) for u in into[i])
-        ))
+        by_sort.setdefault(gens.index(w.sort), []).append(k)
+    masks = [0] * len(carriers)
+    offset = 0  # of the generator's first pair
+    for m in gens:
+        left, right = np.triu_indices(m.size, 1)  # the pairs a < b in combination order
+        for s, ks in by_sort.items():
+            into = hom_set(homs, m, gens[s])
+            images = np.array([u.map for u in into], np.intp).reshape(len(into), m.size)
+            inside = np.array([[x in carriers[k] for x in range(gens[s].size)] for k in ks])
+            columns = np.packbits(inside[:, images], axis=1)  # (carriers, bytes, elements)
+            split = (columns[:, :, left] != columns[:, :, right]).any(axis=1)
+            for k, flags in zip(ks, split):
+                masks[k] |= _bitmask(flags) << offset
+        offset += len(left)
     return pairs, masks
 
 
@@ -178,12 +188,13 @@ def _bitmask(flags: np.ndarray) -> int:
 
 
 class _Preimages:
-    """A unary or binary table of an n-element product as a narrow numpy
-    array over its flat input positions, with the mask of the positions
-    mapped to each value, built when first asked for and then kept."""
+    """A unary or binary table of an n-element product, its read-only
+    array (:meth:`~latcop.algebra.FiniteAlgebra.arrays`) over the flat input
+    positions, with the mask of the positions mapped to each value, built
+    when first asked for and then kept."""
 
-    def __init__(self, table: Sequence[int], n: int):
-        self.table = np.array(table, _index_dtype(n))
+    def __init__(self, table: np.ndarray | Sequence[int], n: int):
+        self.table = np.asarray(table)  # no copy of an array
         self.masks: list[int | None] = [None] * n
 
     def escape(self, outside: np.ndarray) -> int:
@@ -250,10 +261,10 @@ def _relation_search(product: FiniteAlgebra, sort_size: int | None = None) -> _S
     # (arity, index into pre_ops or, for arity >= 3, the table)
     ops: list[tuple[int, int | tuple[int, ...]]] = []
     pre_ops: list[_Preimages] = []
-    for _, arity, tab in product.ops():
+    for (_, arity, tab), array in zip(product.ops(), product.arrays()):
         if arity in (1, 2):
             ops.append((arity, len(pre_ops)))
-            pre_ops.append(_Preimages(tab, n))
+            pre_ops.append(_Preimages(array, n))
         elif arity > 2:
             ops.append((arity, tab))
     row = (1 << n) - 1

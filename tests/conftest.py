@@ -16,8 +16,11 @@ relations, products and reconstruction preorders as sets of point pairs,
 E(X) by testing every map of the points into their sorts, direct products
 by the subpower kernel, the relation search's preimage masks bit by bit,
 the lattice of up-sets of a poset, the unary-operations criterion
-for unique maximal relations, and the canonical map iota on prime filters,
-which checks E and S on a family without the relation search.
+for unique maximal relations, the separation table pair by pair, the
+symmetry flags by tuple slices, and the canonical map iota on prime filters,
+which checks E and S on a family without the relation search.  Helpers
+that only tests read live here too: up-sets of a poset, congruence blocks
+as sets, and composing or inverting homomorphisms.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from latcop.algebra import (
     embeds,
     generating_set,
     hom_enumerate,
+    hom_set,
     in_isp,
     induced_subalgebra,
     is_rel_subdirectly_irreducible,
@@ -191,14 +195,43 @@ def brute_force_poset_iso(p: FinitePoset, q: FinitePoset) -> tuple[int, ...] | N
     return None
 
 
+def upsets(p: FinitePoset) -> list[frozenset[int]]:
+    """All up-sets of ``p`` by a stack search that decides everything above
+    x before x; deterministic order by (size, sorted tuple)."""
+    order = sorted(range(p.size), key=lambda x: p.leq_rows[x].bit_count())  # maximal elements first
+    out: list[frozenset[int]] = []
+    stack = [(0, 0)]  # (next position in order, bitmask chosen so far)
+    while stack:
+        i, chosen = stack.pop()
+        if i == len(order):
+            out.append(frozenset(x for x in range(p.size) if chosen >> x & 1))
+            continue
+        x = order[i]
+        stack.append((i + 1, chosen))
+        above = p.leq_rows[x] & ~(1 << x)
+        if above & chosen == above:
+            stack.append((i + 1, chosen | 1 << x))
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
 def brute_force_upsets(p: FinitePoset) -> list[frozenset[int]]:
-    """All up-sets by subset enumeration, ordered like ``FinitePoset.upsets``."""
+    """All up-sets by subset enumeration, ordered like :func:`upsets`."""
     out = []
     for mask in range(1 << p.size):
         s = frozenset(x for x in range(p.size) if mask >> x & 1)
         if all(y in s for x in s for y in range(p.size) if p.leq(x, y)):
             out.append(s)
     return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def symmetric_by_slices(algebra: FiniteAlgebra) -> tuple[bool, ...]:
+    """Per symbol, whether it is binary with each row of its table equal to
+    the matching column, compared as tuple slices."""
+    n = algebra.size
+    return tuple(
+        arity == 2 and all(tab[x * n:(x + 1) * n] == tab[x::n] for x in range(n))
+        for _, arity, tab in algebra.ops()
+    )
 
 
 def median_chain() -> FiniteAlgebra:
@@ -452,7 +485,7 @@ def lattice_algebra_from_leq(
 
 def upset_lattice(poset: FinitePoset) -> DistLatticeReduct:
     """K(P): the lattice of up-sets under intersection and union."""
-    ups = poset.upsets()
+    ups = upsets(poset)
     index = {u: i for i, u in enumerate(ups)}
     n = len(ups)
     labels = tuple(
@@ -530,6 +563,21 @@ def sep_by_loop(generators, omega) -> tuple[bool, tuple[int, int, int] | None]:
                 if not any(w.value(u.map[a]) != w.value(u.map[b]) for w, u in homs[i]):
                     return False, (i, a, b)
     return True, None
+
+
+def separation_masks_by_loop(gens, carriers, homs) -> list[int]:
+    """Per carrier w, the bitmask over the pairs (i, a, b), a < b, in
+    generator-then-element order, of those that w o u splits for some u in
+    hom(gens[i], w.sort): every hom scanned for every pair."""
+    pairs = [(i, a, b) for i, m in enumerate(gens) for a, b in itertools.combinations(range(m.size), 2)]
+    return [
+        sum(
+            1 << k
+            for k, (i, a, b) in enumerate(pairs)
+            if any(w.value(u.map[a]) != w.value(u.map[b]) for u in hom_set(homs, gens[i], w.sort))
+        )
+        for w in carriers
+    ]
 
 
 def minimal_omega_by_sep(generators, carriers):
@@ -624,6 +672,29 @@ def all_partitions(n: int):
             blocks.pop()
 
     yield from rec(0, [], 0)
+
+
+def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
+    """outer after inner."""
+    assert inner.target == outer.source, "composition mismatch"
+    return Homomorphism(inner.source, outer.target, tuple(outer.map[v] for v in inner.map))
+
+
+def inverse(h: Homomorphism) -> Homomorphism:
+    """The inverse of a bijective homomorphism."""
+    assert h.is_bijective, "only bijections can be inverted"
+    inv = [0] * h.target.size
+    for x, y in enumerate(h.map):
+        inv[y] = x
+    return Homomorphism(h.target, h.source, tuple(inv))
+
+
+def block_sets(theta: Congruence) -> tuple[frozenset[int], ...]:
+    """The blocks of ``theta`` as sets, in block-number order."""
+    sets: list[set[int]] = [set() for _ in range(theta.num_blocks)]
+    for x, b in enumerate(theta.blocks):
+        sets[b].add(x)
+    return tuple(frozenset(s) for s in sets)
 
 
 def kernel(h: Homomorphism) -> Congruence:

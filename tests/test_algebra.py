@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_partitions,
+    block_sets,
     brute_force_homs,
     compatible_blocks,
+    compose,
     congruence_generated,
     decode,
     encode,
+    inverse,
     is_hom_by_loop,
     kernel,
     least_injective_hom,
@@ -28,6 +31,7 @@ from conftest import (
     product_by_subpower,
     relative_congruences,
     rsi_by_definition,
+    symmetric_by_slices,
     universal_by_closure,
 )
 from latcop import algebra as algebra_module
@@ -37,6 +41,7 @@ from latcop.algebra import (
     Homomorphism,
     Signature,
     _extends_to_hom,
+    _index_dtype,
     _subpower,
     app,
     direct_product,
@@ -460,7 +465,7 @@ class TestCongruenceGenerated:
 
     def test_heyting_principal(self):
         theta = congruence_generated(C3, [(1, 2)])
-        assert theta.block_sets() == (frozenset({0}), frozenset({1, 2}))
+        assert block_sets(theta) == (frozenset({0}), frozenset({1, 2}))
 
     @pytest.mark.parametrize("alg", [K3, C3, DM4, make("mv_chain", 3).algebra])
     def test_least_among_compatible(self, alg):
@@ -713,8 +718,8 @@ class TestHomomorphismBasics:
     def test_kernel_and_compose(self):
         h = hom_enumerate(DM4, DM4)[1]  # the automorphism swapping a and b
         assert kernel(h) == Congruence.diagonal(4)
-        assert h.compose(h).map == tuple(range(4))
-        assert h.inverse().map == h.map
+        assert compose(h, h).map == tuple(range(4))
+        assert inverse(h).map == h.map
 
     def test_induced_subalgebra(self):
         sub, elems = induced_subalgebra(DM4, {0, 1, 3})
@@ -892,6 +897,83 @@ class TestDirectProduct:
         assert (exc.value.stage, exc.value.budget, exc.value.required) == ("product", 11, 12)
         assert str(exc.value) == "product would have 12 elements, cap is 11"
 
+@st.composite
+def small_algebras(draw):
+    """A 1-4 element algebra with some of a nullary, a unary, a binary and
+    a ternary symbol in random order; the binary table is drawn symmetric
+    or not."""
+    symbols = draw(st.permutations([("c", 0), ("u", 1), ("b", 2), ("t", 3)]))
+    sig = Signature(tuple(symbols[: draw(st.integers(1, 4))]))
+    n = draw(st.integers(1, 4))
+    tables = []
+    for _, k in sig.symbols:
+        table = draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k))
+        if k == 2 and draw(st.booleans()):
+            table = [table[min(x, y) * n + max(x, y)] for x in range(n) for y in range(n)]
+        tables.append(tuple(table))
+    return FiniteAlgebra("a", n, sig, tuple(tables))
+
+
+class TestTableArrays:
+    """``FiniteAlgebra.arrays``: one read-only array per table, whether the
+    table came in as a tuple or as an array."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_algebras(), st.sampled_from([np.int8, np.uint8, np.int64, np.uint16]))
+    def test_array_and_tuple_tables_agree(self, a, dtype):
+        given = [np.array(t, dtype) for t in a.tables]
+        b = FiniteAlgebra(a.name, a.size, a.signature, tuple(given))
+        assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
+        assert all(type(t) is tuple for t in b.tables)
+        for alg in (dataclasses.replace(a), b):  # a fresh copy builds its arrays anew
+            renamed = alg.rename("renamed")
+            arrays = alg.arrays()
+            for array, table in zip(arrays, alg.tables):
+                assert array.ndim == 1 and array.dtype == _index_dtype(alg.size)
+                assert array.tolist() == list(table)
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+            assert all(x is y for x, y in zip(alg.arrays(), arrays))
+            # renamed before or after the arrays were built, a copy shares them
+            for copy in (renamed, alg.rename("later")):
+                assert all(x is y for x, y in zip(copy.arrays(), arrays))
+            assert alg.symmetric() == symmetric_by_slices(alg)
+        # the algebra keeps its own copy: the caller's arrays stay writeable
+        for array in given:
+            assert array.flags.writeable
+            array[0] = a.size - 1 - array[0]
+        assert b.arrays()[0].tolist() == list(a.tables[0])
+
+    @pytest.mark.parametrize(
+        "bad, dtype",
+        [({4: 7, 6: -1}, np.int64), ({3: -2, 5: 9}, np.int8), ({2: 200}, np.uint8), ({8: 3}, np.uint16)],
+    )
+    def test_out_of_range_entry_named_as_for_a_tuple(self, bad, dtype):
+        table = np.zeros(9, dtype)
+        for pos, v in bad.items():
+            table[pos] = v
+        sig = Signature((("g", 2),))
+        with pytest.raises(LatcopError) as from_tuple:
+            FiniteAlgebra("bad", 3, sig, (tuple(table.tolist()),))
+        with pytest.raises(LatcopError) as from_array:
+            FiniteAlgebra("bad", 3, sig, (table,))
+        assert str(from_array.value) == str(from_tuple.value)
+        first = next(v for v in table.tolist() if not 0 <= v < 3)
+        assert str(from_array.value) == f"algebra 'bad': table entry {first} for 'g' outside universe 0..2"
+
+    def test_array_of_wrong_length_or_kind(self):
+        sig = Signature((("g", 2),))
+        with pytest.raises(LatcopError, match="table for 'g' has 8 entries, expected 9"):
+            FiniteAlgebra("bad", 3, sig, (np.zeros(8, np.uint8),))
+        with pytest.raises(LatcopError, match="table for 'g' must hold integers"):
+            FiniteAlgebra("bad", 3, sig, (np.zeros(9),))
+
+    @pytest.mark.parametrize("alg", [K3, DM4, C3, MED3, MV2, B2], ids=lambda a: a.name)
+    def test_symmetric_matches_the_slices(self, alg):
+        assert alg.symmetric() == symmetric_by_slices(alg)
+
+
 class TestTableRangeCheck:
     @pytest.mark.parametrize(
         "bad, message",
@@ -924,6 +1006,15 @@ def subpower_cases(draw):
     gens = draw(st.lists(st.sampled_from(product), max_size=3))
     subset = draw(st.lists(st.sampled_from(product), unique=True))
     return sig, coords, gens, subset
+
+
+def subpower_tuples(*args, **kwargs):
+    """``_subpower``'s element tuples and its tables, each read as
+    ``tuple(t.tolist())``; the kernel returns flat arrays in the dtype
+    ``_index_dtype`` of the element count."""
+    elems, tables = _subpower(*args, **kwargs)
+    assert all(t.ndim == 1 and t.dtype == _index_dtype(len(elems)) for t in tables)
+    return elems, tuple(tuple(t.tolist()) for t in tables)
 
 
 def _first_unclosed(sig, coords, subset):
@@ -965,12 +1056,12 @@ class TestSubpowerKernel:
         # small blocks put block seams everywhere
         with mock.patch.object(algebra_module, "_BLOCK", block):
             closure = pointwise_closure(coords, gens, sig)
-            assert _subpower(sig, coords, generators=gens) == (
+            assert subpower_tuples(sig, coords, generators=gens) == (
                 closure, pointwise_tables(coords, closure, sig)
             )
             bad = _first_unclosed(sig, coords, subset)
             if bad is None:
-                assert _subpower(sig, coords, subset) == (
+                assert subpower_tuples(sig, coords, subset) == (
                     subset, pointwise_tables(coords, subset, sig)
                 )
             else:
@@ -1032,7 +1123,7 @@ class TestSubpowerKernel:
         step = FiniteAlgebra("step", n, Signature((("b", 2),)), (
             tuple(min(x + 1, n - 1) if y == n - 1 else x for x in range(n) for y in range(n)),
         ))
-        elems, tables = _subpower(step.signature, [step], generators=[(0,), (n - 1,)])
+        elems, tables = subpower_tuples(step.signature, [step], generators=[(0,), (n - 1,)])
         assert elems == [(x,) for x in range(n)]
         assert tables == step.tables
 
@@ -1045,19 +1136,19 @@ class TestSubpowerKernel:
             tuple(min(x, y) for x in range(n) for y in range(n)),
             tuple(min(x + 1, n - 1) for x in range(n)),
         ))
-        elems, tables = _subpower(sig, [chain], generators=[(250,)])
+        elems, tables = subpower_tuples(sig, [chain], generators=[(250,)])
         assert elems == [(x,) for x in range(250, n)]
         assert tables == pointwise_tables([chain], elems)
         assert direct_product([chain]).tables == chain.tables
 
     def test_empty_product(self):
         point = ([()], tuple((0,) for _ in DM4.signature.symbols))
-        assert _subpower(DM4.signature, []) == point
-        assert _subpower(DM4.signature, [], generators=[()]) == point
-        assert _subpower(DM4.signature, [], universe=[()]) == point
+        assert subpower_tuples(DM4.signature, []) == point
+        assert subpower_tuples(DM4.signature, [], generators=[()]) == point
+        assert subpower_tuples(DM4.signature, [], universe=[()]) == point
         no_constants = Signature((("f", 1), ("g", 2)))
-        assert _subpower(no_constants, []) == ([], ((), ()))
-        assert _subpower(no_constants, [], generators=[()]) == ([()], ((0,), (0,)))
+        assert subpower_tuples(no_constants, []) == ([], ((), ()))
+        assert subpower_tuples(no_constants, [], generators=[()]) == ([()], ((0,), (0,)))
 
     def test_binary_table_across_a_block_seam(self):
         # 70^2 argument pairs times 4 coordinates is more table reads than
@@ -1071,7 +1162,7 @@ class TestSubpowerKernel:
         ))
         assert n * n * k > algebra_module._BLOCK
         diagonal = [(x,) * k for x in reversed(r)]
-        assert _subpower(sig, [chain] * k, diagonal) == (
+        assert subpower_tuples(sig, [chain] * k, diagonal) == (
             diagonal, pointwise_tables([chain] * k, diagonal)
         )
 
@@ -1089,7 +1180,7 @@ class TestSubpowerKernel:
             _subpower(sig, coords, universe)
         closure = pointwise_closure(coords, universe)
         assert closure == sorted(universe + [tuple(int(i == moved) for i in range(3)), (1, 1, 1)])
-        assert _subpower(sig, coords, generators=universe) == (
+        assert subpower_tuples(sig, coords, generators=universe) == (
             closure, pointwise_tables(coords, closure)
         )
 
@@ -1100,11 +1191,11 @@ class TestSubpowerKernel:
         assert direct_product(coords).tables == pointwise_tables(coords, product)
         gens = [(0, 1, 0, 0, 0, 0)]
         closure = pointwise_closure(coords, gens)
-        assert _subpower(K3.signature, coords, generators=gens) == (
+        assert subpower_tuples(K3.signature, coords, generators=gens) == (
             closure, pointwise_tables(coords, closure)
         )
         point = [(0, 0, 0)]
-        assert _subpower(K3.signature, [one] * 3) == (point, pointwise_tables([one] * 3, point))
+        assert subpower_tuples(K3.signature, [one] * 3) == (point, pointwise_tables([one] * 3, point))
 
     def test_prefix_count_past_one_byte(self):
         # s_j steps coordinate j round a 3-cycle: from the zero row the
@@ -1120,11 +1211,11 @@ class TestSubpowerKernel:
         ]
         closure = pointwise_closure(coords, [(0,) * k])
         assert len(closure) == 3**k
-        assert _subpower(sig, coords, generators=[(0,) * k]) == (
+        assert subpower_tuples(sig, coords, generators=[(0,) * k]) == (
             closure, pointwise_tables(coords, closure)
         )
         shuffled = random.Random(0).sample(closure, len(closure))
-        assert _subpower(sig, coords, shuffled) == (shuffled, pointwise_tables(coords, shuffled))
+        assert subpower_tuples(sig, coords, shuffled) == (shuffled, pointwise_tables(coords, shuffled))
         product = algebra_module._Product(sig, coords)
         product.index(np.array(closure, product.dtype).T, len(closure))
         assert {t.itemsize for t in product.levels + [product.last]} == {1, 2}
@@ -1135,12 +1226,12 @@ class TestSubpowerKernel:
         coords = [DM4] * k
         assert DM4.size**k > 2**63
         diagonal = [(x,) * k for x in (2, 0, 3, 1)]
-        assert _subpower(DM4.signature, coords, diagonal) == (
+        assert subpower_tuples(DM4.signature, coords, diagonal) == (
             diagonal, pointwise_tables(coords, diagonal)
         )
         gens = [(1,) * k, (0,) * (k - 1) + (2,)]
         closure = pointwise_closure(coords, gens)
-        assert _subpower(DM4.signature, coords, generators=gens) == (
+        assert subpower_tuples(DM4.signature, coords, generators=gens) == (
             closure, pointwise_tables(coords, closure)
         )
 
@@ -1151,7 +1242,7 @@ class TestSubpowerKernel:
         with mock.patch.object(algebra_module, "_BLOCK", block):
             bad = _first_unclosed(sig, coords, subset)
             if bad is None:
-                assert _subpower(sig, coords, subset) == (
+                assert subpower_tuples(sig, coords, subset) == (
                     subset, pointwise_tables(coords, subset, sig)
                 )
             else:
@@ -1164,10 +1255,10 @@ class TestSubpowerKernel:
             )
             if bound <= 64:
                 closure = pointwise_closure(coords, gens, sig)
-                assert _subpower(sig, coords, generators=gens) == (
+                assert subpower_tuples(sig, coords, generators=gens) == (
                     closure, pointwise_tables(coords, closure, sig)
                 )
                 backwards = closure[::-1]
-                assert _subpower(sig, coords, backwards) == (
+                assert subpower_tuples(sig, coords, backwards) == (
                     backwards, pointwise_tables(coords, backwards, sig)
                 )

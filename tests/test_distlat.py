@@ -19,6 +19,7 @@ from conftest import (
     poset_disjoint_union,
     poset_product,
     upset_lattice,
+    upsets,
 )
 from latcop import distlat as distlat_module
 from latcop.algebra import FiniteAlgebra, Signature, app, var
@@ -281,14 +282,13 @@ class TestHMapsCoproductsToProducts:
             if p1.size * p2.size > 64 or p1.size * p2.size == 0:
                 continue
             prod = poset_product(p1, p2)
-            if len(prod.upsets()) > 200:
+            if len(upsets(prod)) > 200:
                 continue  # the b3-square coproduct has 1194 elements
             cop = upset_lattice(prod)
             dual = priestley_dual(cop)
             assert poset_isomorphic(dual, prod) is not None
             ups = cop.carrier.element_names  # up-sets as labels, order-aligned
-            upsets = prod.upsets()
-            index = {u: i for i, u in enumerate(upsets)}
+            index = {u: i for i, u in enumerate(upsets(prod))}
             pfs1 = prime_filters(l1)
             for side, (lat, pfs, stride) in enumerate(
                 [(l1, pfs1, p2.size), (l2, prime_filters(l2), 1)]
@@ -432,7 +432,7 @@ class TestUpsets:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=0, max_value=8).flatmap(posets))
     def test_matches_subset_enumeration(self, p):
-        assert p.upsets() == brute_force_upsets(p)
+        assert upsets(p) == brute_force_upsets(p)
 
 
 class TestPosetIsomorphic:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    compose,
     ego_for,
     iota_check,
     lift_by_pairs,
@@ -395,7 +396,7 @@ class TestUniversalCheck:
         eps = coproduct([DM.algebra], DM.spec, None, [DM.algebra] * 2).injections[0]
         auto = hom_enumerate(DM.algebra, DM.algebra)[1]
         with pytest.raises(LatcopError, match="fails against 'demorgan4': 0 mediating maps"):
-            self.check([DM.algebra] * 2, [eps, eps.compose(auto)])
+            self.check([DM.algebra] * 2, [eps, compose(eps, auto)])
 
     @pytest.mark.parametrize(
         "elems, failure",

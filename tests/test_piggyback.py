@@ -21,6 +21,7 @@ from conftest import (
     preimage_masks,
     relation_orbit_count,
     sep_by_loop,
+    separation_masks_by_loop,
     unique_max_applicable,
 )
 from latcop import algebra as algebra_module
@@ -324,6 +325,36 @@ LADDER_IDS = [
     "mv_chain(7)", "mv_chain(8)", "moisil_L(7)", "moisil_L(8)",
     "heyting_chain(8)", "pre_moisil_L0(4)", "pre_moisil_M0(3)", "pseudo_b(4)",
 ]
+
+
+class TestSeparationTable:
+    """The batched separation table against the pair-by-pair loop."""
+
+    @pytest.mark.parametrize(
+        "keys", SEARCH_INPUTS + [(i,) for i in LADDER_IDS], ids=lambda keys: "+".join(map(str, keys))
+    )
+    def test_masks_match_the_loop(self, keys):
+        if isinstance(keys[0], str):
+            entry = make_id(keys[0])
+            gens, spec = [entry.algebra], entry.spec
+        else:
+            gens, spec = generators_of(keys)
+        carriers = [c for m in gens for c in carriers_of(m, spec)]
+        homs: dict = {}
+        pairs, masks = piggyback._separation_table(gens, carriers, homs)
+        assert pairs == [(i, a, b) for i, m in enumerate(gens) for a, b in itertools.combinations(range(m.size), 2)]
+        assert masks == separation_masks_by_loop(gens, carriers, homs)
+
+    def test_no_homs_and_one_element_generators(self):
+        # the one-element algebra has no pairs and, as 0 = 1 there, an empty
+        # hom-set into bool2, whose one pair its one carrier splits
+        one = direct_product([], signature=B2.algebra.signature)
+        gens = [one, B2.algebra]
+        carriers = carriers_of(B2.algebra, B2.spec)
+        homs: dict = {}
+        pairs, masks = piggyback._separation_table(gens, carriers, homs)
+        assert pairs == [(1, 0, 1)]
+        assert masks == separation_masks_by_loop(gens, carriers, homs) == [1]
 
 
 class TestSearchSetUp:
