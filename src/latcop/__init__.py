@@ -10,7 +10,6 @@ the natural hom-functors, and recovers Priestley duals from natural duals.
 __version__ = "0.1.0"
 
 from .algebra import (
-    Congruence,
     FiniteAlgebra,
     Homomorphism,
     Signature,
@@ -18,14 +17,11 @@ from .algebra import (
     app,
     direct_product,
     embeds,
-    eval_term,
     free_algebra,
     hom_enumerate,
     in_isp,
     induced_subalgebra,
-    is_rel_subdirectly_irreducible,
     isomorphic,
-    quotient,
     subuniverse_closure,
     subuniverses,
     var,
@@ -33,7 +29,6 @@ from .algebra import (
 from .catalog import CatalogEntry, make, make_id, table1_suite
 from .classify import (
     ClassificationReport,
-    check_condition_C,
     find_single_generator,
     flowchart_classify,
     simplify_generators,
@@ -42,8 +37,6 @@ from .distlat import (
     DReductSpec,
     DistLatticeReduct,
     FinitePoset,
-    LatticeHom,
-    PosetMap,
     PrimeFilter,
     d_reduct,
     poset_isomorphic,
@@ -56,16 +49,12 @@ from .duality import (
     MultisortedStructure,
     coproduct,
     e_functor,
-    evaluation_check,
-    lambda_map,
     natural_dual,
-    reflector,
     reveng_priestley,
     structure_product,
 )
 from .errors import (
     CapExceeded,
-    IncompatiblePartition,
     InternalError,
     LatcopError,
     LatticeAxiomError,

@@ -21,15 +21,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    IncompatiblePartition,
-    InternalError,
-    LatcopError,
-    MembershipError,
-    SignatureMismatch,
-    UnknownSymbol,
-)
+from .errors import CapExceeded, InternalError, LatcopError, SignatureMismatch, UnknownSymbol
 
 DEFAULT_PRODUCT_CAP = 10**6
 
@@ -254,33 +246,17 @@ def _check_same_signature(*algebras: FiniteAlgebra) -> None:
             )
 
 
-class _Map:
-    """What the map classes share: an image vector ``map`` from ``source``
-    to ``target``."""
-
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
-    @property
-    def is_injective(self) -> bool:
-        return len(set(self.map)) == len(self.map)
-
-    @property
-    def is_surjective(self) -> bool:
-        return len(set(self.map)) == self.target.size
-
-    @property
-    def is_bijective(self) -> bool:
-        return self.is_injective and self.is_surjective
-
-
 @dataclass(frozen=True)
-class Homomorphism(_Map):
+class Homomorphism:
     """A map between same-signature algebras, stored as an image vector."""
 
     source: FiniteAlgebra
     target: FiniteAlgebra
     map: tuple[int, ...]
+
+    @property
+    def is_injective(self) -> bool:
+        return len(set(self.map)) == len(self.map)
 
     def is_valid(self) -> bool:
         """Whether the map lands in the target and commutes with every
@@ -293,73 +269,8 @@ class Homomorphism(_Map):
         return next(_maps(self.source, self.target, allowed=[1 << v for v in self.map]), None) is not None
 
 
-@dataclass(frozen=True)
-class Congruence:
-    """A partition of ``0..n-1`` as a block-index vector.
-
-    Block numbering is canonical: blocks are numbered by first occurrence,
-    so equal partitions compare equal as tuples.
-    """
-
-    blocks: tuple[int, ...]
-
-    @staticmethod
-    def canonical(n: int, raw: Sequence[Hashable]) -> "Congruence":
-        """The partition of ``0..n-1`` putting x and y together iff raw[x] == raw[y]."""
-        relabel: dict[Hashable, int] = {}
-        out = []
-        for x in range(n):
-            b = raw[x]
-            if b not in relabel:
-                relabel[b] = len(relabel)
-            out.append(relabel[b])
-        return Congruence(tuple(out))
-
-    @staticmethod
-    def diagonal(n: int) -> "Congruence":
-        return Congruence(tuple(range(n)))
-
-    @staticmethod
-    def all(n: int) -> "Congruence":
-        return Congruence((0,) * n)
-
-    @property
-    def size(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def num_blocks(self) -> int:
-        return max(self.blocks) + 1 if self.blocks else 0
-
-    def together(self, a: int, b: int) -> bool:
-        return self.blocks[a] == self.blocks[b]
-
-    def meet(self, other: "Congruence") -> "Congruence":
-        """Intersection as relations (the common refinement)."""
-        return Congruence.canonical(self.size, list(zip(self.blocks, other.blocks)))
-
-
 # ---------------------------------------------------------------------------
 # term evaluation
-
-
-def eval_term(algebra: FiniteAlgebra, term: Term, args: Sequence[int]) -> int:
-    """Evaluate ``term`` in ``algebra`` at the given argument tuple."""
-    term.validate(algebra.signature)
-    if term.max_var >= len(args):
-        raise LatcopError(
-            f"term uses x{term.max_var} but only {len(args)} arguments given"
-        )
-    for a in args:
-        if not 0 <= a < algebra.size:
-            raise LatcopError(f"argument {a} outside universe of {algebra.name!r}")
-
-    def rec(t: Term) -> int:
-        if t.is_var:
-            return args[t.head]
-        return algebra.op(t.head, [rec(s) for s in t.args])
-
-    return rec(term)
 
 
 def term_table(algebra: FiniteAlgebra, term: Term, arity: int) -> tuple[int, ...]:
@@ -944,7 +855,7 @@ def _extends_to_hom(
 
 
 # ---------------------------------------------------------------------------
-# products and quotients
+# products
 
 
 def direct_product(
@@ -1000,48 +911,15 @@ def direct_product(
     return FiniteAlgebra("x".join(a.name for a in algebras) or "1", size, signature, tuple(tables))
 
 
-def quotient(algebra: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, Homomorphism]:
-    """Quotient algebra on blocks plus the natural surjection; the tables are
-    read at each block's first element, and theta is compatible exactly when
-    the block map is a homomorphism onto them.  Any block labels are read,
-    renumbered by first occurrence."""
-    if theta.size != algebra.size:
-        raise IncompatiblePartition("partition size disagrees with universe")
-    theta = Congruence.canonical(algebra.size, theta.blocks)
-    nb = theta.num_blocks
-    reps = [theta.blocks.index(b) for b in range(nb)]
-    tables = tuple(
-        tuple(
-            theta.blocks[tab[algebra.flat_index([reps[b] for b in key])]]
-            for key in itertools.product(range(nb), repeat=arity)
-        )
-        for _, arity, tab in algebra.ops()
-    )
-    q = FiniteAlgebra(f"{algebra.name}/~", nb, algebra.signature, tables)
-    rho = Homomorphism(algebra, q, theta.blocks)
-    if not rho.is_valid():
-        raise IncompatiblePartition(
-            f"partition {theta.blocks} is not compatible with {algebra.name!r}"
-        )
-    return q, rho
-
-
 # ---------------------------------------------------------------------------
 # quasivariety membership
 
 
-def _kernel_meets(
-    algebra: FiniteAlgebra, homs: Iterable[Homomorphism]
-) -> Iterator[tuple[Homomorphism, Congruence]]:
-    """Each of ``homs`` out of ``algebra``, in the order given, with the
-    meet of the kernels up to and including it; stops once that meet is the
-    diagonal."""
-    theta = Congruence.all(algebra.size)
-    for h in homs:
-        theta = Congruence.canonical(algebra.size, list(zip(theta.blocks, h.map)))
-        yield h, theta
-        if theta.num_blocks == algebra.size:
-            return
+def _relabel(raw: Iterable[Hashable]) -> list[int]:
+    """Each value replaced by the number of distinct values before its
+    first occurrence, so equal partitions get equal label lists."""
+    labels: dict[Hashable, int] = {}
+    return [labels.setdefault(v, len(labels)) for v in raw]
 
 
 def in_isp(algebra: FiniteAlgebra, generators: Sequence[FiniteAlgebra], *, homs: dict | None = None) -> bool:
@@ -1054,27 +932,18 @@ def in_isp(algebra: FiniteAlgebra, generators: Sequence[FiniteAlgebra], *, homs:
 
 
 def _separated(algebra: FiniteAlgebra, homs: Iterable[Homomorphism]) -> bool:
-    """True iff the kernels of ``homs`` meet to the diagonal."""
-    return algebra.size == 1 or any(
-        theta.num_blocks == algebra.size for _, theta in _kernel_meets(algebra, homs)
-    )
-
-
-def is_rel_subdirectly_irreducible(algebra: FiniteAlgebra, generators: Sequence[FiniteAlgebra]) -> bool:
-    """True iff ``algebra`` is subdirectly irreducible relative to
-    ISP(generators) (RSI).
-
-    Theorem (Gorbunov, *Algebraic Theory of Quasivarieties*, 1998): a
-    finite algebra is RSI exactly when it has two or more elements and the
-    kernels of its non-injective homomorphisms into the generators meet
-    above the diagonal."""
-    homs = [h for m in generators for h in hom_enumerate(algebra, m)]
-    if not _separated(algebra, homs):
-        raise MembershipError(
-            f"{algebra.name!r} is not in the quasivariety generated by "
-            f"{[m.name for m in generators]}"
-        )
-    return algebra.size > 1 and not _separated(algebra, (h for h in homs if not h.is_injective))
+    """True iff the kernels of ``homs`` meet to the diagonal: each map
+    refines the blocks so far, and ``homs`` is read only until they are
+    singletons."""
+    n = algebra.size
+    if n == 1:
+        return True
+    blocks = [0] * n
+    for h in homs:
+        blocks = _relabel(zip(blocks, h.map))
+        if max(blocks) == n - 1:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import TABLE_ENTRY_BUDGET, FiniteAlgebra, Signature, app, var
-from .distlat import _LATTICE_SIG, DReductSpec, d_reduct
+from .distlat import DReductSpec, d_reduct
 from .errors import CapExceeded, LatcopError
 
 UNVERIFIED_TABLE_ROWS = (
@@ -56,6 +56,7 @@ def _unary(size: int, f) -> tuple[int, ...]:
 
 _LIT = DReductSpec.literal()
 
+_LATTICE_SIG = Signature((("meet", 2), ("join", 2), ("zero", 0), ("one", 0)))
 _SIG_DM = Signature((("meet", 2), ("join", 2), ("neg", 1), ("zero", 0), ("one", 0)))
 _SIG_HEYTING = Signature(
     (("meet", 2), ("join", 2), ("imp", 2), ("zero", 0), ("one", 0))

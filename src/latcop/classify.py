@@ -1,4 +1,4 @@
-"""The E/S classification flowchart and the condition-(C) decision procedure.
+"""The E/S classification flowchart.
 
 Route: simplify the generating set to relatively subdirectly irreducible
 subalgebras, look for a single generator, take a minimum-cardinality
@@ -28,16 +28,22 @@ from .algebra import (
 )
 from .distlat import DReductSpec, PrimeFilter
 from .errors import CapExceeded, InternalError, LatcopError
-from .piggyback import (
-    AlterEgo,
-    MinimalityCertificate,
-    _AlterEgoPlan,
-    _relation_search,
-    leq_mask,
-    sep_condition,
-)
+from .piggyback import AlterEgo, MinimalityCertificate, _AlterEgoPlan
 
 SUBALGEBRA_SIZE_CAP = 12
+
+
+def _rsi(s: FiniteAlgebra, ambient: Sequence[FiniteAlgebra], homs: dict) -> bool:
+    """Whether ``s``, a member of ISP(ambient), is subdirectly irreducible
+    relative to it (RSI), on the hom-sets in the store ``homs``.
+
+    Theorem (Gorbunov, *Algebraic Theory of Quasivarieties*, 1998): a
+    finite algebra of the class is RSI exactly when it has two or more
+    elements and the kernels of its non-injective homomorphisms into
+    ``ambient`` meet above the diagonal (a one-element algebra's meet is
+    the diagonal)."""
+    into = [h for m in ambient for h in hom_set(homs, s, m)]
+    return not _separated(s, (h for h in into if not h.is_injective))
 
 
 def simplify_generators(
@@ -76,21 +82,15 @@ def simplify_generators(
                 required=m.size, stage="subalgebra enumeration", budget=size_cap,
             )
     homs = {} if homs is None else homs
-
-    def rsi(s: FiniteAlgebra) -> bool:
-        # Gorbunov's test; a subalgebra of a generator is in the class
-        into = [h for m in ambient for h in hom_set(homs, s, m)]
-        return not _separated(s, (h for h in into if not h.is_injective))
-
     found = []  # (size, generator index, elements, subalgebra)
     for mi, m in enumerate(ambient):
-        if rsi(m):
+        if _rsi(m, ambient, homs):
             found.append((m.size, mi, frozenset(range(m.size)), m))
             continue
         for elems in sorted(subuniverses(m), key=len, reverse=True):
             if 1 < len(elems) < m.size and not any(t[1] == mi and elems <= t[2] for t in found):
                 sub, _ = induced_subalgebra(m, elems)
-                if rsi(sub):
+                if _rsi(sub, ambient, homs):
                     found.append((sub.size, mi, elems, sub))
     kept: list = []
     for t in sorted(found, key=lambda t: (-t[0], t[1], sorted(t[2]))):
@@ -270,7 +270,7 @@ class ClassificationReport:
             for (i, j), count in sorted(self.relation_sizes.items()):
                 exc = self.listing_stopped.get((i, j))
                 if exc is not None:
-                    count = f"listing stopped (stage {exc.stage!r}, budget {exc.budget}, required {exc.required})"
+                    count = f"listing stopped ({exc.budget_note()})"
                 lines.append(
                     f"  R[{self.omega[i].label()},{self.omega[j].label()}]: {count}"
                 )
@@ -322,7 +322,7 @@ def flowchart_classify(
         else:
             small = all(plan.root_class(i, j) <= 1 for i, j in plan.pairs())
     except CapExceeded as exc:
-        report.unknown = str(exc)
+        report.unknown = f"{exc}; {exc.budget_note()}"
         return report
     report.omega = plan.omega
     report.minimality = plan.minimality
@@ -340,27 +340,3 @@ def flowchart_classify(
     report.verdict_E = one_pair
     report.verdict_S = small
     return report
-
-
-def check_condition_C(
-    m: FiniteAlgebra,
-    omega: PrimeFilter,
-    spec: DReductSpec,
-    ambient: Sequence[FiniteAlgebra] | None = None,
-) -> tuple[bool, bool, bool]:
-    """The three-part coproduct-preservation check for a candidate (m, omega).
-
-    (i) every relatively subdirectly irreducible algebra of the class embeds
-    in m, checked on the simplified generators, in one of which every other
-    one embeds; (ii) separation holds for (m, omega); (iii) the subalgebras
-    of m^2 below (omega, omega)^-1(<=) have a top element.
-    """
-    if m.size < 2:
-        raise LatcopError("condition (C) needs a nontrivial algebra")
-    homs: dict = {}
-    simplified = simplify_generators(ambient if ambient is not None else [m], homs=homs)
-    c1 = all(embeds(s, m) is not None for s in simplified)
-    c2 = sep_condition([m], [omega], homs=homs).holds
-    square = direct_product([m, m])
-    c3 = _relation_search(square, m.size).root_class(leq_mask(omega, omega)) == 1
-    return (c1, c2, c3)

@@ -428,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapExceeded as exc:
-        print(f"unknown: {exc}", file=sys.stderr)
+        print(f"unknown: {exc}; {exc.budget_note()}", file=sys.stderr)
         return EXIT_UNKNOWN
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

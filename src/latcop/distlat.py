@@ -11,13 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .algebra import FiniteAlgebra, Homomorphism, Signature, Term, app, eval_term, term_table, var
-from .algebra import _color_masks, _Map, _maps, _refine_colors
+from .algebra import FiniteAlgebra, Signature, Term, _color_masks, _maps, _refine_colors, app, term_table, var
 from .errors import LatcopError, LatticeAxiomError
 
 _BLOCK = 2**16  # (x, y, z) triples per block of d_reduct's cubic identity checks
-
-_LATTICE_SIG = Signature((("meet", 2), ("join", 2), ("zero", 0), ("one", 0)))
 
 
 @dataclass(frozen=True)
@@ -84,8 +81,8 @@ def d_reduct(algebra: FiniteAlgebra, spec: DReductSpec) -> DistLatticeReduct:
     n = algebra.size
     m = term_table(algebra, spec.meet, 2)
     j = term_table(algebra, spec.join, 2)
-    bot = eval_term(algebra, spec.bot, ())
-    top = eval_term(algebra, spec.top, ())
+    bot = term_table(algebra, spec.bot, 0)[0]
+    top = term_table(algebra, spec.top, 0)[0]
 
     M = np.asarray(m, dtype=np.int64).reshape(n, n)
     J = np.asarray(j, dtype=np.int64).reshape(n, n)
@@ -257,12 +254,8 @@ def poset_from_pairs(size: int, pairs: set[tuple[int, int]], labels: tuple[str, 
     return FinitePoset(size, tuple(rows), labels or tuple(str(i) for i in range(size)))
 
 
-def chain(size: int) -> FinitePoset:
-    return poset_from_pairs(size, {(x, y) for x in range(size) for y in range(x, size)})
-
-
 # ---------------------------------------------------------------------------
-# the functors H and K
+# the functor H
 
 
 def priestley_dual(lattice: DistLatticeReduct) -> FinitePoset:
@@ -271,45 +264,6 @@ def priestley_dual(lattice: DistLatticeReduct) -> FinitePoset:
     rows = tuple(_mask(j for j, fj in enumerate(pfs) if fi.elements <= fj.elements) for fi in pfs)
     labels = tuple(lattice.element_name(f.generator) for f in pfs)
     return FinitePoset(len(pfs), rows, labels)
-
-
-@dataclass(frozen=True)
-class LatticeHom(_Map):
-    """A bound-preserving lattice homomorphism between reducts."""
-
-    source: DistLatticeReduct
-    target: DistLatticeReduct
-    map: tuple[int, ...]
-
-    def __post_init__(self):
-        s, t = (
-            FiniteAlgebra(r.carrier.name, r.size, _LATTICE_SIG, (r.meet_table, r.join_table, (r.bot,), (r.top,)))
-            for r in (self.source, self.target)
-        )
-        if not Homomorphism(s, t, self.map).is_valid():
-            raise LatcopError("map is not a bounded-lattice homomorphism")
-
-
-@dataclass(frozen=True)
-class PosetMap(_Map):
-    source: FinitePoset
-    target: FinitePoset
-    map: tuple[int, ...]
-
-    def __post_init__(self):
-        # the image of each row must lie in the row of the image
-        rows = self.target.leq_rows
-        for x, row in enumerate(self.source.leq_rows):
-            if _mask(self.map[y] for y in _bits(row)) & ~rows[self.map[x]]:
-                raise LatcopError("poset map must be order-preserving")
-
-    @property
-    def is_order_embedding(self) -> bool:
-        return all(
-            self.source.leq(x, y) == self.target.leq(self.map[x], self.map[y])
-            for x in range(self.source.size)
-            for y in range(self.source.size)
-        )
 
 
 _UP_SIG = Signature((("up", 2),))

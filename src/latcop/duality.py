@@ -16,28 +16,24 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import (
-    Congruence,
     FiniteAlgebra,
     Homomorphism,
     _extends_to_hom,
-    _kernel_meets,
+    _relabel,
     _separated,
     _subpower,
     hom_enumerate,
     hom_set,
-    quotient,
 )
 from .distlat import (
     DReductSpec,
     FinitePoset,
-    PrimeFilter,
     _bits,
     _mask,
     _preorder_fault,
     d_reduct,
     poset_from_pairs,
     poset_isomorphic,
-    prime_filters,
     priestley_dual,
 )
 from .errors import CapExceeded, InternalError, LatcopError, MembershipError
@@ -429,11 +425,10 @@ def reveng_priestley(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None
     if fault is not None:
         raise InternalError(f"reconstruction preorder is not {fault}")
     # quotient by the symmetrization: in a preorder, x ~ y iff their rows agree
-    sym = Congruence.canonical(space.size, rows)
-    cls = sym.blocks
+    cls = _relabel(rows)
+    count = len(set(cls))
     pairs = {(cls[x], cls[y]) for x, row in enumerate(rows) for y in _bits(row)}
-    labels = tuple(f"c{k}" for k in range(sym.num_blocks))
-    quotient_poset = poset_from_pairs(sym.num_blocks, pairs, labels)
+    quotient_poset = poset_from_pairs(count, pairs, tuple(f"c{k}" for k in range(count)))
     priestley = priestley_dual(d_reduct(algebra, ego.spec))
     iso = poset_isomorphic(quotient_poset, priestley)
     if iso is None:
@@ -441,74 +436,3 @@ def reveng_priestley(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None
             "reconstruction quotient is not isomorphic to the Priestley dual"
         )
     return RevEngResult(space, quotient_poset, priestley, iso)
-
-
-@dataclass(frozen=True)
-class EvaluationCheck:
-    e_result: EResult
-    evaluation: Homomorphism
-    is_isomorphism: bool
-
-
-def evaluation_check(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None = None) -> EvaluationCheck:
-    """The multisorted evaluation map into E(D(algebra)): a maps to the
-    morphism sending a dual point x to x(a).  Under separation it is an
-    isomorphism; ``homs`` is passed on to :func:`natural_dual`."""
-    dual = natural_dual(algebra, ego, homs=homs)
-    e_res = e_functor(dual)
-    points = [dual.points[s][i] for s, i in e_res.point_order]
-    ev = _evaluation(e_res, algebra, e_res.algebra, points)
-    iso = ev.is_valid() and ev.is_injective and e_res.algebra.size == algebra.size
-    return EvaluationCheck(e_res, ev, iso)
-
-
-def lambda_map(
-    algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None = None
-) -> tuple[tuple[PrimeFilter, frozenset[int]], ...]:
-    """For each prime filter f of U(algebra), the carriers w admitting a dual
-    point x with w o x = f.  Non-empty throughout when separation holds;
-    ``homs`` is passed on to :func:`natural_dual`."""
-    lattice = d_reduct(algebra, ego.spec)
-    pfs = prime_filters(lattice)
-    dual = natural_dual(algebra, ego, homs=homs)
-    out = []
-    for f in pfs:
-        hits = set()
-        for wi, w in enumerate(ego.carriers):
-            s = ego.sort_index(w.sort)
-            for x in dual.points[s]:
-                pre = frozenset(a for a in range(algebra.size) if x.map[a] in w.elements)
-                if pre == f.elements:
-                    hits.add(wi)
-                    break
-        if not hits:
-            raise InternalError(
-                "joint surjectivity fails: a prime filter is not realized"
-            )
-        out.append((f, frozenset(hits)))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# the reflector into a subquasivariety
-
-
-@dataclass(frozen=True)
-class ReflectorResult:
-    algebra: FiniteAlgebra
-    quotient_map: Homomorphism
-    collapsed: bool  # True when no homomorphisms existed and everything glued
-
-
-def reflector(
-    algebra: FiniteAlgebra, generators: Sequence[FiniteAlgebra]
-) -> ReflectorResult:
-    """Quotient by the least congruence whose quotient lies in
-    ISP(generators): the meet of all homomorphism kernels."""
-    homs = (h for m in generators for h in hom_enumerate(algebra, m))
-    meets = [theta for _, theta in _kernel_meets(algebra, homs)]
-    theta = meets[-1] if meets else Congruence.all(algebra.size)
-    q, rho = quotient(algebra, theta)
-    q = q.rename(f"R({algebra.name})")
-    rho = Homomorphism(algebra, q, rho.map)
-    return ReflectorResult(q, rho, not meets and algebra.size > 1)

@@ -20,24 +20,18 @@ class InternalError(LatcopError):
 
 
 class CapExceeded(LatcopError):
-    """A configured size cap was exceeded; carries the size that would be
-    needed and, where set, the search stage and the budget it hit."""
+    """A configured size cap was exceeded; carries the search stage, the
+    budget it hit and the size that would be needed."""
 
-    def __init__(
-        self,
-        message: str,
-        required: int | None = None,
-        stage: str | None = None,
-        budget: int | None = None,
-    ):
+    def __init__(self, message: str, *, required: int, stage: str, budget: int):
         super().__init__(message)
         self.required = required
         self.stage = stage
         self.budget = budget
 
-
-class IncompatiblePartition(LatcopError):
-    """A partition is not compatible with the operation tables."""
+    def budget_note(self) -> str:
+        """The stage, budget and required size, as reports print them."""
+        return f"stage {self.stage!r}, budget {self.budget}, required {self.required}"
 
 
 class MembershipError(LatcopError):

@@ -17,10 +17,18 @@ E(X) by testing every map of the points into their sorts, direct products
 by the subpower kernel, the relation search's preimage masks bit by bit,
 the lattice of up-sets of a poset, the unary-operations criterion
 for unique maximal relations, the separation table pair by pair, the
-symmetry flags by tuple slices, and the canonical map iota on prime filters,
-which checks E and S on a family without the relation search.  Helpers
-that only tests read live here too: up-sets of a poset, congruence blocks
-as sets, and composing or inverting homomorphisms.
+symmetry flags by tuple slices, term tables by evaluating one argument
+tuple at a time, and the canonical map iota on prime filters, which checks
+E and S on a family without the relation search.
+
+The paper's other checks are oracles here too, as no command of the
+library reads them: the evaluation isomorphism A -> ED(A), lambda on prime
+filters, the reflector into a subquasivariety (with congruences and
+quotients), condition (C), and relative subdirect irreducibility (membership
+by ``in_isp``, then the classification's own test ``classify._rsi``).  So
+do the maps that only tests build, ``LatticeHom`` and ``PosetMap``, and
+helpers that only tests read: chains and up-sets of posets, congruence
+blocks as sets, bijectivity, and composing or inverting homomorphisms.
 """
 
 from __future__ import annotations
@@ -34,10 +42,10 @@ import numpy as np
 import pytest
 
 from latcop.algebra import (
-    Congruence,
     FiniteAlgebra,
     Homomorphism,
     Signature,
+    Term,
     _check_same_signature,
     _color_masks,
     _maps,
@@ -50,27 +58,25 @@ from latcop.algebra import (
     hom_set,
     in_isp,
     induced_subalgebra,
-    is_rel_subdirectly_irreducible,
     subuniverses,
 )
-from latcop.catalog import make
-from latcop.classify import SUBALGEBRA_SIZE_CAP, flowchart_classify
+from latcop.catalog import _LATTICE_SIG, make
+from latcop.classify import SUBALGEBRA_SIZE_CAP, _rsi, flowchart_classify, simplify_generators
 from latcop.distlat import (
-    _LATTICE_SIG,
     DistLatticeReduct,
     DReductSpec,
     FinitePoset,
-    LatticeHom,
-    PosetMap,
     PrimeFilter,
+    _bits,
+    _mask,
     d_reduct,
     poset_from_pairs,
     prime_filters,
     priestley_dual,
 )
-from latcop.duality import coproduct, natural_dual
-from latcop.errors import CapExceeded, InternalError, LatcopError
-from latcop.piggyback import AlterEgo, build_alter_ego
+from latcop.duality import EResult, _evaluation, coproduct, e_functor, natural_dual
+from latcop.errors import CapExceeded, InternalError, LatcopError, MembershipError
+from latcop.piggyback import AlterEgo, _relation_search, build_alter_ego, leq_mask, sep_condition
 
 
 @lru_cache(maxsize=None)
@@ -402,6 +408,129 @@ def iota_check(
     )
 
 
+def eval_term(algebra: FiniteAlgebra, term: Term, args) -> int:
+    """``term`` at one argument tuple, one table entry at a time through
+    ``FiniteAlgebra.op``: the oracle of ``term_table``."""
+    term.validate(algebra.signature)
+    if term.max_var >= len(args):
+        raise LatcopError(
+            f"term uses x{term.max_var} but only {len(args)} arguments given"
+        )
+    for a in args:
+        if not 0 <= a < algebra.size:
+            raise LatcopError(f"argument {a} outside universe of {algebra.name!r}")
+
+    def rec(t: Term) -> int:
+        if t.is_var:
+            return args[t.head]
+        return algebra.op(t.head, [rec(s) for s in t.args])
+
+    return rec(term)
+
+
+def is_rel_subdirectly_irreducible(algebra: FiniteAlgebra, generators) -> bool:
+    """True iff ``algebra`` is subdirectly irreducible relative to
+    ISP(generators) (RSI): membership by ``in_isp``, then Gorbunov's test
+    as the classification runs it (``classify._rsi``), on one hom-set store.
+    Raises MembershipError outside the class."""
+    homs: dict = {}
+    if not in_isp(algebra, generators, homs=homs):
+        raise MembershipError(
+            f"{algebra.name!r} is not in the quasivariety generated by "
+            f"{[m.name for m in generators]}"
+        )
+    return _rsi(algebra, generators, homs)
+
+
+def check_condition_C(
+    m: FiniteAlgebra,
+    omega: PrimeFilter,
+    spec: DReductSpec,
+    ambient=None,
+) -> tuple[bool, bool, bool]:
+    """The three-part coproduct-preservation check for a candidate (m, omega).
+
+    (i) every relatively subdirectly irreducible algebra of the class embeds
+    in m, checked on the simplified generators, in one of which every other
+    one embeds; (ii) separation holds for (m, omega); (iii) the subalgebras
+    of m^2 below (omega, omega)^-1(<=) have a top element.
+    """
+    if m.size < 2:
+        raise LatcopError("condition (C) needs a nontrivial algebra")
+    homs: dict = {}
+    simplified = simplify_generators(ambient if ambient is not None else [m], homs=homs)
+    c1 = all(embeds(s, m) is not None for s in simplified)
+    c2 = sep_condition([m], [omega], homs=homs).holds
+    square = direct_product([m, m])
+    c3 = _relation_search(square, m.size).root_class(leq_mask(omega, omega)) == 1
+    return (c1, c2, c3)
+
+
+@dataclass(frozen=True)
+class EvaluationCheck:
+    e_result: EResult
+    evaluation: Homomorphism
+    is_isomorphism: bool
+
+
+def evaluation_check(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None = None) -> EvaluationCheck:
+    """The multisorted evaluation map into E(D(algebra)): a maps to the
+    morphism sending a dual point x to x(a).  Under separation it is an
+    isomorphism; ``homs`` is passed on to ``natural_dual``."""
+    dual = natural_dual(algebra, ego, homs=homs)
+    e_res = e_functor(dual)
+    points = [dual.points[s][i] for s, i in e_res.point_order]
+    ev = _evaluation(e_res, algebra, e_res.algebra, points)
+    iso = ev.is_valid() and ev.is_injective and e_res.algebra.size == algebra.size
+    return EvaluationCheck(e_res, ev, iso)
+
+
+def lambda_map(
+    algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None = None
+) -> tuple[tuple[PrimeFilter, frozenset[int]], ...]:
+    """For each prime filter f of U(algebra), the carriers w admitting a dual
+    point x with w o x = f.  Non-empty throughout when separation holds;
+    ``homs`` is passed on to ``natural_dual``."""
+    lattice = d_reduct(algebra, ego.spec)
+    pfs = prime_filters(lattice)
+    dual = natural_dual(algebra, ego, homs=homs)
+    out = []
+    for f in pfs:
+        hits = set()
+        for wi, w in enumerate(ego.carriers):
+            s = ego.sort_index(w.sort)
+            for x in dual.points[s]:
+                pre = frozenset(a for a in range(algebra.size) if x.map[a] in w.elements)
+                if pre == f.elements:
+                    hits.add(wi)
+                    break
+        if not hits:
+            raise InternalError(
+                "joint surjectivity fails: a prime filter is not realized"
+            )
+        out.append((f, frozenset(hits)))
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class ReflectorResult:
+    algebra: FiniteAlgebra
+    quotient_map: Homomorphism
+    collapsed: bool  # True when no homomorphisms existed and everything glued
+
+
+def reflector(algebra: FiniteAlgebra, generators) -> ReflectorResult:
+    """Quotient by the least congruence whose quotient lies in
+    ISP(generators): the meet of all homomorphism kernels."""
+    homs = [h for m in generators for h in hom_enumerate(algebra, m)]
+    theta = Congruence.all(algebra.size)
+    for h in homs:
+        theta = theta.meet(kernel(h))
+    q, rho = quotient(algebra, theta)
+    q = q.rename(f"R({algebra.name})")
+    return ReflectorResult(q, Homomorphism(algebra, q, rho.map), not homs and algebra.size > 1)
+
+
 def unique_max_applicable(algebra: FiniteAlgebra, spec: DReductSpec) -> bool:
     """True iff every basic operation is either part of the lattice structure
     or a unary (dual) lattice endomorphism of the reduct.
@@ -431,6 +560,71 @@ def unique_max_applicable(algebra: FiniteAlgebra, spec: DReductSpec) -> bool:
         else:
             return False
     return True
+
+
+def is_bijective(f) -> bool:
+    """Whether the image vector ``f.map`` is a bijection onto ``f.target``."""
+    return len(set(f.map)) == len(f.map) == f.target.size
+
+
+class ImageMap:
+    """Injectivity and surjectivity of a map stored as an image vector
+    ``map`` into ``target``."""
+
+    @property
+    def is_injective(self) -> bool:
+        return len(set(self.map)) == len(self.map)
+
+    @property
+    def is_surjective(self) -> bool:
+        return len(set(self.map)) == self.target.size
+
+    @property
+    def is_bijective(self) -> bool:
+        return is_bijective(self)
+
+
+@dataclass(frozen=True)
+class LatticeHom(ImageMap):
+    """A bound-preserving lattice homomorphism between reducts."""
+
+    source: DistLatticeReduct
+    target: DistLatticeReduct
+    map: tuple[int, ...]
+
+    def __post_init__(self):
+        s, t = (
+            FiniteAlgebra(r.carrier.name, r.size, _LATTICE_SIG, (r.meet_table, r.join_table, (r.bot,), (r.top,)))
+            for r in (self.source, self.target)
+        )
+        if not Homomorphism(s, t, self.map).is_valid():
+            raise LatcopError("map is not a bounded-lattice homomorphism")
+
+
+@dataclass(frozen=True)
+class PosetMap(ImageMap):
+    source: FinitePoset
+    target: FinitePoset
+    map: tuple[int, ...]
+
+    def __post_init__(self):
+        # the image of each row must lie in the row of the image
+        rows = self.target.leq_rows
+        for x, row in enumerate(self.source.leq_rows):
+            if _mask(self.map[y] for y in _bits(row)) & ~rows[self.map[x]]:
+                raise LatcopError("poset map must be order-preserving")
+
+    @property
+    def is_order_embedding(self) -> bool:
+        return all(
+            self.source.leq(x, y) == self.target.leq(self.map[x], self.map[y])
+            for x in range(self.source.size)
+            for y in range(self.source.size)
+        )
+
+
+def chain(size: int) -> FinitePoset:
+    return poset_from_pairs(size, {(x, y) for x in range(size) for y in range(x, size)})
 
 
 def poset_product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
@@ -597,6 +791,82 @@ def minimal_omega_by_sep(generators, carriers):
     return None
 
 
+class IncompatiblePartition(LatcopError):
+    """A partition is not compatible with the operation tables."""
+
+
+@dataclass(frozen=True)
+class Congruence:
+    """A partition of ``0..n-1`` as a block-index vector.
+
+    Block numbering is canonical: blocks are numbered by first occurrence,
+    so equal partitions compare equal as tuples.
+    """
+
+    blocks: tuple[int, ...]
+
+    @staticmethod
+    def canonical(n: int, raw) -> "Congruence":
+        """The partition of ``0..n-1`` putting x and y together iff raw[x] == raw[y]."""
+        relabel: dict = {}
+        out = []
+        for x in range(n):
+            b = raw[x]
+            if b not in relabel:
+                relabel[b] = len(relabel)
+            out.append(relabel[b])
+        return Congruence(tuple(out))
+
+    @staticmethod
+    def diagonal(n: int) -> "Congruence":
+        return Congruence(tuple(range(n)))
+
+    @staticmethod
+    def all(n: int) -> "Congruence":
+        return Congruence((0,) * n)
+
+    @property
+    def size(self) -> int:
+        return len(self.blocks)
+
+    @property
+    def num_blocks(self) -> int:
+        return max(self.blocks) + 1 if self.blocks else 0
+
+    def together(self, a: int, b: int) -> bool:
+        return self.blocks[a] == self.blocks[b]
+
+    def meet(self, other: "Congruence") -> "Congruence":
+        """Intersection as relations (the common refinement)."""
+        return Congruence.canonical(self.size, list(zip(self.blocks, other.blocks)))
+
+
+def quotient(algebra: FiniteAlgebra, theta: Congruence) -> tuple[FiniteAlgebra, Homomorphism]:
+    """Quotient algebra on blocks plus the natural surjection; the tables are
+    read at each block's first element, and theta is compatible exactly when
+    the block map is a homomorphism onto them.  Any block labels are read,
+    renumbered by first occurrence."""
+    if theta.size != algebra.size:
+        raise IncompatiblePartition("partition size disagrees with universe")
+    theta = Congruence.canonical(algebra.size, theta.blocks)
+    nb = theta.num_blocks
+    reps = [theta.blocks.index(b) for b in range(nb)]
+    tables = tuple(
+        tuple(
+            theta.blocks[tab[algebra.flat_index([reps[b] for b in key])]]
+            for key in itertools.product(range(nb), repeat=arity)
+        )
+        for _, arity, tab in algebra.ops()
+    )
+    q = FiniteAlgebra(f"{algebra.name}/~", nb, algebra.signature, tables)
+    rho = Homomorphism(algebra, q, theta.blocks)
+    if not rho.is_valid():
+        raise IncompatiblePartition(
+            f"partition {theta.blocks} is not compatible with {algebra.name!r}"
+        )
+    return q, rho
+
+
 def congruence_generated(algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Least compatible equivalence containing ``pairs``, by saturation."""
     n = algebra.size
@@ -682,7 +952,7 @@ def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
 
 def inverse(h: Homomorphism) -> Homomorphism:
     """The inverse of a bijective homomorphism."""
-    assert h.is_bijective, "only bijections can be inverted"
+    assert is_bijective(h), "only bijections can be inverted"
     inv = [0] * h.target.size
     for x, y in enumerate(h.map):
         inv[y] = x
@@ -750,7 +1020,7 @@ def subalgebras_up_to_iso(generators, size_cap=SUBALGEBRA_SIZE_CAP) -> list[Fini
             raise CapExceeded(
                 f"subalgebra enumeration needs generator size <= {size_cap}, "
                 f"got {m.size}",
-                required=m.size,
+                required=m.size, stage="subalgebra enumeration", budget=size_cap,
             )
     candidates: list[tuple[int, int, tuple[int, ...], FiniteAlgebra]] = []
     for mi, m in enumerate(generators):
@@ -836,8 +1106,8 @@ def relation_orbit_count(ego: AlterEgo, omega1: int, omega2: int) -> int:
         return 0
     m1 = ego.sorts[rels[0].sort1]
     m2 = ego.sorts[rels[0].sort2]
-    autos1 = [h for h in hom_enumerate(m1, m1) if h.is_bijective]
-    autos2 = [h for h in hom_enumerate(m2, m2) if h.is_bijective]
+    autos1 = [h for h in hom_enumerate(m1, m1) if is_bijective(h)]
+    autos2 = [h for h in hom_enumerate(m2, m2) if is_bijective(h)]
     seen: set[frozenset[tuple[int, int]]] = set()
     orbits = 0
     for r in rels:

@@ -15,8 +15,11 @@ from conftest import (
     brute_force_maximal_subuniverses,
     ego_for,
     encode,
+    evaluation_check,
     iota_check,
+    lambda_map,
     leq_sublattice,
+    reflector,
     relation_orbit_count,
     report_for,
     unique_max_applicable,
@@ -30,9 +33,6 @@ from latcop.algebra import (
 from latcop.catalog import make
 from latcop.duality import (
     coproduct,
-    evaluation_check,
-    lambda_map,
-    reflector,
     reveng_priestley,
 )
 from latcop.piggyback import (

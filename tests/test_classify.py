@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    check_condition_C,
+    is_rel_subdirectly_irreducible,
     least_injective_hom,
     report_for,
     scan_single_generator,
@@ -21,13 +23,11 @@ from latcop.algebra import (
     direct_product,
     in_isp,
     induced_subalgebra,
-    is_rel_subdirectly_irreducible,
     isomorphic,
     subuniverses,
 )
 from latcop.catalog import _CONSTRUCTORS, make, make_id
 from latcop.classify import (
-    check_condition_C,
     find_single_generator,
     flowchart_classify,
     simplify_generators,
@@ -377,7 +377,10 @@ class TestFlowchart:
     def test_unknown_on_cap(self):
         big = make("pre_moisil_M0", 4).algebra
         rep = flowchart_classify([big], DM.spec)
-        assert rep.unknown is not None
+        assert rep.unknown == (
+            "subalgebra enumeration needs generator size <= 12, got 16; "
+            "stage 'subalgebra enumeration', budget 12, required 16"
+        )
         assert rep.preserves_coproducts is None
 
     def test_trivial_class(self):

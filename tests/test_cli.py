@@ -51,6 +51,10 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "pre_moisil_M0:4")
         assert code == EXIT_UNKNOWN
         assert "unknown" in out
+        assert out.splitlines()[-1] == (
+            "verdict: unknown (subalgebra enumeration needs generator size <= 12, got 16; "
+            "stage 'subalgebra enumeration', budget 12, required 16)"
+        )
 
     def test_unknown_does_not_claim_trivial_class(self, capsys):
         code, out, _ = run(capsys, "classify", "pseudo_b:4")
@@ -302,19 +306,28 @@ class TestTableBudget:
         code, out, err = run(capsys, "coproduct", "demorgan4", "demorgan4", "demorgan4")
         assert code == EXIT_UNKNOWN and out == ""
         # E(X) has 256 elements: 2 * 256**2 + 256 + 2 entries
-        assert err == "unknown: subpower tables need 131330+ entries, budget is 10000\n"
+        assert err == (
+            "unknown: subpower tables need 131330+ entries, budget is 10000; "
+            "stage 'table build', budget 10000, required 131330\n"
+        )
 
     def test_free(self, monkeypatch, capsys):
         monkeypatch.setattr(latcop.algebra, "TABLE_ENTRY_BUDGET", 1000)
         code, out, err = run(capsys, "free", "2", "kleene3")
         assert code == EXIT_UNKNOWN and out == ""
-        assert err.startswith("unknown: subpower tables need ") and err.endswith("budget is 1000\n")
+        # the round over 26 rows would need 2 * 26**2 + 26 + 2 entries
+        assert err == (
+            "unknown: subpower tables need 1380+ entries, budget is 1000; "
+            "stage 'table build', budget 1000, required 1380\n"
+        )
 
     def test_classify(self, monkeypatch, capsys):
         monkeypatch.setattr(latcop.algebra, "TABLE_ENTRY_BUDGET", 10)
         code, out, err = run(capsys, "classify", "mv_chain:2", "mv_chain:3", "--json")
         assert code == EXIT_UNKNOWN and err == ""
-        assert json.loads(out)["unknown"].startswith("subpower tables need ")
+        assert json.loads(out)["unknown"] == (
+            "subpower tables need 157+ entries, budget is 10; stage 'table build', budget 10, required 157"
+        )
 
 
 class TestFree:
@@ -465,11 +478,18 @@ class TestCatalogBudget:
     def test_oversized_id_is_unknown(self, capsys):
         code, out, err = run(capsys, "classify", "mv_chain:99999")
         assert code == EXIT_UNKNOWN and out == ""
-        assert err == "unknown: mv_chain tables need at least 10000100001 entries, budget is 10000000\n"
+        assert err == (
+            "unknown: mv_chain tables need at least 10000100001 entries, budget is 10000000; "
+            "stage 'catalog tables', budget 10000000, required 10000100001\n"
+        )
 
     def test_oversized_export_is_unknown(self, capsys):
         code, out, err = run(capsys, "export-alg", "pseudo_b:99999999")
-        assert code == EXIT_UNKNOWN and out == "" and err.startswith("unknown: pseudo_b tables")
+        assert code == EXIT_UNKNOWN and out == ""
+        assert err == (
+            "unknown: pseudo_b tables need at least 562950037307397 entries, budget is 10000000; "
+            "stage 'catalog tables', budget 10000000, required 562950037307397\n"
+        )
 
     def test_parameter_past_the_digit_limit_exits_2(self, capsys):
         code, out, err = run(capsys, "export-alg", "pseudo_b:" + "4" * 4401)

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    LatticeHom,
+    PosetMap,
     antichain,
     brute_force_covers,
     brute_force_poset_iso,
     brute_force_upsets,
+    chain,
     dual_of_hom,
     lattice_algebra_from_leq,
     order_faults,
@@ -27,9 +30,6 @@ from latcop.catalog import make, table1_suite
 from latcop.distlat import (
     DReductSpec,
     FinitePoset,
-    LatticeHom,
-    PosetMap,
-    chain,
     d_reduct,
     join_irreducibles,
     poset_from_pairs,

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from conftest import (
     compose,
     ego_for,
+    evaluation_check,
     iota_check,
+    lambda_map,
     lift_by_pairs,
     median_chain,
     morphisms_by_maps,
@@ -20,9 +22,11 @@ from conftest import (
     product_by_pairs,
     reconstruction_order_poset,
     reconstruction_rows_by_triples,
+    reflector,
     report_for,
     universal_by_closure,
 )
+from conftest import chain as chain_poset
 from latcop import algebra as algebra_module
 from latcop import duality as duality_module
 from latcop.algebra import (
@@ -37,7 +41,6 @@ from latcop.algebra import (
     subuniverse_closure,
 )
 from latcop.catalog import make, make_id, table1_suite
-from latcop.distlat import chain as chain_poset
 from latcop.distlat import d_reduct, poset_isomorphic, prime_filters, priestley_dual
 from latcop.duality import (
     MultisortedStructure,
@@ -45,10 +48,7 @@ from latcop.duality import (
     _prescribed,
     coproduct,
     e_functor,
-    evaluation_check,
-    lambda_map,
     natural_dual,
-    reflector,
     reveng_priestley,
     structure_product,
 )
