@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass
-from math import prod
+from math import isqrt, prod
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -123,9 +123,11 @@ class FiniteAlgebra:
     :meth:`arrays` one read-only array per table.  Free algebras and E(X)
     get their tables from one subpower kernel, ``_subpower``, which runs on
     numpy: element tuples are found through a trie with one level per
-    coordinate, operations are evaluated coordinatewise on blocks of
+    coordinate, operations are evaluated coordinatewise on rectangles of
     argument tuples, and each argument tuple is evaluated once, by the
-    closure loop.  A full product needs no closure: :func:`direct_product`
+    closure loop; a symbol commutative in every coordinate is evaluated on
+    the lower half of its square only and its table filled by mirroring.
+    A full product needs no closure: :func:`direct_product`
     builds each table as one broadcast sum of its factors' tables, and
     states how it numbers the elements.  An induced subalgebra reads its
     parent's tables; ``generators`` is set by :func:`free_algebra`.
@@ -186,12 +188,6 @@ class FiniteAlgebra:
             idx = idx * self.size + a
         return idx
 
-    def op(self, symbol: str, args: Sequence[int] = ()) -> int:
-        for a in args:
-            if not 0 <= a < self.size:
-                raise LatcopError(f"argument {a} outside universe of {self.name!r}")
-        return self.table(symbol)[self.flat_index(args)]
-
     def ops(self) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
         """(symbol, arity, table) triples in signature order."""
         return self._ops
@@ -209,7 +205,11 @@ class FiniteAlgebra:
     def symmetric(self) -> tuple[bool, ...]:
         """Per symbol in signature order, whether it is binary with a
         symmetric table (equal to its transpose as an n x n array); built
-        on first use and kept like ``ops()``."""
+        on first use and kept like ``ops()``.  A symmetric symbol is read
+        on one of each pair of mirrored argument tuples by the map search
+        and the closure, and on the lower half of its square by the subpower
+        kernel (when it holds in every coordinate) and the universal check
+        (in a for its rounds, in a and b for its final check)."""
         if "_symmetric" not in self.__dict__:
             n = self.size
             object.__setattr__(self, "_symmetric", tuple(
@@ -577,34 +577,70 @@ def _index_dtype(count: int) -> np.dtype:
     return np.min_scalar_type(max(count - 1, 0))
 
 
-def _slabs(arity: int, old: int, new: int, first: bool) -> list[tuple[slice, ...]]:
-    """The argument tuples one semi-naive round evaluates, as nonempty
-    slabs of the index grid: with ``old`` elements from earlier rounds and
-    ``new`` from the last one, old^p x new x (old+new)^(arity-1-p) for each
-    p < arity.  These partition the tuples over the first old + new elements
-    that use a new one, so over all rounds each tuple is met exactly once.
-    A nullary symbol's one empty tuple belongs to the ``first`` round."""
+def _slabs(
+    arity: int, old: int, new: int, first: bool, step: int, half: bool
+) -> list[tuple[slice, ...]]:
+    """The argument tuples one semi-naive round evaluates, as rectangles of
+    the index grid of at most ``step`` tuples each (see :func:`_chunks`):
+    with ``old`` elements from earlier rounds and ``new`` from the last
+    one, old^p x new x (old+new)^(arity-1-p) for each p < arity.  These
+    partition the tuples over the first old + new elements that use a new
+    one, so over all rounds each tuple is met exactly once.  A nullary
+    symbol's one empty tuple belongs to the ``first`` round.
+
+    With ``half`` (a commutative binary symbol) only the lower half of the
+    square is evaluated, the caller mirroring it: the new rows against the
+    columns [0, r1), in row chunks [r0, r1) of at most ``step`` tuples (one
+    row at least).  Each unordered pair is met once, except that a chunk's
+    diagonal block [r0, r1)^2 holds both orders of its pairs.
+    """
     if not arity:
         return [()] if first else []
     if not new:
         return []
-    return [
-        (slice(0, old),) * p + (slice(old, old + new),) + (slice(0, old + new),) * (arity - 1 - p)
-        for p in range(arity if old else 1)
-    ]
+    if half:
+        slabs, r0 = [], old
+        while r0 < old + new:
+            # the largest r1 with (r1 - r0) * r1 <= step
+            r1 = min(old + new, max(r0 + 1, (r0 + isqrt(r0 * r0 + 4 * step)) // 2))
+            slabs.append((slice(r0, r1), slice(0, r1)))
+            r0 = r1
+    else:
+        slabs = [
+            (slice(0, old),) * p + (slice(old, old + new),) + (slice(0, old + new),) * (arity - 1 - p)
+            for p in range(arity if old else 1)
+        ]
+    return [sub for slab in slabs for sub in _chunks(slab, step)]
 
 
-def _blocks(slab: tuple[slice, ...], step: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """The index tuples of ``slab`` in row-major order, in blocks of at most
-    ``step``, as one index array per axis."""
-    if not slab:
-        yield ()
+def _chunks(slab: tuple[slice, ...], step: int) -> Iterator[tuple[slice, ...]]:
+    """``slab`` cut into rectangular sub-slabs of at most ``step`` tuples, in
+    row-major order: the trailing axes that fit stay whole, the axis before
+    them is cut into pieces, and the axes before that are walked one index
+    at a time."""
+    shape = [s.stop - s.start for s in slab]
+    cut, inner = len(slab), 1
+    while cut and inner * shape[cut - 1] <= step:
+        cut -= 1
+        inner *= shape[cut]
+    if not cut:
+        yield slab
         return
-    shape = tuple(s.stop - s.start for s in slab)
-    total = prod(shape)
-    for start in range(0, total, step):
-        idx = np.unravel_index(np.arange(start, min(start + step, total)), shape)
-        yield tuple(i + s.start if s.start else i for i, s in zip(idx, slab))
+    axis, piece = slab[cut - 1], step // inner
+    for head in itertools.product(*(range(s.start, s.stop) for s in slab[: cut - 1])):
+        for lo in range(axis.start, axis.stop, piece):
+            yield tuple(slice(h, h + 1) for h in head) + (slice(lo, min(lo + piece, axis.stop)),) + slab[cut:]
+
+
+def _spread(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The sum over a rectangle of one array per axis: the last axis of
+    ``parts[i]`` is laid along the rectangle's axis i and broadcast over the
+    others, any leading axes kept in front.  No parts sum to one zero."""
+    k = len(parts)
+    laid = [
+        p.reshape(p.shape[:-1] + (1,) * i + p.shape[-1:] + (1,) * (k - 1 - i)) for i, p in enumerate(parts)
+    ]
+    return sum(laid[1:], laid[0]) if laid else np.zeros(1, np.intp)
 
 
 class _Product:
@@ -634,6 +670,11 @@ class _Product:
             offsets = np.cumsum([0] + lengths[:-1], dtype=np.intp)[:, None]
             self.ops.append((sym, arity, flat, offsets))
         self.radix = np.array(self.sizes, dtype=np.intp)[:, None]
+        # per symbol, whether it is commutative in every coordinate
+        self.commutative = [
+            arity == 2 and all(c.symmetric()[i] for c in coords)
+            for i, (_, arity) in enumerate(signature.symbols)
+        ]
 
     def weigh(self, op) -> list[np.ndarray]:
         """Per argument of ``op``, the rows times its place value in each
@@ -645,17 +686,16 @@ class _Product:
             for i in range(arity)
         ]
 
-    def evaluate(self, op, weights: list[np.ndarray], args: tuple[np.ndarray, ...]) -> np.ndarray:
-        """The columns ``op`` gives on the argument tuples ``args``, one
-        index array into the rows per argument, computed coordinatewise
-        through the rows' ``weights``."""
+    def evaluate(self, op, weights: list[np.ndarray], slab: tuple[slice, ...]) -> np.ndarray:
+        """The columns ``op`` gives on the argument tuples of ``slab``, a
+        rectangle of row numbers, in row-major order: computed
+        coordinatewise by adding slices of the rows' ``weights``, broadcast
+        one argument per axis."""
         _, _, flat, offsets = op
-        if not args:
+        if not slab:
             return flat[offsets]
-        idx = weights[0].take(args[0], axis=1)
-        for w, a in zip(weights[1:], args[1:]):
-            idx += w.take(a, axis=1)
-        return flat.take(idx)
+        idx = _spread([w[:, s] for w, s in zip(weights, slab)])
+        return flat.take(idx).reshape(len(offsets), -1)
 
     def find(self, vals: np.ndarray) -> np.ndarray:
         """The row number of each column of ``vals``, the row count where
@@ -708,11 +748,15 @@ def _subpower(
     the nullary values is computed and returned sorted.  Semi-naive
     closure from those seeds: each round applies the operations only to
     the argument tuples that use a row found in the round before (see
-    :func:`_slabs`), so every argument tuple is evaluated exactly once, and
-    its result is kept, as a row number in the order rows were found, for
-    the tables.  Results are looked up in the trie of :class:`_Product`;
-    what a round misses is new, and the trie is rebuilt over it and the
-    old rows.  A given ``universe`` is the seed of a round that must find
+    :func:`_slabs`), so no argument tuple is evaluated twice, and its
+    result is kept, as a row number in the order rows were found, for the
+    tables.  A binary symbol commutative in every coordinate is evaluated
+    on the lower half of its square only (a chunk's diagonal block in both
+    orders) and the rest of its table filled by mirroring: a mirrored tuple
+    has the same value in every coordinate, so the closure and the check
+    of a given universe lose nothing.  Results are looked up in the trie
+    of :class:`_Product`; what a round misses is new, and the trie is
+    rebuilt over it and the old rows.  A given ``universe`` is the seed of a round that must find
     nothing new: its order is kept and InternalError is raised unless it
     is closed (callers pass closed universes).
     CapExceeded is raised before a round whose rows alone would need more
@@ -725,8 +769,9 @@ def _subpower(
     if not given:  # the nullary values seed the first round with the generators
         seeds += [product.evaluate(op, [], ()) for op in product.ops if not op[1]]
     product.index(np.concatenate(seeds, axis=1), seeds[0].shape[1] if given else 0)
-    # per symbol, its (slab, results) pairs from every round
+    # per symbol, its [sub-slab, results] pairs from every round
     results: list[list] = [[] for _ in product.ops]
+    step = max(1, _BLOCK // len(product.sizes))
     old = 0
     for round_ in itertools.count():
         count = product.rows.shape[1]
@@ -736,45 +781,41 @@ def _subpower(
                 f"subpower tables need {required}+ entries, budget is {TABLE_ENTRY_BUDGET}",
                 required=required, stage="table build", budget=TABLE_ENTRY_BUDGET,
             )
-        missed, pending, evaluated = [], [], []
-        for op, done in zip(product.ops, results):
+        missed, pending = [], []
+        for op, done, commutative in zip(product.ops, results, product.commutative):
             weights = product.weigh(op)
-            for slab in _slabs(op[1], old, count - old, round_ == 0):
-                parts = []
-                for args in _blocks(slab, max(1, _BLOCK // len(product.sizes))):
-                    vals = product.evaluate(op, weights, args)
-                    res = product.find(vals)
-                    miss = (res == count).nonzero()[0]
-                    if len(miss):
-                        if given:
-                            raise InternalError(f"subpower universe is not closed under {op[0]!r}")
-                        # numbered once the round has found all its rows
-                        pending.append((parts, len(parts), res, miss))
-                        missed.append(vals[:, miss])
-                    parts.append(res)
-                evaluated.append((done, slab, parts))
-        if missed:
-            found = product.index(np.concatenate([product.rows] + missed, axis=1), count)
-            dtype, at = _index_dtype(product.rows.shape[1]), count
-            for parts, i, res, miss in pending:
-                parts[i] = res.astype(dtype)
-                parts[i][miss] = found[at : at + len(miss)]
-                at += len(miss)
-        for done, slab, parts in evaluated:
-            done.append((slab, np.concatenate(parts)))
+            for sub in _slabs(op[1], old, count - old, round_ == 0, step, commutative):
+                vals = product.evaluate(op, weights, sub)
+                res = product.find(vals)
+                miss = (res == count).nonzero()[0]
+                done.append(entry := [sub, res])
+                if len(miss):
+                    if given:
+                        raise InternalError(f"subpower universe is not closed under {op[0]!r}")
+                    # numbered once the round has found all its rows
+                    pending.append((entry, miss))
+                    missed.append(vals[:, miss])
         if not missed:
             break
+        found = product.index(np.concatenate([product.rows] + missed, axis=1), count)
+        dtype, at = _index_dtype(product.rows.shape[1]), count
+        for entry, miss in pending:
+            res = entry[1] = entry[1].astype(dtype)
+            res[miss] = found[at : at + len(miss)]
+            at += len(miss)
         old = count
-    # tables by row number, then (without a universe) in sorted row order:
-    # position i holds row where[i]
+    # tables by row number, mirrored where commutative, then (without a
+    # universe) in sorted row order: position i holds row where[i]
     where = np.arange(count) if given else product.order
     rank = np.empty(count, _index_dtype(count))
     rank[where] = np.arange(count)
     tables = []
-    for (_, arity, _, _), done in zip(product.ops, results):
+    for (_, arity, _, _), done, commutative in zip(product.ops, results, product.commutative):
         table = np.empty((count,) * arity, _index_dtype(count))
-        for slab, res in done:
-            table[slab] = res.reshape(table[slab].shape)
+        for sub, res in done:
+            table[sub] = res.reshape([s.stop - s.start for s in sub])
+            if commutative:
+                table[sub[::-1]] = table[sub].T
         if not given:
             table = rank[table[np.ix_(*[where] * arity)] if arity else table]
         tables.append(table.ravel())
@@ -791,10 +832,14 @@ def _extends_to_hom(
 
     First the values are extended over a's own tables by the semi-naive
     rounds of :func:`_subpower`: an element reached for the first time takes
-    the value its witness tuple gives in b^width.  Every value is then
-    forced by the seeds, so the subalgebra is that graph exactly when all of
-    a is reached and the (size, width) value matrix commutes with every
-    operation, which is checked block by block over a's tables.
+    the value its witness tuple gives in b^width.  A symbol commutative in
+    a reaches the same elements from the lower half of its square, so only
+    that half is read.  Every value is then forced by the seeds, so the
+    subalgebra is that graph exactly when all of a is reached and the
+    (size, width) value matrix commutes with every operation, which is
+    checked chunk by chunk over a's tables: on the lower half of the square
+    for a symbol commutative in both a and b, whose two sides are then
+    symmetric.
     """
     n, m = a.size, b.size
     value = np.zeros((n, width), _index_dtype(m))
@@ -802,54 +847,45 @@ def _extends_to_hom(
     order = np.array(list(seeds), np.intp)  # reached elements, in order
     value[order] = np.array(list(seeds.values()), value.dtype).reshape(len(order), width)
     reached[order] = True
-    ops = [(arity, ta, tb) for (_, arity, _), ta, tb in zip(a.ops(), a.arrays(), b.arrays())]
+    ops = [
+        (arity, ta, tb, sa, sa and sb)
+        for (_, arity, _), ta, tb, sa, sb in zip(
+            a.ops(), a.arrays(), b.arrays(), a.symmetric(), b.symmetric()
+        )
+    ]
     old = 0
     for round_ in itertools.count():
         count = len(order)
         if count == n:
             break
         before = reached.copy()
-        for arity, ta, tb in ops:
-            for slab in _slabs(arity, old, count - old, round_ == 0):
-                for args in _blocks(slab, _BLOCK):
-                    xs = [order[i] for i in args]
-                    at = np.zeros(len(xs[0]) if xs else 1, np.intp)
-                    for x in xs:
-                        at *= n
-                        at += x
-                    z = ta[at]
-                    fresh = np.flatnonzero(~reached[z])
-                    if len(fresh):
-                        vat = np.zeros((len(fresh), width), np.intp)
-                        for x in xs:
-                            vat *= m
-                            vat += value[x[fresh]]
-                        value[z[fresh]] = tb[vat]
-                        reached[z[fresh]] = True
+        for arity, ta, tb, sa, _ in ops:
+            for sub in _slabs(arity, old, count - old, round_ == 0, _BLOCK, sa):
+                xs = [order[s] for s in sub]
+                at = _spread([x * n ** (arity - 1 - i) for i, x in enumerate(xs)])
+                z = ta.take(at).ravel()
+                fresh = np.flatnonzero(~reached[z])
+                if len(fresh):
+                    vat = np.zeros((len(fresh), width), np.intp)
+                    for x, i in zip(xs, np.unravel_index(fresh, at.shape)):
+                        vat *= m
+                        vat += value[x[i]]
+                    value[z[fresh]] = tb[vat]
+                    reached[z[fresh]] = True
         added = np.flatnonzero(reached & ~before)
         if not len(added):
             return False
         order = np.concatenate([order, added])
         old = count
-    # the check: per block of leading arguments, all last arguments at once
-    vt = np.ascontiguousarray(value.T)
-    for arity, ta, tb in ops:
-        if not arity:
-            if not (vt[:, ta[0]] == tb[0]).all():
-                return False
-            continue
-        heads = n ** (arity - 1)
-        rows = max(1, _BLOCK // max(n * width, 1))
-        for start in range(0, heads, rows):
-            stop = min(start + rows, heads)
-            lead = np.zeros((width, stop - start), np.intp)
-            if arity > 1:
-                for x in np.unravel_index(np.arange(start, stop), (n,) * (arity - 1)):
-                    lead *= m
-                    lead += np.take(vt, x, axis=1)
-            at = (lead * m)[:, :, None] + vt[:, None, :]
-            z = ta[start * n : stop * n].reshape(stop - start, n)
-            if not np.array_equal(np.take(vt, z, axis=1), np.take(tb, at)):
+    # the check, per chunk of argument tuples: a's values under the value
+    # matrix against b's on the matrix's columns
+    vt = np.ascontiguousarray(value.T, np.intp)
+    step = max(1, _BLOCK // max(width, 1))
+    for arity, ta, tb, _, both in ops:
+        for sub in _slabs(arity, 0, n, True, step, both):
+            z = ta.reshape((n,) * arity)[sub]
+            vat = _spread([vt[:, s] * m ** (arity - 1 - i) for i, s in enumerate(sub)])
+            if not (vt.take(z, axis=1) == tb.take(vat)).all():
                 return False
     return True
 

@@ -54,9 +54,6 @@ class DistLatticeReduct:
     def size(self) -> int:
         return self.carrier.size
 
-    def meet(self, x: int, y: int) -> int:
-        return self.meet_table[x * self.size + y]
-
     def join(self, x: int, y: int) -> int:
         return self.join_table[x * self.size + y]
 
@@ -134,10 +131,6 @@ class PrimeFilter:
 
     def __contains__(self, x: int) -> bool:
         return x in self.elements
-
-    def value(self, x: int) -> int:
-        """The filter as a lattice map to 2."""
-        return 1 if x in self.elements else 0
 
     def label(self) -> str:
         return "{" + ",".join(self.sort.element_name(x) for x in sorted(self.elements)) + "}"

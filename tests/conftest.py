@@ -28,7 +28,9 @@ quotients), condition (C), and relative subdirect irreducibility (membership
 by ``in_isp``, then the classification's own test ``classify._rsi``).  So
 do the maps that only tests build, ``LatticeHom`` and ``PosetMap``, and
 helpers that only tests read: chains and up-sets of posets, congruence
-blocks as sets, bijectivity, and composing or inverting homomorphisms.
+blocks as sets, bijectivity, composing or inverting homomorphisms, one
+operation instance read from its table (``op``), a prime filter as a map
+to 2 and the meet of a lattice reduct.
 """
 
 from __future__ import annotations
@@ -230,6 +232,25 @@ def brute_force_upsets(p: FinitePoset) -> list[frozenset[int]]:
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
+def op(algebra: FiniteAlgebra, symbol: str, args=()) -> int:
+    """``symbol`` at one argument tuple of ``algebra``, read from its table
+    after the arguments are checked to lie in the universe."""
+    for a in args:
+        if not 0 <= a < algebra.size:
+            raise LatcopError(f"argument {a} outside universe of {algebra.name!r}")
+    return algebra.table(symbol)[algebra.flat_index(args)]
+
+
+def filter_value(w: PrimeFilter, x: int) -> int:
+    """The prime filter ``w`` as a lattice map to 2."""
+    return 1 if x in w.elements else 0
+
+
+def lattice_meet(lat: DistLatticeReduct, x: int, y: int) -> int:
+    """x meet y in the reduct ``lat``, read from its meet table."""
+    return lat.meet_table[x * lat.size + y]
+
+
 def symmetric_by_slices(algebra: FiniteAlgebra) -> tuple[bool, ...]:
     """Per symbol, whether it is binary with each row of its table equal to
     the matching column, compared as tuple slices."""
@@ -259,11 +280,11 @@ def median_chain() -> FiniteAlgebra:
 def pointwise_tables(coords, elements, signature=None) -> tuple[tuple[int, ...], ...]:
     """Tables of the subalgebra of prod(coords) on the tuples ``elements``
     (a list, order kept), evaluated coordinate by coordinate with
-    ``FiniteAlgebra.op`` only.  The empty product needs ``signature``."""
+    :func:`op` only.  The empty product needs ``signature``."""
     tables = []
     for sym, arity in (signature or coords[0].signature).symbols:
         tables.append(tuple(
-            elements.index(tuple(c.op(sym, [a[i] for a in args]) for i, c in enumerate(coords)))
+            elements.index(tuple(op(c, sym, [a[i] for a in args]) for i, c in enumerate(coords)))
             for args in itertools.product(elements, repeat=arity)
         ))
     return tuple(tables)
@@ -271,12 +292,12 @@ def pointwise_tables(coords, elements, signature=None) -> tuple[tuple[int, ...],
 
 def pointwise_closure(coords, generators, signature=None) -> list[tuple[int, ...]]:
     """Sorted subuniverse of prod(coords) generated by ``generators`` and
-    the nullary values, by full passes with ``FiniteAlgebra.op`` only.  The
+    the nullary values, by full passes with :func:`op` only.  The
     empty product needs ``signature``."""
     found = set(generators)
     while True:
         new = {
-            tuple(c.op(sym, [a[i] for a in args]) for i, c in enumerate(coords))
+            tuple(op(c, sym, [a[i] for a in args]) for i, c in enumerate(coords))
             for sym, arity in (signature or coords[0].signature).symbols
             for args in itertools.product(sorted(found), repeat=arity)
         }
@@ -410,7 +431,7 @@ def iota_check(
 
 def eval_term(algebra: FiniteAlgebra, term: Term, args) -> int:
     """``term`` at one argument tuple, one table entry at a time through
-    ``FiniteAlgebra.op``: the oracle of ``term_table``."""
+    :func:`op`: the oracle of ``term_table``."""
     term.validate(algebra.signature)
     if term.max_var >= len(args):
         raise LatcopError(
@@ -423,7 +444,7 @@ def eval_term(algebra: FiniteAlgebra, term: Term, args) -> int:
     def rec(t: Term) -> int:
         if t.is_var:
             return args[t.head]
-        return algebra.op(t.head, [rec(s) for s in t.args])
+        return op(algebra, t.head, [rec(s) for s in t.args])
 
     return rec(term)
 
@@ -754,7 +775,7 @@ def sep_by_loop(generators, omega) -> tuple[bool, tuple[int, int, int] | None]:
     for i, m in enumerate(gens):
         for a in range(m.size):
             for b in range(a + 1, m.size):
-                if not any(w.value(u.map[a]) != w.value(u.map[b]) for w, u in homs[i]):
+                if not any(filter_value(w, u.map[a]) != filter_value(w, u.map[b]) for w, u in homs[i]):
                     return False, (i, a, b)
     return True, None
 
@@ -768,7 +789,10 @@ def separation_masks_by_loop(gens, carriers, homs) -> list[int]:
         sum(
             1 << k
             for k, (i, a, b) in enumerate(pairs)
-            if any(w.value(u.map[a]) != w.value(u.map[b]) for u in hom_set(homs, gens[i], w.sort))
+            if any(
+                filter_value(w, u.map[a]) != filter_value(w, u.map[b])
+                for u in hom_set(homs, gens[i], w.sort)
+            )
         )
         for w in carriers
     ]

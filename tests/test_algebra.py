@@ -31,6 +31,7 @@ from conftest import (
     kernel,
     least_injective_hom,
     median_chain,
+    op,
     pointwise_closure,
     pointwise_tables,
     product_by_subpower,
@@ -78,6 +79,10 @@ DM4 = make("demorgan4").algebra
 C3 = make("heyting_chain", 3).algebra
 MED3 = median_chain()
 MV2 = make("mv_chain", 2).algebra
+# kleene3 with join replaced by the left projection, which is not commutative
+LEFT_JOIN_K3 = FiniteAlgebra("K3'", 3, K3.signature, tuple(
+    tuple(x for x in range(3) for _ in range(3)) if sym == "join" else tab for sym, _, tab in K3.ops()
+))
 B2 = make("pseudo_b", 2).algebra
 
 
@@ -393,8 +398,8 @@ class TestProductQuotient:
         p = direct_product([DM4, K3])
         x = encode([DM4, K3], (1, 2))
         assert x == 5
-        assert decode([DM4, K3], p.op("neg", [x])) == (1, 0)
-        assert p.op("neg", [x]) == 3
+        assert decode([DM4, K3], op(p, "neg", [x])) == (1, 0)
+        assert op(p, "neg", [x]) == 3
 
     def test_cap(self, monkeypatch):
         # 5**20 elements is over DEFAULT_PRODUCT_CAP: raised before any tuple is listed
@@ -459,8 +464,8 @@ class TestCongruenceGenerated:
 
     @pytest.mark.parametrize("alg", [K3, DM4, C3, B2])
     def test_bounds_collapse_everything(self, alg):
-        bot = alg.op("zero") if "zero" in alg.signature else 0
-        top = alg.op("one")
+        bot = op(alg, "zero") if "zero" in alg.signature else 0
+        top = op(alg, "one")
         theta = congruence_generated(alg, [(bot, top)])
         assert theta == Congruence.all(alg.size)
 
@@ -730,7 +735,7 @@ class TestHomomorphismBasics:
 
 class TestTernaryPointwise:
     """Every subpower construction on an algebra with a ternary operation,
-    against the ``FiniteAlgebra.op`` oracle."""
+    against the ``conftest.op`` oracle."""
 
     def test_direct_product(self):
         p = direct_product([MED3, MED3])
@@ -772,20 +777,31 @@ class TestTernaryPointwise:
             _subpower(MED3.signature, [MED3] * factors, universe)
 
 
+def random_tables(draw, sig: Signature, n: int, commutative: bool) -> tuple[tuple[int, ...], ...]:
+    """Random tables on n elements, one per symbol of ``sig``; with
+    ``commutative`` the binary ones are drawn on the lower half of the
+    square and mirrored."""
+    tables = []
+    for _, k in sig.symbols:
+        table = draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k))
+        if k == 2 and commutative:
+            table = [table[max(x, y) * n + min(x, y)] for x in range(n) for y in range(n)]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 @st.composite
 def extension_cases(draw):
     """Two algebras a (1-4 elements) and b (1-3) over a random signature of
-    some of a nullary, a unary, a binary and a ternary symbol; seeds on a
+    some of a nullary, a unary, a binary and a ternary symbol, the binary
+    one commutative in both, in one of them or in neither; seeds on a
     random subset of a, with 1-2 value columns, each a homomorphism's values
     (when one exists) or random values."""
     symbols = [("c", 0), ("u", 1), ("b", 2), ("t", 3)]
     sig = Signature(tuple(draw(st.lists(st.sampled_from(symbols), min_size=1, unique=True))))
 
     def algebra(name: str, n: int) -> FiniteAlgebra:
-        return FiniteAlgebra(name, n, sig, tuple(
-            tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
-            for _, k in sig.symbols
-        ))
+        return FiniteAlgebra(name, n, sig, random_tables(draw, sig, n, draw(st.booleans())))
 
     a = algebra("a", draw(st.integers(1, 4)))
     b = algebra("b", draw(st.integers(1, 3)))
@@ -819,6 +835,33 @@ class TestExtendsToHom:
         assert not universal_by_closure(meet, meet, rows, 1)
         assert not _extends_to_hom(meet, meet, rows, 1)
         assert _extends_to_hom(meet, meet, {0: (0,), 1: (1,), 2: (2,)}, 1)
+
+    # a block of one table read leaves (0, 1) outside every chunk's
+    # diagonal block, so a half read where a full one is needed shows
+    @pytest.mark.parametrize("block", [1, algebra_module._BLOCK])
+    def test_commutative_on_one_side_only(self, block):
+        # max is commutative, the left projection is not: the identity on
+        # {0, 1} commutes on the lower half (x >= y) but fails at (0, 1)
+        sig = Signature((("b", 2),))
+        join = FiniteAlgebra("join", 2, sig, ((0, 1, 1, 1),))
+        left = FiniteAlgebra("left", 2, sig, ((0, 0, 1, 1),))
+        rows = {0: (0,), 1: (1,)}
+        for a, b in [(join, left), (left, join)]:
+            assert not universal_by_closure(a, b, rows, 1)
+            with mock.patch.object(algebra_module, "_BLOCK", block):
+                assert not _extends_to_hom(a, b, rows, 1)
+
+    @pytest.mark.parametrize("block", [1, algebra_module._BLOCK])
+    def test_element_reached_above_the_diagonal_only(self, block):
+        # b(0, 1) = 2 is the only way to reach 2 from {0, 1}; b is not
+        # commutative, so the rounds must read the upper half too
+        sig = Signature((("b", 2),))
+        table = tuple(2 if (x, y) == (0, 1) else x for x in range(3) for y in range(3))
+        a = FiniteAlgebra("a", 3, sig, (table,))
+        rows = {0: (0,), 1: (1,)}
+        assert universal_by_closure(a, a, rows, 1)
+        with mock.patch.object(algebra_module, "_BLOCK", block):
+            assert _extends_to_hom(a, a, rows, 1)
 
 
 class TestTableEntryBudget:
@@ -992,17 +1035,17 @@ class TestTableRangeCheck:
 def subpower_cases(draw):
     """A signature of some of a nullary, a unary, a binary and a ternary
     symbol in random order; 0-3 coordinates of 1-3 elements with random
-    tables; up to 3 generators; a random subset of the product in random
+    tables, the binary one commutative in every coordinate or in a random
+    few; up to 3 generators; a random subset of the product in random
     order."""
     symbols = [("c", 0), ("u", 1), ("b", 2), ("t", 3)]
     sig = Signature(tuple(draw(st.lists(st.sampled_from(symbols), min_size=1, unique=True))))
+    everywhere = draw(st.booleans())
     coords = []
     for i in range(draw(st.integers(0, 3))):
         n = draw(st.integers(1, 3))
-        coords.append(FiniteAlgebra(f"c{i}", n, sig, tuple(
-            tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
-            for _, k in sig.symbols
-        )))
+        commutative = everywhere or draw(st.booleans())
+        coords.append(FiniteAlgebra(f"c{i}", n, sig, random_tables(draw, sig, n, commutative)))
     product = list(itertools.product(*(range(c.size) for c in coords)))
     gens = draw(st.lists(st.sampled_from(product), max_size=3))
     subset = draw(st.lists(st.sampled_from(product), unique=True))
@@ -1020,11 +1063,11 @@ def subpower_tuples(*args, **kwargs):
 
 def _first_unclosed(sig, coords, subset):
     """The first symbol in signature order under which ``subset`` is not
-    closed, by ``FiniteAlgebra.op``; None when it is closed."""
+    closed, by ``conftest.op``; None when it is closed."""
     inside = set(subset)
     for sym, arity in sig.symbols:
         for args in itertools.product(subset, repeat=arity):
-            if tuple(c.op(sym, [a[i] for a in args]) for i, c in enumerate(coords)) not in inside:
+            if tuple(op(c, sym, [a[i] for a in args]) for i, c in enumerate(coords)) not in inside:
                 return sym
     return None
 
@@ -1047,8 +1090,35 @@ def trie_cases(draw):
     return sig, coords, draw(st.lists(row, max_size=2)), draw(st.lists(row, max_size=6, unique=True))
 
 
+class TestChunks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), st.integers(1, 5)), max_size=4),
+        st.integers(1, 40),
+    )
+    def test_row_major_rectangles_of_at_most_step(self, axes, step):
+        slab = tuple(slice(lo, lo + length) for lo, length in axes)
+        chunks = list(algebra_module._chunks(slab, step))
+        assert all(prod(s.stop - s.start for s in c) <= step for c in chunks)
+        # read in order, the chunks' tuples are the slab's in row-major order
+        tuples = [t for c in chunks for t in itertools.product(*(range(s.start, s.stop) for s in c))]
+        assert tuples == list(itertools.product(*(range(s.start, s.stop) for s in slab)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 30), st.integers(0, 30), st.integers(1, 60))
+    def test_half_square_of_a_round(self, old, new, step):
+        # a commutative symbol's round: the new rows against the lower half,
+        # each rectangle at most ``step`` tuples, no ordered pair twice
+        subs = algebra_module._slabs(2, old, new, False, step, True)
+        assert all((r.stop - r.start) * (c.stop - c.start) <= step for r, c in subs)
+        pairs = [(x, y) for r, c in subs for x in range(r.start, r.stop) for y in range(c.start, c.stop)]
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) >= {(x, y) for x in range(old, old + new) for y in range(x + 1)}
+        assert all(old <= x < old + new and y < old + new for x, y in pairs)
+
+
 class TestSubpowerKernel:
-    """The numpy subpower kernel against the ``FiniteAlgebra.op`` oracles."""
+    """The numpy subpower kernel against the ``conftest.op`` oracles."""
 
     @settings(max_examples=200, deadline=None)
     @given(subpower_cases(), st.sampled_from([1, 5, algebra_module._BLOCK]))
@@ -1095,27 +1165,56 @@ class TestSubpowerKernel:
                 induced_subalgebra(algebra, elements)
 
     @pytest.mark.parametrize("make_it", [
-        lambda: free_algebra([K3], 2),
-        lambda: free_algebra([MED3], 1),
+        lambda: (free_algebra([K3], 2), [K3]),
+        lambda: (free_algebra([MED3], 1), [MED3]),
+        # imp is not commutative, meet and join are
+        lambda: (free_algebra([C3], 2), [C3]),
         # a given universe is one round that must find nothing new
-        lambda: FiniteAlgebra("DM4xK3", 12, DM4.signature, _subpower(
+        lambda: (FiniteAlgebra("DM4xK3", 12, DM4.signature, _subpower(
             DM4.signature, [DM4, K3], list(itertools.product(range(4), range(3)))
-        )[1]),
+        )[1]), [DM4, K3]),
+        # join is commutative in one coordinate only
+        lambda: (FiniteAlgebra("K3xK3'", 9, K3.signature, _subpower(
+            K3.signature, [K3, LEFT_JOIN_K3], list(itertools.product(range(3), repeat=2))
+        )[1]), [K3, LEFT_JOIN_K3]),
     ])
     def test_each_argument_tuple_evaluated_once(self, make_it):
         # the closure's results are the tables: no second pass over them
         # (a nullary value is also read once more, to seed the closure)
-        evaluated = []
+        evaluated: dict[str, list] = {}
         real = algebra_module._Product.evaluate
 
-        def counted(product, op, weights, args):
-            if args:
-                evaluated.append(len(args[0]))
-            return real(product, op, weights, args)
+        def counted(product, operation, weights, slab):
+            if slab:
+                evaluated.setdefault(operation[0], []).append(slab)
+            return real(product, operation, weights, slab)
 
         with mock.patch.object(algebra_module._Product, "evaluate", counted):
-            alg = make_it()
-        assert sum(evaluated) == sum(alg.size**arity for _, arity in alg.signature.symbols if arity)
+            alg, coords = make_it()
+        n = alg.size
+        for i, (sym, arity) in enumerate(alg.signature.symbols):
+            if not arity:
+                continue
+            slabs = evaluated.get(sym, [])
+            count = sum(prod(s.stop - s.start for s in slab) for slab in slabs)
+            if not all(symmetric_by_slices(c)[i] for c in coords):
+                assert count == n**arity
+                continue
+            # commutative: the lower half of the square, where only a
+            # chunk's diagonal block is read in both orders
+            pairs = [
+                (x, y) for rows, cols in slabs
+                for x in range(rows.start, rows.stop) for y in range(cols.start, cols.stop)
+            ]
+            seen = set(pairs)
+            assert len(pairs) == len(seen)
+            assert all((x, y) in seen or (y, x) in seen for x in range(n) for y in range(x + 1))
+            diagonal = [range(max(r.start, c.start), min(r.stop, c.stop)) for r, c in slabs]
+            both = {(x, y) for x, y in seen if x != y and (y, x) in seen}
+            assert both == {(x, y) for d in diagonal for x in d for y in d if x != y}
+            assert count == n * (n + 1) // 2 + sum(len(d) * (len(d) - 1) // 2 for d in diagonal)
+            if n * n > algebra_module._BLOCK:  # more than one chunk
+                assert count < n * n
 
     def test_new_row_left_of_an_older_one(self):
         # b(x, y) steps x up only when y is the top, so every round needs

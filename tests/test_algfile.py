@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import op
 from latcop import cli
 from latcop.algebra import isomorphic
 from latcop.algfile import export_entry, parse_algebra_file, parse_term_text
@@ -38,7 +39,7 @@ class TestParse:
         assert len(parsed.algebras) == 1
         pa = parsed.algebras[0]
         assert pa.algebra.size == 2
-        assert pa.algebra.op("join", (0, 1)) == 1
+        assert op(pa.algebra, "join", (0, 1)) == 1
         assert pa.carriers == (frozenset({1}),)
         d_reduct(pa.algebra, pa.reduct)
 
@@ -49,7 +50,7 @@ class TestParse:
             parse_algebra_file(text)
         text2 = TWO_LATTICE.replace("table zero = 0", "table zero = 0")
         parsed = parse_algebra_file(text2.replace("table one = 1", "table one = 1"))
-        assert parsed.algebras[0].algebra.op("one") == 1
+        assert op(parsed.algebras[0].algebra, "one") == 1
 
     def test_wrong_table_length(self):
         text = TWO_LATTICE.replace("table meet = 0 0 0 1", "table meet = 0 0 0")

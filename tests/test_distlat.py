@@ -17,7 +17,10 @@ from conftest import (
     brute_force_upsets,
     chain,
     dual_of_hom,
+    filter_value,
     lattice_algebra_from_leq,
+    lattice_meet,
+    op,
     order_faults,
     poset_disjoint_union,
     poset_product,
@@ -118,8 +121,8 @@ def _tournament_lattice(draw) -> FiniteAlgebra:
 def _first_identity_failure(alg: FiniteAlgebra):
     """The cubic identity checks x by x, each over (y, z) in row-major order."""
     n = alg.size
-    m = lambda x, y: alg.op("meet", (x, y))  # noqa: E731
-    j = lambda x, y: alg.op("join", (x, y))  # noqa: E731
+    m = lambda x, y: op(alg, "meet", (x, y))  # noqa: E731
+    j = lambda x, y: op(alg, "join", (x, y))  # noqa: E731
     for x in range(n):
         for identity, lhs, rhs in (
             ("meet associativity", lambda y, z: m(m(x, y), z), lambda y, z: m(x, m(y, z))),
@@ -183,7 +186,7 @@ class TestPrimeFilters:
                 s = set(sub)
                 proper = lat.bot not in s and lat.top in s
                 up = all(y in s for x in s for y in range(4) if lat.leq(x, y))
-                meet = all(lat.meet(x, y) in s for x in s for y in s)
+                meet = all(lattice_meet(lat, x, y) in s for x in s for y in s)
                 prime = all(
                     (x in s or y in s)
                     for x in range(4)
@@ -207,7 +210,7 @@ class TestPrimeFilters:
         assert all(f.sort is lat.carrier for f in pfs)
         assert [f.label() for f in pfs] == ["{a,1}", "{1}"]
         assert repr(pfs[1]) == "PrimeFilter('kleene3', {1})"
-        assert [[f.value(x) for x in range(3)] for f in pfs] == [[0, 1, 1], [0, 0, 1]]
+        assert [[filter_value(f, x) for x in range(3)] for f in pfs] == [[0, 1, 1], [0, 0, 1]]
 
     def test_join_irreducibles_count_matches(self):
         for key, lat in small_reducts():
