@@ -171,8 +171,11 @@ class FiniteAlgebra:
         tables = tuple(t if a is None else tuple(a.tolist()) for t, a in zip(self.tables, arrays))
         object.__setattr__(self, "tables", tables)
         # attributes, not fields, so eq, hash and repr ignore them; a table
-        # passed in as a tuple has None in ``_arrays`` until ``arrays()``
+        # passed in as a tuple has None in ``_arrays`` until ``arrays()``.
+        # ``_reducts`` keeps, per DReductSpec, what ``distlat.d_reduct``
+        # validated; like ``_arrays`` it is shared by ``rename()`` copies
         object.__setattr__(self, "_arrays", arrays)
+        object.__setattr__(self, "_reducts", {})
         object.__setattr__(self, "_ops", tuple(
             (sym, arity, tab) for (sym, arity), tab in zip(self.signature.symbols, self.tables)
         ))

@@ -439,7 +439,9 @@ CONSTRUCTOR_IDS = tuple(sorted(_CONSTRUCTORS))
 
 @lru_cache(maxsize=None)
 def make(constructor: str, *params: int) -> CatalogEntry:
-    """Build a validated catalog entry; the reduct is checked on construction."""
+    """Build a validated catalog entry.  The reduct is checked on
+    construction and kept with the entry's algebra, so a later classify or
+    coproduct on it reads the kept reduct instead of validating again."""
     if constructor not in _CONSTRUCTORS:
         raise LatcopError(
             f"unknown catalog constructor {constructor!r}; "
@@ -451,7 +453,7 @@ def make(constructor: str, *params: int) -> CatalogEntry:
             f"constructor {constructor!r} takes {nparams} parameter(s), got {len(params)}"
         )
     entry = fn(*params)
-    d_reduct(entry.algebra, entry.spec)  # validates the lattice axioms
+    d_reduct(entry.algebra, entry.spec)  # validates the lattice axioms and keeps the reduct
     return entry
 
 

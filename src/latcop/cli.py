@@ -65,7 +65,7 @@ def _load(source: str) -> _Inputs:
                         "literal meet/join/zero/one symbols"
                     )
                 spec = DReductSpec.literal()
-            d_reduct(pa.algebra, spec)  # validate early, with location-free error
+            d_reduct(pa.algebra, spec)  # validates early; the reduct is kept, so later reads reuse it
             for elements in pa.carriers:
                 carrier_from_filter(pa.algebra, spec, elements)
             out.items.append((pa.algebra, spec))

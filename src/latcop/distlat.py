@@ -3,7 +3,8 @@
 The dual of a finite bounded distributive lattice is the poset of its prime
 filters; in the finite case these are exactly the up-sets of join-irreducible
 elements, which keeps both directions of the duality quadratic.  A reduct is
-computed afresh on every call, from the term tables of its spec.
+validated once per algebra and spec, in O(n^2) operations on bitmask rows,
+and kept with the algebra (and its ``rename()`` copies) for later calls.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from typing import Iterable, Sequence
 
 from .algebra import FiniteAlgebra, Signature, Term, _color_masks, _maps, _refine_colors, app, term_table, var
 from .errors import LatcopError, LatticeAxiomError
-
-_BLOCK = 2**16  # (x, y, z) triples per block of d_reduct's cubic identity checks
 
 
 @dataclass(frozen=True)
@@ -49,6 +48,7 @@ class DistLatticeReduct:
     bot: int
     top: int
     leq_rows: tuple[int, ...]  # row x is a bitmask of { y : x <= y }
+    irreducibles: int  # bitmask of the join-irreducible elements
 
     @property
     def size(self) -> int:
@@ -64,7 +64,7 @@ class DistLatticeReduct:
         return self.carrier.element_name(x)
 
     def upset(self, x: int) -> frozenset[int]:
-        return frozenset(y for y in range(self.size) if self.leq(x, y))
+        return frozenset(_bits(self.leq_rows[x]))
 
     def __repr__(self) -> str:
         return f"DistLatticeReduct({self.carrier.name!r}, size={self.size})"
@@ -72,47 +72,95 @@ class DistLatticeReduct:
 
 def d_reduct(algebra: FiniteAlgebra, spec: DReductSpec) -> DistLatticeReduct:
     """Extract and validate the reduct; raises LatticeAxiomError with the
-    failing identity and a witness tuple."""
-    import numpy as np
+    failing property and a witness tuple.
 
+    The first call per spec validates (:func:`_validate`); the result is
+    kept with the algebra and read by later calls, on it and on its
+    ``rename()`` copies.  A failed validation is not kept.
+    """
+    kept = algebra._reducts.get(spec)
+    if kept is None:
+        kept = algebra._reducts[spec] = _validate(algebra, spec)
+    return DistLatticeReduct(algebra, *kept)
+
+
+def _validate(algebra: FiniteAlgebra, spec: DReductSpec) -> tuple:
+    """The reduct's meet and join tables, bottom, top, ``leq_rows`` and
+    join-irreducible mask, in O(n^2) operations on n-bit rows.
+
+    Lemma (Davey & Priestley, *Introduction to Lattices and Order*, 2nd ed.,
+    2002, ch. 2 and 5).  Read x <= y off the meet table as m(x, y) = x, and
+    let up(x) and down(x) be the rows of elements above and below x.  Then
+    (m, j, bot, top) is a bounded distributive lattice exactly when
+
+    1. <= is a partial order ("meet order reflexive" at (x,), "meet order
+       transitive" at (x, y, z), "meet order antisymmetric" at (x, y));
+    2. j(x, y) = y exactly when x <= y ("join order" at (x, y));
+    3. down(m(x, y)) = down(x) & down(y) and up(j(x, y)) = up(x) & up(y)
+       ("meet is the glb", "join is the lub", at (x, y));
+    4. up(bot) and down(top) hold every element ("bottom least", "top
+       greatest", at the first element outside);
+    5. every join-irreducible p is join-prime: J(j(x, y)) = J(x) | J(y),
+       where J(x) = down(x) & J(L) ("distributivity" at (p, x, y)).
+
+    Proof.  By 3, m(x, y) is below x and y and above every common lower
+    bound, so it is their glb in <=; dually j(x, y) is their lub.  So
+    (L, <=) is a lattice whose operations are m and j, and commutativity,
+    associativity and absorption hold.  Given 1, step 2 follows from 3; it
+    is checked first because it names the commonest fault.  By 4, bot and top are
+    neutral for j and m.  A finite lattice is distributive exactly when its
+    join-irreducibles are join-prime: one way, p = p ^ (x v y) =
+    (p ^ x) v (p ^ y) gives p <= x or p <= y; the other way, x -> J(x) then
+    embeds L in the subsets of J(L), as x is the join of J(x).  A p <= x v y
+    below neither x nor y breaks p ^ (x v y) = (p ^ x) v (p ^ y), whose
+    right side lies strictly below p; that triple is the witness.  J(L) is
+    L less bot and the joins of incomparable pairs, and step 5 holds
+    trivially on comparable pairs, so J(L) and step 5 read incomparable
+    pairs only.
+    """
     n = algebra.size
     m = term_table(algebra, spec.meet, 2)
     j = term_table(algebra, spec.join, 2)
     bot = term_table(algebra, spec.bot, 0)[0]
     top = term_table(algebra, spec.top, 0)[0]
+    r = range(n)
+    up = tuple(_mask(y for y in r if m[x * n + y] == x) for x in r)
+    down = tuple(_mask(y for y, v in enumerate(m[x::n]) if v == y) for x in r)
 
-    M = np.asarray(m, dtype=np.int64).reshape(n, n)
-    J = np.asarray(j, dtype=np.int64).reshape(n, n)
+    fault = _preorder_fault(up)
+    if fault is not None:
+        raise LatticeAxiomError(f"meet order {fault[0]}", fault[1])
+    first: dict[int, int] = {}
+    for x, row in enumerate(up):
+        if first.setdefault(row, x) != x:
+            raise LatticeAxiomError("meet order antisymmetric", (first[row], x))
+    for x in r:
+        diff = up[x] ^ _mask(y for y, v in enumerate(j[x * n:(x + 1) * n]) if v == y)
+        if diff:
+            raise LatticeAxiomError("join order", (x, _bits(diff)[0]))
+    for x in r:
+        dx, ux = down[x], up[x]
+        for y in r:
+            if down[m[x * n + y]] != dx & down[y]:
+                raise LatticeAxiomError("meet is the glb", (x, y))
+            if up[j[x * n + y]] != ux & up[y]:
+                raise LatticeAxiomError("join is the lub", (x, y))
+    full = (1 << n) - 1
+    if up[bot] != full:
+        raise LatticeAxiomError("bottom least", (_bits(full ^ up[bot])[0],))
+    if down[top] != full:
+        raise LatticeAxiomError("top greatest", (_bits(full ^ down[top])[0],))
 
-    def first_bad(bad, identity: str) -> None:
-        if bad.any():
-            where = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            raise LatticeAxiomError(identity, tuple(int(w) for w in where))
+    def incomparable():
+        return ((x, y) for x in r for y in _bits(full ^ (up[x] | down[x])))
 
-    first_bad(M != M.T, "meet commutativity")
-    first_bad(J != J.T, "join commutativity")
-    idx = np.arange(n)
-    first_bad(M[idx[:, None], J] != idx[:, None], "absorption x^(xvy)=x")
-    first_bad(J[idx[:, None], M] != idx[:, None], "absorption xv(x^y)=x")
-    step = max(1, _BLOCK // n**2)
-    for lo in range(0, n, step):
-        Mx, Jx = M[lo:lo + step], J[lo:lo + step]
-        # bad[x, k, y, z]: identity k fails at (lo + x, y, z); argmax finds the least x
-        bad = np.stack((M[Mx] != Mx[:, M], J[Jx] != Jx[:, J], Mx[:, J] != J[Mx[:, :, None], Mx[:, None, :]]), axis=1)
-        if bad.any():
-            x, k, y, z = (int(w) for w in np.unravel_index(int(np.argmax(bad)), bad.shape))
-            raise LatticeAxiomError(("meet associativity", "join associativity", "distributivity")[k], (lo + x, y, z))
-    first_bad(J[:, bot] != idx, "bottom neutral")
-    first_bad(M[:, top] != idx, "top neutral")
-
-    rows = []
-    for x in range(n):
-        row = 0
-        for y in range(n):
-            if m[x * n + y] == x:
-                row |= 1 << y
-        rows.append(row)
-    return DistLatticeReduct(algebra, m, j, bot, top, tuple(rows))
+    irreducibles = full & ~(1 << bot | _mask(j[x * n + y] for x, y in incomparable()))
+    below = [row & irreducibles for row in down]
+    for x, y in incomparable():
+        escaped = below[j[x * n + y]] ^ (below[x] | below[y])
+        if escaped:
+            raise LatticeAxiomError("distributivity", (_bits(escaped)[0], x, y))
+    return m, j, bot, top, up, irreducibles
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +188,9 @@ class PrimeFilter:
 
 
 def join_irreducibles(lattice: DistLatticeReduct) -> list[int]:
-    """Elements that are not the join of their strict lower set."""
-    out = []
-    for x in range(lattice.size):
-        if x == lattice.bot:
-            continue
-        acc = lattice.bot
-        for y in range(lattice.size):
-            if y != x and lattice.leq(y, x):
-                acc = lattice.join(acc, y)
-        if acc != x:
-            out.append(x)
-    return out
+    """Elements that are not the join of their strict lower set, read off
+    the mask kept with the reduct."""
+    return _bits(lattice.irreducibles)
 
 
 def prime_filters(lattice: DistLatticeReduct) -> list[PrimeFilter]:
@@ -191,14 +230,19 @@ def _union(masks: Sequence[int], indices: Iterable[int]) -> int:
     return out
 
 
-def _preorder_fault(rows: Sequence[int]) -> str | None:
+def _preorder_fault(rows: Sequence[int]) -> tuple[str, tuple[int, ...]] | None:
     """The first preorder axiom the relation whose row x is the bitmask of
-    { y : x <= y } breaks, 'reflexive' or 'transitive'; None if neither.
-    Transitive means that row y lies inside row x for each y in row x."""
-    if any(not row >> x & 1 for x, row in enumerate(rows)):
-        return "reflexive"
-    if any(rows[y] & ~row for row in rows for y in _bits(row)):
-        return "transitive"
+    { y : x <= y } breaks, with a witness: ('reflexive', (x,)) or
+    ('transitive', (x, y, z)) with x <= y <= z but not x <= z; None if
+    neither.  Transitive means that row y lies inside row x for each y in
+    row x."""
+    for x, row in enumerate(rows):
+        if not row >> x & 1:
+            return "reflexive", (x,)
+    for x, row in enumerate(rows):
+        for y in _bits(row):
+            if rows[y] & ~row:
+                return "transitive", (x, y, _bits(rows[y] & ~row)[0])
     return None
 
 
@@ -214,11 +258,12 @@ class FinitePoset:
         if len(self.labels) != self.size:
             raise LatcopError(f"poset needs {self.size} labels, got {len(self.labels)}")
         fault = _preorder_fault(self.leq_rows)
+        axiom = fault and fault[0]
         # in a preorder x <= y <= x exactly when rows x and y agree
-        if fault is None and len(set(self.leq_rows)) < self.size:
-            fault = "antisymmetric"
-        if fault is not None:
-            raise LatcopError(f"poset order must be {fault}")
+        if axiom is None and len(set(self.leq_rows)) < self.size:
+            axiom = "antisymmetric"
+        if axiom is not None:
+            raise LatcopError(f"poset order must be {axiom}")
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.leq_rows[x] >> y & 1)
@@ -252,11 +297,17 @@ def poset_from_pairs(size: int, pairs: set[tuple[int, int]], labels: tuple[str, 
 
 
 def priestley_dual(lattice: DistLatticeReduct) -> FinitePoset:
-    """H(L): prime filters ordered by inclusion."""
-    pfs = prime_filters(lattice)
-    rows = tuple(_mask(j for j, fj in enumerate(pfs) if fi.elements <= fj.elements) for fi in pfs)
-    labels = tuple(lattice.element_name(f.generator) for f in pfs)
-    return FinitePoset(len(pfs), rows, labels)
+    """H(L): prime filters ordered by inclusion, numbered like
+    :func:`prime_filters`.  The filter up(p) lies inside up(q) exactly when
+    q <= p, so the dual's rows are read off ``leq_rows``."""
+    gens = join_irreducibles(lattice)
+    index = {p: i for i, p in enumerate(gens)}
+    rows = [0] * len(gens)
+    for k, q in enumerate(gens):
+        for p in _bits(lattice.leq_rows[q] & lattice.irreducibles):
+            rows[index[p]] |= 1 << k
+    labels = tuple(lattice.element_name(p) for p in gens)
+    return FinitePoset(len(gens), tuple(rows), labels)
 
 
 _UP_SIG = Signature((("up", 2),))

@@ -423,7 +423,7 @@ def reveng_priestley(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None
     space = PreorderSpace(tuple(elements), tuple(rows))
     fault = _preorder_fault(rows)
     if fault is not None:
-        raise InternalError(f"reconstruction preorder is not {fault}")
+        raise InternalError(f"reconstruction preorder is not {fault[0]}")
     # quotient by the symmetrization: in a preorder, x ~ y iff their rows agree
     cls = _relabel(rows)
     count = len(set(cls))

@@ -18,7 +18,10 @@ by the subpower kernel, the relation search's preimage masks bit by bit,
 the lattice of up-sets of a poset, the unary-operations criterion
 for unique maximal relations, the separation table pair by pair, the
 symmetry flags by tuple slices, term tables by evaluating one argument
-tuple at a time, and the canonical map iota on prime filters, which checks
+tuple at a time, the lattice identities of a reduct by scanning pairs and
+triples (with each named property and its witness checked on its own),
+join-irreducibles by folding joins, the Priestley dual by comparing prime
+filters as sets, and the canonical map iota on prime filters, which checks
 E and S on a family without the relation search.
 
 The paper's other checks are oracles here too, as no command of the
@@ -764,6 +767,92 @@ def bounds_preserved(algebra: FiniteAlgebra, spec) -> bool:
         for _, arity, tab in algebra.ops()
         if arity == 1
     )
+
+
+def _reduct_tables(algebra: FiniteAlgebra, spec: DReductSpec):
+    """The spec's meet and join as n x n lists and its bounds, each entry
+    read through :func:`eval_term`."""
+    r = range(algebra.size)
+    meet = [[eval_term(algebra, spec.meet, (x, y)) for y in r] for x in r]
+    join = [[eval_term(algebra, spec.join, (x, y)) for y in r] for x in r]
+    return meet, join, eval_term(algebra, spec.bot, ()), eval_term(algebra, spec.top, ())
+
+
+def lattice_identity_failure(algebra: FiniteAlgebra, spec: DReductSpec):
+    """The first bounded-distributive-lattice identity the spec's reduct
+    breaks, with its witness, by scanning pairs and triples: commutativity
+    and absorption over (x, y), then associativity and distributivity x by
+    x, each over (y, z) in row-major order, then the bounds; None if every
+    identity holds: the oracle of ``d_reduct``'s quadratic check."""
+    meet, join, bot, top = _reduct_tables(algebra, spec)
+    r = range(algebra.size)
+    m = lambda x, y: meet[x][y]  # noqa: E731
+    j = lambda x, y: join[x][y]  # noqa: E731
+    for identity, holds in (
+        ("meet commutativity", lambda x, y: m(x, y) == m(y, x)),
+        ("join commutativity", lambda x, y: j(x, y) == j(y, x)),
+        ("absorption x^(xvy)=x", lambda x, y: m(x, j(x, y)) == x),
+        ("absorption xv(x^y)=x", lambda x, y: j(x, m(x, y)) == x),
+    ):
+        for x, y in itertools.product(r, repeat=2):
+            if not holds(x, y):
+                return identity, (x, y)
+    for x in r:
+        for identity, holds in (
+            ("meet associativity", lambda y, z: m(m(x, y), z) == m(x, m(y, z))),
+            ("join associativity", lambda y, z: j(j(x, y), z) == j(x, j(y, z))),
+            ("distributivity", lambda y, z: m(x, j(y, z)) == j(m(x, y), m(x, z))),
+        ):
+            for y, z in itertools.product(r, repeat=2):
+                if not holds(y, z):
+                    return identity, (x, y, z)
+    for identity, holds in (("bottom neutral", lambda x: j(x, bot) == x), ("top neutral", lambda x: m(x, top) == x)):
+        for x in r:
+            if not holds(x):
+                return identity, (x,)
+    return None
+
+
+def breaks_lattice_property(algebra: FiniteAlgebra, spec: DReductSpec, identity: str, witness: tuple) -> bool:
+    """Whether ``witness`` breaks the property ``d_reduct`` names
+    ``identity``, read off the spec's tables, with x <= y meaning x ^ y = x."""
+    meet, join, bot, top = _reduct_tables(algebra, spec)
+    r = range(algebra.size)
+    m = lambda x, y: meet[x][y]  # noqa: E731
+    j = lambda x, y: join[x][y]  # noqa: E731
+    leq = lambda x, y: m(x, y) == x  # noqa: E731
+    return {
+        "meet order reflexive": lambda x: not leq(x, x),
+        "meet order antisymmetric": lambda x, y: x != y and leq(x, y) and leq(y, x),
+        "meet order transitive": lambda x, y, z: leq(x, y) and leq(y, z) and not leq(x, z),
+        "join order": lambda x, y: (j(x, y) == y) != leq(x, y),
+        "meet is the glb": lambda x, y: any(leq(z, m(x, y)) != (leq(z, x) and leq(z, y)) for z in r),
+        "join is the lub": lambda x, y: any(leq(j(x, y), z) != (leq(x, z) and leq(y, z)) for z in r),
+        "bottom least": lambda x: not leq(bot, x),
+        "top greatest": lambda x: not leq(x, top),
+        "distributivity": lambda x, y, z: m(x, j(y, z)) != j(m(x, y), m(x, z)),
+    }[identity](*witness)
+
+
+def join_irreducibles_by_fold(lattice: DistLatticeReduct) -> list[int]:
+    """The elements that are not the join of their strict lower set, folding
+    the join table over each lower set."""
+    out = []
+    for x in range(lattice.size):
+        acc = lattice.bot
+        for y in range(lattice.size):
+            if y != x and lattice.leq(y, x):
+                acc = lattice.join(acc, y)
+        if x != lattice.bot and acc != x:
+            out.append(x)
+    return out
+
+
+def priestley_dual_by_inclusion(lattice: DistLatticeReduct) -> FinitePoset:
+    """H(L) as the prime filters compared pairwise by set inclusion."""
+    pfs = prime_filters(lattice)
+    rows = tuple(_mask(j for j, fj in enumerate(pfs) if fi.elements <= fj.elements) for fi in pfs)
+    return FinitePoset(len(pfs), rows, tuple(lattice.element_name(f.generator) for f in pfs))
 
 
 def sep_by_loop(generators, omega) -> tuple[bool, tuple[int, int, int] | None]:

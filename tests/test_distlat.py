@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,21 +16,29 @@ from conftest import (
     brute_force_covers,
     brute_force_poset_iso,
     brute_force_upsets,
+    breaks_lattice_property,
     chain,
     dual_of_hom,
     filter_value,
+    join_irreducibles_by_fold,
     lattice_algebra_from_leq,
+    lattice_identity_failure,
     lattice_meet,
     op,
     order_faults,
     poset_disjoint_union,
     poset_product,
+    priestley_dual_by_inclusion,
     upset_lattice,
     upsets,
 )
+from latcop import catalog as catalog_module
 from latcop import distlat as distlat_module
 from latcop.algebra import FiniteAlgebra, Signature, app, var
+from latcop.catalog import _LATTICE_SIG as LATTICE_SIG
 from latcop.catalog import make, table1_suite
+from latcop.classify import flowchart_classify
+from latcop.cli import main as cli_main
 from latcop.distlat import (
     DReductSpec,
     FinitePoset,
@@ -40,7 +49,10 @@ from latcop.distlat import (
     prime_filters,
     priestley_dual,
 )
+from latcop.duality import coproduct
 from latcop.errors import LatcopError, LatticeAxiomError
+
+DATA = Path(__file__).parent / "data"
 
 DM = make("demorgan4")
 K3 = make("kleene3")
@@ -56,6 +68,19 @@ def small_reducts():
     return out
 
 
+LIT = DReductSpec.literal()
+
+
+def _counting_validator():
+    """A patch of the reduct validator that still validates and records the
+    algebra of each call."""
+    return mock.patch.object(distlat_module, "_validate", wraps=distlat_module._validate)
+
+
+def _validated(counter, algebra) -> int:
+    return sum(call.args[0] is algebra for call in counter.call_args_list)
+
+
 class TestDReduct:
     def test_demorgan_diamond(self):
         lat = d_reduct(DM.algebra, DM.spec)
@@ -64,18 +89,27 @@ class TestDReduct:
         assert lat.leq(0, 1) and lat.leq(1, 3)
 
     def test_carrier_is_the_algebra_passed(self):
-        # no reduct is shared between equal algebras
+        # equal algebras share no reduct; a rename() copy reuses the one
+        # kept with its original, with itself as the carrier
         for entry in (DM, K3, MV2):
-            copy = dataclasses.replace(entry.algebra)
-            assert copy == entry.algebra and copy is not entry.algebra
-            assert d_reduct(copy, entry.spec).carrier is copy
-            assert d_reduct(entry.algebra, entry.spec).carrier is entry.algebra
+            with _counting_validator() as counter:
+                copy = dataclasses.replace(entry.algebra)
+                assert copy == entry.algebra and copy is not entry.algebra
+                assert d_reduct(copy, entry.spec).carrier is copy
+                assert d_reduct(copy, entry.spec).carrier is copy
+                assert d_reduct(entry.algebra, entry.spec).carrier is entry.algebra
+                renamed = entry.algebra.rename("renamed")
+                lat = d_reduct(renamed, entry.spec)
+                assert lat.carrier is renamed
+                assert lat.leq_rows == d_reduct(entry.algebra, entry.spec).leq_rows
+            assert [call.args[0] for call in counter.call_args_list] == [copy]
 
     def test_mv_terms_give_chain(self):
         lat = d_reduct(MV2.algebra, MV2.spec)
         assert all(lat.leq(x, y) == (x <= y) for x in range(3) for y in range(3))
 
     def test_degenerate_spec_rejected(self):
+        # meet = join = x0 reads every pair as x <= y, so rows 0 and 1 agree
         alg = FiniteAlgebra(
             "proj",
             2,
@@ -85,7 +119,9 @@ class TestDReduct:
         spec = DReductSpec(var(0), var(0), app("zero"), app("one"))
         with pytest.raises(LatticeAxiomError) as exc:
             d_reduct(alg, spec)
-        assert "commutativity" in exc.value.identity or "absorption" in exc.value.identity
+        assert (exc.value.identity, exc.value.witness) == ("meet order antisymmetric", (0, 1))
+        assert breaks_lattice_property(alg, spec, exc.value.identity, exc.value.witness)
+        assert lattice_identity_failure(alg, spec) == ("meet commutativity", (0, 1))
 
     def test_axiom_error_reports_witness(self):
         alg = FiniteAlgebra(
@@ -97,6 +133,31 @@ class TestDReduct:
         with pytest.raises(LatticeAxiomError) as exc:
             d_reduct(alg, DReductSpec.literal())
         assert exc.value.witness is not None
+
+
+class TestValidateOnce:
+    def test_make_then_classify_or_coproduct(self):
+        for run in (
+            lambda e: flowchart_classify([e.algebra], e.spec),
+            lambda e: coproduct([e.algebra], e.spec, None, [e.algebra, e.algebra]),
+        ):
+            with _counting_validator() as counter:
+                entry = catalog_module.make.__wrapped__("kleene3")  # a fresh, uncached entry
+                run(entry)
+            assert _validated(counter, entry.algebra) == 1
+
+    def test_alg_file_then_classify(self, capsys):
+        with _counting_validator() as counter:
+            assert cli_main(["classify", str(DATA / "demorgan4.alg")]) == 0
+        parsed = [call.args[0] for call in counter.call_args_list if call.args[0].name == "demorgan4"]
+        assert len(parsed) == 1
+
+    def test_a_failed_validation_is_not_kept(self):
+        with _counting_validator() as counter:
+            for _ in range(2):
+                with pytest.raises(LatticeAxiomError):
+                    d_reduct(_M3, LIT)
+        assert _validated(counter, _M3) == 2
 
 
 def _tournament_lattice(draw) -> FiniteAlgebra:
@@ -114,53 +175,88 @@ def _tournament_lattice(draw) -> FiniteAlgebra:
     inv = {label[a]: a for a in range(n)}
     meet = tuple(label[a if leq(a, b) else b] for x in range(n) for y in range(n) for a, b in [(inv[x], inv[y])])
     join = tuple(label[b if leq(a, b) else a] for x in range(n) for y in range(n) for a, b in [(inv[x], inv[y])])
-    sig = Signature((("meet", 2), ("join", 2), ("zero", 0), ("one", 0)))
-    return FiniteAlgebra("tournament", n, sig, (meet, join, (label[0],), (label[k + 1],)))
+    return FiniteAlgebra("tournament", n, LATTICE_SIG, (meet, join, (label[0],), (label[k + 1],)))
 
 
-def _first_identity_failure(alg: FiniteAlgebra):
-    """The cubic identity checks x by x, each over (y, z) in row-major order."""
-    n = alg.size
-    m = lambda x, y: op(alg, "meet", (x, y))  # noqa: E731
-    j = lambda x, y: op(alg, "join", (x, y))  # noqa: E731
-    for x in range(n):
-        for identity, lhs, rhs in (
-            ("meet associativity", lambda y, z: m(m(x, y), z), lambda y, z: m(x, m(y, z))),
-            ("join associativity", lambda y, z: j(j(x, y), z), lambda y, z: j(x, j(y, z))),
-            ("distributivity", lambda y, z: m(x, j(y, z)), lambda y, z: j(m(x, y), m(x, z))),
-        ):
-            for y, z in itertools.product(range(n), repeat=2):
-                if lhs(y, z) != rhs(y, z):
-                    return identity, (x, y, z)
-    return None
+def _random_tables(draw) -> FiniteAlgebra:
+    """Random meet and join tables on 1-5 elements and random bounds; half
+    of the time both are made idempotent, and half of the time commutative,
+    so that later properties get tested too."""
+    n = draw(st.integers(1, 5))
+    value = st.integers(0, n - 1)
+    tables = [draw(st.lists(value, min_size=n * n, max_size=n * n)) for _ in range(2)]
+    if draw(st.booleans()):
+        for t in tables:
+            for x in range(n):
+                t[x * n + x] = x
+    if draw(st.booleans()):
+        for t in tables:
+            for x, y in itertools.combinations(range(n), 2):
+                t[y * n + x] = t[x * n + y]
+    return FiniteAlgebra("random", n, LATTICE_SIG, (*map(tuple, tables), (draw(value),), (draw(value),)))
 
 
-class TestIdentityBlocks:
-    @pytest.mark.parametrize("block", [1, 20, distlat_module._BLOCK])
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_reports_the_first_failure_x_by_x(self, block, data):
-        # a block of x values reports the failure the x-by-x scan meets first
-        alg = _tournament_lattice(data.draw)
-        want = _first_identity_failure(alg)
-        with mock.patch.object(distlat_module, "_BLOCK", block):
-            if want is None:
-                d_reduct(alg, DReductSpec.literal())
-            else:
-                with pytest.raises(LatticeAxiomError) as exc:
-                    d_reduct(alg, DReductSpec.literal())
-                assert (exc.value.identity, exc.value.witness) == want
+_N5 = lattice_algebra_from_leq(5, lambda a, b: a == b or a == 0 or b == 4 or (a, b) == (1, 3), "n5")
+_M3 = lattice_algebra_from_leq(5, lambda a, b: a == b or a == 0 or b == 4, "m3")
+
+
+@st.composite
+def reduct_candidates(draw) -> FiniteAlgebra:
+    """A tournament lattice, random tables, N5, M3 or the up-set lattice of
+    a poset on at most 3 points, then half of the time one table entry or a
+    bound changed: on a distributive lattice, a changed entry that keeps the
+    order breaks only the glb or the lub."""
+    kind = draw(st.sampled_from(["tournament", "random", "n5", "m3", "upsets"]))
+    if kind == "tournament":
+        alg = _tournament_lattice(draw)
+    elif kind == "random":
+        alg = _random_tables(draw)
+    elif kind == "upsets":
+        alg = upset_lattice(draw(st.integers(0, 3).flatmap(posets))).carrier
+    else:
+        alg = {"n5": _N5, "m3": _M3}[kind]
+    if draw(st.booleans()):
+        n = alg.size
+        tables = [list(t) for t in alg.tables]
+        t = tables[draw(st.integers(0, 3))]
+        t[draw(st.integers(0, len(t) - 1))] = draw(st.integers(0, n - 1))
+        alg = FiniteAlgebra("mutated", n, LATTICE_SIG, tuple(map(tuple, tables)))
+    return alg
+
+
+class TestIdentityScanOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(reduct_candidates())
+    def test_rejects_exactly_what_the_identity_scan_rejects(self, alg):
+        want = lattice_identity_failure(alg, LIT)
+        try:
+            lat = d_reduct(alg, LIT)
+        except LatticeAxiomError as exc:
+            assert want is not None
+            assert breaks_lattice_property(alg, LIT, exc.identity, exc.witness), (exc.identity, exc.witness)
+            return
+        assert want is None
+        r = range(alg.size)
+        assert lat.leq_rows == tuple(sum(1 << y for y in r if op(alg, "meet", (x, y)) == x) for x in r)
+        assert join_irreducibles(lat) == join_irreducibles_by_fold(lat)
+        assert priestley_dual(lat) == priestley_dual_by_inclusion(lat)
 
     def test_non_distributive_lattices(self):
-        for leq in (
-            lambda a, b: a == b or a == 0 or b == 4 or (a, b) in {(1, 3)},  # N5
-            lambda a, b: a == b or a == 0 or b == 4,  # M3
-        ):
-            alg = lattice_algebra_from_leq(5, leq, "nd")
+        # a join-irreducible below x v y but below neither is the witness
+        for alg in (_N5, _M3):
             with pytest.raises(LatticeAxiomError) as exc:
-                d_reduct(alg, DReductSpec.literal())
-            assert (exc.value.identity, exc.value.witness) == _first_identity_failure(alg)
+                d_reduct(alg, LIT)
             assert exc.value.identity == "distributivity"
+            assert breaks_lattice_property(alg, LIT, exc.value.identity, exc.value.witness)
+            assert lattice_identity_failure(alg, LIT)[0] == "distributivity"
+
+    def test_catalog_reducts(self):
+        for entry, _ in table1_suite():
+            if entry.algebra.size <= 9:
+                lat = d_reduct(entry.algebra, entry.spec)
+                assert lattice_identity_failure(entry.algebra, entry.spec) is None, entry.key
+                assert join_irreducibles(lat) == join_irreducibles_by_fold(lat), entry.key
+                assert priestley_dual(lat) == priestley_dual_by_inclusion(lat), entry.key
 
 
 class TestPrimeFilters:
