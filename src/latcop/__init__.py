@@ -39,7 +39,6 @@ from .distlat import (
     FinitePoset,
     PrimeFilter,
     d_reduct,
-    poset_isomorphic,
     prime_filters,
     priestley_dual,
 )

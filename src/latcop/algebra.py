@@ -364,7 +364,6 @@ def _propagate(
 def _maps(
     a: FiniteAlgebra,
     b: FiniteAlgebra,
-    order: Sequence[int] | None = None,
     allowed: Sequence[int] | None = None,
     injective: bool = False,
 ) -> Iterator[tuple[int, ...]]:
@@ -374,11 +373,10 @@ def _maps(
     (img, used, x, v) stands for img with x sent to v; it is copied and
     closed under the operations only when popped, so the first map costs
     no more than in a recursive search.  The search branches on the first
-    unassigned element of ``order`` (element order when None), trying
-    values in ascending order, so with ``order=None`` the maps come out in
-    lexicographic order.  ``order`` must generate a.  ``allowed[x]`` is a
-    bitmask of the images x may take; with ``injective`` a map that sends
-    two elements to one value is pruned.  The per-symbol pairing that
+    unassigned element, trying values in ascending order, so the maps come
+    out in lexicographic order.  ``allowed[x]`` is a bitmask of the images
+    x may take; with ``injective`` a map that sends two elements to one
+    value is pruned.  The per-symbol pairing that
     :func:`_propagate` reads is built once here, for the whole search, and
     each entry carries its list of assigned elements, so no node scans the
     map for them.
@@ -425,10 +423,7 @@ def _maps(
         if len(assigned) == a.size:
             yield tuple(img)
             continue
-        if order is None:
-            x = img.index(-1)
-        else:
-            x = next(y for y in order if img[y] == -1)
+        x = img.index(-1)
         values = allowed[x] & ~used if injective else allowed[x]
         while values:  # highest first, so the least value is popped first
             v = values.bit_length() - 1
@@ -455,6 +450,13 @@ def embeds(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
         return None
     found = next(_maps(a, b, injective=True), None)
     return Homomorphism(a, b, found) if found is not None else None
+
+
+def isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
+    """The lexicographically least isomorphism a -> b, or None: between
+    finite algebras of one size an injective homomorphism is a bijection,
+    and a bijective homomorphism is an isomorphism."""
+    return embeds(a, b) if a.size == b.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -983,115 +985,6 @@ def _separated(algebra: FiniteAlgebra, homs: Iterable[Homomorphism]) -> bool:
         if max(blocks) == n - 1:
             return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-
-
-def _refine_colors(algebra: FiniteAlgebra, pool: dict) -> list[int]:
-    """Iterated invariant coloring; the shared pool keeps color ids
-    comparable across algebras.
-
-    Binary operations contribute a multiset fingerprint accumulated as a sum
-    of pair hashes: equal multisets give equal sums, so corresponding
-    elements always share a color (collisions only weaken the pruning).
-    """
-    n = algebra.size
-
-    def intern(key) -> int:
-        if key not in pool:
-            pool[key] = len(pool)
-        return pool[key]
-
-    col = [intern(("init",))] * n
-    for _ in range(n):
-        new = []
-        for x in range(n):
-            feats: list = [col[x]]
-            for sym, arity, tab in algebra.ops():
-                if arity == 0:
-                    feats.append((sym, tab[0] == x))
-                elif arity == 1:
-                    feats.append((sym, col[tab[x]]))
-                elif arity == 2:
-                    acc = 0
-                    row = set()
-                    colv = set()
-                    for y in range(n):
-                        row.add(tab[x * n + y])
-                        colv.add(tab[y * n + x])
-                        acc += hash((col[y], col[tab[x * n + y]], col[tab[y * n + x]]))
-                    # row/column ranks: for lattice operations these are the
-                    # up-set and down-set sizes, which split free algebras
-                    feats.append((sym, acc & 0xFFFFFFFFFFFF, len(row), len(colv)))
-                else:
-                    acc = 0
-                    for args in itertools.product(range(n), repeat=arity):
-                        if x in args:
-                            acc += hash(
-                                (
-                                    tuple(col[z] for z in args),
-                                    col[tab[algebra.flat_index(args)]],
-                                )
-                            )
-                    feats.append((sym, acc & 0xFFFFFFFFFFFF))
-            new.append(intern(tuple(feats)))
-        # ids are fresh every round (each key holds the previous color), so
-        # stop once the classes stop splitting.  Isomorphic algebras stop
-        # at the same round; algebras that stop at different rounds share
-        # no color, so their color multisets differ.
-        if len(set(new)) == len(set(col)):
-            break
-        col = new
-    return col
-
-
-def generating_set(algebra: FiniteAlgebra) -> tuple[int, ...]:
-    """A small generating set: greedily add the element giving the largest
-    closure growth (ties to the least element)."""
-    gens: list[int] = []
-    closed = subuniverse_closure(algebra, ())
-    while len(closed) < algebra.size:
-        best, best_closed = -1, closed
-        for x in range(algebra.size):
-            if x in closed:
-                continue
-            trial = subuniverse_closure(algebra, gens + [x])
-            if len(trial) > len(best_closed):
-                best, best_closed = x, trial
-        gens.append(best)
-        closed = best_closed
-    return tuple(gens)
-
-
-def _color_masks(ca: list[int], cb: list[int]) -> list[int] | None:
-    """Per element of a, the bitmask of the elements of b with its color,
-    from colorings ``_refine_colors`` made with one pool; None when the
-    color multisets differ, so no isomorphism exists."""
-    if sorted(ca) != sorted(cb):
-        return None
-    by_color: dict[int, int] = {}
-    for y, c in enumerate(cb):
-        by_color[c] = by_color.get(c, 0) | 1 << y
-    return [by_color[c] for c in ca]
-
-
-def isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
-    """An isomorphism a -> b if one exists, else None.
-
-    Backtracking over a generating set with invariant-color pruning; images
-    of generated elements follow by closure propagation.  Between algebras
-    of equal size an injective homomorphism is an isomorphism.
-    """
-    if a.signature != b.signature or a.size != b.size:
-        return None
-    pool: dict = {}
-    masks = _color_masks(_refine_colors(a, pool), _refine_colors(b, pool))
-    if masks is None:
-        return None
-    found = next(_maps(a, b, generating_set(a), allowed=masks, injective=True), None)
-    return Homomorphism(a, b, found) if found is not None else None
 
 
 # ---------------------------------------------------------------------------

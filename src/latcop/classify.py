@@ -12,12 +12,14 @@ of a run reads one store of hom-sets (:func:`~latcop.algebra.hom_set`).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .algebra import (
     FiniteAlgebra,
+    _maps,
     _separated,
     direct_product,
     embeds,
@@ -114,14 +116,16 @@ def _single_generator(simplified: Sequence[FiniteAlgebra]) -> FiniteAlgebra | No
     algebras.  With one member, S generates ISP(S).  Otherwise no subalgebra
     of a member generates it, as the others would embed there, and ISP(S)
     has a single finite generator exactly when each member embeds in the
-    product of S.  Raises CapExceeded when the product is out of reach.
+    product of S.  A member m embeds there exactly when it has a
+    homomorphism into every other member, as its own coordinate is the
+    identity; so the product is built only when that holds.  Raises
+    CapExceeded when the product is out of reach.
     """
     if len(simplified) <= 1:
         return simplified[0] if simplified else None
-    prod = direct_product(simplified)
-    if all(embeds(m, prod) is not None for m in simplified):
-        return prod
-    return None
+    if any(next(_maps(m, s), None) is None for m, s in itertools.permutations(simplified, 2)):
+        return None
+    return direct_product(simplified)
 
 
 def find_single_generator(generators: Sequence[FiniteAlgebra]) -> FiniteAlgebra | None:

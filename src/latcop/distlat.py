@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .algebra import FiniteAlgebra, Signature, Term, _color_masks, _maps, _refine_colors, app, term_table, var
+from .algebra import FiniteAlgebra, Term, app, term_table, var
 from .errors import LatcopError, LatticeAxiomError
 
 
@@ -309,35 +309,3 @@ def priestley_dual(lattice: DistLatticeReduct) -> FinitePoset:
     labels = tuple(lattice.element_name(p) for p in gens)
     return FinitePoset(len(gens), tuple(rows), labels)
 
-
-_UP_SIG = Signature((("up", 2),))
-
-
-def _up_algebra(poset: FinitePoset) -> FiniteAlgebra:
-    """The poset as an algebra with up(x, y) = y if x <= y else x.
-
-    x <= y exactly when up(x, y) = y, so the bijections that preserve
-    ``up`` are the order-isomorphisms.
-    """
-    r = range(poset.size)
-    up = tuple(y if poset.leq(x, y) else x for x in r for y in r)
-    return FiniteAlgebra("up", poset.size, _UP_SIG, (up,))
-
-
-def poset_isomorphic(p: FinitePoset, q: FinitePoset) -> tuple[int, ...] | None:
-    """The lexicographically least order-isomorphism p -> q as an image
-    vector, or None.
-
-    Searches the isomorphisms of the ``up`` encodings, with the images of
-    each point restricted to the points of its invariant color.
-    """
-    if p.size != q.size:
-        return None
-    if p.size == 0:
-        return ()
-    a, b = _up_algebra(p), _up_algebra(q)
-    pool: dict = {}
-    masks = _color_masks(_refine_colors(a, pool), _refine_colors(b, pool))
-    if masks is None:
-        return None
-    return next(_maps(a, b, allowed=masks, injective=True), None)

@@ -31,10 +31,11 @@ from .distlat import (
     _bits,
     _mask,
     _preorder_fault,
+    _union,
     d_reduct,
     poset_from_pairs,
-    poset_isomorphic,
     priestley_dual,
+    prime_filters,
 )
 from .errors import CapExceeded, InternalError, LatcopError, MembershipError
 from .piggyback import AlterEgo, build_alter_ego
@@ -402,10 +403,12 @@ def reveng_priestley(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None
     """Rebuild the Priestley dual of U(algebra) from its natural dual.
 
     Y is the union of (sort points) x (matching carriers); the preorder is
-    membership in some lifted relation with matching carrier labels; the
-    quotient by its symmetrization is checked to be order-isomorphic to the
-    prime-filter poset and returned with the witness.  ``homs`` is the
-    hom-set store passed on to :func:`natural_dual`.
+    membership in some lifted relation with matching carrier labels.  The
+    canonical map F(u, w) = u^-1(w) is checked to send Y onto the prime
+    filters with y <= z exactly when F(y) is inside F(z), so it is an
+    order-isomorphism from the quotient by the symmetrization onto the
+    prime-filter poset; the result holds it on the quotient classes.
+    ``homs`` is the hom-set store passed on to :func:`natural_dual`.
     """
     dual = natural_dual(algebra, ego, homs=homs)
     elements: list[tuple[int, int, int]] = []
@@ -429,10 +432,22 @@ def reveng_priestley(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None
     count = len(set(cls))
     pairs = {(cls[x], cls[y]) for x, row in enumerate(rows) for y in _bits(row)}
     quotient_poset = poset_from_pairs(count, pairs, tuple(f"c{k}" for k in range(count)))
-    priestley = priestley_dual(d_reduct(algebra, ego.spec))
-    iso = poset_isomorphic(quotient_poset, priestley)
-    if iso is None:
+    lattice = d_reduct(algebra, ego.spec)
+    priestley = priestley_dual(lattice)
+    number = {_mask(f.elements): k for k, f in enumerate(prime_filters(lattice))}
+    image = [
+        number.get(_mask(a for a, v in enumerate(dual.points[s][p].map) if v in ego.carriers[wi]))
+        for s, p, wi in elements
+    ]
+    fibres: dict = {}  # F^-1(k) as a mask over Y; None collects what is no prime filter
+    for y, k in enumerate(image):
+        fibres[k] = fibres.get(k, 0) | 1 << y
+    if set(fibres) != set(range(priestley.size)) or any(
+        row != _union(fibres, _bits(priestley.leq_rows[k])) for row, k in zip(rows, image)
+    ):
         raise InternalError(
             "reconstruction quotient is not isomorphic to the Priestley dual"
         )
+    # _relabel numbers classes by first occurrence, so the keys run 0, 1, ...
+    iso = tuple(dict(zip(cls, image)).values())
     return RevEngResult(space, quotient_poset, priestley, iso)

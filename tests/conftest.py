@@ -30,7 +30,9 @@ filters, the reflector into a subquasivariety (with congruences and
 quotients), condition (C), and relative subdirect irreducibility (membership
 by ``in_isp``, then the classification's own test ``classify._rsi``).  So
 do the maps that only tests build, ``LatticeHom`` and ``PosetMap``, and
-helpers that only tests read: chains and up-sets of posets, congruence
+helpers that only tests read: chains and up-sets of posets, poset
+isomorphism (``poset_isomorphic``, the map search on the ``up``
+encodings), a small generating set (``generating_set``), congruence
 blocks as sets, bijectivity, composing or inverting homomorphisms, one
 operation instance read from its table (``op``), a prime filter as a map
 to 2 and the meet of a lattice reduct.
@@ -52,17 +54,16 @@ from latcop.algebra import (
     Signature,
     Term,
     _check_same_signature,
-    _color_masks,
     _maps,
-    _refine_colors,
     _subpower,
     direct_product,
     embeds,
-    generating_set,
     hom_enumerate,
     hom_set,
     in_isp,
     induced_subalgebra,
+    isomorphic,
+    subuniverse_closure,
     subuniverses,
 )
 from latcop.catalog import _LATTICE_SIG, make
@@ -204,6 +205,48 @@ def brute_force_poset_iso(p: FinitePoset, q: FinitePoset) -> tuple[int, ...] | N
         if all(p.leq(x, y) == q.leq(perm[x], perm[y]) for x, y in pairs):
             return perm
     return None
+
+
+_UP_SIG = Signature((("up", 2),))
+
+
+def _up_algebra(poset: FinitePoset) -> FiniteAlgebra:
+    """The poset as an algebra with up(x, y) = y if x <= y else x.
+
+    x <= y exactly when up(x, y) = y, so the bijections that preserve
+    ``up`` are the order-isomorphisms.
+    """
+    r = range(poset.size)
+    up = tuple(y if poset.leq(x, y) else x for x in r for y in r)
+    return FiniteAlgebra("up", poset.size, _UP_SIG, (up,))
+
+
+def poset_isomorphic(p: FinitePoset, q: FinitePoset) -> tuple[int, ...] | None:
+    """The lexicographically least order-isomorphism p -> q as an image
+    vector, or None: the least injective map of the ``up`` encodings."""
+    if p.size != q.size:
+        return None
+    if p.size == 0:
+        return ()
+    return next(_maps(_up_algebra(p), _up_algebra(q), injective=True), None)
+
+
+def generating_set(algebra: FiniteAlgebra) -> tuple[int, ...]:
+    """A small generating set: greedily add the element giving the largest
+    closure growth (ties to the least element)."""
+    gens: list[int] = []
+    closed = subuniverse_closure(algebra, ())
+    while len(closed) < algebra.size:
+        best, best_closed = -1, closed
+        for x in range(algebra.size):
+            if x in closed:
+                continue
+            trial = subuniverse_closure(algebra, gens + [x])
+            if len(trial) > len(best_closed):
+                best, best_closed = x, trial
+        gens.append(best)
+        closed = best_closed
+    return tuple(gens)
 
 
 def upsets(p: FinitePoset) -> list[frozenset[int]]:
@@ -1143,26 +1186,11 @@ def subalgebras_up_to_iso(generators, size_cap=SUBALGEBRA_SIZE_CAP) -> list[Fini
             sub, order = induced_subalgebra(m, elems)
             candidates.append((len(elems), mi, tuple(sorted(elems)), sub))
     candidates.sort(key=lambda t: t[:3])
-    # one color pool for all candidates, so each is colored once and its
-    # generating set found at most once; the test is ``isomorphic``'s
-    pool: dict = {}
-    kept: list[tuple[FiniteAlgebra, list[int]]] = []
+    kept: list[FiniteAlgebra] = []
     for _, _, _, sub in candidates:
-        colors = _refine_colors(sub, pool)
-        gens = None
-        for s, s_colors in kept:
-            if s.size != sub.size or s.signature != sub.signature:
-                continue
-            masks = _color_masks(colors, s_colors)
-            if masks is None:
-                continue
-            if gens is None:
-                gens = generating_set(sub)
-            if next(_maps(sub, s, gens, masks, True), None) is not None:
-                break
-        else:
-            kept.append((sub, colors))
-    return [s for s, _ in kept]
+        if all(isomorphic(sub, s) is None for s in kept):
+            kept.append(sub)
+    return kept
 
 
 def simplify_by_enumeration(generators, size_cap=SUBALGEBRA_SIZE_CAP) -> list[FiniteAlgebra]:

@@ -282,6 +282,18 @@ class TestSingleGeneratorAgainstScan:
         assert [s.name for s in simplify_generators(gens)] == ["c2", "c3"]
         assert find_single_generator(gens).name == "c2xc3"
 
+    def test_a_no_builds_no_product(self, monkeypatch):
+        # mv_chain(2) and mv_chain(3) have no homomorphism into each other,
+        # so the pairs answer no and the product is never built
+        def refuse(*args, **kwargs):
+            raise AssertionError("direct_product called")
+
+        monkeypatch.setattr(classify_module, "direct_product", refuse)
+        gens = _single_generator_input("mv_chain:2,mv_chain:3")
+        assert find_single_generator(gens) is None
+        rep = flowchart_classify(gens, make("mv_chain", 2).spec)
+        assert (rep.verdict_E, rep.verdict_S) == (False, True)
+
     def test_empty_and_trivial_inputs(self):
         one = direct_product([], signature=K3.algebra.signature)
         assert find_single_generator([]) is None

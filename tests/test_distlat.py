@@ -27,6 +27,7 @@ from conftest import (
     op,
     order_faults,
     poset_disjoint_union,
+    poset_isomorphic,
     poset_product,
     priestley_dual_by_inclusion,
     upset_lattice,
@@ -45,7 +46,6 @@ from latcop.distlat import (
     d_reduct,
     join_irreducibles,
     poset_from_pairs,
-    poset_isomorphic,
     prime_filters,
     priestley_dual,
 )

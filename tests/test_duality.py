@@ -13,12 +13,14 @@ from conftest import (
     compose,
     ego_for,
     evaluation_check,
+    generating_set,
     iota_check,
     lambda_map,
     lift_by_pairs,
     median_chain,
     morphisms_by_maps,
     pairs_of,
+    poset_isomorphic,
     product_by_pairs,
     reconstruction_order_poset,
     reconstruction_rows_by_triples,
@@ -34,14 +36,13 @@ from latcop.algebra import (
     _extends_to_hom,
     direct_product,
     free_algebra,
-    generating_set,
     hom_enumerate,
     induced_subalgebra,
     isomorphic,
     subuniverse_closure,
 )
 from latcop.catalog import make, make_id, table1_suite
-from latcop.distlat import d_reduct, poset_isomorphic, prime_filters, priestley_dual
+from latcop.distlat import d_reduct, poset_from_pairs, prime_filters, priestley_dual
 from latcop.duality import (
     MultisortedStructure,
     _check_universal_property,
@@ -531,6 +532,62 @@ class TestRevEng:
     def test_two_sort_rows_match_the_pairwise_lifting(self, algebra):
         # the sorts have 3 and 4 elements, and hom(algebra, sort) sizes differ
         self.check_rows(algebra, EGOS[2])
+
+    @staticmethod
+    def check_canonical_map(algebra, ego):
+        # class c of the quotient (numbered by first occurrence of its row)
+        # goes to the prime filter u^-1(w) of each pair (u, w) in it, and
+        # that map is an order-isomorphism onto the prime-filter poset
+        res = reveng_priestley(algebra, ego)
+        dual = natural_dual(algebra, ego)
+        filters = [f.elements for f in prime_filters(d_reduct(algebra, ego.spec))]
+        classes: dict[int, int] = {}
+        for (s, p, wi), row in zip(res.preorder.elements, res.preorder.preceq_rows):
+            c = classes.setdefault(row, len(classes))
+            pre = frozenset(a for a, v in enumerate(dual.points[s][p].map) if v in ego.carriers[wi])
+            assert res.isomorphism[c] == filters.index(pre)
+        assert len(classes) == res.quotient.size == len(filters)
+        assert sorted(res.isomorphism) == list(range(len(filters)))
+        q = res.quotient.size
+        for c, d in itertools.product(range(q), repeat=2):
+            assert res.quotient.leq(c, d) == res.priestley.leq(res.isomorphism[c], res.isomorphism[d])
+
+    @pytest.mark.parametrize("entry", [e for e, _ in table1_suite()], ids=lambda e: e.key)
+    def test_isomorphism_is_the_canonical_map(self, entry):
+        self.check_canonical_map(entry.algebra, ego_for(entry.constructor, *entry.params))
+
+    @pytest.mark.parametrize("key,params", [("kleene3", ()), ("demorgan4", ()), ("heyting_chain", (3,))])
+    def test_isomorphism_is_the_canonical_map_on_free_algebras(self, key, params):
+        free1 = free_algebra([make(key, *params).algebra], 1)
+        self.check_canonical_map(free1, ego_for(key, *params))
+
+    def test_a_reversed_preorder_is_an_internal_error(self, monkeypatch):
+        # transposing every lifted relation of heyting_chain(4)'s dual
+        # reverses the preorder: it is still a preorder and its quotient is
+        # still a 3-chain, but u^-1(w) now runs against the order
+        entry = make("heyting_chain", 4)
+        ego = ego_for("heyting_chain", 4)
+        dual = natural_dual(entry.algebra, ego)
+
+        def transpose(rel, rows):
+            sources = range(len(dual.points[rel.sort1]))
+            return tuple(
+                sum(1 << p for p in sources if rows[p] >> q & 1)
+                for q in range(len(dual.points[rel.sort2]))
+            )
+
+        reversed_dual = dataclasses.replace(
+            dual, relations=tuple(transpose(rel, rows) for rel, rows in zip(ego.relations, dual.relations))
+        )
+        rows = reconstruction_rows_by_triples(ego, reversed_dual)
+        distinct = list(dict.fromkeys(rows))
+        cls = [distinct.index(r) for r in rows]
+        pairs = {(cls[y], cls[z]) for y, r in enumerate(rows) for z in range(len(rows)) if r >> z & 1}
+        quotient = poset_from_pairs(len(distinct), pairs)
+        assert poset_isomorphic(quotient, chain_poset(3)) is not None
+        monkeypatch.setattr(duality_module, "natural_dual", lambda *args, **kwargs: reversed_dual)
+        with pytest.raises(InternalError, match="reconstruction quotient is not isomorphic to the Priestley dual"):
+            reveng_priestley(entry.algebra, ego)
 
     def test_kleene_shape(self):
         res = reveng_priestley(K3.algebra, ego_for("kleene3"))

@@ -21,7 +21,7 @@ EXPORTS = [
     "carrier_from_filter", "carriers_of", "coproduct", "d_reduct", "direct_product",
     "e_functor", "embeds", "find_single_generator", "flowchart_classify", "free_algebra",
     "hom_enumerate", "in_isp", "induced_subalgebra", "isomorphic", "make", "make_id",
-    "maximal_subuniverses_in", "minimal_omega_certified", "natural_dual", "poset_isomorphic",
+    "maximal_subuniverses_in", "minimal_omega_certified", "natural_dual",
     "priestley_dual", "prime_filters", "reveng_priestley", "sep_condition",
     "simplify_generators", "structure_product", "subuniverse_closure", "subuniverses",
     "table1_suite", "var",
