@@ -129,8 +129,8 @@ class FiniteAlgebra:
     the lower half of its square only and its table filled by mirroring.
     A full product needs no closure: :func:`direct_product`
     builds each table as one broadcast sum of its factors' tables, and
-    states how it numbers the elements.  An induced subalgebra reads its
-    parent's tables; ``generators`` is set by :func:`free_algebra`.
+    states how it numbers the elements.  An induced subalgebra is the
+    kernel's on a given universe; ``generators`` is set by :func:`free_algebra`.
     """
 
     name: str
@@ -533,34 +533,25 @@ def induced_subalgebra(algebra: FiniteAlgebra, elements: Iterable[int]) -> tuple
     """The algebra induced on a subuniverse; returns it with the element list
     (position i of the result is ``elements_sorted[i]`` of the parent).
 
-    Its tables are the parent's, read at the argument tuples over the
-    elements and renumbered through the element index."""
+    Its tables are the subpower kernel's on the given universe of the
+    one-factor product, which keeps the universe's order and raises at the
+    first symbol it is not closed under."""
     elems = tuple(sorted(set(elements)))
     if not elems:
         raise LatcopError("subalgebra universe must be nonempty")
     if elems[0] < 0 or elems[-1] >= algebra.size:
         raise LatcopError(f"{sorted(elems)} is not a subset of the universe of {algebra.name!r}")
-    index = {x: i for i, x in enumerate(elems)}
-    n = algebra.size
-    tables = []
-    for sym, arity, tab in algebra.ops():
-        flat = [0]  # the parent's flat indices of the tuples, row-major
-        for _ in range(arity):
-            flat = [f * n + x for f in flat for x in elems]
-        try:
-            tables.append(tuple([index[tab[f]] for f in flat]))
-        except KeyError:
-            raise LatcopError(f"subpower universe is not closed under {sym!r}") from None
+    try:
+        _, tables = _subpower(algebra.signature, [algebra], universe=[(x,) for x in elems])
+    except InternalError as exc:  # the caller's set, not a broken kernel
+        raise LatcopError(str(exc)) from None
     names = None
     if algebra.element_names is not None:
         names = tuple(algebra.element_names[x] for x in elems)
     name = algebra.name
     if len(elems) < algebra.size:
         name += f"|{{{','.join(str(x) for x in elems)}}}"
-    return (
-        FiniteAlgebra(name, len(elems), algebra.signature, tuple(tables), names),
-        elems,
-    )
+    return FiniteAlgebra(name, len(elems), algebra.signature, tables, names), elems
 
 
 # ---------------------------------------------------------------------------

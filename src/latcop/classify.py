@@ -321,10 +321,8 @@ def flowchart_classify(
         )
         plan = _AlterEgoPlan([m0] if m0 is not None else simplified, spec, None, homs)
         one_pair = m0 is not None and len(plan.omega) == 1
-        if one_pair:
-            small = plan.root_class(0, 0) == 1
-        else:
-            small = all(plan.root_class(i, j) <= 1 for i, j in plan.pairs())
+        # R(w, w) holds the diagonal, so for one carrier this is |R(w, w)| = 1
+        small = all(plan.root_class(i, j) <= 1 for i, j in plan.pairs())
     except CapExceeded as exc:
         report.unknown = f"{exc}; {exc.budget_note()}"
         return report

@@ -22,7 +22,6 @@ from .algebra import (
     _relabel,
     _separated,
     _subpower,
-    hom_enumerate,
     hom_set,
 )
 from .distlat import (
@@ -322,19 +321,23 @@ def coproduct(
 
 def _prescribed(
     result: CoproductResult, members: list[FiniteAlgebra], m: FiniteAlgebra, homs: dict
-) -> tuple[list[tuple[Homomorphism, ...]], dict[int, tuple[int, ...]] | None]:
-    """The homomorphism families (f_1, ..., f_n) in ``homs`` from the members
-    into m, and the values they prescribe on C: family k asks g_k(eps_i(x))
-    = f_i(x), so each injection image c gets the row (g_1(c), ..., g_K(c)).
-    The rows are None when two prescriptions for one c disagree."""
+) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """The number K of homomorphism families (f_1, ..., f_n) in ``homs``
+    from the members into m, and the values they prescribe on C: family k
+    asks g_k(eps_i(x)) = f_i(x), so each injection image c gets the row
+    (g_1(c), ..., g_K(c)).  Two prescriptions for one c that disagree leave
+    their family no mediating map, and raise InternalError."""
     families = list(itertools.product(*[hom_set(homs, b, m) for b in members]))
     rows: dict[int, tuple[int, ...]] = {}
     for i, (b, eps) in enumerate(zip(members, result.injections)):
         for x in range(b.size):
             row = tuple(f[i].map[x] for f in families)
             if rows.setdefault(eps.map[x], row) != row:
-                return families, None
-    return families, rows
+                raise InternalError(
+                    f"universal property fails against {m.name!r}: a family "
+                    f"prescribes two values at element {eps.map[x]} of C"
+                )
+    return len(families), rows
 
 
 def _check_universal_property(
@@ -343,36 +346,27 @@ def _check_universal_property(
     generators: tuple[FiniteAlgebra, ...],
     homs: dict,
 ) -> None:
-    """Sampled universal property: against every homomorphism family into
-    each generator there is exactly one mediating map.
+    """The universal property: against every homomorphism family into
+    ISP(generators) there is exactly one mediating map.
 
-    The K families into m are checked at once: when the values they
-    prescribe on the injection images extend to a homomorphism C -> m^K
-    (:func:`_extends_to_hom`, on C's own tables), each g_k extends to
-    exactly one homomorphism C -> m.  Otherwise (conflicting prescriptions,
-    or values that do not extend, or images that do not generate C) the
-    mediating maps are counted family by family.
+    A coproduct in a quasivariety is generated by its injection images
+    (Clark & Davey, *Natural Dualities for the Working Algebraist*, 1998),
+    so C is the coproduct exactly when, for each generator m, the values
+    the K families into m prescribe on the images agree and extend to a
+    homomorphism C -> m^K (:func:`_extends_to_hom`, False also when the
+    images and the nullary values do not generate C).  Uniqueness follows
+    from generation, and existence into ISP(generators) from the
+    generators.  A generator that receives no family is skipped: when none
+    does, the product of duals has no points and C has one element.
     """
     c = result.algebra
     for m in generators:
-        families, rows = _prescribed(result, members, m, homs)
-        if not families or rows is not None and _extends_to_hom(c, m, rows, len(families)):
-            continue
-        homs_c = hom_enumerate(c, m)
-        for combo in families:
-            matching = [
-                h
-                for h in homs_c
-                if all(
-                    tuple(h.map[eps.map[x]] for x in range(b.size)) == f.map
-                    for b, eps, f in zip(members, result.injections, combo)
-                )
-            ]
-            if len(matching) != 1:
-                raise InternalError(
-                    f"universal property fails against {m.name!r}: "
-                    f"{len(matching)} mediating maps"
-                )
+        width, rows = _prescribed(result, members, m, homs)
+        if width and not _extends_to_hom(c, m, rows, width):
+            raise InternalError(
+                f"universal property fails against {m.name!r}: the injection images "
+                "do not generate C, or the values they are given do not extend to a homomorphism"
+            )
 
 
 # ---------------------------------------------------------------------------

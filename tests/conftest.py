@@ -8,7 +8,8 @@ every operation instance, order-isomorphisms by scanning all permutations,
 relative congruences by closing the kernels under meets, single
 generators by scanning every subalgebra, simplified
 generating sets by testing every subalgebra up to isomorphism, the
-coproduct's universal property by closing a subalgebra of C x m^K,
+coproduct's universal property by closing a subalgebra of C x m^K and by
+counting each family's mediating maps in Hom(C, m),
 relation orbits by applying every pair of automorphisms, the
 sublattice (w1, w2)^-1(<=) by listing its pairs, the numbering of
 product elements by numpy's multi-index rule, the dual side's lifted
@@ -371,6 +372,23 @@ def universal_by_closure(c: FiniteAlgebra, m: FiniteAlgebra, rows: dict, width: 
     seeds = [(y,) + row for y, row in rows.items()]
     graph, _ = _subpower(c.signature, [c] + [m] * width, generators=seeds)
     return [t[0] for t in graph] == list(range(c.size))
+
+
+def mediating_map_counts(result, members, m: FiniteAlgebra) -> list[int]:
+    """Per homomorphism family (f_1, ..., f_n) from the members into m, in
+    the order of their hom-sets' product, the number of homomorphisms
+    g: C -> m with g . eps_i = f_i for every i, by filtering Hom(C, m)."""
+    homs_c = hom_enumerate(result.algebra, m)
+    return [
+        sum(
+            all(
+                tuple(h.map[eps.map[x]] for x in range(b.size)) == f.map
+                for b, eps, f in zip(members, result.injections, combo)
+            )
+            for h in homs_c
+        )
+        for combo in itertools.product(*[hom_enumerate(b, m) for b in members])
+    ]
 
 
 def is_closed_subset(p: FiniteAlgebra, subset: frozenset[int]) -> bool:

@@ -26,14 +26,14 @@ from latcop.algebra import (
     isomorphic,
     subuniverses,
 )
-from latcop.catalog import _CONSTRUCTORS, make, make_id
+from latcop.catalog import _CONSTRUCTORS, make, make_id, table1_suite
 from latcop.classify import (
     find_single_generator,
     flowchart_classify,
     simplify_generators,
 )
 from latcop.errors import CapExceeded, LatcopError
-from latcop.piggyback import build_alter_ego, carrier_from_filter, carriers_of
+from latcop.piggyback import _relation_search, build_alter_ego, carrier_from_filter, carriers_of, leq_mask
 
 DM = make("demorgan4")
 K3 = make("kleene3")
@@ -409,6 +409,23 @@ class TestFlowchart:
             assert (rep.verdict_E, rep.verdict_S) == (True, True)
             assert entry.expected == (True, True)
         assert "computed verdict" in make("moisil_L", 2).notes
+
+    def test_diagonal_keeps_every_root_class_nonzero(self):
+        # R(w, w) holds the diagonal, a subuniverse inside (w, w)^-1(<=), so
+        # its root class is never 0 and the S verdict's "<= 1" is the single
+        # carrier's "= 1": 95 carriers of the Table 1 and ladder generators
+        ids = [e.key for e, _ in table1_suite()] + [
+            "mv_chain(7)", "mv_chain(8)", "moisil_L(7)", "moisil_L(8)", "heyting_chain(8)",
+            "pre_moisil_L0(4)", "pre_moisil_M0(3)", "pseudo_b(4)",
+        ]
+        count = 0
+        for entry in map(make_id, ids):
+            m = entry.algebra
+            root_class = _relation_search(direct_product([m, m]), m.size).root_class
+            for w in carriers_of(m, entry.spec):
+                assert root_class(leq_mask(w, w)) >= 1, (entry.key, w.label())
+                count += 1
+        assert count == 95
 
     def test_pseudocomplemented_carrier_is_recorded(self):
         # the separating carrier is discovered, not documented: it is the

@@ -18,6 +18,7 @@ from conftest import (
     lambda_map,
     lift_by_pairs,
     median_chain,
+    mediating_map_counts,
     morphisms_by_maps,
     pairs_of,
     poset_isomorphic,
@@ -53,7 +54,7 @@ from latcop.duality import (
     reveng_priestley,
     structure_product,
 )
-from latcop.errors import CapExceeded, InternalError, LatcopError, MembershipError
+from latcop.errors import CapExceeded, InternalError, MembershipError
 from latcop.piggyback import build_alter_ego, carrier_from_filter
 
 DM = make("demorgan4")
@@ -370,88 +371,127 @@ class TestCoproduct:
 
 class TestUniversalCheck:
     """The universal-property check on doctored coproducts built from
-    demorgan4 + demorgan4, against homomorphisms into demorgan4."""
+    demorgan4 + demorgan4, against homomorphisms into demorgan4: it raises
+    whenever some family has other than one mediating map
+    (``conftest.mediating_map_counts``), and also when the injection images
+    do not generate C, as a coproduct's do."""
 
     @staticmethod
-    def check(members, injections):
+    def doctored(injections):
         res = coproduct([DM.algebra], DM.spec, None, [DM.algebra, DM.algebra])
-        doctored = dataclasses.replace(res, injections=tuple(injections))
-        # the one-pass check agrees with the closure in C x m^K
-        families, rows = _prescribed(doctored, members, DM.algebra, {})
-        if rows is not None:
-            assert _extends_to_hom(res.algebra, DM.algebra, rows, len(families)) == (
-                universal_by_closure(res.algebra, DM.algebra, rows, len(families))
-            )
-        _check_universal_property(doctored, members, (DM.algebra,), {})
+        return dataclasses.replace(res, injections=tuple(injections))
+
+    @staticmethod
+    def check(doctored, members, failure):
+        """The mediating-map counts of the doctored coproduct, after checking
+        that the universal check raises with the given reason."""
+        counts = mediating_map_counts(doctored, members, DM.algebra)
+        with pytest.raises(InternalError, match="^universal property fails against 'demorgan4': " + failure):
+            _check_universal_property(doctored, members, (DM.algebra,), {})
+        return counts
 
     def test_equal_injections(self):
         # the family (id, id) is mediated by the two maps that agree with
-        # id on the first copy
+        # id on the first copy; (id, auto) asks two values of one element
         eps = coproduct([DM.algebra], DM.spec, None, [DM.algebra] * 2).injections[0]
-        with pytest.raises(LatcopError, match="fails against 'demorgan4': 2 mediating maps"):
-            self.check([DM.algebra] * 2, [eps, eps])
+        counts = self.check(self.doctored([eps, eps]), [DM.algebra] * 2, "a family prescribes two values")
+        assert counts == [2, 0, 0, 2]
 
     def test_injections_with_one_image(self):
         # the second injection is the first after demorgan4's automorphism,
         # so no map mediates the family (id, id)
         eps = coproduct([DM.algebra], DM.spec, None, [DM.algebra] * 2).injections[0]
         auto = hom_enumerate(DM.algebra, DM.algebra)[1]
-        with pytest.raises(LatcopError, match="fails against 'demorgan4': 0 mediating maps"):
-            self.check([DM.algebra] * 2, [eps, compose(eps, auto)])
+        doctored = self.doctored([eps, compose(eps, auto)])
+        counts = self.check(doctored, [DM.algebra] * 2, "a family prescribes two values")
+        assert counts == [0, 2, 2, 0]
 
     @pytest.mark.parametrize(
-        "elems, failure",
+        "elems, counts",
         [
-            # every homomorphism into demorgan4 is fixed by these 5 elements
-            ((0, 1, 5, 13, 15), None),
-            ((0, 1, 13, 15), "2 mediating maps"),
+            # every homomorphism into demorgan4 is fixed by these 5 elements,
+            # so each family has one mediating map into demorgan4; but C is
+            # not the coproduct of the subalgebra: the identity of the
+            # subalgebra does not extend to C, whose image would leave it
+            ((0, 1, 5, 13, 15), [1, 1, 1, 1]),
+            ((0, 1, 13, 15), [2, 1, 1]),
         ],
     )
-    def test_images_that_do_not_generate(self, elems, failure):
+    def test_images_that_do_not_generate(self, elems, counts):
         c = coproduct([DM.algebra], DM.spec, None, [DM.algebra] * 2).algebra
         assert subuniverse_closure(c, elems) == frozenset(elems)
         sub, _ = induced_subalgebra(c, elems)
-        inclusion = Homomorphism(sub, c, elems)
-        if failure is None:
-            self.check([sub], [inclusion])
-        else:
-            with pytest.raises(LatcopError, match=failure):
-                self.check([sub], [inclusion])
+        doctored = self.doctored([Homomorphism(sub, c, elems)])
+        assert self.check(doctored, [sub], "the injection images do not generate C") == counts
+        # the one-pass check agrees with the closure in C x m^K
+        width, rows = _prescribed(doctored, [sub], DM.algebra, {})
+        assert not _extends_to_hom(c, DM.algebra, rows, width)
+        assert not universal_by_closure(c, DM.algebra, rows, width)
+
+
+def _coproduct_case(family, generators):
+    def algebra(cid):
+        if cid.startswith("F1:"):
+            return free_algebra([make_id(cid[3:]).algebra], 1)
+        return make_id(cid).algebra
+
+    gens = [make_id(g) for g in generators]
+    members = [algebra(b) for b in family]
+    return coproduct([g.algebra for g in gens], gens[0].spec, None, members), members
+
+
+# the coproducts of the benchmark's construct workload, by family and generators
+CONSTRUCT_COPRODUCTS = [
+    (("demorgan4",) * 2, ("demorgan4",)),
+    (("demorgan4",) * 3, ("demorgan4",)),
+    (("heyting_chain(3)",) * 3, ("heyting_chain(3)",)),
+    (("demorgan4", "kleene3", "kleene3"), ("demorgan4", "kleene3")),
+    (("demorgan4", "demorgan4", "kleene3"), ("demorgan4", "kleene3")),
+    (("F1:kleene3",) * 2, ("kleene3",)),
+    (("F1:demorgan4",) * 2, ("demorgan4",)),
+    (("F1:heyting_chain(3)",) * 2, ("heyting_chain(3)",)),
+]
+
+
+class TestCoproductsAreGenerated:
+    """The theorem the universal check relies on: a coproduct is generated
+    by its injection images, and each family has exactly one mediating map
+    (``conftest.mediating_map_counts``)."""
+
+    @pytest.mark.parametrize(
+        "family, generators",
+        CONSTRUCT_COPRODUCTS + [
+            # no family into either generator: C has one element
+            (("mv_chain(2)", "mv_chain(3)"), ("mv_chain(2)", "mv_chain(3)")),
+            (("kleene3", "demorgan4"), ("kleene3", "demorgan4")),
+        ],
+    )
+    def test_images_generate_and_mediate_once(self, family, generators):
+        res, members = _coproduct_case(family, generators)
+        images = {y for eps in res.injections for y in eps.map}
+        assert subuniverse_closure(res.algebra, images) == frozenset(range(res.algebra.size))
+        for m in res.ego.sorts:
+            assert set(mediating_map_counts(res, members, m)) <= {1}
+
+    def test_no_family_gives_one_element(self):
+        res, members = _coproduct_case(("mv_chain(2)", "mv_chain(3)"), ("mv_chain(2)", "mv_chain(3)"))
+        assert res.algebra.size == 1
+        assert all(_prescribed(res, members, m, {})[0] == 0 for m in res.ego.sorts)
 
 
 class TestExtendsToHom:
     """The one-pass universal check against the closure of the graph in
     C x m^K (``conftest.universal_by_closure``)."""
 
-    @pytest.mark.parametrize(
-        "family, generators",
-        [
-            (("demorgan4",) * 2, ("demorgan4",)),
-            (("demorgan4",) * 3, ("demorgan4",)),
-            (("heyting_chain(3)",) * 3, ("heyting_chain(3)",)),
-            (("demorgan4", "kleene3", "kleene3"), ("demorgan4", "kleene3")),
-            (("demorgan4", "demorgan4", "kleene3"), ("demorgan4", "kleene3")),
-            (("F1:kleene3",) * 2, ("kleene3",)),
-            (("F1:demorgan4",) * 2, ("demorgan4",)),
-            (("F1:heyting_chain(3)",) * 2, ("heyting_chain(3)",)),
-        ],
-    )
+    @pytest.mark.parametrize("family, generators", CONSTRUCT_COPRODUCTS)
     def test_agrees_with_closure_on_coproducts(self, family, generators):
-        def algebra(cid):
-            if cid.startswith("F1:"):
-                return free_algebra([make_id(cid[3:]).algebra], 1)
-            return make_id(cid).algebra
-
-        gens = [make_id(g) for g in generators]
-        members = [algebra(b) for b in family]
-        res = coproduct([g.algebra for g in gens], gens[0].spec, None, members)
+        res, members = _coproduct_case(family, generators)
         for m in res.ego.sorts:
-            families, rows = _prescribed(res, members, m, {})
-            if not families:
+            width, rows = _prescribed(res, members, m, {})
+            if not width:
                 continue  # no family into m: nothing to mediate
-            assert rows is not None
-            assert _extends_to_hom(res.algebra, m, rows, len(families))
-            assert universal_by_closure(res.algebra, m, rows, len(families))
+            assert _extends_to_hom(res.algebra, m, rows, width)
+            assert universal_by_closure(res.algebra, m, rows, width)
 
     @pytest.mark.parametrize("block", [1, 5, algebra_module._BLOCK])
     def test_ternary_operations(self, block):
