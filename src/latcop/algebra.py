@@ -24,6 +24,7 @@ import numpy as np
 from .errors import CapExceeded, InternalError, LatcopError, SignatureMismatch, UnknownSymbol
 
 DEFAULT_PRODUCT_CAP = 10**6
+FIGURE_CEILING = 10**4300 - 1  # the largest number Python prints by default
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class Term:
             return f"x{self.head}"
         if not self.args:
             return f"({self.head})"
-        return "(" + self.head + " " + " ".join(str(a) for a in self.args) + ")"
+        return "(" + self.head + " " + " ".join(map(str, self.args)) + ")"
 
 
 def var(i: int) -> Term:
@@ -890,38 +891,32 @@ def _extends_to_hom(
 # products
 
 
-def direct_product(
-    algebras: Sequence[FiniteAlgebra],
-    signature: Signature | None = None,
-) -> FiniteAlgebra:
-    """Componentwise product.  Its elements are the factor tuples numbered
-    row-major, leftmost factor most significant (the rule
-    :meth:`FiniteAlgebra.flat_index` uses for table positions): (a, b) of
-    A x B is a * B.size + b, read back with ``divmod``.
+def _bounded(base: int, exp: int, cap: int) -> int:
+    """min(base**exp, L) for base >= 1, where L = max(cap + 1, FIGURE_CEILING)
+    is past both the cap and the printable figures; no number past L**2 is formed."""
+    limit = max(cap + 1, FIGURE_CEILING)
+    return limit if exp * (base.bit_length() - 1) >= limit.bit_length() else min(base**exp, limit)
+
+
+def direct_product(algebras: Sequence[FiniteAlgebra]) -> FiniteAlgebra:
+    """Componentwise product of one or more algebras.  Its elements are the
+    factor tuples numbered row-major, leftmost factor most significant (the
+    rule :meth:`FiniteAlgebra.flat_index` uses for table positions): (a, b)
+    of A x B is a * B.size + b, read back with ``divmod``.
 
     A full product is closed, so each table is one broadcast sum: with k
     factors of more than one element, the table of an arity-r symbol has
     the axes (argument i, factor j) at i*k + j, and factor j's table,
-    weighted by the place value of j, lies on the axes j, k + j, ...  The
-    empty product is the one-element algebra; its signature must then be
-    supplied explicitly.  CapExceeded is raised, before any table is built,
-    for more than ``DEFAULT_PRODUCT_CAP`` elements or ``TABLE_ENTRY_BUDGET``
-    table entries.
+    weighted by the place value of j, lies on the axes j, k + j, ...
+    CapExceeded is raised, before any table is built, for more than
+    ``TABLE_ENTRY_BUDGET`` table entries.
     """
-    if algebras:
-        _check_same_signature(*algebras)
-        if signature is not None and signature != algebras[0].signature:
-            raise SignatureMismatch("explicit signature disagrees with factors")
-        signature = algebras[0].signature
-    elif signature is None:
-        raise LatcopError("empty product needs an explicit signature")
+    if not algebras:
+        raise LatcopError("a product needs at least one factor")
+    _check_same_signature(*algebras)
+    signature = algebras[0].signature
     size = prod(a.size for a in algebras)
-    if size > DEFAULT_PRODUCT_CAP:
-        raise CapExceeded(
-            f"product would have {size} elements, cap is {DEFAULT_PRODUCT_CAP}",
-            required=size, stage="product", budget=DEFAULT_PRODUCT_CAP,
-        )
-    required = sum(size**arity for _, arity in signature.symbols)
+    required = min(sum(_bounded(size, r, TABLE_ENTRY_BUDGET) for _, r in signature.symbols), FIGURE_CEILING)
     if required > TABLE_ENTRY_BUDGET:
         raise CapExceeded(
             f"subpower tables need {required}+ entries, budget is {TABLE_ENTRY_BUDGET}",
@@ -940,7 +935,7 @@ def direct_product(
             # the factor's narrower dtype widens to ``dtype`` in the product
             table += a.arrays()[i].reshape(axes) * dtype.type(place)
         tables.append(table.ravel())
-    return FiniteAlgebra("x".join(a.name for a in algebras) or "1", size, signature, tuple(tables))
+    return FiniteAlgebra("x".join(a.name for a in algebras), size, signature, tuple(tables))
 
 
 # ---------------------------------------------------------------------------
@@ -1002,11 +997,12 @@ def free_algebra(
     sig = generators[0].signature
     ambient = 1
     for m in generators:
-        ambient *= m.size ** (m.size**n)
+        ambient = _bounded(ambient * _bounded(m.size, _bounded(m.size, n, cap), cap), 1, cap)
         if ambient > cap:
+            required = min(ambient, FIGURE_CEILING)
             raise CapExceeded(
-                f"free-algebra ambient product needs {ambient}+ elements, cap is {cap}",
-                required=ambient, stage="free algebra", budget=cap,
+                f"free-algebra ambient product needs {required}+ elements, cap is {cap}",
+                required=required, stage="free algebra", budget=cap,
             )
     # coordinates: (generator, assignment of the n variables)
     coords = [(m, v) for m in generators for v in itertools.product(range(m.size), repeat=n)]

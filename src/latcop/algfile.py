@@ -20,10 +20,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .algebra import FiniteAlgebra, Signature, Term, app, var
-from .catalog import CatalogEntry
+from .algebra import FIGURE_CEILING, FiniteAlgebra, Signature, Term, app, var
+from .catalog import CatalogEntry, decimal
 from .distlat import DReductSpec
 from .errors import ParseError
+
+# a term's str and == recurse up to four frames a level: 216 levels leave 136 of the default 1,000
+MAX_TERM_DEPTH = 216
 
 
 @dataclass
@@ -38,11 +41,13 @@ class AlgebraFile:
     algebras: list[ParsedAlgebra] = field(default_factory=list)
 
 
-def _parse_term(tokens: list[str], pos: int, line: int, signature: Signature) -> tuple[Term, int]:
+def _parse_term(tokens: list[str], pos: int, line: int, signature: Signature, depth: int = 1) -> tuple[Term, int]:
     if pos >= len(tokens):
         raise ParseError("unexpected end of term", line)
     tok = tokens[pos]
     if tok == "(":
+        if depth > MAX_TERM_DEPTH:
+            raise ParseError(f"term nested more than {MAX_TERM_DEPTH} parentheses deep", line)
         if pos + 1 >= len(tokens):
             raise ParseError("unexpected end of term after '('", line)
         sym = tokens[pos + 1]
@@ -52,14 +57,14 @@ def _parse_term(tokens: list[str], pos: int, line: int, signature: Signature) ->
         args = []
         cur = pos + 2
         for _ in range(arity):
-            sub, cur = _parse_term(tokens, cur, line, signature)
+            sub, cur = _parse_term(tokens, cur, line, signature, depth + 1)
             args.append(sub)
         if cur >= len(tokens) or tokens[cur] != ")":
             raise ParseError(f"expected ')' closing {sym!r}", line)
         return app(sym, *args), cur + 1
     m = re.fullmatch(r"x(\d+)", tok)
     if m:
-        return var(int(m.group(1))), pos + 1
+        return var(decimal(m.group(1), line=line)), pos + 1
     if tok in signature:
         if signature.arity(tok) != 0:
             raise ParseError(f"symbol {tok!r} needs parentheses and arguments", line)
@@ -93,7 +98,7 @@ class _Block:
 
     def resolve_value(self, token: str, line: int) -> int:
         if token.removeprefix("-").isdecimal():
-            v = int(token)
+            v = decimal(token, line=line)
         elif self.elements is not None and token in self.elements:
             v = self.elements.index(token)
         else:
@@ -113,8 +118,8 @@ class _Block:
                 raise ParseError(f"missing table for symbol {sym!r}", decl_line)
             raw, line = self.tables[sym]
             # for size >= 2 an arity past len(raw).bit_length() is too long
-            # already, so size**arity is not formed
-            huge = self.size > 1 and arity > len(raw).bit_length()
+            # already, so size**arity is not formed, nor printed past FIGURE_CEILING
+            huge = self.size > 1 and (arity > len(raw).bit_length() or self.size**arity > FIGURE_CEILING)
             expected = f"{self.size}**{arity}" if huge else self.size**arity
             if huge or len(raw) != expected:
                 raise ParseError(
@@ -175,7 +180,7 @@ def parse_algebra_file(text: str) -> AlgebraFile:
             m = re.fullmatch(r"algebra\s+(\S+)\s+size\s+(\d+)", line)
             if not m:
                 raise ParseError("expected 'algebra NAME size N'", lineno)
-            size = int(m.group(2))
+            size = decimal(m.group(2), line=lineno)
             if size < 1:
                 raise ParseError("size must be positive", lineno)
             block = _Block(m.group(1), size, lineno)
@@ -197,7 +202,7 @@ def parse_algebra_file(text: str) -> AlgebraFile:
             sym = words[1]
             if any(s == sym for s, _, _ in block.ops):
                 raise ParseError(f"duplicate op {sym!r}", lineno)
-            block.ops.append((sym, int(words[2]), lineno))
+            block.ops.append((sym, decimal(words[2], line=lineno), lineno))
         elif key == "table":
             m = re.fullmatch(r"table\s+(\S+)\s*=\s*(.*)", line)
             if not m:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .algebra import TABLE_ENTRY_BUDGET, FiniteAlgebra, Signature, app, var
 from .distlat import DReductSpec, d_reduct
-from .errors import CapExceeded, LatcopError
+from .errors import CapExceeded, LatcopError, ParseError
 
 UNVERIFIED_TABLE_ROWS = (
     "quantifier-lattice varieties D_pq (generators not constructed)",
@@ -466,13 +466,16 @@ def make_id(identifier: str) -> CatalogEntry:
     if not m:
         raise LatcopError(f"cannot parse catalog id {identifier!r}")
     name, param = m.group(1), m.group(2) or m.group(3)
-    if param is None:
-        return make(name)
+    return make(name) if param is None else make(name, decimal(param, "catalog id parameter"))
+
+
+def decimal(token: str, what: str = "number", line: int | None = None) -> int:
+    """A decimal token of outside text as an int; past Python's digit limit, bad input at ``line``."""
     try:
-        value = int(param)
-    except ValueError:  # past the interpreter's limit on digits
-        raise LatcopError(f"catalog id parameter of {len(param)} digits is too long") from None
-    return make(name, value)
+        return int(token)
+    except ValueError:
+        message = f"{what} of {len(token)} digits is too long"
+        raise (LatcopError(message) if line is None else ParseError(message, line)) from None
 
 
 def table1_suite() -> list[tuple[CatalogEntry, tuple[bool, bool]]]:

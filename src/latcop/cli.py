@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .algebra import FiniteAlgebra, free_algebra
 from .algfile import export_entry, parse_algebra_file
-from .catalog import CONSTRUCTOR_IDS, make_id
+from .catalog import CONSTRUCTOR_IDS, decimal, make_id
 from .classify import flowchart_classify
 from .distlat import DReductSpec, d_reduct, priestley_dual
 from .duality import coproduct, reveng_priestley
@@ -109,7 +109,7 @@ def _resolve_omega(arg: str | None, inputs: _Inputs):
             if sort.element_names and tok in sort.element_names:
                 elements.add(sort.element_names.index(tok))
             elif tok.isdecimal():
-                elements.add(int(tok))
+                elements.add(decimal(tok))
             else:  # a printed label, whose element names may hold commas
                 labelled = [c.elements for c in carriers_of(sort, spec) if c.label() == chunk.strip()]
                 if not labelled:

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import (
+    FIGURE_CEILING,
     FiniteAlgebra,
     Homomorphism,
+    _bounded,
     _extends_to_hom,
     _relabel,
     _separated,
@@ -120,11 +122,13 @@ def structure_product(
     for s in range(nsorts):
         count = 1
         for x in structures:
-            count *= len(x.points[s])
+            count = _bounded(count * len(x.points[s]), 1, points_cap)
         if count > points_cap:
+            required = min(count, FIGURE_CEILING)
             raise CapExceeded(
-                f"product structure needs {count} points in sort {s}, cap is {points_cap}",
-                required=count, stage="structure product", budget=points_cap,
+                f"product structure needs {required}{'+' * (count >= FIGURE_CEILING)} points "
+                f"in sort {s}, cap is {points_cap}",
+                required=required, stage="structure product", budget=points_cap,
             )
     points = tuple(
         tuple(itertools.product(*[x.points[s] for x in structures]))
@@ -296,17 +300,15 @@ def coproduct(
     injection of B sends b to the morphism mapping a product point
     (x_A)_A of sort M to x_B(b).  Injections are checked to be
     homomorphisms; the universal property is checked against all
-    homomorphism families into the generators.
+    homomorphism families into the generators, the product's points.
     """
-    gens = tuple(generators)
     homs: dict = {}
-    ego = build_alter_ego(gens, spec, omega, homs=homs)
+    ego = build_alter_ego(generators, spec, omega, homs=homs)
     members = list(family)
     duals = [natural_dual(b, ego, homs=homs) for b in members]
     prod_structure = structure_product(duals, points_cap, ego=ego)
     e_res = e_functor(prod_structure, visit_cap)
-    names = ",".join(b.name for b in members)
-    algebra = e_res.algebra.rename(f"Coprod({names})")
+    algebra = e_res.algebra.rename(f"Coprod({','.join(b.name for b in members)})")
     injections = []
     for bi, b in enumerate(members):
         points = [prod_structure.points[s][i][bi] for s, i in e_res.point_order]
@@ -315,37 +317,31 @@ def coproduct(
             raise InternalError("coproduct injection not a homomorphism")
         injections.append(eps)
     result = CoproductResult(algebra, tuple(injections), prod_structure, e_res, ego)
-    _check_universal_property(result, members, gens, homs)
+    _check_universal_property(result)
     return result
 
 
-def _prescribed(
-    result: CoproductResult, members: list[FiniteAlgebra], m: FiniteAlgebra, homs: dict
-) -> tuple[int, dict[int, tuple[int, ...]]]:
-    """The number K of homomorphism families (f_1, ..., f_n) in ``homs``
-    from the members into m, and the values they prescribe on C: family k
-    asks g_k(eps_i(x)) = f_i(x), so each injection image c gets the row
+def _prescribed(result: CoproductResult, s: int) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """The number K of homomorphism families (f_1, ..., f_n) from the members
+    into the generator of sort s, which are the points of sort s of the
+    product of duals, and the values they prescribe on C: family k asks
+    g_k(eps_i(x)) = f_i(x), so each injection image c gets the row
     (g_1(c), ..., g_K(c)).  Two prescriptions for one c that disagree leave
     their family no mediating map, and raise InternalError."""
-    families = list(itertools.product(*[hom_set(homs, b, m) for b in members]))
+    families = result.structure.points[s]
     rows: dict[int, tuple[int, ...]] = {}
-    for i, (b, eps) in enumerate(zip(members, result.injections)):
-        for x in range(b.size):
+    for i, eps in enumerate(result.injections):
+        for x in range(eps.source.size):
             row = tuple(f[i].map[x] for f in families)
             if rows.setdefault(eps.map[x], row) != row:
                 raise InternalError(
-                    f"universal property fails against {m.name!r}: a family "
+                    f"universal property fails against {result.ego.sorts[s].name!r}: a family "
                     f"prescribes two values at element {eps.map[x]} of C"
                 )
     return len(families), rows
 
 
-def _check_universal_property(
-    result: CoproductResult,
-    members: list[FiniteAlgebra],
-    generators: tuple[FiniteAlgebra, ...],
-    homs: dict,
-) -> None:
+def _check_universal_property(result: CoproductResult) -> None:
     """The universal property: against every homomorphism family into
     ISP(generators) there is exactly one mediating map.
 
@@ -359,10 +355,9 @@ def _check_universal_property(
     generators.  A generator that receives no family is skipped: when none
     does, the product of duals has no points and C has one element.
     """
-    c = result.algebra
-    for m in generators:
-        width, rows = _prescribed(result, members, m, homs)
-        if width and not _extends_to_hom(c, m, rows, width):
+    for s, m in enumerate(result.ego.sorts):
+        width, rows = _prescribed(result, s)
+        if width and not _extends_to_hom(result.algebra, m, rows, width):
             raise InternalError(
                 f"universal property fails against {m.name!r}: the injection images "
                 "do not generate C, or the values they are given do not extend to a homomorphism"

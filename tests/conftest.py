@@ -353,6 +353,12 @@ def pointwise_closure(coords, generators, signature=None) -> list[tuple[int, ...
         found |= new
 
 
+def one_element(signature: Signature) -> FiniteAlgebra:
+    """The one-element algebra of ``signature``, named ``1``: every table
+    is the single entry 0."""
+    return FiniteAlgebra("1", 1, signature, tuple((0,) for _ in signature.symbols))
+
+
 def product_by_subpower(algebras, signature=None) -> FiniteAlgebra:
     """The direct product with its tables from the subpower kernel: every
     factor tuple, listed row-major, is the given universe.  The empty

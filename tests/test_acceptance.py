@@ -30,11 +30,12 @@ from latcop.algebra import (
     hom_enumerate,
     isomorphic,
 )
-from latcop.catalog import make
+from latcop.catalog import make, make_id, table1_suite
 from latcop.duality import (
     coproduct,
     reveng_priestley,
 )
+from latcop.errors import CapExceeded
 from latcop.piggyback import (
     carrier_from_filter,
     carriers_of,
@@ -207,6 +208,37 @@ def test_criterion_10_iota_cross_validation():
     assert (chk.surjective, chk.order_embedding) == (rep.verdict_E, rep.verdict_S)
     _passed(10, "iota checks match the flowchart verdicts; the Kleene image "
                 "equals the carrier-intersection formula")
+
+
+# the families in ISP(M) that iota is read on where (M, M) does not serve:
+# pseudo_b(3) + pseudo_b(3) stops at the table budget, and on mv_chain(6)'s
+# square iota is an order-embedding although S is no
+IOTA_FAMILIES = {
+    ("pseudo_b(3)", "E"): ("pseudo_b(2)", "pseudo_b(2)"),
+    ("pseudo_b(3)", "S"): ("pseudo_b(2)", "pseudo_b(2)"),
+    ("mv_chain(6)", "S"): ("mv_chain(2)", "mv_chain(3)"),
+}
+
+
+@pytest.mark.parametrize("entry, expected", table1_suite(), ids=[e.key for e, _ in table1_suite()])
+def test_table1_through_iota(entry, expected):
+    """Each Table 1 verdict read off the canonical map iota on a named
+    family: E by iota's surjectivity, S by iota being an order-embedding.
+    A "yes" is checked on the family, a "no" is witnessed by it; a family
+    that stops at a budget fails the row."""
+    checks: dict = {}  # by family; None is (M, M)
+    verdicts = []
+    for which in ("E", "S"):
+        family = IOTA_FAMILIES.get((entry.key, which))
+        if family not in checks:
+            members = [make_id(b).algebra for b in family] if family else [entry.algebra] * 2
+            try:
+                checks[family] = iota_check([entry.algebra], entry.spec, None, members)
+            except CapExceeded as exc:
+                pytest.fail(f"{entry.key} {which} on {family or 'M + M'}: {exc.budget_note()}")
+        chk = checks[family]
+        verdicts.append(chk.surjective if which == "E" else chk.order_embedding)
+    assert tuple(verdicts) == expected
 
 
 def test_criterion_11_free_algebras():

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import time
 import tracemalloc
 from math import prod
 from unittest import mock
@@ -31,6 +32,7 @@ from conftest import (
     kernel,
     least_injective_hom,
     median_chain,
+    one_element,
     op,
     pointwise_closure,
     pointwise_tables,
@@ -43,6 +45,8 @@ from conftest import (
 )
 from latcop import algebra as algebra_module
 from latcop.algebra import (
+    DEFAULT_PRODUCT_CAP,
+    FIGURE_CEILING,
     FiniteAlgebra,
     Homomorphism,
     Signature,
@@ -390,8 +394,9 @@ class TestProductQuotient:
         assert direct_product([K3, K3]).size == 9
 
     def test_empty_product(self):
-        one = direct_product([], signature=K3.signature)
-        assert one.size == 1
+        # a product needs a factor; the one-element algebra is conftest's one_element
+        with pytest.raises(LatcopError, match="^a product needs at least one factor$"):
+            direct_product([])
 
     def test_componentwise_negation(self):
         # (a, b) of DM4 x K3 is numbered a * 3 + b, leftmost factor most significant
@@ -402,15 +407,18 @@ class TestProductQuotient:
         assert op(p, "neg", [x]) == 3
 
     def test_cap(self, monkeypatch):
-        # 5**20 elements is over DEFAULT_PRODUCT_CAP: raised before any tuple is listed
+        # 5**20 elements need more than TABLE_ENTRY_BUDGET table entries:
+        # raised before any tuple is listed
         def unreachable(*args, **kwargs):
             raise AssertionError("the product was listed")
 
         monkeypatch.setattr(algebra_module, "_subpower", unreachable)
         with pytest.raises(CapExceeded) as exc:
             direct_product([B2] * 20)
-        assert exc.value.required == B2.size**20 == 5**20
-        assert str(exc.value) == f"product would have {5**20} elements, cap is 1000000"
+        need = 2 * (5**20) ** 2 + 5**20 + 2  # meet, join, star, zero, one
+        assert B2.size**20 == 5**20
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == ("table build", 10**7, need)
+        assert str(exc.value) == f"subpower tables need {need}+ entries, budget is 10000000"
 
     def test_quotient_by_diagonal(self):
         q, nat = quotient(K3, Congruence.diagonal(3))
@@ -541,7 +549,7 @@ class TestRelSubdirectlyIrreducible:
     def test_one_element_algebra_is_not_si(self):
         # its only relative congruence is the diagonal, so the meet of the
         # others is the empty meet: the diagonal again
-        one = direct_product([], signature=K3.signature)
+        one = one_element(K3.signature)
         assert not is_rel_subdirectly_irreducible(one, [one])
         assert not is_rel_subdirectly_irreducible(one, [K3])
 
@@ -642,6 +650,36 @@ class TestFreeAlgebra:
             free_algebra([K3], 2, cap=100)
         assert (exc.value.stage, exc.value.budget, exc.value.required) == ("free algebra", 100, 3**9)
         assert str(exc.value) == f"free-algebra ambient product needs {3**9}+ elements, cap is 100"
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_printable_figures_are_exact(self, n):
+        # K3^(3^8) has 3,131 digits, under the 4,300 Python prints
+        with pytest.raises(CapExceeded) as exc:
+            free_algebra([K3], n)
+        assert exc.value.required == 3 ** 3**n
+        assert str(exc.value) == f"free-algebra ambient product needs {3 ** 3**n}+ elements, cap is 1000000"
+
+    @pytest.mark.parametrize("n", [9, 16, 10**9])
+    def test_figures_past_printing_are_lower_bounds(self, n):
+        # K3^(3^9) has 9,392 digits: the figure stops at FIGURE_CEILING, and
+        # no number much past it is formed, so even rank 10**9 is refused at once
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded) as exc:
+            free_algebra([K3], n)
+        assert time.perf_counter() - start < 1
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == (
+            "free algebra", DEFAULT_PRODUCT_CAP, FIGURE_CEILING
+        )
+        assert str(exc.value) == f"free-algebra ambient product needs {FIGURE_CEILING}+ elements, cap is 1000000"
+        assert exc.value.budget_note().endswith(f"required {FIGURE_CEILING}")
+
+    def test_cap_at_the_ceiling_is_still_compared_exactly(self):
+        # a cap of 4,300 nines is compared with the ambient size itself,
+        # not with the printable lower bound, which equals it
+        with pytest.raises(CapExceeded) as exc:
+            free_algebra([K3], 16, cap=FIGURE_CEILING)
+        assert (exc.value.budget, exc.value.required) == (FIGURE_CEILING, FIGURE_CEILING)
+        assert free_algebra([K3], 2, cap=3**9).size == 84
 
     def test_negative_rank(self):
         with pytest.raises(LatcopError, match="non-negative"):
@@ -905,16 +943,24 @@ class TestTableEntryBudget:
         assert str(exc.value) == f"subpower tables need {need}+ entries, budget is 10000000"
         assert peak < 1 << 16
 
+    def test_need_past_printing_is_a_lower_bound(self):
+        # B2^4000 has 2,796 digits and its binary tables 5,592: more than the
+        # 4,300 Python prints, so the need is reported as FIGURE_CEILING+
+        with pytest.raises(CapExceeded) as exc:
+            direct_product([B2] * 4000)
+        assert (exc.value.stage, exc.value.required) == ("table build", FIGURE_CEILING)
+        assert str(exc.value) == f"subpower tables need {FIGURE_CEILING}+ entries, budget is 10000000"
+
 
 @st.composite
 def product_cases(draw):
     """A signature of some of a nullary, a unary, a binary and a ternary
-    symbol in random order, and 0-3 factors of 1-4 elements with random
+    symbol in random order, and 1-3 factors of 1-4 elements with random
     tables."""
     symbols = [("c", 0), ("u", 1), ("b", 2), ("t", 3)]
     sig = Signature(tuple(draw(st.lists(st.sampled_from(symbols), min_size=1, unique=True))))
     factors = []
-    for i in range(draw(st.integers(0, 3))):
+    for i in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 4))
         factors.append(FiniteAlgebra(f"f{i}", n, sig, tuple(
             tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
@@ -930,16 +976,9 @@ class TestDirectProduct:
     @settings(max_examples=150, deadline=None)
     @given(product_cases())
     def test_matches_the_subpower_kernel(self, case):
-        sig, factors = case
-        assert direct_product(factors, sig) == product_by_subpower(factors, sig)
+        _, factors = case
+        assert direct_product(factors) == product_by_subpower(factors)
 
-    def test_product_cap_names_stage_and_budget(self, monkeypatch):
-        monkeypatch.setattr(algebra_module, "DEFAULT_PRODUCT_CAP", 11)
-        assert direct_product([K3, K3]).size == 9
-        with pytest.raises(CapExceeded) as exc:
-            direct_product([DM4, K3])
-        assert (exc.value.stage, exc.value.budget, exc.value.required) == ("product", 11, 12)
-        assert str(exc.value) == "product would have 12 elements, cap is 11"
 
 @st.composite
 def small_algebras(draw):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import op
 from latcop import cli
 from latcop.algebra import isomorphic
-from latcop.algfile import export_entry, parse_algebra_file, parse_term_text
+from latcop.algebra import term_table
+from latcop.algfile import MAX_TERM_DEPTH, export_entry, parse_algebra_file, parse_term_text
 from latcop.catalog import make
 from latcop.distlat import d_reduct
 from latcop.errors import ParseError
@@ -186,6 +187,21 @@ class TestTerms:
         sig = make("mv_chain", 2).algebra.signature
         with pytest.raises(ParseError):
             parse_term_text("(neg x0) x1", sig)
+
+    def test_deepest_term_is_walked(self):
+        # a term at the nesting limit is read, printed, compared (down to
+        # its innermost variable), hashed and evaluated, inside this test's
+        # own stack; one level more is refused
+        mv = make("mv_chain", 2).algebra
+        text = "(neg " * (MAX_TERM_DEPTH - 1) + "(oplus x0 x{})" + ")" * (MAX_TERM_DEPTH - 1)
+        t, u = parse_term_text(text.format(1), mv.signature), parse_term_text(text.format(0), mv.signature)
+        assert str(t) == text.format(1)
+        assert t != u and t == parse_term_text(text.format(1), mv.signature)
+        assert hash(t) == hash(parse_term_text(text.format(1), mv.signature))
+        assert t.max_var == 1
+        assert term_table(mv, t, 2) == term_table(mv, parse_term_text("(neg (oplus x0 x1))", mv.signature), 2)
+        with pytest.raises(ParseError, match=f"^line 1, column 1: term nested more than {MAX_TERM_DEPTH} parentheses deep$"):
+            parse_term_text("(neg " + text.format(1) + ")", mv.signature)
 
 
 class TestShippedFile:

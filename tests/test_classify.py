@@ -10,6 +10,7 @@ from conftest import (
     check_condition_C,
     is_rel_subdirectly_irreducible,
     least_injective_hom,
+    one_element,
     report_for,
     scan_single_generator,
     simplify_by_enumeration,
@@ -295,7 +296,7 @@ class TestSingleGeneratorAgainstScan:
         assert (rep.verdict_E, rep.verdict_S) == (False, True)
 
     def test_empty_and_trivial_inputs(self):
-        one = direct_product([], signature=K3.algebra.signature)
+        one = one_element(K3.algebra.signature)
         assert find_single_generator([]) is None
         assert find_single_generator([one]) is None
 
@@ -396,7 +397,7 @@ class TestFlowchart:
         assert rep.preserves_coproducts is None
 
     def test_trivial_class(self):
-        one = direct_product([], signature=K3.algebra.signature)
+        one = one_element(K3.algebra.signature)
         rep = flowchart_classify([one], K3.spec)
         assert rep.verdict_E and rep.verdict_S
 

@@ -502,6 +502,96 @@ class TestCatalogBudget:
         assert err == "error: catalog id parameter of 4401 digits is too long\n"
 
 
+class TestDigitLimit:
+    """An integer token past the 4,300 digits Python converts is bad input
+    (exit 2) wherever outside text is read, never an internal error."""
+
+    DIGITS = "9" * 5000
+
+    @pytest.mark.parametrize("old, new, line", [
+        ("size 4", "size {}", 1),
+        ("op neg 1", "op neg {}", 5),
+        ("table neg = 3 1 2 0", "table neg = 3 {} 2 0", 10),
+        ("reduct meet=(meet x0 x1)", "reduct meet=(meet x0 x{})", 13),
+        ("carrier {1 3}", "carrier {{1 {}}}", 14),
+    ], ids=["size", "arity", "table value", "term variable", "carrier"])
+    def test_alg_token(self, capsys, tmp_path, old, new, line):
+        text = (DATA / "demorgan4.alg").read_text(encoding="utf-8")
+        assert old in text.splitlines()[line - 1]
+        path = tmp_path / "long.alg"
+        path.write_text(text.replace(old, new.format(self.DIGITS)), encoding="utf-8")
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: line {line}, column 1: number of 5000 digits is too long\n"
+
+    def test_omega_index(self, capsys):
+        code, out, err = run(capsys, "duality", "kleene3", "--omega", self.DIGITS)
+        assert (code, out, err) == (EXIT_INPUT, "", "error: number of 5000 digits is too long\n")
+
+    def test_large_size_is_reported_not_printed(self, capsys, tmp_path):
+        # a size of 3,000 digits converts, but its square does not print
+        text = (DATA / "demorgan4.alg").read_text(encoding="utf-8").replace("elements 0 a b 1\n", "")
+        path = tmp_path / "large.alg"
+        path.write_text(text.replace("size 4", "size " + "9" * 3000), encoding="utf-8")
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: line 7, column 1: table for 'meet' has length 16, expected {'9' * 3000}**2\n"
+
+
+class TestTermNesting:
+    """Reduct terms nest at most ``algfile.MAX_TERM_DEPTH`` parentheses deep;
+    a deeper term is bad input, reported at its line."""
+
+    @staticmethod
+    def write(tmp_path, meet):
+        text = (DATA / "demorgan4.alg").read_text(encoding="utf-8")
+        path = tmp_path / "deep.alg"
+        path.write_text(text.replace("meet=(meet x0 x1)", "meet=" + meet), encoding="utf-8")
+        return str(path)
+
+    def test_200_levels_answer(self, capsys, tmp_path):
+        # neg is an involution on demorgan4, so the term is the meet
+        path = self.write(tmp_path, "(neg " * 200 + "(meet x0 x1)" + ")" * 200)
+        code, out, err = run(capsys, "classify", path)
+        assert (code, err) == (EXIT_OK, "")
+        assert "E: yes, S: yes" in out.splitlines()
+
+    @pytest.mark.parametrize("meet", [
+        "(neg " * 400 + "(meet x0 x1)" + ")" * 400,
+        "(neg " * 5000,
+    ], ids=["400 levels", "5000 unclosed"])
+    def test_deeper_terms_exit_2(self, capsys, tmp_path, meet):
+        code, out, err = run(capsys, "classify", self.write(tmp_path, meet))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: line 13, column 1: term nested more than 216 parentheses deep\n"
+
+
+class TestBudgetFigures:
+    """Counts past a cap are compared without forming numbers far past it,
+    and printed as lower bounds past the digits Python prints."""
+
+    @pytest.mark.parametrize("n", ["9", "12", "16"])
+    def test_free_rank(self, capsys, n):
+        code, out, err = run(capsys, "free", n, "kleene3")
+        assert (code, out) == (EXIT_UNKNOWN, "")
+        assert err.startswith("unknown: free-algebra ambient product needs 9999")
+        assert err.endswith(f"stage 'free algebra', budget 1000000, required {'9' * 4300}\n")
+
+    def test_exact_figure(self, capsys):
+        code, _, err = run(capsys, "free", "3", "kleene3")
+        assert code == EXIT_UNKNOWN
+        assert err == (
+            "unknown: free-algebra ambient product needs 7625597484987+ elements, cap is 1000000; "
+            "stage 'free algebra', budget 1000000, required 7625597484987\n"
+        )
+
+    def test_coproduct_of_15000_operands(self, capsys):
+        code, out, err = run(capsys, "coproduct", *["demorgan4"] * 15000)
+        assert (code, out) == (EXIT_UNKNOWN, "")
+        assert err.startswith("unknown: product structure needs 9999")
+        assert err.endswith(f"stage 'structure product', budget 5000, required {'9' * 4300}\n")
+
+
 class TestExportAlg:
     def test_round_trip_through_cli(self, capsys, tmp_path):
         code, out, _ = run(capsys, "export-alg", "mv_chain:2")

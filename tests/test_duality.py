@@ -20,6 +20,7 @@ from conftest import (
     median_chain,
     mediating_map_counts,
     morphisms_by_maps,
+    one_element,
     pairs_of,
     poset_isomorphic,
     product_by_pairs,
@@ -33,6 +34,7 @@ from conftest import chain as chain_poset
 from latcop import algebra as algebra_module
 from latcop import duality as duality_module
 from latcop.algebra import (
+    FIGURE_CEILING,
     Homomorphism,
     _extends_to_hom,
     direct_product,
@@ -45,6 +47,7 @@ from latcop.algebra import (
 from latcop.catalog import make, make_id, table1_suite
 from latcop.distlat import d_reduct, poset_from_pairs, prime_filters, priestley_dual
 from latcop.duality import (
+    DEFAULT_POINTS_CAP,
     MultisortedStructure,
     _check_universal_property,
     _prescribed,
@@ -113,7 +116,7 @@ class TestNaturalDual:
         assert x.relations[0] == (0b01, 0b10)
 
     def test_trivial_algebra_has_no_points(self):
-        one = direct_product([], signature=DM.algebra.signature)
+        one = one_element(DM.algebra.signature)
         x = natural_dual(one, ego_for("demorgan4"))
         assert len(x.points[0]) == 0
 
@@ -156,6 +159,16 @@ class TestStructureProduct:
             structure_product([x, x, x], points_cap=7)
         assert (exc.value.stage, exc.value.budget, exc.value.required) == ("structure product", 7, 8)
         assert str(exc.value) == "product structure needs 8 points in sort 0, cap is 7"
+
+    def test_points_past_printing_are_a_lower_bound(self):
+        # 2^15000 points have 4,516 digits, past the 4,300 Python prints
+        x = natural_dual(DM.algebra, ego_for("demorgan4"))
+        with pytest.raises(CapExceeded) as exc:
+            structure_product([x] * 15000)
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == (
+            "structure product", DEFAULT_POINTS_CAP, FIGURE_CEILING
+        )
+        assert str(exc.value) == f"product structure needs {FIGURE_CEILING}+ points in sort 0, cap is 5000"
 
     def test_empty_family_one_point_per_sort(self):
         ego = ego_for("kleene3")
@@ -256,7 +269,7 @@ class TestEFunctor:
             assert e_functor(x).algebra.size == entry.algebra.size
 
     def test_empty_structure_gives_one_element(self):
-        one = direct_product([], signature=DM.algebra.signature)
+        one = one_element(DM.algebra.signature)
         x = natural_dual(one, ego_for("demorgan4"))
         res = e_functor(x)
         assert res.algebra.size == 1
@@ -387,7 +400,7 @@ class TestUniversalCheck:
         that the universal check raises with the given reason."""
         counts = mediating_map_counts(doctored, members, DM.algebra)
         with pytest.raises(InternalError, match="^universal property fails against 'demorgan4': " + failure):
-            _check_universal_property(doctored, members, (DM.algebra,), {})
+            _check_universal_property(doctored)
         return counts
 
     def test_equal_injections(self):
@@ -422,9 +435,13 @@ class TestUniversalCheck:
         assert subuniverse_closure(c, elems) == frozenset(elems)
         sub, _ = induced_subalgebra(c, elems)
         doctored = self.doctored([Homomorphism(sub, c, elems)])
+        # the check reads the families off the result: the points of the
+        # product of the one member's dual
+        ego = doctored.ego
+        doctored = dataclasses.replace(doctored, structure=structure_product([natural_dual(sub, ego)], ego=ego))
         assert self.check(doctored, [sub], "the injection images do not generate C") == counts
         # the one-pass check agrees with the closure in C x m^K
-        width, rows = _prescribed(doctored, [sub], DM.algebra, {})
+        width, rows = _prescribed(doctored, 0)
         assert not _extends_to_hom(c, DM.algebra, rows, width)
         assert not universal_by_closure(c, DM.algebra, rows, width)
 
@@ -453,19 +470,34 @@ CONSTRUCT_COPRODUCTS = [
 ]
 
 
+# those and two of two generators; no family goes into either of mv_chain(2)
+# and mv_chain(3), so their coproduct has one element
+CHECKED_COPRODUCTS = CONSTRUCT_COPRODUCTS + [
+    (("mv_chain(2)", "mv_chain(3)"), ("mv_chain(2)", "mv_chain(3)")),
+    (("kleene3", "demorgan4"), ("kleene3", "demorgan4")),
+]
+
+
+class TestFamiliesArePoints:
+    """The universal check reads its families off the product of duals X:
+    as D turns coproducts into products, the points of X in the sort of a
+    generator M are the families (f_1, ..., f_n), f_i in Hom(B_i, M), in
+    the order of the product of the hom-sets."""
+
+    @pytest.mark.parametrize("family, generators", CHECKED_COPRODUCTS)
+    def test_points_are_the_families(self, family, generators):
+        res, members = _coproduct_case(family, generators)
+        for s, m in enumerate(res.ego.sorts):
+            families = tuple(itertools.product(*[hom_enumerate(b, m) for b in members]))
+            assert res.structure.points[s] == families
+
+
 class TestCoproductsAreGenerated:
     """The theorem the universal check relies on: a coproduct is generated
     by its injection images, and each family has exactly one mediating map
     (``conftest.mediating_map_counts``)."""
 
-    @pytest.mark.parametrize(
-        "family, generators",
-        CONSTRUCT_COPRODUCTS + [
-            # no family into either generator: C has one element
-            (("mv_chain(2)", "mv_chain(3)"), ("mv_chain(2)", "mv_chain(3)")),
-            (("kleene3", "demorgan4"), ("kleene3", "demorgan4")),
-        ],
-    )
+    @pytest.mark.parametrize("family, generators", CHECKED_COPRODUCTS)
     def test_images_generate_and_mediate_once(self, family, generators):
         res, members = _coproduct_case(family, generators)
         images = {y for eps in res.injections for y in eps.map}
@@ -474,9 +506,9 @@ class TestCoproductsAreGenerated:
             assert set(mediating_map_counts(res, members, m)) <= {1}
 
     def test_no_family_gives_one_element(self):
-        res, members = _coproduct_case(("mv_chain(2)", "mv_chain(3)"), ("mv_chain(2)", "mv_chain(3)"))
+        res, _ = _coproduct_case(("mv_chain(2)", "mv_chain(3)"), ("mv_chain(2)", "mv_chain(3)"))
         assert res.algebra.size == 1
-        assert all(_prescribed(res, members, m, {})[0] == 0 for m in res.ego.sorts)
+        assert all(_prescribed(res, s)[0] == 0 for s in range(len(res.ego.sorts)))
 
 
 class TestExtendsToHom:
@@ -485,9 +517,9 @@ class TestExtendsToHom:
 
     @pytest.mark.parametrize("family, generators", CONSTRUCT_COPRODUCTS)
     def test_agrees_with_closure_on_coproducts(self, family, generators):
-        res, members = _coproduct_case(family, generators)
-        for m in res.ego.sorts:
-            width, rows = _prescribed(res, members, m, {})
+        res, _ = _coproduct_case(family, generators)
+        for s, m in enumerate(res.ego.sorts):
+            width, rows = _prescribed(res, s)
             if not width:
                 continue  # no family into m: nothing to mediate
             assert _extends_to_hom(res.algebra, m, rows, width)

@@ -18,6 +18,7 @@ from conftest import (
     leq_sublattice,
     median_chain,
     minimal_omega_by_sep,
+    one_element,
     preimage_masks,
     relation_orbit_count,
     sep_by_loop,
@@ -170,7 +171,7 @@ class TestMinimalOmega:
 
 class TestLeqSublattice:
     def test_one_element_sort(self):
-        one = direct_product([], signature=B2.algebra.signature)
+        one = one_element(B2.algebra.signature)
         # a one-element algebra has no carriers; use bool2's single carrier twice
         w = carrier_from_filter(B2.algebra, B2.spec, {1})
         assert len(leq_sublattice(w, w)) == 3
@@ -348,7 +349,7 @@ class TestSeparationTable:
     def test_no_homs_and_one_element_generators(self):
         # the one-element algebra has no pairs and, as 0 = 1 there, an empty
         # hom-set into bool2, whose one pair its one carrier splits
-        one = direct_product([], signature=B2.algebra.signature)
+        one = one_element(B2.algebra.signature)
         gens = [one, B2.algebra]
         carriers = carriers_of(B2.algebra, B2.spec)
         homs: dict = {}
