@@ -7,8 +7,8 @@ has one read-only numpy array (:meth:`FiniteAlgebra.arrays`), which the
 numpy readers share: the subpower kernel, products, the universal check,
 term tables, the symmetry flags and the relation search.  Enumeration
 outputs follow a documented total order (lexicographic over map vectors /
-sorted element tuples) to keep results diff-stable.  A call keeps its
-hom-sets in one store (:func:`hom_set`); nothing is cached between calls.
+sorted element tuples) to keep results diff-stable.  An algebra keeps the
+hom-sets out of it (:func:`hom_set`), each enumerated once.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import numpy as np
 from .errors import CapExceeded, InternalError, LatcopError, SignatureMismatch, UnknownSymbol
 
 DEFAULT_PRODUCT_CAP = 10**6
+# maps one hom-set may hold; End(heyting_chain(18)) has 2**16
+HOM_MAP_BUDGET = 1 << 17
 FIGURE_CEILING = 10**4300 - 1  # the largest number Python prints by default
 
 
@@ -174,9 +176,11 @@ class FiniteAlgebra:
         # attributes, not fields, so eq, hash and repr ignore them; a table
         # passed in as a tuple has None in ``_arrays`` until ``arrays()``.
         # ``_reducts`` keeps, per DReductSpec, what ``distlat.d_reduct``
-        # validated; like ``_arrays`` it is shared by ``rename()`` copies
+        # validated; like ``_arrays`` it is shared by ``rename()`` copies.
+        # ``_homs`` keeps hom(self, b) per target b (see :func:`hom_set`)
         object.__setattr__(self, "_arrays", arrays)
         object.__setattr__(self, "_reducts", {})
+        object.__setattr__(self, "_homs", {})
         object.__setattr__(self, "_ops", tuple(
             (sym, arity, tab) for (sym, arity), tab in zip(self.signature.symbols, self.tables)
         ))
@@ -232,9 +236,11 @@ class FiniteAlgebra:
 
     def rename(self, name: str) -> "FiniteAlgebra":
         """A shallow copy under a new name: the tables are already
-        validated and are shared, not scanned again."""
+        validated and are shared, not scanned again.  The hom-sets are
+        not, as each map names its source."""
         out = copy.copy(self)
         object.__setattr__(out, "name", name)
+        object.__setattr__(out, "_homs", {})
         return out
 
     def __repr__(self) -> str:  # keep reprs short; tables can be huge
@@ -433,16 +439,27 @@ def _maps(
 
 
 def hom_enumerate(a: FiniteAlgebra, b: FiniteAlgebra) -> list[Homomorphism]:
-    """All homomorphisms a -> b, sorted lexicographically by map vector."""
+    """All homomorphisms a -> b, sorted lexicographically by map vector;
+    CapExceeded past ``HOM_MAP_BUDGET`` maps."""
     _check_same_signature(a, b)
-    return [Homomorphism(a, b, m) for m in _maps(a, b)]
+    out = []
+    for m in _maps(a, b):
+        if len(out) == HOM_MAP_BUDGET:
+            raise CapExceeded(
+                f"hom({a.name}, {b.name}) has more than {HOM_MAP_BUDGET} maps",
+                required=HOM_MAP_BUDGET + 1, stage="hom enumeration", budget=HOM_MAP_BUDGET,
+            )
+        out.append(Homomorphism(a, b, m))
+    return out
 
 
-def hom_set(homs: dict, a: FiniteAlgebra, b: FiniteAlgebra) -> list[Homomorphism]:
-    """hom(a, b) from ``homs``, a call's store keyed by (a, b), filled on first use."""
-    if (a, b) not in homs:
-        homs[a, b] = hom_enumerate(a, b)
-    return homs[a, b]
+def hom_set(a: FiniteAlgebra, b: FiniteAlgebra) -> list[Homomorphism]:
+    """hom(a, b), kept on ``a`` per value-equal target and enumerated on
+    first use; a stopped enumeration keeps nothing."""
+    homs = a._homs.get(b)
+    if homs is None:
+        homs = a._homs[b] = hom_enumerate(a, b)
+    return homs
 
 
 def embeds(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
@@ -949,13 +966,12 @@ def _relabel(raw: Iterable[Hashable]) -> list[int]:
     return [labels.setdefault(v, len(labels)) for v in raw]
 
 
-def in_isp(algebra: FiniteAlgebra, generators: Sequence[FiniteAlgebra], *, homs: dict | None = None) -> bool:
+def in_isp(algebra: FiniteAlgebra, generators: Sequence[FiniteAlgebra]) -> bool:
     """True iff every pair of distinct elements is separated by a
-    homomorphism into some generator, read from the store ``homs``."""
+    homomorphism into some generator."""
     for m in generators:
         _check_same_signature(algebra, m)
-    homs = {} if homs is None else homs
-    return _separated(algebra, (h for m in generators for h in hom_set(homs, algebra, m)))
+    return _separated(algebra, (h for m in generators for h in hom_set(algebra, m)))
 
 
 def _separated(algebra: FiniteAlgebra, homs: Iterable[Homomorphism]) -> bool:
@@ -987,7 +1003,8 @@ def free_algebra(
     Realized as the subalgebra of the product over M of M^(M^n) generated by
     the n coordinate-projection tuples; only the generated elements are ever
     materialized.  The ``generators`` field of the result holds the free
-    generators in order.
+    generators in order.  CapExceeded is raised when the ambient product,
+    or n itself, exceeds ``cap``.
     """
     if not generators:
         raise LatcopError("free algebra needs at least one generating algebra")
@@ -1004,6 +1021,12 @@ def free_algebra(
                 f"free-algebra ambient product needs {required}+ elements, cap is {cap}",
                 required=required, stage="free algebra", budget=cap,
             )
+    if n > cap:  # reached only when every generator has one element
+        required = min(n, FIGURE_CEILING)
+        raise CapExceeded(
+            f"free algebra on {required} generators exceeds the cap {cap}",
+            required=required, stage="free algebra", budget=cap,
+        )
     # coordinates: (generator, assignment of the n variables)
     coords = [(m, v) for m in generators for v in itertools.product(range(m.size), repeat=n)]
     gen_tuples = [tuple(v[i] for _, v in coords) for i in range(n)]

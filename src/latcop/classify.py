@@ -6,7 +6,7 @@ separating carrier set, then read the verdicts off whether each
 |R(w1, w2)| <= 1, decided at the root of the pair's relation search
 (:func:`~latcop.piggyback._relation_search`) without listing R.  The
 coproduct-preservation verdict is the conjunction of E and S.  Every step
-of a run reads one store of hom-sets (:func:`~latcop.algebra.hom_set`).
+reads the hom-sets the algebras keep (:func:`~latcop.algebra.hom_set`).
 """
 
 from __future__ import annotations
@@ -30,29 +30,27 @@ from .algebra import (
 )
 from .distlat import DReductSpec, PrimeFilter
 from .errors import CapExceeded, InternalError, LatcopError
-from .piggyback import AlterEgo, MinimalityCertificate, _AlterEgoPlan
+from .piggyback import AlterEgo, MinimalityCertificate, SortedRelation
 
 SUBALGEBRA_SIZE_CAP = 12
 
 
-def _rsi(s: FiniteAlgebra, ambient: Sequence[FiniteAlgebra], homs: dict) -> bool:
+def _rsi(s: FiniteAlgebra, ambient: Sequence[FiniteAlgebra]) -> bool:
     """Whether ``s``, a member of ISP(ambient), is subdirectly irreducible
-    relative to it (RSI), on the hom-sets in the store ``homs``.
+    relative to it (RSI).
 
     Theorem (Gorbunov, *Algebraic Theory of Quasivarieties*, 1998): a
     finite algebra of the class is RSI exactly when it has two or more
     elements and the kernels of its non-injective homomorphisms into
     ``ambient`` meet above the diagonal (a one-element algebra's meet is
     the diagonal)."""
-    into = [h for m in ambient for h in hom_set(homs, s, m)]
+    into = [h for m in ambient for h in hom_set(s, m)]
     return not _separated(s, (h for h in into if not h.is_injective))
 
 
 def simplify_generators(
     generators: Sequence[FiniteAlgebra],
     size_cap: int = SUBALGEBRA_SIZE_CAP,
-    *,
-    homs: dict | None = None,
 ) -> list[FiniteAlgebra]:
     """Replace the generators by relatively subdirectly irreducible (RSI)
     subalgebras, dropping any that embeds in another.
@@ -70,7 +68,7 @@ def simplify_generators(
     found, so an RSI generator is one test and is kept as given; the finds
     are pruned largest first, ties by (generator index, element list),
     against the kept ones.  CapExceeded is raised on a generator of more
-    than ``size_cap`` elements before any test; ``homs`` is a hom-set store.
+    than ``size_cap`` elements before any test.
     """
     ambient = [m for m in generators if m.size > 1]
     if not generators:
@@ -83,16 +81,15 @@ def simplify_generators(
                 f"subalgebra enumeration needs generator size <= {size_cap}, got {m.size}",
                 required=m.size, stage="subalgebra enumeration", budget=size_cap,
             )
-    homs = {} if homs is None else homs
     found = []  # (size, generator index, elements, subalgebra)
     for mi, m in enumerate(ambient):
-        if _rsi(m, ambient, homs):
+        if _rsi(m, ambient):
             found.append((m.size, mi, frozenset(range(m.size)), m))
             continue
         for elems in sorted(subuniverses(m), key=len, reverse=True):
             if 1 < len(elems) < m.size and not any(t[1] == mi and elems <= t[2] for t in found):
                 sub, _ = induced_subalgebra(m, elems)
-                if _rsi(sub, ambient, homs):
+                if _rsi(sub, ambient):
                     found.append((sub.size, mi, elems, sub))
     kept: list = []
     for t in sorted(found, key=lambda t: (-t[0], t[1], sorted(t[2]))):
@@ -100,10 +97,10 @@ def simplify_generators(
             kept.append(t)
     simplified = [t[3] for t in sorted(kept, key=lambda t: (t[0], t[1], sorted(t[2])))]
     for m in ambient:
-        if not in_isp(m, simplified, homs=homs):
+        if not in_isp(m, simplified):
             raise InternalError("simplified set lost a generator")
     for s in simplified:
-        if not in_isp(s, ambient, homs=homs):
+        if not in_isp(s, ambient):
             raise InternalError("simplified set escapes the class")
     return simplified
 
@@ -143,10 +140,10 @@ def find_single_generator(generators: Sequence[FiniteAlgebra]) -> FiniteAlgebra 
 
 @dataclass
 class ClassificationReport:
-    """Output of the flowchart with all witnesses.  The relations are
-    listed, on the flowchart's ``plan``, when ``ego`` or ``relation_sizes``
-    is first read; a pair whose listing hits the node budget has none in
-    ``ego``, size None, and its ``CapExceeded`` in ``listing_stopped``."""
+    """Output of the flowchart with all witnesses.  ``listing`` holds, per
+    carrier pair of the flowchart's ``ego``, its relations or the
+    ``CapExceeded`` that stopped their listing; it is made when first read.
+    ``stopped`` is the ``CapExceeded`` that left the verdicts unknown."""
 
     input_generators: list[FiniteAlgebra]
     simplified: list[FiniteAlgebra] = field(default_factory=list)
@@ -156,8 +153,13 @@ class ClassificationReport:
     verdict_E: bool | None = None
     verdict_S: bool | None = None
     route: list[tuple[str, str]] = field(default_factory=list)
-    unknown: str | None = None
-    plan: _AlterEgoPlan | None = field(default=None, repr=False, compare=False)
+    stopped: CapExceeded | None = None
+    ego: AlterEgo | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def unknown(self) -> str | None:
+        """Why the verdicts are unknown, as the reports print it, or None."""
+        return None if self.stopped is None else f"{self.stopped}; {self.stopped.budget_note()}"
 
     @property
     def preserves_coproducts(self) -> bool | None:
@@ -166,31 +168,22 @@ class ClassificationReport:
         return self.verdict_E and self.verdict_S
 
     @functools.cached_property
-    def _listing(self) -> tuple[AlterEgo | None, dict[tuple[int, int], CapExceeded]]:
-        if self.plan is None:
-            return None, {}
-        relations: list = []
-        stopped: dict[tuple[int, int], CapExceeded] = {}
-        for i, j in self.plan.pairs():
+    def listing(self) -> dict[tuple[int, int], tuple[SortedRelation, ...] | CapExceeded]:
+        out: dict = {}
+        for ij in self.ego.pairs() if self.ego is not None else ():
             try:
-                relations.extend(self.plan.relations(i, j))
+                out[ij] = self.ego.relations_for(*ij)
             except CapExceeded as exc:
-                stopped[(i, j)] = exc
-        return self.plan.assemble(relations), stopped
+                out[ij] = exc
+        return out
 
-    @functools.cached_property
-    def ego(self) -> AlterEgo | None:
-        return self._listing[0]
-
-    @functools.cached_property
+    @property
     def listing_stopped(self) -> dict[tuple[int, int], CapExceeded]:
-        return self._listing[1]
+        return {ij: v for ij, v in self.listing.items() if isinstance(v, CapExceeded)}
 
-    @functools.cached_property
+    @property
     def relation_sizes(self) -> dict[tuple[int, int], int | None]:
-        if self.ego is None:
-            return {}
-        return {ij: None if ij in self.listing_stopped else n for ij, n in self.ego.relation_sizes().items()}
+        return {ij: None if isinstance(v, CapExceeded) else len(v) for ij, v in self.listing.items()}
 
     # -- serialization ------------------------------------------------------
 
@@ -216,6 +209,8 @@ class ClassificationReport:
             "preserves_coproducts": yesno(self.preserves_coproducts),
             "unknown": self.unknown,
         }
+        if self.stopped is not None:
+            doc["stopped"] = self.stopped.budget_doc()
         if self.minimality is not None:
             doc["omega_minimality"] = {
                 "size": self.minimality.size,
@@ -224,19 +219,16 @@ class ClassificationReport:
             }
         if self.ego is not None:
             rels = []
-            for (i, j), count in sorted(self.relation_sizes.items()):
-                exc = self.listing_stopped.get((i, j))
+            for (i, j), listed in self.listing.items():
+                stopped = isinstance(listed, CapExceeded)
                 entry = {
                     "omega1": self.omega[i].label(),
                     "omega2": self.omega[j].label(),
-                    "count": count,
-                    "relations": None if exc is not None else [
-                        [list(p) for p in r.pairs]
-                        for r in self.ego.relations_for(i, j)
-                    ],
+                    "count": None if stopped else len(listed),
+                    "relations": None if stopped else [[list(p) for p in r.pairs] for r in listed],
                 }
-                if exc is not None:
-                    entry["stopped"] = {"stage": exc.stage, "budget": exc.budget, "required": exc.required}
+                if stopped:
+                    entry["stopped"] = listed.budget_doc()
                 rels.append(entry)
             doc["relations"] = rels
         return doc
@@ -271,14 +263,13 @@ class ClassificationReport:
             )
         if self.ego is not None:
             lines.append("relations:")
-            for (i, j), count in sorted(self.relation_sizes.items()):
-                exc = self.listing_stopped.get((i, j))
-                if exc is not None:
-                    count = f"listing stopped ({exc.budget_note()})"
+            for (i, j), listed in self.listing.items():
+                stopped = isinstance(listed, CapExceeded)
+                count = f"listing stopped ({listed.budget_note()})" if stopped else len(listed)
                 lines.append(
                     f"  R[{self.omega[i].label()},{self.omega[j].label()}]: {count}"
                 )
-                for r in self.ego.relations_for(i, j):
+                for r in () if stopped else listed:
                     pretty = ",".join(
                         f"({self.ego.sorts[r.sort1].element_name(a)},"
                         f"{self.ego.sorts[r.sort2].element_name(b)})"
@@ -301,13 +292,12 @@ def flowchart_classify(
     spec: DReductSpec,
     size_cap: int = SUBALGEBRA_SIZE_CAP,
 ) -> ClassificationReport:
-    """Run the flowchart and fill a report with all witnesses; each hom-set
-    is enumerated once per run, and the verdicts read only the root class
-    of each carrier pair's relation search (see the module docstring)."""
+    """Run the flowchart and fill a report with all witnesses; the verdicts
+    read only the root class of each carrier pair's relation search (see
+    the module docstring)."""
     report = ClassificationReport(input_generators=list(generators))
-    homs: dict = {}
     try:
-        report.simplified = simplified = simplify_generators(generators, size_cap, homs=homs)
+        report.simplified = simplified = simplify_generators(generators, size_cap)
         m0 = _single_generator(simplified)
         if not simplified:
             # only trivial algebras: coproducts are trivially preserved
@@ -319,16 +309,16 @@ def flowchart_classify(
         report.route.append(
             ("is the class generated by a single algebra?", "yes" if m0 else "no")
         )
-        plan = _AlterEgoPlan([m0] if m0 is not None else simplified, spec, None, homs)
-        one_pair = m0 is not None and len(plan.omega) == 1
+        ego = AlterEgo([m0] if m0 is not None else simplified, spec)
+        one_pair = m0 is not None and len(ego.carriers) == 1
         # R(w, w) holds the diagonal, so for one carrier this is |R(w, w)| = 1
-        small = all(plan.root_class(i, j) <= 1 for i, j in plan.pairs())
+        small = all(ego.root_class(i, j) <= 1 for i, j in ego.pairs())
     except CapExceeded as exc:
-        report.unknown = f"{exc}; {exc.budget_note()}"
+        report.stopped = exc
         return report
-    report.omega = plan.omega
-    report.minimality = plan.minimality
-    report.plan = plan
+    report.omega = ego.carriers
+    report.minimality = ego.minimality
+    report.ego = ego
     if m0 is not None:
         report.route.append(
             ("does a single carrier map satisfy separation?", "yes" if one_pair else "no")

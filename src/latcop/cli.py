@@ -261,11 +261,10 @@ def _cmd_free(args) -> int:
 def _cmd_reveng(args) -> int:
     inputs = _load_many(args.source)
     omega = _resolve_omega(args.omega, inputs)
-    homs: dict = {}
-    ego = build_alter_ego(inputs.algebras, inputs.spec, omega, homs=homs)
+    ego = build_alter_ego(inputs.algebras, inputs.spec, omega)
     lines = []
     for a in inputs.algebras:
-        r = reveng_priestley(a, ego, homs=homs)
+        r = reveng_priestley(a, ego)
         lines.append(
             f"{a.name}: preorder on {r.preorder.size} pairs, quotient poset of "
             f"size {r.quotient.size}, isomorphic to the prime-filter poset: yes"
@@ -319,9 +318,8 @@ def _cmd_export_dot(args) -> int:
     inputs = _load_many(args.source)
     if args.reveng:
         omega = _resolve_omega(args.omega, inputs)
-        homs: dict = {}
-        ego = build_alter_ego(inputs.algebras, inputs.spec, omega, homs=homs)
-        poset = reveng_priestley(inputs.algebras[0], ego, homs=homs).quotient
+        ego = build_alter_ego(inputs.algebras, inputs.spec, omega)
+        poset = reveng_priestley(inputs.algebras[0], ego).quotient
         name = "reconstruction"
     else:
         poset = priestley_dual(d_reduct(inputs.algebras[0], inputs.spec))

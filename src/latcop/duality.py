@@ -5,8 +5,8 @@ generator, points are homomorphisms); E sends a structure back to the
 algebra of its structure-preserving maps into the alter ego.  Coproducts are
 computed as E of a product of duals, and the Priestley dual of the lattice
 reduct is recovered from the natural dual via the carrier-indexed preorder.
-A coproduct call's steps read one store of hom-sets (``algebra.hom_set``), so
-each is enumerated once; nothing is cached between calls.
+The points of D(A) in the sort of M are hom(A, M), kept on A
+(``algebra.hom_set``), so each hom-set is enumerated once.
 """
 
 from __future__ import annotations
@@ -73,12 +73,11 @@ class MultisortedStructure:
         ]
 
 
-def natural_dual(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None = None) -> MultisortedStructure:
-    """D(algebra): sorts are the hom-sets into the generators, read from the
-    store ``homs`` and checked to separate points (membership), relations
-    and operations lifted pointwise."""
-    homs = {} if homs is None else homs
-    points = tuple(tuple(hom_set(homs, algebra, m)) for m in ego.sorts)
+def natural_dual(algebra: FiniteAlgebra, ego: AlterEgo) -> MultisortedStructure:
+    """D(algebra): sorts are the hom-sets into the generators, checked to
+    separate points (membership), relations and operations lifted
+    pointwise."""
+    points = tuple(tuple(hom_set(algebra, m)) for m in ego.sorts)
     if not _separated(algebra, itertools.chain.from_iterable(points)):
         raise MembershipError(
             f"{algebra.name!r} is not in the quasivariety generated by the sorts"
@@ -106,15 +105,16 @@ def structure_product(
     points_cap: int = DEFAULT_POINTS_CAP,
     ego: AlterEgo | None = None,
 ) -> MultisortedStructure:
-    """Cartesian product of structures over the same ego, lifted
-    componentwise; the empty product (one empty-tuple point per sort, all
-    relation instances holding vacuously) needs the ego passed explicitly.
+    """Cartesian product of structures over one alter ego (one object, as
+    alter egos compare by identity), lifted componentwise; the empty
+    product (one empty-tuple point per sort, all relation instances
+    holding vacuously) needs the ego passed explicitly.
     Points are numbered row-major, the leftmost factor most significant, so
     a lifted relation's rows are the Kronecker product of the factors' rows."""
     if structures:
         ego = structures[0].ego
         for x in structures[1:]:
-            if x.ego != ego:
+            if x.ego is not ego:
                 raise LatcopError("structure product requires a common alter ego")
     elif ego is None:
         raise LatcopError("the empty structure product needs an explicit ego")
@@ -302,10 +302,9 @@ def coproduct(
     homomorphisms; the universal property is checked against all
     homomorphism families into the generators, the product's points.
     """
-    homs: dict = {}
-    ego = build_alter_ego(generators, spec, omega, homs=homs)
+    ego = build_alter_ego(generators, spec, omega)
     members = list(family)
-    duals = [natural_dual(b, ego, homs=homs) for b in members]
+    duals = [natural_dual(b, ego) for b in members]
     prod_structure = structure_product(duals, points_cap, ego=ego)
     e_res = e_functor(prod_structure, visit_cap)
     algebra = e_res.algebra.rename(f"Coprod({','.join(b.name for b in members)})")
@@ -388,7 +387,7 @@ class RevEngResult:
     isomorphism: tuple[int, ...]
 
 
-def reveng_priestley(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None = None) -> RevEngResult:
+def reveng_priestley(algebra: FiniteAlgebra, ego: AlterEgo) -> RevEngResult:
     """Rebuild the Priestley dual of U(algebra) from its natural dual.
 
     Y is the union of (sort points) x (matching carriers); the preorder is
@@ -397,9 +396,8 @@ def reveng_priestley(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None
     filters with y <= z exactly when F(y) is inside F(z), so it is an
     order-isomorphism from the quotient by the symmetrization onto the
     prime-filter poset; the result holds it on the quotient classes.
-    ``homs`` is the hom-set store passed on to :func:`natural_dual`.
     """
-    dual = natural_dual(algebra, ego, homs=homs)
+    dual = natural_dual(algebra, ego)
     elements: list[tuple[int, int, int]] = []
     offset = []  # the index of each carrier's first pair: the blocks run carrier-major
     for wi, w in enumerate(ego.carriers):

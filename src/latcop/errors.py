@@ -33,6 +33,10 @@ class CapExceeded(LatcopError):
         """The stage, budget and required size, as reports print them."""
         return f"stage {self.stage!r}, budget {self.budget}, required {self.required}"
 
+    def budget_doc(self) -> dict:
+        """The stage, budget and required size, as JSON reports hold them."""
+        return {"stage": self.stage, "budget": self.budget, "required": self.required}
+
 
 class MembershipError(LatcopError):
     """An algebra is not a member of the quasivariety generated by the given set."""

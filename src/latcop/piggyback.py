@@ -11,10 +11,10 @@ and bound on Python ints (:func:`maximal_subuniverses_in`); whether
 
 One separation table gives each carrier the bitmask of the pairs it
 separates; the separation check and the minimum carrier search (a set
-cover) both read it.  :func:`build_alter_ego` is the one entry point: it
-enumerates each hom-set once, into one store, picks or checks the carriers,
-and sets up one square and relation search per pair of sorts
-(:class:`_AlterEgoPlan`, which the classification reads too).
+cover) both read it.  :class:`AlterEgo` is the one alter ego: it reads G
+off the generators' kept hom-sets, picks or checks the carriers, and sets
+up one square and relation search per pair of sorts, listing a pair's
+relations when first read; the classification reads only the roots.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import (
     FiniteAlgebra,
-    Homomorphism,
     direct_product,
     hom_set,
     subuniverse_closure,
@@ -72,11 +71,11 @@ class SepResult:
 
 
 def _separation_table(
-    gens: Sequence[FiniteAlgebra], carriers: Sequence[PrimeFilter], homs: dict
+    gens: Sequence[FiniteAlgebra], carriers: Sequence[PrimeFilter]
 ) -> tuple[list[tuple[int, int, int]], list[int]]:
     """The pairs (i, a, b), a < b, of the generators in generator-then-element
     order, and per carrier w the bitmask of the pairs it separates: bit k is
-    set iff w o u splits pairs[k] for some u in hom(gens[i], w.sort) in ``homs``.
+    set iff w o u splits pairs[k] for some u in hom(gens[i], w.sort).
     All carriers of a sort read one (homs x elements) image array at once:
     a pair is split exactly when its elements' columns of bits w(u(a)),
     packed along the hom axis, differ."""
@@ -95,7 +94,7 @@ def _separation_table(
     for m in gens:
         left, right = np.triu_indices(m.size, 1)  # the pairs a < b in combination order
         for s, ks in by_sort.items():
-            into = hom_set(homs, m, gens[s])
+            into = hom_set(m, gens[s])
             images = np.array([u.map for u in into], np.intp).reshape(len(into), m.size)
             inside = np.array([[x in carriers[k] for x in range(gens[s].size)] for k in ks])
             columns = np.packbits(inside[:, images], axis=1)  # (carriers, bytes, elements)
@@ -106,17 +105,15 @@ def _separation_table(
     return pairs, masks
 
 
-def sep_condition(
-    generators: Sequence[FiniteAlgebra], omega: Sequence[PrimeFilter], *, homs: dict | None = None
-) -> SepResult:
+def sep_condition(generators: Sequence[FiniteAlgebra], omega: Sequence[PrimeFilter]) -> SepResult:
     """The separation condition for (generators, omega).
 
     Every pair a != b in each generator must be split by some w o u with u a
     homomorphism between generators and w a chosen carrier of u's target.
-    The witness is the first pair no carrier separates; ``homs`` is a hom-set store.
+    The witness is the first pair no carrier separates.
     """
     gens = list(generators)
-    pairs, masks = _separation_table(gens, omega, {} if homs is None else homs)
+    pairs, masks = _separation_table(gens, omega)
     missed = ((1 << len(pairs)) - 1) & ~functools.reduce(operator.or_, masks, 0)
     if missed:
         return SepResult(False, pairs[(missed & -missed).bit_length() - 1])
@@ -131,7 +128,7 @@ class MinimalityCertificate:
 
 
 def minimal_omega_certified(
-    generators: Sequence[FiniteAlgebra], spec: DReductSpec, *, homs: dict | None = None
+    generators: Sequence[FiniteAlgebra], spec: DReductSpec
 ) -> tuple[tuple[PrimeFilter, ...], MinimalityCertificate]:
     """A minimum-cardinality separating carrier set.
 
@@ -139,12 +136,12 @@ def minimal_omega_certified(
     canonical carrier enumeration (sort-major, then generator element).  The
     full carrier set always separates, so the search terminates.  Each
     carrier's bitmask of separated pairs comes from the separation table of
-    :func:`sep_condition`, on the hom-sets in ``homs``; a candidate
-    separates iff its masks cover every pair.
+    :func:`sep_condition`; a candidate separates iff its masks cover every
+    pair.
     """
     gens = list(generators)
     all_carriers = [w for m in gens for w in carriers_of(m, spec)]
-    pairs, covers = _separation_table(gens, all_carriers, {} if homs is None else homs)
+    pairs, covers = _separation_table(gens, all_carriers)
     full = (1 << len(pairs)) - 1
     failed: list[int] = []
     for size in range(1, len(all_carriers) + 1):
@@ -433,108 +430,86 @@ class SortedRelation:
         return tuple((a, b) for a, row in enumerate(self.rows) for b in _bits(row))
 
 
-@dataclass(frozen=True)
 class AlterEgo:
-    """The multisorted dual-side structure: sorts, relations R, operations G.
-
-    ``minimality`` is the certificate of the carrier search when
-    :func:`build_alter_ego` chose the carriers, None when they were given.
-    """
-
-    sorts: tuple[FiniteAlgebra, ...]
-    spec: DReductSpec
-    carriers: tuple[PrimeFilter, ...]
-    relations: tuple[SortedRelation, ...]
-    operations: tuple[Homomorphism, ...]
-    minimality: MinimalityCertificate | None = field(default=None, compare=False)
-
-    def sort_index(self, algebra: FiniteAlgebra) -> int:
-        return self.sorts.index(algebra)
-
-    def relations_for(self, omega1: int, omega2: int) -> tuple[SortedRelation, ...]:
-        return tuple(
-            r for r in self.relations if r.omega1 == omega1 and r.omega2 == omega2
-        )
-
-    def relation_sizes(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for i in range(len(self.carriers)):
-            for j in range(len(self.carriers)):
-                out[(i, j)] = len(self.relations_for(i, j))
-        return out
-
-
-class _AlterEgoPlan:
-    """An alter ego up to its relations.  G is every homomorphism between
-    the generators, enumerated first, pair by pair, into the store ``homs``
-    (as in ``algebra.hom_set``) that the carrier search or the separation
-    check then reads.  Without ``omega`` the carriers are a minimum
-    separating set with the search's certificate as ``minimality``; a
-    given ``omega`` that does not separate raises SeparationError.  One
-    square and relation search per pair of sorts is set up on first use.
+    """The alter ego M~ = (M; G, R, omega), one object for the flowchart and
+    the functors D and E.  G (``operations``) is every homomorphism between
+    the generators, read off their kept hom-sets pair by pair.  Without
+    ``omega`` the carriers are a minimum separating set with the search's
+    certificate as ``minimality``; a given ``omega`` that does not separate
+    raises SeparationError.  One square and relation search per pair of
+    sorts is set up on first use; a carrier pair's relations R are listed
+    when first read and kept.  Two alter egos are equal only when they are
+    one object.
     """
 
     def __init__(
         self,
         generators: Sequence[FiniteAlgebra],
         spec: DReductSpec,
-        omega: Sequence[PrimeFilter] | None,
-        homs: dict,
+        omega: Sequence[PrimeFilter] | None = None,
     ):
-        gens = self.gens = tuple(generators)
+        sorts = self.sorts = tuple(generators)
         self.spec = spec
-        self.operations = tuple(h for a in gens for b in gens for h in hom_set(homs, a, b))
+        self.operations = tuple(h for a in sorts for b in sorts for h in hom_set(a, b))
         if omega is None:
-            self.omega, self.minimality = minimal_omega_certified(gens, spec, homs=homs)
+            self.carriers, self.minimality = minimal_omega_certified(sorts, spec)
         else:
-            self.omega, self.minimality = tuple(omega), None
-            sep = sep_condition(gens, self.omega, homs=homs)
+            self.carriers, self.minimality = tuple(omega), None
+            sep = sep_condition(sorts, self.carriers)
             if not sep.holds:
                 raise SeparationError(
                     f"separation fails: elements {sep.witness[1]} and {sep.witness[2]} "
-                    f"of generator {gens[sep.witness[0]].name!r} are not separated",
+                    f"of generator {sorts[sep.witness[0]].name!r} are not separated",
                     witness=sep.witness,
                 )
-        self.searches: dict[tuple[int, int], _Search] = {}
+        self._searches: dict[tuple[int, int], _Search] = {}
+        self._relations: dict[tuple[int, int], tuple[SortedRelation, ...]] = {}
+
+    def sort_index(self, algebra: FiniteAlgebra) -> int:
+        return self.sorts.index(algebra)
 
     def pairs(self) -> Iterable[tuple[int, int]]:
-        return itertools.product(range(len(self.omega)), repeat=2)
+        return itertools.product(range(len(self.carriers)), repeat=2)
 
     def _search(self, i: int, j: int) -> tuple[tuple[int, int], _Search, int]:
         # the sorts of carriers i and j, their search and allowed set
-        w1, w2 = self.omega[i], self.omega[j]
-        sorts = (self.gens.index(w1.sort), self.gens.index(w2.sort))
-        if sorts not in self.searches:
+        w1, w2 = self.carriers[i], self.carriers[j]
+        sorts = (self.sort_index(w1.sort), self.sort_index(w2.sort))
+        if sorts not in self._searches:
             same = w1.sort.size if sorts[0] == sorts[1] else None
-            self.searches[sorts] = _relation_search(direct_product([w1.sort, w2.sort]), same)
-        return sorts, self.searches[sorts], leq_mask(w1, w2)
+            self._searches[sorts] = _relation_search(direct_product([w1.sort, w2.sort]), same)
+        return sorts, self._searches[sorts], leq_mask(w1, w2)
 
     def root_class(self, i: int, j: int) -> int:
         """|R(w_i, w_j)| if at most 1, else 2, from the search's root."""
         _, search, allowed = self._search(i, j)
         return search.root_class(allowed)
 
-    def relations(self, i: int, j: int) -> list[SortedRelation]:
+    def relations_for(self, i: int, j: int) -> tuple[SortedRelation, ...]:
         """R(w_i, w_j) by branch and bound; CapExceeded past the node budget."""
-        sorts, search, allowed = self._search(i, j)
-        n1, n2 = self.omega[i].sort.size, self.omega[j].sort.size
-        return [
-            SortedRelation(*sorts, i, j, tuple(s >> (a * n2) & ((1 << n2) - 1) for a in range(n1)))
-            for s in search.maximal(allowed)
-        ]
+        if (i, j) not in self._relations:
+            sorts, search, allowed = self._search(i, j)
+            n1, n2 = self.carriers[i].sort.size, self.carriers[j].sort.size
+            self._relations[i, j] = tuple(
+                SortedRelation(*sorts, i, j, tuple(s >> (a * n2) & ((1 << n2) - 1) for a in range(n1)))
+                for s in search.maximal(allowed)
+            )
+        return self._relations[i, j]
 
-    def assemble(self, relations: Iterable[SortedRelation]) -> AlterEgo:
-        return AlterEgo(self.gens, self.spec, self.omega, tuple(relations), self.operations, self.minimality)
+    @property
+    def relations(self) -> tuple[SortedRelation, ...]:
+        """R over every ordered carrier pair, first carrier major."""
+        return tuple(r for i, j in self.pairs() for r in self.relations_for(i, j))
 
 
 def build_alter_ego(
     generators: Sequence[FiniteAlgebra],
     spec: DReductSpec,
     omega: Sequence[PrimeFilter] | None = None,
-    *,
-    homs: dict | None = None,
 ) -> AlterEgo:
-    """The alter ego for (generators, omega), as :class:`_AlterEgoPlan`
-    sets it up, with the maximal relations of every ordered carrier pair."""
-    plan = _AlterEgoPlan(generators, spec, omega, {} if homs is None else homs)
-    return plan.assemble(r for i, j in plan.pairs() for r in plan.relations(i, j))
+    """The :class:`AlterEgo` for (generators, omega), with the relations of
+    every ordered carrier pair listed."""
+    ego = AlterEgo(generators, spec, omega)
+    for i, j in ego.pairs():
+        ego.relations_for(i, j)
+    return ego

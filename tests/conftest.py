@@ -41,6 +41,7 @@ to 2 and the meet of a lattice reduct.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,6 +50,7 @@ from typing import Iterable
 import numpy as np
 import pytest
 
+import latcop.algebra
 from latcop.algebra import (
     FiniteAlgebra,
     Homomorphism,
@@ -67,7 +69,7 @@ from latcop.algebra import (
     subuniverse_closure,
     subuniverses,
 )
-from latcop.catalog import _LATTICE_SIG, make
+from latcop.catalog import _LATTICE_SIG, CatalogEntry, make, make_id
 from latcop.classify import SUBALGEBRA_SIZE_CAP, _rsi, flowchart_classify, simplify_generators
 from latcop.distlat import (
     DistLatticeReduct,
@@ -90,6 +92,29 @@ from latcop.piggyback import AlterEgo, _relation_search, build_alter_ego, leq_ma
 def ego_for(constructor: str, *params):
     entry = make(constructor, *params)
     return build_alter_ego([entry.algebra], entry.spec)
+
+
+def fresh_entry(identifier: str) -> CatalogEntry:
+    """The catalog entry ``identifier`` on a new copy of its algebra, which
+    keeps no hom-sets yet: the catalog's copy keeps those that earlier
+    tests enumerated."""
+    entry = make_id(identifier)
+    return dataclasses.replace(entry, algebra=dataclasses.replace(entry.algebra))
+
+
+def count_hom_enumerations(monkeypatch) -> list[tuple[str, str]]:
+    """The (source, target) names of every ``hom_enumerate`` call from now
+    on, in call order; every hom-set is read through ``algebra.hom_set``,
+    which calls it on first use."""
+    pairs = []
+    real = latcop.algebra.hom_enumerate
+
+    def counted(a, b):
+        pairs.append((a.name, b.name))
+        return real(a, b)
+
+    monkeypatch.setattr(latcop.algebra, "hom_enumerate", counted)
+    return pairs
 
 
 @lru_cache(maxsize=None)
@@ -522,15 +547,14 @@ def eval_term(algebra: FiniteAlgebra, term: Term, args) -> int:
 def is_rel_subdirectly_irreducible(algebra: FiniteAlgebra, generators) -> bool:
     """True iff ``algebra`` is subdirectly irreducible relative to
     ISP(generators) (RSI): membership by ``in_isp``, then Gorbunov's test
-    as the classification runs it (``classify._rsi``), on one hom-set store.
-    Raises MembershipError outside the class."""
-    homs: dict = {}
-    if not in_isp(algebra, generators, homs=homs):
+    as the classification runs it (``classify._rsi``).  Raises
+    MembershipError outside the class."""
+    if not in_isp(algebra, generators):
         raise MembershipError(
             f"{algebra.name!r} is not in the quasivariety generated by "
             f"{[m.name for m in generators]}"
         )
-    return _rsi(algebra, generators, homs)
+    return _rsi(algebra, generators)
 
 
 def check_condition_C(
@@ -548,10 +572,9 @@ def check_condition_C(
     """
     if m.size < 2:
         raise LatcopError("condition (C) needs a nontrivial algebra")
-    homs: dict = {}
-    simplified = simplify_generators(ambient if ambient is not None else [m], homs=homs)
+    simplified = simplify_generators(ambient if ambient is not None else [m])
     c1 = all(embeds(s, m) is not None for s in simplified)
-    c2 = sep_condition([m], [omega], homs=homs).holds
+    c2 = sep_condition([m], [omega]).holds
     square = direct_product([m, m])
     c3 = _relation_search(square, m.size).root_class(leq_mask(omega, omega)) == 1
     return (c1, c2, c3)
@@ -564,11 +587,11 @@ class EvaluationCheck:
     is_isomorphism: bool
 
 
-def evaluation_check(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None = None) -> EvaluationCheck:
+def evaluation_check(algebra: FiniteAlgebra, ego: AlterEgo) -> EvaluationCheck:
     """The multisorted evaluation map into E(D(algebra)): a maps to the
     morphism sending a dual point x to x(a).  Under separation it is an
-    isomorphism; ``homs`` is passed on to ``natural_dual``."""
-    dual = natural_dual(algebra, ego, homs=homs)
+    isomorphism."""
+    dual = natural_dual(algebra, ego)
     e_res = e_functor(dual)
     points = [dual.points[s][i] for s, i in e_res.point_order]
     ev = _evaluation(e_res, algebra, e_res.algebra, points)
@@ -576,15 +599,12 @@ def evaluation_check(algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None
     return EvaluationCheck(e_res, ev, iso)
 
 
-def lambda_map(
-    algebra: FiniteAlgebra, ego: AlterEgo, *, homs: dict | None = None
-) -> tuple[tuple[PrimeFilter, frozenset[int]], ...]:
+def lambda_map(algebra: FiniteAlgebra, ego: AlterEgo) -> tuple[tuple[PrimeFilter, frozenset[int]], ...]:
     """For each prime filter f of U(algebra), the carriers w admitting a dual
-    point x with w o x = f.  Non-empty throughout when separation holds;
-    ``homs`` is passed on to ``natural_dual``."""
+    point x with w o x = f.  Non-empty throughout when separation holds."""
     lattice = d_reduct(algebra, ego.spec)
     pfs = prime_filters(lattice)
-    dual = natural_dual(algebra, ego, homs=homs)
+    dual = natural_dual(algebra, ego)
     out = []
     for f in pfs:
         hits = set()
@@ -936,7 +956,7 @@ def sep_by_loop(generators, omega) -> tuple[bool, tuple[int, int, int] | None]:
     return True, None
 
 
-def separation_masks_by_loop(gens, carriers, homs) -> list[int]:
+def separation_masks_by_loop(gens, carriers) -> list[int]:
     """Per carrier w, the bitmask over the pairs (i, a, b), a < b, in
     generator-then-element order, of those that w o u splits for some u in
     hom(gens[i], w.sort): every hom scanned for every pair."""
@@ -947,7 +967,7 @@ def separation_masks_by_loop(gens, carriers, homs) -> list[int]:
             for k, (i, a, b) in enumerate(pairs)
             if any(
                 filter_value(w, u.map[a]) != filter_value(w, u.map[b])
-                for u in hom_set(homs, gens[i], w.sort)
+                for u in hom_set(gens[i], w.sort)
             )
         )
         for w in carriers
@@ -1257,6 +1277,11 @@ def scan_single_generator(generators, size_cap=SUBALGEBRA_SIZE_CAP):
     if all(in_isp(m, [prod]) for m in gens):
         return prod
     return None
+
+
+def relation_sizes(ego: AlterEgo) -> dict[tuple[int, int], int]:
+    """|R(w_i, w_j)| per ordered carrier pair (i, j) of ``ego``."""
+    return {(i, j): len(ego.relations_for(i, j)) for i, j in ego.pairs()}
 
 
 def relation_orbit_count(ego: AlterEgo, omega1: int, omega2: int) -> int:

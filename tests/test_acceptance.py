@@ -21,6 +21,7 @@ from conftest import (
     leq_sublattice,
     reflector,
     relation_orbit_count,
+    relation_sizes,
     report_for,
     unique_max_applicable,
 )
@@ -71,7 +72,7 @@ def test_criterion_02_kleene():
     assert [w.elements for w in omega] == [frozenset({1, 2}), frozenset({2})]
     assert cert.size == 2 and cert.smaller_sizes_failed == (1,)
     ego = ego_for("kleene3")
-    assert ego.relation_sizes() == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+    assert relation_sizes(ego) == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
     rep = report_for("kleene3")
     assert (rep.verdict_E, rep.verdict_S) == (False, True)
     _passed(2, "Kleene forces both carriers, all four relation sets singletons, E-S+")
@@ -85,7 +86,7 @@ def test_criterion_03_pseudocomplemented():
         ego = ego_for("pseudo_b", n)
         assert len(ego.carriers) == 1
         assert relation_orbit_count(ego, 0, 0) == partitions
-        assert ego.relation_sizes()[(0, 0)] == raw_expected[n]
+        assert relation_sizes(ego)[(0, 0)] == raw_expected[n]
     for n, expected in [(0, (True, True)), (1, (True, True)),
                         (2, (True, False)), (3, (True, False))]:
         rep = report_for("pseudo_b", n)

@@ -58,6 +58,7 @@ from latcop.algebra import (
     embeds,
     free_algebra,
     hom_enumerate,
+    hom_set,
     in_isp,
     induced_subalgebra,
     isomorphic,
@@ -120,6 +121,19 @@ class TestOps:
             assert hash(b) == hash(dataclasses.replace(a, name="renamed"))
             assert b.tables is a.tables and b.ops() is a.ops()
             assert a.name != "renamed"
+
+    def test_rename_copy_keeps_its_own_hom_sets(self):
+        # the reduct is shared, the hom-sets are not: each kept map names
+        # its source, so the copy's name the copy
+        a = dataclasses.replace(DM4)
+        ends = hom_set(a, a)
+        assert hom_set(a, a) is ends and all(h.source is a for h in ends)
+        b = a.rename("renamed")
+        assert b._reducts is a._reducts and b._homs == {}
+        got = hom_set(b, a)
+        assert [h.map for h in got] == [h.map for h in ends]
+        assert all(h.source is b and h.source.name == "renamed" for h in got)
+        assert a._homs == {a: ends}
 
 
 class TestEvalTerm:
@@ -222,6 +236,19 @@ class TestHomEnumerate:
     def test_signature_mismatch(self):
         with pytest.raises(SignatureMismatch):
             hom_enumerate(K3, C3)
+
+    def test_map_budget(self, monkeypatch):
+        # End(heyting_chain(8)) has 64 maps; a hom-set stopped at the
+        # budget is not kept, so the next read enumerates again
+        m = dataclasses.replace(make("heyting_chain", 8).algebra)
+        monkeypatch.setattr(algebra_module, "HOM_MAP_BUDGET", 63)
+        with pytest.raises(CapExceeded) as exc:
+            hom_set(m, m)
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == ("hom enumeration", 63, 64)
+        assert str(exc.value) == "hom(heyting_chain8, heyting_chain8) has more than 63 maps"
+        assert m._homs == {}
+        monkeypatch.setattr(algebra_module, "HOM_MAP_BUDGET", 64)
+        assert len(hom_set(m, m)) == 64
 
     @pytest.mark.parametrize(
         "a,b",
@@ -684,6 +711,18 @@ class TestFreeAlgebra:
     def test_negative_rank(self):
         with pytest.raises(LatcopError, match="non-negative"):
             free_algebra([K3], -1)
+
+    def test_rank_past_the_cap_over_one_element_generators(self):
+        # the ambient product is 1 for every rank, so the rank itself is
+        # charged: refused at once, with no coordinate tuple built
+        one = one_element(K3.signature)
+        assert free_algebra([one], 3, cap=3).generators == (0, 0, 0)
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded) as exc:
+            free_algebra([one], 10**9, cap=10**6)
+        assert time.perf_counter() - start < 1
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == ("free algebra", 10**6, 10**9)
+        assert str(exc.value) == "free algebra on 1000000000 generators exceeds the cap 1000000"
 
     @pytest.mark.parametrize("gen", [K3, DM4, C3, MV2])
     def test_hom_count_equals_generator_size(self, gen):

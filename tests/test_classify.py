@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     check_condition_C,
+    count_hom_enumerations,
+    fresh_entry,
     is_rel_subdirectly_irreducible,
     least_injective_hom,
     one_element,
+    relation_sizes,
     report_for,
     scan_single_generator,
     simplify_by_enumeration,
@@ -33,6 +36,7 @@ from latcop.classify import (
     flowchart_classify,
     simplify_generators,
 )
+from latcop.duality import coproduct
 from latcop.errors import CapExceeded, LatcopError
 from latcop.piggyback import _relation_search, build_alter_ego, carrier_from_filter, carriers_of, leq_mask
 
@@ -338,26 +342,12 @@ class TestFlowchart:
         assert (rep.verdict_E, rep.verdict_S) == expected
         assert rep.preserves_coproducts == (expected[0] and expected[1])
 
-    @staticmethod
-    def count_hom_sets(monkeypatch) -> list[tuple[str, str]]:
-        """Record every hom_enumerate call; every hom-set comes from
-        ``algebra.hom_set``."""
-        pairs = []
-        real = algebra_module.hom_enumerate
-
-        def counted(a, b):
-            pairs.append((a.name, b.name))
-            return real(a, b)
-
-        monkeypatch.setattr(algebra_module, "hom_enumerate", counted)
-        return pairs
-
     @pytest.mark.parametrize("cids", [["kleene3"], ["mv_chain(2)", "mv_chain(3)"]])
     def test_enumerates_each_hom_set_once(self, monkeypatch, cids):
         # the RSI tests, both membership checks, the carrier search and the
         # alter ego read one enumeration per ordered pair of sorts
-        entries = [make_id(c) for c in cids]
-        pairs = self.count_hom_sets(monkeypatch)
+        entries = [fresh_entry(c) for c in cids]
+        pairs = count_hom_enumerations(monkeypatch)
         rep = flowchart_classify([e.algebra for e in entries], entries[0].spec)
         names = [m.name for m in rep.ego.sorts]
         assert len(names) == len(cids)
@@ -366,10 +356,39 @@ class TestFlowchart:
     @pytest.mark.parametrize("key", ["kleene3xkleene3", "heyting_chain:3xheyting_chain:3"])
     def test_non_rsi_generator_enumerates_each_hom_set_once(self, monkeypatch, key):
         gens = _single_generator_input(key)
-        pairs = self.count_hom_sets(monkeypatch)
+        pairs = count_hom_enumerations(monkeypatch)
         rep = flowchart_classify(gens, make_id(key.split("x")[0]).spec)
         assert rep.unknown is None and rep.single_generator is not None
         assert len(pairs) == len(set(pairs))
+
+    def test_a_second_run_enumerates_nothing(self, monkeypatch):
+        # the hom-sets stay with the algebras, so classifying them again,
+        # or taking their coproduct, finds every one kept
+        gens = [fresh_entry(c).algebra for c in ("demorgan4", "kleene3")]
+        first = flowchart_classify(gens, DM.spec), coproduct(gens, DM.spec, None, gens)
+        pairs = count_hom_enumerations(monkeypatch)
+        again = flowchart_classify(gens, DM.spec), coproduct(gens, DM.spec, None, gens)
+        assert again[0].to_json() == first[0].to_json()
+        assert again[1].algebra == first[1].algebra
+        assert pairs == []
+
+    def test_budget_on_hom_enumeration(self, monkeypatch):
+        # End(heyting_chain(8)) has 64 maps: past a budget of 10 the run is
+        # unknown and names the stage; the stopped hom-set is not kept, so
+        # under the real budget the same algebra answers
+        entry = fresh_entry("heyting_chain(8)")
+        gens = [entry.algebra]
+        monkeypatch.setattr(algebra_module, "HOM_MAP_BUDGET", 10)
+        rep = flowchart_classify(gens, entry.spec)
+        assert rep.unknown is not None and rep.unknown.endswith(
+            "stage 'hom enumeration', budget 10, required 11"
+        )
+        assert (rep.stopped.stage, rep.stopped.budget, rep.stopped.required) == ("hom enumeration", 10, 11)
+        assert gens[0]._homs == {}
+        monkeypatch.undo()
+        rep = flowchart_classify(gens, entry.spec)
+        assert (rep.unknown, rep.verdict_E, rep.verdict_S) == (None, True, False)
+        assert len(gens[0]._homs[gens[0]]) == 64
 
     def test_report_fields(self):
         rep = report_for("kleene3")
@@ -442,15 +461,15 @@ class TestSVertictTieBreakIndependence:
         for filt in ({1, 3}, {2, 3}):
             w = carrier_from_filter(DM.algebra, DM.spec, filt)
             ego = build_alter_ego([DM.algebra], DM.spec, [w])
-            assert all(v == 1 for v in ego.relation_sizes().values())
+            assert all(v == 1 for v in relation_sizes(ego).values())
 
     def test_goedel_any_carrier_choice(self):
         # C_3 has one valid singleton; check S fails for it and for full omega
         w = carrier_from_filter(C3.algebra, C3.spec, {2})
         ego1 = build_alter_ego([C3.algebra], C3.spec, [w])
-        assert max(ego1.relation_sizes().values()) > 1
+        assert max(relation_sizes(ego1).values()) > 1
         ego2 = build_alter_ego([C3.algebra], C3.spec, carriers_of(C3.algebra, C3.spec))
-        assert max(ego2.relation_sizes().values()) > 1
+        assert max(relation_sizes(ego2).values()) > 1
 
 
 class TestEImpliesFreeProducts:

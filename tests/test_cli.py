@@ -1,11 +1,13 @@
 """The command-line frontend: outputs, exit codes, determinism."""
 
+import functools
 import itertools
 import json
 from pathlib import Path
 
 import pytest
 
+from conftest import count_hom_enumerations, fresh_entry
 import latcop.algebra
 import latcop.catalog
 import latcop.cli
@@ -25,6 +27,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def fresh_ids(monkeypatch):
+    """Catalog ids resolve, for one test, to new copies of their algebras,
+    one per id, which keep no hom-sets yet."""
+    monkeypatch.setattr(latcop.cli, "make_id", functools.lru_cache(fresh_entry))
+
+
 class TestClassify:
     def test_kleene_text_ends_with_verdict(self, capsys):
         code, out, _ = run(capsys, "classify", "kleene3")
@@ -41,6 +50,7 @@ class TestClassify:
         doc = json.loads(out)
         assert doc["schema"] == 1
         assert doc["E"] == "yes" and doc["S"] == "no"
+        assert "stopped" not in doc
 
     def test_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "classify", "mv_chain:2", "--json")
@@ -54,6 +64,16 @@ class TestClassify:
         assert out.splitlines()[-1] == (
             "verdict: unknown (subalgebra enumeration needs generator size <= 12, got 16; "
             "stage 'subalgebra enumeration', budget 12, required 16)"
+        )
+
+    def test_unknown_json_keeps_the_budget_that_stopped_it(self, capsys):
+        code, out, _ = run(capsys, "classify", "pseudo_b:4", "--json")
+        doc = json.loads(out)
+        assert code == EXIT_UNKNOWN
+        assert doc["stopped"] == {"stage": "subalgebra enumeration", "budget": 12, "required": 17}
+        assert doc["unknown"] == (
+            "subalgebra enumeration needs generator size <= 12, got 17; "
+            "stage 'subalgebra enumeration', budget 12, required 17"
         )
 
     def test_unknown_does_not_claim_trivial_class(self, capsys):
@@ -81,6 +101,20 @@ class TestClassify:
         lines = out.splitlines()
         assert "  R[{T},{T}]: listing stopped (stage 'relation search', budget 10, required 11)" in lines
         assert lines[-1] == "E: yes, S: no"
+
+    def test_hom_enumeration_budget(self, monkeypatch, capsys, fresh_ids):
+        # End(heyting_chain(8)) has 64 maps; the stopped enumeration keeps
+        # nothing, so the same algebra answers under the real budget
+        budget = latcop.algebra.HOM_MAP_BUDGET
+        monkeypatch.setattr(latcop.algebra, "HOM_MAP_BUDGET", 10)
+        code, out, err = run(capsys, "classify", "heyting_chain:8", "--json")
+        assert (code, err) == (EXIT_UNKNOWN, "")
+        doc = json.loads(out)
+        assert doc["stopped"] == {"stage": "hom enumeration", "budget": 10, "required": 11}
+        assert doc["unknown"].endswith("; stage 'hom enumeration', budget 10, required 11")
+        monkeypatch.setattr(latcop.algebra, "HOM_MAP_BUDGET", budget)
+        code, out, _ = run(capsys, "classify", "heyting_chain:8")
+        assert code == EXIT_OK and out.splitlines()[-1] == "E: yes, S: no"
 
     def test_only_the_stopped_pairs_lose_their_listing(self, monkeypatch, capsys):
         # of mv_chain(6)'s 36 carrier pairs two have two relations, whose
@@ -225,17 +259,10 @@ class TestDuality:
         assert "{b,1}" in out
 
     @pytest.mark.parametrize("ids", [("kleene3",), ("demorgan4", "kleene3")])
-    def test_enumerates_each_hom_set_once(self, monkeypatch, capsys, ids):
+    def test_enumerates_each_hom_set_once(self, monkeypatch, capsys, fresh_ids, ids):
         # the carrier search and the alter ego read one enumeration per
         # ordered pair of sorts
-        pairs = []
-        real = latcop.algebra.hom_enumerate
-
-        def counted(a, b):
-            pairs.append((a.name, b.name))
-            return real(a, b)
-
-        monkeypatch.setattr(latcop.algebra, "hom_enumerate", counted)
+        pairs = count_hom_enumerations(monkeypatch)
         code, out, _ = run(capsys, "duality", *ids)
         assert code == EXIT_OK and "(minimal size " in out
         assert pairs == list(itertools.product(ids, ids))
@@ -342,6 +369,19 @@ class TestFree:
         code, _, err = run(capsys, "free", "2", "demorgan4")
         assert code == EXIT_UNKNOWN and "unknown" in err
 
+    def test_rank_over_a_one_element_generator(self, capsys, tmp_path):
+        path = tmp_path / "one.alg"
+        path.write_text(ONE_ELEMENT.format(arity=1), encoding="utf-8")
+        code, out, _ = run(capsys, "free", "3", str(path))
+        assert code == EXIT_OK
+        assert out == "free algebra on 3 generator(s) over ISP(big): size 1, free generators at [0, 0, 0]\n"
+        code, out, err = run(capsys, "free", "1000000000", str(path))
+        assert (code, out) == (EXIT_UNKNOWN, "")
+        assert err == (
+            "unknown: free algebra on 1000000000 generators exceeds the cap 1000000; "
+            "stage 'free algebra', budget 1000000, required 1000000000\n"
+        )
+
 
 class TestRevengAndDot:
     @pytest.mark.parametrize("source", ["kleene3", "demorgan4", "heyting_chain:3", "mv_chain:2"])
@@ -386,16 +426,9 @@ class TestRevengAndDot:
             ("export-dot", "demorgan4", "kleene3", "--reveng"),
         ],
     )
-    def test_reveng_enumerates_each_hom_set_once(self, monkeypatch, capsys, argv):
-        # the natural duals read the store the alter ego was built on
-        pairs = []
-        real = latcop.algebra.hom_enumerate
-
-        def counted(a, b):
-            pairs.append((a.name, b.name))
-            return real(a, b)
-
-        monkeypatch.setattr(latcop.algebra, "hom_enumerate", counted)
+    def test_reveng_enumerates_each_hom_set_once(self, monkeypatch, capsys, fresh_ids, argv):
+        # the natural duals read the hom-sets the alter ego's sorts keep
+        pairs = count_hom_enumerations(monkeypatch)
         code, _, _ = run(capsys, *argv)
         assert code == EXIT_OK
         ids = argv[1:3]

@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import sys
 from unittest import mock
 
 import pytest
@@ -11,8 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     compose,
+    count_hom_enumerations,
     ego_for,
     evaluation_check,
+    fresh_entry,
     generating_set,
     iota_check,
     lambda_map,
@@ -40,6 +41,7 @@ from latcop.algebra import (
     direct_product,
     free_algebra,
     hom_enumerate,
+    hom_set,
     induced_subalgebra,
     isomorphic,
     subuniverse_closure,
@@ -129,16 +131,21 @@ class TestNaturalDual:
         with pytest.raises(MembershipError):
             natural_dual(DM.algebra, ego_for("kleene3"))
 
-    @pytest.mark.parametrize("check", [reveng_priestley, evaluation_check, lambda_map])
-    def test_checks_read_the_store_passed_in(self, monkeypatch, check):
-        # the store the alter ego was built on holds every hom-set the
-        # natural duals of its sorts need
+    @pytest.mark.parametrize("check", [natural_dual, reveng_priestley, evaluation_check, lambda_map])
+    def test_checks_read_the_kept_hom_sets(self, monkeypatch, check):
+        # copies of demorgan4 with planted hom-sets, read as they stand:
+        # the real lists give the real answer with enumeration switched
+        # off, and empty lists leave no points to separate with
         gens = [DM.algebra, K3.algebra]
-        homs: dict = {}
-        ego = build_alter_ego(gens, DM.spec, homs=homs)
-        want = [check(m, ego) for m in gens]
+        ego = build_alter_ego(gens, DM.spec)
+        want = check(DM.algebra, ego)
+        real, emptied = dataclasses.replace(DM.algebra), dataclasses.replace(DM.algebra)
+        for m in gens:
+            real._homs[m], emptied._homs[m] = hom_set(DM.algebra, m), []
         monkeypatch.setattr(algebra_module, "hom_enumerate", None)
-        assert [check(m, ego, homs=homs) for m in gens] == want
+        assert check(real, ego) == want
+        with pytest.raises(MembershipError):
+            check(emptied, ego)
 
 
 class TestStructureProduct:
@@ -357,19 +364,11 @@ class TestCoproduct:
     )
     def test_enumerates_each_hom_set_once(self, monkeypatch, family, generators):
         # the alter ego, the membership checks, the duals and the universal
-        # check read one store of hom-sets, G's pairs first
-        pairs = []
-        real = algebra_module.hom_enumerate
-
-        def counted(a, b):
-            pairs.append((a.name, b.name))
-            return real(a, b)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "latcop" and hasattr(module, "hom_enumerate"):
-                monkeypatch.setattr(module, "hom_enumerate", counted)
-        gens = [make_id(g) for g in generators]
-        members = [make_id(b).algebra for b in family]
+        # check read the hom-sets the algebras keep, G's pairs first
+        copies = {cid: fresh_entry(cid) for cid in generators}
+        pairs = count_hom_enumerations(monkeypatch)
+        gens = [copies[g] for g in generators]
+        members = [copies[b].algebra for b in family]
         coproduct([g.algebra for g in gens], gens[0].spec, None, members)
         names = [g.algebra.name for g in gens]
         assert pairs == list(itertools.product(names, names))

@@ -13,26 +13,30 @@ from hypothesis import strategies as st
 from conftest import (
     bounds_preserved,
     brute_force_maximal_subuniverses,
+    count_hom_enumerations,
     decode,
     encode,
+    fresh_entry,
     leq_sublattice,
     median_chain,
     minimal_omega_by_sep,
     one_element,
     preimage_masks,
     relation_orbit_count,
+    relation_sizes,
     sep_by_loop,
     separation_masks_by_loop,
     unique_max_applicable,
 )
 from latcop import algebra as algebra_module
-from latcop.algebra import FiniteAlgebra, Signature, direct_product, hom_set, subuniverse_closure
+from latcop.algebra import FiniteAlgebra, Signature, direct_product, hom_enumerate, subuniverse_closure
 from latcop.catalog import make, make_id, table1_suite
 from latcop.classify import flowchart_classify
 from latcop.distlat import DReductSpec, _bits, _mask
 from latcop import piggyback
 from latcop.errors import CapExceeded, SeparationError
 from latcop.piggyback import (
+    AlterEgo,
     build_alter_ego,
     carrier_from_filter,
     carriers_of,
@@ -341,10 +345,9 @@ class TestSeparationTable:
         else:
             gens, spec = generators_of(keys)
         carriers = [c for m in gens for c in carriers_of(m, spec)]
-        homs: dict = {}
-        pairs, masks = piggyback._separation_table(gens, carriers, homs)
+        pairs, masks = piggyback._separation_table(gens, carriers)
         assert pairs == [(i, a, b) for i, m in enumerate(gens) for a, b in itertools.combinations(range(m.size), 2)]
-        assert masks == separation_masks_by_loop(gens, carriers, homs)
+        assert masks == separation_masks_by_loop(gens, carriers)
 
     def test_no_homs_and_one_element_generators(self):
         # the one-element algebra has no pairs and, as 0 = 1 there, an empty
@@ -352,10 +355,9 @@ class TestSeparationTable:
         one = one_element(B2.algebra.signature)
         gens = [one, B2.algebra]
         carriers = carriers_of(B2.algebra, B2.spec)
-        homs: dict = {}
-        pairs, masks = piggyback._separation_table(gens, carriers, homs)
+        pairs, masks = piggyback._separation_table(gens, carriers)
         assert pairs == [(1, 0, 1)]
-        assert masks == separation_masks_by_loop(gens, carriers, homs) == [1]
+        assert masks == separation_masks_by_loop(gens, carriers) == [1]
 
 
 class TestSearchSetUp:
@@ -581,7 +583,7 @@ class TestAlterEgo:
 
     def test_kleene_ego_four_singleton_relations(self):
         ego = build_alter_ego([K3.algebra], K3.spec)
-        sizes = ego.relation_sizes()
+        sizes = relation_sizes(ego)
         assert sizes == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
 
     def test_bool2_relation_is_order(self):
@@ -604,36 +606,49 @@ class TestAlterEgo:
         searched = build_alter_ego([K3.algebra], K3.spec)
         given = build_alter_ego([K3.algebra], K3.spec, carriers_of(K3.algebra, K3.spec))
         assert searched.minimality is not None and given.minimality is None
-        assert given == searched  # the certificate is not compared
+        assert given != searched  # one ego is equal only to itself
+        assert (given.sorts, given.carriers, given.relations, given.operations) == (
+            searched.sorts, searched.carriers, searched.relations, searched.operations
+        )
 
-    def test_reads_hom_sets_passed_in(self, monkeypatch):
-        gens = [DM.algebra, K3.algebra]
-        homs: dict = {}
-        for a, b in itertools.product(gens, gens):
-            hom_set(homs, a, b)
-        want = build_alter_ego(gens, DM.spec)
+    def test_reads_the_kept_hom_sets(self, monkeypatch):
+        # a planted End(demorgan4) without the negation leaves G the
+        # identity, and one carrier no longer separates
+        dm = fresh_entry("demorgan4").algebra
+        identity = hom_enumerate(dm, dm)[0]
+        dm._homs[dm] = [identity]
+        assert len(build_alter_ego([DM.algebra], DM.spec).carriers) == 1
         monkeypatch.setattr(algebra_module, "hom_enumerate", None)
-        got = build_alter_ego(gens, DM.spec, homs=homs)
-        assert got == want and got.minimality == want.minimality
+        ego = AlterEgo([dm], DM.spec)
+        assert ego.operations == (identity,) and identity.map == (0, 1, 2, 3)
+        assert len(ego.carriers) == 2
 
     def test_enumerates_each_hom_set_once(self, monkeypatch):
-        # the separation check and G read one enumeration per ordered pair
-        gens = [DM.algebra, K3.algebra]
-        omega = minimal_omega_certified(gens, DM.spec)[0]
-        pairs = []
-        real = algebra_module.hom_enumerate
-
-        def counted(a, b):
-            pairs.append((a.name, b.name))
-            return real(a, b)
-
-        monkeypatch.setattr(algebra_module, "hom_enumerate", counted)
+        # the separation check and G read one enumeration per ordered pair;
+        # the carriers are found on the catalog's copies, value-equal sorts
+        omega = minimal_omega_certified([DM.algebra, K3.algebra], DM.spec)[0]
+        gens = [fresh_entry(c).algebra for c in ("demorgan4", "kleene3")]
+        pairs = count_hom_enumerations(monkeypatch)
         ego = build_alter_ego(gens, DM.spec, omega)
         names = [m.name for m in gens]
         assert pairs == list(itertools.product(names, names))
         assert ego.operations == tuple(
-            h for m1 in gens for m2 in gens for h in real(m1, m2)
+            h for m1 in gens for m2 in gens for h in hom_enumerate(m1, m2)
         )
+
+    @pytest.mark.parametrize(
+        "entry", [e for e, _ in table1_suite()] + [make_id(i) for i in LADDER_IDS], ids=lambda e: e.key
+    )
+    def test_report_listing_matches_the_alter_ego(self, entry):
+        # the classification's one ego lists, pair by pair, what a built
+        # alter ego on its sorts and carriers holds, and its root classes
+        # are the listed counts capped at 2
+        report = flowchart_classify([entry.algebra], entry.spec, size_cap=20)
+        built = build_alter_ego(report.ego.sorts, entry.spec, report.omega)
+        assert list(report.listing) == list(built.pairs())
+        for (i, j), listed in report.listing.items():
+            assert listed == built.relations_for(i, j)
+            assert report.ego.root_class(i, j) == min(len(listed), 2)
 
 
 class TestUniqueMaxApplicable:
@@ -670,7 +685,7 @@ class TestUniqueMaxApplicable:
             assert unique_max_applicable(entry.algebra, entry.spec)
             assert bounds_preserved(entry.algebra, entry.spec)
             ego = build_alter_ego([entry.algebra], entry.spec)
-            assert all(v == 1 for v in ego.relation_sizes().values())
+            assert all(v == 1 for v in relation_sizes(ego).values())
 
     @pytest.mark.parametrize("key, params", [
         (key, params) for key, params in ROOT_CLASS_ALGEBRAS
