@@ -1,5 +1,7 @@
 """Constructors for the named finite algebras, with reduct terms, documented
-carrier maps, and the expected E/S classifications.
+carrier maps, and the expected E/S classifications.  The bit lattices are
+stated once: demorgan4's diamond as two bits, and the pre-Moisil algebras as
+a bit lattice times a chain (:func:`_times_chain`).
 
 Two classification-table rows are deliberately not reproduced: the
 quantifier-lattice varieties (generators D_pq) and non-singly-generated
@@ -9,6 +11,7 @@ scope.  See UNVERIFIED_TABLE_ROWS.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -78,22 +81,18 @@ _MV_SPEC = DReductSpec(
     top=app("neg", app("zero")),
 )
 
-# the four-element De Morgan diamond: 0 < a, b < 1 with two negation fixpoints
-_DIAMOND = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
-_DIAMOND_INV = {v: k for k, v in _DIAMOND.items()}
-
-
-def _diamond_meet(x: int, y: int) -> int:
-    (x1, x2), (y1, y2) = _DIAMOND[x], _DIAMOND[y]
-    return _DIAMOND_INV[(min(x1, y1), min(x2, y2))]
-
-
-def _diamond_join(x: int, y: int) -> int:
-    (x1, x2), (y1, y2) = _DIAMOND[x], _DIAMOND[y]
-    return _DIAMOND_INV[(max(x1, y1), max(x2, y2))]
-
-
+# the four-element De Morgan diamond 0 < a, b < 1 as two bits, 0, a = 1,
+# b = 2, 1 = 3, so meet and join are bitwise; negation fixes a and b
 _DM_NEG = (3, 1, 2, 0)
+
+
+def _times_chain(n: int, meet, join):
+    """Meet and join of a bit lattice (``meet`` and ``join`` on its
+    elements) times the n-chain, (j, k) coded as j * n + k."""
+    def on_pairs(f, g):
+        return lambda x, y: f(x // n, y // n) * n + g(x % n, y % n)
+
+    return on_pairs(meet, min), on_pairs(join, max)
 
 
 def _bool2() -> CatalogEntry:
@@ -116,8 +115,8 @@ def _demorgan4() -> CatalogEntry:
         4,
         _SIG_DM,
         (
-            _binary(4, _diamond_meet),
-            _binary(4, _diamond_join),
+            _binary(4, operator.and_),
+            _binary(4, operator.or_),
             _DM_NEG,
             (0,),
             (3,),
@@ -336,35 +335,21 @@ def _pre_moisil_L0(n: int) -> CatalogEntry:
         raise LatcopError("pre_moisil_L0 needs n >= 2")
     _check_tables("pre_moisil_L0", 2 * n, 2, 2 * (n - 1), 2)
     size = 2 * n
-
-    def enc(j: int, k: int) -> int:
-        return j * n + k
-
-    def dec(x: int) -> tuple[int, int]:
-        return divmod(x, n)
-
-    def meet(x: int, y: int) -> int:
-        (j1, k1), (j2, k2) = dec(x), dec(y)
-        return enc(min(j1, j2), min(k1, k2))
-
-    def join(x: int, y: int) -> int:
-        (j1, k1), (j2, k2) = dec(x), dec(y)
-        return enc(max(j1, j2), max(k1, k2))
-
-    bot, top = enc(0, 0), enc(1, n - 1)
+    meet, join = _times_chain(n, min, max)
+    bot, top = 0, size - 1
     symbols = [("meet", 2), ("join", 2), ("zero", 0), ("one", 0)]
     tables = [_binary(size, meet), _binary(size, join), (bot,), (top,)]
     for i in range(1, n):
         symbols.append((f"e{i}", 1))
-        tables.append(_unary(size, lambda x, i=i: bot if dec(x)[1] < n - i else top))
+        tables.append(_unary(size, lambda x, i=i: bot if x % n < n - i else top))
     for i in range(1, n):
         symbols.append((f"ebar{i}", 1))
-        tables.append(_unary(size, lambda x, i=i: top if dec(x)[1] < n - i else bot))
+        tables.append(_unary(size, lambda x, i=i: top if x % n < n - i else bot))
     alg = FiniteAlgebra(
         f"pre_moisil_L0_{n}", size, Signature(tuple(symbols)), tuple(tables),
         tuple(f"({j},{k})" for j in range(2) for k in range(n)),
     )
-    carrier = frozenset(enc(1, k) for k in range(n))  # w(x, y) = x
+    carrier = frozenset(range(n, size))  # w(x, y) = x
     return CatalogEntry(
         f"pre_moisil_L0({n})", "pre_moisil_L0", (n,), alg, _LIT, (carrier,),
         (True, True), f"{n}-valued pre-Lukasiewicz-Moisil witness algebra",
@@ -377,44 +362,26 @@ def _pre_moisil_M0(n: int) -> CatalogEntry:
         raise LatcopError("pre_moisil_M0 needs n >= 2")
     _check_tables("pre_moisil_M0", 4 * n, 2, n, 2)
     size = 4 * n
-
-    def enc(j: int, k: int) -> int:
-        return j * n + k
-
-    def dec(x: int) -> tuple[int, int]:
-        return divmod(x, n)
-
-    def meet(x: int, y: int) -> int:
-        (j1, k1), (j2, k2) = dec(x), dec(y)
-        return enc(_diamond_meet(j1, j2), min(k1, k2))
-
-    def join(x: int, y: int) -> int:
-        (j1, k1), (j2, k2) = dec(x), dec(y)
-        return enc(_diamond_join(j1, j2), max(k1, k2))
-
-    def neg(x: int) -> int:
-        j, k = dec(x)
-        return enc(_DM_NEG[j], n - 1 - k)
-
-    bot, top = enc(0, 0), enc(3, n - 1)
+    meet, join = _times_chain(n, operator.and_, operator.or_)
+    bot, top = 0, size - 1
     symbols = [("meet", 2), ("join", 2), ("neg", 1), ("zero", 0), ("one", 0)]
     tables = [
         _binary(size, meet),
         _binary(size, join),
-        _unary(size, neg),
+        _unary(size, lambda x: _DM_NEG[x // n] * n + n - 1 - x % n),
         (bot,),
         (top,),
     ]
     for i in range(1, n):
         symbols.append((f"f{i}", 1))
-        tables.append(_unary(size, lambda x, i=i: bot if dec(x)[1] < n - i else top))
+        tables.append(_unary(size, lambda x, i=i: bot if x % n < n - i else top))
     dm_names = ("0", "a", "b", "1")
     alg = FiniteAlgebra(
         f"pre_moisil_M0_{n}", size, Signature(tuple(symbols)), tuple(tables),
         tuple(f"({dm_names[j]},{k})" for j in range(4) for k in range(n)),
     )
     # w(x, y) = 1 iff x in {a, 1}
-    carrier = frozenset(enc(j, k) for j in (1, 3) for k in range(n))
+    carrier = frozenset(j * n + k for j in (1, 3) for k in range(n))
     return CatalogEntry(
         f"pre_moisil_M0({n})", "pre_moisil_M0", (n,), alg, _LIT, (carrier,),
         (True, True), f"{n}-valued pre-Moisil witness algebra",

@@ -177,14 +177,6 @@ class ClassificationReport:
                 out[ij] = exc
         return out
 
-    @property
-    def listing_stopped(self) -> dict[tuple[int, int], CapExceeded]:
-        return {ij: v for ij, v in self.listing.items() if isinstance(v, CapExceeded)}
-
-    @property
-    def relation_sizes(self) -> dict[tuple[int, int], int | None]:
-        return {ij: None if isinstance(v, CapExceeded) else len(v) for ij, v in self.listing.items()}
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -215,7 +207,7 @@ class ClassificationReport:
             doc["omega_minimality"] = {
                 "size": self.minimality.size,
                 "alternatives_of_same_size": self.minimality.alternatives,
-                "smaller_sizes_failed": list(self.minimality.smaller_sizes_failed),
+                "smaller_sizes_failed": list(range(1, self.minimality.size)),
             }
         if self.ego is not None:
             rels = []

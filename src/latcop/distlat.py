@@ -4,7 +4,9 @@ The dual of a finite bounded distributive lattice is the poset of its prime
 filters; in the finite case these are exactly the up-sets of join-irreducible
 elements, which keeps both directions of the duality quadratic.  A reduct is
 validated once per algebra and spec, in O(n^2) operations on bitmask rows,
-and kept with the algebra (and its ``rename()`` copies) for later calls.
+and kept with the algebra (and its ``rename()`` copies) for later calls as
+its order and bounds: the duality reads it only through its order, which
+fixes meet and join, so their tables are built to check the axioms only.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ class DistLatticeReduct:
     """A validated bounded-distributive-lattice reduct of a finite algebra."""
 
     carrier: FiniteAlgebra
-    meet_table: tuple[int, ...]
-    join_table: tuple[int, ...]
     bot: int
     top: int
     leq_rows: tuple[int, ...]  # row x is a bitmask of { y : x <= y }
@@ -55,7 +55,8 @@ class DistLatticeReduct:
         return self.carrier.size
 
     def join(self, x: int, y: int) -> int:
-        return self.join_table[x * self.size + y]
+        """x v y, the element whose up-set is up(x) & up(y)."""
+        return self.leq_rows.index(self.leq_rows[x] & self.leq_rows[y])
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.leq_rows[x] >> y & 1)
@@ -85,8 +86,8 @@ def d_reduct(algebra: FiniteAlgebra, spec: DReductSpec) -> DistLatticeReduct:
 
 
 def _validate(algebra: FiniteAlgebra, spec: DReductSpec) -> tuple:
-    """The reduct's meet and join tables, bottom, top, ``leq_rows`` and
-    join-irreducible mask, in O(n^2) operations on n-bit rows.
+    """The reduct's bottom, top, ``leq_rows`` and join-irreducible mask, in
+    O(n^2) operations on n-bit rows (the meet and join tables are not kept).
 
     Lemma (Davey & Priestley, *Introduction to Lattices and Order*, 2nd ed.,
     2002, ch. 2 and 5).  Read x <= y off the meet table as m(x, y) = x, and
@@ -160,7 +161,7 @@ def _validate(algebra: FiniteAlgebra, spec: DReductSpec) -> tuple:
         escaped = below[j[x * n + y]] ^ (below[x] | below[y])
         if escaped:
             raise LatticeAxiomError("distributivity", (_bits(escaped)[0], x, y))
-    return m, j, bot, top, up, irreducibles
+    return bot, top, up, irreducibles
 
 
 # ---------------------------------------------------------------------------

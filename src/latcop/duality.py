@@ -50,11 +50,12 @@ class MultisortedStructure:
     """A finite structure over an alter ego's sorts.
 
     ``points`` holds, per sort, the carrier (homomorphisms for duals, tuples
-    for products); ``relations`` and ``operations`` are index-based lifts
-    aligned with the ego's relation and operation lists: a relation as
-    bitmask rows like :class:`~latcop.piggyback.SortedRelation`'s (row i the
-    points of sort2 related to point i of sort1), an operation as the index
-    of each source point's image.
+    for products), numbered sort-major as a whole: point i of sort s follows
+    the points of the sorts before s.  ``relations`` and ``operations`` are
+    index-based lifts aligned with the ego's relation and operation lists:
+    a relation as bitmask rows like :class:`~latcop.piggyback.SortedRelation`'s
+    (row i the points of sort2 related to point i of sort1), an operation as
+    the index of each source point's image.
     """
 
     ego: AlterEgo
@@ -65,12 +66,6 @@ class MultisortedStructure:
     @property
     def point_count(self) -> int:
         return sum(len(p) for p in self.points)
-
-    def global_points(self) -> list[tuple[int, int]]:
-        """Canonical point order: sort-major, then point index."""
-        return [
-            (s, i) for s in range(len(self.points)) for i in range(len(self.points[s]))
-        ]
 
 
 def natural_dual(algebra: FiniteAlgebra, ego: AlterEgo) -> MultisortedStructure:
@@ -160,8 +155,7 @@ class EResult:
     """E(X) together with the morphisms realizing its elements."""
 
     algebra: FiniteAlgebra
-    morphisms: tuple[tuple[int, ...], ...]  # value per global point
-    point_order: tuple[tuple[int, int], ...]
+    morphisms: tuple[tuple[int, ...], ...]  # value per point, sort-major
 
 
 def e_functor(
@@ -173,9 +167,8 @@ def e_functor(
     propagation over candidate-value bitmasks; the algebra is structured
     pointwise from the sorts."""
     ego = structure.ego
-    order = structure.global_points()
-    nvars = len(order)
-    sort_of = [s for s, _ in order]
+    sort_of = [s for s, sort in enumerate(structure.points) for _ in sort]
+    nvars = len(sort_of)
     full = [(1 << ego.sorts[s].size) - 1 for s in sort_of]
     start = list(itertools.accumulate(map(len, structure.points), initial=0))  # each sort's first point
 
@@ -254,14 +247,14 @@ def e_functor(
     sig = ego.sorts[0].signature
     _, tables = _subpower(sig, [ego.sorts[s] for s in sort_of], universe=solutions)
     algebra = FiniteAlgebra("E(X)", len(solutions), sig, tables)
-    return EResult(algebra, tuple(solutions), tuple(order))
+    return EResult(algebra, tuple(solutions))
 
 
 def _evaluation(
     e_res: EResult, source: FiniteAlgebra, target: FiniteAlgebra, points: Sequence[Homomorphism]
 ) -> Homomorphism:
     """The map source -> target sending a to the element of E(X) that is
-    the morphism x |-> points[k](a) on the k-th point of ``e_res.point_order``;
+    the morphism x |-> points[k](a) on the k-th point, sort-major;
     ``target`` is E(X)'s algebra under the caller's name."""
     index = {vec: k for k, vec in enumerate(e_res.morphisms)}
     images = []
@@ -279,11 +272,9 @@ def _evaluation(
 
 @dataclass(frozen=True)
 class CoproductResult:
-    algebra: FiniteAlgebra
+    algebra: FiniteAlgebra  # E(X) named after the family: its elements are E(X)'s morphisms
     injections: tuple[Homomorphism, ...]
-    structure: MultisortedStructure
-    e_result: EResult
-    ego: AlterEgo
+    structure: MultisortedStructure  # X, the product of duals, over the alter ego X.ego
 
 
 def coproduct(
@@ -310,12 +301,12 @@ def coproduct(
     algebra = e_res.algebra.rename(f"Coprod({','.join(b.name for b in members)})")
     injections = []
     for bi, b in enumerate(members):
-        points = [prod_structure.points[s][i][bi] for s, i in e_res.point_order]
+        points = [x[bi] for sort in prod_structure.points for x in sort]
         eps = _evaluation(e_res, b, algebra, points)
         if not eps.is_valid():
             raise InternalError("coproduct injection not a homomorphism")
         injections.append(eps)
-    result = CoproductResult(algebra, tuple(injections), prod_structure, e_res, ego)
+    result = CoproductResult(algebra, tuple(injections), prod_structure)
     _check_universal_property(result)
     return result
 
@@ -334,7 +325,7 @@ def _prescribed(result: CoproductResult, s: int) -> tuple[int, dict[int, tuple[i
             row = tuple(f[i].map[x] for f in families)
             if rows.setdefault(eps.map[x], row) != row:
                 raise InternalError(
-                    f"universal property fails against {result.ego.sorts[s].name!r}: a family "
+                    f"universal property fails against {result.structure.ego.sorts[s].name!r}: a family "
                     f"prescribes two values at element {eps.map[x]} of C"
                 )
     return len(families), rows
@@ -354,7 +345,7 @@ def _check_universal_property(result: CoproductResult) -> None:
     generators.  A generator that receives no family is skipped: when none
     does, the product of duals has no points and C has one element.
     """
-    for s, m in enumerate(result.ego.sorts):
+    for s, m in enumerate(result.structure.ego.sorts):
         width, rows = _prescribed(result, s)
         if width and not _extends_to_hom(result.algebra, m, rows, width):
             raise InternalError(

@@ -122,9 +122,8 @@ def sep_condition(generators: Sequence[FiniteAlgebra], omega: Sequence[PrimeFilt
 
 @dataclass(frozen=True)
 class MinimalityCertificate:
-    size: int
+    size: int                # every smaller size failed, as sizes are tried upward
     alternatives: int        # other separating sets of the same size
-    smaller_sizes_failed: tuple[int, ...]
 
 
 def minimal_omega_certified(
@@ -143,7 +142,6 @@ def minimal_omega_certified(
     all_carriers = [w for m in gens for w in carriers_of(m, spec)]
     pairs, covers = _separation_table(gens, all_carriers)
     full = (1 << len(pairs)) - 1
-    failed: list[int] = []
     for size in range(1, len(all_carriers) + 1):
         winners = [
             combo
@@ -151,10 +149,7 @@ def minimal_omega_certified(
             if functools.reduce(operator.or_, (covers[k] for k in combo)) == full
         ]
         if winners:
-            return tuple(all_carriers[k] for k in winners[0]), MinimalityCertificate(
-                size, len(winners) - 1, tuple(failed)
-            )
-        failed.append(size)
+            return tuple(all_carriers[k] for k in winners[0]), MinimalityCertificate(size, len(winners) - 1)
     raise SeparationError(
         "the full carrier set does not separate: some generator is trivial "
         "or not in the quasivariety"

@@ -36,7 +36,8 @@ isomorphism (``poset_isomorphic``, the map search on the ``up``
 encodings), a small generating set (``generating_set``), congruence
 blocks as sets, bijectivity, composing or inverting homomorphisms, one
 operation instance read from its table (``op``), a prime filter as a map
-to 2 and the meet of a lattice reduct.
+to 2 and the meet and join tables of a lattice reduct, which the reduct
+does not keep (``reduct_tables``, built with ``term_table`` from the spec).
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from latcop.algebra import (
     isomorphic,
     subuniverse_closure,
     subuniverses,
+    term_table,
 )
 from latcop.catalog import _LATTICE_SIG, CatalogEntry, make, make_id
 from latcop.classify import SUBALGEBRA_SIZE_CAP, _rsi, flowchart_classify, simplify_generators
@@ -318,9 +320,18 @@ def filter_value(w: PrimeFilter, x: int) -> int:
     return 1 if x in w.elements else 0
 
 
+def reduct_tables(lat: DistLatticeReduct) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The meet and join tables of the reduct ``lat``, built with
+    ``term_table`` from a spec its algebra validated it under: the reduct
+    keeps its order only.  Any such spec gives the same tables, as the
+    order fixes the lattice operations."""
+    spec = next(spec for spec in lat.carrier._reducts if d_reduct(lat.carrier, spec) == lat)
+    return term_table(lat.carrier, spec.meet, 2), term_table(lat.carrier, spec.join, 2)
+
+
 def lattice_meet(lat: DistLatticeReduct, x: int, y: int) -> int:
     """x meet y in the reduct ``lat``, read from its meet table."""
-    return lat.meet_table[x * lat.size + y]
+    return reduct_tables(lat)[0][x * lat.size + y]
 
 
 def symmetric_by_slices(algebra: FiniteAlgebra) -> tuple[bool, ...]:
@@ -593,7 +604,7 @@ def evaluation_check(algebra: FiniteAlgebra, ego: AlterEgo) -> EvaluationCheck:
     isomorphism."""
     dual = natural_dual(algebra, ego)
     e_res = e_functor(dual)
-    points = [dual.points[s][i] for s, i in e_res.point_order]
+    points = [x for sort in dual.points for x in sort]
     ev = _evaluation(e_res, algebra, e_res.algebra, points)
     iso = ev.is_valid() and ev.is_injective and e_res.algebra.size == algebra.size
     return EvaluationCheck(e_res, ev, iso)
@@ -651,8 +662,8 @@ def unique_max_applicable(algebra: FiniteAlgebra, spec: DReductSpec) -> bool:
     sufficient condition for the relation search's root class to be <= 1.
     """
     lattice = d_reduct(algebra, spec)
-    meet_tab = lattice.meet_table
-    join_tab = lattice.join_table
+    meet_tab = term_table(algebra, spec.meet, 2)
+    join_tab = term_table(algebra, spec.join, 2)
     # the reduct's (meet, join) algebra and its order dual: a unary table is
     # a dual endomorphism iff it is a homomorphism from the one to the other
     sig = Signature((("meet", 2), ("join", 2)))
@@ -705,7 +716,7 @@ class LatticeHom(ImageMap):
 
     def __post_init__(self):
         s, t = (
-            FiniteAlgebra(r.carrier.name, r.size, _LATTICE_SIG, (r.meet_table, r.join_table, (r.bot,), (r.top,)))
+            FiniteAlgebra(r.carrier.name, r.size, _LATTICE_SIG, (*reduct_tables(r), (r.bot,), (r.top,)))
             for r in (self.source, self.target)
         )
         if not Homomorphism(s, t, self.map).is_valid():
@@ -924,12 +935,13 @@ def breaks_lattice_property(algebra: FiniteAlgebra, spec: DReductSpec, identity:
 def join_irreducibles_by_fold(lattice: DistLatticeReduct) -> list[int]:
     """The elements that are not the join of their strict lower set, folding
     the join table over each lower set."""
+    join = reduct_tables(lattice)[1]
     out = []
     for x in range(lattice.size):
         acc = lattice.bot
         for y in range(lattice.size):
             if y != x and lattice.leq(y, x):
-                acc = lattice.join(acc, y)
+                acc = join[acc * lattice.size + y]
         if x != lattice.bot and acc != x:
             out.append(x)
     return out
@@ -1279,9 +1291,12 @@ def scan_single_generator(generators, size_cap=SUBALGEBRA_SIZE_CAP):
     return None
 
 
-def relation_sizes(ego: AlterEgo) -> dict[tuple[int, int], int]:
-    """|R(w_i, w_j)| per ordered carrier pair (i, j) of ``ego``."""
-    return {(i, j): len(ego.relations_for(i, j)) for i, j in ego.pairs()}
+def relation_sizes(source) -> dict[tuple[int, int], int | None]:
+    """|R(w_i, w_j)| per ordered carrier pair (i, j), read off an alter
+    ego or off a report's ``listing``, where a pair whose listing stopped
+    has None."""
+    listing = source if isinstance(source, dict) else {ij: source.relations_for(*ij) for ij in source.pairs()}
+    return {ij: None if isinstance(v, CapExceeded) else len(v) for ij, v in listing.items()}
 
 
 def relation_orbit_count(ego: AlterEgo, omega1: int, omega2: int) -> int:
@@ -1401,7 +1416,7 @@ def morphisms_by_maps(structure) -> list[tuple[int, ...]]:
     order, into their sorts, kept when it sends each lifted pair into its
     relation and commutes with each lifted operation."""
     ego = structure.ego
-    order = structure.global_points()
+    order = [(s, i) for s, sort in enumerate(structure.points) for i in range(len(sort))]
     pos = {p: k for k, p in enumerate(order)}
     checks = [
         (pos[(rel.sort1, i)], pos[(rel.sort2, j)], frozenset(rel.pairs))

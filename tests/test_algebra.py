@@ -69,7 +69,7 @@ from latcop.algebra import (
 )
 from latcop.catalog import make, make_id
 from latcop.distlat import DReductSpec
-from latcop.duality import coproduct
+from latcop.duality import coproduct, e_functor
 from latcop.errors import (
     CapExceeded,
     InternalError,
@@ -835,9 +835,9 @@ class TestTernaryPointwise:
 
     def test_coproduct_of_two_copies(self):
         cop = coproduct([MED3], DReductSpec.literal(), None, [MED3, MED3])
-        e = cop.e_result
-        coords = [cop.ego.sorts[s] for s, _ in e.point_order]
-        assert cop.algebra.tables == pointwise_tables(coords, list(e.morphisms))
+        x = cop.structure
+        coords = [x.ego.sorts[s] for s, sort in enumerate(x.points) for _ in sort]
+        assert cop.algebra.tables == pointwise_tables(coords, list(e_functor(x).morphisms))
         # maj is a lattice term, so this is F(1)+F(1) = F(2) of bounded
         # distributive lattices
         assert cop.algebra.size == 6

@@ -4,9 +4,9 @@ import pytest
 
 from conftest import op, report_for
 from latcop import catalog as catalog_module
-from latcop.algebra import TABLE_ENTRY_BUDGET, embeds, hom_enumerate
+from latcop.algebra import TABLE_ENTRY_BUDGET, FiniteAlgebra, direct_product, embeds, hom_enumerate
 from latcop.algfile import export_entry, parse_algebra_file
-from latcop.catalog import _CONSTRUCTORS, UNVERIFIED_TABLE_ROWS, make, make_id, table1_suite
+from latcop.catalog import _CONSTRUCTORS, _LATTICE_SIG, UNVERIFIED_TABLE_ROWS, make, make_id, table1_suite
 from latcop.distlat import d_reduct
 from latcop.errors import CapExceeded, LatcopError
 from latcop.piggyback import carrier_from_filter, sep_condition
@@ -178,6 +178,29 @@ class TestPreMoisilWitnesses:
             )
             assert eta in endos, f"eta_{i}"
         assert tuple(range(2 * n)) in endos
+
+
+class TestBitLattices:
+    """The catalog's bit lattices against direct_product of catalog
+    lattices over the lattice signature: direct_product numbers (j, k) as
+    j * n + k with the leftmost factor most significant, as the catalog
+    does, and bitwise meet and join do not depend on which bit comes
+    first."""
+
+    @staticmethod
+    def lattice(key, *params):
+        alg = make(key, *params).algebra
+        return FiniteAlgebra(alg.name, alg.size, _LATTICE_SIG, tuple(alg.table(s) for s, _ in _LATTICE_SIG.symbols))
+
+    def test_diamond_is_bool2_squared(self):
+        b2 = self.lattice("bool2")
+        assert self.lattice("demorgan4").tables == direct_product([b2, b2]).tables
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_pre_moisil_times_chain(self, n):
+        chain = self.lattice("heyting_chain", n)
+        for key, bits in (("pre_moisil_L0", "bool2"), ("pre_moisil_M0", "demorgan4")):
+            assert self.lattice(key, n).tables == direct_product([self.lattice(bits), chain]).tables, key
 
 
 class TestExportRoundTrip:

@@ -394,7 +394,7 @@ class TestFlowchart:
         rep = report_for("kleene3")
         assert rep.single_generator is not None
         assert len(rep.omega) == 2
-        assert rep.relation_sizes == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+        assert relation_sizes(rep.listing) == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
         assert rep.route[0][1] == "yes" and rep.route[1][1] == "no"
         assert rep.unknown is None
         text = rep.to_text()

@@ -1,7 +1,9 @@
 """Reduct extraction and finite Priestley duality."""
 
 import dataclasses
+import gc
 import itertools
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +22,7 @@ from conftest import (
     chain,
     dual_of_hom,
     filter_value,
+    fresh_entry,
     join_irreducibles_by_fold,
     lattice_algebra_from_leq,
     lattice_identity_failure,
@@ -35,7 +38,7 @@ from conftest import (
 )
 from latcop import catalog as catalog_module
 from latcop import distlat as distlat_module
-from latcop.algebra import FiniteAlgebra, Signature, app, var
+from latcop.algebra import FiniteAlgebra, Signature, app, term_table, var
 from latcop.catalog import _LATTICE_SIG as LATTICE_SIG
 from latcop.catalog import make, table1_suite
 from latcop.classify import flowchart_classify
@@ -103,6 +106,28 @@ class TestDReduct:
                 assert lat.carrier is renamed
                 assert lat.leq_rows == d_reduct(entry.algebra, entry.spec).leq_rows
             assert [call.args[0] for call in counter.call_args_list] == [copy]
+
+    def test_kept_reduct_is_linear(self):
+        # the reduct keeps n rows of n bits, not its n^2 meet and join
+        # tables; term_table builds the algebra's arrays and keeps them for
+        # their other readers, so they are built before measuring, and its
+        # argument grid waits for the cycle collector, so that runs first
+        entry = fresh_entry("heyting_chain(300)")
+        entry.algebra.arrays()
+        tracemalloc.start()
+        try:
+            lat = d_reduct(entry.algebra, entry.spec)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert lat.size == 300 and retained < 300**2 * 4
+
+    def test_join_reads_the_order(self):
+        for entry, _ in table1_suite():
+            alg, lat = entry.algebra, d_reduct(entry.algebra, entry.spec)
+            r = range(alg.size)
+            assert tuple(lat.join(x, y) for x in r for y in r) == term_table(alg, entry.spec.join, 2), entry.key
 
     def test_mv_terms_give_chain(self):
         lat = d_reduct(MV2.algebra, MV2.spec)

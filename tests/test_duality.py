@@ -254,7 +254,7 @@ class TestEFunctor:
 
         family = [DM.algebra, DM.algebra]
         res = coproduct([DM.algebra], DM.spec, None, family, visit_cap=21)
-        morphisms = list(res.e_result.morphisms)
+        morphisms = list(e_functor(res.structure).morphisms)
         assert len(morphisms) == 16 and morphisms == sorted(morphisms)
         with pytest.raises(CapExceeded) as exc:
             coproduct([DM.algebra], DM.spec, None, family, visit_cap=20)
@@ -266,7 +266,7 @@ class TestEFunctor:
         # the sorts have nullary operations, so the constant maps keep E(X)
         # from being empty
         res = e_functor(x)
-        assert res.point_order == tuple(x.global_points())
+        assert all(len(v) == x.point_count for v in res.morphisms)
         assert list(res.morphisms) == morphisms_by_maps(x)
 
     def test_e_of_dual_recovers_size(self):
@@ -436,7 +436,7 @@ class TestUniversalCheck:
         doctored = self.doctored([Homomorphism(sub, c, elems)])
         # the check reads the families off the result: the points of the
         # product of the one member's dual
-        ego = doctored.ego
+        ego = doctored.structure.ego
         doctored = dataclasses.replace(doctored, structure=structure_product([natural_dual(sub, ego)], ego=ego))
         assert self.check(doctored, [sub], "the injection images do not generate C") == counts
         # the one-pass check agrees with the closure in C x m^K
@@ -486,7 +486,7 @@ class TestFamiliesArePoints:
     @pytest.mark.parametrize("family, generators", CHECKED_COPRODUCTS)
     def test_points_are_the_families(self, family, generators):
         res, members = _coproduct_case(family, generators)
-        for s, m in enumerate(res.ego.sorts):
+        for s, m in enumerate(res.structure.ego.sorts):
             families = tuple(itertools.product(*[hom_enumerate(b, m) for b in members]))
             assert res.structure.points[s] == families
 
@@ -501,13 +501,13 @@ class TestCoproductsAreGenerated:
         res, members = _coproduct_case(family, generators)
         images = {y for eps in res.injections for y in eps.map}
         assert subuniverse_closure(res.algebra, images) == frozenset(range(res.algebra.size))
-        for m in res.ego.sorts:
+        for m in res.structure.ego.sorts:
             assert set(mediating_map_counts(res, members, m)) <= {1}
 
     def test_no_family_gives_one_element(self):
         res, _ = _coproduct_case(("mv_chain(2)", "mv_chain(3)"), ("mv_chain(2)", "mv_chain(3)"))
         assert res.algebra.size == 1
-        assert all(_prescribed(res, s)[0] == 0 for s in range(len(res.ego.sorts)))
+        assert all(_prescribed(res, s)[0] == 0 for s in range(len(res.structure.ego.sorts)))
 
 
 class TestExtendsToHom:
@@ -517,7 +517,7 @@ class TestExtendsToHom:
     @pytest.mark.parametrize("family, generators", CONSTRUCT_COPRODUCTS)
     def test_agrees_with_closure_on_coproducts(self, family, generators):
         res, _ = _coproduct_case(family, generators)
-        for s, m in enumerate(res.ego.sorts):
+        for s, m in enumerate(res.structure.ego.sorts):
             width, rows = _prescribed(res, s)
             if not width:
                 continue  # no family into m: nothing to mediate
