@@ -301,7 +301,9 @@ def term_table(algebra: FiniteAlgebra, term: Term, arity: int) -> tuple[int, ...
             flat = flat * n + rec(s)
         return arrays[algebra.signature.index(t.head)][flat]
 
-    return tuple(np.broadcast_to(rec(term), n**arity).tolist())
+    table = rec(term)
+    del rec  # it refers to itself through its cell: a cycle that would keep the grid
+    return tuple(np.broadcast_to(table, n**arity).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +485,13 @@ def isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> Homomorphism | None:
 
 def subuniverse_closure(algebra: FiniteAlgebra, seed: Iterable[int]) -> frozenset[int]:
     """Least subset containing ``seed`` and all nullary values, closed under
-    every table.
+    every table."""
+    return frozenset(_closure(algebra, seed))
+
+
+def _closure(algebra: FiniteAlgebra, seed: Iterable[int]) -> Iterator[int]:
+    """The members of :func:`subuniverse_closure`, each yielded once when
+    found, the seed and nullary values first, so a reader may stop early.
 
     Worklist saturation on the growing member list, walked in place: each
     member meets every one listed before it or during its turn, so every
@@ -495,6 +503,7 @@ def subuniverse_closure(algebra: FiniteAlgebra, seed: Iterable[int]) -> frozense
     for x in members:
         if not 0 <= x < n:
             raise LatcopError(f"seed element {x} outside universe")
+    yield from members
     inside = set(members)
     ops = [(arity, tab, sym) for (_, arity, tab), sym in zip(algebra.ops(), algebra.symmetric()) if arity]
     for x in members:
@@ -504,6 +513,7 @@ def subuniverse_closure(algebra: FiniteAlgebra, seed: Iterable[int]) -> frozense
                 if z not in inside:
                     inside.add(z)
                     members.append(z)
+                    yield z
             elif arity == 2:
                 row = x * n
                 for y in members:
@@ -511,11 +521,13 @@ def subuniverse_closure(algebra: FiniteAlgebra, seed: Iterable[int]) -> frozense
                     if z not in inside:
                         inside.add(z)
                         members.append(z)
+                        yield z
                     if not sym:
                         z = tab[y * n + x]
                         if z not in inside:
                             inside.add(z)
                             members.append(z)
+                            yield z
             else:
                 for rest in itertools.product(members, repeat=arity - 1):
                     for pos in range(arity):
@@ -523,7 +535,7 @@ def subuniverse_closure(algebra: FiniteAlgebra, seed: Iterable[int]) -> frozense
                         if z not in inside:
                             inside.add(z)
                             members.append(z)
-    return frozenset(inside)
+                            yield z
 
 
 def subuniverses(algebra: FiniteAlgebra) -> list[frozenset[int]]:

@@ -7,7 +7,9 @@ of carrier maps the relations R are the maximal subuniverses of the product
 of their sorts contained in the sublattice of pairs (a, b) with
 w1(a) <= w2(b) (the bitmask :func:`leq_mask`), found by a bitset branch
 and bound on Python ints (:func:`maximal_subuniverses_in`); whether
-|R| <= 1 is read off the root of that search alone (:func:`_relation_search`).
+|R| <= 1 is read off the root of that search alone (:func:`_relation_search`),
+built from principal closures that stop at the first known one equal to
+them (:func:`_close_principal`) and tested by streaming one closure.
 
 One separation table gives each carrier the bitmask of the pairs it
 separates; the separation check and the minimum carrier search (a set
@@ -29,9 +31,9 @@ import numpy as np
 
 from .algebra import (
     FiniteAlgebra,
+    _closure,
     direct_product,
     hom_set,
-    subuniverse_closure,
 )
 from .distlat import DReductSpec, PrimeFilter, _bits, _mask, _union, d_reduct, prime_filters
 from .errors import CapExceeded, LatcopError, SeparationError
@@ -211,11 +213,23 @@ def _close_principal(
     """Put sg(base + e) into ``principal`` as a bitmask.  ``swap`` is None
     or, on the square of one sort, the map (a, b) -> (b, a) of its
     elements: an automorphism, which fixes base, so sg(base + swap[e]) is
-    sg(base + e) swapped, and goes in too."""
-    closure = subuniverse_closure(product, (e,))
-    principal[e] = _mask(closure)
+    sg(base + e) swapped, and goes in too.
+
+    The closure is walked only up to its first member x whose closure is
+    known and holds e: then sg(base + e) = sg(base + x), as x lies in
+    sg(base + e) and e in sg(base + x).  The mirror of x's closure is kept
+    with it, so it is known too."""
+    members: list[int] = []
+    for x in _closure(product, (e,)):
+        if x in principal and principal[x] >> e & 1:
+            principal[e] = principal[x]
+            if swap is not None:
+                principal[swap[e]] = principal[swap[x]]
+            return
+        members.append(x)
+    principal[e] = _mask(members)
     if swap is not None:
-        principal[swap[e]] = _mask(swap[x] for x in closure)
+        principal[swap[e]] = _mask(swap[x] for x in members)
 
 
 class _Search(NamedTuple):
@@ -235,19 +249,22 @@ def _relation_search(product: FiniteAlgebra, sort_size: int | None = None) -> _S
     closed, else |R| >= 2.  Proof: a subuniverse inside the allowed set
     holds base and sg(base + e) for each of its e, so it lies inside s;
     each e of s lies in sg(base + e), inside some member of R, so R covers
-    s, and one member alone would be s.
+    s, and one member alone would be s.  Whether s is closed is read by
+    streaming sg(s) (:func:`~latcop.algebra._closure`) up to its first
+    member outside s, so a class-2 root costs no full closure.
 
     The set-up is shared by every allowed set and by both readers: the
-    least subuniverse ``base``, the principal subuniverses sg(base + e)
+    least subuniverse ``base`` and the principal subuniverses sg(base + e)
     (each computed when an allowed set first holds e, together with its
     mirror when ``product`` is the square of one sort of ``sort_size``
-    elements), the unary and binary tables with their preimage masks over
-    the n*n-bit square (bit x*n+y, see :class:`_Preimages`), and the
-    row-plus-column mask of each element.  Nullary values lie in ``base``,
-    which every node keeps, so they never escape.
+    elements).  The listing alone reads the unary and binary tables with
+    their preimage masks over the n*n-bit square (bit x*n+y, see
+    :class:`_Preimages`), and the row-plus-column mask of each element.
+    Nullary values lie in ``base``, which every node keeps, so they never
+    escape.
     """
     n = product.size
-    base = _mask(subuniverse_closure(product, ()))
+    base = _mask(_closure(product, ()))
     principal: dict[int, int] = {}  # sg(base + e), filled in on first use
     swap = None if sort_size is None else [x % sort_size * sort_size + x // sort_size for x in range(n)]
     # (arity, index into pre_ops or, for arity >= 3, the table)
@@ -282,9 +299,8 @@ def _relation_search(product: FiniteAlgebra, sort_size: int | None = None) -> _S
                         return list(args)
         return None
 
-    def root(allowed: int) -> tuple[int, int, list[int]] | None:
-        """s, its square and its escape masks, one per unary or binary
-        table; None if base escapes ``allowed``."""
+    def root(allowed: int) -> int | None:
+        """The root s; None if base escapes ``allowed``."""
         if base & ~allowed:
             return None
         s = base
@@ -293,24 +309,24 @@ def _relation_search(product: FiniteAlgebra, sort_size: int | None = None) -> _S
                 _close_principal(product, e, swap, principal)
             if not principal[e] & ~allowed:
                 s |= 1 << e
-        square = 0
-        for x in _bits(s):
-            square |= s << (x * n)
-        held = np.frombuffer(s.to_bytes(-(-n // 8), "little"), np.uint8)
-        outside = np.unpackbits(held, count=n, bitorder="little") == 0
-        return s, square, [pre.escape(outside) for pre in pre_ops]
+        return s
 
     def root_class(allowed: int) -> int:
-        start = root(allowed)
-        if start is None or not start[0]:
+        s = root(allowed)
+        if not s:
             return 0
-        return 1 if violation(*start) is None else 2
+        return 1 if all(s >> x & 1 for x in _closure(product, _bits(s))) else 2
 
     def maximal(allowed: int) -> list[int]:
         start = root(allowed)
         if start is None:
             return []
-        s, square, bad = start
+        square = 0
+        for x in _bits(start):
+            square |= start << (x * n)
+        held = np.frombuffer(start.to_bytes(-(-n // 8), "little"), np.uint8)
+        outside = np.unpackbits(held, count=n, bitorder="little") == 0
+        bad = [pre.escape(outside) for pre in pre_ops]
         up: list[int] = []  # up[e]: the root elements x with e in sg(base + x)
         drops: dict[int, tuple[int, int, list[int]]] = {}  # e -> up[e] and its masks
 
@@ -320,7 +336,7 @@ def _relation_search(product: FiniteAlgebra, sort_size: int | None = None) -> _S
             # as the principal closure of a root element lies in the root
             if not up:
                 up.extend([0] * n)
-                for x in _bits(start[0] & ~base):
+                for x in _bits(start & ~base):
                     for y in _bits(principal[x]):
                         up[y] |= 1 << x
             if e not in drops:
@@ -334,7 +350,7 @@ def _relation_search(product: FiniteAlgebra, sort_size: int | None = None) -> _S
         # before it, so the branches are disjoint and no set is visited
         # twice; ``need``, the union of sg(base + e) over the kept e, meets
         # up[e] exactly when it holds e, so it stays inside s
-        stack = [(s, base, square, bad)]
+        stack = [(start, base, square, bad)]
         while stack:
             s, need, square, bad = stack.pop()
             nodes += 1

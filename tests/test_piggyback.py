@@ -29,7 +29,7 @@ from conftest import (
     unique_max_applicable,
 )
 from latcop import algebra as algebra_module
-from latcop.algebra import FiniteAlgebra, Signature, direct_product, hom_enumerate, subuniverse_closure
+from latcop.algebra import FiniteAlgebra, Signature, _closure, direct_product, hom_enumerate, subuniverse_closure
 from latcop.catalog import make, make_id, table1_suite
 from latcop.classify import flowchart_classify
 from latcop.distlat import DReductSpec, _bits, _mask
@@ -408,13 +408,80 @@ class TestSearchSetUp:
 
         def recorded(product, seed):
             seeds.extend(seed)
-            return subuniverse_closure(product, seed)
+            return _closure(product, seed)
 
-        monkeypatch.setattr(piggyback, "subuniverse_closure", recorded)
+        # the listing streams no closure but the principal ones
+        monkeypatch.setattr(piggyback, "_closure", recorded)
         build_alter_ego([entry.algebra], entry.spec)
         mirrors = {encode(factors, reversed(decode(factors, e))) for e in seeds}
         assert seeds and len(seeds) == len(set(seeds))
         assert all(decode(factors, e)[0] == decode(factors, e)[1] for e in mirrors & set(seeds))
+
+
+    def test_few_principal_closures_are_walked_to_the_end(self, monkeypatch):
+        # mv_chain(7)'s 64-element square has 6 distinct principal
+        # subuniverses; closing one element of each mirror pair walks 36
+        # closures, and all but these stop at a known closure holding e
+        m = make("mv_chain", 7).algebra
+        factors = [m, m]
+        square = direct_product(factors)
+        swap = [encode(factors, reversed(decode(factors, x))) for x in range(square.size)]
+        ended = []
+
+        def counted(product, seed):
+            yield from _closure(product, seed)
+            ended.append(seed)
+
+        monkeypatch.setattr(piggyback, "_closure", counted)
+        principal: dict[int, int] = {}
+        for e in range(square.size):
+            if e not in principal:
+                piggyback._close_principal(square, e, swap, principal)
+        assert principal == {e: _mask(subuniverse_closure(square, (e,))) for e in range(square.size)}
+        assert len(set(principal.values())) == 6
+        assert len(ended) == 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_streamed_and_principal_closures_on_random_squares(self, data):
+        # the random algebras of the brute-force test above, on squares:
+        # the early stop depends on the order the elements are closed in,
+        # and the root class reads a streamed closure
+        n = data.draw(st.integers(1, 8), label="size")
+        values = st.integers(0, n - 1)
+        const = data.draw(st.none() | values, label="constant")
+        symbols = (("f", 2), ("g", 1))
+        picks = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        f = [(x, y)[pick] for (x, y), pick in zip(itertools.product(range(n), repeat=2), picks)]
+        g = list(range(n))
+        for table in (f, g):
+            noise = st.tuples(st.integers(0, len(table) - 1), values)
+            for i, v in data.draw(st.lists(noise, max_size=4)):
+                table[i] = v
+        tables = (tuple(f), tuple(g))
+        if const is not None:
+            symbols += (("c", 0),)
+            tables += ((const,),)
+        alg = FiniteAlgebra("random", n, Signature(symbols), tables)
+        factors = [alg, alg]
+        square = direct_product(factors)
+        swap = [encode(factors, reversed(decode(factors, x))) for x in range(square.size)]
+        principal: dict[int, int] = {}
+        for e in data.draw(st.permutations(range(square.size)), label="order"):
+            if e not in principal:
+                piggyback._close_principal(square, e, swap, principal)
+        assert principal == {e: _mask(subuniverse_closure(square, (e,))) for e in range(square.size)}
+        seed = data.draw(st.lists(st.integers(0, square.size - 1), max_size=4), label="seed")
+        members = list(_closure(square, seed))
+        assert len(members) == len(set(members))
+        assert frozenset(members) == subuniverse_closure(square, seed)
+        assert members[: len(set(seed))] == list(dict.fromkeys(seed))
+        allowed = data.draw(st.sets(st.integers(0, square.size - 1), max_size=12), label="allowed")
+        grown = allowed | subuniverse_closure(square, ())
+        if data.draw(st.booleans(), label="add least subuniverse") and len(grown) <= 12:
+            allowed = grown
+        root_class = piggyback._relation_search(square, n).root_class(_mask(allowed))
+        assert root_class == min(len(brute_force_maximal_subuniverses(square, allowed)), 2)
 
 
 class TestNodeBudget:
