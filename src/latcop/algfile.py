@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .algebra import FIGURE_CEILING, FiniteAlgebra, Signature, Term, app, var
 from .catalog import CatalogEntry, decimal
 from .distlat import DReductSpec
-from .errors import ParseError
+from .errors import LatcopError, ParseError
 
 # a term's str and == recurse up to four frames a level: 216 levels leave 136 of the default 1,000
 MAX_TERM_DEPTH = 216
@@ -146,7 +146,10 @@ class _Block:
             missing = {"meet", "join", "bot", "top"} - parts.keys()
             if missing:
                 raise ParseError(f"reduct line missing {sorted(missing)}", line)
-            reduct = DReductSpec(parts["meet"], parts["join"], parts["bot"], parts["top"])
+            try:
+                reduct = DReductSpec(parts["meet"], parts["join"], parts["bot"], parts["top"])
+            except LatcopError as exc:  # a variable past x1, or in a bound
+                raise ParseError(str(exc), line) from None
         carriers = tuple(
             frozenset(self.resolve_value(t, line) for t in toks)
             for toks, line in self.carriers

@@ -1,7 +1,8 @@
 """Constructors for the named finite algebras, with reduct terms, documented
 carrier maps, and the expected E/S classifications.  The bit lattices are
-stated once: demorgan4's diamond as two bits, and the pre-Moisil algebras as
-a bit lattice times a chain (:func:`_times_chain`).
+stated once: demorgan4's diamond as two bits, and the Moisil chains and the
+pre-Moisil algebras as a bit lattice times a chain, built by one
+:func:`_times_chain`.
 
 Two classification-table rows are deliberately not reproduced: the
 quantifier-lattice varieties (generators D_pq) and non-singly-generated
@@ -84,15 +85,6 @@ _MV_SPEC = DReductSpec(
 # the four-element De Morgan diamond 0 < a, b < 1 as two bits, 0, a = 1,
 # b = 2, 1 = 3, so meet and join are bitwise; negation fixes a and b
 _DM_NEG = (3, 1, 2, 0)
-
-
-def _times_chain(n: int, meet, join):
-    """Meet and join of a bit lattice (``meet`` and ``join`` on its
-    elements) times the n-chain, (j, k) coded as j * n + k."""
-    def on_pairs(f, g):
-        return lambda x, y: f(x // n, y // n) * n + g(x % n, y % n)
-
-    return on_pairs(meet, min), on_pairs(join, max)
 
 
 def _bool2() -> CatalogEntry:
@@ -261,31 +253,46 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
-def _moisil_tables(n: int) -> dict[str, tuple[int, ...]]:
-    out: dict[str, tuple[int, ...]] = {}
-    for i in range(1, n):
-        out[f"d{i}"] = _unary(n, lambda j, i=i: 0 if j < n - i else n - 1)
-        out[f"dbar{i}"] = _unary(n, lambda j, i=i: n - 1 if j < n - i else 0)
-    return out
+def _times_chain(
+    constructor: str, n: int, bits: tuple[str, ...], neg: tuple[int, ...] | None, prefix: str
+) -> FiniteAlgebra:
+    """The bit lattice labelled ``bits`` (meet and join bitwise, negation
+    ``neg`` or none) times the n-chain, (b, k) coded as b * n + k.  The
+    unary ``prefix``i sends an element to the bottom when its chain
+    coordinate is below n - i, else to the top; without a negation,
+    ``prefix``bar i does the opposite.  Elements are named k over the
+    one-element bit lattice, else (b,k); a key ending in a digit takes
+    "_" before n in the algebra's name."""
+    if n < 2:
+        raise LatcopError(f"{constructor} needs n >= 2")
+    size = len(bits) * n
+    _check_tables(constructor, size, 2, n if neg else 2 * (n - 1), 2)
+    bot, top = 0, size - 1
+
+    def on_pairs(f, g):
+        return lambda x, y: f(x // n, y // n) * n + g(x % n, y % n)
+
+    symbols = [("meet", 2), ("join", 2)]
+    tables = [_binary(size, on_pairs(operator.and_, min)), _binary(size, on_pairs(operator.or_, max))]
+    if neg:
+        symbols.append(("neg", 1))
+        tables.append(_unary(size, lambda x: neg[x // n] * n + n - 1 - x % n))
+    symbols += [("zero", 0), ("one", 0)]
+    tables += [(bot,), (top,)]
+    for bar, below, above in (("", bot, top),) if neg else (("", bot, top), ("bar", top, bot)):
+        for i in range(1, n):
+            symbols.append((f"{prefix}{bar}{i}", 1))
+            tables.append(tuple(below if x % n < n - i else above for x in range(size)))
+    if len(bits) == 1:
+        names = tuple(str(k) for k in range(n))
+    else:
+        names = tuple(f"({b},{k})" for b in bits for k in range(n))
+    sep = "_" if constructor[-1].isdigit() else ""
+    return FiniteAlgebra(f"{constructor}{sep}{n}", size, Signature(tuple(symbols)), tuple(tables), names)
 
 
 def _moisil_L(n: int) -> CatalogEntry:
-    if n < 2:
-        raise LatcopError("moisil_L needs n >= 2")
-    _check_tables("moisil_L", n, 2, 2 * (n - 1), 2)
-    unaries = _moisil_tables(n)
-    symbols = [("meet", 2), ("join", 2), ("zero", 0), ("one", 0)]
-    tables = [_binary(n, min), _binary(n, max), (0,), (n - 1,)]
-    for i in range(1, n):
-        symbols.append((f"d{i}", 1))
-        tables.append(unaries[f"d{i}"])
-    for i in range(1, n):
-        symbols.append((f"dbar{i}", 1))
-        tables.append(unaries[f"dbar{i}"])
-    alg = FiniteAlgebra(
-        f"moisil_L{n}", n, Signature(tuple(symbols)), tuple(tables),
-        tuple(str(j) for j in range(n)),
-    )
+    alg = _times_chain("moisil_L", n, ("0",), None, "d")
     expected = (True, True) if n <= 2 else (False, True)
     notes = f"{n}-valued Lukasiewicz-Moisil chain"
     if n == 2:
@@ -301,25 +308,7 @@ def _moisil_L(n: int) -> CatalogEntry:
 
 
 def _moisil_M(n: int) -> CatalogEntry:
-    if n < 2:
-        raise LatcopError("moisil_M needs n >= 2")
-    _check_tables("moisil_M", n, 2, n, 2)
-    unaries = _moisil_tables(n)
-    symbols = [("meet", 2), ("join", 2), ("neg", 1), ("zero", 0), ("one", 0)]
-    tables = [
-        _binary(n, min),
-        _binary(n, max),
-        _unary(n, lambda j: n - 1 - j),
-        (0,),
-        (n - 1,),
-    ]
-    for i in range(1, n):
-        symbols.append((f"d{i}", 1))
-        tables.append(unaries[f"d{i}"])
-    alg = FiniteAlgebra(
-        f"moisil_M{n}", n, Signature(tuple(symbols)), tuple(tables),
-        tuple(str(j) for j in range(n)),
-    )
+    alg = _times_chain("moisil_M", n, ("0",), (0,), "d")
     expected = (True, True) if n <= 2 else (False, True)
     return CatalogEntry(
         f"moisil_M({n})", "moisil_M", (n,), alg, _LIT,
@@ -331,25 +320,8 @@ def _moisil_M(n: int) -> CatalogEntry:
 def _pre_moisil_L0(n: int) -> CatalogEntry:
     """Universe {0,1} x {0..n-1} with the product order; e_i collapses to the
     bounds according to the second coordinate."""
-    if n < 2:
-        raise LatcopError("pre_moisil_L0 needs n >= 2")
-    _check_tables("pre_moisil_L0", 2 * n, 2, 2 * (n - 1), 2)
-    size = 2 * n
-    meet, join = _times_chain(n, min, max)
-    bot, top = 0, size - 1
-    symbols = [("meet", 2), ("join", 2), ("zero", 0), ("one", 0)]
-    tables = [_binary(size, meet), _binary(size, join), (bot,), (top,)]
-    for i in range(1, n):
-        symbols.append((f"e{i}", 1))
-        tables.append(_unary(size, lambda x, i=i: bot if x % n < n - i else top))
-    for i in range(1, n):
-        symbols.append((f"ebar{i}", 1))
-        tables.append(_unary(size, lambda x, i=i: top if x % n < n - i else bot))
-    alg = FiniteAlgebra(
-        f"pre_moisil_L0_{n}", size, Signature(tuple(symbols)), tuple(tables),
-        tuple(f"({j},{k})" for j in range(2) for k in range(n)),
-    )
-    carrier = frozenset(range(n, size))  # w(x, y) = x
+    alg = _times_chain("pre_moisil_L0", n, ("0", "1"), None, "e")
+    carrier = frozenset(range(n, 2 * n))  # w(x, y) = x
     return CatalogEntry(
         f"pre_moisil_L0({n})", "pre_moisil_L0", (n,), alg, _LIT, (carrier,),
         (True, True), f"{n}-valued pre-Lukasiewicz-Moisil witness algebra",
@@ -358,28 +330,7 @@ def _pre_moisil_L0(n: int) -> CatalogEntry:
 
 def _pre_moisil_M0(n: int) -> CatalogEntry:
     """Universe {0,a,b,1} x {0..n-1}: De Morgan diamond times a chain."""
-    if n < 2:
-        raise LatcopError("pre_moisil_M0 needs n >= 2")
-    _check_tables("pre_moisil_M0", 4 * n, 2, n, 2)
-    size = 4 * n
-    meet, join = _times_chain(n, operator.and_, operator.or_)
-    bot, top = 0, size - 1
-    symbols = [("meet", 2), ("join", 2), ("neg", 1), ("zero", 0), ("one", 0)]
-    tables = [
-        _binary(size, meet),
-        _binary(size, join),
-        _unary(size, lambda x: _DM_NEG[x // n] * n + n - 1 - x % n),
-        (bot,),
-        (top,),
-    ]
-    for i in range(1, n):
-        symbols.append((f"f{i}", 1))
-        tables.append(_unary(size, lambda x, i=i: bot if x % n < n - i else top))
-    dm_names = ("0", "a", "b", "1")
-    alg = FiniteAlgebra(
-        f"pre_moisil_M0_{n}", size, Signature(tuple(symbols)), tuple(tables),
-        tuple(f"({dm_names[j]},{k})" for j in range(4) for k in range(n)),
-    )
+    alg = _times_chain("pre_moisil_M0", n, ("0", "a", "b", "1"), _DM_NEG, "f")
     # w(x, y) = 1 iff x in {a, 1}
     carrier = frozenset(j * n + k for j in (1, 3) for k in range(n))
     return CatalogEntry(

@@ -143,13 +143,12 @@ class ClassificationReport:
     """Output of the flowchart with all witnesses.  ``listing`` holds, per
     carrier pair of the flowchart's ``ego``, its relations or the
     ``CapExceeded`` that stopped their listing; it is made when first read.
-    ``stopped`` is the ``CapExceeded`` that left the verdicts unknown."""
+    ``omega`` and ``minimality`` are read off ``ego``: () and None without
+    one.  ``stopped`` is the ``CapExceeded`` that left the verdicts unknown."""
 
     input_generators: list[FiniteAlgebra]
     simplified: list[FiniteAlgebra] = field(default_factory=list)
     single_generator: FiniteAlgebra | None = None
-    omega: tuple[PrimeFilter, ...] = ()
-    minimality: MinimalityCertificate | None = None
     verdict_E: bool | None = None
     verdict_S: bool | None = None
     route: list[tuple[str, str]] = field(default_factory=list)
@@ -160,6 +159,14 @@ class ClassificationReport:
     def unknown(self) -> str | None:
         """Why the verdicts are unknown, as the reports print it, or None."""
         return None if self.stopped is None else f"{self.stopped}; {self.stopped.budget_note()}"
+
+    @property
+    def omega(self) -> tuple[PrimeFilter, ...]:
+        return () if self.ego is None else self.ego.carriers
+
+    @property
+    def minimality(self) -> MinimalityCertificate | None:
+        return None if self.ego is None else self.ego.minimality
 
     @property
     def preserves_coproducts(self) -> bool | None:
@@ -308,8 +315,6 @@ def flowchart_classify(
     except CapExceeded as exc:
         report.stopped = exc
         return report
-    report.omega = ego.carriers
-    report.minimality = ego.minimality
     report.ego = ego
     if m0 is not None:
         report.route.append(

@@ -211,9 +211,7 @@ def _cmd_coproduct(args) -> int:
         if not any(a == g for g in gens):
             gens.append(a)
     omega = _resolve_omega(args.omega, inputs)
-    kwargs = {}
-    if args.cap:
-        kwargs = {"points_cap": args.cap, "visit_cap": args.cap}
+    kwargs = {"points_cap": args.cap} if args.cap else {}
     result = coproduct(gens, inputs.spec, omega, family, **kwargs)
     if args.json:
         doc = {

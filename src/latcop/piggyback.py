@@ -182,10 +182,13 @@ def _bitmask(flags: np.ndarray) -> int:
 
 
 class _Preimages:
-    """A unary or binary table of an n-element product, its read-only
-    array (:meth:`~latcop.algebra.FiniteAlgebra.arrays`) over the flat input
+    """A binary table of an n-element product, its read-only array
+    (:meth:`~latcop.algebra.FiniteAlgebra.arrays`) over the flat input
     positions, with the mask of the positions mapped to each value, built
-    when first asked for and then kept."""
+    when first asked for and then kept.  Unary tables get none: every node
+    of the relation search is a union of principal subuniverses
+    sg(base + x), which hold f(x) for each unary f, so no unary operation
+    leads out of a node (see :func:`_relation_search`)."""
 
     def __init__(self, table: np.ndarray | Sequence[int], n: int):
         self.table = np.asarray(table)  # no copy of an array
@@ -257,11 +260,16 @@ def _relation_search(product: FiniteAlgebra, sort_size: int | None = None) -> _S
     least subuniverse ``base`` and the principal subuniverses sg(base + e)
     (each computed when an allowed set first holds e, together with its
     mirror when ``product`` is the square of one sort of ``sort_size``
-    elements).  The listing alone reads the unary and binary tables with
-    their preimage masks over the n*n-bit square (bit x*n+y, see
+    elements).  The listing alone reads the binary tables with their
+    preimage masks over the n*n-bit square (bit x*n+y, see
     :class:`_Preimages`), and the row-plus-column mask of each element.
     Nullary values lie in ``base``, which every node keeps, so they never
-    escape.
+    escape.  Nor do unary values: every node is a union of principal
+    subuniverses sg(base + x).  The root is one, as it holds sg(base + e)
+    with each of its e; a branch deletes all of up[e], the x whose
+    sg(base + x) holds e, so what is left keeps each sg(base + x) whole;
+    and base is never deleted.  For a unary f, f(x) lies in sg(base + x),
+    so a node that keeps x keeps f(x).
     """
     n = product.size
     base = _mask(_closure(product, ()))
@@ -271,7 +279,7 @@ def _relation_search(product: FiniteAlgebra, sort_size: int | None = None) -> _S
     ops: list[tuple[int, int | tuple[int, ...]]] = []
     pre_ops: list[_Preimages] = []
     for (_, arity, tab), array in zip(product.ops(), product.arrays()):
-        if arity in (1, 2):
+        if arity == 2:
             ops.append((arity, len(pre_ops)))
             pre_ops.append(_Preimages(array, n))
         elif arity > 2:
@@ -284,11 +292,7 @@ def _relation_search(product: FiniteAlgebra, sort_size: int | None = None) -> _S
         """Input elements of the least operation instance escaping ``s``,
         ordered by (declaration order, input tuple); None if s is closed."""
         for arity, ref in ops:
-            if arity == 1:
-                hit = bad[ref] & s
-                if hit:
-                    return [(hit & -hit).bit_length() - 1]
-            elif arity == 2:
+            if arity == 2:
                 hit = bad[ref] & square
                 if hit:
                     return list(divmod((hit & -hit).bit_length() - 1, n))

@@ -52,6 +52,10 @@ class TestParse:
         text2 = TWO_LATTICE.replace("table zero = 0", "table zero = 0")
         parsed = parse_algebra_file(text2.replace("table one = 1", "table one = 1"))
         assert op(parsed.algebras[0].algebra, "one") == 1
+        # demorgan4's labels a and b are not digits, so they are read as labels
+        text = (DATA / "demorgan4.alg").read_text()
+        labelled = parse_algebra_file(text.replace("table neg = 3 1 2 0", "table neg = 3 a b 0"))
+        assert labelled.algebras[0].algebra == parse_algebra_file(text).algebras[0].algebra
 
     def test_wrong_table_length(self):
         text = TWO_LATTICE.replace("table meet = 0 0 0 1", "table meet = 0 0 0")
@@ -108,6 +112,8 @@ PARSE_ERRORS = [
     (REDUCT, REDUCT.replace("(meet x0 x1)", "(frob x0 x1)"), "undefined symbol 'frob'", 12),
     (REDUCT, REDUCT.replace("bot=(zero)", "bot=meet"), "'meet' needs parentheses", 12),
     (REDUCT, "reduct (meet x0 x1)", "needs meet=/join=/bot=/top= fields", 12),
+    (REDUCT, REDUCT.replace("(meet x0 x1)", "(meet x0"), "unexpected end of term", 12),
+    (REDUCT, REDUCT.replace("(meet x0 x1)", "("), "unexpected end of term after '('", 12),
     (REDUCT, "reduct meet=(meet x0 x1) join=(join x0 x1)", "missing ['bot', 'top']", 12),
     ("", "op meet 2", "duplicate op 'meet'", 14),
     ("", "table one = 1", "duplicate table for 'one'", 14),
@@ -124,6 +130,9 @@ PARSE_ERRORS = [
     ("carrier {1}", "carrier {--1}", "'--1' is neither an index", 13),
     # the length is compared without forming 2**99999999999
     ("", "op f 99999999999\ntable f = 0 1", "length 2, expected 2**99999999999", 15),
+    # a spec the terms parse into but DReductSpec refuses
+    (REDUCT, REDUCT.replace("(meet x0 x1)", "(meet x0 x2)"), "meet/join terms may only use x0 and x1", 12),
+    (REDUCT, REDUCT.replace("top=(one)", "top=(meet x0 x0)"), "bot/top terms must be closed", 12),
 ]
 
 

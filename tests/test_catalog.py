@@ -202,6 +202,27 @@ class TestBitLattices:
         for key, bits in (("pre_moisil_L0", "bool2"), ("pre_moisil_M0", "demorgan4")):
             assert self.lattice(key, n).tables == direct_product([self.lattice(bits), chain]).tables, key
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_pre_moisil_unaries_are_the_moisil_chains(self, n):
+        # a Moisil chain is its pre-Moisil witness over the one-element bit
+        # lattice: each unary reads the chain coordinate k of (b, k) alone,
+        # and neg is demorgan4's neg times the chain's
+        neg = make("demorgan4").algebra.table("neg")
+        for key, chain_key, prefix in (("pre_moisil_L0", "moisil_L", "e"), ("pre_moisil_M0", "moisil_M", "f")):
+            alg, chain = make(key, n).algebra, make(chain_key, n).algebra
+            top = alg.size - 1
+            unaries = [s for s, arity in chain.signature.symbols if arity == 1]
+            for sym in unaries:
+                ours = sym.replace("d", prefix, 1) if sym != "neg" else sym
+                for x in range(alg.size):
+                    b, k = divmod(x, n)
+                    if sym == "neg":
+                        want = neg[b] * n + chain.table(sym)[k]
+                    else:
+                        want = top if chain.table(sym)[k] else 0
+                    assert alg.table(ours)[x] == want, (key, ours, x)
+            assert len(unaries) == sum(arity == 1 for _, arity in alg.signature.symbols)
+
 
 class TestExportRoundTrip:
     @pytest.mark.parametrize(

@@ -156,6 +156,31 @@ class TestClassify:
         assert (code, out) == (EXIT_INPUT, "")
         assert err == f"error: cannot parse catalog id {source!r}\n"
 
+    def test_generators_with_different_reduct_specs_exit_2(self, capsys):
+        code, out, err = run(capsys, "classify", "kleene3", "mv_chain:2")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: all input algebras must share one reduct specification\n"
+
+    def test_alg_file_without_reduct_line(self, capsys, tmp_path):
+        # the literal meet, join, zero and one stand in for the reduct
+        text = (DATA / "demorgan4.alg").read_text()
+        path = tmp_path / "noreduct.alg"
+        path.write_text("".join(x for x in text.splitlines(keepends=True) if not x.startswith("reduct")), encoding="utf-8")
+        code, out, _ = run(capsys, "classify", str(path))
+        assert code == EXIT_OK and out.endswith("E: yes, S: yes\n")
+        path.write_text(path.read_text().replace("zero", "bottom"), encoding="utf-8")
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (
+            "error: algebra 'demorgan4' has no reduct line and no literal meet/join/zero/one symbols\n"
+        )
+
+    def test_cap_raises_the_subalgebra_size_cap(self, capsys):
+        code, out, _ = run(capsys, "classify", "mv_chain:12")
+        assert code == EXIT_UNKNOWN and "stage 'subalgebra enumeration', budget 12, required 13" in out
+        code, out, _ = run(capsys, "classify", "mv_chain:12", "--cap", "20")
+        assert code == EXIT_OK and out.endswith("E: no, S: no\n")
+
 
 ONE_ELEMENT = """algebra big size 1
 op meet 2
@@ -323,6 +348,19 @@ class TestCoproduct:
         doc = json.loads(out)
         assert doc["size"] == 3 and len(doc["injections"]) == 2
 
+    def test_cap_sets_only_the_points_cap(self, capsys):
+        # 8 points per sort fit under 100, and the E-functor keeps its own budget
+        code, out, _ = run(capsys, "coproduct", "demorgan4", "demorgan4", "demorgan4", "--cap", "100")
+        assert code == EXIT_OK and "size 256" in out
+        code, out, err = run(capsys, "coproduct", "demorgan4", "demorgan4", "demorgan4", "--cap", "7")
+        assert (code, out) == (EXIT_UNKNOWN, "")
+        assert err.endswith("stage 'structure product', budget 7, required 8\n")
+
+    def test_raised_cap_keeps_the_visit_budget(self, capsys):
+        code, out, err = run(capsys, "coproduct", *["demorgan4"] * 4, "--cap", "10000")
+        assert (code, out) == (EXIT_UNKNOWN, "")
+        assert err.endswith("stage 'table build', budget 10000000, required 8590000130\n")
+
 
 class TestTableBudget:
     """A tiny ``TABLE_ENTRY_BUDGET`` stands in for inputs whose tables
@@ -368,6 +406,13 @@ class TestFree:
     def test_cap_exit(self, capsys):
         code, _, err = run(capsys, "free", "2", "demorgan4")
         assert code == EXIT_UNKNOWN and "unknown" in err
+
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "free", "2", "kleene3", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out) == {
+            "free_generators": [14, 32], "generators": ["kleene3"], "rank": 2, "schema": 1, "size": 84,
+        }
 
     def test_rank_over_a_one_element_generator(self, capsys, tmp_path):
         path = tmp_path / "one.alg"
