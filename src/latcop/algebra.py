@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import CapExceeded, InternalError, LatcopError, SignatureMismatch, UnknownSymbol
 
-DEFAULT_PRODUCT_CAP = 10**6
+# points per sort that a structure product, such as M~^n, may have
+DEFAULT_POINTS_CAP = 5000
 # maps one hom-set may hold; End(heyting_chain(18)) has 2**16
 HOM_MAP_BUDGET = 1 << 17
 FIGURE_CEILING = 10**4300 - 1  # the largest number Python prints by default
@@ -123,17 +124,17 @@ class FiniteAlgebra:
     arity-k symbol has ``size**k`` entries indexed row-major (leftmost
     argument most significant).  A table may be passed in as a tuple or as
     an integer numpy array; ``tables`` holds tuples either way, and
-    :meth:`arrays` one read-only array per table.  Free algebras and E(X)
-    get their tables from one subpower kernel, ``_subpower``, which runs on
-    numpy: element tuples are found through a trie with one level per
+    :meth:`arrays` one read-only array per table.  E(X), and so free
+    algebras, and induced subalgebras get their tables from one subpower
+    kernel, ``_subpower``, which runs on numpy over a given universe of
+    element tuples: they are found through a trie with one level per
     coordinate, operations are evaluated coordinatewise on rectangles of
-    argument tuples, and each argument tuple is evaluated once, by the
-    closure loop; a symbol commutative in every coordinate is evaluated on
-    the lower half of its square only and its table filled by mirroring.
-    A full product needs no closure: :func:`direct_product`
-    builds each table as one broadcast sum of its factors' tables, and
-    states how it numbers the elements.  An induced subalgebra is the
-    kernel's on a given universe; ``generators`` is set by :func:`free_algebra`.
+    argument tuples, and each argument tuple is evaluated once; a symbol
+    commutative in every coordinate is evaluated on the lower half of its
+    square only and its table filled by mirroring.  A full product needs
+    no lookup: :func:`direct_product` builds each table as one broadcast
+    sum of its factors' tables, and states how it numbers the elements.
+    ``generators`` is set by :func:`free_algebra`.
     """
 
     name: str
@@ -572,7 +573,7 @@ def induced_subalgebra(algebra: FiniteAlgebra, elements: Iterable[int]) -> tuple
     if elems[0] < 0 or elems[-1] >= algebra.size:
         raise LatcopError(f"{sorted(elems)} is not a subset of the universe of {algebra.name!r}")
     try:
-        _, tables = _subpower(algebra.signature, [algebra], universe=[(x,) for x in elems])
+        tables = _subpower(algebra.signature, [algebra], [(x,) for x in elems])
     except InternalError as exc:  # the caller's set, not a broken kernel
         raise LatcopError(str(exc)) from None
     names = None
@@ -593,9 +594,31 @@ def induced_subalgebra(algebra: FiniteAlgebra, elements: Iterable[int]) -> tuple
 # however large the subpower is.
 _BLOCK = 1 << 14
 
-# Most table entries (the sum of size**arity over the symbols) one subpower
-# may build; checked before each closure round allocates.
+# Most table entries (the sum of size**arity over the symbols) one algebra
+# may have built: a product checks it before allocating, E(X) per solution.
 TABLE_ENTRY_BUDGET = 10**7
+
+
+def _charge_tables(signature: Signature, count: int) -> None:
+    """CapExceeded when tables on ``count`` elements need more than
+    ``TABLE_ENTRY_BUDGET`` entries."""
+    required = min(sum(_bounded(count, r, TABLE_ENTRY_BUDGET) for _, r in signature.symbols), FIGURE_CEILING)
+    if required > TABLE_ENTRY_BUDGET:
+        raise CapExceeded(
+            f"subpower tables need {required}+ entries, budget is {TABLE_ENTRY_BUDGET}",
+            required=required, stage="table build", budget=TABLE_ENTRY_BUDGET,
+        )
+
+
+def _table_capacity(signature: Signature) -> int:
+    """The most elements whose tables fit ``TABLE_ENTRY_BUDGET`` (the budget
+    itself when more fit), by bisection: a count at most this passes
+    :func:`_charge_tables`."""
+    lo, hi = 0, TABLE_ENTRY_BUDGET
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if sum(mid**r for _, r in signature.symbols) <= TABLE_ENTRY_BUDGET else (lo, mid - 1)
+    return lo
 
 
 def _index_dtype(count: int) -> np.dtype:
@@ -612,7 +635,8 @@ def _slabs(
     one, old^p x new x (old+new)^(arity-1-p) for each p < arity.  These
     partition the tuples over the first old + new elements that use a new
     one, so over all rounds each tuple is met exactly once.  A nullary
-    symbol's one empty tuple belongs to the ``first`` round.
+    symbol's one empty tuple belongs to the ``first`` round.  The subpower
+    kernel reads a given universe as one first round with ``old`` = 0.
 
     With ``half`` (a commutative binary symbol) only the lower half of the
     square is evaluated, the caller mirroring it: the new rows against the
@@ -670,29 +694,30 @@ def _spread(parts: Sequence[np.ndarray]) -> np.ndarray:
 
 
 class _Product:
-    """The product of ``coords`` as the subpower kernel sees it.
+    """The product of ``coords`` as the subpower kernel sees it, with the
+    tuples ``universe`` as its rows.
 
-    Its rows are the columns of a (coordinates, rows) array, found through
-    a trie with one dense level per coordinate.  Level c has a block of
-    |M_c| entries per prefix the rows have, then one for absent prefixes;
-    entry (prefix id) * |M_c| + (value at c) holds where the extended
-    prefix's block starts in level c + 1, the absent one if no row has it,
-    so a tuple that is not a row stays absent.  The last level holds row
-    numbers, the row count for absent.  Prefix ids are ranks in sorted
-    order, so no mixed-radix key can overflow.  Per symbol the coordinates'
-    flat tables are concatenated, ``offsets`` saying where each one starts.
-    The empty product gets one coordinate, the trivial algebra, so no row
-    is empty.
+    The rows are the columns of a (coordinates, rows) array, numbered in
+    the order given and found through a trie with one dense level per
+    coordinate.  Level c has a block of |M_c| entries per prefix the rows
+    have, then one for absent prefixes; entry (prefix id) * |M_c| + (value
+    at c) holds where the extended prefix's block starts in level c + 1,
+    the absent one if no row has it, so a tuple that is not a row stays
+    absent.  The last level holds row numbers, the row count for absent.
+    Prefix ids are ranks in sorted order, so no mixed-radix key can
+    overflow.  Per symbol the coordinates' flat tables are concatenated,
+    ``offsets`` saying where each one starts.  The empty product gets one
+    coordinate, the trivial algebra, so no row is empty.
     """
 
-    def __init__(self, signature: Signature, coords: Sequence[FiniteAlgebra]):
+    def __init__(self, signature: Signature, coords: Sequence[FiniteAlgebra], universe: Sequence[tuple[int, ...]]):
         self.sizes = [c.size for c in coords] or [1]
-        self.dtype = _index_dtype(max(self.sizes))
-        arrays = [c.arrays() for c in coords] or [(np.zeros(1, self.dtype),) * len(signature.symbols)]
+        dtype = _index_dtype(max(self.sizes))
+        arrays = [c.arrays() for c in coords] or [(np.zeros(1, dtype),) * len(signature.symbols)]
         self.ops = []
         for (sym, arity), column in zip(signature.symbols, zip(*arrays)):
             lengths = [len(t) for t in column]
-            flat = np.concatenate(column, dtype=self.dtype)
+            flat = np.concatenate(column, dtype=dtype)
             offsets = np.cumsum([0] + lengths[:-1], dtype=np.intp)[:, None]
             self.ops.append((sym, arity, flat, offsets))
         self.radix = np.array(self.sizes, dtype=np.intp)[:, None]
@@ -701,6 +726,20 @@ class _Product:
             arity == 2 and all(c.symmetric()[i] for c in coords)
             for i, (_, arity) in enumerate(signature.symbols)
         ]
+        tuples = [t or (0,) for t in universe]  # () is the trivial row
+        self.rows = np.array(tuples, dtype).reshape(len(tuples), len(self.sizes)).T
+        # the trie, each level's prefixes sorted by counting over its dense range
+        self.levels = []
+        at, width = self.rows[0], 2 * self.sizes[0]  # the empty prefix, then absent
+        for size, col in zip(self.sizes[1:], self.rows[1:]):
+            present = np.bincount(at, minlength=width).nonzero()[0]
+            start = len(present) * size  # of the absent block
+            level = np.full(width, start, _index_dtype(start + size))
+            level[present] = np.arange(0, start, size)
+            self.levels.append(level)
+            at, width = level.take(at) + col, start + size
+        self.last = np.full(width, len(tuples), _index_dtype(len(tuples) + 1))
+        self.last[at] = np.arange(len(tuples))
 
     def weigh(self, op) -> list[np.ndarray]:
         """Per argument of ``op``, the rows times its place value in each
@@ -731,121 +770,45 @@ class _Product:
             at = level.take(at) + v
         return self.last.take(at)
 
-    def index(self, cols: np.ndarray, known: int) -> np.ndarray:
-        """Make the first ``known`` columns of ``cols`` the rows numbered so
-        far and the distinct others new rows, numbered on in tuple order,
-        and rebuild the trie over them; returns each column's row number.
-        Each level's prefixes are sorted by counting over its dense range."""
-        self.levels = []
-        at, width = cols[0], 2 * self.sizes[0]  # the empty prefix, then absent
-        for size, col in zip(self.sizes[1:], cols[1:]):
-            present = np.bincount(at, minlength=width).nonzero()[0]
-            start = len(present) * size  # of the absent block
-            level = np.full(width, start, _index_dtype(start + size))
-            level[present] = np.arange(0, start, size)
-            self.levels.append(level)
-            at, width = level.take(at) + col, start + size
-        seen = np.bincount(at, minlength=width)
-        present = seen.nonzero()[0]
-        seen[at[:known]] = 0
-        added = seen.nonzero()[0]
-        self.last = np.full(width, known + len(added), _index_dtype(known + len(added) + 1))
-        self.last[at[:known]] = np.arange(known)
-        self.last[added] = np.arange(known, known + len(added))
-        number = self.last.take(at)
-        column = np.empty(known + len(added), np.intp)
-        column[number] = np.arange(len(number))
-        self.rows = cols.take(column, axis=1)
-        self.order = self.last.take(present)  # row numbers in tuple order
-        return number
-
 
 def _subpower(
     signature: Signature,
     coords: Sequence[FiniteAlgebra],
-    universe: Sequence[tuple[int, ...]] | None = None,
-    generators: Iterable[tuple[int, ...]] = (),
-) -> tuple[list[tuple[int, ...]], tuple[np.ndarray, ...]]:
-    """A subalgebra of the product of ``coords``: its element tuples and its
-    operation tables, with operations applied coordinatewise, as flat
-    arrays in the dtype ``_index_dtype`` of the element count.
+    universe: Sequence[tuple[int, ...]],
+) -> tuple[np.ndarray, ...]:
+    """The tables of the subalgebra of the product of ``coords`` on the
+    element tuples ``universe``, in the order given, with operations
+    applied coordinatewise: flat arrays in the dtype ``_index_dtype`` of
+    the element count.
 
-    Without a ``universe`` the subuniverse generated by ``generators`` and
-    the nullary values is computed and returned sorted.  Semi-naive
-    closure from those seeds: each round applies the operations only to
-    the argument tuples that use a row found in the round before (see
-    :func:`_slabs`), so no argument tuple is evaluated twice, and its
-    result is kept, as a row number in the order rows were found, for the
-    tables.  A binary symbol commutative in every coordinate is evaluated
-    on the lower half of its square only (a chunk's diagonal block in both
-    orders) and the rest of its table filled by mirroring: a mirrored tuple
-    has the same value in every coordinate, so the closure and the check
-    of a given universe lose nothing.  Results are looked up in the trie
-    of :class:`_Product`; what a round misses is new, and the trie is
-    rebuilt over it and the old rows.  A given ``universe`` is the seed of a round that must find
-    nothing new: its order is kept and InternalError is raised unless it
-    is closed (callers pass closed universes).
-    CapExceeded is raised before a round whose rows alone would need more
-    than ``TABLE_ENTRY_BUDGET`` table entries.
+    Each argument tuple is evaluated once, in rectangles of row numbers of
+    at most ``_BLOCK`` table reads (see :func:`_slabs`), and its results,
+    looked up in the trie of :class:`_Product`, are the tables.  A binary
+    symbol commutative in every coordinate is evaluated on the lower half
+    of its square only (a chunk's diagonal block in both orders) and the
+    rest of its table filled by mirroring: a mirrored tuple has the same
+    value in every coordinate, so the closedness check loses nothing.
+    InternalError is raised at the first symbol whose values leave
+    ``universe`` (callers pass closed universes).  The callers bound the
+    tables: E(X) charges ``TABLE_ENTRY_BUDGET`` per solution, and an
+    induced subalgebra is no larger than its algebra.
     """
-    product = _Product(signature, coords)
-    given = universe is not None
-    tuples = [t or (0,) for t in (universe if given else generators)]  # () is the trivial row
-    seeds = [np.array(tuples, product.dtype).reshape(len(tuples), len(product.sizes)).T]
-    if not given:  # the nullary values seed the first round with the generators
-        seeds += [product.evaluate(op, [], ()) for op in product.ops if not op[1]]
-    product.index(np.concatenate(seeds, axis=1), seeds[0].shape[1] if given else 0)
-    # per symbol, its [sub-slab, results] pairs from every round
-    results: list[list] = [[] for _ in product.ops]
+    count = len(universe)
+    product = _Product(signature, coords, universe)
     step = max(1, _BLOCK // len(product.sizes))
-    old = 0
-    for round_ in itertools.count():
-        count = product.rows.shape[1]
-        required = sum(count**op[1] for op in product.ops)
-        if required > TABLE_ENTRY_BUDGET:
-            raise CapExceeded(
-                f"subpower tables need {required}+ entries, budget is {TABLE_ENTRY_BUDGET}",
-                required=required, stage="table build", budget=TABLE_ENTRY_BUDGET,
-            )
-        missed, pending = [], []
-        for op, done, commutative in zip(product.ops, results, product.commutative):
-            weights = product.weigh(op)
-            for sub in _slabs(op[1], old, count - old, round_ == 0, step, commutative):
-                vals = product.evaluate(op, weights, sub)
-                res = product.find(vals)
-                miss = (res == count).nonzero()[0]
-                done.append(entry := [sub, res])
-                if len(miss):
-                    if given:
-                        raise InternalError(f"subpower universe is not closed under {op[0]!r}")
-                    # numbered once the round has found all its rows
-                    pending.append((entry, miss))
-                    missed.append(vals[:, miss])
-        if not missed:
-            break
-        found = product.index(np.concatenate([product.rows] + missed, axis=1), count)
-        dtype, at = _index_dtype(product.rows.shape[1]), count
-        for entry, miss in pending:
-            res = entry[1] = entry[1].astype(dtype)
-            res[miss] = found[at : at + len(miss)]
-            at += len(miss)
-        old = count
-    # tables by row number, mirrored where commutative, then (without a
-    # universe) in sorted row order: position i holds row where[i]
-    where = np.arange(count) if given else product.order
-    rank = np.empty(count, _index_dtype(count))
-    rank[where] = np.arange(count)
     tables = []
-    for (_, arity, _, _), done, commutative in zip(product.ops, results, product.commutative):
-        table = np.empty((count,) * arity, _index_dtype(count))
-        for sub, res in done:
+    for op, commutative in zip(product.ops, product.commutative):
+        weights = product.weigh(op)
+        table = np.empty((count,) * op[1], _index_dtype(count))
+        for sub in _slabs(op[1], 0, count, True, step, commutative):
+            res = product.find(product.evaluate(op, weights, sub))
+            if (res == count).any():
+                raise InternalError(f"subpower universe is not closed under {op[0]!r}")
             table[sub] = res.reshape([s.stop - s.start for s in sub])
             if commutative:
                 table[sub[::-1]] = table[sub].T
-        if not given:
-            table = rank[table[np.ix_(*[where] * arity)] if arity else table]
         tables.append(table.ravel())
-    return [tuple(r) for r in product.rows[: len(coords), where].T.tolist()], tuple(tables)
+    return tuple(tables)
 
 
 def _extends_to_hom(
@@ -856,8 +819,8 @@ def _extends_to_hom(
     generated by the rows (x, seeds[x]) and the nullary values is the graph
     of a total function on a.
 
-    First the values are extended over a's own tables by the semi-naive
-    rounds of :func:`_subpower`: an element reached for the first time takes
+    First the values are extended over a's own tables by semi-naive
+    rounds (see :func:`_slabs`): an element reached for the first time takes
     the value its witness tuple gives in b^width.  A symbol commutative in
     a reaches the same elements from the lower half of its square, so only
     that half is read.  Every value is then forced by the seeds, so the
@@ -921,7 +884,7 @@ def _extends_to_hom(
 
 
 def _bounded(base: int, exp: int, cap: int) -> int:
-    """min(base**exp, L) for base >= 1, where L = max(cap + 1, FIGURE_CEILING)
+    """min(base**exp, L) for base >= 0, where L = max(cap + 1, FIGURE_CEILING)
     is past both the cap and the printable figures; no number past L**2 is formed."""
     limit = max(cap + 1, FIGURE_CEILING)
     return limit if exp * (base.bit_length() - 1) >= limit.bit_length() else min(base**exp, limit)
@@ -945,12 +908,7 @@ def direct_product(algebras: Sequence[FiniteAlgebra]) -> FiniteAlgebra:
     _check_same_signature(*algebras)
     signature = algebras[0].signature
     size = prod(a.size for a in algebras)
-    required = min(sum(_bounded(size, r, TABLE_ENTRY_BUDGET) for _, r in signature.symbols), FIGURE_CEILING)
-    if required > TABLE_ENTRY_BUDGET:
-        raise CapExceeded(
-            f"subpower tables need {required}+ entries, budget is {TABLE_ENTRY_BUDGET}",
-            required=required, stage="table build", budget=TABLE_ENTRY_BUDGET,
-        )
+    _charge_tables(signature, size)
     # a one-element factor adds 0 everywhere, so it gets no axes
     dtype = _index_dtype(size)
     factors = [(a, prod(b.size for b in algebras[j + 1:])) for j, a in enumerate(algebras) if a.size > 1]
@@ -1008,44 +966,60 @@ def _separated(algebra: FiniteAlgebra, homs: Iterable[Homomorphism]) -> bool:
 def free_algebra(
     generators: Sequence[FiniteAlgebra],
     n: int,
-    cap: int = DEFAULT_PRODUCT_CAP,
+    cap: int = DEFAULT_POINTS_CAP,
 ) -> FiniteAlgebra:
-    """Free algebra on n generators in ISP(generators).
+    """Free algebra on n generators in ISP(generators), as E(M~^n).
 
-    Realized as the subalgebra of the product over M of M^(M^n) generated by
-    the n coordinate-projection tuples; only the generated elements are ever
-    materialized.  The ``generators`` field of the result holds the free
-    generators in order.  CapExceeded is raised when the ambient product,
-    or n itself, exceeds ``cap``.
+    M~ is the piggyback alter ego on the generators, read as a structure:
+    each sort's elements are its points, and its relations and operations
+    are as they stand.  The morphisms M~^n -> M~ form the free algebra,
+    and its n free generators are the projections (Clark & Davey, *Natural
+    Dualities for the Working Algebraist*, 1998, ch. 2); the ``generators``
+    field of the result holds them in order.  E lists the morphisms in lexicographic
+    order of their values, sort-major, which is the order of their tuples
+    in the product over (generator, assignment of the n variables).
+
+    The reduct spec is the first one the first generator keeps that every
+    generator keeps too (see ``distlat.d_reduct``); any such spec gives
+    the same maps.  One-element and repeated generators add no morphisms and
+    are left out of M~; over one-element generators only, F(n) has one
+    element.  CapExceeded is raised when a sort of M~^n, |M|^n points,
+    exceeds ``cap``, or, over one-element generators only, when n does.
     """
+    from .duality import MultisortedStructure, _check_points, e_functor, structure_product
+    from .piggyback import build_alter_ego
+
     if not generators:
         raise LatcopError("free algebra needs at least one generating algebra")
     if n < 0:
         raise LatcopError(f"free algebra needs a non-negative number of generators, got {n}")
     _check_same_signature(*generators)
     sig = generators[0].signature
-    ambient = 1
-    for m in generators:
-        ambient = _bounded(ambient * _bounded(m.size, _bounded(m.size, n, cap), cap), 1, cap)
-        if ambient > cap:
-            required = min(ambient, FIGURE_CEILING)
+    spec = next((s for s in generators[0]._reducts if all(s in m._reducts for m in generators)), None)
+    if spec is None:
+        raise LatcopError("free algebra needs a lattice reduct validated on every generating algebra")
+    name = f"Free({'+'.join(m.name for m in generators)},{n})"
+    sorts = [m for i, m in enumerate(generators) if m.size > 1 and m not in generators[:i]]
+    if not sorts:
+        if n > cap:
+            required = min(n, FIGURE_CEILING)
             raise CapExceeded(
-                f"free-algebra ambient product needs {required}+ elements, cap is {cap}",
+                f"free algebra on {required} generators exceeds the cap {cap}",
                 required=required, stage="free algebra", budget=cap,
             )
-    if n > cap:  # reached only when every generator has one element
-        required = min(n, FIGURE_CEILING)
-        raise CapExceeded(
-            f"free algebra on {required} generators exceeds the cap {cap}",
-            required=required, stage="free algebra", budget=cap,
-        )
-    # coordinates: (generator, assignment of the n variables)
-    coords = [(m, v) for m in generators for v in itertools.product(range(m.size), repeat=n)]
-    gen_tuples = [tuple(v[i] for _, v in coords) for i in range(n)]
-    elems, tables = _subpower(sig, [m for m, _ in coords], generators=gen_tuples)
-    if not elems:
-        raise LatcopError("free algebra on 0 generators needs nullary operations")
-    name = f"Free({'+'.join(m.name for m in generators)},{n})"
+        return FiniteAlgebra(name, 1, sig, tuple((0,) for _ in sig.symbols), generators=(0,) * n)
+    _check_points([_bounded(m.size, n, cap) for m in sorts], cap)  # before a list of n factors is built
+    ego = build_alter_ego(sorts, spec)
+    m_tilde = MultisortedStructure(
+        ego,
+        tuple(tuple(range(m.size)) for m in sorts),
+        tuple(r.rows for r in ego.relations),
+        tuple(g.map for g in ego.operations),
+    )
+    power = structure_product([m_tilde] * n, cap, ego=ego)
+    e_res = e_functor(power)
+    index = {vec: k for k, vec in enumerate(e_res.morphisms)}
+    projections = (tuple(v[i] for sort in power.points for v in sort) for i in range(n))
     return FiniteAlgebra(
-        name, len(elems), sig, tables, generators=tuple(elems.index(t) for t in gen_tuples)
+        name, e_res.algebra.size, sig, e_res.algebra.arrays(), generators=tuple(index[p] for p in projections)
     )

@@ -3,8 +3,10 @@
 D sends an algebra to its multisorted dual (one sort of points per
 generator, points are homomorphisms); E sends a structure back to the
 algebra of its structure-preserving maps into the alter ego.  Coproducts are
-computed as E of a product of duals, and the Priestley dual of the lattice
-reduct is recovered from the natural dual via the carrier-indexed preorder.
+computed as E of a product of duals, free algebras
+(:func:`~latcop.algebra.free_algebra`) as E of a power of the alter ego,
+and the Priestley dual of the lattice reduct is recovered from the natural
+dual via the carrier-indexed preorder.
 The points of D(A) in the sort of M are hom(A, M), kept on A
 (``algebra.hom_set``), so each hom-set is enumerated once.
 """
@@ -16,14 +18,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import (
+    DEFAULT_POINTS_CAP,
     FIGURE_CEILING,
     FiniteAlgebra,
     Homomorphism,
     _bounded,
+    _charge_tables,
     _extends_to_hom,
     _relabel,
     _separated,
     _subpower,
+    _table_capacity,
     hom_set,
 )
 from .distlat import (
@@ -41,7 +46,6 @@ from .distlat import (
 from .errors import CapExceeded, InternalError, LatcopError, MembershipError
 from .piggyback import AlterEgo, build_alter_ego
 
-DEFAULT_POINTS_CAP = 5000
 DEFAULT_VISIT_CAP = 10**7
 
 
@@ -114,17 +118,13 @@ def structure_product(
     elif ego is None:
         raise LatcopError("the empty structure product needs an explicit ego")
     nsorts = len(ego.sorts)
+    counts = []
     for s in range(nsorts):
         count = 1
         for x in structures:
             count = _bounded(count * len(x.points[s]), 1, points_cap)
-        if count > points_cap:
-            required = min(count, FIGURE_CEILING)
-            raise CapExceeded(
-                f"product structure needs {required}{'+' * (count >= FIGURE_CEILING)} points "
-                f"in sort {s}, cap is {points_cap}",
-                required=required, stage="structure product", budget=points_cap,
-            )
+        counts.append(count)
+    _check_points(counts, points_cap)
     points = tuple(
         tuple(itertools.product(*[x.points[s] for x in structures]))
         for s in range(nsorts)
@@ -146,6 +146,19 @@ def structure_product(
     return MultisortedStructure(ego, points, tuple(relations), tuple(operations))
 
 
+def _check_points(counts: Sequence[int], points_cap: int) -> None:
+    """CapExceeded at the first sort whose point count, as ``_bounded``
+    gives it, exceeds ``points_cap``."""
+    for s, count in enumerate(counts):
+        if count > points_cap:
+            required = min(count, FIGURE_CEILING)
+            raise CapExceeded(
+                f"product structure needs {required}{'+' * (count >= FIGURE_CEILING)} points "
+                f"in sort {s}, cap is {points_cap}",
+                required=required, stage="structure product", budget=points_cap,
+            )
+
+
 # ---------------------------------------------------------------------------
 # the E functor
 
@@ -165,8 +178,13 @@ def e_functor(
     """E(X): all sort-preserving maps into the alter ego respecting every
     lifted relation and operation, found by backtracking with forward
     propagation over candidate-value bitmasks; the algebra is structured
-    pointwise from the sorts."""
+    pointwise from the sorts.  Each solution is charged against the table
+    entries the algebra will need, so CapExceeded (stage 'table build')
+    comes as soon as there are more solutions than tables can be built
+    for."""
     ego = structure.ego
+    sig = ego.sorts[0].signature
+    most = _table_capacity(sig)
     sort_of = [s for s, sort in enumerate(structure.points) for _ in sort]
     nvars = len(sort_of)
     full = [(1 << ego.sorts[s].size) - 1 for s in sort_of]
@@ -233,6 +251,8 @@ def e_functor(
         pivot = next((k for k in range(nvars) if dom[k] & (dom[k] - 1)), -1)
         if pivot == -1:
             solutions.append(tuple(d.bit_length() - 1 for d in dom))
+            if len(solutions) > most:
+                _charge_tables(sig, len(solutions))
             continue
         mask = dom[pivot]
         while mask:  # highest bit first, so the lowest is popped first
@@ -244,8 +264,7 @@ def e_functor(
         raise LatcopError("E(X) is empty: the structure admits no morphisms")
     # a leaf is propagated to a fixpoint with every domain a singleton, so it
     # satisfies every edge; the pointwise algebra raises unless E(X) is closed
-    sig = ego.sorts[0].signature
-    _, tables = _subpower(sig, [ego.sorts[s] for s in sort_of], universe=solutions)
+    tables = _subpower(sig, [ego.sorts[s] for s in sort_of], solutions)
     algebra = FiniteAlgebra("E(X)", len(solutions), sig, tables)
     return EResult(algebra, tuple(solutions))
 

@@ -375,18 +375,28 @@ def pointwise_tables(coords, elements, signature=None) -> tuple[tuple[int, ...],
 
 def pointwise_closure(coords, generators, signature=None) -> list[tuple[int, ...]]:
     """Sorted subuniverse of prod(coords) generated by ``generators`` and
-    the nullary values, by full passes with :func:`op` only.  The
-    empty product needs ``signature``."""
-    found = set(generators)
-    while True:
-        new = {
-            tuple(op(c, sym, [a[i] for a in args]) for i, c in enumerate(coords))
-            for sym, arity in (signature or coords[0].signature).symbols
-            for args in itertools.product(sorted(found), repeat=arity)
+    the nullary values, by passes with :func:`op` only: each pass reads the
+    argument tuples with an element found in the pass before (old^p x new
+    x all^(arity-1-p)), so no tuple is read twice.  The empty product needs
+    ``signature``."""
+    symbols = (signature or coords[0].signature).symbols
+
+    def value(sym, args):
+        return tuple(op(c, sym, [a[i] for a in args]) for i, c in enumerate(coords))
+
+    found = set(generators) | {value(sym, ()) for sym, arity in symbols if not arity}
+    old, new = [], sorted(found)
+    while new:
+        every = old + new
+        made = {
+            value(sym, args)
+            for sym, arity in symbols
+            for p in range(arity)
+            for args in itertools.product(*[old] * p, new, *[every] * (arity - 1 - p))
         }
-        if new <= found:
-            return sorted(found)
-        found |= new
+        old, new = every, sorted(made - found)
+        found |= made
+    return sorted(found)
 
 
 def one_element(signature: Signature) -> FiniteAlgebra:
@@ -400,9 +410,7 @@ def product_by_subpower(algebras, signature=None) -> FiniteAlgebra:
     factor tuple, listed row-major, is the given universe.  The empty
     product needs ``signature``."""
     signature = algebras[0].signature if algebras else signature
-    _, tables = _subpower(
-        signature, algebras, list(itertools.product(*(range(a.size) for a in algebras)))
-    )
+    tables = _subpower(signature, algebras, list(itertools.product(*(range(a.size) for a in algebras))))
     size = int(np.prod([a.size for a in algebras]))
     return FiniteAlgebra("x".join(a.name for a in algebras) or "1", size, signature, tables)
 
@@ -410,9 +418,9 @@ def product_by_subpower(algebras, signature=None) -> FiniteAlgebra:
 def universal_by_closure(c: FiniteAlgebra, m: FiniteAlgebra, rows: dict, width: int) -> bool:
     """Whether the rows (y, rows[y]) and the nullary values generate, in
     C x m^width, the graph of a total function on C: the subalgebra is
-    closed by the subpower kernel and its first column read off."""
+    closed by :func:`pointwise_closure` and its first column read off."""
     seeds = [(y,) + row for y, row in rows.items()]
-    graph, _ = _subpower(c.signature, [c] + [m] * width, generators=seeds)
+    graph = pointwise_closure([c] + [m] * width, seeds)
     return [t[0] for t in graph] == list(range(c.size))
 
 

@@ -6,6 +6,7 @@ import random
 import time
 import tracemalloc
 from math import prod
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -45,7 +46,7 @@ from conftest import (
 )
 from latcop import algebra as algebra_module
 from latcop.algebra import (
-    DEFAULT_PRODUCT_CAP,
+    DEFAULT_POINTS_CAP,
     FIGURE_CEILING,
     FiniteAlgebra,
     Homomorphism,
@@ -68,7 +69,8 @@ from latcop.algebra import (
     var,
 )
 from latcop.catalog import make, make_id
-from latcop.distlat import DReductSpec
+from latcop.algfile import parse_algebra_file
+from latcop.distlat import DReductSpec, d_reduct
 from latcop.duality import coproduct, e_functor
 from latcop.errors import (
     CapExceeded,
@@ -655,7 +657,66 @@ class TestIsomorphic:
         assert isomorphic(make("heyting_chain", 3).algebra, C3) is not None
 
 
+def free_by_closure(generators, n):
+    """The free algebra on n generators over ``generators`` as the
+    subalgebra of the product over (generator, assignment of the n
+    variables) generated by the projections, by ``conftest.pointwise_closure``:
+    its size, its tables over the sorted element tuples, read coordinate by
+    coordinate with ``conftest.op``, and its free generators."""
+    coords = [m for m in generators for _ in itertools.product(range(m.size), repeat=n)]
+    assignments = [v for m in generators for v in itertools.product(range(m.size), repeat=n)]
+    projections = [tuple(v[i] for v in assignments) for i in range(n)]
+    elems = pointwise_closure(coords, projections)
+    index = {t: k for k, t in enumerate(elems)}
+    tables = tuple(
+        tuple(
+            index[tuple(op(c, sym, [a[i] for a in args]) for i, c in enumerate(coords))]
+            for args in itertools.product(elems, repeat=arity)
+        )
+        for sym, arity in generators[0].signature.symbols
+    )
+    return len(elems), tables, tuple(index[g] for g in projections)
+
+
+def validated_one_element() -> FiniteAlgebra:
+    """The one-element algebra of kleene3's signature, its literal reduct validated."""
+    one = one_element(K3.signature)
+    d_reduct(one, DReductSpec.literal())
+    return one
+
+
+FREE_CASES = [
+    ("kleene3", 0), ("kleene3", 1), ("kleene3", 2), ("demorgan4", 1), ("demorgan4", 2),
+    ("heyting_chain:3", 2), ("bool2", 3), ("bool2", 4),
+    *[(cid, 1) for cid in (
+        "pseudo_b:2", "mv_chain:2", "mv_chain:3", "mv_chain:4", "moisil_L:3", "moisil_M:3",
+        "pre_moisil_L0:2", "pre_moisil_M0:2", "heyting_chain:4",
+    )],
+    ("kleene3 demorgan4", 1), ("demorgan4 kleene3", 1), ("tests/data/demorgan4.alg", 1), ("one", 3),
+    ("one kleene3", 1), ("kleene3 one", 2), ("one demorgan4 one", 1), ("kleene3 one kleene3", 1),
+]
+
+
+def free_case_generators(ids: str) -> list[FiniteAlgebra]:
+    """The generating algebras a ``FREE_CASES`` entry names, each with its
+    reduct validated: catalog ids, the one-element algebra ``one`` and
+    ``.alg`` files with a reduct line."""
+    out = []
+    for cid in ids.split():
+        if cid == "one":
+            out.append(validated_one_element())
+        elif cid.endswith(".alg"):
+            (parsed,) = parse_algebra_file((Path(__file__).parent.parent / cid).read_text()).algebras
+            d_reduct(parsed.algebra, parsed.reduct)
+            out.append(parsed.algebra)
+        else:
+            out.append(make_id(cid).algebra)
+    return out
+
+
 class TestFreeAlgebra:
+    """F(n) as E(M~^n), against the subpower closure of the projections."""
+
     def test_kleene_rank1(self):
         f = free_algebra([K3], 1)
         assert f.size == 6 and f.generators is not None
@@ -667,55 +728,93 @@ class TestFreeAlgebra:
         for alg in (K3, DM4, C3):
             assert free_algebra([alg], 0).size == 2
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            free_algebra([DM4], 2)  # ambient 4^16 over the default cap
+    @pytest.mark.parametrize("ids, n", FREE_CASES, ids=lambda v: str(v))
+    def test_matches_the_closure_of_the_projections(self, ids, n):
+        # E lists its morphisms in lexicographic order of their values,
+        # sort-major: the order of the sorted tuples over (generator,
+        # assignment), so name, tables and free generators all agree
+        gens = free_case_generators(ids)
+        f = free_algebra(gens, n)
+        assert f.name == f"Free({'+'.join(m.name for m in gens)},{n})"
+        assert (f.size, f.tables, f.generators) == free_by_closure(gens, n)
+
+    @pytest.mark.parametrize("cid, n", [
+        ("kleene3", 2), ("demorgan4", 2), ("heyting_chain:3", 2), ("bool2", 3), ("pseudo_b:2", 1),
+    ])
+    def test_any_kept_reduct_gives_the_same_algebra(self, cid, n):
+        # a copy validated under the order-dual spec only (meet and join
+        # swapped, bounds swapped) has other carriers, but E(M~^n) is the
+        # same free algebra, listed in the same order
+        entry = make_id(cid)
+        spec = entry.spec
+        dual = dataclasses.replace(entry.algebra)
+        d_reduct(dual, DReductSpec(spec.join, spec.meet, spec.top, spec.bot))
+        assert free_algebra([dual], n) == free_algebra([entry.algebra], n)
+
+    def test_no_kept_reduct(self):
+        # a fresh copy keeps no validated reduct, so M~ has no carriers to read
+        with pytest.raises(LatcopError, match="lattice reduct validated on every generating algebra"):
+            free_algebra([dataclasses.replace(K3)], 1)
+        with pytest.raises(LatcopError, match="lattice reduct validated"):
+            free_algebra([K3, dataclasses.replace(DM4)], 1)
+
+    def test_points_cap(self):
+        # free 2 demorgan4 needs 4^2 points per sort; 4^7 passes the default cap
+        f = free_algebra([DM4], 2)
+        assert (f.size, f.generators) == (168, (19, 58))
+        with pytest.raises(CapExceeded) as exc:
+            free_algebra([DM4], 7)
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == ("structure product", 5000, 4**7)
 
     def test_small_cap_names_stage_and_budget(self):
-        # the ambient product of F(2) over K3 is K3^9
+        # M~^2 over K3 has 3^2 points; a cap of exactly that many passes
         with pytest.raises(CapExceeded) as exc:
-            free_algebra([K3], 2, cap=100)
-        assert (exc.value.stage, exc.value.budget, exc.value.required) == ("free algebra", 100, 3**9)
-        assert str(exc.value) == f"free-algebra ambient product needs {3**9}+ elements, cap is 100"
+            free_algebra([K3], 2, cap=8)
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == ("structure product", 8, 9)
+        assert str(exc.value) == "product structure needs 9 points in sort 0, cap is 8"
+        assert free_algebra([K3], 2, cap=9).size == 84
 
-    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("n", [8, 2000])
     def test_printable_figures_are_exact(self, n):
-        # K3^(3^8) has 3,131 digits, under the 4,300 Python prints
+        # 3^2000 has 955 digits, under the 4,300 Python prints
         with pytest.raises(CapExceeded) as exc:
             free_algebra([K3], n)
-        assert exc.value.required == 3 ** 3**n
-        assert str(exc.value) == f"free-algebra ambient product needs {3 ** 3**n}+ elements, cap is 1000000"
+        assert exc.value.required == 3**n
+        assert str(exc.value) == f"product structure needs {3**n} points in sort 0, cap is 5000"
 
-    @pytest.mark.parametrize("n", [9, 16, 10**9])
+    @pytest.mark.parametrize("n", [9013, 10**9])
     def test_figures_past_printing_are_lower_bounds(self, n):
-        # K3^(3^9) has 9,392 digits: the figure stops at FIGURE_CEILING, and
-        # no number much past it is formed, so even rank 10**9 is refused at once
+        # 3^9013 has 4,301 digits: the figure stops at FIGURE_CEILING, and
+        # no number much past it is formed, nor a list of n factors, so even
+        # rank 10**9 is refused at once
         start = time.perf_counter()
         with pytest.raises(CapExceeded) as exc:
             free_algebra([K3], n)
         assert time.perf_counter() - start < 1
         assert (exc.value.stage, exc.value.budget, exc.value.required) == (
-            "free algebra", DEFAULT_PRODUCT_CAP, FIGURE_CEILING
+            "structure product", DEFAULT_POINTS_CAP, FIGURE_CEILING
         )
-        assert str(exc.value) == f"free-algebra ambient product needs {FIGURE_CEILING}+ elements, cap is 1000000"
+        assert str(exc.value) == f"product structure needs {FIGURE_CEILING}+ points in sort 0, cap is 5000"
         assert exc.value.budget_note().endswith(f"required {FIGURE_CEILING}")
 
     def test_cap_at_the_ceiling_is_still_compared_exactly(self):
-        # a cap of 4,300 nines is compared with the ambient size itself,
-        # not with the printable lower bound, which equals it
+        # a cap of 4,300 nines is compared with 3^9013 itself, not with the
+        # printable lower bound, which equals the cap; 3^9012 is under it
+        assert 3**9012 < FIGURE_CEILING < 3**9013
+        start = time.perf_counter()
         with pytest.raises(CapExceeded) as exc:
-            free_algebra([K3], 16, cap=FIGURE_CEILING)
+            free_algebra([K3], 9013, cap=FIGURE_CEILING)
+        assert time.perf_counter() - start < 1
         assert (exc.value.budget, exc.value.required) == (FIGURE_CEILING, FIGURE_CEILING)
-        assert free_algebra([K3], 2, cap=3**9).size == 84
 
     def test_negative_rank(self):
         with pytest.raises(LatcopError, match="non-negative"):
             free_algebra([K3], -1)
 
     def test_rank_past_the_cap_over_one_element_generators(self):
-        # the ambient product is 1 for every rank, so the rank itself is
-        # charged: refused at once, with no coordinate tuple built
-        one = one_element(K3.signature)
+        # a one-element generator adds no points, so over such generators
+        # only the rank itself is charged: refused at once
+        one = validated_one_element()
         assert free_algebra([one], 3, cap=3).generators == (0, 0, 0)
         start = time.perf_counter()
         with pytest.raises(CapExceeded) as exc:
@@ -825,6 +924,7 @@ class TestTernaryPointwise:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_free_algebra(self, n):
+        d_reduct(MED3, DReductSpec.literal())  # M~ reads the kept reduct
         f = free_algebra([MED3], n)
         coords = [MED3] * 3**n
         assignments = list(itertools.product(range(3), repeat=n))
@@ -943,8 +1043,9 @@ class TestExtendsToHom:
 
 class TestTableEntryBudget:
     """``TABLE_ENTRY_BUDGET`` bounds the sum of size**arity over the
-    symbols before a round allocates; tiny budgets stand in for inputs like
-    demorgan4^4, whose E(X) would need 2 * 65536**2 entries."""
+    symbols before tables are allocated, and E(X) charges it per solution;
+    tiny budgets stand in for inputs like demorgan4^4, whose E(X) would
+    need 2 * 65536**2 entries."""
 
     def test_boundary(self, monkeypatch):
         need = 2 * 16**2 + 16 + 2  # DM4 x DM4: meet, join, neg, zero, one
@@ -956,13 +1057,24 @@ class TestTableEntryBudget:
         assert (exc.value.stage, exc.value.budget, exc.value.required) == ("table build", need - 1, need)
         assert str(exc.value) == f"subpower tables need {need}+ entries, budget is {need - 1}"
 
-    def test_checked_during_the_closure(self, monkeypatch):
-        # free_algebra([K3], 2) has 84 elements; the budget stops it early
+    def test_charged_per_solution_of_the_search(self, monkeypatch):
+        # free_algebra([K3], 2) has 84 elements; the E-functor search stops
+        # at the 23rd, the first whose tables pass the budget
         monkeypatch.setattr(algebra_module, "TABLE_ENTRY_BUDGET", 1000)
+        assert algebra_module._table_capacity(K3.signature) == 22
         with pytest.raises(CapExceeded) as exc:
             free_algebra([K3], 2)
-        assert exc.value.stage == "table build" and exc.value.budget == 1000
-        assert 1000 < exc.value.required < 2 * 84**2 + 84 + 2
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == ("table build", 1000, 2 * 23**2 + 23 + 2)
+        assert str(exc.value) == "subpower tables need 1083+ entries, budget is 1000"
+
+    @pytest.mark.parametrize("symbols", [(), (("c", 0),), (("u", 1),), (("b", 2), ("c", 0)), (("t", 3),)])
+    def test_capacity_is_the_largest_count_that_fits(self, monkeypatch, symbols):
+        monkeypatch.setattr(algebra_module, "TABLE_ENTRY_BUDGET", 1000)
+        sig = Signature(symbols)
+        most = algebra_module._table_capacity(sig)
+        entries = [sum(count**arity for _, arity in symbols) for count in (most, most + 1)]
+        # a signature whose tables never pass the budget reads the budget itself
+        assert entries[0] <= 1000 and (entries[1] > 1000 or most == 1000)
 
     def test_product_refused_before_allocating(self):
         # DM4^6 has 4096 elements, so its binary tables alone would take
@@ -1114,8 +1226,8 @@ def subpower_cases(draw):
     """A signature of some of a nullary, a unary, a binary and a ternary
     symbol in random order; 0-3 coordinates of 1-3 elements with random
     tables, the binary one commutative in every coordinate or in a random
-    few; up to 3 generators; a random subset of the product in random
-    order."""
+    few; up to 3 generators, whose closure is a closed universe; a random
+    subset of the product in random order."""
     symbols = [("c", 0), ("u", 1), ("b", 2), ("t", 3)]
     sig = Signature(tuple(draw(st.lists(st.sampled_from(symbols), min_size=1, unique=True))))
     everywhere = draw(st.booleans())
@@ -1130,13 +1242,13 @@ def subpower_cases(draw):
     return sig, coords, gens, subset
 
 
-def subpower_tuples(*args, **kwargs):
-    """``_subpower``'s element tuples and its tables, each read as
+def kernel_tables(signature, coords, universe):
+    """``_subpower``'s tables on ``universe``, each read as
     ``tuple(t.tolist())``; the kernel returns flat arrays in the dtype
     ``_index_dtype`` of the element count."""
-    elems, tables = _subpower(*args, **kwargs)
-    assert all(t.ndim == 1 and t.dtype == _index_dtype(len(elems)) for t in tables)
-    return elems, tuple(tuple(t.tolist()) for t in tables)
+    tables = _subpower(signature, coords, universe)
+    assert all(t.ndim == 1 and t.dtype == _index_dtype(len(universe)) for t in tables)
+    return tuple(tuple(t.tolist()) for t in tables)
 
 
 def _first_unclosed(sig, coords, subset):
@@ -1153,8 +1265,9 @@ def _first_unclosed(sig, coords, subset):
 @st.composite
 def trie_cases(draw):
     """A signature of some of a nullary, a unary and a binary symbol; 1-6
-    coordinates of 1-6 elements with random tables; up to 2 generators and
-    up to 6 distinct tuples of the product, drawn coordinate by coordinate."""
+    coordinates of 1-6 elements with random tables; up to 2 generators,
+    whose closure is a closed universe, and up to 6 distinct tuples of the
+    product, drawn coordinate by coordinate."""
     symbols = [("c", 0), ("u", 1), ("b", 2)]
     sig = Signature(tuple(draw(st.lists(st.sampled_from(symbols), min_size=1, unique=True))))
     coords = []
@@ -1205,14 +1318,10 @@ class TestSubpowerKernel:
         # small blocks put block seams everywhere
         with mock.patch.object(algebra_module, "_BLOCK", block):
             closure = pointwise_closure(coords, gens, sig)
-            assert subpower_tuples(sig, coords, generators=gens) == (
-                closure, pointwise_tables(coords, closure, sig)
-            )
+            assert kernel_tables(sig, coords, closure) == pointwise_tables(coords, closure, sig)
             bad = _first_unclosed(sig, coords, subset)
             if bad is None:
-                assert subpower_tuples(sig, coords, subset) == (
-                    subset, pointwise_tables(coords, subset, sig)
-                )
+                assert kernel_tables(sig, coords, subset) == pointwise_tables(coords, subset, sig)
             else:
                 # a given universe is the caller's promise: a bug if not closed
                 with pytest.raises(InternalError, match=f"not closed under '{bad}'"):
@@ -1249,18 +1358,18 @@ class TestSubpowerKernel:
         lambda: (free_algebra([MED3], 1), [MED3]),
         # imp is not commutative, meet and join are
         lambda: (free_algebra([C3], 2), [C3]),
-        # a given universe is one round that must find nothing new
         lambda: (FiniteAlgebra("DM4xK3", 12, DM4.signature, _subpower(
             DM4.signature, [DM4, K3], list(itertools.product(range(4), range(3)))
-        )[1]), [DM4, K3]),
+        )), [DM4, K3]),
         # join is commutative in one coordinate only
         lambda: (FiniteAlgebra("K3xK3'", 9, K3.signature, _subpower(
             K3.signature, [K3, LEFT_JOIN_K3], list(itertools.product(range(3), repeat=2))
-        )[1]), [K3, LEFT_JOIN_K3]),
+        )), [K3, LEFT_JOIN_K3]),
     ])
     def test_each_argument_tuple_evaluated_once(self, make_it):
-        # the closure's results are the tables: no second pass over them
-        # (a nullary value is also read once more, to seed the closure)
+        # the results of the one pass over the universe are the tables:
+        # no argument tuple is looked up twice
+        d_reduct(MED3, DReductSpec.literal())  # the free algebras read M~
         evaluated: dict[str, list] = {}
         real = algebra_module._Product.evaluate
 
@@ -1296,39 +1405,29 @@ class TestSubpowerKernel:
             if n * n > algebra_module._BLOCK:  # more than one chunk
                 assert count < n * n
 
-    def test_new_row_left_of_an_older_one(self):
-        # b(x, y) steps x up only when y is the top, so every round needs
-        # its new row on the left of an older row other than the first
-        n = 6
-        step = FiniteAlgebra("step", n, Signature((("b", 2),)), (
-            tuple(min(x + 1, n - 1) if y == n - 1 else x for x in range(n) for y in range(n)),
-        ))
-        elems, tables = subpower_tuples(step.signature, [step], generators=[(0,), (n - 1,)])
-        assert elems == [(x,) for x in range(n)]
-        assert tables == step.tables
-
     def test_coordinate_past_one_byte(self):
         # 300 values need two bytes per coordinate; the generated universe
-        # 250..299 straddles 256 and must still come back in tuple order
+        # 250..299 straddles 256
         n = 300
         sig = Signature((("meet", 2), ("succ", 1)))
         chain = FiniteAlgebra("chain300", n, sig, (
             tuple(min(x, y) for x in range(n) for y in range(n)),
             tuple(min(x + 1, n - 1) for x in range(n)),
         ))
-        elems, tables = subpower_tuples(sig, [chain], generators=[(250,)])
+        elems = pointwise_closure([chain], [(250,)])
         assert elems == [(x,) for x in range(250, n)]
-        assert tables == pointwise_tables([chain], elems)
+        assert kernel_tables(sig, [chain], elems) == pointwise_tables([chain], elems)
         assert direct_product([chain]).tables == chain.tables
 
     def test_empty_product(self):
-        point = ([()], tuple((0,) for _ in DM4.signature.symbols))
-        assert subpower_tuples(DM4.signature, []) == point
-        assert subpower_tuples(DM4.signature, [], generators=[()]) == point
-        assert subpower_tuples(DM4.signature, [], universe=[()]) == point
+        # its one tuple () is closed; the empty universe is closed only
+        # without constants
+        assert kernel_tables(DM4.signature, [], [()]) == tuple((0,) for _ in DM4.signature.symbols)
+        with pytest.raises(InternalError, match="not closed under 'zero'"):
+            _subpower(DM4.signature, [], [])
         no_constants = Signature((("f", 1), ("g", 2)))
-        assert subpower_tuples(no_constants, []) == ([], ((), ()))
-        assert subpower_tuples(no_constants, [], generators=[()]) == ([()], ((0,), (0,)))
+        assert kernel_tables(no_constants, [], []) == ((), ())
+        assert kernel_tables(no_constants, [], [()]) == ((0,), (0,))
 
     def test_binary_table_across_a_block_seam(self):
         # 70^2 argument pairs times 4 coordinates is more table reads than
@@ -1342,9 +1441,7 @@ class TestSubpowerKernel:
         ))
         assert n * n * k > algebra_module._BLOCK
         diagonal = [(x,) * k for x in reversed(r)]
-        assert subpower_tuples(sig, [chain] * k, diagonal) == (
-            diagonal, pointwise_tables([chain] * k, diagonal)
-        )
+        assert kernel_tables(sig, [chain] * k, diagonal) == pointwise_tables([chain] * k, diagonal)
 
     @pytest.mark.parametrize("moved", [0, 2])
     def test_row_absent_at_one_level(self, moved):
@@ -1360,27 +1457,22 @@ class TestSubpowerKernel:
             _subpower(sig, coords, universe)
         closure = pointwise_closure(coords, universe)
         assert closure == sorted(universe + [tuple(int(i == moved) for i in range(3)), (1, 1, 1)])
-        assert subpower_tuples(sig, coords, generators=universe) == (
-            closure, pointwise_tables(coords, closure)
-        )
+        assert kernel_tables(sig, coords, closure) == pointwise_tables(coords, closure)
 
     def test_coordinates_of_size_one(self):
         one = FiniteAlgebra("one", 1, K3.signature, tuple((0,) for _ in K3.signature.symbols))
         coords = [one, K3, one, one, K3, one]
         product = list(itertools.product(*(range(c.size) for c in coords)))
         assert direct_product(coords).tables == pointwise_tables(coords, product)
-        gens = [(0, 1, 0, 0, 0, 0)]
-        closure = pointwise_closure(coords, gens)
-        assert subpower_tuples(K3.signature, coords, generators=gens) == (
-            closure, pointwise_tables(coords, closure)
-        )
+        closure = pointwise_closure(coords, [(0, 1, 0, 0, 0, 0)])
+        assert kernel_tables(K3.signature, coords, closure) == pointwise_tables(coords, closure)
         point = [(0, 0, 0)]
-        assert subpower_tuples(K3.signature, [one] * 3) == (point, pointwise_tables([one] * 3, point))
+        assert kernel_tables(K3.signature, [one] * 3, point) == pointwise_tables([one] * 3, point)
 
     def test_prefix_count_past_one_byte(self):
         # s_j steps coordinate j round a 3-cycle: from the zero row the
-        # closure grows round by round to all 3^6 rows, so the prefix counts
-        # and row numbers outgrow one byte while the rounds run
+        # closure is all 3^6 rows, so the prefix counts and row numbers
+        # outgrow one byte
         k = 6
         sig = Signature(tuple((f"s{j}", 1) for j in range(k)))
         coords = [
@@ -1391,13 +1483,10 @@ class TestSubpowerKernel:
         ]
         closure = pointwise_closure(coords, [(0,) * k])
         assert len(closure) == 3**k
-        assert subpower_tuples(sig, coords, generators=[(0,) * k]) == (
-            closure, pointwise_tables(coords, closure)
-        )
+        assert kernel_tables(sig, coords, closure) == pointwise_tables(coords, closure)
         shuffled = random.Random(0).sample(closure, len(closure))
-        assert subpower_tuples(sig, coords, shuffled) == (shuffled, pointwise_tables(coords, shuffled))
-        product = algebra_module._Product(sig, coords)
-        product.index(np.array(closure, product.dtype).T, len(closure))
+        assert kernel_tables(sig, coords, shuffled) == pointwise_tables(coords, shuffled)
+        product = algebra_module._Product(sig, coords, closure)
         assert {t.itemsize for t in product.levels + [product.last]} == {1, 2}
 
     def test_forty_coordinates_past_int64(self):
@@ -1406,14 +1495,9 @@ class TestSubpowerKernel:
         coords = [DM4] * k
         assert DM4.size**k > 2**63
         diagonal = [(x,) * k for x in (2, 0, 3, 1)]
-        assert subpower_tuples(DM4.signature, coords, diagonal) == (
-            diagonal, pointwise_tables(coords, diagonal)
-        )
-        gens = [(1,) * k, (0,) * (k - 1) + (2,)]
-        closure = pointwise_closure(coords, gens)
-        assert subpower_tuples(DM4.signature, coords, generators=gens) == (
-            closure, pointwise_tables(coords, closure)
-        )
+        assert kernel_tables(DM4.signature, coords, diagonal) == pointwise_tables(coords, diagonal)
+        closure = pointwise_closure(coords, [(1,) * k, (0,) * (k - 1) + (2,)])
+        assert kernel_tables(DM4.signature, coords, closure) == pointwise_tables(coords, closure)
 
     @settings(max_examples=150, deadline=None)
     @given(trie_cases(), st.sampled_from([1, 7, algebra_module._BLOCK]))
@@ -1422,9 +1506,7 @@ class TestSubpowerKernel:
         with mock.patch.object(algebra_module, "_BLOCK", block):
             bad = _first_unclosed(sig, coords, subset)
             if bad is None:
-                assert subpower_tuples(sig, coords, subset) == (
-                    subset, pointwise_tables(coords, subset, sig)
-                )
+                assert kernel_tables(sig, coords, subset) == pointwise_tables(coords, subset, sig)
             else:
                 with pytest.raises(InternalError, match=f"not closed under '{bad}'"):
                     _subpower(sig, coords, subset)
@@ -1435,10 +1517,5 @@ class TestSubpowerKernel:
             )
             if bound <= 64:
                 closure = pointwise_closure(coords, gens, sig)
-                assert subpower_tuples(sig, coords, generators=gens) == (
-                    closure, pointwise_tables(coords, closure, sig)
-                )
-                backwards = closure[::-1]
-                assert subpower_tuples(sig, coords, backwards) == (
-                    backwards, pointwise_tables(coords, backwards, sig)
-                )
+                for universe in (closure, closure[::-1]):
+                    assert kernel_tables(sig, coords, universe) == pointwise_tables(coords, universe, sig)

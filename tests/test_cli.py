@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -357,9 +358,11 @@ class TestCoproduct:
         assert err.endswith("stage 'structure product', budget 7, required 8\n")
 
     def test_raised_cap_keeps_the_visit_budget(self, capsys):
+        # E(X) would have 65,536 elements; the search stops at the 2,236th,
+        # the first whose tables pass the budget: 2 * 2236**2 + 2236 + 2
         code, out, err = run(capsys, "coproduct", *["demorgan4"] * 4, "--cap", "10000")
         assert (code, out) == (EXIT_UNKNOWN, "")
-        assert err.endswith("stage 'table build', budget 10000000, required 8590000130\n")
+        assert err.endswith("stage 'table build', budget 10000000, required 10001630\n")
 
 
 class TestTableBudget:
@@ -370,20 +373,22 @@ class TestTableBudget:
         monkeypatch.setattr(latcop.algebra, "TABLE_ENTRY_BUDGET", 10_000)
         code, out, err = run(capsys, "coproduct", "demorgan4", "demorgan4", "demorgan4")
         assert code == EXIT_UNKNOWN and out == ""
-        # E(X) has 256 elements: 2 * 256**2 + 256 + 2 entries
+        # E(X) has 256 elements; the search stops at the 71st, the first
+        # whose tables pass the budget: 2 * 71**2 + 71 + 2 entries
         assert err == (
-            "unknown: subpower tables need 131330+ entries, budget is 10000; "
-            "stage 'table build', budget 10000, required 131330\n"
+            "unknown: subpower tables need 10155+ entries, budget is 10000; "
+            "stage 'table build', budget 10000, required 10155\n"
         )
 
     def test_free(self, monkeypatch, capsys):
         monkeypatch.setattr(latcop.algebra, "TABLE_ENTRY_BUDGET", 1000)
         code, out, err = run(capsys, "free", "2", "kleene3")
         assert code == EXIT_UNKNOWN and out == ""
-        # the round over 26 rows would need 2 * 26**2 + 26 + 2 entries
+        # F(2) has 84 elements; the E-functor search stops at the 23rd:
+        # 2 * 23**2 + 23 + 2 entries
         assert err == (
-            "unknown: subpower tables need 1380+ entries, budget is 1000; "
-            "stage 'table build', budget 1000, required 1380\n"
+            "unknown: subpower tables need 1083+ entries, budget is 1000; "
+            "stage 'table build', budget 1000, required 1083\n"
         )
 
     def test_classify(self, monkeypatch, capsys):
@@ -403,9 +408,19 @@ class TestFree:
         code, out, _ = run(capsys, "free", "1", "kleene3")
         assert code == EXIT_OK and "size 6" in out
 
-    def test_cap_exit(self, capsys):
-        code, _, err = run(capsys, "free", "2", "demorgan4")
-        assert code == EXIT_UNKNOWN and "unknown" in err
+    def test_cap_is_the_points_per_sort(self, capsys):
+        # M~^2 over demorgan4 has 4^2 points per sort, M~^7 has 4^7
+        code, out, _ = run(capsys, "free", "2", "demorgan4")
+        assert code == EXIT_OK
+        assert out == "free algebra on 2 generator(s) over ISP(demorgan4): size 168, free generators at [19, 58]\n"
+        code, out, err = run(capsys, "free", "7", "demorgan4")
+        assert (code, out) == (EXIT_UNKNOWN, "")
+        assert err.endswith("stage 'structure product', budget 5000, required 16384\n")
+        code, out, _ = run(capsys, "free", "2", "demorgan4", "--cap", "16")
+        assert code == EXIT_OK and "size 168," in out
+        code, out, err = run(capsys, "free", "2", "demorgan4", "--cap", "15")
+        assert (code, out) == (EXIT_UNKNOWN, "")
+        assert err.endswith("stage 'structure product', budget 15, required 16\n")
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "free", "2", "kleene3", "--json")
@@ -423,8 +438,8 @@ class TestFree:
         code, out, err = run(capsys, "free", "1000000000", str(path))
         assert (code, out) == (EXIT_UNKNOWN, "")
         assert err == (
-            "unknown: free algebra on 1000000000 generators exceeds the cap 1000000; "
-            "stage 'free algebra', budget 1000000, required 1000000000\n"
+            "unknown: free algebra on 1000000000 generators exceeds the cap 5000; "
+            "stage 'free algebra', budget 5000, required 1000000000\n"
         )
 
 
@@ -648,19 +663,22 @@ class TestBudgetFigures:
     """Counts past a cap are compared without forming numbers far past it,
     and printed as lower bounds past the digits Python prints."""
 
-    @pytest.mark.parametrize("n", ["9", "12", "16"])
+    @pytest.mark.parametrize("n", ["9013", "1000000000"])
     def test_free_rank(self, capsys, n):
+        # 3^9013 has 4,301 digits; no list of n factors is built either
+        start = time.perf_counter()
         code, out, err = run(capsys, "free", n, "kleene3")
+        assert time.perf_counter() - start < 1
         assert (code, out) == (EXIT_UNKNOWN, "")
-        assert err.startswith("unknown: free-algebra ambient product needs 9999")
-        assert err.endswith(f"stage 'free algebra', budget 1000000, required {'9' * 4300}\n")
+        assert err.startswith("unknown: product structure needs 9999")
+        assert err.endswith(f"stage 'structure product', budget 5000, required {'9' * 4300}\n")
 
     def test_exact_figure(self, capsys):
-        code, _, err = run(capsys, "free", "3", "kleene3")
+        code, _, err = run(capsys, "free", "12", "kleene3")
         assert code == EXIT_UNKNOWN
         assert err == (
-            "unknown: free-algebra ambient product needs 7625597484987+ elements, cap is 1000000; "
-            "stage 'free algebra', budget 1000000, required 7625597484987\n"
+            "unknown: product structure needs 531441 points in sort 0, cap is 5000; "
+            "stage 'structure product', budget 5000, required 531441\n"
         )
 
     def test_coproduct_of_15000_operands(self, capsys):
