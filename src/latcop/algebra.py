@@ -14,6 +14,7 @@ hom-sets out of it (:func:`hom_set`), each enumerated once.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 from dataclasses import dataclass
 from math import isqrt, prod
@@ -612,12 +613,17 @@ def _charge_tables(signature: Signature, count: int) -> None:
 
 def _table_capacity(signature: Signature) -> int:
     """The most elements whose tables fit ``TABLE_ENTRY_BUDGET`` (the budget
-    itself when more fit), by bisection: a count at most this passes
-    :func:`_charge_tables`."""
-    lo, hi = 0, TABLE_ENTRY_BUDGET
+    itself when more fit): a count at most this passes
+    :func:`_charge_tables`.  Bisected once per signature and budget."""
+    return _capacity(signature, TABLE_ENTRY_BUDGET)
+
+
+@functools.cache
+def _capacity(signature: Signature, budget: int) -> int:
+    lo, hi = 0, budget
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if sum(mid**r for _, r in signature.symbols) <= TABLE_ENTRY_BUDGET else (lo, mid - 1)
+        lo, hi = (mid, hi) if sum(mid**r for _, r in signature.symbols) <= budget else (lo, mid - 1)
     return lo
 
 
@@ -1020,6 +1026,6 @@ def free_algebra(
     e_res = e_functor(power)
     index = {vec: k for k, vec in enumerate(e_res.morphisms)}
     projections = (tuple(v[i] for sort in power.points for v in sort) for i in range(n))
-    return FiniteAlgebra(
-        name, e_res.algebra.size, sig, e_res.algebra.arrays(), generators=tuple(index[p] for p in projections)
-    )
+    free = e_res.algebra.rename(name)  # E(X)'s tables are validated: shared, not scanned again
+    object.__setattr__(free, "generators", tuple(index[p] for p in projections))
+    return free

@@ -178,10 +178,17 @@ def e_functor(
     """E(X): all sort-preserving maps into the alter ego respecting every
     lifted relation and operation, found by backtracking with forward
     propagation over candidate-value bitmasks; the algebra is structured
-    pointwise from the sorts.  Each solution is charged against the table
-    entries the algebra will need, so CapExceeded (stage 'table build')
-    comes as soon as there are more solutions than tables can be built
-    for."""
+    pointwise from the sorts.
+
+    Each point's watchers are grouped by direction table, so a point taken
+    off the propagation queue reads each table once, through a memo of its
+    unions over candidate masks that all points share (at most 2^|M|
+    entries per table), and then narrows every point watched through it.
+    Every point up to a node's pivot is a singleton in its children, so
+    they look for their own pivot after it.  Each solution is charged
+    against the table entries the algebra will need, so CapExceeded (stage
+    'table build') comes as soon as there are more solutions than tables
+    can be built for."""
     ego = structure.ego
     sig = ego.sorts[0].signature
     most = _table_capacity(sig)
@@ -192,45 +199,56 @@ def e_functor(
 
     # one edge per related pair of points, watched from both ends through the
     # value -> allowed-mask table of its direction: a relation's rows and
-    # their transpose; an operation constrains like the graph of its map
+    # their transpose; an operation constrains like the graph of its map.
+    # groups[p] maps each table to the points watched from p through it
     constraints = [(rel.sort1, rel.sort2, rel.rows, lifted) for rel, lifted in zip(ego.relations, structure.relations)]
     constraints += [
         (ego.sort_index(g.source), ego.sort_index(g.target), tuple(1 << b for b in g.map), tuple(1 << j for j in image))
         for g, image in zip(ego.operations, structure.operations)
     ]
-    watchers: list[list] = [[] for _ in range(nvars)]
+    groups: list[dict] = [{} for _ in range(nvars)]
     for s1, s2, fwd, lifted in constraints:
         bwd = [0] * ego.sorts[s2].size
         for a, row in enumerate(fwd):
             for b in _bits(row):
                 bwd[b] |= 1 << a
+        fwd, bwd = tuple(fwd), tuple(bwd)
         for i, row in enumerate(lifted):
             for j in _bits(row):
                 p, q = start[s1] + i, start[s2] + j
-                watchers[p].append((q, fwd))
-                watchers[q].append((p, bwd))
+                groups[p].setdefault(fwd, []).append(q)
+                groups[q].setdefault(bwd, []).append(p)
+    memos: dict = {}  # per table, the union of its rows over each mask met
+    watchers = [
+        [(memos.setdefault(table, {}), table, tuple(qs)) for table, qs in group.items()]
+        for group in groups
+    ]
 
     def propagate(dom: list[int], queue: list[int]) -> bool:
         while queue:
             p = queue.pop()
-            for q, table in watchers[p]:
-                allowed = 0
-                v = dom[p]
-                while v:
-                    b = v & -v
-                    allowed |= table[b.bit_length() - 1]
-                    v ^= b
-                newdom = dom[q] & allowed
-                if newdom != dom[q]:
-                    if newdom == 0:
-                        return False
-                    dom[q] = newdom
-                    queue.append(q)
+            v = dom[p]
+            for memo, table, qs in watchers[p]:
+                try:
+                    allowed = memo[v]
+                except KeyError:
+                    allowed = memo[v] = _union(table, _bits(v))
+                for q in qs:
+                    newdom = dom[q] & allowed
+                    if newdom != dom[q]:
+                        if newdom == 0:
+                            return False
+                        dom[q] = newdom
+                        queue.append(q)
         return True
 
     # depth first on an explicit stack; an entry (dom, pivot, bit) is the
     # child of dom with pivot fixed to bit, propagated when popped, and
-    # each propagated node counts as one visit
+    # each propagated node counts as one visit.  Propagation keeps a
+    # singleton a singleton, so a child's points up to its parent's pivot
+    # are all singletons and its own pivot lies after that one.  ``value``
+    # reads a singleton mask: its keys are exactly the singletons
+    value = {1 << b: b for b in range(max(m.size for m in ego.sorts))}
     solutions: list[tuple[int, ...]] = []
     visits = 0
     dom0 = list(full)
@@ -248,9 +266,11 @@ def e_functor(
                 f"E-functor enumeration exceeded {visit_cap} visited assignments",
                 required=visits, stage="E-functor search", budget=visit_cap,
             )
-        pivot = next((k for k in range(nvars) if dom[k] & (dom[k] - 1)), -1)
-        if pivot == -1:
-            solutions.append(tuple(d.bit_length() - 1 for d in dom))
+        pivot += 1
+        while pivot < nvars and dom[pivot] in value:
+            pivot += 1
+        if pivot == nvars:
+            solutions.append(tuple(map(value.__getitem__, dom)))
             if len(solutions) > most:
                 _charge_tables(sig, len(solutions))
             continue

@@ -14,7 +14,8 @@ relation orbits by applying every pair of automorphisms, the
 sublattice (w1, w2)^-1(<=) by listing its pairs, the numbering of
 product elements by numpy's multi-index rule, the dual side's lifted
 relations, products and reconstruction preorders as sets of point pairs,
-E(X) by testing every map of the points into their sorts, direct products
+E(X) by testing every map of the points into their sorts (and its search
+with one watcher per edge end, each union recomputed), direct products
 by the subpower kernel, the relation search's preimage masks bit by bit,
 the lattice of up-sets of a poset, the unary-operations criterion
 for unique maximal relations, the separation table pair by pair, the
@@ -57,9 +58,11 @@ from latcop.algebra import (
     Homomorphism,
     Signature,
     Term,
+    _charge_tables,
     _check_same_signature,
     _maps,
     _subpower,
+    _table_capacity,
     direct_product,
     embeds,
     hom_enumerate,
@@ -1437,6 +1440,86 @@ def morphisms_by_maps(structure) -> list[tuple[int, ...]]:
     ]
     maps = itertools.product(*[range(ego.sorts[s].size) for s, _ in order])
     return [v for v in maps if all((v[p], v[q]) in pairs for p, q, pairs in checks)]
+
+
+def e_search_by_reference(structure, visit_cap: int) -> tuple[list[tuple[int, ...]], int]:
+    """``duality.e_functor``'s search without grouped watchers or memoized
+    unions: one watcher (q, table) per edge end, each recomputing its
+    table's union over the popped point's domain bit by bit, and a pivot
+    scan from point 0 at every node.  Returns the solutions, in
+    search order, and the number of visits (propagated nodes that did not
+    fail); raises like ``e_functor`` at the visit cap and the table charge."""
+    ego = structure.ego
+    sig = ego.sorts[0].signature
+    most = _table_capacity(sig)
+    sort_of = [s for s, sort in enumerate(structure.points) for _ in sort]
+    nvars = len(sort_of)
+    full = [(1 << ego.sorts[s].size) - 1 for s in sort_of]
+    start = list(itertools.accumulate(map(len, structure.points), initial=0))
+    constraints = [(rel.sort1, rel.sort2, rel.rows, lifted) for rel, lifted in zip(ego.relations, structure.relations)]
+    constraints += [
+        (ego.sort_index(g.source), ego.sort_index(g.target), tuple(1 << b for b in g.map), tuple(1 << j for j in image))
+        for g, image in zip(ego.operations, structure.operations)
+    ]
+    watchers: list[list] = [[] for _ in range(nvars)]
+    for s1, s2, fwd, lifted in constraints:
+        bwd = [0] * ego.sorts[s2].size
+        for a, row in enumerate(fwd):
+            for b in _bits(row):
+                bwd[b] |= 1 << a
+        for i, row in enumerate(lifted):
+            for j in _bits(row):
+                p, q = start[s1] + i, start[s2] + j
+                watchers[p].append((q, fwd))
+                watchers[q].append((p, bwd))
+
+    def propagate(dom: list[int], queue: list[int]) -> bool:
+        while queue:
+            p = queue.pop()
+            for q, table in watchers[p]:
+                allowed = 0
+                v = dom[p]
+                while v:
+                    b = v & -v
+                    allowed |= table[b.bit_length() - 1]
+                    v ^= b
+                newdom = dom[q] & allowed
+                if newdom != dom[q]:
+                    if newdom == 0:
+                        return False
+                    dom[q] = newdom
+                    queue.append(q)
+        return True
+
+    solutions: list[tuple[int, ...]] = []
+    visits = 0
+    dom0 = list(full)
+    stack = [(dom0, -1, 0)] if propagate(dom0, list(range(nvars))) else []
+    while stack:
+        dom, pivot, bit = stack.pop()
+        if pivot != -1:
+            dom = list(dom)
+            dom[pivot] = bit
+            if not propagate(dom, [pivot]):
+                continue
+        visits += 1
+        if visits > visit_cap:
+            raise CapExceeded(
+                f"E-functor enumeration exceeded {visit_cap} visited assignments",
+                required=visits, stage="E-functor search", budget=visit_cap,
+            )
+        pivot = next((k for k in range(nvars) if dom[k] & (dom[k] - 1)), -1)
+        if pivot == -1:
+            solutions.append(tuple(d.bit_length() - 1 for d in dom))
+            if len(solutions) > most:
+                _charge_tables(sig, len(solutions))
+            continue
+        mask = dom[pivot]
+        while mask:
+            bit = 1 << (mask.bit_length() - 1)
+            mask ^= bit
+            stack.append((dom, pivot, bit))
+    return solutions, visits
 
 
 def reconstruction_rows_by_triples(ego: AlterEgo, dual) -> list[int]:

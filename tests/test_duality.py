@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     compose,
     count_hom_enumerations,
+    e_search_by_reference,
     ego_for,
     evaluation_check,
     fresh_entry,
@@ -50,6 +51,7 @@ from latcop.catalog import make, make_id, table1_suite
 from latcop.distlat import d_reduct, poset_from_pairs, prime_filters, priestley_dual
 from latcop.duality import (
     DEFAULT_POINTS_CAP,
+    DEFAULT_VISIT_CAP,
     MultisortedStructure,
     _check_universal_property,
     _prescribed,
@@ -476,6 +478,88 @@ CHECKED_COPRODUCTS = CONSTRUCT_COPRODUCTS + [
     (("kleene3", "demorgan4"), ("kleene3", "demorgan4")),
 ]
 
+# the 17 E(X) searches of one pass of the construct workload, per request,
+# with their visit counts: the coproducts above, then free algebras of rank
+# 2 (a rank in place of the family); a coproduct of F1 members builds each
+# member as E of the alter ego first
+CONSTRUCT_SEARCHES = [
+    (family, generators, visits)
+    for (family, generators), visits in zip(
+        CONSTRUCT_COPRODUCTS, [[21], [341], [256], [57], [121], [11, 11, 167], [11, 11, 303], [9, 9, 297]]
+    )
+] + [(2, ("kleene3",), [167]), (2, ("demorgan4",), [327]), (2, ("heyting_chain(3)",), [297])]
+
+
+def _searches(run) -> list[MultisortedStructure]:
+    """The structures ``run()`` hands to ``e_functor``, in call order."""
+    searched = []
+    real = duality_module.e_functor
+
+    def spy(x, visit_cap=DEFAULT_VISIT_CAP):
+        searched.append(x)
+        return real(x, visit_cap)
+
+    with mock.patch.object(duality_module, "e_functor", spy):
+        run()
+    return searched
+
+
+def _stop(search, x, visit_cap):
+    """The (stage, required) at which ``search`` stops under ``visit_cap``."""
+    with pytest.raises(CapExceeded) as exc:
+        search(x, visit_cap)
+    return exc.value.stage, exc.value.required
+
+
+def _visits_by_reference(x) -> int:
+    """E(X)'s visit count, after checking ``e_functor`` against
+    ``conftest.e_search_by_reference``: the same morphisms in the same
+    order, and the same visit count, as a visit cap equal to it passes and
+    one below it stops at it."""
+    solutions, visits = e_search_by_reference(x, DEFAULT_VISIT_CAP)
+    assert list(e_functor(x, visit_cap=visits).morphisms) == solutions
+    assert _stop(e_functor, x, visits - 1) == ("E-functor search", visits)
+    return visits
+
+
+class TestESearchMatchesReference:
+    """The E-functor search, with its watchers grouped by table, its memoized
+    unions and its resumed pivot scan, against the plain search of
+    ``conftest.e_search_by_reference``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(EGOS).flatmap(
+            lambda ego: st.sampled_from([1, None]).flatmap(
+                lambda bits: structures(ego, 6 // len(ego.sorts), row_bits=bits)
+            )
+        )
+    )
+    def test_random_structures(self, x):
+        _visits_by_reference(x)
+
+    @pytest.mark.parametrize("family, generators, visits", CONSTRUCT_SEARCHES)
+    def test_construct_searches(self, family, generators, visits):
+        if isinstance(family, int):
+            searched = _searches(lambda: free_algebra([make_id(g).algebra for g in generators], family))
+        else:
+            searched = _searches(lambda: _coproduct_case(family, generators))
+        assert [_visits_by_reference(x) for x in searched] == visits
+
+    def test_cascading_domains(self):
+        # M~^3 over kleene3: 27 points per sort, whose domains narrow by
+        # several values per propagation; both searches reach the table
+        # charge at visit 4475, with the 2236th solution
+        def run():
+            with pytest.raises(CapExceeded) as exc:
+                free_algebra([K3.algebra], 3)
+            assert (exc.value.stage, exc.value.required) == ("table build", 10001630)
+
+        (x,) = _searches(run)
+        for search in (e_search_by_reference, e_functor):
+            assert _stop(search, x, 4474) == ("E-functor search", 4475)
+            assert _stop(search, x, 4475) == ("table build", 10001630)
+
 
 class TestFamiliesArePoints:
     """The universal check reads its families off the product of duals X:
@@ -524,23 +608,31 @@ class TestExtendsToHom:
             assert _extends_to_hom(res.algebra, m, rows, width)
             assert universal_by_closure(res.algebra, m, rows, width)
 
-    @pytest.mark.parametrize("block", [1, 5, algebra_module._BLOCK])
-    def test_ternary_operations(self, block):
-        # med3^2 under med3's ternary maj and the non-symmetric lean: a
-        # column of values on a generating set extends exactly when it is
-        # the restriction of a homomorphism, as the closure says
+    @pytest.fixture(scope="class")
+    def ternary(self):
+        """med3^2 under med3's ternary maj and the non-symmetric lean, with
+        the closure's verdicts, which do not depend on the block size, so
+        they are computed once for all three blocks."""
         med3 = median_chain()
         square = direct_product([med3, med3])
         gens = generating_set(square)
         homs = {tuple(h.map[x] for x in gens) for h in hom_enumerate(square, med3)}
         assignments = list(itertools.product(range(3), repeat=len(gens)))
         closure = [universal_by_closure(square, med3, dict(zip(gens, zip(v))), 1) for v in assignments]
-        assert closure == [v in homs for v in assignments]
         columns = sorted(homs)
         bad = next(v for v in assignments if v not in homs)
         good = {x: tuple(col[i] for col in columns) for i, x in enumerate(gens)}
         mixed = {x: row + (bad[i],) for i, (x, row) in enumerate(good.items())}
-        assert not universal_by_closure(square, med3, mixed, len(columns) + 1)
+        mixed_closure = universal_by_closure(square, med3, mixed, len(columns) + 1)
+        return med3, square, gens, homs, assignments, closure, columns, good, mixed, mixed_closure
+
+    @pytest.mark.parametrize("block", [1, 5, algebra_module._BLOCK])
+    def test_ternary_operations(self, block, ternary):
+        # a column of values on a generating set extends exactly when it is
+        # the restriction of a homomorphism, as the closure says
+        med3, square, gens, homs, assignments, closure, columns, good, mixed, mixed_closure = ternary
+        assert closure == [v in homs for v in assignments]
+        assert not mixed_closure
         # small blocks put block seams everywhere
         with mock.patch.object(algebra_module, "_BLOCK", block):
             assert [_extends_to_hom(square, med3, dict(zip(gens, zip(v))), 1) for v in assignments] == closure
