@@ -124,8 +124,9 @@ class FiniteAlgebra:
     ``tables`` is aligned with ``signature.symbols``; the table for an
     arity-k symbol has ``size**k`` entries indexed row-major (leftmost
     argument most significant).  A table may be passed in as a tuple or as
-    an integer numpy array; ``tables`` holds tuples either way, and
-    :meth:`arrays` one read-only array per table.  E(X), and so free
+    an integer numpy array; either is read as an array and checked one way,
+    for its length, an integer kind and its range.  ``tables`` holds tuples,
+    and :meth:`arrays` one read-only copy per table.  E(X), and so free
     algebras, and induced subalgebras get their tables from one subpower
     kernel, ``_subpower``, which runs on numpy over a given universe of
     element tuples: they are found through a trie with one level per
@@ -150,42 +151,42 @@ class FiniteAlgebra:
             raise LatcopError(f"algebra {self.name!r} must have positive size")
         if len(self.tables) != len(self.signature.symbols):
             raise LatcopError(f"algebra {self.name!r}: one table per symbol required")
-        arrays = []
+        n, arrays = self.size, []
         for (sym, arity), table in zip(self.signature.symbols, self.tables):
-            if len(table) != self.size**arity:
-                raise LatcopError(
-                    f"algebra {self.name!r}: table for {sym!r} has {len(table)} "
-                    f"entries, expected {self.size ** arity}"
-                )
-            array = table if isinstance(table, np.ndarray) else None
-            if array is not None and array.dtype.kind not in "iu":
+            given = np.asarray(table)  # a tuple or an array, read one way
+            if given.shape != (n**arity,):
+                raise LatcopError(f"algebra {self.name!r}: table for {sym!r} has {given.size} entries, "
+                                  f"expected {n**arity}")
+            if given.dtype.kind not in "iu":
                 raise LatcopError(f"algebra {self.name!r}: table for {sym!r} must hold integers")
-            lo, hi = (min(table), max(table)) if array is None else (array.min(), array.max())
-            if not (0 <= lo and hi < self.size):
-                v = next(v for v in table if not 0 <= v < self.size)
+            if given.min() < 0 or given.max() >= n:
                 raise LatcopError(
-                    f"algebra {self.name!r}: table entry {v} for {sym!r} "
-                    f"outside universe 0..{self.size - 1}"
+                    f"algebra {self.name!r}: table entry {given[(given < 0) | (given >= n)][0]} for {sym!r} "
+                    f"outside universe 0..{n - 1}"
                 )
-            if array is not None:  # copied, so no outside reference can write to it
-                array = np.array(array, _index_dtype(self.size))
-                array.setflags(write=False)
+            array = np.array(given, _index_dtype(n))  # copied, so no outside reference can write to it
+            array.setflags(write=False)
             arrays.append(array)
-        if self.element_names is not None and len(self.element_names) != self.size:
+        if self.element_names is not None and len(self.element_names) != n:
             raise LatcopError(f"algebra {self.name!r}: wrong number of element names")
-        tables = tuple(t if a is None else tuple(a.tolist()) for t, a in zip(self.tables, arrays))
-        object.__setattr__(self, "tables", tables)
-        # attributes, not fields, so eq, hash and repr ignore them; a table
-        # passed in as a tuple has None in ``_arrays`` until ``arrays()``.
-        # ``_reducts`` keeps, per DReductSpec, what ``distlat.d_reduct``
-        # validated; like ``_arrays`` it is shared by ``rename()`` copies.
-        # ``_homs`` keeps hom(self, b) per target b (see :func:`hom_set`)
-        object.__setattr__(self, "_arrays", arrays)
+        # the tuple view: uint8 bytes iterate as CPython's shared ints 0..255;
+        # wider tables read off an object array of one int per element
+        ints = np.arange(n).astype(object) if n > 256 else None
+        views = (tuple(a.tobytes()) if ints is None else tuple(ints[a].tolist()) for a in arrays)
+        object.__setattr__(self, "tables", tuple(views))
+        # attributes, not fields, so eq, hash and repr ignore them; all but
+        # ``_homs`` are shared by ``rename()`` copies.  ``_reducts`` keeps,
+        # per DReductSpec, what ``distlat.d_reduct`` validated; ``_homs``
+        # keeps hom(self, b) per target b (see :func:`hom_set`)
+        symbols = self.signature.symbols
+        object.__setattr__(self, "_arrays", tuple(arrays))
+        object.__setattr__(self, "_ops", tuple((sym, arity, t) for (sym, arity), t in zip(symbols, self.tables)))
+        object.__setattr__(self, "_symmetric", tuple(
+            arity == 2 and np.array_equal(a.reshape(n, n), a.reshape(n, n).T) for (_, arity), a in zip(symbols, arrays)
+        ))
+        object.__setattr__(self, "_constants", tuple(t[0] for (_, arity), t in zip(symbols, self.tables) if not arity))
         object.__setattr__(self, "_reducts", {})
         object.__setattr__(self, "_homs", {})
-        object.__setattr__(self, "_ops", tuple(
-            (sym, arity, tab) for (sym, arity), tab in zip(self.signature.symbols, self.tables)
-        ))
 
     # -- table access -------------------------------------------------------
 
@@ -204,32 +205,21 @@ class FiniteAlgebra:
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         """Per symbol, its table as one read-only array in the dtype
-        ``_index_dtype(size)``: kept from an array passed in, else built on
-        first use in place, so a renamed copy shares it."""
-        for i, array in enumerate(self._arrays):
-            if array is None:
-                self._arrays[i] = array = np.array(self.tables[i], _index_dtype(self.size))
-                array.setflags(write=False)
-        return tuple(self._arrays)
+        ``_index_dtype(size)``."""
+        return self._arrays
 
     def symmetric(self) -> tuple[bool, ...]:
         """Per symbol in signature order, whether it is binary with a
-        symmetric table (equal to its transpose as an n x n array); built
-        on first use and kept like ``ops()``.  A symmetric symbol is read
-        on one of each pair of mirrored argument tuples by the map search
-        and the closure, and on the lower half of its square by the subpower
-        kernel (when it holds in every coordinate) and the universal check
-        (in a for its rounds, in a and b for its final check)."""
-        if "_symmetric" not in self.__dict__:
-            n = self.size
-            object.__setattr__(self, "_symmetric", tuple(
-                arity == 2 and np.array_equal(t.reshape(n, n), t.reshape(n, n).T)
-                for (_, arity, _), t in zip(self._ops, self.arrays())
-            ))
+        symmetric table (equal to its transpose as an n x n array).  A
+        symmetric symbol is read on one of each pair of mirrored argument
+        tuples by the map search and the closure, and on the lower half of
+        its square by the subpower kernel (when it holds in every
+        coordinate) and the universal check (in a for its rounds, in a and
+        b for its final check)."""
         return self._symmetric
 
     def constants(self) -> tuple[int, ...]:
-        return tuple(tab[0] for (_, arity), tab in zip(self.signature.symbols, self.tables) if arity == 0)
+        return self._constants
 
     def element_name(self, x: int) -> str:
         if self.element_names is not None:
@@ -285,9 +275,10 @@ class Homomorphism:
 # term evaluation
 
 
-def term_table(algebra: FiniteAlgebra, term: Term, arity: int) -> tuple[int, ...]:
-    """Row-major value table of a term viewed as an ``arity``-ary operation;
-    each subterm is evaluated once, over the whole argument grid."""
+def term_table(algebra: FiniteAlgebra, term: Term, arity: int) -> np.ndarray:
+    """Row-major value table of a term viewed as an ``arity``-ary operation,
+    as one read-only array in the dtype ``_index_dtype(size)``; each
+    subterm is evaluated once, over the whole argument grid."""
     term.validate(algebra.signature)
     if term.max_var >= arity:
         raise LatcopError(f"term uses x{term.max_var} but only {arity} arguments given")
@@ -303,9 +294,10 @@ def term_table(algebra: FiniteAlgebra, term: Term, arity: int) -> tuple[int, ...
             flat = flat * n + rec(s)
         return arrays[algebra.signature.index(t.head)][flat]
 
-    table = rec(term)
+    table = np.array(np.broadcast_to(rec(term), n**arity), _index_dtype(n))  # a copy: no view of the grid
     del rec  # it refers to itself through its cell: a cycle that would keep the grid
-    return tuple(np.broadcast_to(table, n**arity).tolist())
+    table.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -1014,7 +1006,7 @@ def free_algebra(
                 required=required, stage="free algebra", budget=cap,
             )
         return FiniteAlgebra(name, 1, sig, tuple((0,) for _ in sig.symbols), generators=(0,) * n)
-    _check_points([_bounded(m.size, n, cap) for m in sorts], cap)  # before a list of n factors is built
+    _check_points([_bounded(m.size, n, cap) for m in sorts], cap, n)  # before a list of n factors is built
     ego = build_alter_ego(sorts, spec)
     m_tilde = MultisortedStructure(
         ego,

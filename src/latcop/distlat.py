@@ -6,13 +6,15 @@ elements, which keeps both directions of the duality quadratic.  A reduct is
 validated once per algebra and spec, in O(n^2) operations on bitmask rows,
 and kept with the algebra (and its ``rename()`` copies) for later calls as
 its order and bounds: the duality reads it only through its order, which
-fixes meet and join, so their tables are built to check the axioms only.
+fixes meet and join, so their arrays are read to check the axioms only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .algebra import FiniteAlgebra, Term, app, term_table, var
 from .errors import LatcopError, LatticeAxiomError
@@ -87,7 +89,10 @@ def d_reduct(algebra: FiniteAlgebra, spec: DReductSpec) -> DistLatticeReduct:
 
 def _validate(algebra: FiniteAlgebra, spec: DReductSpec) -> tuple:
     """The reduct's bottom, top, ``leq_rows`` and join-irreducible mask, in
-    O(n^2) operations on n-bit rows (the meet and join tables are not kept).
+    O(n^2) operations on n-bit rows.  The meet and join are read as n x n
+    arrays (:func:`~latcop.algebra.term_table`): the rows up, down and the
+    join order come from whole-array comparisons, and the quadratic checks
+    read one row at a time, so no n^2-entry Python table is built.
 
     Lemma (Davey & Priestley, *Introduction to Lattices and Order*, 2nd ed.,
     2002, ch. 2 and 5).  Read x <= y off the meet table as m(x, y) = x, and
@@ -120,13 +125,13 @@ def _validate(algebra: FiniteAlgebra, spec: DReductSpec) -> tuple:
     pairs only.
     """
     n = algebra.size
-    m = term_table(algebra, spec.meet, 2)
-    j = term_table(algebra, spec.join, 2)
-    bot = term_table(algebra, spec.bot, 0)[0]
-    top = term_table(algebra, spec.top, 0)[0]
-    r = range(n)
-    up = tuple(_mask(y for y in r if m[x * n + y] == x) for x in r)
-    down = tuple(_mask(y for y, v in enumerate(m[x::n]) if v == y) for x in r)
+    m = term_table(algebra, spec.meet, 2).reshape(n, n)
+    j = term_table(algebra, spec.join, 2).reshape(n, n)
+    bot = int(term_table(algebra, spec.bot, 0)[0])
+    top = int(term_table(algebra, spec.top, 0)[0])
+    r = np.arange(n)
+    up = tuple(map(_bitmask, m == r[:, None]))  # row x: m(x, y) = x
+    down = tuple(map(_bitmask, m.T == r))  # row x: m(y, x) = y
 
     fault = _preorder_fault(up)
     if fault is not None:
@@ -135,16 +140,15 @@ def _validate(algebra: FiniteAlgebra, spec: DReductSpec) -> tuple:
     for x, row in enumerate(up):
         if first.setdefault(row, x) != x:
             raise LatticeAxiomError("meet order antisymmetric", (first[row], x))
-    for x in r:
-        diff = up[x] ^ _mask(y for y, v in enumerate(j[x * n:(x + 1) * n]) if v == y)
-        if diff:
-            raise LatticeAxiomError("join order", (x, _bits(diff)[0]))
-    for x in r:
+    for x, row in enumerate(map(_bitmask, j == r)):  # row x: j(x, y) = y
+        if up[x] != row:
+            raise LatticeAxiomError("join order", (x, _bits(up[x] ^ row)[0]))
+    for x in range(n):
         dx, ux = down[x], up[x]
-        for y in r:
-            if down[m[x * n + y]] != dx & down[y]:
+        for y, (mxy, jxy) in enumerate(zip(m[x].tolist(), j[x].tolist())):
+            if down[mxy] != dx & down[y]:
                 raise LatticeAxiomError("meet is the glb", (x, y))
-            if up[j[x * n + y]] != ux & up[y]:
+            if up[jxy] != ux & up[y]:
                 raise LatticeAxiomError("join is the lub", (x, y))
     full = (1 << n) - 1
     if up[bot] != full:
@@ -152,13 +156,16 @@ def _validate(algebra: FiniteAlgebra, spec: DReductSpec) -> tuple:
     if down[top] != full:
         raise LatticeAxiomError("top greatest", (_bits(full ^ down[top])[0],))
 
-    def incomparable():
-        return ((x, y) for x in r for y in _bits(full ^ (up[x] | down[x])))
+    def incomparable():  # (x, y, j(x, y)), one row of j at a time
+        for x in range(n):
+            jx = j[x].tolist()
+            for y in _bits(full ^ (up[x] | down[x])):
+                yield x, y, jx[y]
 
-    irreducibles = full & ~(1 << bot | _mask(j[x * n + y] for x, y in incomparable()))
+    irreducibles = full & ~(1 << bot | _mask(z for _, _, z in incomparable()))
     below = [row & irreducibles for row in down]
-    for x, y in incomparable():
-        escaped = below[j[x * n + y]] ^ (below[x] | below[y])
+    for x, y, z in incomparable():
+        escaped = below[z] ^ (below[x] | below[y])
         if escaped:
             raise LatticeAxiomError("distributivity", (_bits(escaped)[0], x, y))
     return bot, top, up, irreducibles
@@ -216,6 +223,11 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _bitmask(flags: np.ndarray) -> int:
+    """The bitmask whose bit i is set iff ``flags[i]``."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 def _mask(elements: Iterable[int]) -> int:
     mask = 0
     for x in elements:
@@ -265,9 +277,6 @@ class FinitePoset:
             axiom = "antisymmetric"
         if axiom is not None:
             raise LatcopError(f"poset order must be {axiom}")
-
-    def leq(self, x: int, y: int) -> bool:
-        return bool(self.leq_rows[x] >> y & 1)
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs (lo, hi): the Hasse diagram edges.  The covers of

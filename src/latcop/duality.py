@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import algebra as algebra_module
 from .algebra import (
     DEFAULT_POINTS_CAP,
     FIGURE_CEILING,
@@ -46,7 +47,8 @@ from .distlat import (
 from .errors import CapExceeded, InternalError, LatcopError, MembershipError
 from .piggyback import AlterEgo, build_alter_ego
 
-DEFAULT_VISIT_CAP = 10**7
+# assignments one E-functor search may visit
+VISIT_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ def structure_product(
         for x in structures:
             count = _bounded(count * len(x.points[s]), 1, points_cap)
         counts.append(count)
-    _check_points(counts, points_cap)
+    _check_points(counts, points_cap, len(structures))
     points = tuple(
         tuple(itertools.product(*[x.points[s] for x in structures]))
         for s in range(nsorts)
@@ -146,16 +148,19 @@ def structure_product(
     return MultisortedStructure(ego, points, tuple(relations), tuple(operations))
 
 
-def _check_points(counts: Sequence[int], points_cap: int) -> None:
+def _check_points(counts: Sequence[int], points_cap: int, factors: int) -> None:
     """CapExceeded at the first sort whose point count, as ``_bounded``
-    gives it, exceeds ``points_cap``."""
-    for s, count in enumerate(counts):
-        if count > points_cap:
-            required = min(count, FIGURE_CEILING)
+    gives it, exceeds ``points_cap``; then, before any point is listed,
+    when the point tuples, of ``factors`` entries each, would hold more
+    than ``TABLE_ENTRY_BUDGET`` entries in all."""
+    budget = algebra_module.TABLE_ENTRY_BUDGET  # read at call time
+    checks = [(count, points_cap, f"points in sort {s}, cap is {points_cap}") for s, count in enumerate(counts)]
+    for need, limit, what in checks + [(sum(counts) * factors, budget, f"point entries, budget is {budget}")]:
+        if need > limit:
+            required = min(need, FIGURE_CEILING)
             raise CapExceeded(
-                f"product structure needs {required}{'+' * (count >= FIGURE_CEILING)} points "
-                f"in sort {s}, cap is {points_cap}",
-                required=required, stage="structure product", budget=points_cap,
+                f"product structure needs {required}{'+' * (need >= FIGURE_CEILING)} {what}",
+                required=required, stage="structure product", budget=limit,
             )
 
 
@@ -171,10 +176,7 @@ class EResult:
     morphisms: tuple[tuple[int, ...], ...]  # value per point, sort-major
 
 
-def e_functor(
-    structure: MultisortedStructure,
-    visit_cap: int = DEFAULT_VISIT_CAP,
-) -> EResult:
+def e_functor(structure: MultisortedStructure) -> EResult:
     """E(X): all sort-preserving maps into the alter ego respecting every
     lifted relation and operation, found by backtracking with forward
     propagation over candidate-value bitmasks; the algebra is structured
@@ -188,7 +190,8 @@ def e_functor(
     they look for their own pivot after it.  Each solution is charged
     against the table entries the algebra will need, so CapExceeded (stage
     'table build') comes as soon as there are more solutions than tables
-    can be built for."""
+    can be built for; CapExceeded (stage 'E-functor search') past
+    ``VISIT_BUDGET`` visits."""
     ego = structure.ego
     sig = ego.sorts[0].signature
     most = _table_capacity(sig)
@@ -261,10 +264,10 @@ def e_functor(
             if not propagate(dom, [pivot]):
                 continue
         visits += 1
-        if visits > visit_cap:
+        if visits > VISIT_BUDGET:
             raise CapExceeded(
-                f"E-functor enumeration exceeded {visit_cap} visited assignments",
-                required=visits, stage="E-functor search", budget=visit_cap,
+                f"E-functor enumeration exceeded {VISIT_BUDGET} visited assignments",
+                required=visits, stage="E-functor search", budget=VISIT_BUDGET,
             )
         pivot += 1
         while pivot < nvars and dom[pivot] in value:
@@ -322,7 +325,6 @@ def coproduct(
     omega,
     family: Sequence[FiniteAlgebra],
     points_cap: int = DEFAULT_POINTS_CAP,
-    visit_cap: int = DEFAULT_VISIT_CAP,
 ) -> CoproductResult:
     """The coproduct of ``family`` in ISP(generators), as E(prod D(B)).
 
@@ -336,7 +338,7 @@ def coproduct(
     members = list(family)
     duals = [natural_dual(b, ego) for b in members]
     prod_structure = structure_product(duals, points_cap, ego=ego)
-    e_res = e_functor(prod_structure, visit_cap)
+    e_res = e_functor(prod_structure)
     algebra = e_res.algebra.rename(f"Coprod({','.join(b.name for b in members)})")
     injections = []
     for bi, b in enumerate(members):

@@ -35,7 +35,7 @@ from .algebra import (
     direct_product,
     hom_set,
 )
-from .distlat import DReductSpec, PrimeFilter, _bits, _mask, _union, d_reduct, prime_filters
+from .distlat import DReductSpec, PrimeFilter, _bitmask, _bits, _mask, _union, d_reduct, prime_filters
 from .errors import CapExceeded, LatcopError, SeparationError
 
 # nodes one relation search may visit; pseudo_b(4)'s largest needs 34,053
@@ -176,11 +176,6 @@ def leq_mask(w1: PrimeFilter, w2: PrimeFilter) -> int:
     return ((1 << (w1.sort.size * n2)) - 1) & ~cut
 
 
-def _bitmask(flags: np.ndarray) -> int:
-    """The bitmask whose bit i is set iff ``flags[i]``."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-
 class _Preimages:
     """A binary table of an n-element product, its read-only array
     (:meth:`~latcop.algebra.FiniteAlgebra.arrays`) over the flat input
@@ -190,8 +185,8 @@ class _Preimages:
     sg(base + x), which hold f(x) for each unary f, so no unary operation
     leads out of a node (see :func:`_relation_search`)."""
 
-    def __init__(self, table: np.ndarray | Sequence[int], n: int):
-        self.table = np.asarray(table)  # no copy of an array
+    def __init__(self, table: np.ndarray, n: int):
+        self.table = table
         self.masks: list[int | None] = [None] * n
 
     def escape(self, outside: np.ndarray) -> int:

@@ -88,6 +88,7 @@ from latcop.distlat import (
     prime_filters,
     priestley_dual,
 )
+from latcop import duality as duality_module
 from latcop.duality import EResult, _evaluation, coproduct, e_functor, natural_dual
 from latcop.errors import CapExceeded, InternalError, LatcopError, MembershipError
 from latcop.piggyback import AlterEgo, _relation_search, build_alter_ego, leq_mask, sep_condition
@@ -217,13 +218,18 @@ def order_faults(size: int, rows: tuple[int, ...]) -> set[str]:
     return faults
 
 
+def poset_leq(p: FinitePoset, x: int, y: int) -> bool:
+    """Whether x <= y in ``p``, read off its bitmask rows."""
+    return bool(p.leq_rows[x] >> y & 1)
+
+
 def brute_force_covers(p: FinitePoset) -> list[tuple[int, int]]:
     """The pairs lo < hi with no point strictly between, in (lo, hi) order."""
     points = range(p.size)
     return [
         (lo, hi) for lo in points for hi in points
-        if lo != hi and p.leq(lo, hi)
-        and not any(z not in (lo, hi) and p.leq(lo, z) and p.leq(z, hi) for z in points)
+        if lo != hi and poset_leq(p, lo, hi)
+        and not any(z not in (lo, hi) and poset_leq(p, lo, z) and poset_leq(p, z, hi) for z in points)
     ]
 
 
@@ -233,7 +239,7 @@ def brute_force_poset_iso(p: FinitePoset, q: FinitePoset) -> tuple[int, ...] | N
         return None
     pairs = list(itertools.product(range(p.size), repeat=2))
     for perm in itertools.permutations(range(q.size)):
-        if all(p.leq(x, y) == q.leq(perm[x], perm[y]) for x, y in pairs):
+        if all(poset_leq(p, x, y) == poset_leq(q, perm[x], perm[y]) for x, y in pairs):
             return perm
     return None
 
@@ -248,7 +254,7 @@ def _up_algebra(poset: FinitePoset) -> FiniteAlgebra:
     ``up`` are the order-isomorphisms.
     """
     r = range(poset.size)
-    up = tuple(y if poset.leq(x, y) else x for x in r for y in r)
+    up = tuple(y if poset_leq(poset, x, y) else x for x in r for y in r)
     return FiniteAlgebra("up", poset.size, _UP_SIG, (up,))
 
 
@@ -304,7 +310,7 @@ def brute_force_upsets(p: FinitePoset) -> list[frozenset[int]]:
     out = []
     for mask in range(1 << p.size):
         s = frozenset(x for x in range(p.size) if mask >> x & 1)
-        if all(y in s for x in s for y in range(p.size) if p.leq(x, y)):
+        if all(y in s for x in s for y in range(p.size) if poset_leq(p, x, y)):
             out.append(s)
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
@@ -329,7 +335,7 @@ def reduct_tables(lat: DistLatticeReduct) -> tuple[tuple[int, ...], tuple[int, .
     keeps its order only.  Any such spec gives the same tables, as the
     order fixes the lattice operations."""
     spec = next(spec for spec in lat.carrier._reducts if d_reduct(lat.carrier, spec) == lat)
-    return term_table(lat.carrier, spec.meet, 2), term_table(lat.carrier, spec.join, 2)
+    return tuple(term_table(lat.carrier, spec.meet, 2).tolist()), tuple(term_table(lat.carrier, spec.join, 2).tolist())
 
 
 def lattice_meet(lat: DistLatticeReduct, x: int, y: int) -> int:
@@ -673,8 +679,8 @@ def unique_max_applicable(algebra: FiniteAlgebra, spec: DReductSpec) -> bool:
     sufficient condition for the relation search's root class to be <= 1.
     """
     lattice = d_reduct(algebra, spec)
-    meet_tab = term_table(algebra, spec.meet, 2)
-    join_tab = term_table(algebra, spec.join, 2)
+    meet_tab = tuple(term_table(algebra, spec.meet, 2).tolist())
+    join_tab = tuple(term_table(algebra, spec.join, 2).tolist())
     # the reduct's (meet, join) algebra and its order dual: a unary table is
     # a dual endomorphism iff it is a homomorphism from the one to the other
     sig = Signature((("meet", 2), ("join", 2)))
@@ -750,7 +756,7 @@ class PosetMap(ImageMap):
     @property
     def is_order_embedding(self) -> bool:
         return all(
-            self.source.leq(x, y) == self.target.leq(self.map[x], self.map[y])
+            poset_leq(self.source, x, y) == poset_leq(self.target, self.map[x], self.map[y])
             for x in range(self.source.size)
             for y in range(self.source.size)
         )
@@ -765,7 +771,7 @@ def poset_product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
     pairs = set()
     for x1, x2 in itertools.product(range(p.size), range(q.size)):
         for y1, y2 in itertools.product(range(p.size), range(q.size)):
-            if p.leq(x1, y1) and q.leq(x2, y2):
+            if poset_leq(p, x1, y1) and poset_leq(q, x2, y2):
                 pairs.add((x1 * q.size + x2, y1 * q.size + y2))
     labels = tuple(
         f"({p.labels[x1]},{q.labels[x2]})"
@@ -832,12 +838,12 @@ def upset_lattice(poset: FinitePoset) -> DistLatticeReduct:
 
 def poset_disjoint_union(p: FinitePoset, q: FinitePoset) -> FinitePoset:
     size = p.size + q.size
-    pairs = {(x, y) for x in range(p.size) for y in range(p.size) if p.leq(x, y)}
+    pairs = {(x, y) for x in range(p.size) for y in range(p.size) if poset_leq(p, x, y)}
     pairs |= {
         (p.size + x, p.size + y)
         for x in range(q.size)
         for y in range(q.size)
-        if q.leq(x, y)
+        if poset_leq(q, x, y)
     }
     return poset_from_pairs(size, pairs, p.labels + q.labels)
 
@@ -1442,13 +1448,14 @@ def morphisms_by_maps(structure) -> list[tuple[int, ...]]:
     return [v for v in maps if all((v[p], v[q]) in pairs for p, q, pairs in checks)]
 
 
-def e_search_by_reference(structure, visit_cap: int) -> tuple[list[tuple[int, ...]], int]:
+def e_search_by_reference(structure) -> tuple[list[tuple[int, ...]], int]:
     """``duality.e_functor``'s search without grouped watchers or memoized
     unions: one watcher (q, table) per edge end, each recomputing its
     table's union over the popped point's domain bit by bit, and a pivot
     scan from point 0 at every node.  Returns the solutions, in
     search order, and the number of visits (propagated nodes that did not
-    fail); raises like ``e_functor`` at the visit cap and the table charge."""
+    fail); raises like ``e_functor`` past ``duality.VISIT_BUDGET`` visits
+    (read at call time) and at the table charge."""
     ego = structure.ego
     sig = ego.sorts[0].signature
     most = _table_capacity(sig)
@@ -1503,10 +1510,10 @@ def e_search_by_reference(structure, visit_cap: int) -> tuple[list[tuple[int, ..
             if not propagate(dom, [pivot]):
                 continue
         visits += 1
-        if visits > visit_cap:
+        if visits > duality_module.VISIT_BUDGET:
             raise CapExceeded(
-                f"E-functor enumeration exceeded {visit_cap} visited assignments",
-                required=visits, stage="E-functor search", budget=visit_cap,
+                f"E-functor enumeration exceeded {duality_module.VISIT_BUDGET} visited assignments",
+                required=visits, stage="E-functor search", budget=duality_module.VISIT_BUDGET,
             )
         pivot = next((k for k in range(nvars) if dom[k] & (dom[k] - 1)), -1)
         if pivot == -1:

@@ -104,8 +104,8 @@ class TestOps:
 
     def test_symmetric_built_once_and_not_a_field(self):
         a = dataclasses.replace(C3)  # a fresh copy: catalog algebras are shared
-        assert "_symmetric" not in a.__dict__  # built on first use
-        flags = a.symmetric()
+        flags = a.__dict__["_symmetric"]  # built with the algebra
+        assert a.symmetric() is flags
         assert a.symmetric() is flags
         # meet and join commute, imp does not, nullary symbols are not binary
         assert flags == (True, True, False, False, False)
@@ -202,16 +202,16 @@ class TestTermTable:
     @given(algebra_term_arity())
     def test_matches_per_tuple_evaluation(self, case):
         alg, term, arity = case
-        assert term_table(alg, term, arity) == tuple(
+        assert term_table(alg, term, arity).tolist() == [
             eval_term(alg, term, args)
             for args in itertools.product(range(alg.size), repeat=arity)
-        )
+        ]
 
     def test_mv_meet_term(self):
         # the catalog's composite MV meet is the chain's min
         spec = make("mv_chain", 4).spec
         mv4 = make("mv_chain", 4).algebra
-        assert term_table(mv4, spec.meet, 2) == tuple(min(x, y) for x in range(5) for y in range(5))
+        assert term_table(mv4, spec.meet, 2).tolist() == [min(x, y) for x in range(5) for y in range(5)]
 
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbol, match="symbol 'bogus' not in signature"):
@@ -807,6 +807,21 @@ class TestFreeAlgebra:
         assert time.perf_counter() - start < 1
         assert (exc.value.budget, exc.value.required) == (FIGURE_CEILING, FIGURE_CEILING)
 
+    def test_raised_cap_stops_before_the_points_are_listed(self):
+        # M~^16 over kleene3 has 3^16 points, within a cap of 4,300 nines,
+        # but as 16-entry tuples they would fill gigabytes: their entries
+        # are charged against TABLE_ENTRY_BUDGET before any is listed
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded) as exc:
+                free_algebra([K3], 16, cap=FIGURE_CEILING)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == ("structure product", 10**7, 16 * 3**16)
+        assert str(exc.value) == f"product structure needs {16 * 3**16} point entries, budget is 10000000"
+        assert peak < 1 << 20
+
     def test_negative_rank(self):
         with pytest.raises(LatcopError, match="non-negative"):
             free_algebra([K3], -1)
@@ -1169,7 +1184,7 @@ class TestTableArrays:
                 with pytest.raises(ValueError):
                     array[0] = 0
             assert all(x is y for x, y in zip(alg.arrays(), arrays))
-            # renamed before or after the arrays were built, a copy shares them
+            # renamed now or later, a copy shares the arrays built with the algebra
             for copy in (renamed, alg.rename("later")):
                 assert all(x is y for x, y in zip(copy.arrays(), arrays))
             assert alg.symmetric() == symmetric_by_slices(alg)
@@ -1202,6 +1217,15 @@ class TestTableArrays:
             FiniteAlgebra("bad", 3, sig, (np.zeros(8, np.uint8),))
         with pytest.raises(LatcopError, match="table for 'g' must hold integers"):
             FiniteAlgebra("bad", 3, sig, (np.zeros(9),))
+
+    def test_tuple_with_a_float_is_refused_as_an_array_is(self):
+        # one check path: a float entry is refused before any range check,
+        # whether the table comes as a tuple or as an array
+        sig = Signature((("g", 1),))
+        for table in ((0, 1.5, 2), np.array([0, 1.5, 2])):
+            with pytest.raises(LatcopError) as exc:
+                FiniteAlgebra("bad", 3, sig, (table,))
+            assert str(exc.value) == "algebra 'bad': table for 'g' must hold integers"
 
     @pytest.mark.parametrize("alg", [K3, DM4, C3, MED3, MV2, B2], ids=lambda a: a.name)
     def test_symmetric_matches_the_slices(self, alg):

@@ -208,7 +208,7 @@ class TestTerms:
         assert t != u and t == parse_term_text(text.format(1), mv.signature)
         assert hash(t) == hash(parse_term_text(text.format(1), mv.signature))
         assert t.max_var == 1
-        assert term_table(mv, t, 2) == term_table(mv, parse_term_text("(neg (oplus x0 x1))", mv.signature), 2)
+        assert term_table(mv, t, 2).tolist() == term_table(mv, parse_term_text("(neg (oplus x0 x1))", mv.signature), 2).tolist()
         with pytest.raises(ParseError, match=f"^line 1, column 1: term nested more than {MAX_TERM_DEPTH} parentheses deep$"):
             parse_term_text("(neg " + text.format(1) + ")", mv.signature)
 

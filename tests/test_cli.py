@@ -422,6 +422,15 @@ class TestFree:
         assert (code, out) == (EXIT_UNKNOWN, "")
         assert err.endswith("stage 'structure product', budget 15, required 16\n")
 
+    def test_raised_cap_stops_before_the_points_are_listed(self, capsys):
+        # M~^16 over kleene3: 3^16 points per sort, each a 16-entry tuple
+        code, out, err = run(capsys, "free", "16", "kleene3", "--cap", str(10**20))
+        assert (code, out) == (EXIT_UNKNOWN, "")
+        assert err == (
+            "unknown: product structure needs 688747536 point entries, budget is 10000000; "
+            "stage 'structure product', budget 10000000, required 688747536\n"
+        )
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "free", "2", "kleene3", "--json")
         assert code == EXIT_OK

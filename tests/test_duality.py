@@ -25,6 +25,7 @@ from conftest import (
     one_element,
     pairs_of,
     poset_isomorphic,
+    poset_leq,
     product_by_pairs,
     reconstruction_order_poset,
     reconstruction_rows_by_triples,
@@ -51,7 +52,6 @@ from latcop.catalog import make, make_id, table1_suite
 from latcop.distlat import d_reduct, poset_from_pairs, prime_filters, priestley_dual
 from latcop.duality import (
     DEFAULT_POINTS_CAP,
-    DEFAULT_VISIT_CAP,
     MultisortedStructure,
     _check_universal_property,
     _prescribed,
@@ -179,6 +179,29 @@ class TestStructureProduct:
         )
         assert str(exc.value) == f"product structure needs {FIGURE_CEILING}+ points in sort 0, cap is 5000"
 
+    def test_point_entries_charged_before_listing(self, monkeypatch):
+        # each point of X x X is a pair: 4 points of 2 entries; the charge
+        # reads the table budget, and the points cap is not reached
+        x = natural_dual(DM.algebra, ego_for("demorgan4"))
+        monkeypatch.setattr(algebra_module, "TABLE_ENTRY_BUDGET", 8)
+        assert structure_product([x, x]).point_count == 4
+        monkeypatch.setattr(algebra_module, "TABLE_ENTRY_BUDGET", 7)
+        with pytest.raises(CapExceeded) as exc:
+            structure_product([x, x])
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == ("structure product", 7, 8)
+        assert str(exc.value) == "product structure needs 8 point entries, budget is 7"
+
+    def test_point_entries_past_printing_are_a_lower_bound(self):
+        # 2^14280 points fit a cap of 4,300 nines, but their 14280 * 2^14280
+        # entries have 4,303 digits
+        x = natural_dual(DM.algebra, ego_for("demorgan4"))
+        with pytest.raises(CapExceeded) as exc:
+            structure_product([x] * 14280, points_cap=FIGURE_CEILING)
+        assert (exc.value.stage, exc.value.budget, exc.value.required) == (
+            "structure product", 10**7, FIGURE_CEILING
+        )
+        assert str(exc.value) == f"product structure needs {FIGURE_CEILING}+ point entries, budget is 10000000"
+
     def test_empty_family_one_point_per_sort(self):
         ego = ego_for("kleene3")
         p = structure_product([], ego=ego)
@@ -234,32 +257,36 @@ class TestEFunctor:
             tuple((0,) * n for _ in ego.relations),
             tuple(tuple(range(n)) for _ in ego.operations),
         )
-        with pytest.raises(CapExceeded) as exc:
-            e_functor(x, visit_cap=5000)
+        with mock.patch.object(duality_module, "VISIT_BUDGET", 5000), pytest.raises(CapExceeded) as exc:
+            e_functor(x)
         assert exc.value.required == 5001
 
-    def test_visit_cap_names_stage_and_budget(self):
+    def test_visit_cap_names_stage_and_budget(self, monkeypatch):
         # demorgan4 + demorgan4's search visits 21 assignments (see below)
         x = natural_dual(DM.algebra, ego_for("demorgan4"))
         square = structure_product([x, x])
-        assert e_functor(square, visit_cap=21).algebra.size == 16
+        monkeypatch.setattr(duality_module, "VISIT_BUDGET", 21)
+        assert e_functor(square).algebra.size == 16
+        monkeypatch.setattr(duality_module, "VISIT_BUDGET", 20)
         with pytest.raises(CapExceeded) as exc:
-            e_functor(square, visit_cap=20)
+            e_functor(square)
         assert (exc.value.stage, exc.value.budget, exc.value.required) == ("E-functor search", 20, 21)
         assert str(exc.value) == "E-functor enumeration exceeded 20 visited assignments"
 
-    def test_search_order_and_visit_count(self):
+    def test_search_order_and_visit_count(self, monkeypatch):
         # E(X)'s elements, and with them the coproduct --json, come out in
         # lexicographic order; for demorgan4 + demorgan4 the search
         # propagates 21 nodes without conflict, so a cap of 20 is one short
         from latcop.errors import CapExceeded
 
         family = [DM.algebra, DM.algebra]
-        res = coproduct([DM.algebra], DM.spec, None, family, visit_cap=21)
+        monkeypatch.setattr(duality_module, "VISIT_BUDGET", 21)
+        res = coproduct([DM.algebra], DM.spec, None, family)
         morphisms = list(e_functor(res.structure).morphisms)
         assert len(morphisms) == 16 and morphisms == sorted(morphisms)
+        monkeypatch.setattr(duality_module, "VISIT_BUDGET", 20)
         with pytest.raises(CapExceeded) as exc:
-            coproduct([DM.algebra], DM.spec, None, family, visit_cap=20)
+            coproduct([DM.algebra], DM.spec, None, family)
         assert exc.value.required == 21
 
     @settings(max_examples=150, deadline=None)
@@ -348,12 +375,13 @@ class TestCoproduct:
             )
             assert all(eps.is_injective for eps in res.injections)
 
-    def test_visit_cap(self):
+    def test_visit_cap(self, monkeypatch):
         from latcop.errors import CapExceeded
 
         f1 = free_algebra([K3.algebra], 1)
+        monkeypatch.setattr(duality_module, "VISIT_BUDGET", 5)
         with pytest.raises(CapExceeded):
-            coproduct([K3.algebra], K3.spec, None, [f1, f1], visit_cap=5)
+            coproduct([K3.algebra], K3.spec, None, [f1, f1])
 
     @pytest.mark.parametrize(
         "family, generators",
@@ -495,29 +523,31 @@ def _searches(run) -> list[MultisortedStructure]:
     searched = []
     real = duality_module.e_functor
 
-    def spy(x, visit_cap=DEFAULT_VISIT_CAP):
+    def spy(x):
         searched.append(x)
-        return real(x, visit_cap)
+        return real(x)
 
     with mock.patch.object(duality_module, "e_functor", spy):
         run()
     return searched
 
 
-def _stop(search, x, visit_cap):
-    """The (stage, required) at which ``search`` stops under ``visit_cap``."""
-    with pytest.raises(CapExceeded) as exc:
-        search(x, visit_cap)
+def _stop(search, x, budget):
+    """The (stage, required) at which ``search`` stops under a visit budget
+    of ``budget``."""
+    with mock.patch.object(duality_module, "VISIT_BUDGET", budget), pytest.raises(CapExceeded) as exc:
+        search(x)
     return exc.value.stage, exc.value.required
 
 
 def _visits_by_reference(x) -> int:
     """E(X)'s visit count, after checking ``e_functor`` against
     ``conftest.e_search_by_reference``: the same morphisms in the same
-    order, and the same visit count, as a visit cap equal to it passes and
-    one below it stops at it."""
-    solutions, visits = e_search_by_reference(x, DEFAULT_VISIT_CAP)
-    assert list(e_functor(x, visit_cap=visits).morphisms) == solutions
+    order, and the same visit count, as a visit budget equal to it passes
+    and one below it stops at it."""
+    solutions, visits = e_search_by_reference(x)
+    with mock.patch.object(duality_module, "VISIT_BUDGET", visits):
+        assert list(e_functor(x).morphisms) == solutions
     assert _stop(e_functor, x, visits - 1) == ("E-functor search", visits)
     return visits
 
@@ -713,7 +743,7 @@ class TestRevEng:
         assert sorted(res.isomorphism) == list(range(len(filters)))
         q = res.quotient.size
         for c, d in itertools.product(range(q), repeat=2):
-            assert res.quotient.leq(c, d) == res.priestley.leq(res.isomorphism[c], res.isomorphism[d])
+            assert poset_leq(res.quotient, c, d) == poset_leq(res.priestley, res.isomorphism[c], res.isomorphism[d])
 
     @pytest.mark.parametrize("entry", [e for e, _ in table1_suite()], ids=lambda e: e.key)
     def test_isomorphism_is_the_canonical_map(self, entry):

@@ -372,7 +372,7 @@ class TestSearchSetUp:
         s = data.draw(st.integers(0, (1 << n) - 1))
         values = data.draw(st.lists(st.integers(0, n - 1)))
         pre = preimage_masks(table, n)
-        masks = piggyback._Preimages(table, n)
+        masks = piggyback._Preimages(np.array(table), n)
         outside = [z for z in range(n) if not s >> z & 1]
         assert masks.escape(np.array([not s >> z & 1 for z in range(n)])) == sum(pre[z] for z in outside)
         assert masks.union(values) == functools.reduce(operator.or_, (pre[z] for z in values), 0)
